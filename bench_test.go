@@ -98,49 +98,12 @@ func runPlannedOpts(b *testing.B, e *engine.Engine, opts engine.Options, profile
 	runPlanned(b, e, profile, user, q)
 }
 
-// BenchmarkParallelSpeedup measures the morsel-driven executor against
-// serial execution on the same engine and data: fused scan→filter→agg
-// pipelines, parallel group-by with partial/final merge, and the
-// partitioned hash-join build. scripts/bench.sh renders these numbers
-// into BENCH_PR2.json.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	serial := engine.Options{Parallelism: 1}
-	parallel := engine.Options{Parallelism: 8, MorselSize: 8192}
-	tpchQueries := []experiments.NamedQuery{
-		{Name: "count-star", SQL: `select count(*) from lineitem`},
-		{Name: "scan-agg", SQL: `select count(*), sum(l_quantity) from lineitem where l_quantity > 10.00`},
-		{Name: "group-agg", SQL: `select l_returnflag, count(*), sum(l_quantity), avg(l_extendedprice)
-		                          from lineitem group by l_returnflag`},
-		{Name: "filter-scan", SQL: `select l_orderkey, l_extendedprice from lineitem where l_extendedprice > 90000.00`},
-		{Name: "join", SQL: `select c_custkey, o_totalprice from customer inner join orders on c_custkey = o_custkey`},
-		{Name: "top-k", SQL: `select o_orderkey, o_totalprice from orders order by o_totalprice desc limit 10`},
-	}
-	e := benchTPCH(b)
-	for _, q := range tpchQueries {
-		q := q
-		b.Run(q.Name+"/serial", func(b *testing.B) {
-			runPlannedOpts(b, e, serial, core.ProfileHANA, "", q.SQL)
-		})
-		b.Run(q.Name+"/parallel", func(b *testing.B) {
-			runPlannedOpts(b, e, parallel, core.ProfileHANA, "", q.SQL)
-		})
-	}
-	s4e := benchS4(b)
-	s4q := "select count(*) from JournalEntryItemBrowser"
-	b.Run("s4-count/serial", func(b *testing.B) {
-		runPlannedOpts(b, s4e, serial, core.ProfileHANA, "user", s4q)
-	})
-	b.Run("s4-count/parallel", func(b *testing.B) {
-		runPlannedOpts(b, s4e, parallel, core.ProfileHANA, "user", s4q)
-	})
-}
-
 // BenchmarkVectorSpeedup measures the vectorized batch executor against
-// the row-at-a-time path on the BenchmarkParallelSpeedup workloads:
-// row-serial is the pre-batch baseline (DisableVectorize), vec-serial
-// isolates the batch kernels, and vec-parallel stacks morsel
-// parallelism on top. scripts/bench.sh renders these numbers into
-// BENCH_PR6.json.
+// the row-at-a-time path: row-serial is the reference executor
+// (DisableVectorize), vec-serial isolates the batch kernels, and
+// vec-parallel stacks morsel parallelism on top. The workloads are fused
+// scan→filter→agg pipelines, group-by with partial/final merge, a hash
+// join, top-k, and the 57-join browser count(*).
 func BenchmarkVectorSpeedup(b *testing.B) {
 	modes := []struct {
 		name string
@@ -157,6 +120,7 @@ func BenchmarkVectorSpeedup(b *testing.B) {
 		                          from lineitem group by l_returnflag`},
 		{Name: "filter-scan", SQL: `select l_orderkey, l_extendedprice from lineitem where l_extendedprice > 90000.00`},
 		{Name: "join", SQL: `select c_custkey, o_totalprice from customer inner join orders on c_custkey = o_custkey`},
+		{Name: "top-k", SQL: `select o_orderkey, o_totalprice from orders order by o_totalprice desc limit 10`},
 	}
 	e := benchTPCH(b)
 	for _, q := range tpchQueries {
@@ -168,6 +132,13 @@ func BenchmarkVectorSpeedup(b *testing.B) {
 			})
 		}
 	}
+	s4e := benchS4(b)
+	for _, m := range modes {
+		m := m
+		b.Run("s4-count/"+m.name, func(b *testing.B) {
+			runPlannedOpts(b, s4e, m.opts, core.ProfileHANA, "user", "select count(*) from JournalEntryItemBrowser")
+		})
+	}
 }
 
 // BenchmarkVectorPR7 measures the PR 7 batch operators on the S/4
@@ -175,7 +146,7 @@ func BenchmarkVectorSpeedup(b *testing.B) {
 // Figure 14 paging pattern), DISTINCT-over-union dedup, and an
 // expression-kernel filter. row-serial is the pre-batch baseline,
 // vec-serial isolates the kernels, vec-parallel stacks the morsel pool
-// on top. scripts/bench.sh renders these numbers into BENCH_PR7.json.
+// on top.
 func BenchmarkVectorPR7(b *testing.B) {
 	modes := []struct {
 		name string
@@ -348,8 +319,7 @@ func benchSkewed(b *testing.B) *engine.Engine {
 // 64 x 50k join written in both orientations, with the statistics
 // pass on (build side chosen by estimated rows) and off (build side
 // fixed by syntax). small-left/uncosted is the forced wrong-side
-// build; scripts/bench.sh renders the costed-vs-uncosted speedups
-// into BENCH_PR5.json.
+// build.
 func BenchmarkSkewedJoin(b *testing.B) {
 	e := benchSkewed(b)
 	orientations := []experiments.NamedQuery{

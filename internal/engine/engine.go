@@ -69,22 +69,27 @@ const AutoParallelism = -1
 // Options control query execution strategy. The zero value is the
 // serial vectorized executor: eligible operators run over column
 // batches of dictionary codes, producing rows bit-identical to the
-// row-at-a-time path (DisableVectorize forces the latter).
+// row-at-a-time path (DisableVectorize forces the latter). There is one
+// parallel executor: the vector pipeline with Parallelism workers. The
+// row iterators are serial — the fallback for shapes the vector builder
+// declines and the reference the equivalence suites diff against.
 type Options struct {
 	// Parallelism is the worker-pool size for morsel-driven parallel
-	// execution: 0 or 1 runs serial, AutoParallelism uses GOMAXPROCS,
-	// larger values pin an explicit pool size (which may exceed the
-	// core count; useful for exercising the parallel paths in tests).
+	// execution of vectorized pipelines: 0 or 1 runs serial,
+	// AutoParallelism uses GOMAXPROCS, larger values pin an explicit
+	// pool size (which may exceed the core count; useful for exercising
+	// the parallel paths in tests). Ignored when DisableVectorize is set.
 	Parallelism int
 	// MorselSize is the number of row positions per scan morsel;
-	// 0 uses exec.DefaultMorselSize.
+	// 0 uses exec.DefaultMorselSize. Ignored when DisableVectorize is
+	// set.
 	MorselSize int
 
-	// DisableVectorize forces every operator onto the row-at-a-time
-	// iterator path. The default (false) lets eligible scan, filter,
-	// group-by, and join pipelines execute over column batches of
-	// dictionary codes; results are identical either way, so this knob
-	// exists for A/B benchmarking and differential testing.
+	// DisableVectorize forces every operator onto the serial
+	// row-at-a-time iterator path. The default (false) lets eligible
+	// scan, filter, group-by, and join pipelines execute over column
+	// batches of dictionary codes; results are identical either way, so
+	// this knob exists for A/B benchmarking and differential testing.
 	DisableVectorize bool
 	// BatchSize is the number of row positions per column batch on the
 	// vectorized path; 0 uses exec.DefaultBatchSize. Ignored when
@@ -301,11 +306,11 @@ func (e *Engine) execWorkers() int {
 // configureBuilder applies the engine's execution options and metrics
 // sink to a plan builder.
 func (e *Engine) configureBuilder(b *exec.Builder) {
-	if w := e.execWorkers(); w > 1 {
-		b.SetParallel(w, e.opts.MorselSize)
-	}
 	if !e.opts.DisableVectorize {
 		b.SetVectorize(e.opts.BatchSize)
+		if w := e.execWorkers(); w > 1 {
+			b.SetParallel(w, e.opts.MorselSize)
+		}
 	}
 	b.SetMetrics(&e.metrics.exec)
 }

@@ -40,10 +40,11 @@ func equivEngine(t *testing.T) *engine.Engine {
 }
 
 // equivQueries is a battery of handcrafted shapes covering every
-// operator the parallel builder touches: fused scan/filter/project
-// pipelines, parallel aggregation (plain, scalar, DISTINCT, AVG),
-// top-k fusion with ties and offsets, partitioned-join candidates, and
-// semi/anti joins.
+// operator that runs morsel-parallel — fused scan/filter/project
+// pipelines, aggregation (plain, scalar, AVG), top-k fusion with ties
+// and offsets, hash joins — plus shapes the vector builder declines
+// (DISTINCT aggregates, semi/anti joins), whose serial row operators
+// run above parallel scans.
 func equivQueries() []experiments.NamedQuery {
 	return []experiments.NamedQuery{
 		{Name: "scan", SQL: `select o_orderkey, o_totalprice from orders`},
@@ -177,11 +178,10 @@ func TestParallelEquivalenceMorselSizes(t *testing.T) {
 	}
 }
 
-// TestPartitionedJoinEquivalence uses a build side big enough to cross
-// the partitioned-build threshold (1024 rows) and checks both the
-// results and that the partitioned path actually ran. Costing is off:
-// the cost-based pass would build on the 80-row customer side, which is
-// the right call for performance but skips the path under test.
+// TestPartitionedJoinEquivalence diffs serial against parallel
+// execution of a join with a 1500-row build side. Costing is off so the
+// build lands on the big orders side instead of the 80-row customer
+// side the cost-based pass would pick.
 func TestPartitionedJoinEquivalence(t *testing.T) {
 	sc := tpch.Scale{Customers: 80, Orders: 1500, LineitemsPerOrder: 1, Parts: 40, Suppliers: 10}
 	e, err := experiments.NewTPCHEngine(sc)
@@ -195,18 +195,35 @@ func TestPartitionedJoinEquivalence(t *testing.T) {
 	q := `select c_custkey, o_orderkey, o_totalprice
 	      from customer inner join orders on c_custkey = o_custkey`
 	runBoth(t, e, "partitioned-join", q, engine.Options{Parallelism: 4})
+}
 
-	// The counter check pins the row executor's partitioned build; the
-	// vectorized join builds its table serially (parallelizing the probe
-	// instead), so force the row path for this part.
-	before := metricValue(t, e, "exec.partitioned_builds")
-	e.SetOptions(engine.Options{Parallelism: 4, DisableVectorize: true})
+// TestDisableVectorizeIsSerial pins that morsel parallelism belongs to
+// the vector pipeline only: with DisableVectorize, Parallelism and
+// MorselSize are ignored, no worker pool runs, and EXPLAIN ANALYZE shows
+// the serial row operators.
+func TestDisableVectorizeIsSerial(t *testing.T) {
+	e := equivEngine(t)
+	e.SetOptions(engine.Options{Parallelism: 4, MorselSize: 7, DisableVectorize: true})
 	defer e.SetOptions(engine.Options{})
+
+	pipelines := metricValue(t, e, "exec.parallel_pipelines")
+	morsels := metricValue(t, e, "exec.morsels_scanned")
+	q := `select o_orderstatus, count(*) from orders where o_totalprice > 100.00 group by o_orderstatus`
 	if _, err := e.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	if after := metricValue(t, e, "exec.partitioned_builds"); after <= before {
-		t.Errorf("partitioned build did not run: counter %d -> %d", before, after)
+	out, err := e.ExplainAnalyze("", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, e, "exec.parallel_pipelines"); v != pipelines {
+		t.Errorf("exec.parallel_pipelines advanced on the row path: %d -> %d", pipelines, v)
+	}
+	if v := metricValue(t, e, "exec.morsels_scanned"); v != morsels {
+		t.Errorf("exec.morsels_scanned advanced on the row path: %d -> %d", morsels, v)
+	}
+	if !strings.Contains(out, "mode=row") || strings.Contains(out, "mode=vector") || strings.Contains(out, "workers=") {
+		t.Errorf("EXPLAIN ANALYZE is not the serial row executor:\n%s", out)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"vdm/internal/core"
@@ -11,8 +12,8 @@ import (
 
 // Vectorized-executor metamorphic suite: the batch executor must return
 // ordered rows identical to the row-at-a-time executor for every query,
-// across execution modes ({row, batch} × {serial, parallel}), storage
-// states (pre/post delta merge), costing on/off (which flips hash-join
+// across execution modes (batch serial, batch parallel, tiny batches),
+// storage states (pre/post delta merge), costing on/off (which flips hash-join
 // build sides), and batch sizes swept across boundary cases. The
 // reference is always row-serial with costing on — the executor that
 // predates batching.
@@ -101,6 +102,8 @@ func vecBattery() []experiments.NamedQuery {
 		{Name: "fallback-mod", SQL: `select o_orderkey from orders where mod(o_orderkey, 7) = 0 order by o_orderkey`},
 		{Name: "fallback-distinct", SQL: `select o_orderstatus, count(distinct o_custkey) from orders group by o_orderstatus order by o_orderstatus`},
 		{Name: "fallback-sort", SQL: `select o_orderkey, o_totalprice from orders where o_totalprice > 500.00 order by o_totalprice desc, o_orderkey`},
+		{Name: "fallback-div-filter", SQL: `select l_orderkey, l_linenumber from lineitem where l_orderkey < 40 and l_extendedprice / l_quantity > 10.00 order by l_orderkey, l_linenumber`},
+		{Name: "fallback-join-join", SQL: `select c_custkey, o_orderkey, l_linenumber from customer inner join orders on c_custkey = o_custkey inner join lineitem on o_orderkey = l_orderkey order by c_custkey, o_orderkey, l_linenumber`},
 
 		// Paging: LIMIT directly over a scan clamps the adapter's batch
 		// size to offset+count (both executors emit scan order, so the
@@ -124,7 +127,6 @@ func vecLegs() []struct {
 	}{
 		{"vec-serial", engine.Options{Parallelism: 1}},
 		{"vec-parallel", engine.Options{Parallelism: 4, MorselSize: 7}},
-		{"row-parallel", engine.Options{Parallelism: 4, MorselSize: 7, DisableVectorize: true}},
 		{"vec-tiny-batch", engine.Options{Parallelism: 1, BatchSize: 3}},
 	}
 }
@@ -167,6 +169,59 @@ func TestVectorRowEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("post-merge")
+}
+
+// TestDeclinedShapesScanParallel pins what a vector decline costs under
+// Parallelism > 1: only the declined operator runs the serial row
+// iterator; the scan beneath it stays a morsel-parallel batch scan.
+// (TestVectorRowEquivalence's vec-parallel leg diffs the same queries'
+// rows against the row-serial reference.)
+func TestDeclinedShapesScanParallel(t *testing.T) {
+	e := equivEngine(t)
+	e.SetOptions(engine.Options{Parallelism: 4, MorselSize: 7})
+	defer e.SetOptions(engine.Options{})
+
+	declined := map[string]string{ // battery query -> its declined operator
+		"fallback-distinct":   "GroupBy",
+		"fallback-div-filter": "Filter",
+		"fallback-join-join":  "InnerJoin on (o_orderkey",
+	}
+	seen := 0
+	for _, q := range vecBattery() {
+		op, ok := declined[q.Name]
+		if !ok {
+			continue
+		}
+		seen++
+		out, err := e.ExplainAnalyze("", q.SQL)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		lines := strings.Split(out, "\n")
+		at := -1
+		for i, l := range lines {
+			if strings.HasPrefix(strings.TrimSpace(l), op) {
+				at = i
+				break
+			}
+		}
+		if at < 0 || !strings.Contains(lines[at], "mode=row") || strings.Contains(lines[at], "workers=") {
+			t.Errorf("%s: %s is not a serial row operator:\n%s", q.Name, op, out)
+			continue
+		}
+		scanParallel := false
+		for _, l := range lines[at+1:] {
+			if strings.HasPrefix(strings.TrimSpace(l), "Scan") && strings.Contains(l, "workers=") && strings.Contains(l, "mode=vector") {
+				scanParallel = true
+			}
+		}
+		if !scanParallel {
+			t.Errorf("%s: no morsel-parallel scan beneath the declined %s:\n%s", q.Name, op, out)
+		}
+	}
+	if seen != len(declined) {
+		t.Fatalf("vecBattery has %d of the %d declined shapes", seen, len(declined))
+	}
 }
 
 // TestVectorBatchBoundarySweep sweeps the batch size across boundary

@@ -30,8 +30,6 @@ type OpStats struct {
 	// and morsels scheduled. Zero for serial operators.
 	Workers int64
 	Morsels int64
-	// Partitions is the partition count of a parallel hash-join build.
-	Partitions int64
 	// MemBytes is the operator's governance-accounted memory: every
 	// byte it charged against the query budget (hash tables, sort
 	// buffers, top-k heaps, group tables, DISTINCT seen-sets). Zero for
@@ -55,9 +53,6 @@ func (s *OpStats) String() string {
 	}
 	if s.Workers > 0 {
 		out += fmt.Sprintf(" workers=%d morsels=%d", s.Workers, s.Morsels)
-	}
-	if s.Partitions > 0 {
-		out += fmt.Sprintf(" partitions=%d", s.Partitions)
 	}
 	if s.MemBytes > 0 {
 		out += fmt.Sprintf(" mem_bytes=%d", s.MemBytes)
@@ -100,17 +95,6 @@ func rowBytes(r types.Row) int64 {
 }
 
 func (j *hashJoinIter) buildStats() (int64, int64) {
-	if j.part != nil {
-		var n, bytes int64
-		for _, part := range j.part.parts {
-			for _, rows := range part {
-				rn, rb := rowSetBytes(rows)
-				n += rn
-				bytes += rb
-			}
-		}
-		return n, bytes
-	}
 	if j.table != nil {
 		var n, bytes int64
 		for _, rows := range j.table {
@@ -121,12 +105,6 @@ func (j *hashJoinIter) buildStats() (int64, int64) {
 		return n, bytes
 	}
 	return rowSetBytes(j.rightRows)
-}
-
-func (j *hashJoinIter) extraStats(st *OpStats) {
-	if j.part != nil {
-		st.Partitions = int64(len(j.part.parts))
-	}
 }
 
 func (j *semiJoinIter) buildStats() (int64, int64) {
@@ -159,7 +137,7 @@ func (s *sortIter) buildStats() (int64, int64) {
 }
 
 // extraStatser is implemented by iterators that report parallelism
-// details (worker count, morsels, partitions, fusion notes); statIter
+// details (worker count, morsels, fusion notes); statIter
 // harvests them on Close, after the counters are final.
 type extraStatser interface {
 	extraStats(*OpStats)

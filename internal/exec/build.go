@@ -21,7 +21,7 @@ type Builder struct {
 	analyze bool
 	stats   map[plan.Node]*OpStats
 
-	// workers > 1 enables morsel-driven parallel execution (see
+	// workers > 1 runs vectorized pipelines morsel-parallel (see
 	// SetParallel); morselSize is the rows per morsel.
 	workers    int
 	morselSize int
@@ -118,12 +118,6 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 		}
 		b.countVecFallback(n)
 	}
-	if b.workers > 1 {
-		it, handled, err := b.buildParallel(n)
-		if handled {
-			return it, err
-		}
-	}
 	switch n := n.(type) {
 	case *plan.Scan:
 		tbl, ok := b.db.Table(n.Info.Name)
@@ -135,28 +129,22 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 	case *plan.Filter:
 		// Filter directly over a scan: extract range constraints for
 		// zone-map block pruning; the filter still runs for exactness.
-		if scan, ok := n.Input.(*plan.Scan); ok {
-			if ranges := extractRanges(n.Cond, scan); len(ranges) > 0 {
-				tbl, ok := b.db.Table(scan.Info.Name)
-				if !ok {
-					return nil, fmt.Errorf("exec: table %s does not exist", scan.Info.Name)
-				}
-				// Wrap the fused scan separately so EXPLAIN ANALYZE still
-				// reports the Scan node's own row counts. The scan itself
-				// runs morsel-parallel when workers are configured.
-				var inner Iterator = &scanIter{snap: tbl.SnapshotAt(b.ts), ords: scan.Ords, ranges: ranges, gov: b.gov}
-				if b.workers > 1 {
-					inner = b.newParallelScan(&morselSpec{snap: tbl.SnapshotAt(b.ts), ords: scan.Ords, ranges: ranges})
-				}
-				input := b.wrapNode(scan, inner)
-				cond, err := Compile(n.Cond, slotsOf(scan))
-				if err != nil {
-					return nil, err
-				}
-				return &filterIter{input: input, cond: cond}, nil
-			}
+		var ranges []storage.ColRange
+		scan, fused := n.Input.(*plan.Scan)
+		if fused {
+			ranges = extractRanges(n.Cond, scan)
 		}
-		input, err := b.Build(n.Input)
+		var input Iterator
+		var err error
+		if len(ranges) > 0 {
+			// Wrap the fused scan separately so EXPLAIN ANALYZE still
+			// reports the Scan node's own row counts.
+			if input, err = b.buildPrunedScan(scan, ranges); err == nil {
+				input = b.wrapNode(scan, input)
+			}
+		} else {
+			input, err = b.Build(n.Input)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -307,6 +295,27 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 	return nil, fmt.Errorf("exec: cannot build %T", n)
 }
 
+// buildPrunedScan builds the scan beneath a row filter, pruned by the
+// filter's zone-map ranges. When vectorizing it is the batch scan, so
+// the input of a filter the vector builder declined still runs
+// morsel-parallel under SetParallel.
+func (b *Builder) buildPrunedScan(scan *plan.Scan, ranges []storage.ColRange) (Iterator, error) {
+	if b.vecSize > 0 {
+		if f, ok := b.vecFragment(scan); ok {
+			f.spec.ranges = ranges
+			if b.analyze {
+				b.attachVecStats(f, false)
+			}
+			return b.vecRows(f.spec), nil
+		}
+	}
+	tbl, ok := b.db.Table(scan.Info.Name)
+	if !ok {
+		return nil, fmt.Errorf("exec: table %s does not exist", scan.Info.Name)
+	}
+	return &scanIter{snap: tbl.SnapshotAt(b.ts), ords: scan.Ords, ranges: ranges, gov: b.gov}, nil
+}
+
 func (b *Builder) buildJoin(n *plan.Join) (Iterator, error) {
 	left, err := b.Build(n.Left)
 	if err != nil {
@@ -411,8 +420,6 @@ func (b *Builder) buildJoin(n *plan.Join) (Iterator, error) {
 		rightKeys:  rightKeys,
 		residual:   residualFn,
 		rightWidth: len(n.Right.Columns()),
-		workers:    b.workers,
-		met:        b.met,
 		gov:        b.gov,
 	}, nil
 }

@@ -128,14 +128,10 @@ type hashJoinIter struct {
 	rightKeys   []EvalFn // over right rows
 	residual    EvalFn   // over combined rows, may be nil
 	rightWidth  int
-	// workers > 1 enables the partitioned parallel hash build.
-	workers int
-	met     *Metrics
-	gov     *Governance
-	acct    memAcct
+	gov         *Governance
+	acct        memAcct
 
 	table     map[string][]types.Row
-	part      *partTable  // partitioned build (parallel mode)
 	rightRows []types.Row // nested-loop fallback
 	keyBuf    []byte
 	// probe state
@@ -155,32 +151,6 @@ func (j *hashJoinIter) Open() error {
 	j.acct = memAcct{gov: j.gov}
 	if err := j.gov.point(PointHashBuild); err != nil {
 		return err
-	}
-	if len(j.rightKeys) > 0 && j.workers > 1 {
-		// Parallel mode: materialize the build side, then partition the
-		// hash build across workers.
-		rows, err := drainRows(j.right, j.gov, &j.acct)
-		if err != nil {
-			return err
-		}
-		if len(rows) >= parallelBuildMinRows {
-			part, err := buildPartTable(rows, j.rightKeys, j.workers)
-			if err != nil {
-				return err
-			}
-			j.part = part
-			if j.met != nil {
-				j.met.PartitionedBuilds.Inc()
-			}
-		} else {
-			table, err := buildHashTable(rows, j.rightKeys)
-			if err != nil {
-				return err
-			}
-			j.table = table
-		}
-		j.curLeft = nil
-		return nil
 	}
 	if len(j.rightKeys) > 0 {
 		j.table = make(map[string][]types.Row)
@@ -244,25 +214,6 @@ func drainRows(it Iterator, gov *Governance, acct *memAcct) ([]types.Row, error)
 	}
 }
 
-// buildHashTable builds a serial equi-join hash table from materialized
-// rows, skipping NULL keys.
-func buildHashTable(rows []types.Row, keys []EvalFn) (map[string][]types.Row, error) {
-	table := make(map[string][]types.Row, len(rows))
-	var buf []byte
-	for _, row := range rows {
-		key, null, err := appendEvalKey(buf[:0], row, keys)
-		buf = key[:0]
-		if err != nil {
-			return nil, err
-		}
-		if null {
-			continue
-		}
-		table[string(key)] = append(table[string(key)], row)
-	}
-	return table, nil
-}
-
 func (j *hashJoinIter) Next() (types.Row, bool, error) {
 	for {
 		if j.curLeft == nil {
@@ -273,18 +224,15 @@ func (j *hashJoinIter) Next() (types.Row, bool, error) {
 			j.curLeft = row
 			j.matched = false
 			j.matchPos = 0
-			if j.table != nil || j.part != nil {
+			if j.table != nil {
 				key, null, err := appendEvalKey(j.keyBuf[:0], row, j.leftKeys)
 				j.keyBuf = key[:0]
 				if err != nil {
 					return nil, false, err
 				}
-				switch {
-				case null:
+				if null {
 					j.matches = nil
-				case j.part != nil:
-					j.matches = j.part.lookup(key)
-				default:
+				} else {
 					j.matches = j.table[string(key)]
 				}
 			} else {
@@ -329,7 +277,6 @@ func (j *hashJoinIter) Close() {
 	j.right.Close()
 	j.acct.close()
 	j.table = nil
-	j.part = nil
 	j.rightRows = nil
 }
 

@@ -27,14 +27,3 @@ func appendEvalKey(dst []byte, row types.Row, keys []EvalFn) (out []byte, null b
 	}
 	return dst, false, nil
 }
-
-// hash64 is FNV-1a over the encoded key bytes, used to partition hash
-// tables across parallel build workers.
-func hash64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}

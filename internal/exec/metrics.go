@@ -2,20 +2,17 @@ package exec
 
 import "vdm/internal/metrics"
 
-// Metrics aggregates the executor-level counters: how often the
-// morsel-driven parallel paths ran and what work they scheduled. All
-// fields are atomic; one instance is shared by every Builder the engine
+// Metrics aggregates the executor-level counters: how often the batch
+// pipelines ran, serial and morsel-parallel, what work they scheduled,
+// and what the batch compiler declined. All fields are atomic; one instance is shared by every Builder the engine
 // creates (see Builder.SetMetrics).
 type Metrics struct {
-	// ParallelPipelines counts fused scan/aggregation pipelines executed
-	// by the parallel worker pool.
+	// ParallelPipelines counts batch scan/aggregation pipelines executed
+	// by the morsel worker pool.
 	ParallelPipelines metrics.Counter
 	// MorselsScanned counts morsels scheduled across all parallel
 	// pipelines.
 	MorselsScanned metrics.Counter
-	// PartitionedBuilds counts hash-join builds partitioned across
-	// workers.
-	PartitionedBuilds metrics.Counter
 	// TopKFusions counts LIMIT-over-SORT pairs fused into a bounded
 	// top-k heap.
 	TopKFusions metrics.Counter
@@ -27,10 +24,11 @@ type Metrics struct {
 	// VecFallback* count plan nodes the vectorized executor declined,
 	// labeled by the decline reason (plan.VecFallback): an inadmissible
 	// expression, an OR tree it cannot compile, an unbounded sort, a
-	// union with non-pipeline branches, a DISTINCT (aggregate or set)
-	// it cannot key, and the historical analyze×parallel exclusion —
-	// kept registered so dashboards can verify the restriction stays
-	// lifted (the counter must read 0).
+	// union with non-pipeline branches, and a DISTINCT (aggregate or
+	// set) it cannot key. VecFallbackAnalyzeParallel is never
+	// incremented (batch mode runs under parallel EXPLAIN ANALYZE); the
+	// field and its registered name stay because bench/layers.go sums it
+	// into exec.vec_fallbacks.
 	VecFallbackExpression      metrics.Counter
 	VecFallbackOr              metrics.Counter
 	VecFallbackSort            metrics.Counter
@@ -47,7 +45,6 @@ type Metrics struct {
 func (m *Metrics) RegisterWith(r *metrics.Registry) {
 	r.RegisterCounter("exec.parallel_pipelines", &m.ParallelPipelines)
 	r.RegisterCounter("exec.morsels_scanned", &m.MorselsScanned)
-	r.RegisterCounter("exec.partitioned_builds", &m.PartitionedBuilds)
 	r.RegisterCounter("exec.topk_fusions", &m.TopKFusions)
 	r.RegisterCounter("exec.vec_pipelines", &m.VecPipelines)
 	r.RegisterCounter("exec.vec_batches", &m.VecBatches)

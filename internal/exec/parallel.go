@@ -1,37 +1,35 @@
 package exec
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"vdm/internal/plan"
-	"vdm/internal/storage"
 	"vdm/internal/types"
 )
 
-// Morsel-driven parallel execution. Base-table scans are split into
-// fixed-size row ranges (morsels); a bounded worker pool claims morsels
-// from an atomic counter and runs the whole scan→filter→project(→agg)
-// pipeline fragment on each morsel before touching the next, so every
-// morsel pays one lock acquisition and a couple of batch allocations
-// instead of per-row costs. Results are merged back in morsel sequence
-// order, which makes parallel execution produce rows in exactly the
-// serial scan order — determinism the rest of the engine (ORDER BY
-// stability, group first-seen order) relies on.
+// Morsel-driven parallel execution of the vector pipeline. Base-table
+// scans are split into fixed-size row ranges (morsels); a bounded worker
+// pool claims morsels from an atomic counter and runs the whole batch
+// fragment (scan→filter→project, optionally folded into partial
+// aggregates) on each morsel before touching the next. Results are
+// merged back in morsel sequence order, which makes parallel execution
+// produce rows in exactly the serial scan order — determinism the rest
+// of the engine (ORDER BY stability, group first-seen order) relies on.
+// Only batch fragments run here: a shape the vector builder declines
+// runs its serial row operator above children that still scan in
+// parallel.
 
 // DefaultMorselSize is the number of row positions per morsel when the
 // caller does not configure one. Large enough to amortize scheduling
 // and locking, small enough to keep the pool busy on skewed filters.
 const DefaultMorselSize = 32768
 
-// parallelBuildMinRows is the smallest build side worth partitioning
-// across workers; below it a serial hash build is faster.
-const parallelBuildMinRows = 1024
-
-// SetParallel enables morsel-driven parallel execution for subsequent
-// Build calls: workers is the pool size (values < 2 keep the serial
-// path), morselSize the rows per morsel (0 = DefaultMorselSize).
+// SetParallel enables morsel-driven parallel execution of vectorized
+// pipelines for subsequent Build calls: workers is the pool size (values
+// < 2 keep the serial path), morselSize the rows per morsel (0 =
+// DefaultMorselSize). It has no effect without SetVectorize: the row
+// operators are serial.
 func (b *Builder) SetParallel(workers, morselSize int) {
 	if workers < 1 {
 		workers = 1
@@ -44,80 +42,8 @@ func (b *Builder) SetParallel(workers, morselSize int) {
 }
 
 // SetMetrics directs executor counters (parallel pipelines, morsels,
-// partitioned builds, top-k fusions) to m.
+// top-k fusions, vector batches and fallbacks) to m.
 func (b *Builder) SetMetrics(m *Metrics) { b.met = m }
-
-// --- morsel pipeline fragment ------------------------------------------
-
-// morselSpec is a fused scan→filter→project pipeline fragment executed
-// morsel-at-a-time. filter and project may be nil; EvalFn closures are
-// pure, so one spec is shared by all workers.
-type morselSpec struct {
-	snap    *storage.Snapshot
-	ords    []int
-	ranges  []storage.ColRange
-	filter  EvalFn
-	project []EvalFn
-	// vec, when set, runs the fragment through the vectorized batch
-	// kernels (vecBatch rows per batch) instead of the row closures; the
-	// morsel merge and ordering machinery is identical either way.
-	vec      *vecSpec
-	vecBatch int
-}
-
-// run executes the fragment over row positions [lo, hi): collect
-// visible positions (one lock, zone-map pruned), materialize them into
-// a flat batch (one lock, column-at-a-time), then filter and project in
-// place. idxBuf is a worker-local scratch slice returned for reuse.
-func (m *morselSpec) run(lo, hi int, idxBuf []int) ([]types.Row, []int, error) {
-	idxBuf = m.snap.CollectVisible(lo, hi, m.ranges, idxBuf[:0])
-	if len(idxBuf) == 0 {
-		return nil, idxBuf, nil
-	}
-	w := len(m.ords)
-	flat := make(types.Row, len(idxBuf)*w)
-	m.snap.FillRows(idxBuf, m.ords, flat)
-	rows := make([]types.Row, len(idxBuf))
-	for i := range rows {
-		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
-	}
-	if m.filter != nil {
-		kept := rows[:0]
-		for _, r := range rows {
-			v, err := m.filter(r)
-			if err != nil {
-				return nil, idxBuf, err
-			}
-			if !v.IsNull() && v.Bool() {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-	}
-	if len(m.project) > 0 {
-		pw := len(m.project)
-		pflat := make(types.Row, len(rows)*pw)
-		for i, r := range rows {
-			out := pflat[i*pw : (i+1)*pw : (i+1)*pw]
-			for k, fn := range m.project {
-				v, err := fn(r)
-				if err != nil {
-					return nil, idxBuf, err
-				}
-				out[k] = v
-			}
-			rows[i] = out
-		}
-	}
-	return rows, idxBuf, nil
-}
-
-// morselCount returns how many morsels of the given size cover the
-// spec's snapshot.
-func (m *morselSpec) morselCount(size int) int {
-	total := m.snap.NumRowVersions()
-	return (total + size - 1) / size
-}
 
 // collectMorsels runs work for every morsel seq in [0, count) across a
 // bounded worker pool and returns the results in sequence order. It
@@ -171,16 +97,15 @@ type seqBatch struct {
 	err  error
 }
 
-// parallelScanIter streams a morselSpec's output through a worker pool,
-// re-ordering completed morsels so rows are emitted in serial scan
-// order. Workers stop as soon as the iterator is closed, so a LIMIT
-// above still terminates early.
+// parallelScanIter streams a batch fragment's decoded rows through a
+// worker pool, re-ordering completed morsels so rows are emitted in
+// serial scan order. Workers stop as soon as the iterator is closed, so
+// a LIMIT above still terminates early.
 type parallelScanIter struct {
-	spec       *morselSpec
+	spec       *vecSpec
+	batchSize  int
 	workers    int
 	morselSize int
-	met        *Metrics
-	gov        *Governance
 
 	morsels int
 	started int
@@ -202,7 +127,7 @@ func (s *parallelScanIter) Open() error {
 	// batch, and the pin guarantees background version GC never reclaims
 	// versions this timestamp can still see in the meantime.
 	s.unpin = s.spec.snap.Pin()
-	s.morsels = s.spec.morselCount(s.morselSize)
+	s.morsels = (s.spec.snap.NumRowVersions() + s.morselSize - 1) / s.morselSize
 	s.next, s.cur, s.curPos = 0, nil, 0
 	s.claim = 0
 	s.pending = make(map[int]seqBatch)
@@ -216,11 +141,7 @@ func (s *parallelScanIter) Open() error {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			var idxBuf []int
-			var vsc *vecScratch
-			if s.spec.vec != nil {
-				vsc = newVecScratch(s.spec.vec)
-			}
+			sc := newVecScratch(s.spec)
 			for {
 				select {
 				case <-s.stop:
@@ -231,8 +152,7 @@ func (s *parallelScanIter) Open() error {
 				if seq >= s.morsels {
 					return
 				}
-				rows, buf, err := s.runMorsel(seq, idxBuf, vsc)
-				idxBuf = buf
+				rows, err := s.runMorsel(seq, sc)
 				select {
 				case s.batches <- seqBatch{seq: seq, rows: rows, err: err}:
 				case <-s.stop:
@@ -244,12 +164,10 @@ func (s *parallelScanIter) Open() error {
 			}
 		}()
 	}
-	if s.met != nil {
-		s.met.ParallelPipelines.Inc()
-		s.met.MorselsScanned.Add(int64(s.morsels))
-		if s.spec.vec != nil {
-			s.met.VecPipelines.Inc()
-		}
+	if met := s.spec.met; met != nil {
+		met.ParallelPipelines.Inc()
+		met.MorselsScanned.Add(int64(s.morsels))
+		met.VecPipelines.Inc()
 	}
 	return nil
 }
@@ -257,23 +175,17 @@ func (s *parallelScanIter) Open() error {
 // runMorsel executes one morsel with a recover boundary (a panic fails
 // only this query, typed ErrInternal) and a governance check so a
 // cancelled query stops claiming work mid-scan.
-func (s *parallelScanIter) runMorsel(seq int, idxBuf []int, vsc *vecScratch) (rows []types.Row, buf []int, err error) {
-	buf = idxBuf
+func (s *parallelScanIter) runMorsel(seq int, sc *vecScratch) (rows []types.Row, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rows, err = nil, panicErr("parallel scan worker", r)
 		}
 	}()
-	if err := s.gov.point(PointScan); err != nil {
-		return nil, buf, err
+	if err := s.spec.gov.point(PointScan); err != nil {
+		return nil, err
 	}
 	lo := seq * s.morselSize
-	if v := s.spec.vec; v != nil {
-		rows, err = v.collectRows(lo, lo+s.morselSize, s.spec.vecBatch, vsc)
-		return rows, buf, err
-	}
-	rows, buf, err = s.spec.run(lo, lo+s.morselSize, buf)
-	return rows, buf, err
+	return s.spec.collectRows(lo, lo+s.morselSize, s.batchSize, sc)
 }
 
 func (s *parallelScanIter) Next() (types.Row, bool, error) {
@@ -300,8 +212,8 @@ func (s *parallelScanIter) Next() (types.Row, bool, error) {
 		var b seqBatch
 		select {
 		case b = <-s.batches:
-		case <-s.gov.Done():
-			return nil, false, s.gov.Err()
+		case <-s.spec.gov.Done():
+			return nil, false, s.spec.gov.Err()
 		}
 		if b.err != nil {
 			return nil, false, b.err
@@ -331,52 +243,29 @@ func (s *parallelScanIter) extraStats(st *OpStats) {
 
 // --- parallel group by --------------------------------------------------
 
-// pAggState is one aggregate's per-morsel partial state. For DISTINCT
-// aggregates it records the locally-new values in first-seen order;
-// the merge replays them against the global seen-set so the final
-// state is identical to a serial run.
-type pAggState struct {
-	aggState
-	dvals []types.Value
-}
-
-// pgEntry is one group's partial result within a single morsel.
+// pgEntry is one group's aggregate state: a morsel's partial result, or
+// the final state built by folding the partials in sequence order.
 type pgEntry struct {
 	key       string
-	groupVals types.Row
-	states    []pAggState
-}
-
-// mergeEntry is one group's final state, built by folding per-morsel
-// partials in sequence order.
-type mergeEntry struct {
 	groupVals types.Row
 	states    []aggState
 }
 
-// parallelGroupByIter computes partial aggregates per morsel across a
-// worker pool, then merges the partial tables in morsel order. Group
-// output order equals the serial first-seen order because morsels are
-// merged in scan order.
+// parallelGroupByIter folds each morsel through the vectorized
+// aggregation kernels across a worker pool, then merges the partial
+// tables in morsel order. Group output order equals the serial
+// first-seen order because morsels are merged in scan order.
 type parallelGroupByIter struct {
-	spec       *morselSpec
+	va         *vecAggSpec
 	workers    int
 	morselSize int
 	met        *Metrics
 	gov        *Governance
 	acct       memAcct
-	// vagg, when set, folds each morsel through the vectorized
-	// aggregation kernels instead of the row partial fold; the partials,
-	// merge, and finalize are shared, so the output is identical.
-	vagg *vecAggSpec
 	// parBytes tracks the per-morsel partial tables reserved directly
 	// against the governance tracker by workers; released after the
 	// merge (Close as a backstop on error paths).
 	parBytes atomic.Int64
-
-	groupIdx  []int
-	aggs      []groupSpec
-	scalarAgg bool
 
 	groups []types.Row
 	pos    int
@@ -385,54 +274,31 @@ type parallelGroupByIter struct {
 func (g *parallelGroupByIter) Open() error {
 	// The aggregation materializes fully inside Open, so the snapshot
 	// only needs its watermark pin for the duration of the morsel sweep.
-	unpin := g.spec.snap.Pin()
+	spec := g.va.spec
+	unpin := spec.snap.Pin()
 	defer unpin()
 	g.acct = memAcct{gov: g.gov}
-	morsels := g.spec.morselCount(g.morselSize)
+	naggs := len(g.va.aggs)
+	morsels := (spec.snap.NumRowVersions() + g.morselSize - 1) / g.morselSize
 	work := func(seq int) ([]*pgEntry, error) {
 		if err := g.gov.point(PointGroupMerge); err != nil {
 			return nil, err
 		}
 		lo := seq * g.morselSize
-		rows, _, err := g.spec.run(lo, lo+g.morselSize, nil)
-		if err != nil {
-			return nil, err
-		}
-		entries, err := g.partialAgg(rows)
-		if err != nil {
+		t := newVecAggTable(g.va)
+		if err := t.foldRange(lo, lo+g.morselSize, newVecScratch(spec)); err != nil {
 			return nil, err
 		}
 		// Reserve the morsel's partial-table footprint; workers share
 		// the tracker, so a query blowing its budget fails here no
 		// matter which worker crosses the line.
-		if mb := partialBytes(entries, len(g.aggs)); mb > 0 {
+		if mb := partialBytes(t.order, naggs); mb > 0 {
 			if err := g.gov.grow(mb); err != nil {
 				return nil, err
 			}
 			g.parBytes.Add(mb)
 		}
-		return entries, nil
-	}
-	if g.vagg != nil {
-		work = func(seq int) ([]*pgEntry, error) {
-			if err := g.gov.point(PointGroupMerge); err != nil {
-				return nil, err
-			}
-			lo := seq * g.morselSize
-			t := newVecAggTable(g.vagg)
-			sc := newVecScratch(g.vagg.spec)
-			if err := t.foldRange(lo, lo+g.morselSize, sc); err != nil {
-				return nil, err
-			}
-			entries := t.order
-			if mb := partialBytes(entries, len(g.aggs)); mb > 0 {
-				if err := g.gov.grow(mb); err != nil {
-					return nil, err
-				}
-				g.parBytes.Add(mb)
-			}
-			return entries, nil
-		}
+		return t.order, nil
 	}
 	if g.starOnly() {
 		// count(*)-only over an unfiltered scan: count visibility per
@@ -442,8 +308,8 @@ func (g *parallelGroupByIter) Open() error {
 				return nil, err
 			}
 			lo := seq * g.morselSize
-			n := g.spec.snap.CountVisible(lo, lo+g.morselSize, g.spec.ranges)
-			e := &pgEntry{states: make([]pAggState, len(g.aggs))}
+			n := spec.snap.CountVisible(lo, lo+g.morselSize, spec.ranges)
+			e := &pgEntry{states: make([]aggState, naggs)}
 			for i := range e.states {
 				e.states[i].count = int64(n)
 			}
@@ -454,8 +320,8 @@ func (g *parallelGroupByIter) Open() error {
 	if err != nil {
 		return err
 	}
-	final := make(map[string]*mergeEntry)
-	var order []*mergeEntry
+	final := make(map[string]*pgEntry)
+	var order []*pgEntry
 	stride := govStride{gov: g.gov}
 	for _, tbl := range partials {
 		for _, e := range tbl {
@@ -464,28 +330,28 @@ func (g *parallelGroupByIter) Open() error {
 			}
 			f, ok := final[e.key]
 			if !ok {
-				f = &mergeEntry{groupVals: e.groupVals, states: make([]aggState, len(g.aggs))}
+				f = &pgEntry{groupVals: e.groupVals, states: make([]aggState, naggs)}
 				final[e.key] = f
 				order = append(order, f)
-				if err := g.acct.add(int64(len(e.key)) + rowBytes(e.groupVals) + int64(len(g.aggs))*aggStateBytes); err != nil {
+				if err := g.acct.add(int64(len(e.key)) + rowBytes(e.groupVals) + int64(naggs)*aggStateBytes); err != nil {
 					return err
 				}
 			}
-			for i := range g.aggs {
-				if err := mergeAggState(&f.states[i], &g.aggs[i], &e.states[i], &g.acct); err != nil {
+			for i := range f.states {
+				if err := mergeAggState(&f.states[i], &g.va.aggs[i].gspec, &e.states[i]); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	if len(order) == 0 && g.scalarAgg {
-		order = append(order, &mergeEntry{states: make([]aggState, len(g.aggs))})
+	if len(order) == 0 && g.va.scalarAgg {
+		order = append(order, &pgEntry{states: make([]aggState, naggs)})
 	}
 	for _, e := range order {
-		out := make(types.Row, 0, len(e.groupVals)+len(g.aggs))
+		out := make(types.Row, 0, len(e.groupVals)+naggs)
 		out = append(out, e.groupVals...)
-		for i := range g.aggs {
-			v, err := finalize(&e.states[i], &g.aggs[i])
+		for i := range e.states {
+			v, err := finalize(&e.states[i], &g.va.aggs[i].gspec)
 			if err != nil {
 				return err
 			}
@@ -503,9 +369,7 @@ func (g *parallelGroupByIter) Open() error {
 	if g.met != nil {
 		g.met.ParallelPipelines.Inc()
 		g.met.MorselsScanned.Add(int64(morsels))
-		if g.vagg != nil {
-			g.met.VecPipelines.Inc()
-		}
+		g.met.VecPipelines.Inc()
 	}
 	return nil
 }
@@ -522,9 +386,6 @@ func partialBytes(entries []*pgEntry, aggs int) int64 {
 	var mb int64
 	for _, e := range entries {
 		mb += int64(len(e.key)) + rowBytes(e.groupVals) + int64(aggs)*aggStateBytes
-		for i := range e.states {
-			mb += rowBytes(types.Row(e.states[i].dvals))
-		}
 	}
 	return mb
 }
@@ -532,94 +393,15 @@ func partialBytes(entries []*pgEntry, aggs int) int64 {
 // starOnly reports whether the aggregation is a bare scalar count(*)
 // over an unfiltered scan — the shape that needs no row values at all.
 func (g *parallelGroupByIter) starOnly() bool {
-	if !g.scalarAgg || g.spec.filter != nil {
+	if !g.va.scalarAgg || g.va.spec.hasFilter() {
 		return false
 	}
-	if g.vagg != nil && g.vagg.spec.hasFilter() {
-		return false
-	}
-	for i := range g.aggs {
-		if !g.aggs[i].star {
+	for i := range g.va.aggs {
+		if !g.va.aggs[i].star {
 			return false
 		}
 	}
 	return true
-}
-
-// partialAgg folds one morsel's rows into an ordered partial table.
-func (g *parallelGroupByIter) partialAgg(rows []types.Row) ([]*pgEntry, error) {
-	if g.scalarAgg {
-		// No group columns: a single state per morsel, no key encoding
-		// or hash-table lookups on the per-row path.
-		if len(rows) == 0 {
-			return nil, nil
-		}
-		e := &pgEntry{states: make([]pAggState, len(g.aggs))}
-		for _, row := range rows {
-			for i := range g.aggs {
-				if err := accumulatePartial(&e.states[i], &g.aggs[i], row); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return []*pgEntry{e}, nil
-	}
-	table := make(map[string]*pgEntry)
-	var order []*pgEntry
-	var keyBuf []byte
-	for _, row := range rows {
-		keyBuf = keyBuf[:0]
-		for _, idx := range g.groupIdx {
-			keyBuf = row[idx].AppendKey(keyBuf)
-		}
-		e, ok := table[string(keyBuf)]
-		if !ok {
-			groupVals := make(types.Row, len(g.groupIdx))
-			for i, idx := range g.groupIdx {
-				groupVals[i] = row[idx]
-			}
-			e = &pgEntry{key: string(keyBuf), groupVals: groupVals, states: make([]pAggState, len(g.aggs))}
-			table[e.key] = e
-			order = append(order, e)
-		}
-		for i := range g.aggs {
-			if err := accumulatePartial(&e.states[i], &g.aggs[i], row); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return order, nil
-}
-
-// accumulatePartial is the morsel-local accumulate: DISTINCT values are
-// only collected (deduplicated locally), everything else folds exactly
-// as the serial accumulate does.
-func accumulatePartial(st *pAggState, spec *groupSpec, row types.Row) error {
-	if spec.star {
-		st.count++
-		return nil
-	}
-	v, err := spec.arg(row)
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil
-	}
-	if spec.distinct {
-		if st.distinct == nil {
-			st.distinct = make(map[string]bool)
-		}
-		key := string(v.AppendKey(nil))
-		if st.distinct[key] {
-			return nil
-		}
-		st.distinct[key] = true
-		st.dvals = append(st.dvals, v)
-		return nil
-	}
-	st.count++
-	return accumulateValue(&st.aggState, spec, v)
 }
 
 // sumValue renders a partial SUM/AVG state as a single value of the
@@ -635,39 +417,18 @@ func sumValue(st *aggState) types.Value {
 }
 
 // mergeAggState folds one morsel's partial state into the final state.
-// DISTINCT values are replayed in first-seen order against the global
-// seen-set (metered through acct); sums merge through the same
-// promotion switch the serial accumulate uses, so int and decimal
-// aggregates are bit-identical to a serial run (float sums may differ
-// by association only).
-func mergeAggState(dst *aggState, spec *groupSpec, src *pAggState, acct *memAcct) error {
-	if spec.distinct {
-		for _, v := range src.dvals {
-			if dst.distinct == nil {
-				dst.distinct = make(map[string]bool)
-			}
-			key := string(v.AppendKey(nil))
-			if dst.distinct[key] {
-				continue
-			}
-			dst.distinct[key] = true
-			if err := acct.add(int64(len(key)) + 48); err != nil {
-				return err
-			}
-			dst.count++
-			if err := accumulateValue(dst, spec, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// Sums merge through the same promotion switch the serial accumulate
+// uses, so int and decimal aggregates are bit-identical to a serial run
+// (float sums may differ by association only). DISTINCT aggregates never
+// reach here: the vector aggregation declines them.
+func mergeAggState(dst *aggState, spec *groupSpec, src *aggState) error {
 	dst.count += src.count
 	if !src.sawVal {
 		return nil
 	}
 	switch spec.op {
 	case plan.AggSum, plan.AggAvg:
-		return accumulateValue(dst, spec, sumValue(&src.aggState))
+		return accumulateValue(dst, spec, sumValue(src))
 	case plan.AggMin:
 		return accumulateValue(dst, spec, src.min)
 	case plan.AggMax:
@@ -689,239 +450,4 @@ func (g *parallelGroupByIter) Close() {
 	g.releasePartials()
 	g.acct.close()
 	g.groups = nil
-}
-
-// --- partitioned hash-join build ----------------------------------------
-
-// partTable is a hash-partitioned join build: partition p owns the keys
-// with hash64(key) % len(parts) == p, so the partitions are disjoint
-// and each can be built by one worker without locking.
-type partTable struct {
-	parts []map[string][]types.Row
-}
-
-func (p *partTable) lookup(key []byte) []types.Row {
-	return p.parts[hash64(key)%uint64(len(p.parts))][string(key)]
-}
-
-// buildPartTable builds the hash table for materialized build rows in
-// two parallel phases: key encoding (contiguous row chunks, one per
-// worker) and partition insertion (one partition per worker, scanning
-// rows in index order so per-key row order matches the serial build).
-func buildPartTable(rows []types.Row, keys []EvalFn, workers int) (*partTable, error) {
-	n := len(rows)
-	keyOf := make([][]byte, n)
-	partOf := make([]int32, n)
-	chunk := (n + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = panicErr("parallel hash build worker", r)
-				}
-			}()
-			var arena, buf []byte
-			for i := lo; i < hi; i++ {
-				key, null, err := appendEvalKey(buf[:0], rows[i], keys)
-				buf = key[:0]
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if null {
-					partOf[i] = -1 // NULL keys never match
-					continue
-				}
-				// Copy the key into a worker-local arena so keyOf entries
-				// stay valid while buf is reused (previous arenas remain
-				// alive through the slices that point into them).
-				if len(arena)+len(key) > cap(arena) {
-					size := 4096
-					if len(key) > size {
-						size = len(key)
-					}
-					arena = make([]byte, 0, size)
-				}
-				start := len(arena)
-				arena = append(arena, key...)
-				keyOf[i] = arena[start:len(arena):len(arena)]
-				partOf[i] = int32(hash64(keyOf[i]) % uint64(workers))
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	pt := &partTable{parts: make([]map[string][]types.Row, workers)}
-	insErrs := make([]error, workers)
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					insErrs[p] = panicErr("parallel hash build worker", r)
-				}
-			}()
-			m := make(map[string][]types.Row)
-			for i, pi := range partOf {
-				if int(pi) == p {
-					m[string(keyOf[i])] = append(m[string(keyOf[i])], rows[i])
-				}
-			}
-			pt.parts[p] = m
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range insErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return pt, nil
-}
-
-// --- parallel plan recognition ------------------------------------------
-
-// buildParallel recognizes plan shapes executable as fused morsel
-// pipelines. handled=false falls back to the serial operators (which
-// may still use parallel scans for their children).
-func (b *Builder) buildParallel(n plan.Node) (it Iterator, handled bool, err error) {
-	switch n := n.(type) {
-	case *plan.Scan:
-		spec, err := b.scanSpec(n, nil)
-		if err != nil {
-			return nil, true, err
-		}
-		return b.newParallelScan(spec), true, nil
-	case *plan.Filter, *plan.Project:
-		if b.analyze {
-			// EXPLAIN ANALYZE keeps operator boundaries so every plan
-			// line reports its own counters; only the scan runs parallel.
-			return nil, false, nil
-		}
-		spec, ok, err := b.tryMorselSpec(n)
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		return b.newParallelScan(spec), true, nil
-	case *plan.GroupBy:
-		if b.analyze {
-			return nil, false, nil
-		}
-		spec, ok, err := b.tryMorselSpec(n.Input)
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		it, err := b.newParallelGroupBy(n, spec)
-		if err != nil {
-			return nil, true, err
-		}
-		return it, true, nil
-	}
-	return nil, false, nil
-}
-
-// tryMorselSpec matches Scan, Filter(Scan), Project(Scan), and
-// Project(Filter(Scan)) subtrees.
-func (b *Builder) tryMorselSpec(n plan.Node) (*morselSpec, bool, error) {
-	switch n := n.(type) {
-	case *plan.Scan:
-		spec, err := b.scanSpec(n, nil)
-		return spec, true, err
-	case *plan.Filter:
-		scan, ok := n.Input.(*plan.Scan)
-		if !ok {
-			return nil, false, nil
-		}
-		spec, err := b.scanSpec(scan, n.Cond)
-		return spec, true, err
-	case *plan.Project:
-		spec, ok, err := b.tryMorselSpec(n.Input)
-		if err != nil {
-			return nil, true, err
-		}
-		if !ok || spec.project != nil {
-			return nil, false, nil
-		}
-		slots := slotsOf(n.Input)
-		for _, c := range n.Cols {
-			fn, err := Compile(c.Expr, slots)
-			if err != nil {
-				return nil, true, err
-			}
-			spec.project = append(spec.project, fn)
-		}
-		return spec, true, nil
-	}
-	return nil, false, nil
-}
-
-// scanSpec builds the morsel fragment for a scan with an optional fused
-// filter (range constraints are extracted for zone-map pruning, exactly
-// as the serial fused-scan path does).
-func (b *Builder) scanSpec(scan *plan.Scan, cond plan.Expr) (*morselSpec, error) {
-	tbl, ok := b.db.Table(scan.Info.Name)
-	if !ok {
-		return nil, fmt.Errorf("exec: table %s does not exist", scan.Info.Name)
-	}
-	spec := &morselSpec{snap: tbl.SnapshotAt(b.ts), ords: scan.Ords}
-	if cond != nil {
-		spec.ranges = extractRanges(cond, scan)
-		fn, err := Compile(cond, slotsOf(scan))
-		if err != nil {
-			return nil, err
-		}
-		spec.filter = fn
-	}
-	return spec, nil
-}
-
-func (b *Builder) newParallelScan(spec *morselSpec) Iterator {
-	return &parallelScanIter{spec: spec, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}
-}
-
-func (b *Builder) newParallelGroupBy(n *plan.GroupBy, spec *morselSpec) (Iterator, error) {
-	slots := slotsOf(n.Input)
-	it := &parallelGroupByIter{
-		spec:       spec,
-		workers:    b.workers,
-		morselSize: b.morselSize,
-		met:        b.met,
-		gov:        b.gov,
-		scalarAgg:  len(n.GroupCols) == 0,
-	}
-	for _, g := range n.GroupCols {
-		idx, ok := slots[g]
-		if !ok {
-			return nil, fmt.Errorf("exec: group column #%d missing from input", g)
-		}
-		it.groupIdx = append(it.groupIdx, idx)
-	}
-	for _, a := range n.Aggs {
-		spec := groupSpec{op: a.Op, star: a.Star, distinct: a.Distinct, typ: b.ctx.Type(a.ID)}
-		if !a.Star {
-			fn, err := Compile(a.Arg, slots)
-			if err != nil {
-				return nil, err
-			}
-			spec.arg = fn
-		}
-		it.aggs = append(it.aggs, spec)
-	}
-	return it, nil
 }

@@ -11,11 +11,10 @@ import (
 // single group column is a string (one decode per distinct code per
 // batch, memoized), and the typed accumulators fold int/float/decimal
 // vectors without boxing. Group values are decoded only when a group is
-// first seen — never per input row. The fold produces the same
-// []*pgEntry partials the morsel-parallel row path uses, so the merge,
-// finalize, and governance-metering machinery is shared verbatim and the
-// output is bit-identical to the row operators (first-seen group order,
-// NULL handling, sum type promotion, and all).
+// first seen — never per input row. The fold keeps the row path's
+// aggState machine (accumulateValue, finalize), so the output is
+// bit-identical to the row operators (first-seen group order, NULL
+// handling, sum type promotion, and all).
 
 // vecAggCol is one aggregate compiled against batch columns. gspec
 // carries the op/star/typ triple in the shape accumulateValue and
@@ -40,7 +39,7 @@ type vecAggSpec struct {
 // vecAggTable folds batches into an ordered partial-aggregate table.
 // The serial operator folds the whole table into one vecAggTable; the
 // morsel-parallel path folds one per morsel and merges partials in
-// morsel order, exactly like the row partials.
+// morsel order.
 type vecAggTable struct {
 	va    *vecAggSpec
 	table map[string]*pgEntry
@@ -114,7 +113,7 @@ func (t *vecAggTable) foldBatch(b *Batch) error {
 // live-row count without touching any vector.
 func (t *vecAggTable) foldScalar(b *Batch, n int) error {
 	if len(t.order) == 0 {
-		e := &pgEntry{states: make([]pAggState, len(t.va.aggs))}
+		e := &pgEntry{states: make([]aggState, len(t.va.aggs))}
 		t.order = append(t.order, e)
 		if t.onNew != nil {
 			if err := t.onNew(e); err != nil {
@@ -125,7 +124,7 @@ func (t *vecAggTable) foldScalar(b *Batch, n int) error {
 	e := t.order[0]
 	for i := range t.va.aggs {
 		a := &t.va.aggs[i]
-		st := &e.states[i].aggState
+		st := &e.states[i]
 		if a.star {
 			st.count += int64(n)
 			continue
@@ -253,7 +252,7 @@ func (t *vecAggTable) entryFor(b *Batch, ri int) (*pgEntry, error) {
 	if !ok {
 		groupVals := make(types.Row, len(t.valBuf))
 		copy(groupVals, t.valBuf)
-		e = &pgEntry{key: string(t.keyBuf), groupVals: groupVals, states: make([]pAggState, len(t.va.aggs))}
+		e = &pgEntry{key: string(t.keyBuf), groupVals: groupVals, states: make([]aggState, len(t.va.aggs))}
 		t.table[e.key] = e
 		t.order = append(t.order, e)
 		if t.onNew != nil {
@@ -269,7 +268,7 @@ func (t *vecAggTable) entryFor(b *Batch, ri int) (*pgEntry, error) {
 func (t *vecAggTable) accumRow(b *Batch, e *pgEntry, ri int) error {
 	for i := range t.va.aggs {
 		a := &t.va.aggs[i]
-		st := &e.states[i].aggState
+		st := &e.states[i]
 		if a.star {
 			st.count++
 			continue
@@ -358,13 +357,13 @@ func (g *vecGroupByIter) Open() error {
 	}
 	order := t.order
 	if len(order) == 0 && g.va.scalarAgg {
-		order = append(order, &pgEntry{states: make([]pAggState, len(g.va.aggs))})
+		order = append(order, &pgEntry{states: make([]aggState, len(g.va.aggs))})
 	}
 	for _, e := range order {
 		out := make(types.Row, 0, len(e.groupVals)+len(g.va.aggs))
 		out = append(out, e.groupVals...)
 		for i := range g.va.aggs {
-			v, err := finalize(&e.states[i].aggState, &g.va.aggs[i].gspec)
+			v, err := finalize(&e.states[i], &g.va.aggs[i].gspec)
 			if err != nil {
 				return err
 			}

@@ -546,8 +546,18 @@ func (b *Builder) attachVecStats(f *vecFrag, includeTop bool) {
 	}
 }
 
+// vecRows adapts a batch fragment to the row Iterator contract: the
+// morsel-parallel scan when workers are configured, else the serial
+// adapter.
+func (b *Builder) vecRows(spec *vecSpec) Iterator {
+	if b.workers > 1 {
+		return &parallelScanIter{spec: spec, batchSize: b.vecSize, workers: b.workers, morselSize: b.morselSize}
+	}
+	return &vecRowsIter{spec: spec, batchSize: b.vecSize}
+}
+
 // buildVecPipeline builds a bare batch pipeline behind the row-iterator
-// adapter (or the morsel-parallel scan when workers are configured).
+// adapter.
 func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, bool, error) {
 	f, ok := b.vecFragment(n)
 	if !ok {
@@ -556,11 +566,7 @@ func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, bool, error) {
 	if b.analyze {
 		b.attachVecStats(f, false)
 	}
-	if b.workers > 1 {
-		spec := &morselSpec{snap: f.spec.snap, ords: f.spec.ords, ranges: f.spec.ranges, vec: f.spec, vecBatch: b.vecSize}
-		return &parallelScanIter{spec: spec, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}, true, nil
-	}
-	return &vecRowsIter{spec: f.spec, batchSize: b.vecSize}, true, nil
+	return b.vecRows(f.spec), true, nil
 }
 
 // buildVecUnionPipeline runs Filter/Project stages stacked over a
@@ -580,12 +586,7 @@ func (b *Builder) buildVecUnionPipeline(n plan.Node) (Iterator, bool, error) {
 	}
 	children := make([]Iterator, len(frags))
 	for i, f := range frags {
-		if b.workers > 1 {
-			spec := &morselSpec{snap: f.spec.snap, ords: f.spec.ords, ranges: f.spec.ranges, vec: f.spec, vecBatch: b.vecSize}
-			children[i] = &parallelScanIter{spec: spec, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}
-		} else {
-			children[i] = &vecRowsIter{spec: f.spec, batchSize: b.vecSize}
-		}
+		children[i] = b.vecRows(f.spec)
 	}
 	return &unionIter{children: children}, true, nil
 }
@@ -628,19 +629,7 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, bool, error) {
 		b.nodeStats(n).Mode = "vector"
 	}
 	if b.workers > 1 {
-		g := &parallelGroupByIter{
-			spec:       &morselSpec{snap: f.spec.snap, ords: f.spec.ords, ranges: f.spec.ranges},
-			vagg:       va,
-			workers:    b.workers,
-			morselSize: b.morselSize,
-			met:        b.met,
-			gov:        b.gov,
-			scalarAgg:  va.scalarAgg,
-		}
-		for i := range va.aggs {
-			g.aggs = append(g.aggs, va.aggs[i].gspec)
-		}
-		return g, true, nil
+		return &parallelGroupByIter{va: va, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}, true, nil
 	}
 	return &vecGroupByIter{va: va, gov: b.gov, met: b.met}, true, nil
 }
