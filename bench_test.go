@@ -12,9 +12,11 @@ import (
 	"testing"
 
 	"vdm/internal/core"
+	"vdm/internal/decimal"
 	"vdm/internal/engine"
 	"vdm/internal/experiments"
 	"vdm/internal/s4"
+	"vdm/internal/storage"
 	"vdm/internal/tpch"
 	"vdm/internal/types"
 )
@@ -452,4 +454,97 @@ func BenchmarkProfiles(b *testing.B) {
 			runPlanned(b, e, p, "", q.SQL)
 		})
 	}
+}
+
+// maintenanceLoad commits n rows shaped like the HTAP harness's document
+// table (integer key, a low-cardinality string, a decimal, an integer, a
+// per-row string) in one transaction, starting at key from.
+func maintenanceLoad(b *testing.B, db *storage.DB, tbl *storage.Table, from, n int) {
+	b.Helper()
+	docTypes := []string{"INV", "PAY", "CRN", "DBN"}
+	rows := make([]types.Row, n)
+	for i := range rows {
+		id := int64(from + i)
+		rows[i] = types.Row{
+			types.NewInt(id),
+			types.NewString(docTypes[id%4]),
+			types.NewDecimal(decimal.New(100+id*37%999_900, 2)),
+			types.NewInt(1 + id%100),
+			types.NewString(fmt.Sprintf("doc %d", id)),
+		}
+	}
+	if err := db.InsertRows(tbl.Name(), rows); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// maintenanceTable returns a keyed table of n merged rows.
+func maintenanceTable(b *testing.B, n int) (*storage.DB, *storage.Table) {
+	b.Helper()
+	db := storage.NewDB()
+	tbl, err := db.CreateTable("doc", types.Schema{
+		{Name: "id", Type: types.TInt, NotNull: true},
+		{Name: "doc_type", Type: types.TString},
+		{Name: "amount", Type: types.TDecimal},
+		{Name: "qty", Type: types.TInt},
+		{Name: "note", Type: types.TString},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tbl.AddKey(storage.KeyConstraint{Name: "pk", Columns: []int{0}, Primary: true}); err != nil {
+		b.Fatal(err)
+	}
+	maintenanceLoad(b, db, tbl, 0, n)
+	if err := tbl.MergeDelta(); err != nil {
+		b.Fatal(err)
+	}
+	return db, tbl
+}
+
+// BenchmarkMaintenance times one maintenance pass with the table's
+// locks held: a delta merge of 1 024 rows into a main fragment of 10⁴
+// and 10⁵ rows (the cost must follow the delta, not the main), and a
+// compaction of 10⁵ row versions of which every eighth is dead — the
+// line at which the background loop compacts.
+func BenchmarkMaintenance(b *testing.B) {
+	for _, main := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("merge1024/main=%d", main), func(b *testing.B) {
+			db, tbl := maintenanceTable(b, main)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				maintenanceLoad(b, db, tbl, main+i*1024, 1024)
+				b.StartTimer()
+				if err := tbl.MergeDelta(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("compact/rows=100000/dead=1in8", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db, tbl := maintenanceTable(b, 100_000)
+			snap := tbl.SnapshotAt(db.CurrentTS())
+			tx := db.Begin()
+			for _, r := range snap.Rows() {
+				if r%8 == 0 {
+					if err := tx.DeleteAt(snap, r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			removed, err := tbl.Vacuum(^uint64(0))
+			if err != nil || removed != 12_500 {
+				b.Fatalf("vacuum removed %d versions (err %v), want 12500", removed, err)
+			}
+		}
+	})
 }

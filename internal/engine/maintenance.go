@@ -6,10 +6,14 @@ import (
 
 // Background storage maintenance: the engine-side driver of the storage
 // layer's delta merge and MVCC version GC. One goroutine per engine
-// wakes on a ticker and (a) merges any table whose delta reached the
-// configured threshold, (b) vacuums dead row versions past the snapshot
-// watermark. The zero Options start no goroutine — maintenance stays
-// fully manual (MergeAllDeltas / DB.Vacuum).
+// wakes on a ticker and considers each table: (a) it merges a table
+// whose delta reached the configured threshold, (b) it compacts a table
+// once the dead row versions the snapshot watermark releases reach an
+// eighth of its stored versions (storage.DB.VacuumAmortized) — a tick
+// that finds less leaves the table alone, so maintenance costs what
+// changed, not what is stored. The zero Options start no goroutine —
+// maintenance stays fully manual (MergeAllDeltas / DB.Vacuum, which
+// compact unconditionally).
 
 // mergePollInterval is how often AutoMerge checks delta sizes when
 // GCInterval does not dictate a cadence of its own.
@@ -70,7 +74,7 @@ func (e *Engine) maintenanceLoop(m *maintenance, o Options, interval time.Durati
 				sinceGC = 0
 				// Fault-injection errors abort the pass; the next tick
 				// retries.
-				_, _ = e.db.Vacuum()
+				_, _ = e.db.VacuumAmortized()
 			}
 		}
 		if o.WALDir != "" && o.CheckpointEvery > 0 &&

@@ -294,7 +294,10 @@ func TestMetamorphicStorageStates(t *testing.T) {
 // AutoMerge and GC run on their own goroutine while a background writer
 // commits continuously (insert-then-delete churn in a dedicated table,
 // which leaves the queried tables' logical content untouched but keeps
-// the commit clock, deltas, and dead-version population moving). Every
+// the commit clock, deltas, and dead-version population moving: every
+// other inserted row is deleted, so a third of the table's stored
+// versions are dead — well past the 1/8 line at which background GC
+// compacts). Every
 // query result must stay bit-identical to the quiescent reference, and
 // the maintenance counters must show merges and GC actually happened
 // mid-flight.
@@ -374,6 +377,13 @@ func TestMetamorphicUnderBackgroundMaintenance(t *testing.T) {
 	}
 	if v := metricValue(t, e, "storage.vacuumed_versions"); v == 0 {
 		t.Error("storage.vacuumed_versions = 0; background GC reclaimed nothing")
+	}
+	// GC ran in batches: each compaction reclaimed at least an eighth of
+	// the versions the table then stored, never one version per tick.
+	if passes := metricValue(t, e, "storage.vacuums"); passes > 0 {
+		if per := metricValue(t, e, "storage.vacuumed_versions") / passes; per < 2 {
+			t.Errorf("background GC reclaimed %d versions per compaction; the amortization line is not holding", per)
+		}
 	}
 	// Final sanity pass on the quiescent engine: post-merge, post-GC
 	// results remain bit-identical to the pre-maintenance reference.

@@ -21,7 +21,8 @@ type planCache struct {
 	// the next lookup.
 	epoch uint64
 	// statsEpoch is the storage statistics epoch (coarse: bumped on
-	// order-of-magnitude row-count crossings, delta merges, and vacuums).
+	// order-of-magnitude row-count crossings and on statistics refreshes
+	// whose numbers moved by an order of magnitude).
 	// Cached plans embed cost-based decisions — most importantly the
 	// hash-join build side — made from bind-time statistics, so a moved
 	// stats epoch invalidates the cache and forces a replan.

@@ -76,13 +76,23 @@ type Freshness struct {
 }
 
 // Maintenance reports background-maintenance activity during the run
-// (deltas of the engine's storage counters).
+// (deltas of the engine's storage counters) and how long a merge and a
+// compaction held their table's write lock (the engine's histograms
+// since it opened, fixture load included).
 type Maintenance struct {
 	Commits          int64 `json:"commits"`
 	DeltaMerges      int64 `json:"delta_merges"`
 	AutoMerges       int64 `json:"auto_merges"`
 	Vacuums          int64 `json:"vacuums"`
 	VacuumedVersions int64 `json:"vacuumed_versions"`
+	// VacuumDeferred counts background passes that left a table's dead
+	// versions alone because too few were reclaimable to pay for a
+	// compaction.
+	VacuumDeferred  int64 `json:"vacuum_deferred"`
+	MergeHoldP95Ns  int64 `json:"merge_hold_p95_ns"`
+	MergeHoldMaxNs  int64 `json:"merge_hold_max_ns"`
+	VacuumHoldP95Ns int64 `json:"vacuum_hold_p95_ns"`
+	VacuumHoldMaxNs int64 `json:"vacuum_hold_max_ns"`
 }
 
 // Governance reports the engine's kill classification during the run.
@@ -139,6 +149,12 @@ func counterDelta(before, after metrics.Snapshot, name string) int64 {
 	return a - b
 }
 
+// gauge returns the current value of a metric that is not a running sum.
+func gauge(s metrics.Snapshot, name string) int64 {
+	v, _ := s.Get(name)
+	return v
+}
+
 // Report assembles the run's report. Call after Run or Replay.
 func (h *Harness) Report() *Report {
 	after := h.eng.Metrics()
@@ -163,6 +179,11 @@ func (h *Harness) Report() *Report {
 			AutoMerges:       counterDelta(h.base, after, "storage.auto_merges"),
 			Vacuums:          counterDelta(h.base, after, "storage.vacuums"),
 			VacuumedVersions: counterDelta(h.base, after, "storage.vacuumed_versions"),
+			VacuumDeferred:   counterDelta(h.base, after, "storage.vacuum_deferred"),
+			MergeHoldP95Ns:   gauge(after, "storage.merge_hold_ns.p95"),
+			MergeHoldMaxNs:   gauge(after, "storage.merge_hold_ns.max"),
+			VacuumHoldP95Ns:  gauge(after, "storage.vacuum_hold_ns.p95"),
+			VacuumHoldMaxNs:  gauge(after, "storage.vacuum_hold_ns.max"),
 		},
 		Governance: Governance{
 			Timeouts:         counterDelta(h.base, after, "engine.timeouts"),

@@ -17,12 +17,14 @@ type nullBitmap struct {
 	words []uint64
 }
 
-func (b *nullBitmap) set(i int) {
-	w := i / 64
+func (b *nullBitmap) set(i int) { b.or(i/64, 1<<(uint(i)%64)) }
+
+// or ORs bits into word w, growing the bitmap to hold it.
+func (b *nullBitmap) or(w int, bits uint64) {
 	for len(b.words) <= w {
 		b.words = append(b.words, 0)
 	}
-	b.words[w] |= 1 << (uint(i) % 64)
+	b.words[w] |= bits
 }
 
 func (b *nullBitmap) get(i int) bool {
@@ -40,6 +42,17 @@ type fragment interface {
 	append(v types.Value) error
 	// len returns the number of stored values.
 	len() int
+
+	// The bulk kernels of merge and compaction (kernels.go).
+
+	// appendAll appends every value of src, a fragment of the same
+	// concrete type.
+	appendAll(src fragment)
+	// compact returns a new fragment of exactly kept values: value i
+	// moves to position remap[i]-base, or is dropped when remap[i] < 0.
+	compact(remap []int, base, kept int) fragment
+	// zone summarizes the values at positions [lo, hi).
+	zone(lo, hi int) zone
 }
 
 // newFragment returns an empty fragment for the given type.
@@ -52,7 +65,7 @@ func newFragment(t types.Type) fragment {
 	case types.TBool:
 		return &boolFragment{}
 	case types.TString:
-		return &stringFragment{dict: newDict()}
+		return &stringFragment{dict: newDict(0)}
 	case types.TDecimal:
 		return &decimalFragment{}
 	}
@@ -158,14 +171,20 @@ type dict struct {
 	idx  map[string]int32
 }
 
-func newDict() *dict {
-	return &dict{idx: make(map[string]int32)}
+// newDict returns an empty dictionary with room for n values.
+func newDict(n int) *dict {
+	return &dict{vals: make([]string, 0, n), idx: make(map[string]int32, n)}
 }
 
 func (d *dict) code(s string) int32 {
 	if c, ok := d.idx[s]; ok {
 		return c
 	}
+	return d.add(s)
+}
+
+// add appends s, which the dictionary must not hold yet.
+func (d *dict) add(s string) int32 {
 	c := int32(len(d.vals))
 	d.vals = append(d.vals, s)
 	d.idx[s] = c
@@ -269,13 +288,7 @@ func (c *column) len() int { return c.main.len() + c.delta.len() }
 
 // mergeDelta moves all delta values into the main fragment (re-encoding
 // through the main dictionary for strings) and resets the delta.
-func (c *column) mergeDelta() error {
-	n := c.delta.len()
-	for i := 0; i < n; i++ {
-		if err := c.main.append(c.delta.get(i)); err != nil {
-			return err
-		}
-	}
+func (c *column) mergeDelta() {
+	c.main.appendAll(c.delta)
 	c.delta = newFragment(c.typ)
-	return nil
 }

@@ -33,8 +33,9 @@ type DB struct {
 
 	// statsEpoch advances when data moves enough to plausibly change
 	// cost-based plan choices: a commit that carries a table's visible
-	// row count across an order-of-magnitude boundary, a delta merge, or
-	// a vacuum pass. Plan caches compare it at lookup time so a plan
+	// row count across an order-of-magnitude boundary, or a statistics
+	// refresh (explicit, or due during a merge or vacuum) whose numbers
+	// moved materially. Plan caches compare it at lookup time so a plan
 	// cached against an empty build side does not keep its build-side
 	// choice forever after a bulk load inverts the input sizes.
 	statsEpoch atomic.Uint64
@@ -109,10 +110,14 @@ func (db *DB) SchemaEpoch() uint64 { return db.schemaEpoch.Load() }
 
 // StatsEpoch returns the coarse data-movement counter: it advances when
 // a commit moves a table's visible row count across an order-of-magnitude
-// boundary, on every delta merge, and on every vacuum that removed
-// versions. Plan caches treat a moved stats epoch like DDL and replan,
-// so cost-based choices (hash-join build side, join order) track the
-// data.
+// boundary, and when a statistics refresh — RefreshStats, or the one a
+// delta merge or vacuum runs once a table's churn makes it due —
+// installs numbers that differ materially from the ones they replace (a
+// column's distinct count or the row count in another order-of-magnitude
+// bucket, a column gaining or losing its min/max). Merge and vacuum by
+// themselves change no visible data and leave it alone. Plan caches
+// treat a moved stats epoch like DDL and replan, so cost-based choices
+// (hash-join build side, join order) track the data.
 func (db *DB) StatsEpoch() uint64 { return db.statsEpoch.Load() }
 
 // Table looks up a table by case-insensitive name.

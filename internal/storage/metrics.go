@@ -25,6 +25,15 @@ type Metrics struct {
 	// they reclaimed.
 	Vacuums          metrics.Counter
 	VacuumedVersions metrics.Counter
+	// VacuumDeferred counts background vacuum passes over a table that
+	// found reclaimable-looking versions but fewer than the amortization
+	// line (1/amortizeShare of the stored versions) and left them.
+	VacuumDeferred metrics.Counter
+	// MergeHold and VacuumHold record, per delta merge and per
+	// compaction, how long the pass held the table write lock
+	// (nanoseconds) — the time commits and scans of that table waited.
+	MergeHold  metrics.Histogram
+	VacuumHold metrics.Histogram
 	// ZoneMapSkips counts whole blocks (zoneBlockSize rows each) skipped
 	// by zone-map pruning during scans.
 	ZoneMapSkips metrics.Counter
@@ -34,8 +43,8 @@ type Metrics struct {
 	StatsRefreshes metrics.Counter
 }
 
-// RegisterWith registers every storage counter in a metrics registry
-// under the "storage." prefix.
+// RegisterWith registers every storage counter and histogram in a
+// metrics registry under the "storage." prefix.
 func (m *Metrics) RegisterWith(r *metrics.Registry) {
 	r.RegisterCounter("storage.commits", &m.Commits)
 	r.RegisterCounter("storage.rows_inserted", &m.RowsInserted)
@@ -45,6 +54,9 @@ func (m *Metrics) RegisterWith(r *metrics.Registry) {
 	r.RegisterCounter("storage.auto_merges", &m.AutoMerges)
 	r.RegisterCounter("storage.vacuums", &m.Vacuums)
 	r.RegisterCounter("storage.vacuumed_versions", &m.VacuumedVersions)
+	r.RegisterCounter("storage.vacuum_deferred", &m.VacuumDeferred)
+	r.RegisterHistogram("storage.merge_hold_ns", &m.MergeHold)
+	r.RegisterHistogram("storage.vacuum_hold_ns", &m.VacuumHold)
 	r.RegisterCounter("storage.zonemap_block_skips", &m.ZoneMapSkips)
 	r.RegisterCounter("storage.stats_refreshes", &m.StatsRefreshes)
 }

@@ -1,6 +1,11 @@
 package storage
 
 import (
+	"fmt"
+	"math"
+	"sort"
+
+	"vdm/internal/decimal"
 	"vdm/internal/types"
 )
 
@@ -15,11 +20,13 @@ import (
 //     they are the size of the unique index the table maintains anyway.
 //   - Full column statistics (distinct counts from the dictionary
 //     encodings, min/max from zone maps, null counts) are rebuilt by
-//     RefreshStats, which piggybacks on the existing rebuild paths —
-//     delta merge and vacuum — where the rows are being walked anyway.
-//     Between refreshes they may lag the data; the estimator treats them
-//     as estimates, and the DB-level stats epoch (see statsEpoch in
-//     db.go) tells plan caches when staleness could matter.
+//     RefreshStats, and by delta merge and vacuum once the rows inserted
+//     and deleted since the last refresh reach 1/amortizeShare of the
+//     table — the walk over the table is then paid for by the changes
+//     that made it worthwhile. Between refreshes they may lag the data;
+//     the estimator treats them as estimates, and the DB-level stats
+//     epoch (see statsEpoch in db.go) tells plan caches when staleness
+//     could matter.
 
 // StatsSnapshot returns the table's current statistics: the exact
 // visible row count, the column statistics from the last refresh (zero
@@ -45,38 +52,139 @@ func (t *Table) StatsSnapshot() types.TableStats {
 }
 
 // RefreshStats rebuilds the per-column statistics from the current data
-// and bumps the owning DB's stats epoch. Delta merge and vacuum call it
-// implicitly.
+// and bumps the owning DB's stats epoch if they moved materially (see
+// refreshStatsLocked). Delta merge and vacuum call it implicitly when a
+// refresh is due.
 func (t *Table) RefreshStats() {
 	t.mu.Lock()
-	t.refreshStatsLocked()
+	moved := t.refreshStatsLocked()
 	t.mu.Unlock()
-	t.bumpStatsEpoch()
+	if moved {
+		t.bumpStatsEpoch()
+	}
 }
 
-// refreshStatsLocked recomputes colStats; the caller holds t.mu.
-func (t *Table) refreshStatsLocked() {
+// refreshStatsIfDueLocked recomputes the statistics if they were never
+// computed or the table's churn since reached 1/amortizeShare of its
+// rows, and reports whether they moved materially. Caller holds t.mu.
+func (t *Table) refreshStatsIfDueLocked() (moved bool) {
+	if t.colStats != nil && (t.statsChurn == 0 || t.statsChurn*amortizeShare < t.liveRows) {
+		return false
+	}
+	return t.refreshStatsLocked()
+}
+
+// countLive returns, over the given row positions of a column whose main
+// fragment holds m rows, the number of NULLs and — when distinct is set —
+// the exact number of distinct non-NULL values, keyed on the typed value
+// that key reads from the main (true) or delta fragment at position i.
+// hint sizes the set.
+func countLive[K comparable](live []int, m int, mainNulls, deltaNulls *nullBitmap,
+	distinct bool, hint int64, key func(main bool, i int) K) (nulls, distinctN int64) {
+	if !distinct && len(mainNulls.words) == 0 && len(deltaNulls.words) == 0 {
+		return 0, 0
+	}
+	var set map[K]struct{}
+	if distinct {
+		set = make(map[K]struct{}, hint)
+	}
+	for _, r := range live {
+		main, i, nb := true, r, mainNulls
+		if r >= m {
+			main, i, nb = false, r-m, deltaNulls
+		}
+		if nb.get(i) {
+			nulls++
+		} else if distinct {
+			set[key(main, i)] = struct{}{}
+		}
+	}
+	return nulls, int64(len(set))
+}
+
+// liveCounts is countLive over the column's fragments. Strings build no
+// set: their distinct count is the size of the dictionary encodings
+// (main + delta), an upper bound that may count values held only by dead
+// row versions.
+func (c *column) liveCounts(live []int, distinct bool, hint int64) (nulls, distinctN int64) {
+	m := c.main.len()
+	switch mf := c.main.(type) {
+	case *intFragment:
+		df := c.delta.(*intFragment)
+		return countLive(live, m, &mf.nulls, &df.nulls, distinct, hint, func(main bool, i int) int64 {
+			if main {
+				return mf.vals[i]
+			}
+			return df.vals[i]
+		})
+	case *floatFragment:
+		df := c.delta.(*floatFragment)
+		return countLive(live, m, &mf.nulls, &df.nulls, distinct, hint, func(main bool, i int) uint64 {
+			if main {
+				return math.Float64bits(mf.vals[i])
+			}
+			return math.Float64bits(df.vals[i])
+		})
+	case *boolFragment:
+		df := c.delta.(*boolFragment)
+		return countLive(live, m, &mf.nulls, &df.nulls, distinct, 2, func(main bool, i int) bool {
+			if main {
+				return mf.vals.get(i)
+			}
+			return df.vals.get(i)
+		})
+	case *decimalFragment:
+		df := c.delta.(*decimalFragment)
+		return countLive(live, m, &mf.nulls, &df.nulls, distinct, hint, func(main bool, i int) decimal.Decimal {
+			f := mf
+			if !main {
+				f = df
+			}
+			return decimal.Decimal{Coef: f.coefs[i], Scale: f.scales[i]}.Normalize()
+		})
+	case *stringFragment:
+		df := c.delta.(*stringFragment)
+		nulls, _ = countLive[struct{}](live, m, &mf.nulls, &df.nulls, false, 0, nil)
+		return nulls, int64(mf.distinctCount() + df.distinctCount())
+	}
+	panic(fmt.Sprintf("storage: no statistics for %s column", c.typ))
+}
+
+// refreshStatsLocked recomputes colStats and reports whether the new
+// statistics differ materially from the ones they replace — a column's
+// distinct count or the table's row count in another order-of-magnitude
+// bucket, or a column gaining or losing its min/max — which is what the
+// caller bumps the stats epoch on. Caller holds t.mu.
+func (t *Table) refreshStatsLocked() (moved bool) {
 	d := t.data
 	cols := make([]types.ColStats, len(t.schema))
-	var keyBuf []byte
+	// A single-column unique key's distinct count is the size of its
+	// index, which StatsSnapshot overlays: no set is built for it.
+	uniqueCol := make([]bool, len(t.schema))
+	for _, k := range t.keys {
+		if len(k.Columns) == 1 {
+			uniqueCol[k.Columns[0]] = true
+		}
+	}
+	// Dead and rolled-back versions do not count.
+	live := make([]int, 0, t.liveRows)
+	for r := range d.begin {
+		if d.end[r] == endInfinity && d.begin[r] != endInfinity {
+			live = append(live, r)
+		}
+	}
 	for c := range t.schema {
 		cs := &cols[c]
 		col := d.cols[c]
-		// Distinct strings come straight from the dictionary encodings
-		// (main + delta), an upper bound that may count values held only
-		// by dead row versions. Other types get an exact count below.
-		var distinct map[string]struct{}
-		if sf, ok := col.main.(*stringFragment); ok {
-			cs.Distinct = int64(sf.distinctCount())
-			if df, ok := col.delta.(*stringFragment); ok {
-				cs.Distinct += int64(df.distinctCount())
-			}
-		} else {
-			distinct = make(map[string]struct{})
+		// The exact distinct set is sized by the last count.
+		var hint int64
+		if c < len(t.colStats) {
+			hint = t.colStats[c].Distinct
 		}
-		// Min/max seed from the zone maps over the main fragment when
-		// present; the visible-row walk below extends them over the delta
-		// (and over everything when zone maps were never built).
+		cs.Nulls, cs.Distinct = col.liveCounts(live, !uniqueCol[c], hint)
+		// Min/max come from the zone maps over the main fragment when
+		// present; the walk over the visible rows extends them over the
+		// delta (and over everything when zone maps were never built).
 		walkFrom := 0
 		if c < len(d.zoneMaps) && d.zoneMaps[c] != nil {
 			zm := d.zoneMaps[c]
@@ -87,33 +195,22 @@ func (t *Table) refreshStatsLocked() {
 				foldMinMax(cs, z.min)
 				foldMinMax(cs, z.max)
 			}
-			if distinct == nil {
-				walkFrom = zm.rows // strings: main already summarized
-			}
+			walkFrom = zm.rows
 		}
-		for r := range d.begin {
-			if d.end[r] != endInfinity || d.begin[r] == endInfinity {
-				continue // dead or rolled-back version
-			}
-			v := col.get(r)
-			if v.IsNull() {
-				cs.Nulls++
-				continue
-			}
-			if distinct != nil {
-				keyBuf = v.AppendKey(keyBuf[:0])
-				distinct[string(keyBuf)] = struct{}{}
-			}
-			if r >= walkFrom || distinct != nil {
+		for _, r := range live[sort.SearchInts(live, walkFrom):] {
+			if v := col.get(r); !v.IsNull() {
 				foldMinMax(cs, v)
 			}
 		}
-		if distinct != nil {
-			cs.Distinct = int64(len(distinct))
-		}
 	}
-	t.colStats = cols
+	moved = len(cols) != len(t.colStats) || rowBucket(t.statsRows) != rowBucket(t.liveRows)
+	for c := 0; !moved && c < len(cols); c++ {
+		was, now := &t.colStats[c], &cols[c]
+		moved = rowBucket(was.Distinct) != rowBucket(now.Distinct) || was.HasMinMax != now.HasMinMax
+	}
+	t.colStats, t.statsRows, t.statsChurn = cols, t.liveRows, 0
 	t.metrics.StatsRefreshes.Inc()
+	return moved
 }
 
 // foldMinMax widens cs.Min/cs.Max to include v (non-NULL).

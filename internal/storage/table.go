@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"vdm/internal/types"
 	"vdm/internal/wal"
@@ -71,9 +72,12 @@ type Table struct {
 	// liveRows is the exact number of currently-visible rows, maintained
 	// inline by insert/delete/rollback; colStats holds the per-column
 	// statistics from the last refreshStatsLocked (nil before the first
-	// refresh). See stats.go.
-	liveRows int64
-	colStats []types.ColStats
+	// refresh), statsRows the row count they were computed over, and
+	// statsChurn the inserts and deletes applied since. See stats.go.
+	liveRows   int64
+	colStats   []types.ColStats
+	statsRows  int64
+	statsChurn int64
 
 	// metrics receives storage counters; tables created through
 	// DB.CreateTable share the DB's instance, standalone tables get
@@ -87,6 +91,17 @@ type Table struct {
 }
 
 const endInfinity = ^uint64(0)
+
+// amortizeShare sets when maintenance work that costs O(table) is due:
+// once the change it would absorb reaches 1/amortizeShare of the table.
+// Background version GC compacts a table when that share of its stored
+// versions is reclaimable, and merge and compaction recompute column
+// statistics when that many rows were inserted or deleted since the
+// last refresh. As with slice growth, each rebuild is then paid for by
+// the changes that preceded it, and what is put off stays bounded: a
+// scan reads at most 1/amortizeShare (12.5 %) more versions than it has
+// to.
+const amortizeShare = 8
 
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, schema types.Schema) *Table {
@@ -310,6 +325,7 @@ func (t *Table) insertLocked(row types.Row, ts uint64) (int, error) {
 		d.uniqueIdx[p.ki][p.key] = r
 	}
 	t.liveRows++
+	t.statsChurn++
 	return r, nil
 }
 
@@ -318,6 +334,7 @@ func (t *Table) deleteLocked(r int, ts uint64) {
 	d := t.data
 	d.end[r] = ts
 	t.liveRows--
+	t.statsChurn++
 	for ki, k := range t.keys {
 		key, hasNull := d.keyString(r, k.Columns)
 		if hasNull {
@@ -330,35 +347,49 @@ func (t *Table) deleteLocked(r int, ts uint64) {
 }
 
 // MergeDelta folds all delta fragments into the main fragments,
-// mirroring HANA's delta merge. Visibility metadata and row positions
-// are unaffected, so merges coexist with concurrent scans. The
-// BeforeMerge/AfterMerge fault-injection hooks run outside the table
-// lock; a BeforeMerge error aborts the merge untouched.
+// mirroring HANA's delta merge, and extends the zone maps over the rows
+// the main fragments gained: the pass costs O(delta), whatever the size
+// of the table. Column statistics are recomputed only when due (see
+// refreshStatsIfDueLocked). Visibility metadata and row positions are
+// unaffected, so merges coexist with concurrent scans. A table with an
+// empty delta and current zone maps is left alone: no write lock, no
+// delta_merges tick. The BeforeMerge/AfterMerge fault-injection hooks
+// run outside the table lock; a BeforeMerge error aborts the merge
+// untouched.
 func (t *Table) MergeDelta() error {
 	if h := t.hooks(); h != nil && h.BeforeMerge != nil {
 		if err := h.BeforeMerge(t.name); err != nil {
 			return err
 		}
 	}
-	t.mu.Lock()
-	t.metrics.DeltaMerges.Inc()
-	for i, c := range t.data.cols {
-		if err := c.mergeDelta(); err != nil {
-			t.mu.Unlock()
-			return fmt.Errorf("storage: merge %s.%s: %v", t.name, t.schema[i].Name, err)
+	if t.mergeDue() {
+		t.mu.Lock()
+		locked := time.Now()
+		t.metrics.DeltaMerges.Inc()
+		for _, c := range t.data.cols {
+			c.mergeDelta()
+		}
+		t.data.extendZoneMaps()
+		moved := t.refreshStatsIfDueLocked()
+		t.metrics.MergeHold.Observe(time.Since(locked).Nanoseconds())
+		t.mu.Unlock()
+		if moved {
+			t.bumpStatsEpoch()
 		}
 	}
-	t.refreshZoneMapsLocked()
-	// The merge just walked every row; refresh the column statistics
-	// while the data is hot and let plan caches know sizes may have
-	// consolidated.
-	t.refreshStatsLocked()
-	t.mu.Unlock()
-	t.bumpStatsEpoch()
 	if h := t.hooks(); h != nil && h.AfterMerge != nil {
 		h.AfterMerge(t.name)
 	}
 	return nil
+}
+
+// mergeDue reports whether MergeDelta has anything to do: delta rows to
+// move, or zone maps to build (every merge leaves them current).
+func (t *Table) mergeDue() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	d := t.data
+	return len(d.cols) > 0 && (d.cols[0].delta.len() > 0 || d.zoneMaps == nil)
 }
 
 // DeltaRows returns the number of row positions currently held in delta

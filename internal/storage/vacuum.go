@@ -1,17 +1,30 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // MVCC version GC. Vacuum physically removes row versions whose end
 // timestamp is at or below the snapshot watermark: such versions are
 // invisible to every registered reader (their read timestamps are all
 // >= the watermark) and to every future reader (new read timestamps
 // start at the commit clock, which is >= the watermark). Compaction
-// rebuilds the column fragments, visibility arrays, unique indexes and
-// zone maps without the removed versions, installs the rebuilt store as
-// the table's current data version, and leaves an old→new position
-// remap on the retired version so pinned snapshots and buffered
-// transaction writes can translate their row positions forward.
+// copies the surviving rows of every column fragment and of the
+// visibility arrays into a successor store through the typed kernels of
+// kernels.go, re-points the unique indexes, rebuilds the zone maps,
+// installs the successor as the table's current data version, and
+// leaves an old→new position remap on the retired version so pinned
+// snapshots and buffered transaction writes can translate their row
+// positions forward.
+//
+// A compaction costs O(table) with the commit lock and the table write
+// lock held, however few versions it reclaims. Direct calls (Vacuum,
+// VacuumTable, DB.Vacuum) compact whenever at least one version is
+// reclaimable. The background pass (DB.VacuumAmortized) compacts a table
+// only once the reclaimable versions reach 1/amortizeShare of the stored
+// ones, so every rebuild is paid for by the garbage it collects, and
+// until then scans read at most that share of dead versions extra.
 
 // Vacuum compacts away row versions with end timestamp <= watermark and
 // returns how many it removed. For a table owned by a DB the pass
@@ -21,6 +34,12 @@ import "fmt"
 // trust the caller's watermark. The BeforeVacuum fault-injection hook
 // may abort the pass with an error; AfterVacuum observes the count.
 func (t *Table) Vacuum(watermark uint64) (int, error) {
+	return t.vacuumPass(watermark, false)
+}
+
+// vacuumPass is Vacuum; amortized makes the pass compact only when the
+// reclaimable versions reach 1/amortizeShare of the stored ones.
+func (t *Table) vacuumPass(watermark uint64, amortized bool) (int, error) {
 	if h := t.hooks(); h != nil && h.BeforeVacuum != nil {
 		if err := h.BeforeVacuum(t.name); err != nil {
 			return 0, err
@@ -35,10 +54,10 @@ func (t *Table) Vacuum(watermark uint64) (int, error) {
 		if w := t.db.watermarkLocked(); w < watermark {
 			watermark = w
 		}
-		removed = t.vacuum(watermark)
+		removed = t.vacuum(watermark, amortized)
 		t.db.commitMu.Unlock()
 	} else {
-		removed = t.vacuum(watermark)
+		removed = t.vacuum(watermark, amortized)
 	}
 	if h := t.hooks(); h != nil && h.AfterVacuum != nil {
 		h.AfterVacuum(t.name, removed)
@@ -48,60 +67,60 @@ func (t *Table) Vacuum(watermark uint64) (int, error) {
 
 // vacuum performs the compaction; the caller holds the DB commit lock
 // when the table is DB-owned.
-func (t *Table) vacuum(watermark uint64) int {
+func (t *Table) vacuum(watermark uint64, amortized bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	locked := time.Now()
 	d := t.data
 	total := len(d.begin)
-	remap := make([]int, total)
-	kept := 0
-	for r := 0; r < total; r++ {
-		if d.end[r] <= watermark {
-			remap[r] = -1
-		} else {
-			remap[r] = kept
-			kept++
+	removed := 0
+	for _, end := range d.end {
+		if end <= watermark {
+			removed++
 		}
 	}
-	removed := total - kept
+	if amortized && removed*amortizeShare < total {
+		// The table's dead versions reach the line, but a reader's lease
+		// still pins too many of them.
+		t.metrics.VacuumDeferred.Inc()
+		return 0
+	}
 	if removed == 0 {
 		return 0
 	}
 
-	nd := &tableData{
-		begin: make([]uint64, 0, kept),
-		end:   make([]uint64, 0, kept),
-	}
 	// The main/delta split is identical across columns; preserve it so
 	// merged rows stay merged (and zone-mapped) after compaction.
 	mainLen := 0
 	if len(d.cols) > 0 {
 		mainLen = d.cols[0].main.len()
 	}
-	for _, c := range d.cols {
-		nc := newColumn(c.typ)
-		for r := 0; r < total; r++ {
-			if remap[r] < 0 {
-				continue
-			}
-			dst := nc.delta
-			if r < mainLen {
-				dst = nc.main
-			}
-			if err := dst.append(c.get(r)); err != nil {
-				// Values re-appended into a same-typed fragment cannot
-				// mismatch; fail loudly if the invariant breaks.
-				panic(fmt.Sprintf("storage: vacuum %s: %v", t.name, err))
-			}
+	remap := make([]int, total)
+	kept := 0
+	for r, end := range d.end {
+		if end <= watermark {
+			remap[r] = -1
+		} else {
+			remap[r] = kept
+			kept++
 		}
-		nd.cols = append(nd.cols, nc)
 	}
-	for r := 0; r < total; r++ {
-		if remap[r] < 0 {
-			continue
+	keptMain := kept
+	for _, np := range remap[mainLen:] {
+		if np >= 0 {
+			keptMain--
 		}
-		nd.begin = append(nd.begin, d.begin[r])
-		nd.end = append(nd.end, d.end[r])
+	}
+
+	nd := &tableData{
+		begin: compactSlice(d.begin, remap, 0, kept),
+		end:   compactSlice(d.end, remap, 0, kept),
+		cols:  make([]*column, len(d.cols)),
+	}
+	for i, c := range d.cols {
+		nd.cols[i] = &column{typ: c.typ,
+			main:  c.main.compact(remap[:mainLen], 0, keptMain),
+			delta: c.delta.compact(remap[mainLen:], keptMain, kept-keptMain)}
 	}
 	nd.uniqueIdx = make([]map[string]int, len(d.uniqueIdx))
 	for ki, idx := range d.uniqueIdx {
@@ -114,7 +133,7 @@ func (t *Table) vacuum(watermark uint64) int {
 		nd.uniqueIdx[ki] = nidx
 	}
 	if d.zoneMaps != nil {
-		nd.refreshZoneMaps()
+		nd.extendZoneMaps()
 	}
 
 	// Retire the old version: snapshots holding it keep reading their
@@ -123,15 +142,17 @@ func (t *Table) vacuum(watermark uint64) int {
 	d.next = nd
 	t.data = nd
 
-	// The compaction just rebuilt every column; refresh the statistics
-	// over the compacted store and signal plan caches via the stats
-	// epoch (bumpStatsEpoch is safe here: vacuum already holds commitMu
-	// for DB-owned tables, and the epoch is a plain atomic).
-	t.refreshStatsLocked()
-	t.bumpStatsEpoch()
+	// Compaction changes no visible row; the statistics are recomputed
+	// if enough changed since they were, and plan caches hear of it only
+	// if the numbers moved (bumpStatsEpoch is safe here: it is a plain
+	// atomic).
+	if t.refreshStatsIfDueLocked() {
+		t.bumpStatsEpoch()
+	}
 
 	t.metrics.Vacuums.Inc()
 	t.metrics.VacuumedVersions.Add(int64(removed))
+	t.metrics.VacuumHold.Observe(time.Since(locked).Nanoseconds())
 	return removed
 }
 
@@ -156,6 +177,41 @@ func (db *DB) Vacuum() (int, error) {
 			continue // dropped concurrently
 		}
 		n, err := t.Vacuum(endInfinity)
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+// VacuumAmortized is the background form of Vacuum: it visits every
+// table but compacts only those whose reclaimable versions reach
+// 1/amortizeShare of their stored versions. A table whose dead versions
+// (stored minus live, an O(1) read) are below the line is skipped
+// without taking the commit lock; for the others the pass itself counts
+// what the watermark releases, so versions a reader's lease still pins
+// do not trigger a rebuild. It returns the number of versions removed
+// and stops at the first fault-injection error.
+func (db *DB) VacuumAmortized() (int, error) {
+	total := 0
+	for _, name := range db.TableNames() {
+		t, ok := db.Table(name)
+		if !ok {
+			continue // dropped concurrently
+		}
+		t.mu.RLock()
+		stored := len(t.data.begin)
+		dead := stored - int(t.liveRows)
+		t.mu.RUnlock()
+		if dead == 0 {
+			continue
+		}
+		if dead*amortizeShare < stored {
+			db.metrics.VacuumDeferred.Inc()
+			continue
+		}
+		n, err := t.vacuumPass(endInfinity, true)
 		total += n
 		if err != nil {
 			return total, err

@@ -32,35 +32,17 @@ type zoneMap struct {
 	rows  int // rows covered
 }
 
-// buildZoneMap computes summaries for the first n rows of a fragment.
-func buildZoneMap(f fragment, n int) *zoneMap {
-	zm := &zoneMap{rows: n}
-	for start := 0; start < n; start += zoneBlockSize {
-		end := start + zoneBlockSize
-		if end > n {
-			end = n
-		}
-		var z zone
-		for i := start; i < end; i++ {
-			v := f.get(i)
-			if v.IsNull() {
-				z.hasNull = true
-				continue
-			}
-			if !z.has {
-				z.min, z.max, z.has = v, v, true
-				continue
-			}
-			if c, err := types.Compare(v, z.min); err == nil && c < 0 {
-				z.min = v
-			}
-			if c, err := types.Compare(v, z.max); err == nil && c > 0 {
-				z.max = v
-			}
-		}
-		zm.zones = append(zm.zones, z)
+// extend brings the summaries up to the whole of f. Rows already covered
+// never change (a main fragment only grows), so only the last, partial
+// block is summarized again: the cost follows the rows added, not the
+// fragment.
+func (zm *zoneMap) extend(f fragment) {
+	n := f.len()
+	zm.zones = zm.zones[:zm.rows/zoneBlockSize]
+	for lo := len(zm.zones) * zoneBlockSize; lo < n; lo += zoneBlockSize {
+		zm.zones = append(zm.zones, f.zone(lo, min(lo+zoneBlockSize, n)))
 	}
-	return zm
+	zm.rows = n
 }
 
 // ColRange is a half-open/closed range constraint on a column, used by
@@ -114,23 +96,26 @@ func (z *zone) blockMayMatch(r *ColRange) bool {
 	return true
 }
 
-// RefreshZoneMaps (re)builds zone maps for every column's main
-// fragment. It is called automatically by MergeDelta; calling it
+// RefreshZoneMaps brings the zone maps of every column up to its whole
+// main fragment. It is called automatically by MergeDelta; calling it
 // explicitly after bulk loads enables pruning without a merge.
 func (t *Table) RefreshZoneMaps() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.refreshZoneMapsLocked()
+	t.data.extendZoneMaps()
 }
 
-func (t *Table) refreshZoneMapsLocked() {
-	t.data.refreshZoneMaps()
-}
-
-func (d *tableData) refreshZoneMaps() {
-	d.zoneMaps = make([]*zoneMap, len(d.cols))
+// extendZoneMaps extends every column's zone map (building it on first
+// use) over the rows its main fragment gained since the last call.
+func (d *tableData) extendZoneMaps() {
+	if d.zoneMaps == nil {
+		d.zoneMaps = make([]*zoneMap, len(d.cols))
+		for i := range d.zoneMaps {
+			d.zoneMaps[i] = &zoneMap{}
+		}
+	}
 	for i, c := range d.cols {
-		d.zoneMaps[i] = buildZoneMap(c.main, c.main.len())
+		d.zoneMaps[i].extend(c.main)
 	}
 }
 
