@@ -65,7 +65,7 @@ func newFragment(t types.Type) fragment {
 	case types.TBool:
 		return &boolFragment{}
 	case types.TString:
-		return &stringFragment{dict: newDict(0)}
+		return &stringFragment{dict: &dict{}}
 	case types.TDecimal:
 		return &decimalFragment{}
 	}
@@ -165,26 +165,27 @@ func (f *boolFragment) append(v types.Value) error {
 	return nil
 }
 
-// dict is the string dictionary for a dictionary-encoded fragment.
+// dict is the string dictionary for a dictionary-encoded fragment: vals
+// is the code table, idx its reverse index. Only a write looks a value
+// up, so compaction — which recodes through a table — builds vals alone,
+// and the first write into the fragment afterwards rebuilds idx: a table
+// that is compacted and then only read never carries the index.
 type dict struct {
 	vals []string
 	idx  map[string]int32
 }
 
-// newDict returns an empty dictionary with room for n values.
-func newDict(n int) *dict {
-	return &dict{vals: make([]string, 0, n), idx: make(map[string]int32, n)}
-}
-
+// code returns the code of s, adding it to the dictionary if new.
 func (d *dict) code(s string) int32 {
+	if d.idx == nil {
+		d.idx = make(map[string]int32, len(d.vals))
+		for c, v := range d.vals {
+			d.idx[v] = int32(c)
+		}
+	}
 	if c, ok := d.idx[s]; ok {
 		return c
 	}
-	return d.add(s)
-}
-
-// add appends s, which the dictionary must not hold yet.
-func (d *dict) add(s string) int32 {
 	c := int32(len(d.vals))
 	d.vals = append(d.vals, s)
 	d.idx[s] = c

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -276,12 +277,17 @@ type Txn struct {
 	readTS uint64
 	writes []writeOp
 	done   bool
+	// writeBuf backs writes until a fifth write, so a short transaction
+	// is one allocation.
+	writeBuf [4]writeOp
 }
 
 // Begin starts a transaction with a consistent snapshot.
 func (db *DB) Begin() *Txn {
 	lease := db.AcquireRead()
-	return &Txn{db: db, lease: lease, readTS: lease.TS()}
+	tx := &Txn{db: db, lease: lease, readTS: lease.TS()}
+	tx.writes = tx.writeBuf[:0]
+	return tx
 }
 
 // ReadTS returns the transaction's snapshot timestamp.
@@ -380,7 +386,11 @@ func (tx *Txn) Commit() error {
 		}
 	}
 
-	// Group writes per table so each table is locked once.
+	// Group writes per table so each table is locked once. A
+	// transaction touches a handful of tables, so they are listed in
+	// first-write order and each one's writes are picked out of tx.writes
+	// when its turn comes: two short scans cost less than a map of
+	// per-table copies, here where the commit lock is held.
 	type applied struct {
 		table    *Table
 		inserted []int
@@ -390,7 +400,14 @@ func (tx *Txn) Commit() error {
 		// stats epoch below.
 		beforeBucket, afterBucket int
 	}
-	var done []applied
+	var orderBuf [4]*Table
+	order := orderBuf[:0]
+	for i := range tx.writes {
+		if t := tx.writes[i].table; !slices.Contains(order, t) {
+			order = append(order, t)
+		}
+	}
+	done := make([]applied, 0, len(order))
 	rollback := func() {
 		// Vacuum requires commitMu, so the positions recorded during this
 		// commit attempt are still valid against the current data.
@@ -415,27 +432,35 @@ func (tx *Txn) Commit() error {
 		}
 	}
 
-	byTable := map[*Table][]writeOp{}
-	var order []*Table
-	for _, w := range tx.writes {
-		if _, ok := byTable[w.table]; !ok {
-			order = append(order, w.table)
-		}
-		byTable[w.table] = append(byTable[w.table], w)
-	}
 	// With a WAL attached, the apply loop doubles as record assembly:
 	// inserts log the buffered row, deletes capture the doomed row's
 	// values under the table lock (deletes are logged by value — see
 	// wal.OpDelete).
 	logging := db.wal != nil
 	var walTables []wal.TableOps
+	if logging {
+		walTables = make([]wal.TableOps, 0, len(order))
+	}
 	for _, t := range order {
 		a := applied{table: t}
 		var walOps []wal.RowOp
+		if logging {
+			n := 0
+			for i := range tx.writes {
+				if tx.writes[i].table == t {
+					n++
+				}
+			}
+			walOps = make([]wal.RowOp, 0, n)
+		}
 		t.mu.Lock()
 		a.beforeBucket = rowBucket(t.liveRows)
 		var err error
-		for _, w := range byTable[t] {
+		for i := range tx.writes {
+			w := &tx.writes[i]
+			if w.table != t {
+				continue
+			}
 			switch w.kind {
 			case opInsert:
 				var r int

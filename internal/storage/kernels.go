@@ -183,10 +183,11 @@ func (f *stringFragment) appendAll(src fragment) {
 
 // compact gives the successor a dictionary of the values its kept rows
 // use, in the order they first use them: strings held only by removed
-// versions are dropped.
+// versions are dropped. The recode table keeps the values distinct, so
+// the dictionary's reverse index is left for the next write to build.
 func (f *stringFragment) compact(remap []int, base, kept int) fragment {
 	out := &stringFragment{
-		dict:  newDict(min(kept, len(f.dict.vals))),
+		dict:  &dict{vals: make([]string, 0, min(kept, len(f.dict.vals)))},
 		codes: make([]int32, kept),
 		nulls: compactBits(&f.nulls, remap, base)}
 	recode := make([]int32, len(f.dict.vals))
@@ -199,7 +200,8 @@ func (f *stringFragment) compact(remap []int, base, kept int) fragment {
 		}
 		c := f.codes[i]
 		if recode[c] < 0 {
-			recode[c] = out.dict.add(f.dict.vals[c])
+			recode[c] = int32(len(out.dict.vals))
+			out.dict.vals = append(out.dict.vals, f.dict.vals[c])
 		}
 		out.codes[np-base] = recode[c]
 	}

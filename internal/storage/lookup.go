@@ -45,7 +45,8 @@ func (s *Snapshot) LookupUnique(keyIdx int, key types.Row) (int, bool) {
 	if keyIdx < 0 || keyIdx >= len(d.uniqueIdx) {
 		return -1, false
 	}
-	var buf []byte
+	var keyBuf [64]byte
+	buf := keyBuf[:0]
 	for _, v := range key {
 		if v.IsNull() {
 			return -1, false

@@ -207,6 +207,9 @@ func fragmentState(t *testing.T, f fragment) any {
 	case *decimalFragment:
 		return []any{nilIfEmpty(f.coefs), nilIfEmpty(f.scales), bitmapState(f.nulls)}
 	case *stringFragment:
+		if f.dict.idx == nil { // left to the next write by compaction
+			return []any{nilIfEmpty(f.dict.vals), nilIfEmpty(f.codes), bitmapState(f.nulls)}
+		}
 		if len(f.dict.idx) != len(f.dict.vals) {
 			t.Fatalf("dictionary index holds %d strings, code table %d", len(f.dict.idx), len(f.dict.vals))
 		}

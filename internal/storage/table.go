@@ -214,11 +214,18 @@ func (t *Table) AddForeignKey(fk ForeignKey) error {
 }
 
 func (d *tableData) keyString(row int, cols []int) (key string, hasNull bool) {
+	b, hasNull := d.appendKey(nil, row, cols)
+	return string(b), hasNull
+}
+
+// appendKey appends the composite key of a stored row to b. The commit
+// path passes a stack buffer and looks the bytes up directly, so finding
+// or deleting an index entry allocates nothing.
+func (d *tableData) appendKey(b []byte, row int, cols []int) (key []byte, hasNull bool) {
 	// Typed binary key encoding (types.Value.AppendKey): each component
 	// is self-delimiting, so composites need no separator and values
 	// containing NUL bytes cannot alias — the legacy Key()+"\x00" scheme
 	// collapsed ('a\x00','c') and ('a','\x00c') into one index entry.
-	var b []byte
 	for _, c := range cols {
 		v := d.cols[c].get(row)
 		if v.IsNull() {
@@ -226,7 +233,7 @@ func (d *tableData) keyString(row int, cols []int) (key string, hasNull bool) {
 		}
 		b = v.AppendKey(b)
 	}
-	return string(b), hasNull
+	return b, hasNull
 }
 
 // rowCount returns the number of stored row versions.
@@ -264,7 +271,12 @@ func valueCompatible(v types.Value, t types.Type) bool {
 // rowKeyString builds the composite key of an unstored row, in the
 // same typed encoding as keyString.
 func rowKeyString(row types.Row, cols []int) (key string, hasNull bool) {
-	var b []byte
+	b, hasNull := appendRowKey(nil, row, cols)
+	return string(b), hasNull
+}
+
+// appendRowKey is rowKeyString into a caller-supplied buffer.
+func appendRowKey(b []byte, row types.Row, cols []int) (key []byte, hasNull bool) {
 	for _, c := range cols {
 		v := row[c]
 		if v.IsNull() {
@@ -272,7 +284,7 @@ func rowKeyString(row types.Row, cols []int) (key string, hasNull bool) {
 		}
 		b = v.AppendKey(b)
 	}
-	return string(b), hasNull
+	return b, hasNull
 }
 
 // insertLocked appends a row version visible from ts. Caller holds mu.
@@ -297,19 +309,21 @@ func (t *Table) insertLocked(row types.Row, ts uint64) (int, error) {
 		ki  int
 		key string
 	}
-	var pend []pendingIdx
+	var pendBuf [2]pendingIdx
+	pend := pendBuf[:0]
+	var keyBuf [64]byte
 	for ki, k := range t.keys {
-		key, hasNull := rowKeyString(row, k.Columns)
+		kb, hasNull := appendRowKey(keyBuf[:0], row, k.Columns)
 		if hasNull {
 			if k.Primary {
 				return 0, fmt.Errorf("storage: %s: NULL in primary key", t.name)
 			}
 			continue
 		}
-		if old, dup := d.uniqueIdx[ki][key]; dup && d.end[old] == endInfinity {
+		if old, dup := d.uniqueIdx[ki][string(kb)]; dup && d.end[old] == endInfinity {
 			return 0, fmt.Errorf("storage: %s: unique constraint %s violated", t.name, k.Name)
 		}
-		pend = append(pend, pendingIdx{ki: ki, key: key})
+		pend = append(pend, pendingIdx{ki: ki, key: string(kb)})
 	}
 	// All checks passed: apply.
 	r := len(d.begin)
@@ -335,13 +349,14 @@ func (t *Table) deleteLocked(r int, ts uint64) {
 	d.end[r] = ts
 	t.liveRows--
 	t.statsChurn++
+	var keyBuf [64]byte
 	for ki, k := range t.keys {
-		key, hasNull := d.keyString(r, k.Columns)
+		kb, hasNull := d.appendKey(keyBuf[:0], r, k.Columns)
 		if hasNull {
 			continue
 		}
-		if cur, ok := d.uniqueIdx[ki][key]; ok && cur == r {
-			delete(d.uniqueIdx[ki], key)
+		if cur, ok := d.uniqueIdx[ki][string(kb)]; ok && cur == r {
+			delete(d.uniqueIdx[ki], string(kb))
 		}
 	}
 }
@@ -349,11 +364,12 @@ func (t *Table) deleteLocked(r int, ts uint64) {
 // MergeDelta folds all delta fragments into the main fragments,
 // mirroring HANA's delta merge, and extends the zone maps over the rows
 // the main fragments gained: the pass costs O(delta), whatever the size
-// of the table. Column statistics are recomputed only when due (see
-// refreshStatsIfDueLocked). Visibility metadata and row positions are
-// unaffected, so merges coexist with concurrent scans. A table with an
-// empty delta and current zone maps is left alone: no write lock, no
-// delta_merges tick. The BeforeMerge/AfterMerge fault-injection hooks
+// of the table (plus, on the first merge after a compaction, the string
+// dictionaries' reverse indexes that the compaction left to it). Column
+// statistics are recomputed only when due (see refreshStatsIfDueLocked).
+// Visibility metadata and row positions are unaffected, so merges
+// coexist with concurrent scans. A table with an empty delta and current
+// zone maps is left alone: no write lock, no delta_merges tick. The BeforeMerge/AfterMerge fault-injection hooks
 // run outside the table lock; a BeforeMerge error aborts the merge
 // untouched.
 func (t *Table) MergeDelta() error {

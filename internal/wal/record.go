@@ -359,6 +359,22 @@ func EncodeRecord(rec Record) []byte {
 	var b []byte
 	switch r := rec.(type) {
 	case *CommitRecord:
+		// One allocation: a varint is at most 10 bytes, so a tag byte and
+		// two of them bound every header here at 24 bytes and a value at
+		// 16 beyond its string.
+		n := 24
+		for _, t := range r.Tables {
+			n += 24 + len(t.Table)
+			for _, op := range t.Ops {
+				n += 24 + 16*len(op.Row)
+				for _, v := range op.Row {
+					if v.Typ == types.TString && !v.IsNull() {
+						n += len(v.Str())
+					}
+				}
+			}
+		}
+		b = make([]byte, 0, n)
 		b = append(b, recCommit)
 		b = appendUvarint(b, r.TS)
 		b = appendUvarint(b, uint64(len(r.Tables)))
