@@ -102,10 +102,6 @@ func (o *Optimizer) Optimize(root plan.Node) plan.Node {
 	if o.costing {
 		root = o.costPass(root)
 	}
-	// Stamp vectorization eligibility on the final operator tree so the
-	// executor can pick batch kernels without re-deriving shape checks;
-	// this runs for every profile, including ProfileNone.
-	plan.MarkVectorizable(root)
 	o.after = plan.CollectStats(root)
 	return root
 }

@@ -362,22 +362,19 @@ func (e *Engine) explainAnalyzeOn(ctx context.Context, p *plan.Plan, db *storage
 		if n == p.Root && e.replicas != nil {
 			note = joinNotes(note, fmt.Sprintf("target=%s lag=%d", target, lag))
 		}
-		return joinNotes(note, e.vecFallbackNote(n))
+		return joinNotes(note, vecFallbackNote(st))
 	}), nil
 }
 
-// vecFallbackNote names the reason a plan node declined the vectorized
-// executor, surfaced in EXPLAIN output so coverage gaps are visible per
-// operator. Empty when vectorization is disabled engine-wide or the
-// node vectorized (or never tried).
-func (e *Engine) vecFallbackNote(n plan.Node) string {
-	if e.opts.DisableVectorize {
+// vecFallbackNote names the reason the batch compiler declined a plan
+// node, surfaced in EXPLAIN output so coverage gaps are visible per
+// operator. Empty when the node compiled, was never built, or
+// vectorization is disabled engine-wide (nothing is declined then).
+func vecFallbackNote(st *exec.OpStats) string {
+	if st == nil || st.Fallback == "" {
 		return ""
 	}
-	if r := plan.VecFallback(n); r != "" {
-		return "vec_fallback=" + r
-	}
-	return ""
+	return "vec_fallback=" + st.Fallback
 }
 
 // joinNotes concatenates the non-empty annotation fragments with single
@@ -429,8 +426,19 @@ func (e *Engine) Explain(user, sqlText string) (string, error) {
 
 // formatWithEstimates renders a plan with est_rows= annotations from
 // the optimizer's estimate map (when costing ran) and vec_fallback=
-// decline reasons (when vectorization is enabled).
+// decline reasons. The reasons come from compiling the plan without
+// running it: a build-only pass that opens nothing and feeds no metrics.
 func (e *Engine) formatWithEstimates(p *plan.Plan) string {
+	lease := e.db.AcquireRead()
+	defer lease.Release()
+	builder := exec.NewBuilder(p.Ctx, e.db, lease.TS())
+	if !e.opts.DisableVectorize {
+		builder.SetVectorize(e.opts.BatchSize)
+		builder.EnableAnalyze()
+		// A plan that fails to build is still worth showing; the error
+		// is the executing statement's to report.
+		_, _ = builder.Build(p.Root)
+	}
 	return plan.FormatAnnotated(p.Ctx, p.Root, func(n plan.Node) string {
 		var est string
 		if p.Est != nil {
@@ -438,7 +446,7 @@ func (e *Engine) formatWithEstimates(p *plan.Plan) string {
 				est = fmt.Sprintf("est_rows=%.0f", v)
 			}
 		}
-		return joinNotes(est, e.vecFallbackNote(n))
+		return joinNotes(est, vecFallbackNote(builder.NodeStats(n)))
 	})
 }
 

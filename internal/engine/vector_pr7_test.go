@@ -9,7 +9,9 @@ import (
 	"vdm/internal/core"
 	"vdm/internal/decimal"
 	"vdm/internal/engine"
+	"vdm/internal/exec"
 	"vdm/internal/experiments"
+	"vdm/internal/plan"
 	"vdm/internal/s4"
 	"vdm/internal/tpch"
 	"vdm/internal/types"
@@ -123,40 +125,210 @@ func TestVecFallbackZeroOnFigureQueries(t *testing.T) {
 	})
 }
 
+// vecFallbackNames lists the exec.vec_fallbacks.<reason> counters.
+var vecFallbackNames = []string{
+	"exec.vec_fallbacks.expression",
+	"exec.vec_fallbacks.or",
+	"exec.vec_fallbacks.sort",
+	"exec.vec_fallbacks.union",
+	"exec.vec_fallbacks.distinct",
+	"exec.vec_fallbacks.analyze_parallel",
+}
+
+// vecFallbackTotal sums the exec.vec_fallbacks.* counters.
+func vecFallbackTotal(t *testing.T, e *engine.Engine) int64 {
+	t.Helper()
+	var sum int64
+	for _, name := range vecFallbackNames {
+		sum += metricValue(t, e, name)
+	}
+	return sum
+}
+
+// planLine returns the line of an EXPLAIN rendering that shows the
+// named operator.
+func planLine(t *testing.T, text, op string) string {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), op) {
+			return line
+		}
+	}
+	t.Fatalf("no %s operator in:\n%s", op, text)
+	return ""
+}
+
 // TestVecFallbackExplainReasons checks the per-operator observability
-// surface: a declining plan node carries its decline reason both in the
-// exec.vec_fallbacks.<reason> counter and as a vec_fallback= annotation
-// in EXPLAIN ANALYZE output.
+// surface over all five decline labels: the operator the batch compiler
+// declined carries vec_fallback=<label> in EXPLAIN (a build-only pass
+// that moves no executor counter) and in EXPLAIN ANALYZE (which also
+// bumps exec.vec_fallbacks.<label>, as plain execution does).
 func TestVecFallbackExplainReasons(t *testing.T) {
 	e := equivEngine(t)
-	if err := e.MergeAllDeltas(); err != nil {
-		t.Fatal(err)
-	}
 
 	cases := []struct {
-		name   string
-		sql    string
-		metric string
+		name, label, op, sql string
 	}{
-		{"expression", `select l_orderkey, l_extendedprice / l_quantity from lineitem`, "exec.vec_fallbacks.expression"},
-		{"sort", `select o_orderkey from orders order by o_totalprice desc, o_orderkey`, "exec.vec_fallbacks.sort"},
-		{"distinct", `select count(distinct o_custkey) from orders`, "exec.vec_fallbacks.distinct"},
+		{"division", "expression", "Project", `select l_orderkey, l_extendedprice / l_quantity from lineitem`},
+		{"mod", "expression", "Project", `select o_orderkey, mod(o_orderkey, 7) from orders`},
+		{"to-decimal", "expression", "Project", `select o_orderkey, to_decimal(o_totalprice, 1) from orders`},
+		{"or-branch", "or", "Filter", `select o_orderkey from orders where o_orderkey < 10 or o_totalprice / 2 > 1000.00`},
+		{"bare-order-by", "sort", "Sort", `select o_orderkey from orders order by o_totalprice desc, o_orderkey`},
+		{"union-of-aggregates", "union", "UnionAll", `select o_orderstatus s, count(*) c from orders group by o_orderstatus
+			union all select c_mktsegment, count(*) from customer group by c_mktsegment`},
+		{"count-distinct", "distinct", "GroupBy", `select count(distinct o_custkey) from orders`},
+		{"distinct-over-join", "distinct", "Distinct", `select distinct c_mktsegment from orders inner join customer on o_custkey = c_custkey`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := metricValue(t, e, tc.metric)
+			metric := "exec.vec_fallbacks." + tc.label
+			want := "vec_fallback=" + tc.label
+
+			before, pipes := vecFallbackTotal(t, e), metricValue(t, e, "exec.vec_pipelines")
+			text, err := e.Explain("", tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line := planLine(t, text, tc.op); !strings.Contains(line, want) {
+				t.Errorf("EXPLAIN %s line missing %q:\n%s", tc.op, want, text)
+			}
+			if n := strings.Count(text, "vec_fallback="); n != 1 {
+				t.Errorf("EXPLAIN carries %d labels, want 1:\n%s", n, text)
+			}
+			if vecFallbackTotal(t, e) != before || metricValue(t, e, "exec.vec_pipelines") != pipes {
+				t.Errorf("plain EXPLAIN moved executor counters")
+			}
+
+			labelBefore := metricValue(t, e, metric)
+			text, err = e.ExplainAnalyze("", tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line := planLine(t, text, tc.op); !strings.Contains(line, want) {
+				t.Errorf("EXPLAIN ANALYZE %s line missing %q:\n%s", tc.op, want, text)
+			}
+			if d := metricValue(t, e, metric) - labelBefore; d != 1 {
+				t.Errorf("%s moved by %d under EXPLAIN ANALYZE, want 1", metric, d)
+			}
+			if d := vecFallbackTotal(t, e) - before; d != 1 {
+				t.Errorf("exec.vec_fallbacks.* moved by %d in total, want 1", d)
+			}
+		})
+	}
+}
+
+// TestVecCompilerDeclinesJoinShapes covers the join checks the batch
+// compiler owns: semi, anti, non-equi and equi-with-residual joins have
+// no batch operator, so they decline to the row join (labelled on the
+// join, results identical to the all-row engine), and a row-mode Filter
+// above a batch join is nobody's coverage gap: its input is no
+// pipeline, so it carries no label and bumps no counter.
+func TestVecCompilerDeclinesJoinShapes(t *testing.T) {
+	e := equivEngine(t)
+	rowOpts := engine.Options{DisableVectorize: true}
+
+	declined := []struct{ name, op, sql string }{
+		{"semi", "SemiJoin", `select c_custkey from customer where c_custkey in
+			(select o_custkey from orders where o_totalprice > 500.00) order by c_custkey`},
+		{"anti", "AntiJoin", `select c_custkey from customer where c_custkey not in
+			(select o_custkey from orders) order by c_custkey`},
+		{"non-equi", "InnerJoin", `select c_custkey, o_orderkey from customer inner join orders
+			on c_custkey < o_custkey where o_orderkey < 5 order by c_custkey, o_orderkey`},
+		{"residual", "InnerJoin", `select c_custkey, o_orderkey from customer inner join orders
+			on c_custkey = o_custkey and o_totalprice > c_acctbal order by c_custkey, o_orderkey`},
+	}
+	for _, tc := range declined {
+		t.Run(tc.name, func(t *testing.T) {
+			want := runMeta(t, e, tc.sql, rowOpts, core.ProfileHANA)
+			got := runMeta(t, e, tc.sql, e.Options(), core.ProfileHANA)
+			requireSameRows(t, tc.name, tc.sql, want, got)
+
 			text, err := e.ExplainAnalyze("", tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if after := metricValue(t, e, tc.metric); after <= before {
-				t.Errorf("%s did not advance (%d -> %d)", tc.metric, before, after)
-			}
-			want := "vec_fallback=" + tc.name
-			if !strings.Contains(text, want) {
-				t.Errorf("EXPLAIN ANALYZE missing %q:\n%s", want, text)
+			line := planLine(t, text, tc.op)
+			if !strings.Contains(line, "mode=row") || !strings.Contains(line, "vec_fallback=expression") {
+				t.Errorf("%s did not decline to the row join:\n%s", tc.op, text)
 			}
 		})
+	}
+
+	t.Run("filter-above-join", func(t *testing.T) {
+		q := `select o_orderkey from orders inner join customer on o_custkey = c_custkey
+			where o_totalprice / 2 > c_acctbal`
+		before := vecFallbackTotal(t, e)
+		text, err := e.ExplainAnalyze("", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line := planLine(t, text, "Filter"); !strings.Contains(line, "mode=row") {
+			t.Errorf("division filter did not run in row mode:\n%s", text)
+		}
+		if line := planLine(t, text, "InnerJoin"); !strings.Contains(line, "mode=vector") {
+			t.Errorf("join below the filter did not vectorize:\n%s", text)
+		}
+		if strings.Contains(text, "vec_fallback=") {
+			t.Errorf("a filter above a join must carry no label:\n%s", text)
+		}
+		if d := vecFallbackTotal(t, e) - before; d != 0 {
+			t.Errorf("exec.vec_fallbacks.* moved by %d, want 0", d)
+		}
+	})
+}
+
+// TestUnoptimizedPlanVectorizes pins that vectorization is the
+// executor's decision, not a stamp the optimizer leaves on the plan: a
+// bound-only plan from PlanQuery(optimize=false) executed with Run goes
+// through the batch pipelines like any other.
+func TestUnoptimizedPlanVectorizes(t *testing.T) {
+	e := equivEngine(t)
+	queries := []string{
+		`select o_orderkey, o_totalprice from orders`,
+		`select o_orderkey from orders where o_totalprice > 1000.00`,
+		`select o_orderstatus, count(*), sum(o_totalprice) from orders group by o_orderstatus`,
+	}
+	for _, q := range queries {
+		p, err := e.PlanQuery("", q, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipes, fallbacks := metricValue(t, e, "exec.vec_pipelines"), vecFallbackTotal(t, e)
+		got, err := e.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if metricValue(t, e, "exec.vec_pipelines") <= pipes {
+			t.Errorf("%q: unoptimized plan did not advance exec.vec_pipelines", q)
+		}
+		if d := vecFallbackTotal(t, e) - fallbacks; d != 0 {
+			t.Errorf("%q: unoptimized plan counted %d fallbacks", q, d)
+		}
+		requireSameRows(t, "unoptimized", q, runMeta(t, e, q, e.Options(), core.ProfileHANA), got)
+
+		// EXPLAIN ANALYZE-style: build the same bound-only plan under
+		// instrumentation, as the engine does, and read each operator's
+		// executor mode.
+		db := e.DB()
+		builder := exec.NewBuilder(p.Ctx, db, db.CurrentTS())
+		builder.SetVectorize(0)
+		builder.EnableAnalyze()
+		if _, err := builder.Run(p.Root); err != nil {
+			t.Fatal(err)
+		}
+		var walk func(n plan.Node)
+		walk = func(n plan.Node) {
+			switch n.(type) {
+			case *plan.Scan, *plan.Filter, *plan.GroupBy:
+				if st := builder.NodeStats(n); st == nil || st.Mode != "vector" {
+					t.Errorf("%q: %T ran %+v, want mode=vector", q, n, st)
+				}
+			}
+			for _, in := range n.Inputs() {
+				walk(in)
+			}
+		}
+		walk(p.Root)
 	}
 }
 

@@ -41,6 +41,11 @@ type OpStats struct {
 	Mode string
 	// Note is a free-form annotation (e.g. top-k fusion).
 	Note string
+	// Fallback is the vec_fallback label of a node the batch compiler
+	// declined for a reason of its own (see Builder.noteFallback), else
+	// empty. It is not part of String: EXPLAIN renders it last on the
+	// line, after the estimates.
+	Fallback string
 }
 
 // String renders the stats in the bracketed form EXPLAIN ANALYZE

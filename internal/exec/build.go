@@ -107,16 +107,16 @@ func (b *Builder) Build(n plan.Node) (Iterator, error) {
 }
 
 func (b *Builder) build(n plan.Node) (Iterator, error) {
-	// The batch executor gets first pick — including under parallel
+	// The batch compiler gets first pick — including under parallel
 	// EXPLAIN ANALYZE, whose per-node stage stats are updated atomically
-	// so morsel workers can share them. Declines fall back to the row
-	// path and are counted per reason in exec.vec_fallbacks.
+	// so morsel workers can share them. What it declines falls back to
+	// the row path, counted per reason in exec.vec_fallbacks.
 	if b.vecSize > 0 {
-		it, handled, err := b.buildVec(n)
-		if handled {
-			return it, err
+		it, reason := b.buildVec(n)
+		if it != nil {
+			return it, nil
 		}
-		b.countVecFallback(n)
+		b.noteFallback(n, reason)
 	}
 	switch n := n.(type) {
 	case *plan.Scan:
@@ -202,12 +202,20 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 
 	case *plan.UnionAll:
 		var children []Iterator
+		pipelines := true
 		for _, c := range n.Children {
 			it, err := b.Build(c)
 			if err != nil {
 				return nil, err
 			}
 			children = append(children, it)
+			pipelines = pipelines && isVecPipeline(it)
+		}
+		// A union of batch pipelines is one the set operators above it
+		// could have consumed in batch mode; any other branch is the
+		// union's own coverage gap.
+		if !pipelines {
+			b.noteFallback(n, "union")
 		}
 		return &unionIter{children: children}, nil
 
@@ -229,11 +237,9 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 		// stable sort.
 		if srt, ok := n.Input.(*plan.Sort); ok && n.Count >= 0 && n.Offset >= 0 {
 			// The Sort node is bypassed by the fusion, so its vectorization
-			// decline (when the batch top-k didn't take the pair) is
-			// counted here.
-			if b.vecSize > 0 {
-				b.countVecFallback(srt)
-			}
+			// decline (the batch top-k didn't take the pair) is recorded
+			// here.
+			b.noteFallback(srt, "sort")
 			input, err := b.Build(srt.Input)
 			if err != nil {
 				return nil, err
@@ -301,7 +307,7 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 // morsel-parallel under SetParallel.
 func (b *Builder) buildPrunedScan(scan *plan.Scan, ranges []storage.ColRange) (Iterator, error) {
 	if b.vecSize > 0 {
-		if f, ok := b.vecFragment(scan); ok {
+		if f, _ := b.vecFragment(scan); f != nil {
 			f.spec.ranges = ranges
 			if b.analyze {
 				b.attachVecStats(f, false)
@@ -459,31 +465,14 @@ func extractRanges(cond plan.Expr, scan *plan.Scan) []storage.ColRange {
 		if !ok {
 			continue
 		}
-		cr, crOK := bin.L.(*plan.ColRef)
-		k, kOK := bin.R.(*plan.Const)
-		op := bin.Op
-		if !crOK || !kOK {
-			cr, crOK = bin.R.(*plan.ColRef)
-			k, kOK = bin.L.(*plan.Const)
-			switch op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			}
-		}
-		if !crOK || !kOK || k.Val.IsNull() {
+		cr, v, op, ok := plan.ColConstCmp(bin)
+		if !ok || v.IsNull() {
 			continue
 		}
 		ord, ok := ordOf[cr.ID]
 		if !ok {
 			continue
 		}
-		v := k.Val
 		switch op {
 		case "=":
 			get(ord).Eq = &v

@@ -21,14 +21,16 @@ type Metrics struct {
 	VecPipelines metrics.Counter
 	// VecBatches counts column batches filled by the vectorized path.
 	VecBatches metrics.Counter
-	// VecFallback* count plan nodes the vectorized executor declined,
-	// labeled by the decline reason (plan.VecFallback): an inadmissible
-	// expression, an OR tree it cannot compile, an unbounded sort, a
-	// union with non-pipeline branches, and a DISTINCT (aggregate or
-	// set) it cannot key. VecFallbackAnalyzeParallel is never
-	// incremented (batch mode runs under parallel EXPLAIN ANALYZE); the
-	// field and its registered name stay because bench/layers.go sums it
-	// into exec.vec_fallbacks.
+	// VecFallback* count plan nodes the batch compiler declined, by the
+	// decline's label (Builder.noteFallback): an expression or join or
+	// aggregate shape with no total kernel, an OR tree it cannot
+	// compile, an unbounded sort, a union with non-pipeline branches,
+	// and a DISTINCT (aggregate or set) it cannot key.
+	// VecFallbackAnalyzeParallel is never incremented (batch mode runs
+	// under parallel EXPLAIN ANALYZE). ROADMAP item 4 wants it deleted,
+	// but bench/layers.go sums the field into exec.vec_fallbacks and
+	// TestVecFallbackZero* read its registered name, so it stays until a
+	// PR that may touch bench/ drops both together.
 	VecFallbackExpression      metrics.Counter
 	VecFallbackOr              metrics.Counter
 	VecFallbackSort            metrics.Counter

@@ -13,7 +13,6 @@ import (
 // and requires identical ordered rows.
 func runVecAndRow(t *testing.T, ctx *plan.Context, db *storage.DB, n plan.Node, batchSize int) []types.Row {
 	t.Helper()
-	plan.MarkVectorizable(n)
 
 	vb := NewBuilder(ctx, db, db.CurrentTS())
 	vb.SetVectorize(batchSize)
@@ -163,7 +162,6 @@ func TestVecRowsIterLazyFill(t *testing.T) {
 	scan := &plan.Scan{Info: &plan.TableInfo{Name: "big", Schema: tbl.Schema()}, Instance: ctx.NewInstance()}
 	scan.Cols = append(scan.Cols, ctx.NewColumn("x", types.TInt))
 	scan.Ords = append(scan.Ords, 0)
-	plan.MarkVectorizable(scan)
 
 	b := NewBuilder(ctx, db, db.CurrentTS())
 	b.SetVectorize(10)
@@ -188,5 +186,128 @@ func TestVecRowsIterLazyFill(t *testing.T) {
 	}
 	if vi.pos > 10 {
 		t.Fatalf("adapter prefetched to pos %d after one row (batch 10)", vi.pos)
+	}
+}
+
+// builtFallback builds n under the batch compiler with instrumentation
+// on and returns the decline label it recorded for n.
+func builtFallback(t *testing.T, ctx *plan.Context, db *storage.DB, n plan.Node) string {
+	t.Helper()
+	b := NewBuilder(ctx, db, db.CurrentTS())
+	b.SetVectorize(2)
+	b.EnableAnalyze()
+	if _, err := b.Build(n); err != nil {
+		t.Fatal(err)
+	}
+	return b.NodeStats(n).Fallback
+}
+
+// TestVecCompilerDeclines covers, on hand-built plans nothing has
+// analysed beforehand, the shapes whose rejection is the compiler's own:
+// join kinds and conditions the batch hash join cannot run, DISTINCT
+// aggregates, and SUM over a non-numeric column, whose error must stay
+// the row path's. Each must decline with its label and match the row
+// executor — compiling any of them as the nearest batch shape (an inner
+// equi-join, a plain aggregate) would change the result.
+func TestVecCompilerDeclines(t *testing.T) {
+	db, ctx, ls, rs := buildEnv(t)
+	eq := &plan.Bin{Op: "=",
+		L:   &plan.ColRef{ID: ls.Cols[1], Typ: types.TInt},
+		R:   &plan.ColRef{ID: rs.Cols[0], Typ: types.TInt},
+		Typ: types.TBool}
+	lt := &plan.Bin{Op: "<", L: eq.L, R: eq.R, Typ: types.TBool}
+
+	joins := []struct {
+		name string
+		join *plan.Join
+		rows int
+	}{
+		{"semi", &plan.Join{Kind: plan.SemiJoin, Left: ls, Right: rs, Cond: eq}, 2},
+		{"anti", &plan.Join{Kind: plan.AntiJoin, Left: ls, Right: rs, Cond: eq}, 2},
+		{"non-equi", &plan.Join{Kind: plan.InnerJoin, Left: ls, Right: rs, Cond: lt}, 3},
+		{"cross", &plan.Join{Kind: plan.CrossJoin, Left: ls, Right: rs}, 12},
+	}
+	for _, tc := range joins {
+		if rows := runVecAndRow(t, ctx, db, tc.join, 2); len(rows) != tc.rows {
+			t.Errorf("%s join: %d rows, want %d", tc.name, len(rows), tc.rows)
+		}
+		if got := builtFallback(t, ctx, db, tc.join); got != "expression" {
+			t.Errorf("%s join: fallback %q, want expression", tc.name, got)
+		}
+	}
+
+	distinct := &plan.GroupBy{Input: ls, Aggs: []plan.AggCol{{
+		ID: ctx.NewColumn("cd", types.TInt), Op: plan.AggCount, Distinct: true,
+		Arg: &plan.ColRef{ID: ls.Cols[1], Typ: types.TInt}}}}
+	if rows := runVecAndRow(t, ctx, db, distinct, 2); rows[0][0].Int() != 3 {
+		t.Errorf("count(distinct ref) = %v, want 3", rows[0][0])
+	}
+	if got := builtFallback(t, ctx, db, distinct); got != "distinct" {
+		t.Errorf("distinct aggregate: fallback %q, want distinct", got)
+	}
+
+	sumStr := &plan.GroupBy{Input: ls, Aggs: []plan.AggCol{{
+		ID: ctx.NewColumn("s", types.TString), Op: plan.AggSum,
+		Arg: &plan.ColRef{ID: ls.Cols[2], Typ: types.TString}}}}
+	_, rowErr := NewBuilder(ctx, db, db.CurrentTS()).Run(sumStr)
+	vb := NewBuilder(ctx, db, db.CurrentTS())
+	vb.SetVectorize(2)
+	_, vecErr := vb.Run(sumStr)
+	if rowErr == nil || vecErr == nil || vecErr.Error() != rowErr.Error() {
+		t.Errorf("sum(varchar): vectorized error %v, row error %v", vecErr, rowErr)
+	}
+	if got := builtFallback(t, ctx, db, sumStr); got != "expression" {
+		t.Errorf("sum(varchar): fallback %q, want expression", got)
+	}
+}
+
+// deepExpr nests CASE and arithmetic depth levels over one int column:
+// level k is CASE WHEN x > k THEN <level k-1> + 1 ELSE x END, so the
+// tree is linear in depth and every level has a typed subtree below it.
+func deepExpr(x *plan.ColRef, depth int) plan.Expr {
+	var e plan.Expr = x
+	for k := 0; k < depth; k++ {
+		e = &plan.Case{Typ: types.TInt, Else: x, Whens: []plan.CaseArm{{
+			Cond: &plan.Bin{Op: ">", L: x, R: &plan.Const{Val: types.NewInt(int64(k))}, Typ: types.TBool},
+			Then: &plan.Bin{Op: "+", L: e, R: &plan.Const{Val: types.NewInt(1)}, Typ: types.TInt},
+		}}}
+	}
+	return e
+}
+
+var benchSink Iterator
+
+// BenchmarkVecCompileDeepExpr times building a Project whose computed
+// column nests CASE/arithmetic 64 levels deep. The compiler types each
+// subtree once, on the way up; typing it again at every enclosing level
+// is quadratic in the depth.
+func BenchmarkVecCompileDeepExpr(b *testing.B) {
+	db := storage.NewDB()
+	ctx := plan.NewContext()
+	tbl, err := db.CreateTable("t", types.Schema{{Name: "x", Type: types.TInt}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	scan := &plan.Scan{Info: &plan.TableInfo{Name: "t", Schema: tbl.Schema()}, Instance: ctx.NewInstance(),
+		Cols: []types.ColumnID{ctx.NewColumn("x", types.TInt)}, Ords: []int{0}}
+	x := &plan.ColRef{ID: scan.Cols[0], Typ: types.TInt}
+	proj := &plan.Project{Input: scan, Cols: []plan.ProjCol{{ID: ctx.NewColumn("deep", types.TInt), Expr: deepExpr(x, 64)}}}
+
+	build := func() Iterator {
+		bld := NewBuilder(ctx, db, db.CurrentTS())
+		bld.SetVectorize(0)
+		it, err := bld.Build(proj)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return it
+	}
+	if !isVecPipeline(build()) {
+		b.Fatal("deep expression did not compile to a batch pipeline")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = build()
 	}
 }

@@ -1,20 +1,28 @@
 package exec
 
 import (
-	"fmt"
-
 	"vdm/internal/plan"
 	"vdm/internal/storage"
 	"vdm/internal/types"
 )
 
 // Compilation of plan subtrees into vectorized batch operators. The
-// optimizer stamps VecOK (plan.MarkVectorizable) on eligible shapes;
-// this file turns those shapes into vecSpec pipeline fragments and the
-// batch operators over them. Anything that fails to compile here simply
-// declines (handled=false) and the row-at-a-time builder takes over —
-// declining is always safe because the row path produces identical rows
-// in identical order.
+// compiler is the only authority on what vectorizes: a subtree runs in
+// batch mode iff it compiles here, into vecSpec pipeline fragments and
+// the batch operators over them. The rules are deliberately
+// conservative — a shape compiles only when the batch kernels are
+// guaranteed to reproduce the row path's semantics exactly, including
+// three-valued logic, type promotion and aggregate NULL handling —
+// because declining is always safe: a compile function that returns nil
+// hands the node to the row-at-a-time builder, which produces identical
+// rows in identical order (and identical errors).
+//
+// A decline carries its reason out of the compile call as one of five
+// vec_fallback labels (expression, or, sort, union, distinct). The label
+// is non-empty only when the node's inputs compiled and the node itself
+// did not, so every coverage gap is reported once, at the operator that
+// owns it; noteFallback surfaces it through EXPLAIN and the
+// exec.vec_fallbacks metrics.
 
 // SetVectorize enables the vectorized batch executor for subsequent
 // Build calls: eligible scan/filter/project pipelines, aggregations,
@@ -29,15 +37,15 @@ func (b *Builder) SetVectorize(batchSize int) {
 	b.vecSize = batchSize
 }
 
-// buildVec recognizes plan shapes executable by the batch operators.
-// handled=false falls back to the row builder.
-func (b *Builder) buildVec(n plan.Node) (Iterator, bool, error) {
+// buildVec compiles the plan shapes the batch operators execute. A nil
+// iterator declines n to the row builder, for the returned reason.
+func (b *Builder) buildVec(n plan.Node) (Iterator, string) {
 	switch n := n.(type) {
 	case *plan.Scan, *plan.Filter:
 		return b.buildVecPipeline(n)
 	case *plan.Project:
-		if it, handled, err := b.buildVecProjectedJoin(n); handled {
-			return it, handled, err
+		if it := b.buildVecProjectedJoin(n); it != nil {
+			return it, ""
 		}
 		return b.buildVecPipeline(n)
 	case *plan.GroupBy:
@@ -45,21 +53,26 @@ func (b *Builder) buildVec(n plan.Node) (Iterator, bool, error) {
 	case *plan.Join:
 		return b.buildVecJoin(n)
 	case *plan.Limit:
-		return b.buildVecTopK(n)
+		return b.buildVecTopK(n), ""
 	case *plan.Distinct:
 		return b.buildVecDistinct(n)
+	case *plan.Sort:
+		// The batch executor only runs sorts fused into a bounded top-k
+		// heap (buildVecTopK), so a Sort built on its own always falls
+		// back, however well its input pipelines.
+		return nil, "sort"
 	}
-	return nil, false, nil
+	return nil, ""
 }
 
 // buildVecProjectedJoin fuses a Project of bare column refs over a
 // batch-eligible Join into the join's emission loop, skipping one
 // per-row copy for every joined row. Declined under analyze so the
 // Project node keeps its own statIter counters.
-func (b *Builder) buildVecProjectedJoin(n *plan.Project) (Iterator, bool, error) {
+func (b *Builder) buildVecProjectedJoin(n *plan.Project) Iterator {
 	j, ok := n.Input.(*plan.Join)
 	if !ok || b.analyze {
-		return nil, false, nil
+		return nil
 	}
 	combined := append([]types.ColumnID{}, j.Left.Columns()...)
 	combined = append(combined, j.Right.Columns()...)
@@ -67,7 +80,7 @@ func (b *Builder) buildVecProjectedJoin(n *plan.Project) (Iterator, bool, error)
 	for i, c := range n.Cols {
 		cr, ok := c.Expr.(*plan.ColRef)
 		if !ok {
-			return nil, false, nil
+			return nil
 		}
 		pos := -1
 		for p, id := range combined {
@@ -77,16 +90,16 @@ func (b *Builder) buildVecProjectedJoin(n *plan.Project) (Iterator, bool, error)
 			}
 		}
 		if pos < 0 {
-			return nil, false, nil
+			return nil
 		}
 		proj[i] = pos
 	}
-	it, handled, err := b.buildVecJoin(j)
-	if !handled || err != nil {
-		return it, handled, err
+	it, _ := b.buildVecJoin(j)
+	if it == nil {
+		return nil
 	}
 	it.(*vecHashJoinIter).proj = proj
-	return it, true, nil
+	return it
 }
 
 // vecFrag is a compiled pipeline fragment: the spec plus the mapping
@@ -121,73 +134,89 @@ func (f *vecFrag) rowPos(id types.ColumnID) (int, bool) {
 }
 
 // vecFragment compiles a scan with any interleaving of Filter and
-// Project stages into a batch pipeline fragment, or declines.
-func (b *Builder) vecFragment(n plan.Node) (*vecFrag, bool) {
+// Project stages into a batch pipeline fragment. A nil fragment
+// declines; the reason is set when n's input compiled and n's own stage
+// did not.
+func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
+	var input plan.Node
 	switch n := n.(type) {
 	case *plan.Scan:
-		if !n.VecOK {
-			return nil, false
-		}
 		tbl, ok := b.db.Table(n.Info.Name)
 		if !ok {
-			return nil, false // the row path reports the error
+			return nil, "" // the row path reports the error
 		}
 		spec := &vecSpec{snap: tbl.SnapshotAt(b.ts), ords: n.Ords, numCols: len(n.Ords), gov: b.gov, met: b.met}
 		spec.proj = make([]int, len(n.Cols))
 		for i := range spec.proj {
 			spec.proj[i] = i
 		}
-		return &vecFrag{spec: spec, cols: n.Cols, nodes: []plan.Node{n}, rb: rangeBuilder{ords: n.Ords}}, true
-
+		return &vecFrag{spec: spec, cols: n.Cols, nodes: []plan.Node{n}, rb: rangeBuilder{ords: n.Ords}}, ""
 	case *plan.Filter:
-		if !n.VecOK {
-			return nil, false
-		}
-		f, ok := b.vecFragment(n.Input)
-		if !ok {
-			return nil, false
-		}
-		if !applyVecFilter(f, n) {
-			return nil, false
-		}
-		return f, true
-
+		input = n.Input
 	case *plan.Project:
-		if !n.VecOK {
-			return nil, false
-		}
-		f, ok := b.vecFragment(n.Input)
-		if !ok {
-			return nil, false
-		}
-		if !applyVecProject(f, n) {
-			return nil, false
-		}
-		return f, true
+		input = n.Input
+	default:
+		return nil, ""
 	}
-	return nil, false
+	f, _ := b.vecFragment(input)
+	if f == nil {
+		return nil, ""
+	}
+	if reason := applyVecStage(f, n); reason != "" {
+		return nil, reason
+	}
+	return f, ""
+}
+
+// applyVecStage compiles one Filter or Project node into a stage
+// appended to the fragment, or returns the reason it cannot.
+func applyVecStage(f *vecFrag, n plan.Node) string {
+	switch n := n.(type) {
+	case *plan.Filter:
+		return applyVecFilter(f, n)
+	case *plan.Project:
+		return applyVecProject(f, n)
+	}
+	return "expression"
 }
 
 // applyVecFilter compiles one Filter node into a stage appended to the
-// fragment.
-func applyVecFilter(f *vecFrag, n *plan.Filter) bool {
+// fragment. Every conjunct needs a kernel (makeVecCmp); when one has
+// none the filter declines as "or" if its condition holds an OR tree,
+// else as "expression".
+func applyVecFilter(f *vecFrag, n *plan.Filter) string {
 	var st vecStage
 	for _, conj := range plan.Conjuncts(n.Cond) {
 		cmp, ok := makeVecCmp(f, conj, &f.rb)
 		if !ok {
-			return false
+			if hasOr(n.Cond) {
+				return "or"
+			}
+			return "expression"
 		}
 		st.filt = append(st.filt, cmp)
 	}
 	f.spec.ranges = f.rb.ranges()
 	f.spec.stages = append(f.spec.stages, st)
 	f.nodes = append(f.nodes, n)
-	return true
+	return ""
 }
 
-// applyVecProject compiles one Project node into a stage appended to
-// the fragment.
-func applyVecProject(f *vecFrag, n *plan.Project) bool {
+// hasOr reports whether the expression contains an OR node.
+func hasOr(e plan.Expr) bool {
+	found := false
+	plan.RewriteExpr(e, func(x plan.Expr) plan.Expr {
+		if b, ok := x.(*plan.Bin); ok && b.Op == "OR" {
+			found = true
+		}
+		return x
+	})
+	return found
+}
+
+// applyVecProject compiles one Project node — a column shuffle plus
+// total computed expressions — into a stage appended to the fragment.
+func applyVecProject(f *vecFrag, n *plan.Project) string {
 	var st vecStage
 	proj := make([]int, len(n.Cols))
 	cols := make([]types.ColumnID, len(n.Cols))
@@ -195,14 +224,14 @@ func applyVecProject(f *vecFrag, n *plan.Project) bool {
 		if cr, ok := c.Expr.(*plan.ColRef); ok {
 			bc, ok := f.batchCol(cr.ID)
 			if !ok {
-				return false
+				return "expression"
 			}
 			proj[i], cols[i] = bc, c.ID
 			continue
 		}
-		ex, ok := f.compileVecExpr(c.Expr)
+		ex, _, ok := f.compileVecExpr(c.Expr)
 		if !ok {
-			return false
+			return "expression"
 		}
 		dst := f.spec.numCols
 		f.spec.numCols++
@@ -212,7 +241,7 @@ func applyVecProject(f *vecFrag, n *plan.Project) bool {
 	f.spec.proj, f.cols = proj, cols
 	f.spec.stages = append(f.spec.stages, st)
 	f.nodes = append(f.nodes, n)
-	return true
+	return ""
 }
 
 // rangeBuilder accumulates zone-map pruning ranges from compiled filter
@@ -304,22 +333,8 @@ func makeVecCmp(f *vecFrag, conj plan.Expr, rb *rangeBuilder) (vecCmp, bool) {
 	case *plan.InListExpr:
 		if cr, ok := e.E.(*plan.ColRef); ok {
 			if bc, ok := f.batchCol(cr.ID); ok {
-				c := vecCmp{kind: vcIn, col: bc, not: e.Not}
-				consts := true
-				for _, x := range e.List {
-					k, ok := x.(*plan.Const)
-					if !ok {
-						consts = false
-						break
-					}
-					if k.Val.IsNull() {
-						c.sawNullElem = true
-						continue
-					}
-					c.list = append(c.list, k.Val)
-				}
-				if consts {
-					return c, true
+				if list, sawNull, ok := inListConsts(e.List); ok {
+					return vecCmp{kind: vcIn, col: bc, not: e.Not, list: list, sawNullElem: sawNull}, true
 				}
 			}
 		}
@@ -333,37 +348,21 @@ func makeVecCmp(f *vecFrag, conj plan.Expr, rb *rangeBuilder) (vecCmp, bool) {
 	}
 	// General case: any total boolean expression runs as an expression
 	// kernel whose non-NULL TRUE results keep the row.
-	if t, ok := plan.VecExprType(conj); ok && t == types.TBool {
-		if ex, ok := f.compileVecExpr(conj); ok {
-			return vecCmp{kind: vcExpr, expr: ex}, true
-		}
+	if ex, t, ok := f.compileVecExpr(conj); ok && t == types.TBool {
+		return vecCmp{kind: vcExpr, expr: ex}, true
 	}
 	return vecCmp{}, false
 }
 
 // makeSimpleCmp compiles a column-vs-literal comparison into a dedicated
 // kernel, choosing the kind from the statically-known type pair so the
-// kernel replicates types.Compare's promotion ladder exactly.
+// kernel replicates types.Compare's promotion ladder exactly. A NULL
+// literal is fine: the comparison is NULL for every row, so the kernel
+// rejects the whole batch.
 func makeSimpleCmp(f *vecFrag, e *plan.Bin, rb *rangeBuilder) (vecCmp, bool) {
-	cr, cok := e.L.(*plan.ColRef)
-	k, kok := e.R.(*plan.Const)
-	op := e.Op
-	if !cok || !kok {
-		cr, cok = e.R.(*plan.ColRef)
-		k, kok = e.L.(*plan.Const)
-		switch op {
-		case "<":
-			op = ">"
-		case "<=":
-			op = ">="
-		case ">":
-			op = "<"
-		case ">=":
-			op = "<="
-		}
-		if !cok || !kok {
-			return vecCmp{}, false
-		}
+	cr, lit, op, ok := plan.ColConstCmp(e)
+	if !ok {
+		return vecCmp{}, false
 	}
 	want, ok := wantFor(op)
 	if !ok {
@@ -373,31 +372,26 @@ func makeSimpleCmp(f *vecFrag, e *plan.Bin, rb *rangeBuilder) (vecCmp, bool) {
 	if !ok {
 		return vecCmp{}, false
 	}
-	lit := k.Val
 	c := vecCmp{col: bc, want: want}
-	switch {
-	case lit.IsNull():
+	if lit.IsNull() {
 		c.kind = vcNone
-	case cr.Typ == types.TString && lit.Typ == types.TString:
+		return c, true
+	}
+	kind, ok := cmpKind(cr.Typ, lit.Typ)
+	if !ok {
+		return vecCmp{}, false
+	}
+	switch kind {
+	case ckStr:
 		c.kind, c.str = vcStr, lit.Str()
 		c.memo = f.spec.nMemos
 		f.spec.nMemos++
-	case cr.Typ == types.TBool && lit.Typ == types.TBool:
+	case ckI64:
 		c.kind, c.i64 = vcI64, lit.Int()
-	case types.Numeric(cr.Typ) && types.Numeric(lit.Typ):
-		switch {
-		case cr.Typ == types.TInt && lit.Typ == types.TInt,
-			cr.Typ == types.TDate && lit.Typ == types.TDate:
-			c.kind, c.i64 = vcI64, lit.Int()
-		case cr.Typ == types.TDecimal && lit.Typ == types.TDecimal:
-			c.kind, c.dec = vcDec, lit.Decimal()
-		default:
-			// Mixed numeric types compare as float64, exactly the
-			// types.Compare fallback.
-			c.kind, c.f64 = vcF64, lit.Float()
-		}
+	case ckDec:
+		c.kind, c.dec = vcDec, lit.Decimal()
 	default:
-		return vecCmp{}, false
+		c.kind, c.f64 = vcF64, lit.Float()
 	}
 	if rb != nil && op != "<>" {
 		rb.apply(bc, op, lit)
@@ -446,27 +440,11 @@ func applyOrRange(f *vecFrag, rb *rangeBuilder, disj []plan.Expr) {
 		if !ok {
 			return
 		}
-		cr, cok := e.L.(*plan.ColRef)
-		k, kok := e.R.(*plan.Const)
-		op := e.Op
-		if !cok || !kok {
-			cr, cok = e.R.(*plan.ColRef)
-			k, kok = e.L.(*plan.Const)
-			switch op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			}
-			if !cok || !kok {
-				return
-			}
+		cr, v, op, ok := plan.ColConstCmp(e)
+		if !ok {
+			return
 		}
-		if k.Val.IsNull() {
+		if v.IsNull() {
 			continue // branch keeps nothing: no contribution to the range
 		}
 		bc, ok := f.batchCol(cr.ID)
@@ -478,7 +456,6 @@ func applyOrRange(f *vecFrag, rb *rangeBuilder, disj []plan.Expr) {
 		} else if col != bc {
 			return // bounds on different columns: no single-column range
 		}
-		v := k.Val
 		var blo, bhi *types.Value
 		switch op {
 		case "=":
@@ -556,27 +533,28 @@ func (b *Builder) vecRows(spec *vecSpec) Iterator {
 	return &vecRowsIter{spec: spec, batchSize: b.vecSize}
 }
 
-// buildVecPipeline builds a bare batch pipeline behind the row-iterator
-// adapter.
-func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, bool, error) {
-	f, ok := b.vecFragment(n)
-	if !ok {
-		return b.buildVecUnionPipeline(n)
+// isVecPipeline reports whether a built iterator is a batch pipeline
+// behind the row adapter (see vecRows), looking through the analyze
+// wrapper.
+func isVecPipeline(it Iterator) bool {
+	if st, ok := it.(*statIter); ok {
+		it = st.inner
 	}
-	if b.analyze {
-		b.attachVecStats(f, false)
+	switch it.(type) {
+	case *vecRowsIter, *parallelScanIter:
+		return true
 	}
-	return b.vecRows(f.spec), true, nil
+	return false
 }
 
-// buildVecUnionPipeline runs Filter/Project stages stacked over a
-// UnionAll in batch mode: vecSources replays the outer stages onto
-// every branch fragment, and the branches run back to back in branch
-// order — exactly the row union's emission order.
-func (b *Builder) buildVecUnionPipeline(n plan.Node) (Iterator, bool, error) {
-	frags, ok := b.vecSources(n)
-	if !ok || len(frags) < 2 {
-		return nil, false, nil
+// buildVecPipeline builds a batch pipeline — Filter/Project stages over
+// a scan, or over a UnionAll of such pipelines — behind the row-iterator
+// adapter. Union branches run back to back in branch order, exactly the
+// row union's emission order.
+func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, string) {
+	frags, reason := b.vecSources(n)
+	if frags == nil {
+		return nil, reason
 	}
 	if b.analyze {
 		for _, f := range frags {
@@ -584,28 +562,37 @@ func (b *Builder) buildVecUnionPipeline(n plan.Node) (Iterator, bool, error) {
 		}
 		b.stampVecUnion(n)
 	}
+	if len(frags) == 1 {
+		return b.vecRows(frags[0].spec), ""
+	}
 	children := make([]Iterator, len(frags))
 	for i, f := range frags {
 		children[i] = b.vecRows(f.spec)
 	}
-	return &unionIter{children: children}, true, nil
+	return &unionIter{children: children}, ""
 }
 
 // buildVecGroupBy builds the batch aggregation operator (serial or
-// morsel-parallel) over a compiled input pipeline.
-func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, bool, error) {
-	if !n.VecOK {
-		return nil, false, nil
+// morsel-parallel) over a compiled input pipeline. Aggregates have
+// kernels when they are plain (non-DISTINCT) and over bare columns;
+// SUM/AVG additionally need a numeric argument, so the typed accumulator
+// can never hit the row path's "SUM/AVG on <type>" error — the decline
+// leaves the row path to raise it exactly as before.
+func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
+	f, _ := b.vecFragment(n.Input)
+	if f == nil {
+		return nil, ""
 	}
-	f, ok := b.vecFragment(n.Input)
-	if !ok {
-		return nil, false, nil
+	for _, a := range n.Aggs {
+		if a.Distinct {
+			return nil, "distinct"
+		}
 	}
 	va := &vecAggSpec{spec: f.spec, scalarAgg: len(n.GroupCols) == 0, batchSize: b.vecSize}
 	for _, g := range n.GroupCols {
 		bc, ok := f.batchCol(g)
 		if !ok {
-			return nil, false, nil
+			return nil, "expression"
 		}
 		va.groupCols = append(va.groupCols, bc)
 	}
@@ -614,11 +601,18 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, bool, error) {
 		if !a.Star {
 			cr, ok := a.Arg.(*plan.ColRef)
 			if !ok {
-				return nil, false, nil
+				return nil, "expression"
+			}
+			if a.Op == plan.AggSum || a.Op == plan.AggAvg {
+				switch cr.Typ {
+				case types.TInt, types.TFloat, types.TDecimal:
+				default:
+					return nil, "expression"
+				}
 			}
 			bc, ok := f.batchCol(cr.ID)
 			if !ok {
-				return nil, false, nil
+				return nil, "expression"
 			}
 			ac.col = bc
 		}
@@ -629,38 +623,41 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, bool, error) {
 		b.nodeStats(n).Mode = "vector"
 	}
 	if b.workers > 1 {
-		return &parallelGroupByIter{va: va, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}, true, nil
+		return &parallelGroupByIter{va: va, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}, ""
 	}
-	return &vecGroupByIter{va: va, gov: b.gov, met: b.met}, true, nil
+	return &vecGroupByIter{va: va, gov: b.gov, met: b.met}, ""
 }
 
-// buildVecJoin builds the batch hash join over two compiled pipelines.
-func (b *Builder) buildVecJoin(n *plan.Join) (Iterator, bool, error) {
-	if !n.VecOK {
-		return nil, false, nil
+// buildVecJoin builds the batch hash join over two compiled pipelines:
+// an inner or left-outer join whose condition is purely equi-join
+// conjuncts (col = col, one side each) with no residual.
+func (b *Builder) buildVecJoin(n *plan.Join) (Iterator, string) {
+	lf, _ := b.vecFragment(n.Left)
+	if lf == nil {
+		return nil, ""
 	}
-	lf, ok := b.vecFragment(n.Left)
-	if !ok {
-		return nil, false, nil
+	rf, _ := b.vecFragment(n.Right)
+	if rf == nil {
+		return nil, ""
 	}
-	rf, ok := b.vecFragment(n.Right)
-	if !ok {
-		return nil, false, nil
+	conjuncts := plan.Conjuncts(n.Cond)
+	if (n.Kind != plan.InnerJoin && n.Kind != plan.LeftOuterJoin) || len(conjuncts) == 0 {
+		return nil, "expression"
 	}
 	var leftPos, rightPos []int
 	var leftTyps, rightTyps []types.Type
-	for _, conj := range plan.Conjuncts(n.Cond) {
+	for _, conj := range conjuncts {
 		eq, ok := conj.(*plan.Bin)
 		if !ok || eq.Op != "=" {
-			return nil, false, nil
+			return nil, "expression"
 		}
 		a, ok := eq.L.(*plan.ColRef)
 		if !ok {
-			return nil, false, nil
+			return nil, "expression"
 		}
 		c, ok := eq.R.(*plan.ColRef)
 		if !ok {
-			return nil, false, nil
+			return nil, "expression"
 		}
 		lc, rc := a, c
 		lp, lok := lf.rowPos(lc.ID)
@@ -670,7 +667,7 @@ func (b *Builder) buildVecJoin(n *plan.Join) (Iterator, bool, error) {
 			lp, lok = lf.rowPos(lc.ID)
 			rp, rok = rf.rowPos(rc.ID)
 			if !lok || !rok {
-				return nil, false, nil
+				return nil, "expression"
 			}
 		}
 		leftPos, rightPos = append(leftPos, lp), append(rightPos, rp)
@@ -709,70 +706,59 @@ func (b *Builder) buildVecJoin(n *plan.Join) (Iterator, bool, error) {
 		it.build, it.probe = rf.spec, lf.spec
 		it.buildKeyPos, it.probeKeyPos = rightPos, leftPos
 	}
-	return it, true, nil
+	return it, ""
 }
 
-// vecSources compiles the input of a batch set operator (top-k or
-// DISTINCT) into pipeline fragments: one for a plain pipeline, one per
-// child for a UNION ALL of pipelines.
-func (b *Builder) vecSources(n plan.Node) ([]*vecFrag, bool) {
-	// Peel Filter/Project stages stacked above a UnionAll (the shape a
-	// derived-table union binds to). The outer stages are replayed onto
-	// every branch fragment, with the union's output column IDs aliased
-	// positionally to each branch's outputs.
+// vecSources compiles a batch source — the input of a pipeline adapter
+// or of a batch set operator (top-k, DISTINCT) — into pipeline
+// fragments: one for a plain pipeline, one per child for Filter/Project
+// stages stacked over a UnionAll of pipelines (the shape a derived-table
+// union binds to). The outer stages are replayed onto every branch
+// fragment, with the union's output column IDs aliased positionally to
+// each branch's outputs. Nil declines, with a reason when n is itself
+// the stage that failed over inputs that compiled.
+func (b *Builder) vecSources(n plan.Node) ([]*vecFrag, string) {
 	var outer []plan.Node
 	inner := n
 peel:
 	for {
 		switch t := inner.(type) {
 		case *plan.Filter:
-			if !t.VecOK {
-				break peel
-			}
 			outer = append(outer, t)
 			inner = t.Input
 		case *plan.Project:
-			if !t.VecOK {
-				break peel
-			}
 			outer = append(outer, t)
 			inner = t.Input
 		default:
 			break peel
 		}
 	}
-	if u, ok := inner.(*plan.UnionAll); ok {
-		if !u.VecOK {
-			return nil, false
-		}
-		frags := make([]*vecFrag, 0, len(u.Children))
-		for _, c := range u.Children {
-			f, ok := b.vecFragment(c)
-			if !ok || len(f.cols) != len(u.Cols) {
-				return nil, false
-			}
-			f.cols = append([]types.ColumnID(nil), u.Cols...)
-			for i := len(outer) - 1; i >= 0; i-- {
-				switch t := outer[i].(type) {
-				case *plan.Filter:
-					if !applyVecFilter(f, t) {
-						return nil, false
-					}
-				case *plan.Project:
-					if !applyVecProject(f, t) {
-						return nil, false
-					}
-				}
-			}
-			frags = append(frags, f)
-		}
-		return frags, true
-	}
-	f, ok := b.vecFragment(n)
+	u, ok := inner.(*plan.UnionAll)
 	if !ok {
-		return nil, false
+		f, reason := b.vecFragment(n)
+		if f == nil {
+			return nil, reason
+		}
+		return []*vecFrag{f}, ""
 	}
-	return []*vecFrag{f}, true
+	frags := make([]*vecFrag, 0, len(u.Children))
+	for _, c := range u.Children {
+		f, _ := b.vecFragment(c)
+		if f == nil || len(f.cols) != len(u.Cols) {
+			return nil, ""
+		}
+		f.cols = append([]types.ColumnID(nil), u.Cols...)
+		for i := len(outer) - 1; i >= 0; i-- {
+			if reason := applyVecStage(f, outer[i]); reason != "" {
+				if i > 0 {
+					reason = "" // a stage below n failed: it reports itself
+				}
+				return nil, reason
+			}
+		}
+		frags = append(frags, f)
+	}
+	return frags, ""
 }
 
 // stampVecUnion walks single-input operators below n and marks the
@@ -798,30 +784,19 @@ func intKeyType(t types.Type) bool {
 	return t == types.TInt || t == types.TDate || t == types.TBool
 }
 
-// vecFallbackNote renders the EXPLAIN annotation for a node the
-// vectorized executor declined, naming the reason.
-func vecFallbackNote(n plan.Node) string {
-	if r := plan.VecFallback(n); r != "" {
-		return fmt.Sprintf("vec_fallback=%s", r)
-	}
-	return ""
-}
-
-// countVecFallback bumps the per-reason exec.vec_fallbacks counter for a
-// node the batch executor declined. A bare ORDER BY counts as a sort
-// fallback even when its input pipelines fine: the batch executor only
-// runs bounded (LIMIT-fused) top-k sorts.
-func (b *Builder) countVecFallback(n plan.Node) {
-	if b.met == nil {
+// noteFallback records that the batch compiler declined n for the given
+// reason: in the per-reason exec.vec_fallbacks counter, and under
+// analyze in the node's OpStats for EXPLAIN to render. A builder that
+// is not vectorizing declines nothing.
+func (b *Builder) noteFallback(n plan.Node, reason string) {
+	if reason == "" || b.vecSize == 0 {
 		return
 	}
-	reason := plan.VecFallback(n)
-	if reason == "" {
-		if _, ok := n.(*plan.Sort); ok {
-			reason = "sort"
-		} else {
-			return
-		}
+	if b.analyze {
+		b.nodeStats(n).Fallback = reason
+	}
+	if b.met == nil {
+		return
 	}
 	switch reason {
 	case "expression":

@@ -10,13 +10,13 @@ import (
 )
 
 // Typed expression kernels over column batches. compileVecExpr turns a
-// plan expression admitted by plan.VecExprType into a tree of vecExpr
-// nodes, each evaluating one batch at a time into a reusable output
-// vector. The compiled tree is immutable and shared across workers; all
-// mutable state (output vectors, selection scratch) lives in vecScratch,
-// indexed by compile-time slot numbers.
+// plan expression into a tree of vecExpr nodes, each evaluating one
+// batch at a time into a reusable output vector. The compiled tree is
+// immutable and shared across workers; all mutable state (output
+// vectors, selection scratch) lives in vecScratch, indexed by
+// compile-time slot numbers.
 //
-// Only total expressions are compiled (plan.VecExprType's admission
+// Only total expressions compile (compileVecExpr is the admission
 // rule), so evaluation can be eager and out of order: the batch path may
 // evaluate a CASE arm or an AND operand on rows the row path would have
 // skipped, which is observable only through errors — and total kernels
@@ -158,6 +158,29 @@ const (
 	aDec              // either decimal (no float) → decimal
 )
 
+// arithType replicates Arith's promotion ladder for the total operators
+// (+ - *), returning the result type when the operand pair can never
+// error: float promotion accepts anything Float() converts, the decimal
+// ladder accepts int and decimal, and the int ladder stays int. Division
+// has no kernel (division by zero is a runtime error).
+func arithType(a, b types.Type) (types.Type, bool) {
+	floatable := func(t types.Type) bool {
+		switch t {
+		case types.TInt, types.TFloat, types.TDecimal, types.TDate, types.TBool:
+			return true
+		}
+		return false
+	}
+	if a == types.TFloat || b == types.TFloat {
+		return types.TFloat, floatable(a) && floatable(b)
+	}
+	decable := func(t types.Type) bool { return t == types.TInt || t == types.TDecimal }
+	if a == types.TDecimal || b == types.TDecimal {
+		return types.TDecimal, decable(a) && decable(b)
+	}
+	return types.TInt, a == types.TInt && b == types.TInt
+}
+
 type veArith struct {
 	op   byte // '+', '-', '*'
 	kind uint8
@@ -255,6 +278,27 @@ const (
 	ckDec              // decimal vs decimal
 	ckStr              // string vs string
 )
+
+// cmpKind picks the comparison kernel for a static type pair, or
+// declines the pairs types.Compare rejects — so a compiled comparison
+// can never hit the type error the row path would raise.
+func cmpKind(a, b types.Type) (uint8, bool) {
+	switch {
+	case a == types.TString && b == types.TString:
+		return ckStr, true
+	case a == types.TBool && b == types.TBool:
+		return ckI64, true
+	case a == b && (a == types.TInt || a == types.TDate):
+		return ckI64, true
+	case a == types.TDecimal && b == types.TDecimal:
+		return ckDec, true
+	case types.Numeric(a) && types.Numeric(b):
+		// Mixed numeric types compare as float64, exactly the
+		// types.Compare fallback.
+		return ckF64, true
+	}
+	return 0, false
+}
 
 type veCmp struct {
 	kind uint8
@@ -565,7 +609,7 @@ func (e *veCase) eval(b *Batch, sel []int32, sc *vecScratch) *types.Vec {
 // veFunc evaluates its argument vectors, then boxes one row at a time
 // through callScalar — the row path's own implementation — so every
 // per-function NULL and clamping rule is shared, not replicated.
-// Admission (plan.VecExprType) guarantees callScalar's error paths are
+// Admission (vecFuncType) guarantees callScalar's error paths are
 // unreachable for the compiled argument types.
 type veFunc struct {
 	name string
@@ -599,6 +643,55 @@ func (e *veFunc) eval(b *Batch, sel []int32, sc *vecScratch) *types.Vec {
 	return out
 }
 
+// vecFuncType is the totality table for scalar functions: it admits a
+// call, given its arguments' static types, only when callScalar can
+// never return an error for values of those types, and returns the
+// call's static result type.
+func vecFuncType(e *plan.Func, argTyps []types.Type) (types.Type, bool) {
+	n := len(argTyps)
+	is := func(i int, want types.Type) bool { return typedAs(e.Args[i], argTyps[i], want) }
+	switch e.Name {
+	case "ROUND", "ABS":
+		if n == 0 || n > 2 || (e.Name == "ABS" && n != 1) || argTyps[0] != e.Typ {
+			return 0, false
+		}
+		switch e.Typ {
+		case types.TInt, types.TFloat, types.TDecimal:
+			return e.Typ, n == 1 || is(1, types.TInt)
+		}
+	case "FLOOR", "CEIL":
+		if n != 1 {
+			return 0, false
+		}
+		switch argTyps[0] {
+		case types.TInt, types.TFloat, types.TDecimal, types.TDate, types.TBool, types.TNull:
+			return types.TInt, true
+		}
+	case "COALESCE", "IFNULL":
+		if n == 0 || (e.Name == "IFNULL" && n != 2) {
+			return 0, false
+		}
+		for i := range argTyps {
+			if !is(i, e.Typ) {
+				return 0, false
+			}
+		}
+		return e.Typ, true
+	case "NULLIF":
+		return e.Typ, n == 2 && is(0, e.Typ)
+	case "UPPER", "LOWER":
+		return types.TString, n == 1 && is(0, types.TString)
+	case "LENGTH":
+		return types.TInt, n == 1 && is(0, types.TString)
+	case "SUBSTR":
+		ok := (n == 2 || n == 3) && is(0, types.TString) && is(1, types.TInt) && (n == 2 || is(2, types.TInt))
+		return types.TString, ok
+	case "CONCAT":
+		return types.TString, n > 0
+	}
+	return 0, false
+}
+
 // --- compiler -----------------------------------------------------------
 
 // newSlot allocates a scratch output vector for one kernel.
@@ -608,217 +701,202 @@ func (f *vecFrag) newSlot() int {
 	return s
 }
 
-// compileVecExpr compiles an expression admitted by plan.VecExprType
-// into a kernel tree, or declines. Declines mean the enclosing operator
+// isNullConst reports whether e is a literal NULL, which satisfies any
+// required operand type (the kernels emit a typed NULL of the output
+// vector's type, and downstream semantics never distinguish NULL types).
+func isNullConst(e plan.Expr) bool {
+	c, ok := e.(*plan.Const)
+	return ok && c.Val.IsNull()
+}
+
+// typedAs reports whether operand e, compiled to static type t, can
+// stand where the row evaluator expects a value of type want.
+func typedAs(e plan.Expr, t, want types.Type) bool {
+	return t == want || isNullConst(e)
+}
+
+// inListConsts splits an IN list of literals into its non-NULL elements
+// and whether a NULL was among them; ok is false when any element is
+// not a literal.
+func inListConsts(list []plan.Expr) (vals []types.Value, sawNull, ok bool) {
+	for _, x := range list {
+		k, isLit := x.(*plan.Const)
+		if !isLit {
+			return nil, false, false
+		}
+		if k.Val.IsNull() {
+			sawNull = true
+			continue
+		}
+		vals = append(vals, k.Val)
+	}
+	return vals, sawNull, true
+}
+
+// compileVecExpr compiles an expression into a kernel tree and returns
+// it with its static result type, or declines. It is the admission rule:
+// an expression vectorizes iff it compiles, and it compiles only when it
+// is total — it can never raise a runtime error for any input — under
+// the row evaluator's own typing: arithmetic follows Arith's ladder (no
+// division), comparisons follow types.Compare's, CASE arms must already
+// produce the CASE's type (the row path returns an arm's value as-is),
+// and scalar functions are admitted per function (vecFuncType). A NULL
+// literal has static type TNull. Declines mean the enclosing operator
 // falls back to the row path, which is always safe.
-func (f *vecFrag) compileVecExpr(e plan.Expr) (vecExpr, bool) {
+func (f *vecFrag) compileVecExpr(e plan.Expr) (vecExpr, types.Type, bool) {
 	switch e := e.(type) {
 	case *plan.ColRef:
 		bc, ok := f.batchCol(e.ID)
 		if !ok {
-			return nil, false
+			return nil, 0, false
 		}
-		return &veCol{col: bc}, true
+		return &veCol{col: bc}, e.Typ, true
 
 	case *plan.Const:
 		if e.Val.IsNull() {
-			return &veNullConst{typ: e.Val.Typ, slot: f.newSlot()}, true
+			return &veNullConst{typ: e.Val.Typ, slot: f.newSlot()}, types.TNull, true
 		}
-		return &veConst{val: e.Val, slot: f.newSlot()}, true
+		return &veConst{val: e.Val, slot: f.newSlot()}, e.Val.Typ, true
 
 	case *plan.Bin:
 		return f.compileVecBin(e)
 
 	case *plan.Un:
-		t, ok := plan.VecExprType(e.E)
+		inner, t, ok := f.compileVecExpr(e.E)
 		if !ok {
-			return nil, false
+			return nil, 0, false
 		}
 		if e.Op == "NOT" {
 			if t != types.TBool && t != types.TNull {
-				return nil, false
+				return nil, 0, false
 			}
-			inner, ok := f.compileVecExpr(e.E)
-			if !ok {
-				return nil, false
-			}
-			return &veNot{e: inner, slot: f.newSlot()}, true
-		}
-		if t == types.TNull {
-			// -NULL is NULL of the operand's (null) type, as the row
-			// path's NewNull(v.Typ).
-			return &veNullConst{typ: types.TNull, slot: f.newSlot()}, true
+			return &veNot{e: inner, slot: f.newSlot()}, types.TBool, true
 		}
 		switch t {
+		case types.TNull:
+			// -NULL is NULL of the operand's (null) type, as the row
+			// path's NewNull(v.Typ).
+			return &veNullConst{typ: types.TNull, slot: f.newSlot()}, e.Typ, true
 		case types.TInt, types.TFloat, types.TDecimal:
-		default:
-			return nil, false
+			return &veNeg{e: inner, typ: t, slot: f.newSlot()}, t, true
 		}
-		inner, ok := f.compileVecExpr(e.E)
-		if !ok {
-			return nil, false
-		}
-		return &veNeg{e: inner, typ: t, slot: f.newSlot()}, true
+		return nil, 0, false
 
 	case *plan.IsNullExpr:
-		inner, ok := f.compileVecExpr(e.E)
+		inner, _, ok := f.compileVecExpr(e.E)
 		if !ok {
-			return nil, false
+			return nil, 0, false
 		}
-		return &veIsNull{e: inner, not: e.Not, slot: f.newSlot()}, true
+		return &veIsNull{e: inner, not: e.Not, slot: f.newSlot()}, types.TBool, true
 
 	case *plan.InListExpr:
-		inner, ok := f.compileVecExpr(e.E)
+		inner, _, ok := f.compileVecExpr(e.E)
 		if !ok {
-			return nil, false
+			return nil, 0, false
 		}
-		in := &veIn{e: inner, not: e.Not, slot: f.newSlot()}
-		for _, x := range e.List {
-			k, ok := x.(*plan.Const)
-			if !ok {
-				return nil, false
-			}
-			if k.Val.IsNull() {
-				in.sawNullElem = true
-				continue
-			}
-			in.list = append(in.list, k.Val)
+		list, sawNull, ok := inListConsts(e.List)
+		if !ok {
+			return nil, 0, false
 		}
-		return in, true
+		return &veIn{e: inner, list: list, sawNullElem: sawNull, not: e.Not, slot: f.newSlot()}, types.TBool, true
 
 	case *plan.Case:
 		c := &veCase{typ: e.Typ, slot: f.newSlot(), bufBase: f.spec.nBufs}
 		f.spec.nBufs += 3
 		for _, w := range e.Whens {
-			cond, ok := f.compileVecExpr(w.Cond)
-			if !ok {
-				return nil, false
+			cond, ct, ok := f.compileVecExpr(w.Cond)
+			if !ok || !typedAs(w.Cond, ct, types.TBool) {
+				return nil, 0, false
 			}
-			then, ok := f.compileVecExpr(w.Then)
-			if !ok {
-				return nil, false
+			then, tt, ok := f.compileVecExpr(w.Then)
+			if !ok || !typedAs(w.Then, tt, e.Typ) {
+				return nil, 0, false
 			}
 			c.arms = append(c.arms, veCaseArm{cond: cond, then: then})
 		}
 		if e.Else != nil {
-			els, ok := f.compileVecExpr(e.Else)
-			if !ok {
-				return nil, false
+			els, et, ok := f.compileVecExpr(e.Else)
+			if !ok || !typedAs(e.Else, et, e.Typ) {
+				return nil, 0, false
 			}
 			c.els = els
 		}
-		return c, true
+		return c, e.Typ, true
 
 	case *plan.Func:
-		if _, ok := plan.VecExprType(e); !ok {
-			return nil, false
-		}
-		fn := &veFunc{name: e.Name, typ: e.Typ, slot: f.newSlot()}
-		for _, a := range e.Args {
-			av, ok := f.compileVecExpr(a)
-			if !ok {
-				return nil, false
+		fn := &veFunc{name: e.Name, typ: e.Typ, args: make([]vecExpr, len(e.Args))}
+		argTyps := make([]types.Type, len(e.Args))
+		for i, a := range e.Args {
+			var ok bool
+			if fn.args[i], argTyps[i], ok = f.compileVecExpr(a); !ok {
+				return nil, 0, false
 			}
-			fn.args = append(fn.args, av)
 		}
-		return fn, true
+		t, ok := vecFuncType(e, argTyps)
+		if !ok {
+			return nil, 0, false
+		}
+		fn.slot = f.newSlot()
+		return fn, t, true
 	}
-	return nil, false
+	return nil, 0, false
 }
 
-func (f *vecFrag) compileVecBin(e *plan.Bin) (vecExpr, bool) {
-	lt, lok := plan.VecExprType(e.L)
-	rt, rok := plan.VecExprType(e.R)
-	if !lok || !rok {
-		return nil, false
+func (f *vecFrag) compileVecBin(e *plan.Bin) (vecExpr, types.Type, bool) {
+	l, lt, ok := f.compileVecExpr(e.L)
+	if !ok {
+		return nil, 0, false
 	}
+	r, rt, ok := f.compileVecExpr(e.R)
+	if !ok {
+		return nil, 0, false
+	}
+	nullOperand := lt == types.TNull || rt == types.TNull
 	switch e.Op {
 	case "+", "-", "*":
-		if lt == types.TNull || rt == types.TNull {
-			return &veNullConst{typ: e.Typ, slot: f.newSlot()}, true
+		if nullOperand {
+			// The result is always NULL of e.Typ.
+			return &veNullConst{typ: e.Typ, slot: f.newSlot()}, e.Typ, true
 		}
-		rtype, ok := plan.VecExprType(e)
-		if !ok {
-			return nil, false
+		t, ok := arithType(lt, rt)
+		if !ok || t != e.Typ {
+			return nil, 0, false
 		}
-		l, ok := f.compileVecExpr(e.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := f.compileVecExpr(e.R)
-		if !ok {
-			return nil, false
-		}
-		a := &veArith{op: e.Op[0], l: l, r: r, typ: rtype, slot: f.newSlot()}
-		switch rtype {
+		a := &veArith{op: e.Op[0], l: l, r: r, typ: t, slot: f.newSlot()}
+		switch t {
 		case types.TInt:
 			a.kind = aI64
 		case types.TFloat:
 			a.kind = aF64
-		case types.TDecimal:
-			a.kind = aDec
 		default:
-			return nil, false
+			a.kind = aDec
 		}
-		return a, true
+		return a, t, true
 
 	case "=", "<>", "<", "<=", ">", ">=":
-		if lt == types.TNull || rt == types.TNull {
-			return &veNullConst{typ: types.TBool, slot: f.newSlot()}, true
+		if nullOperand {
+			// The comparison is NULL for every row, which is total.
+			return &veNullConst{typ: types.TBool, slot: f.newSlot()}, types.TBool, true
 		}
-		want, ok := wantFor(e.Op)
+		kind, ok := cmpKind(lt, rt)
 		if !ok {
-			return nil, false
+			return nil, 0, false
 		}
-		l, ok := f.compileVecExpr(e.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := f.compileVecExpr(e.R)
-		if !ok {
-			return nil, false
-		}
-		c := &veCmp{want: want, l: l, r: r, slot: f.newSlot()}
-		switch {
-		case lt == types.TString && rt == types.TString:
-			c.kind = ckStr
-		case lt == types.TBool && rt == types.TBool:
-			c.kind = ckI64
-		case lt == rt && (lt == types.TInt || lt == types.TDate):
-			c.kind = ckI64
-		case lt == types.TDecimal && rt == types.TDecimal:
-			c.kind = ckDec
-		case types.Numeric(lt) && types.Numeric(rt):
-			c.kind = ckF64
-		default:
-			return nil, false
-		}
-		return c, true
+		want, _ := wantFor(e.Op)
+		return &veCmp{kind: kind, want: want, l: l, r: r, slot: f.newSlot()}, types.TBool, true
 
 	case "AND", "OR":
-		l, ok := f.compileVecExpr(e.L)
-		if !ok {
-			return nil, false
+		if !typedAs(e.L, lt, types.TBool) || !typedAs(e.R, rt, types.TBool) {
+			return nil, 0, false
 		}
-		r, ok := f.compileVecExpr(e.R)
-		if !ok {
-			return nil, false
-		}
-		return &veBool{and: e.Op == "AND", l: l, r: r, slot: f.newSlot()}, true
+		return &veBool{and: e.Op == "AND", l: l, r: r, slot: f.newSlot()}, types.TBool, true
 
 	case "||":
-		if lt == types.TNull || rt == types.TNull {
-			return &veNullConst{typ: types.TString, slot: f.newSlot()}, true
+		// String() renders every type, so concat is total.
+		if nullOperand {
+			return &veNullConst{typ: types.TString, slot: f.newSlot()}, types.TString, true
 		}
-		l, ok := f.compileVecExpr(e.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := f.compileVecExpr(e.R)
-		if !ok {
-			return nil, false
-		}
-		return &veConcat{l: l, r: r, slot: f.newSlot()}, true
+		return &veConcat{l: l, r: r, slot: f.newSlot()}, types.TString, true
 	}
-	return nil, false
+	return nil, 0, false
 }

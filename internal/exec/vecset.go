@@ -267,13 +267,10 @@ func (s *vecSpec) decodeRow(sc *vecScratch, ri int) types.Row {
 
 // buildVecDistinct compiles DISTINCT over a batch pipeline (or a UNION
 // ALL of batch pipelines) into the batch dedup operator.
-func (b *Builder) buildVecDistinct(n *plan.Distinct) (Iterator, bool, error) {
-	if !n.VecOK {
-		return nil, false, nil
-	}
-	frags, ok := b.vecSources(n.Input)
-	if !ok {
-		return nil, false, nil
+func (b *Builder) buildVecDistinct(n *plan.Distinct) (Iterator, string) {
+	frags, _ := b.vecSources(n.Input)
+	if frags == nil {
+		return nil, "distinct"
 	}
 	srcs := make([]*vecSpec, len(frags))
 	for i, f := range frags {
@@ -293,5 +290,5 @@ func (b *Builder) buildVecDistinct(n *plan.Distinct) (Iterator, bool, error) {
 		morselSize: b.morselSize,
 		gov:        b.gov,
 		met:        b.met,
-	}, true, nil
+	}, ""
 }

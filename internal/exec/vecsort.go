@@ -425,25 +425,25 @@ func (t *vecTopKIter) extraStats(st *OpStats) {
 // buildVecTopK compiles LIMIT-over-ORDER BY into the batch top-k
 // operator when the sort input is a batch pipeline or a UNION ALL of
 // batch pipelines.
-func (b *Builder) buildVecTopK(n *plan.Limit) (Iterator, bool, error) {
+func (b *Builder) buildVecTopK(n *plan.Limit) Iterator {
 	srt, ok := n.Input.(*plan.Sort)
-	if !ok || !srt.VecOK || n.Count < 0 || n.Offset < 0 {
-		return nil, false, nil
+	if !ok || n.Count < 0 || n.Offset < 0 {
+		return nil
 	}
-	frags, ok := b.vecSources(srt.Input)
-	if !ok {
-		return nil, false, nil
+	frags, _ := b.vecSources(srt.Input)
+	if frags == nil {
+		return nil
 	}
 	keys, err := b.sortKeys(srt)
 	if err != nil {
-		return nil, false, nil // the row path reports the error
+		return nil // the row path reports the error
 	}
 	srcs := make([]vecTopKSrc, len(frags))
 	for i, f := range frags {
 		kc := make([]int, len(keys))
 		for x, k := range keys {
 			if k.idx >= len(f.spec.proj) {
-				return nil, false, nil
+				return nil
 			}
 			kc[x] = f.spec.proj[k.idx]
 		}
@@ -477,5 +477,5 @@ func (b *Builder) buildVecTopK(n *plan.Limit) (Iterator, bool, error) {
 		morselSize: b.morselSize,
 		gov:        b.gov,
 		met:        b.met,
-	}, true, nil
+	}
 }

@@ -156,6 +156,45 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
+// Disjuncts splits an OR tree into its disjuncts, mirroring Conjuncts.
+func Disjuncts(e Expr) []Expr {
+	if b, ok := e.(*Bin); ok && b.Op == "OR" {
+		return append(Disjuncts(b.L), Disjuncts(b.R)...)
+	}
+	return []Expr{e}
+}
+
+// ColConstCmp decomposes `col op literal`, in either orientation, into
+// the column, the literal and the operator as it reads with the column
+// on the left: `5 < x` yields (x, 5, ">"). ok is false when b is not a
+// column/literal pair. The literal may be NULL and op is b's operator
+// whatever it is; callers switch on the ones they handle.
+func ColConstCmp(b *Bin) (col *ColRef, lit types.Value, op string, ok bool) {
+	if c, isCol := b.L.(*ColRef); isCol {
+		if k, isLit := b.R.(*Const); isLit {
+			return c, k.Val, b.Op, true
+		}
+		return nil, types.Value{}, "", false
+	}
+	c, isCol := b.R.(*ColRef)
+	k, isLit := b.L.(*Const)
+	if !isCol || !isLit {
+		return nil, types.Value{}, "", false
+	}
+	op = b.Op
+	switch op {
+	case "<":
+		op = ">"
+	case "<=":
+		op = ">="
+	case ">":
+		op = "<"
+	case ">=":
+		op = "<="
+	}
+	return c, k.Val, op, true
+}
+
 // AndAll re-joins conjuncts (nil for the empty set).
 func AndAll(conj []Expr) Expr {
 	var out Expr

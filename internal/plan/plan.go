@@ -96,11 +96,6 @@ type Scan struct {
 	Instance int // unique per scan instance within the query
 	Cols     []types.ColumnID
 	Ords     []int
-	// VecOK marks the node eligible for the vectorized executor; set by
-	// MarkVectorizable after optimization. VecReason names the decline
-	// reason when VecOK is false.
-	VecOK     bool
-	VecReason string
 }
 
 // Columns implements Node.
@@ -135,11 +130,6 @@ type ProjCol struct {
 type Project struct {
 	Input Node
 	Cols  []ProjCol
-	// VecOK marks the node eligible for the vectorized executor; set by
-	// MarkVectorizable after optimization. VecReason names the decline
-	// reason when VecOK is false.
-	VecOK     bool
-	VecReason string
 }
 
 // Columns implements Node.
@@ -163,11 +153,6 @@ func (p *Project) opName() string { return "Project" }
 type Filter struct {
 	Input Node
 	Cond  Expr
-	// VecOK marks the node eligible for the vectorized executor; set by
-	// MarkVectorizable after optimization. VecReason names the decline
-	// reason when VecOK is false.
-	VecOK     bool
-	VecReason string
 }
 
 // Columns implements Node.
@@ -236,11 +221,6 @@ type Join struct {
 	// also flips on its own LIMIT-bound heuristic, so BuildLeft=false
 	// means "no statistics-driven preference", not "build right".
 	BuildLeft bool
-	// VecOK marks the node eligible for the vectorized executor; set by
-	// MarkVectorizable after optimization. VecReason names the decline
-	// reason when VecOK is false.
-	VecOK     bool
-	VecReason string
 }
 
 // Columns implements Node.
@@ -324,11 +304,6 @@ type GroupBy struct {
 	Input     Node
 	GroupCols []types.ColumnID
 	Aggs      []AggCol
-	// VecOK marks the node eligible for the vectorized executor; set by
-	// MarkVectorizable after optimization. VecReason names the decline
-	// reason when VecOK is false.
-	VecOK     bool
-	VecReason string
 }
 
 // Columns implements Node.
@@ -353,11 +328,6 @@ func (g *GroupBy) opName() string { return "GroupBy" }
 type UnionAll struct {
 	Children []Node
 	Cols     []types.ColumnID
-	// VecOK marks every child a batch pipeline, so set operators above
-	// the union (DISTINCT, top-k) can consume the branches in batch
-	// mode. VecReason names the decline reason when VecOK is false.
-	VecOK     bool
-	VecReason string
 }
 
 // Columns implements Node.
@@ -382,11 +352,6 @@ type SortKey struct {
 type Sort struct {
 	Input Node
 	Keys  []SortKey
-	// VecOK marks the input a batch pipeline (or batch union), so a
-	// LIMIT above this sort can run as a vectorized top-k heap.
-	// VecReason names the decline reason when VecOK is false.
-	VecOK     bool
-	VecReason string
 }
 
 // Columns implements Node.
@@ -421,11 +386,6 @@ func (l *Limit) opName() string { return "Limit" }
 // Distinct removes duplicate rows.
 type Distinct struct {
 	Input Node
-	// VecOK marks the input a batch pipeline (or batch union), so the
-	// dedup can run over typed AppendKey encodings of column batches.
-	// VecReason names the decline reason when VecOK is false.
-	VecOK     bool
-	VecReason string
 }
 
 // Columns implements Node.

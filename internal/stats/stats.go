@@ -343,8 +343,7 @@ func (e *Estimator) selectivity(x plan.Expr) float64 {
 
 // eqSelectivity estimates `L = R`.
 func (e *Estimator) eqSelectivity(x *plan.Bin) float64 {
-	cr, k, ok := colConst(x)
-	if ok {
+	if cr, k, _, ok := plan.ColConstCmp(x); ok && !k.IsNull() {
 		ci, have := e.cols[cr.ID]
 		if have && ci.HasMinMax && outsideRange(k, ci) {
 			return 0
@@ -374,13 +373,9 @@ func (e *Estimator) eqSelectivity(x *plan.Bin) float64 {
 // rangeSelectivity estimates `col op const` as the covered fraction of
 // the column's [min, max] interval.
 func (e *Estimator) rangeSelectivity(x *plan.Bin) float64 {
-	cr, k, ok := colConst(x)
-	if !ok {
+	cr, k, op, ok := plan.ColConstCmp(x)
+	if !ok || k.IsNull() {
 		return defaultRangeSel
-	}
-	op := x.Op
-	if _, isConst := x.L.(*plan.Const); isConst {
-		op = flipOp(op) // const op col → col flipped-op const
 	}
 	ci, have := e.cols[cr.ID]
 	if !have || !ci.HasMinMax {
@@ -400,35 +395,6 @@ func (e *Estimator) rangeSelectivity(x *plan.Bin) float64 {
 		frac = (hi - v) / (hi - lo)
 	}
 	return math.Max(0, math.Min(frac, 1))
-}
-
-// colConst decomposes a binary comparison into (column, constant).
-func colConst(x *plan.Bin) (*plan.ColRef, types.Value, bool) {
-	if cr, ok := x.L.(*plan.ColRef); ok {
-		if k, ok := x.R.(*plan.Const); ok && !k.Val.IsNull() {
-			return cr, k.Val, true
-		}
-	}
-	if cr, ok := x.R.(*plan.ColRef); ok {
-		if k, ok := x.L.(*plan.Const); ok && !k.Val.IsNull() {
-			return cr, k.Val, true
-		}
-	}
-	return nil, types.Value{}, false
-}
-
-func flipOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	}
-	return op
 }
 
 // outsideRange reports whether constant v provably falls outside the
