@@ -100,21 +100,22 @@ func runPlannedOpts(b *testing.B, e *engine.Engine, opts engine.Options, profile
 	runPlanned(b, e, profile, user, q)
 }
 
+// execModes are the two executor legs of the vector benchmarks:
+// row-serial is the reference executor (DisableVectorize), vec the
+// batch kernels.
+var execModes = []struct {
+	name string
+	opts engine.Options
+}{
+	{"row-serial", engine.Options{DisableVectorize: true}},
+	{"vec", engine.Options{}},
+}
+
 // BenchmarkVectorSpeedup measures the vectorized batch executor against
-// the row-at-a-time path: row-serial is the reference executor
-// (DisableVectorize), vec-serial isolates the batch kernels, and
-// vec-parallel stacks morsel parallelism on top. The workloads are fused
-// scan→filter→agg pipelines, group-by with partial/final merge, a hash
-// join, top-k, and the 57-join browser count(*).
+// the row-at-a-time path. The workloads are fused scan→filter→agg
+// pipelines, group-by, a hash join, top-k, and the 57-join browser
+// count(*).
 func BenchmarkVectorSpeedup(b *testing.B) {
-	modes := []struct {
-		name string
-		opts engine.Options
-	}{
-		{"row-serial", engine.Options{Parallelism: 1, DisableVectorize: true}},
-		{"vec-serial", engine.Options{Parallelism: 1}},
-		{"vec-parallel", engine.Options{Parallelism: 8, MorselSize: 8192}},
-	}
 	tpchQueries := []experiments.NamedQuery{
 		{Name: "count-star", SQL: `select count(*) from lineitem`},
 		{Name: "scan-agg", SQL: `select count(*), sum(l_quantity) from lineitem where l_quantity > 10.00`},
@@ -127,7 +128,7 @@ func BenchmarkVectorSpeedup(b *testing.B) {
 	e := benchTPCH(b)
 	for _, q := range tpchQueries {
 		q := q
-		for _, m := range modes {
+		for _, m := range execModes {
 			m := m
 			b.Run(q.Name+"/"+m.name, func(b *testing.B) {
 				runPlannedOpts(b, e, m.opts, core.ProfileHANA, "", q.SQL)
@@ -135,7 +136,7 @@ func BenchmarkVectorSpeedup(b *testing.B) {
 		}
 	}
 	s4e := benchS4(b)
-	for _, m := range modes {
+	for _, m := range execModes {
 		m := m
 		b.Run("s4-count/"+m.name, func(b *testing.B) {
 			runPlannedOpts(b, s4e, m.opts, core.ProfileHANA, "user", "select count(*) from JournalEntryItemBrowser")
@@ -146,18 +147,8 @@ func BenchmarkVectorSpeedup(b *testing.B) {
 // BenchmarkVectorPR7 measures the PR 7 batch operators on the S/4
 // document population: top-k paging over the active∪draft union (the
 // Figure 14 paging pattern), DISTINCT-over-union dedup, and an
-// expression-kernel filter. row-serial is the pre-batch baseline,
-// vec-serial isolates the kernels, vec-parallel stacks the morsel pool
-// on top.
+// expression-kernel filter, each under both execModes.
 func BenchmarkVectorPR7(b *testing.B) {
-	modes := []struct {
-		name string
-		opts engine.Options
-	}{
-		{"row-serial", engine.Options{Parallelism: 1, DisableVectorize: true}},
-		{"vec-serial", engine.Options{Parallelism: 1}},
-		{"vec-parallel", engine.Options{Parallelism: 8, MorselSize: 8192}},
-	}
 	queries := []experiments.NamedQuery{
 		{Name: "paging", SQL: `select bid, id, amount, status from
 			(select 1 bid, id, amount, status from doc_active
@@ -174,7 +165,7 @@ func BenchmarkVectorPR7(b *testing.B) {
 	e := benchS4(b)
 	for _, q := range queries {
 		q := q
-		for _, m := range modes {
+		for _, m := range execModes {
 			m := m
 			b.Run(q.Name+"/"+m.name, func(b *testing.B) {
 				runPlannedOpts(b, e, m.opts, core.ProfileHANA, "user", q.SQL)

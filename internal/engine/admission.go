@@ -21,8 +21,8 @@ var (
 	// ErrMemoryBudget reports that the query exceeded
 	// Options.MemoryBudget.
 	ErrMemoryBudget = exec.ErrMemoryBudget
-	// ErrInternal reports a panic recovered at the query boundary or
-	// inside a parallel worker; the engine stays healthy.
+	// ErrInternal reports a panic recovered at the query boundary; the
+	// engine stays healthy.
 	ErrInternal = exec.ErrInternal
 	// ErrAdmissionTimeout reports that the query waited longer than
 	// Options.QueueTimeout for an execution slot.

@@ -130,9 +130,6 @@ func (e *Engine) QueryCached(user, sqlText string) (*Result, error) {
 		return nil, err
 	}
 	// Refresh stale dynamic caches referenced by the query.
-	for _, ref := range e.baseTablesOf(body, map[string]bool{}) {
-		_ = ref
-	}
 	for _, view := range e.referencedCachedViews(body) {
 		info, _ := e.cat.Cache(view)
 		if info.Dynamic {

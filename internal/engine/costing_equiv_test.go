@@ -71,7 +71,8 @@ func TestQErrorOnExperimentWorkloads(t *testing.T) {
 // TestMetamorphicCosting is the metamorphic leg for the cost pass: a
 // seeded battery of random queries must return identical ordered rows
 // with costing on and off, with stale and freshly rebuilt statistics,
-// serial and morsel-parallel. Costing may only change plan shape —
+// at the default batch size and at seven-row batches. Costing may only
+// change plan shape —
 // build sides and join order — never results.
 func TestMetamorphicCosting(t *testing.T) {
 	e := equivEngine(t)
@@ -97,8 +98,8 @@ func TestMetamorphicCosting(t *testing.T) {
 		   group by c_mktsegment order by c_mktsegment`,
 	)
 
-	serial := engine.Options{Parallelism: 1}
-	parallel := engine.Options{Parallelism: 4, MorselSize: 7}
+	serial := engine.Options{}
+	batch7 := engine.Options{BatchSize: 7}
 	prof := core.ProfileHANA
 
 	type leg struct {
@@ -109,10 +110,10 @@ func TestMetamorphicCosting(t *testing.T) {
 	}
 	legs := []leg{
 		{"costed-stale-serial", true, false, serial},
-		{"costed-stale-parallel", true, false, parallel},
+		{"costed-stale-batch7", true, false, batch7},
 		{"costed-fresh-serial", true, true, serial},
-		{"costed-fresh-parallel", true, true, parallel},
-		{"uncosted-parallel", false, false, parallel},
+		{"costed-fresh-batch7", true, true, batch7},
+		{"uncosted-batch7", false, false, batch7},
 	}
 
 	for qi, q := range queries {

@@ -7,7 +7,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,29 +61,13 @@ type Engine struct {
 	lastServedTS atomic.Uint64
 }
 
-// AutoParallelism, as Options.Parallelism, sizes the worker pool to
-// runtime.GOMAXPROCS.
-const AutoParallelism = -1
-
 // Options control query execution strategy. The zero value is the
-// serial vectorized executor: eligible operators run over column
-// batches of dictionary codes, producing rows bit-identical to the
-// row-at-a-time path (DisableVectorize forces the latter). There is one
-// parallel executor: the vector pipeline with Parallelism workers. The
-// row iterators are serial — the fallback for shapes the vector builder
-// declines and the reference the equivalence suites diff against.
+// vectorized executor: eligible operators run over column batches of
+// dictionary codes, producing rows bit-identical to the row-at-a-time
+// path (DisableVectorize forces the latter). Every query runs on one
+// goroutine in either mode; concurrency is between queries, and between
+// readers and writers, never inside one query.
 type Options struct {
-	// Parallelism is the worker-pool size for morsel-driven parallel
-	// execution of vectorized pipelines: 0 or 1 runs serial,
-	// AutoParallelism uses GOMAXPROCS, larger values pin an explicit
-	// pool size (which may exceed the core count; useful for exercising
-	// the parallel paths in tests). Ignored when DisableVectorize is set.
-	Parallelism int
-	// MorselSize is the number of row positions per scan morsel;
-	// 0 uses exec.DefaultMorselSize. Ignored when DisableVectorize is
-	// set.
-	MorselSize int
-
 	// DisableVectorize forces every operator onto the serial
 	// row-at-a-time iterator path. The default (false) lets eligible
 	// scan, filter, group-by, and join pipelines execute over column
@@ -295,26 +278,11 @@ func (e *Engine) Close() error {
 // Options returns the active execution options.
 func (e *Engine) Options() Options { return e.opts }
 
-// execWorkers resolves Options.Parallelism to an effective pool size.
-func (e *Engine) execWorkers() int {
-	w := e.opts.Parallelism
-	if w == AutoParallelism {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // configureBuilder applies the engine's execution options and metrics
 // sink to a plan builder.
 func (e *Engine) configureBuilder(b *exec.Builder) {
 	if !e.opts.DisableVectorize {
 		b.SetVectorize(e.opts.BatchSize)
-		if w := e.execWorkers(); w > 1 {
-			b.SetParallel(w, e.opts.MorselSize)
-		}
 	}
 	b.SetMetrics(&e.metrics.exec)
 }

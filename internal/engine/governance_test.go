@@ -14,11 +14,12 @@ import (
 	"vdm/internal/exec"
 )
 
-// Query lifecycle governance battery: every pause point, in serial and
-// parallel mode, pinned by a test hook and then cancelled, timed out,
-// or panicked — asserting typed errors, prompt unwinding, zero
-// goroutine leaks, and that the engine stays fully usable afterwards.
-// Run with -race: the cancellation paths cross worker goroutines.
+// Query lifecycle governance battery: every pause point, at the default
+// batch size and at a tiny one, pinned by a test hook and then
+// cancelled, timed out, or panicked — asserting typed errors, prompt
+// unwinding, zero goroutine leaks, and that the engine stays fully
+// usable afterwards. Run with -race: the cancellation paths cross the
+// caller's goroutine and the hook's.
 
 // govPoints maps each executor pause point to a query that reaches it
 // on the TPC-H fixture.
@@ -41,8 +42,8 @@ func govModes() []struct {
 		name string
 		opts engine.Options
 	}{
-		{"serial", engine.Options{Parallelism: 1}},
-		{"parallel", engine.Options{Parallelism: 4, MorselSize: 7}},
+		{"serial", engine.Options{}},
+		{"batch7", engine.Options{BatchSize: 7}},
 	}
 }
 
@@ -140,7 +141,7 @@ func TestGovernanceCancelAtEveryPausePoint(t *testing.T) {
 				release()
 				e.SetExecHooks(nil)
 				// The extra goroutine running the query has sent its error,
-				// so baseline+0 is reachable once workers drain.
+				// so baseline+0 is reachable once it exits.
 				waitGoroutines(t, label, base)
 				verifyHealthy(t, e, label)
 			})
@@ -244,9 +245,9 @@ func TestGovernancePanicIsolation(t *testing.T) {
 		point string
 		query string
 	}{
-		{"serial-hash-build", engine.Options{Parallelism: 1}, exec.PointHashBuild,
+		{"serial-hash-build", engine.Options{}, exec.PointHashBuild,
 			`select o.o_orderkey, c.c_name from orders o inner join customer c on o.o_custkey = c.c_custkey`},
-		{"parallel-scan-worker", engine.Options{Parallelism: 4, MorselSize: 7}, exec.PointScan,
+		{"batch7-scan", engine.Options{BatchSize: 7}, exec.PointScan,
 			`select o_orderkey from orders`},
 	}
 	for _, tc := range cases {
@@ -282,7 +283,6 @@ func TestGovernancePanicIsolation(t *testing.T) {
 func TestGovernanceAdmissionControl(t *testing.T) {
 	e := equivEngine(t)
 	e.SetOptions(engine.Options{
-		Parallelism:          1,
 		MaxConcurrentQueries: 1,
 		QueueTimeout:         50 * time.Millisecond,
 	})
@@ -333,7 +333,7 @@ func TestGovernanceAdmissionControl(t *testing.T) {
 // typed and prompt, and no goroutine may leak.
 func TestGovernanceCancelDuringVacuum(t *testing.T) {
 	e := equivEngine(t)
-	e.SetOptions(engine.Options{Parallelism: 4, MorselSize: 7})
+	e.SetOptions(engine.Options{BatchSize: 7})
 	// Create dead versions for the vacuum to chew on.
 	if err := e.Exec(`create table churn_gov (id bigint primary key)`); err != nil {
 		t.Fatal(err)

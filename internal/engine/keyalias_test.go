@@ -32,16 +32,16 @@ func aliasEngine(t *testing.T) *Engine {
 
 // TestCompositeKeyAliasing pins the distinctness property on every
 // executor path that builds composite keys from multiple columns:
-// hash aggregation, DISTINCT, and hash-join key matching — serial and
-// morsel-parallel.
+// hash aggregation, DISTINCT, and hash-join key matching — at the
+// default batch size and at two-row batches.
 func TestCompositeKeyAliasing(t *testing.T) {
 	e := aliasEngine(t)
 	modes := []struct {
 		name string
 		opts Options
 	}{
-		{"serial", Options{Parallelism: 1}},
-		{"parallel", Options{Parallelism: 4, MorselSize: 2}},
+		{"serial", Options{}},
+		{"batch2", Options{BatchSize: 2}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {

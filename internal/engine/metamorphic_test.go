@@ -215,7 +215,8 @@ func requireSameRows(t *testing.T, label, sqlText string, want, got *engine.Resu
 
 // TestMetamorphicStorageStates generates seeded random queries and
 // checks that every one returns identical ordered rows across
-// {serial, parallel} × {pre-merge, post-merge, post-GC} × capability
+// {default batch, 7-row batch, governed} × {pre-merge, post-merge,
+// post-GC} × capability
 // profiles. The fixture starts with a populated delta and dead row
 // versions (post-merge DML), so each storage transition really moves
 // data.
@@ -228,14 +229,13 @@ func TestMetamorphicStorageStates(t *testing.T) {
 		queries[i] = gen.next()
 	}
 
-	serial := engine.Options{Parallelism: 1}
-	parallel := engine.Options{Parallelism: 4, MorselSize: 7}
+	serial := engine.Options{}
+	batch7 := engine.Options{BatchSize: 7}
 	// Governance with generous limits must be invisible: the metering,
 	// admission gate, and cancellation checkpoints may never change a
 	// query's result.
 	governed := engine.Options{
-		Parallelism:          4,
-		MorselSize:           7,
+		BatchSize:            7,
 		StatementTimeout:     time.Minute,
 		MemoryBudget:         1 << 30,
 		MaxConcurrentQueries: 8,
@@ -254,17 +254,17 @@ func TestMetamorphicStorageStates(t *testing.T) {
 		for i, q := range queries {
 			got := runMeta(t, e, q, serial, core.ProfileHANA)
 			requireSameRows(t, state+"/serial", q, ref[i], got)
-			got = runMeta(t, e, q, parallel, core.ProfileHANA)
-			requireSameRows(t, state+"/parallel", q, ref[i], got)
+			got = runMeta(t, e, q, batch7, core.ProfileHANA)
+			requireSameRows(t, state+"/batch7", q, ref[i], got)
 			got = runMeta(t, e, q, governed, core.ProfileHANA)
 			requireSameRows(t, state+"/governed", q, ref[i], got)
 		}
 		// Capability profiles change the plan, never the answer. One
-		// execution mode suffices per profile — the serial/parallel axis
-		// is covered above.
+		// execution mode suffices per profile — the batch-size axis is
+		// covered above.
 		for _, p := range profiles {
 			for i, q := range queries {
-				got := runMeta(t, e, q, parallel, p)
+				got := runMeta(t, e, q, batch7, p)
 				requireSameRows(t, state+"/"+p.Name, q, ref[i], got)
 			}
 		}
@@ -314,7 +314,7 @@ func TestMetamorphicUnderBackgroundMaintenance(t *testing.T) {
 	for i := range queries {
 		queries[i] = gen.next()
 	}
-	serial := engine.Options{Parallelism: 1}
+	serial := engine.Options{}
 	ref := make([]*engine.Result, numQueries)
 	for i, q := range queries {
 		ref[i] = runMeta(t, e, q, serial, core.ProfileHANA)
@@ -323,8 +323,7 @@ func TestMetamorphicUnderBackgroundMaintenance(t *testing.T) {
 	// Enable background maintenance: aggressive thresholds so merges and
 	// GC run many times within the test window.
 	e.SetOptions(engine.Options{
-		Parallelism:    4,
-		MorselSize:     5,
+		BatchSize:      5,
 		AutoMerge:      true,
 		MergeThreshold: 16,
 		GCInterval:     2 * time.Millisecond,
@@ -354,7 +353,7 @@ func TestMetamorphicUnderBackgroundMaintenance(t *testing.T) {
 		}
 	}()
 
-	// Query with the engine's current (parallel + maintenance) options
+	// Query with the engine's current (5-row batch + maintenance) options
 	// directly — runMeta's SetOptions save/restore would stop and
 	// restart the maintenance goroutine around every query, resetting
 	// its ticker before it could ever fire.

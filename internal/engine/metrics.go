@@ -36,8 +36,8 @@ type engineMetrics struct {
 	replicaReads     metrics.Counter
 	replicaFallbacks metrics.Counter
 
-	// exec holds the executor counters (batch and parallel pipelines,
-	// morsels, top-k fusions, fallbacks) shared by every builder.
+	// exec holds the executor counters (batch pipelines and batches,
+	// top-k fusions, fallbacks) shared by every builder.
 	exec exec.Metrics
 
 	registry metrics.Registry

@@ -15,7 +15,7 @@ import (
 // equivEngine builds the TPC-H + Active/Draft fixture and leaves the
 // storage in a mixed state: most rows merged into the main store, then
 // post-merge DML so the delta store and dead row versions are non-empty.
-// Parallel scans must see exactly what serial scans see across all of it.
+// Batch scans must see exactly what row scans see across all of it.
 func equivEngine(t *testing.T) *engine.Engine {
 	t.Helper()
 	e, err := experiments.NewTPCHEngine(tpch.TinyScale())
@@ -39,12 +39,11 @@ func equivEngine(t *testing.T) *engine.Engine {
 	return e
 }
 
-// equivQueries is a battery of handcrafted shapes covering every
-// operator that runs morsel-parallel — fused scan/filter/project
-// pipelines, aggregation (plain, scalar, AVG), top-k fusion with ties
-// and offsets, hash joins — plus shapes the vector builder declines
-// (DISTINCT aggregates, semi/anti joins), whose serial row operators
-// run above parallel scans.
+// equivQueries is a battery of handcrafted shapes covering every batch
+// operator — fused scan/filter/project pipelines, aggregation (plain,
+// scalar, AVG), top-k fusion with ties and offsets, DISTINCT, hash
+// joins — plus shapes the vector builder declines (DISTINCT aggregates,
+// semi/anti joins), whose row operators run above batch scans.
 func equivQueries() []experiments.NamedQuery {
 	return []experiments.NamedQuery{
 		{Name: "scan", SQL: `select o_orderkey, o_totalprice from orders`},
@@ -70,7 +69,8 @@ func equivQueries() []experiments.NamedQuery {
 
 // rowsEqual compares two result rows value by value: exact via the
 // collation key for everything except floats, which only need to agree
-// to a relative epsilon (parallel SUM/AVG may associate differently).
+// to a relative epsilon (rewrites such as eager aggregation may
+// associate a float SUM/AVG differently).
 func rowsEqual(a, b types.Row) bool {
 	if len(a) != len(b) {
 		return false
@@ -102,45 +102,47 @@ func formatRow(r types.Row) string {
 	return strings.Join(parts, " | ")
 }
 
-// runBoth executes the query serially and under the given parallel
-// options on the same engine and requires the ordered row sequences to
-// match: the morsel merge is seq-ordered, so parallel execution must be
-// deterministic, not merely multiset-equal.
-func runBoth(t *testing.T, e *engine.Engine, name, sqlText string, par engine.Options) {
+// runBoth executes the query on the row executor (DisableVectorize) and
+// under the given vectorized options on the same engine and requires the
+// ordered row sequences to match: both executors emit scan order, so
+// the results must be identical, not merely multiset-equal.
+func runBoth(t *testing.T, e *engine.Engine, name, sqlText string, vec engine.Options) {
 	t.Helper()
 	saved := e.Options()
 	defer e.SetOptions(saved)
 
-	e.SetOptions(engine.Options{Parallelism: 1})
-	serial, err := e.Query(sqlText)
+	e.SetOptions(engine.Options{DisableVectorize: true})
+	row, err := e.Query(sqlText)
 	if err != nil {
-		t.Fatalf("%s: serial: %v", name, err)
+		t.Fatalf("%s: row: %v", name, err)
 	}
-	e.SetOptions(par)
-	parallel, err := e.Query(sqlText)
+	e.SetOptions(vec)
+	got, err := e.Query(sqlText)
 	if err != nil {
-		t.Fatalf("%s: parallel: %v", name, err)
+		t.Fatalf("%s: vector: %v", name, err)
 	}
-	if len(serial.Rows) != len(parallel.Rows) {
-		t.Errorf("%s: serial %d rows, parallel %d rows", name, len(serial.Rows), len(parallel.Rows))
+	if len(row.Rows) != len(got.Rows) {
+		t.Errorf("%s: row %d rows, vector %d rows", name, len(row.Rows), len(got.Rows))
 		return
 	}
-	for i := range serial.Rows {
-		if !rowsEqual(serial.Rows[i], parallel.Rows[i]) {
-			t.Errorf("%s: row %d differs:\n  serial:   %s\n  parallel: %s",
-				name, i, formatRow(serial.Rows[i]), formatRow(parallel.Rows[i]))
+	for i := range row.Rows {
+		if !rowsEqual(row.Rows[i], got.Rows[i]) {
+			t.Errorf("%s: row %d differs:\n  row:    %s\n  vector: %s",
+				name, i, formatRow(row.Rows[i]), formatRow(got.Rows[i]))
 			return
 		}
 	}
 }
 
 // TestParallelEquivalence runs the handcrafted battery plus every
-// experiment suite under serial and parallel execution and diffs the
-// ordered results. The tiny morsel size forces many morsels per table
-// so claim/merge ordering is genuinely exercised.
+// experiment suite on the row executor and the vectorized one over the
+// fixture's mixed main/delta/dead-version storage and diffs the ordered
+// results. Seven-row batches force many batches per table, so batch
+// edges land inside every fragment. (The name is from when this battery
+// diffed morsel-parallel against serial execution.)
 func TestParallelEquivalence(t *testing.T) {
 	e := equivEngine(t)
-	par := engine.Options{Parallelism: 4, MorselSize: 7}
+	vec := engine.Options{BatchSize: 7}
 
 	var suite []experiments.NamedQuery
 	suite = append(suite, equivQueries()...)
@@ -154,15 +156,15 @@ func TestParallelEquivalence(t *testing.T) {
 
 	for _, q := range suite {
 		t.Run(q.Name, func(t *testing.T) {
-			runBoth(t, e, q.Name, q.SQL, par)
+			runBoth(t, e, q.Name, q.SQL, vec)
 		})
 	}
 }
 
-// TestParallelEquivalenceMorselSizes sweeps morsel sizes around the
-// fixture's table sizes, including 1 (every row its own morsel) and a
-// size larger than any table (single morsel).
-func TestParallelEquivalenceMorselSizes(t *testing.T) {
+// TestParallelEquivalenceBatchSizes sweeps batch sizes around the
+// fixture's table sizes, including 1 (every row its own batch) and a
+// size larger than any table (single batch).
+func TestParallelEquivalenceBatchSizes(t *testing.T) {
 	e := equivEngine(t)
 	queries := []experiments.NamedQuery{
 		{Name: "agg", SQL: `select l_orderkey, sum(l_quantity), count(*) from lineitem group by l_orderkey`},
@@ -170,18 +172,18 @@ func TestParallelEquivalenceMorselSizes(t *testing.T) {
 	}
 	for _, size := range []int{1, 3, 64, 1 << 20} {
 		for _, q := range queries {
-			name := fmt.Sprintf("%s/morsel=%d", q.Name, size)
+			name := fmt.Sprintf("%s/batch=%d", q.Name, size)
 			t.Run(name, func(t *testing.T) {
-				runBoth(t, e, name, q.SQL, engine.Options{Parallelism: 3, MorselSize: size})
+				runBoth(t, e, name, q.SQL, engine.Options{BatchSize: size})
 			})
 		}
 	}
 }
 
-// TestPartitionedJoinEquivalence diffs serial against parallel
-// execution of a join with a 1500-row build side. Costing is off so the
-// build lands on the big orders side instead of the 80-row customer
-// side the cost-based pass would pick.
+// TestPartitionedJoinEquivalence diffs the row and batch executors on a
+// join with a 1500-row build side. Costing is off so the build lands on
+// the big orders side instead of the 80-row customer side the
+// cost-based pass would pick.
 func TestPartitionedJoinEquivalence(t *testing.T) {
 	sc := tpch.Scale{Customers: 80, Orders: 1500, LineitemsPerOrder: 1, Parts: 40, Suppliers: 10}
 	e, err := experiments.NewTPCHEngine(sc)
@@ -194,20 +196,18 @@ func TestPartitionedJoinEquivalence(t *testing.T) {
 	}
 	q := `select c_custkey, o_orderkey, o_totalprice
 	      from customer inner join orders on c_custkey = o_custkey`
-	runBoth(t, e, "partitioned-join", q, engine.Options{Parallelism: 4})
+	runBoth(t, e, "partitioned-join", q, engine.Options{})
 }
 
-// TestDisableVectorizeIsSerial pins that morsel parallelism belongs to
-// the vector pipeline only: with DisableVectorize, Parallelism and
-// MorselSize are ignored, no worker pool runs, and EXPLAIN ANALYZE shows
-// the serial row operators.
-func TestDisableVectorizeIsSerial(t *testing.T) {
+// TestDisableVectorizeRunsRowExecutor pins that DisableVectorize runs
+// every operator on the row iterators: EXPLAIN ANALYZE shows no batch
+// operator and no batch pipeline starts.
+func TestDisableVectorizeRunsRowExecutor(t *testing.T) {
 	e := equivEngine(t)
-	e.SetOptions(engine.Options{Parallelism: 4, MorselSize: 7, DisableVectorize: true})
+	e.SetOptions(engine.Options{DisableVectorize: true})
 	defer e.SetOptions(engine.Options{})
 
-	pipelines := metricValue(t, e, "exec.parallel_pipelines")
-	morsels := metricValue(t, e, "exec.morsels_scanned")
+	pipelines := metricValue(t, e, "exec.vec_pipelines")
 	q := `select o_orderstatus, count(*) from orders where o_totalprice > 100.00 group by o_orderstatus`
 	if _, err := e.Query(q); err != nil {
 		t.Fatal(err)
@@ -216,14 +216,11 @@ func TestDisableVectorizeIsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := metricValue(t, e, "exec.parallel_pipelines"); v != pipelines {
-		t.Errorf("exec.parallel_pipelines advanced on the row path: %d -> %d", pipelines, v)
+	if v := metricValue(t, e, "exec.vec_pipelines"); v != pipelines {
+		t.Errorf("exec.vec_pipelines advanced on the row path: %d -> %d", pipelines, v)
 	}
-	if v := metricValue(t, e, "exec.morsels_scanned"); v != morsels {
-		t.Errorf("exec.morsels_scanned advanced on the row path: %d -> %d", morsels, v)
-	}
-	if !strings.Contains(out, "mode=row") || strings.Contains(out, "mode=vector") || strings.Contains(out, "workers=") {
-		t.Errorf("EXPLAIN ANALYZE is not the serial row executor:\n%s", out)
+	if !strings.Contains(out, "mode=row") || strings.Contains(out, "mode=vector") {
+		t.Errorf("EXPLAIN ANALYZE is not the row executor:\n%s", out)
 	}
 }
 
@@ -238,36 +235,22 @@ func metricValue(t *testing.T, e *engine.Engine, name string) int64 {
 	return 0
 }
 
-// TestParallelMetricsAndExplain checks the observability surface: the
-// exec.* counters move under parallel execution, and EXPLAIN ANALYZE
-// reports worker/morsel counts and top-k fusion notes.
-func TestParallelMetricsAndExplain(t *testing.T) {
+// TestTopKFusionMetricsAndExplain checks the observability surface of
+// the batch executor: exec.vec_pipelines moves, and EXPLAIN ANALYZE
+// reports the top-k fusion note while exec.topk_fusions advances.
+func TestTopKFusionMetricsAndExplain(t *testing.T) {
 	e := equivEngine(t)
-	e.SetOptions(engine.Options{Parallelism: 4, MorselSize: 16})
-	defer e.SetOptions(engine.Options{})
 
-	pipelines := metricValue(t, e, "exec.parallel_pipelines")
-	morsels := metricValue(t, e, "exec.morsels_scanned")
+	pipelines := metricValue(t, e, "exec.vec_pipelines")
 	if _, err := e.Query(`select l_linenumber, sum(l_quantity) from lineitem group by l_linenumber`); err != nil {
 		t.Fatal(err)
 	}
-	if v := metricValue(t, e, "exec.parallel_pipelines"); v <= pipelines {
-		t.Errorf("exec.parallel_pipelines did not advance: %d -> %d", pipelines, v)
-	}
-	if v := metricValue(t, e, "exec.morsels_scanned"); v <= morsels {
-		t.Errorf("exec.morsels_scanned did not advance: %d -> %d", morsels, v)
-	}
-
-	out, err := e.ExplainAnalyze("", `select o_orderkey from orders where o_totalprice > 100.00`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "workers=") || !strings.Contains(out, "morsels=") {
-		t.Errorf("EXPLAIN ANALYZE missing parallel scan stats:\n%s", out)
+	if v := metricValue(t, e, "exec.vec_pipelines"); v <= pipelines {
+		t.Errorf("exec.vec_pipelines did not advance: %d -> %d", pipelines, v)
 	}
 
 	fusions := metricValue(t, e, "exec.topk_fusions")
-	out, err = e.ExplainAnalyze("", `select o_orderkey from orders order by o_totalprice desc limit 5`)
+	out, err := e.ExplainAnalyze("", `select o_orderkey from orders order by o_totalprice desc limit 5`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,22 +259,5 @@ func TestParallelMetricsAndExplain(t *testing.T) {
 	}
 	if v := metricValue(t, e, "exec.topk_fusions"); v <= fusions {
 		t.Errorf("exec.topk_fusions did not advance: %d -> %d", fusions, v)
-	}
-}
-
-// TestAutoParallelism pins the AutoParallelism sentinel: the engine
-// resolves it to GOMAXPROCS and still answers queries correctly.
-func TestAutoParallelism(t *testing.T) {
-	e, err := experiments.NewTPCHEngine(tpch.TinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetOptions(engine.Options{Parallelism: engine.AutoParallelism})
-	res, err := e.Query(`select count(*) from orders`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(res.Rows))
 	}
 }

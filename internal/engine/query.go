@@ -26,7 +26,7 @@ func (e *Engine) Query(sqlText string) (*Result, error) {
 
 // QueryContext is Query with a caller-supplied context: cancelling ctx
 // aborts the query promptly (binder/optimizer checkpoints, per-batch
-// executor checks, parallel worker drain) with the typed ErrCancelled;
+// executor checks) with the typed ErrCancelled;
 // a ctx deadline surfaces as ErrTimeout.
 func (e *Engine) QueryContext(ctx context.Context, sqlText string) (*Result, error) {
 	return e.QueryAsContext(ctx, "", sqlText)
@@ -149,26 +149,7 @@ func (e *Engine) Run(p *plan.Plan) (*Result, error) {
 // row- and order-identical results before, during, and after delta
 // merges and vacuums.
 func (e *Engine) QueryPinned(ctx context.Context, ts uint64, sqlText string) (*Result, error) {
-	st, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	q, ok := st.(*sql.Query)
-	if !ok {
-		return nil, fmt.Errorf("engine: QueryPinned requires a query, got %T", st)
-	}
-	ctx, cancel := e.statementContext(ctx)
-	defer cancel()
-	release, err := e.admitQuery(ctx)
-	if err != nil {
-		return nil, e.metrics.failFast(err)
-	}
-	defer release()
-	p, err := e.planStatement(ctx, "", q)
-	if err != nil {
-		return nil, e.metrics.failFast(err)
-	}
-	return e.runAt(ctx, p, ts)
+	return e.queryAt(ctx, e.db, ts, sqlText)
 }
 
 // QueryOnReplica runs a query pinned at commit timestamp ts against a
@@ -179,13 +160,20 @@ func (e *Engine) QueryPinned(ctx context.Context, ts uint64, sqlText string) (*R
 // yield row- and order-identical results. Planning, admission,
 // timeouts, budgets, and metrics apply as for QueryPinned.
 func (e *Engine) QueryOnReplica(ctx context.Context, rdb *storage.DB, ts uint64, sqlText string) (*Result, error) {
+	return e.queryAt(ctx, rdb, ts, sqlText)
+}
+
+// queryAt parses, plans, and runs a query against db's snapshot at ts
+// under the statement's timeout and admission: the body of QueryPinned
+// (db = the primary) and QueryOnReplica.
+func (e *Engine) queryAt(ctx context.Context, db *storage.DB, ts uint64, sqlText string) (*Result, error) {
 	st, err := sql.Parse(sqlText)
 	if err != nil {
 		return nil, err
 	}
 	q, ok := st.(*sql.Query)
 	if !ok {
-		return nil, fmt.Errorf("engine: QueryOnReplica requires a query, got %T", st)
+		return nil, fmt.Errorf("engine: a pinned read requires a query, got %T", st)
 	}
 	ctx, cancel := e.statementContext(ctx)
 	defer cancel()
@@ -198,7 +186,7 @@ func (e *Engine) QueryOnReplica(ctx context.Context, rdb *storage.DB, ts uint64,
 	if err != nil {
 		return nil, e.metrics.failFast(err)
 	}
-	return e.runAtDB(ctx, p, rdb, ts)
+	return e.runAt(ctx, p, db, ts)
 }
 
 func (e *Engine) run(ctx context.Context, p *plan.Plan) (*Result, error) {
@@ -221,7 +209,7 @@ func (e *Engine) run(ctx context.Context, p *plan.Plan) (*Result, error) {
 	lease := e.db.AcquireRead()
 	defer lease.Release()
 	ts := lease.TS()
-	res, err := e.runAt(ctx, p, ts)
+	res, err := e.runAt(ctx, p, e.db, ts)
 	if err == nil {
 		e.noteServed(ts)
 	}
@@ -247,7 +235,7 @@ func (e *Engine) runOnReplica(ctx context.Context, p *plan.Plan, r *replica.Repl
 	lease := rdb.AcquireRead()
 	defer lease.Release()
 	ts := lease.TS()
-	res, err := e.runAtDB(ctx, p, rdb, ts)
+	res, err := e.runAt(ctx, p, rdb, ts)
 	if err != nil {
 		return nil, err
 	}
@@ -256,17 +244,11 @@ func (e *Engine) runOnReplica(ctx context.Context, p *plan.Plan, r *replica.Repl
 	return res, nil
 }
 
-// runAt executes a plan against the primary's snapshot at ts. The
-// caller is responsible for the lease that keeps versions at ts alive.
-func (e *Engine) runAt(ctx context.Context, p *plan.Plan, ts uint64) (res *Result, err error) {
-	return e.runAtDB(ctx, p, e.db, ts)
-}
-
-// runAtDB executes a plan against db's snapshot at ts — db is the
+// runAt executes a plan against db's snapshot at ts — db is the
 // primary or a replica store; plans are built from catalog names, so a
 // primary-planned query executes against any store that has applied
 // the same history. The caller holds the lease on db pinning ts.
-func (e *Engine) runAtDB(ctx context.Context, p *plan.Plan, db *storage.DB, ts uint64) (res *Result, err error) {
+func (e *Engine) runAt(ctx context.Context, p *plan.Plan, db *storage.DB, ts uint64) (res *Result, err error) {
 	start := time.Now()
 	gov := exec.NewGovernance(ctx, e.opts.MemoryBudget, e.execHooks.Load())
 	// A malformed plan or value-model misuse must surface as an error,

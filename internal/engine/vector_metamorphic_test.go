@@ -12,8 +12,8 @@ import (
 
 // Vectorized-executor metamorphic suite: the batch executor must return
 // ordered rows identical to the row-at-a-time executor for every query,
-// across execution modes (batch serial, batch parallel, tiny batches),
-// storage states (pre/post delta merge), costing on/off (which flips hash-join
+// across execution modes (default, 7-row and 3-row batches), storage
+// states (pre/post delta merge), costing on/off (which flips hash-join
 // build sides), and batch sizes swept across boundary cases. The
 // reference is always row-serial with costing on — the executor that
 // predates batching.
@@ -125,9 +125,9 @@ func vecLegs() []struct {
 		name string
 		opts engine.Options
 	}{
-		{"vec-serial", engine.Options{Parallelism: 1}},
-		{"vec-parallel", engine.Options{Parallelism: 4, MorselSize: 7}},
-		{"vec-tiny-batch", engine.Options{Parallelism: 1, BatchSize: 3}},
+		{"vec", engine.Options{}},
+		{"vec-batch7", engine.Options{BatchSize: 7}},
+		{"vec-tiny-batch", engine.Options{BatchSize: 3}},
 	}
 }
 
@@ -146,7 +146,7 @@ func TestVectorRowEquivalence(t *testing.T) {
 		})
 	}
 
-	rowSerial := engine.Options{Parallelism: 1, DisableVectorize: true}
+	rowSerial := engine.Options{DisableVectorize: true}
 
 	check := func(state string) {
 		t.Helper()
@@ -171,15 +171,12 @@ func TestVectorRowEquivalence(t *testing.T) {
 	check("post-merge")
 }
 
-// TestDeclinedShapesScanParallel pins what a vector decline costs under
-// Parallelism > 1: only the declined operator runs the serial row
-// iterator; the scan beneath it stays a morsel-parallel batch scan.
-// (TestVectorRowEquivalence's vec-parallel leg diffs the same queries'
+// TestDeclinedShapesScanVector pins what a vector decline costs: only
+// the declined operator runs the row iterator; the scan beneath it
+// stays a batch scan. (TestVectorRowEquivalence diffs the same queries'
 // rows against the row-serial reference.)
-func TestDeclinedShapesScanParallel(t *testing.T) {
+func TestDeclinedShapesScanVector(t *testing.T) {
 	e := equivEngine(t)
-	e.SetOptions(engine.Options{Parallelism: 4, MorselSize: 7})
-	defer e.SetOptions(engine.Options{})
 
 	declined := map[string]string{ // battery query -> its declined operator
 		"fallback-distinct":   "GroupBy",
@@ -205,18 +202,18 @@ func TestDeclinedShapesScanParallel(t *testing.T) {
 				break
 			}
 		}
-		if at < 0 || !strings.Contains(lines[at], "mode=row") || strings.Contains(lines[at], "workers=") {
-			t.Errorf("%s: %s is not a serial row operator:\n%s", q.Name, op, out)
+		if at < 0 || !strings.Contains(lines[at], "mode=row") {
+			t.Errorf("%s: %s is not a row operator:\n%s", q.Name, op, out)
 			continue
 		}
-		scanParallel := false
+		scanVector := false
 		for _, l := range lines[at+1:] {
-			if strings.HasPrefix(strings.TrimSpace(l), "Scan") && strings.Contains(l, "workers=") && strings.Contains(l, "mode=vector") {
-				scanParallel = true
+			if strings.HasPrefix(strings.TrimSpace(l), "Scan") && strings.Contains(l, "mode=vector") {
+				scanVector = true
 			}
 		}
-		if !scanParallel {
-			t.Errorf("%s: no morsel-parallel scan beneath the declined %s:\n%s", q.Name, op, out)
+		if !scanVector {
+			t.Errorf("%s: no batch scan beneath the declined %s:\n%s", q.Name, op, out)
 		}
 	}
 	if seen != len(declined) {
@@ -238,7 +235,7 @@ func TestVectorBatchBoundarySweep(t *testing.T) {
 		{Name: "join", SQL: `select c_custkey, o_orderkey, o_totalprice from customer inner join orders on c_custkey = o_custkey order by c_custkey, o_orderkey`},
 	}
 
-	rowSerial := engine.Options{Parallelism: 1, DisableVectorize: true}
+	rowSerial := engine.Options{DisableVectorize: true}
 	ref := make([]*engine.Result, len(queries))
 	for i, q := range queries {
 		ref[i] = runMeta(t, e, q.SQL, rowSerial, core.ProfileHANA)
@@ -255,17 +252,12 @@ func TestVectorBatchBoundarySweep(t *testing.T) {
 		t.Fatalf("fixture too small: %d lineitem rows", n)
 	}
 
-	sizes := []int{1, 2, 3, 5, 7, 13, 31, 97, 1009, n - 1, n, n + 1}
+	sizes := []int{1, 2, 3, 5, 7, 11, 13, 31, 97, 1009, n - 1, n, n + 1}
 	for _, bs := range sizes {
 		for i, q := range queries {
-			for _, par := range []engine.Options{
-				{Parallelism: 1, BatchSize: bs},
-				{Parallelism: 3, MorselSize: 11, BatchSize: bs},
-			} {
-				label := fmt.Sprintf("batch=%d/par=%d/%s", bs, par.Parallelism, q.Name)
-				got := runMeta(t, e, q.SQL, par, core.ProfileHANA)
-				requireSameRows(t, label, q.SQL, ref[i], got)
-			}
+			label := fmt.Sprintf("batch=%d/%s", bs, q.Name)
+			got := runMeta(t, e, q.SQL, engine.Options{BatchSize: bs}, core.ProfileHANA)
+			requireSameRows(t, label, q.SQL, ref[i], got)
 		}
 	}
 }

@@ -28,7 +28,7 @@ func TestVectorTopKBoundarySweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rowSerial := engine.Options{Parallelism: 1, DisableVectorize: true}
+	rowSerial := engine.Options{DisableVectorize: true}
 
 	rows := runMeta(t, e, `select count(*) from orders`, rowSerial, core.ProfileHANA)
 	n := int(rows.Rows[0][0].Int())

@@ -26,10 +26,6 @@ type OpStats struct {
 	// rows for sort and cross join. Zero for streaming operators.
 	BuildRows  int64
 	BuildBytes int64
-	// Workers / Morsels describe morsel-driven parallel scans: pool size
-	// and morsels scheduled. Zero for serial operators.
-	Workers int64
-	Morsels int64
 	// MemBytes is the operator's governance-accounted memory: every
 	// byte it charged against the query budget (hash tables, sort
 	// buffers, top-k heaps, group tables, DISTINCT seen-sets). Zero for
@@ -55,9 +51,6 @@ func (s *OpStats) String() string {
 	out := fmt.Sprintf("[rows=%d nexts=%d time=%v", s.Rows, s.Nexts, total)
 	if s.BuildRows > 0 || s.BuildBytes > 0 {
 		out += fmt.Sprintf(" build_rows=%d build_bytes=%d", s.BuildRows, s.BuildBytes)
-	}
-	if s.Workers > 0 {
-		out += fmt.Sprintf(" workers=%d morsels=%d", s.Workers, s.Morsels)
 	}
 	if s.MemBytes > 0 {
 		out += fmt.Sprintf(" mem_bytes=%d", s.MemBytes)
@@ -141,9 +134,9 @@ func (s *sortIter) buildStats() (int64, int64) {
 	return rowSetBytes(s.rows)
 }
 
-// extraStatser is implemented by iterators that report parallelism
-// details (worker count, morsels, fusion notes); statIter
-// harvests them on Close, after the counters are final.
+// extraStatser is implemented by iterators that report extra details
+// (the top-k fusion note); statIter harvests them on Close, after the
+// counters are final.
 type extraStatser interface {
 	extraStats(*OpStats)
 }

@@ -21,10 +21,6 @@ type Builder struct {
 	analyze bool
 	stats   map[plan.Node]*OpStats
 
-	// workers > 1 runs vectorized pipelines morsel-parallel (see
-	// SetParallel); morselSize is the rows per morsel.
-	workers    int
-	morselSize int
 	// vecSize > 0 enables the vectorized batch executor (see
 	// SetVectorize); it is the rows per column batch.
 	vecSize int
@@ -40,6 +36,10 @@ type Builder struct {
 // meter blocking-operator memory against its budget, and fire its test
 // hooks at pause points. A nil handle (the default) is free.
 func (b *Builder) SetGovernance(g *Governance) { b.gov = g }
+
+// SetMetrics directs executor counters (top-k fusions, vector
+// pipelines, batches and fallbacks) to m.
+func (b *Builder) SetMetrics(m *Metrics) { b.met = m }
 
 // NewBuilder returns a builder reading the database as of commit
 // timestamp ts.
@@ -107,10 +107,9 @@ func (b *Builder) Build(n plan.Node) (Iterator, error) {
 }
 
 func (b *Builder) build(n plan.Node) (Iterator, error) {
-	// The batch compiler gets first pick — including under parallel
-	// EXPLAIN ANALYZE, whose per-node stage stats are updated atomically
-	// so morsel workers can share them. What it declines falls back to
-	// the row path, counted per reason in exec.vec_fallbacks.
+	// The batch compiler gets first pick, EXPLAIN ANALYZE included. What
+	// it declines falls back to the row path, counted per reason in
+	// exec.vec_fallbacks.
 	if b.vecSize > 0 {
 		it, reason := b.buildVec(n)
 		if it != nil {
@@ -303,8 +302,8 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 
 // buildPrunedScan builds the scan beneath a row filter, pruned by the
 // filter's zone-map ranges. When vectorizing it is the batch scan, so
-// the input of a filter the vector builder declined still runs
-// morsel-parallel under SetParallel.
+// the input of a filter the vector builder declined still reads column
+// batches.
 func (b *Builder) buildPrunedScan(scan *plan.Scan, ranges []storage.ColRange) (Iterator, error) {
 	if b.vecSize > 0 {
 		if f, _ := b.vecFragment(scan); f != nil {

@@ -9,7 +9,7 @@
 // aggregations, and hash joins into kernels over fixed-size column
 // batches of raw dictionary codes (Batch, types.Vec), adapting back to
 // rows at the first ineligible operator. Both paths produce row- and
-// order-identical results, serial or morsel-parallel; see
+// order-identical results, each query on one goroutine; see
 // docs/EXECUTION.md for the model, eligibility rules, and layout.
 package exec
 

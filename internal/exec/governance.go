@@ -13,7 +13,7 @@ import (
 // Query lifecycle governance: per-query cancellation, memory budgets,
 // and panic isolation. A Governance instance is created by the engine
 // for each query and attached to the Builder; every blocking operator
-// checks it at batch/morsel granularity (never per row), so the
+// checks it at batch granularity (never per row), so the
 // overhead is one atomic load per govCheckRows rows while cancellation
 // still propagates within a batch.
 
@@ -27,8 +27,8 @@ var (
 	ErrTimeout = errors.New("exec: statement timeout")
 	// ErrMemoryBudget reports that the query exceeded its memory budget.
 	ErrMemoryBudget = errors.New("exec: memory budget exceeded")
-	// ErrInternal reports a panic recovered inside the executor or a
-	// parallel worker; the query fails but the engine stays healthy.
+	// ErrInternal reports a panic recovered inside the executor; the
+	// query fails but the engine stays healthy.
 	ErrInternal = errors.New("exec: internal error")
 )
 
@@ -37,13 +37,13 @@ var (
 // point to pin a query mid-operator, then cancel/timeout/panic it
 // deterministically.
 const (
-	// PointScan fires when a scan starts and once per parallel morsel.
+	// PointScan fires when a scan starts (a top-k sweep fires it once
+	// per source).
 	PointScan = "scan"
 	// PointHashBuild fires when a join starts materializing its build
 	// side (hash, semi, build-left, and cross joins).
 	PointHashBuild = "hash_build"
-	// PointGroupMerge fires when an aggregation starts consuming input
-	// (serial) and once per parallel partial-aggregation morsel.
+	// PointGroupMerge fires when an aggregation starts consuming input.
 	PointGroupMerge = "groupby_merge"
 	// PointTopK fires when a fused ORDER BY+LIMIT top-k starts.
 	PointTopK = "topk"
@@ -73,9 +73,9 @@ type Hooks struct {
 
 // ResourceTracker meters the bytes a query holds in blocking operators
 // (hash tables, sort buffers, top-k heaps, group tables, materialized
-// results) against a budget. All methods are safe for concurrent use by
-// parallel workers. budget <= 0 disables enforcement; the tracker still
-// records usage and peak.
+// results) against a budget. All methods are safe for concurrent use.
+// budget <= 0 disables enforcement; the tracker still records usage and
+// peak.
 type ResourceTracker struct {
 	budget int64
 	used   atomic.Int64
@@ -156,15 +156,6 @@ func (g *Governance) Err() error {
 	}
 }
 
-// Done exposes the query's cancellation channel (nil — block forever —
-// on a nil receiver), for iterators that wait on worker channels.
-func (g *Governance) Done() <-chan struct{} {
-	if g == nil {
-		return nil
-	}
-	return g.done
-}
-
 // Context returns the query context (context.Background on nil).
 func (g *Governance) Context() context.Context {
 	if g == nil {
@@ -222,8 +213,7 @@ func (g *Governance) Tracker() *ResourceTracker {
 // memAcct is one operator's memory account: bytes accumulate locally
 // and flush into the shared tracker every memFlushBytes, so the per-row
 // cost is a local add. Close (via the owning iterator's Close) releases
-// everything. Not safe for concurrent use — parallel workers reserve
-// through Governance.grow directly.
+// everything. Not safe for concurrent use.
 type memAcct struct {
 	gov   *Governance
 	held  int64 // flushed into the tracker
@@ -281,7 +271,7 @@ func (s *govStride) tick() error {
 }
 
 // panicErr converts a recovered panic into the typed ErrInternal,
-// naming the operator (or worker) it escaped from.
+// naming the operator it escaped from.
 func panicErr(op string, r any) error {
 	return fmt.Errorf("%w: panic in %s: %v", ErrInternal, op, r)
 }

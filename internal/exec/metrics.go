@@ -3,16 +3,10 @@ package exec
 import "vdm/internal/metrics"
 
 // Metrics aggregates the executor-level counters: how often the batch
-// pipelines ran, serial and morsel-parallel, what work they scheduled,
-// and what the batch compiler declined. All fields are atomic; one instance is shared by every Builder the engine
-// creates (see Builder.SetMetrics).
+// pipelines ran, how many batches they filled, and what the batch
+// compiler declined. All fields are atomic; one instance is shared by
+// every Builder the engine creates (see Builder.SetMetrics).
 type Metrics struct {
-	// ParallelPipelines counts batch scan/aggregation pipelines executed
-	// by the morsel worker pool.
-	ParallelPipelines metrics.Counter
-	// MorselsScanned counts morsels scheduled across all parallel
-	// pipelines.
-	MorselsScanned metrics.Counter
 	// TopKFusions counts LIMIT-over-SORT pairs fused into a bounded
 	// top-k heap.
 	TopKFusions metrics.Counter
@@ -26,11 +20,11 @@ type Metrics struct {
 	// aggregate shape with no total kernel, an OR tree it cannot
 	// compile, an unbounded sort, a union with non-pipeline branches,
 	// and a DISTINCT (aggregate or set) it cannot key.
-	// VecFallbackAnalyzeParallel is never incremented (batch mode runs
-	// under parallel EXPLAIN ANALYZE). ROADMAP item 4 wants it deleted,
-	// but bench/layers.go sums the field into exec.vec_fallbacks and
-	// TestVecFallbackZero* read its registered name, so it stays until a
-	// PR that may touch bench/ drops both together.
+	// VecFallbackAnalyzeParallel is never incremented: nothing runs in
+	// parallel, so nothing declines for it. bench/layers.go sums the
+	// field into exec.vec_fallbacks and TestVecFallbackZero* read its
+	// registered name, so it is deleted together with that bench/ code
+	// (ROADMAP item 5).
 	VecFallbackExpression      metrics.Counter
 	VecFallbackOr              metrics.Counter
 	VecFallbackSort            metrics.Counter
@@ -45,8 +39,6 @@ type Metrics struct {
 // RegisterWith registers every executor counter in a metrics registry
 // under the "exec." prefix.
 func (m *Metrics) RegisterWith(r *metrics.Registry) {
-	r.RegisterCounter("exec.parallel_pipelines", &m.ParallelPipelines)
-	r.RegisterCounter("exec.morsels_scanned", &m.MorselsScanned)
 	r.RegisterCounter("exec.topk_fusions", &m.TopKFusions)
 	r.RegisterCounter("exec.vec_pipelines", &m.VecPipelines)
 	r.RegisterCounter("exec.vec_batches", &m.VecBatches)

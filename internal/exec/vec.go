@@ -2,7 +2,6 @@ package exec
 
 import (
 	"strings"
-	"sync/atomic"
 
 	"vdm/internal/decimal"
 	"vdm/internal/storage"
@@ -72,9 +71,8 @@ type vecStage struct {
 	stats *OpStats     // per-stage EXPLAIN ANALYZE attribution (nil off)
 }
 
-// vecSpec is the shared, immutable description of a batch pipeline
-// fragment; per-worker mutable state lives in vecScratch so one spec can
-// be executed by many workers concurrently.
+// vecSpec is the immutable description of a batch pipeline fragment;
+// the mutable state of one sweep over it lives in vecScratch.
 type vecSpec struct {
 	snap    *storage.Snapshot
 	ords    []int              // storage ordinals materialized per batch
@@ -90,7 +88,7 @@ type vecSpec struct {
 
 	// scanStats attributes batch fills to the Scan node under EXPLAIN
 	// ANALYZE (nil when off or when the scan is the operator statIter
-	// wraps). Updated atomically: parallel analyze runs share it.
+	// wraps).
 	scanStats *OpStats
 }
 
@@ -104,17 +102,16 @@ func (s *vecSpec) hasFilter() bool {
 	return false
 }
 
-// statAdd accumulates per-stage analyze counters. Atomic because one
-// spec's stats are shared by all morsel workers.
+// statAdd accumulates per-stage analyze counters.
 func statAdd(st *OpStats, rows int64) {
 	if st == nil {
 		return
 	}
-	atomic.AddInt64(&st.Rows, rows)
-	atomic.AddInt64(&st.Nexts, 1)
+	st.Rows += rows
+	st.Nexts++
 }
 
-// vecScratch is one worker's reusable batch state: the visible-position
+// vecScratch is one sweep's reusable batch state: the visible-position
 // buffer, the column batch, selection-vector ping-pong buffers, the
 // per-conjunct dictionary-code memo tables, and the expression kernels'
 // output vectors and selection scratch.
@@ -211,8 +208,7 @@ func (s *vecSpec) fill(lo, hi int, sc *vecScratch) error {
 }
 
 // decodeRows boxes the batch's live rows in selection order, appending
-// to dst. Rows share one flat backing array per batch, mirroring the
-// row path's FillRows layout.
+// to dst. Rows share one flat backing array per batch.
 func (s *vecSpec) decodeRows(sc *vecScratch, dst []types.Row) []types.Row {
 	b := &sc.batch
 	n := b.NumRows()
@@ -237,24 +233,6 @@ func (s *vecSpec) decodeRows(sc *vecScratch, dst []types.Row) []types.Row {
 		dst = append(dst, flat[i*w:(i+1)*w:(i+1)*w])
 	}
 	return dst
-}
-
-// collectRows materializes the decoded rows of row positions [lo, hi)
-// batch-at-a-time — the morsel-parallel workers' entry point into the
-// batch pipeline.
-func (s *vecSpec) collectRows(lo, hi, batchSize int, sc *vecScratch) ([]types.Row, error) {
-	var rows []types.Row
-	for pos := lo; pos < hi; pos += batchSize {
-		end := pos + batchSize
-		if end > hi {
-			end = hi
-		}
-		if err := s.fill(pos, end, sc); err != nil {
-			return nil, err
-		}
-		rows = s.decodeRows(sc, rows)
-	}
-	return rows, nil
 }
 
 // --- filter kernels -----------------------------------------------------

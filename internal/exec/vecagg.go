@@ -36,18 +36,22 @@ type vecAggSpec struct {
 	batchSize int
 }
 
-// vecAggTable folds batches into an ordered partial-aggregate table.
-// The serial operator folds the whole table into one vecAggTable; the
-// morsel-parallel path folds one per morsel and merges partials in
-// morsel order.
+// pgEntry is one group's aggregate state: its key encoding, the boxed
+// group values, and one aggState per aggregate.
+type pgEntry struct {
+	key       string
+	groupVals types.Row
+	states    []aggState
+}
+
+// vecAggTable folds batches into an ordered aggregate table, in
+// first-seen group order.
 type vecAggTable struct {
 	va    *vecAggSpec
 	table map[string]*pgEntry
 	order []*pgEntry
-	// onNew meters a freshly-created group against the query budget
-	// (serial mode); nil in morsel workers, which reserve partial-table
-	// footprints wholesale after the fold.
-	onNew func(e *pgEntry) error
+	// acct meters every freshly-created group against the query budget.
+	acct *memAcct
 
 	keyBuf []byte
 	valBuf []types.Value
@@ -62,21 +66,19 @@ type vecAggTable struct {
 	nullEnt   *pgEntry
 }
 
-func newVecAggTable(va *vecAggSpec) *vecAggTable {
-	t := &vecAggTable{va: va, table: make(map[string]*pgEntry)}
+func newVecAggTable(va *vecAggSpec, acct *memAcct) *vecAggTable {
+	t := &vecAggTable{va: va, table: make(map[string]*pgEntry), acct: acct}
 	t.strGroup = len(va.groupCols) == 1 && !va.scalarAgg
 	return t
 }
 
-// foldRange folds every batch of row positions [lo, hi) into the table.
-func (t *vecAggTable) foldRange(lo, hi int, sc *vecScratch) error {
-	step := t.va.batchSize
-	for pos := lo; pos < hi; pos += step {
-		end := pos + step
-		if end > hi {
-			end = hi
-		}
-		if err := t.va.spec.fill(pos, end, sc); err != nil {
+// fold sweeps every batch of the pipeline into the table.
+func (t *vecAggTable) fold() error {
+	spec := t.va.spec
+	sc := newVecScratch(spec)
+	total := spec.snap.NumRowVersions()
+	for pos := 0; pos < total; pos += t.va.batchSize {
+		if err := spec.fill(pos, pos+t.va.batchSize, sc); err != nil {
 			return err
 		}
 		if err := t.foldBatch(&sc.batch); err != nil {
@@ -84,6 +86,11 @@ func (t *vecAggTable) foldRange(lo, hi int, sc *vecScratch) error {
 		}
 	}
 	return nil
+}
+
+// added meters a freshly-created group.
+func (t *vecAggTable) added(e *pgEntry) error {
+	return t.acct.add(int64(len(e.key)) + rowBytes(e.groupVals) + int64(len(t.va.aggs))*aggStateBytes)
 }
 
 // foldBatch folds one filled batch's live rows into the table.
@@ -115,10 +122,8 @@ func (t *vecAggTable) foldScalar(b *Batch, n int) error {
 	if len(t.order) == 0 {
 		e := &pgEntry{states: make([]aggState, len(t.va.aggs))}
 		t.order = append(t.order, e)
-		if t.onNew != nil {
-			if err := t.onNew(e); err != nil {
-				return err
-			}
+		if err := t.added(e); err != nil {
+			return err
 		}
 	}
 	e := t.order[0]
@@ -255,10 +260,8 @@ func (t *vecAggTable) entryFor(b *Batch, ri int) (*pgEntry, error) {
 		e = &pgEntry{key: string(t.keyBuf), groupVals: groupVals, states: make([]aggState, len(t.va.aggs))}
 		t.table[e.key] = e
 		t.order = append(t.order, e)
-		if t.onNew != nil {
-			if err := t.onNew(e); err != nil {
-				return nil, err
-			}
+		if err := t.added(e); err != nil {
+			return nil, err
 		}
 	}
 	return e, nil
@@ -320,7 +323,7 @@ func vecAccumulate(st *aggState, a *vecAggCol, v *types.Vec, ri int) error {
 	return accumulateValue(st, &a.gspec, v.Value(ri))
 }
 
-// vecGroupByIter is the serial batch aggregation operator: it sweeps the
+// vecGroupByIter is the batch aggregation operator: it sweeps the
 // pipeline's batches through one vecAggTable during Open, then streams
 // the finalized groups. Output rows, group order, and governance
 // metering are identical to groupByIter.
@@ -346,13 +349,8 @@ func (g *vecGroupByIter) Open() error {
 	if g.met != nil {
 		g.met.VecPipelines.Inc()
 	}
-	naggs := int64(len(g.va.aggs))
-	t := newVecAggTable(g.va)
-	t.onNew = func(e *pgEntry) error {
-		return g.acct.add(int64(len(e.key)) + rowBytes(e.groupVals) + naggs*aggStateBytes)
-	}
-	sc := newVecScratch(g.va.spec)
-	if err := t.foldRange(0, g.va.spec.snap.NumRowVersions(), sc); err != nil {
+	t := newVecAggTable(g.va, &g.acct)
+	if err := t.fold(); err != nil {
 		return err
 	}
 	order := t.order

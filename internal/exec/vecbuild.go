@@ -504,10 +504,9 @@ func applyOrRange(f *vecFrag, rb *rangeBuilder, disj []plan.Expr) {
 
 // attachVecStats wires EXPLAIN ANALYZE attribution for a fragment's
 // fused nodes: every node is stamped mode=vector, and each stage records
-// rows/batches through its stage stats pointer (updated atomically, so
-// morsel workers may share them). The top node (when !includeTop) is
-// counted by the statIter the Build caller wraps around the returned
-// operator, so only its mode is stamped.
+// rows/batches through its stage stats pointer. The top node (when
+// !includeTop) is counted by the statIter the Build caller wraps around
+// the returned operator, so only its mode is stamped.
 func (b *Builder) attachVecStats(f *vecFrag, includeTop bool) {
 	for i, node := range f.nodes {
 		st := b.nodeStats(node)
@@ -523,13 +522,8 @@ func (b *Builder) attachVecStats(f *vecFrag, includeTop bool) {
 	}
 }
 
-// vecRows adapts a batch fragment to the row Iterator contract: the
-// morsel-parallel scan when workers are configured, else the serial
-// adapter.
+// vecRows adapts a batch fragment to the row Iterator contract.
 func (b *Builder) vecRows(spec *vecSpec) Iterator {
-	if b.workers > 1 {
-		return &parallelScanIter{spec: spec, batchSize: b.vecSize, workers: b.workers, morselSize: b.morselSize}
-	}
 	return &vecRowsIter{spec: spec, batchSize: b.vecSize}
 }
 
@@ -540,11 +534,8 @@ func isVecPipeline(it Iterator) bool {
 	if st, ok := it.(*statIter); ok {
 		it = st.inner
 	}
-	switch it.(type) {
-	case *vecRowsIter, *parallelScanIter:
-		return true
-	}
-	return false
+	_, ok := it.(*vecRowsIter)
+	return ok
 }
 
 // buildVecPipeline builds a batch pipeline — Filter/Project stages over
@@ -572,12 +563,12 @@ func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, string) {
 	return &unionIter{children: children}, ""
 }
 
-// buildVecGroupBy builds the batch aggregation operator (serial or
-// morsel-parallel) over a compiled input pipeline. Aggregates have
-// kernels when they are plain (non-DISTINCT) and over bare columns;
-// SUM/AVG additionally need a numeric argument, so the typed accumulator
-// can never hit the row path's "SUM/AVG on <type>" error — the decline
-// leaves the row path to raise it exactly as before.
+// buildVecGroupBy builds the batch aggregation operator over a compiled
+// input pipeline. Aggregates have kernels when they are plain
+// (non-DISTINCT) and over bare columns; SUM/AVG additionally need a
+// numeric argument, so the typed accumulator can never hit the row
+// path's "SUM/AVG on <type>" error — the decline leaves the row path to
+// raise it exactly as before.
 func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
 	f, _ := b.vecFragment(n.Input)
 	if f == nil {
@@ -621,9 +612,6 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
 	if b.analyze {
 		b.attachVecStats(f, true)
 		b.nodeStats(n).Mode = "vector"
-	}
-	if b.workers > 1 {
-		return &parallelGroupByIter{va: va, workers: b.workers, morselSize: b.morselSize, met: b.met, gov: b.gov}, ""
 	}
 	return &vecGroupByIter{va: va, gov: b.gov, met: b.met}, ""
 }
@@ -694,8 +682,6 @@ func (b *Builder) buildVecJoin(n *plan.Join) (Iterator, string) {
 		keyKind:    keyKind,
 		rightWidth: len(n.Right.Columns()),
 		batchSize:  b.vecSize,
-		workers:    b.workers,
-		morselSize: b.morselSize,
 		met:        b.met,
 		gov:        b.gov,
 	}

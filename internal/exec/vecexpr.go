@@ -12,9 +12,8 @@ import (
 // Typed expression kernels over column batches. compileVecExpr turns a
 // plan expression into a tree of vecExpr nodes, each evaluating one
 // batch at a time into a reusable output vector. The compiled tree is
-// immutable and shared across workers; all mutable state (output
-// vectors, selection scratch) lives in vecScratch, indexed by
-// compile-time slot numbers.
+// immutable; all mutable state (output vectors, selection scratch)
+// lives in vecScratch, indexed by compile-time slot numbers.
 //
 // Only total expressions compile (compileVecExpr is the admission
 // rule), so evaluation can be eager and out of order: the batch path may

@@ -12,7 +12,8 @@ import (
 // extension, and build-side metering replicate hashJoinIter (build
 // right, probe left) and hashJoinBuildLeftIter (build left, probe
 // right) exactly, so results are row- and order-identical to the row
-// executor — serial and parallel.
+// executor. The probe streams: one probe batch is decoded and joined at
+// a time, so a LIMIT above stops the probe scan early.
 
 // Join key strategies. The typed fast paths are byte-parity with
 // Value.AppendKey: TInt/TDate/TBool share the integer key tag encoding
@@ -40,14 +41,12 @@ type vecHashJoinIter struct {
 	// proj, when non-nil, projects the logical left++right output row
 	// down to the given combined positions during emission (a fused
 	// parent Project of bare column refs); nil emits the full row.
-	proj       []int
-	arena      rowArena
-	batchSize  int
-	workers    int // >1 enables the parallel probe
-	morselSize int
-	met        *Metrics
-	gov        *Governance
-	acct       memAcct
+	proj      []int
+	arena     rowArena
+	batchSize int
+	met       *Metrics
+	gov       *Governance
+	acct      memAcct
 
 	buildRows []types.Row
 	intTable  map[int64][]int32
@@ -55,7 +54,7 @@ type vecHashJoinIter struct {
 	matched   []bool // buildLeft && leftOuter
 	keyBuf    []byte
 
-	// serial probe state
+	// probe state
 	sc        *vecScratch
 	unpin     func()
 	total     int
@@ -65,12 +64,6 @@ type vecHashJoinIter struct {
 	pending   []types.Row
 	pendPos   int
 	tailPos   int
-
-	// parallel probe state
-	parallel            bool
-	out                 []types.Row
-	outPos              int
-	parWorkers, morsels int
 }
 
 func (j *vecHashJoinIter) Open() error {
@@ -86,9 +79,6 @@ func (j *vecHashJoinIter) Open() error {
 	}
 	if j.buildLeft && j.leftOuter {
 		j.matched = make([]bool, len(j.buildRows))
-	}
-	if j.workers > 1 {
-		return j.probeParallel()
 	}
 	j.unpin = j.probe.snap.Pin()
 	j.total = j.probe.snap.NumRowVersions()
@@ -277,14 +267,6 @@ func (j *vecHashJoinIter) tailRow() (types.Row, bool) {
 }
 
 func (j *vecHashJoinIter) Next() (types.Row, bool, error) {
-	if j.parallel {
-		if j.outPos >= len(j.out) {
-			return nil, false, nil
-		}
-		row := j.out[j.outPos]
-		j.outPos++
-		return row, true, nil
-	}
 	for {
 		if j.pendPos < len(j.pending) {
 			row := j.pending[j.pendPos]
@@ -319,89 +301,6 @@ func (j *vecHashJoinIter) Next() (types.Row, bool, error) {
 	}
 }
 
-// probeMorsel is one probe morsel's output: the joined rows plus the
-// build indexes it matched (applied serially during the ordered merge so
-// the matched bitmap needs no synchronization).
-type probeMorsel struct {
-	rows       []types.Row
-	matchedIdx []int32
-}
-
-// probeParallel runs the probe side through the morsel worker pool and
-// merges morsels in sequence order, which reproduces the serial probe
-// order exactly. The matched bitmap and the outer tail are applied after
-// the merge. Probe output is not metered, matching the row joins'
-// streaming probes.
-func (j *vecHashJoinIter) probeParallel() error {
-	unpin := j.probe.snap.Pin()
-	defer unpin()
-	total := j.probe.snap.NumRowVersions()
-	morsels := (total + j.morselSize - 1) / j.morselSize
-	trackMatches := j.buildLeft && j.leftOuter
-	work := func(seq int) (probeMorsel, error) {
-		// Worker clone: the shared iterator's scratch and key buffer are
-		// not used, so lookups must stay read-only — hence the local
-		// keyBuf-carrying shallow copy.
-		w := *j
-		w.matched = nil
-		w.keyBuf = nil
-		w.arena = rowArena{}
-		sc := newVecScratch(j.probe)
-		lo := seq * j.morselSize
-		hi := lo + j.morselSize
-		if hi > total {
-			hi = total
-		}
-		var pm probeMorsel
-		var rows []types.Row
-		for pos := lo; pos < hi; pos += j.batchSize {
-			end := pos + j.batchSize
-			if end > hi {
-				end = hi
-			}
-			if err := j.probe.fill(pos, end, sc); err != nil {
-				return probeMorsel{}, err
-			}
-			rows = j.probe.decodeRows(sc, rows[:0])
-			for _, row := range rows {
-				matches := w.lookup(row)
-				if trackMatches {
-					pm.matchedIdx = append(pm.matchedIdx, matches...)
-				}
-				pm.rows = w.emitProbe(row, matches, pm.rows)
-			}
-		}
-		return pm, nil
-	}
-	results, err := collectMorsels(morsels, j.workers, work)
-	if err != nil {
-		return err
-	}
-	for _, pm := range results {
-		j.out = append(j.out, pm.rows...)
-		for _, bi := range pm.matchedIdx {
-			j.matched[bi] = true
-		}
-	}
-	if trackMatches {
-		for {
-			row, ok := j.tailRow()
-			if !ok {
-				break
-			}
-			j.out = append(j.out, row)
-		}
-	}
-	j.parallel = true
-	j.outPos = 0
-	j.parWorkers = j.workers
-	if j.parWorkers > morsels {
-		j.parWorkers = morsels
-	}
-	j.morsels = morsels
-	return nil
-}
-
 func (j *vecHashJoinIter) Close() {
 	if j.unpin != nil {
 		j.unpin()
@@ -411,7 +310,6 @@ func (j *vecHashJoinIter) Close() {
 	j.buildRows = nil
 	j.intTable = nil
 	j.strTable = nil
-	j.out = nil
 	j.pending = nil
 	j.probeRows = nil
 }
@@ -443,10 +341,3 @@ func (j *vecHashJoinIter) buildStats() (int64, int64) {
 }
 
 func (j *vecHashJoinIter) memBytes() int64 { return j.acct.bytes() }
-
-func (j *vecHashJoinIter) extraStats(st *OpStats) {
-	if j.parallel {
-		st.Workers = int64(j.parWorkers)
-		st.Morsels = int64(j.morsels)
-	}
-}

@@ -16,9 +16,8 @@ import (
 // compute kernels — late materialization, so a LIMIT 10 over millions
 // of rows never decodes more than 10 full rows per source. The heap
 // comparator breaks key ties on (source, row position), which is the
-// serial row path's arrival order, so results are row- and
-// order-identical to topKIter in every mode and morsel workers can feed
-// candidates in any order.
+// row path's arrival order, so results are row- and order-identical to
+// topKIter.
 
 // vecTopKSrc is one input pipeline of the top-k sweep with its sort-key
 // batch columns resolved.
@@ -138,16 +137,12 @@ func (h *topkHeap) sorted() []vecTopKItem {
 }
 
 // vecTopKIter is the batch top-k operator. Open sweeps every source's
-// batches through the bounded heap (serial, or one local heap per
-// morsel merged afterwards when workers are configured), then
-// materializes the emitted page.
+// batches through the bounded heap, then materializes the emitted page.
 type vecTopKIter struct {
 	srcs          []vecTopKSrc
 	keys          []sortKeySpec // indexes into the boxed key tuple
 	offset, count int64
 	batchSize     int
-	workers       int
-	morselSize    int
 	gov           *Governance
 	met           *Metrics
 
@@ -155,14 +150,11 @@ type vecTopKIter struct {
 	unpins []func()
 	rows   []types.Row
 	pos    int
-
-	parWorkers, morsels int
 }
 
 func (t *vecTopKIter) Open() error {
 	t.acct = memAcct{gov: t.gov}
 	t.rows, t.pos = nil, 0
-	t.parWorkers, t.morsels = 0, 0
 	if err := t.gov.point(PointTopK); err != nil {
 		return err
 	}
@@ -178,17 +170,8 @@ func (t *vecTopKIter) Open() error {
 		return nil
 	}
 	h := &topkHeap{keep: int(keep), keys: t.keys}
-	var err error
-	if t.workers > 1 {
-		err = t.sweepParallel(h)
-	} else {
-		err = t.sweepSerial(h)
-	}
-	if err != nil {
+	if err := t.sweep(h); err != nil {
 		return err
-	}
-	if h.err != nil {
-		return h.err
 	}
 	return t.materialize(h)
 }
@@ -219,7 +202,9 @@ func (t *vecTopKIter) offerBatch(h *topkHeap, s *vecTopKSrc, si int, sc *vecScra
 	return nil
 }
 
-func (t *vecTopKIter) sweepSerial(h *topkHeap) error {
+// sweep offers every source's batches to the heap, in source then
+// position order.
+func (t *vecTopKIter) sweep(h *topkHeap) error {
 	for si := range t.srcs {
 		s := &t.srcs[si]
 		if err := t.gov.point(PointScan); err != nil {
@@ -236,86 +221,6 @@ func (t *vecTopKIter) sweepSerial(h *topkHeap) error {
 			}
 			if h.err != nil {
 				return h.err
-			}
-		}
-	}
-	return nil
-}
-
-// sweepParallel runs each source's morsels through the worker pool.
-// Every morsel folds its rows into a local bounded heap — the global
-// top-k is a subset of the union of per-morsel top-k sets — and the
-// local winners merge into the global heap in completion order, which
-// is safe because the comparator's (keys, src, pos) order is total.
-func (t *vecTopKIter) sweepParallel(h *topkHeap) error {
-	for si := range t.srcs {
-		s := &t.srcs[si]
-		total := s.spec.snap.NumRowVersions()
-		morsels := (total + t.morselSize - 1) / t.morselSize
-		work := func(seq int) ([]vecTopKItem, error) {
-			if err := t.gov.point(PointScan); err != nil {
-				return nil, err
-			}
-			lh := &topkHeap{keep: h.keep, keys: t.keys}
-			sc := newVecScratch(s.spec)
-			lo := seq * t.morselSize
-			hi := lo + t.morselSize
-			if hi > total {
-				hi = total
-			}
-			for pos := lo; pos < hi; pos += t.batchSize {
-				end := pos + t.batchSize
-				if end > hi {
-					end = hi
-				}
-				if err := s.spec.fill(pos, end, sc); err != nil {
-					return nil, err
-				}
-				b := &sc.batch
-				push := func(ri int) {
-					lh.offer(b, s.keyCols, ri, si, sc.idx[ri])
-				}
-				if b.HasSel {
-					for _, ri := range b.Sel {
-						push(int(ri))
-					}
-				} else {
-					for ri := 0; ri < b.N; ri++ {
-						push(ri)
-					}
-				}
-				if lh.err != nil {
-					return nil, lh.err
-				}
-			}
-			return lh.items, nil
-		}
-		results, err := collectMorsels(morsels, t.workers, work)
-		if err != nil {
-			return err
-		}
-		if t.met != nil {
-			t.met.ParallelPipelines.Inc()
-			t.met.MorselsScanned.Add(int64(morsels))
-		}
-		w := t.workers
-		if w > morsels {
-			w = morsels
-		}
-		if w > t.parWorkers {
-			t.parWorkers = w
-		}
-		t.morsels += morsels
-		for _, items := range results {
-			for _, it := range items {
-				if h.push(it) {
-					if err := t.acct.add(rowBytes(it.keys)); err != nil {
-						return err
-					}
-				}
-				if h.err != nil {
-					return h.err
-				}
 			}
 		}
 	}
@@ -416,10 +321,6 @@ func (t *vecTopKIter) memBytes() int64            { return t.acct.bytes() }
 
 func (t *vecTopKIter) extraStats(st *OpStats) {
 	st.Note = fmt.Sprintf("top_k=%d", t.offset+t.count)
-	if t.morsels > 0 {
-		st.Workers = int64(t.parWorkers)
-		st.Morsels = int64(t.morsels)
-	}
 }
 
 // buildVecTopK compiles LIMIT-over-ORDER BY into the batch top-k
@@ -468,14 +369,12 @@ func (b *Builder) buildVecTopK(n *plan.Limit) Iterator {
 		st.Note = fmt.Sprintf("fused into top_k=%d", n.Offset+n.Count)
 	}
 	return &vecTopKIter{
-		srcs:       srcs,
-		keys:       hkeys,
-		offset:     n.Offset,
-		count:      n.Count,
-		batchSize:  b.vecSize,
-		workers:    b.workers,
-		morselSize: b.morselSize,
-		gov:        b.gov,
-		met:        b.met,
+		srcs:      srcs,
+		keys:      hkeys,
+		offset:    n.Offset,
+		count:     n.Count,
+		batchSize: b.vecSize,
+		gov:       b.gov,
+		met:       b.met,
 	}
 }

@@ -27,9 +27,8 @@ type TestHooks struct {
 	BeforeCommitApply func(ts uint64) error
 	// AfterCommit runs after a successful commit released commitMu.
 	AfterCommit func(ts uint64)
-	// BeforeScanBatch runs before a snapshot collects or counts one
-	// batch of visible rows (CollectVisible/CountVisible — the morsel
-	// granularity of parallel scans), outside the table lock. It is a
+	// BeforeScanBatch runs before a snapshot collects one batch of
+	// visible rows (CollectVisible), outside the table lock. It is a
 	// pause-only point: blocking here pins a reader mid-scan against
 	// concurrent maintenance; a hook that blocks should watch the
 	// query's context so cancellation releases it.

@@ -442,9 +442,9 @@ func (s *Snapshot) TS() uint64 { return s.ts }
 // Pin registers the snapshot's timestamp with the owning DB's watermark
 // so version GC keeps every version visible at it, and returns the
 // release function. Long-lived readers that drop and re-acquire table
-// locks across their lifetime (morsel-parallel scans in particular) pin
-// themselves so new snapshots taken at their timestamp stay valid. A
-// no-op for standalone tables.
+// locks across their lifetime (batch scans, which lock once per batch)
+// pin themselves so new snapshots taken at their timestamp stay valid.
+// A no-op for standalone tables.
 func (s *Snapshot) Pin() (release func()) {
 	if s.t.db == nil {
 		return func() {}
@@ -550,8 +550,8 @@ func (s *Snapshot) ValuesInto(row int, ords []int, out types.Row) {
 }
 
 // NumRowVersions returns the total number of stored row versions,
-// visible or not. It bounds the row-position domain that morsel-driven
-// scans split into ranges; each range is then filtered for visibility
+// visible or not. It bounds the row-position domain that batch scans
+// walk in fixed-size ranges; each range is then filtered for visibility
 // with CollectVisible.
 func (s *Snapshot) NumRowVersions() int {
 	s.t.mu.RLock()
@@ -562,8 +562,7 @@ func (s *Snapshot) NumRowVersions() int {
 // CollectVisible appends to dst the visible row positions in [lo, hi),
 // skipping zone-mapped blocks that cannot satisfy the range constraints
 // (which may be nil). The whole range is processed under a single lock
-// acquisition, so per-row locking cost is amortized across the morsel.
-// It is safe to call concurrently from multiple workers.
+// acquisition, so per-row locking cost is amortized across the batch.
 func (s *Snapshot) CollectVisible(lo, hi int, ranges []ColRange, dst []int) []int {
 	if h := s.t.hooks(); h != nil && h.BeforeScanBatch != nil {
 		h.BeforeScanBatch(s.t.Name())
@@ -589,51 +588,6 @@ func (s *Snapshot) CollectVisible(lo, hi int, ranges []ColRange, dst []int) []in
 		}
 	}
 	return dst
-}
-
-// CountVisible counts the visible row positions in [lo, hi) under a
-// single lock acquisition, honoring zone-map pruning. It lets a
-// count(*)-only aggregation avoid materializing rows entirely.
-func (s *Snapshot) CountVisible(lo, hi int, ranges []ColRange) int {
-	if h := s.t.hooks(); h != nil && h.BeforeScanBatch != nil {
-		h.BeforeScanBatch(s.t.Name())
-	}
-	s.t.mu.RLock()
-	defer s.t.mu.RUnlock()
-	d := s.data
-	if hi > len(d.begin) {
-		hi = len(d.begin)
-	}
-	n := 0
-	for r := lo; r < hi; {
-		if next := d.zoneSkip(r, ranges, s.t.metrics); next > r {
-			r = next
-			continue
-		}
-		for end := d.zoneRunEnd(r, hi, ranges); r < end; r++ {
-			if d.begin[r] <= s.ts && s.ts < d.end[r] {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// FillRows materializes the given column ordinals of several row
-// positions into flat, a row-major buffer of len(rows)*len(ords)
-// values: flat[i*len(ords)+k] receives column ords[k] of rows[i]. The
-// fill runs column-by-column for fragment locality and acquires the
-// table lock once for the whole batch. Safe for concurrent use.
-func (s *Snapshot) FillRows(rows []int, ords []int, flat types.Row) {
-	s.t.mu.RLock()
-	defer s.t.mu.RUnlock()
-	w := len(ords)
-	for k, ord := range ords {
-		col := s.data.cols[ord]
-		for i, r := range rows {
-			flat[i*w+k] = col.get(r)
-		}
-	}
 }
 
 // Row materializes a full row.

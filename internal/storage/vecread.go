@@ -10,8 +10,8 @@ import "vdm/internal/types"
 
 // FillVecs fills vecs[k] with column ords[k] of the given row positions.
 // Each vector is Reset to len(rows) entries of the column's type and
-// filled column-at-a-time under a single table-lock acquisition, like
-// FillRows. For string columns the vector carries combined dictionary
+// filled column-at-a-time under a single table-lock acquisition. For
+// string columns the vector carries combined dictionary
 // codes (delta codes are offset by the main dictionary size) plus a
 // DictView capturing both dictionaries; because dictionaries are
 // append-only and delta fragments are replaced (not mutated) by merges,

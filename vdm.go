@@ -143,9 +143,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 // recovery took.
 type RecoveryInfo = storage.RecoveryInfo
 
-// Options configures an engine (parallelism, plan cache, and the
-// query-governance knobs: StatementTimeout, MemoryBudget,
-// MaxConcurrentQueries, QueueTimeout).
+// Options configures an engine (executor mode and batch size, background
+// maintenance, WAL and replicas, and the query-governance knobs:
+// StatementTimeout, MemoryBudget, MaxConcurrentQueries, QueueTimeout).
+// Every query runs on one goroutine.
 type Options = engine.Options
 
 // NewEngine returns an empty engine with the full optimizer profile.
