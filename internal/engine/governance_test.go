@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,16 +23,23 @@ import (
 // caller's goroutine and the hook's.
 
 // govPoints maps each executor pause point to a query that reaches it
-// on the TPC-H fixture.
+// on the TPC-H fixture. The pin holds the query at the point's arrival
+// with that index (0: the first); hash_build_nested holds a join over a
+// join at its second build, the nested one, which starts inside the
+// outer join's Open.
 var govPoints = []struct {
-	point string
-	query string
+	name    string
+	point   string
+	arrival int
+	query   string
 }{
-	{exec.PointScan, `select o_orderkey, o_totalprice from orders`},
-	{exec.PointHashBuild, `select o.o_orderkey, c.c_name from orders o inner join customer c on o.o_custkey = c.c_custkey`},
-	{exec.PointGroupMerge, `select o_orderstatus, count(*) from orders group by o_orderstatus`},
-	{exec.PointTopK, `select o_orderkey from orders order by o_totalprice desc limit 5`},
-	{exec.PointSort, `select o_orderkey from orders order by o_totalprice desc`},
+	{exec.PointScan, exec.PointScan, 0, `select o_orderkey, o_totalprice from orders`},
+	{exec.PointHashBuild, exec.PointHashBuild, 0, `select o.o_orderkey, c.c_name from orders o inner join customer c on o.o_custkey = c.c_custkey`},
+	{"hash_build_nested", exec.PointHashBuild, 1, `select o.o_orderkey, c.c_name, l.l_linenumber from lineitem l
+		inner join orders o on l.l_orderkey = o.o_orderkey inner join customer c on o.o_custkey = c.c_custkey`},
+	{exec.PointGroupMerge, exec.PointGroupMerge, 0, `select o_orderstatus, count(*) from orders group by o_orderstatus`},
+	{exec.PointTopK, exec.PointTopK, 0, `select o_orderkey from orders order by o_totalprice desc limit 5`},
+	{exec.PointSort, exec.PointSort, 0, `select o_orderkey from orders order by o_totalprice desc`},
 }
 
 func govModes() []struct {
@@ -51,11 +59,18 @@ func govModes() []struct {
 // until the query's context dies or release is closed. It returns the
 // channel closed on first arrival and the release closer.
 func pin(e *engine.Engine, point string) (entered chan struct{}, release func()) {
+	return pinAt(e, point, 0)
+}
+
+// pinAt is pin for the arrival with the given index: earlier arrivals
+// at the point pass.
+func pinAt(e *engine.Engine, point string, arrival int) (entered chan struct{}, release func()) {
 	entered = make(chan struct{})
 	rel := make(chan struct{})
 	var once sync.Once
+	var arrivals atomic.Int32
 	e.SetExecHooks(&exec.Hooks{OnPoint: func(ctx context.Context, p string) error {
-		if p != point {
+		if p != point || int(arrivals.Add(1))-1 < arrival {
 			return nil
 		}
 		once.Do(func() { close(entered) })
@@ -104,10 +119,10 @@ func TestGovernanceCancelAtEveryPausePoint(t *testing.T) {
 	for _, mode := range govModes() {
 		e.SetOptions(mode.opts)
 		for _, pp := range govPoints {
-			label := mode.name + "/" + pp.point
+			label := mode.name + "/" + pp.name
 			t.Run(label, func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				entered, release := pin(e, pp.point)
+				entered, release := pinAt(e, pp.point, pp.arrival)
 				defer func() {
 					release()
 					e.SetExecHooks(nil)

@@ -344,6 +344,9 @@ func (e *Engine) explainAnalyzeOn(ctx context.Context, p *plan.Plan, db *storage
 		if n == p.Root && e.replicas != nil {
 			note = joinNotes(note, fmt.Sprintf("target=%s lag=%d", target, lag))
 		}
+		if n == p.Root && !e.opts.DisableVectorize {
+			note = joinNotes(note, fmt.Sprintf("row_ops=%d", builder.RowOps()))
+		}
 		return joinNotes(note, vecFallbackNote(st))
 	}), nil
 }

@@ -29,7 +29,14 @@ type Builder struct {
 	// gov carries the query's cancellation context, memory budget, and
 	// test hooks (see SetGovernance); nil runs ungoverned.
 	gov *Governance
+	// rowOps counts the row iterators built while vectorizing (RowOps).
+	rowOps int
 }
+
+// RowOps returns how many row iterators the builder has built while the
+// batch executor was on: the operators the batch compiler did not take.
+// It is zero for a builder that is not vectorizing.
+func (b *Builder) RowOps() int { return b.rowOps }
 
 // SetGovernance attaches a query's governance handle: subsequent Build
 // calls produce iterators that check its context at batch granularity,
@@ -107,16 +114,29 @@ func (b *Builder) Build(n plan.Node) (Iterator, error) {
 }
 
 func (b *Builder) build(n plan.Node) (Iterator, error) {
+	if b.vecSize == 0 {
+		return b.buildRow(n)
+	}
 	// The batch compiler gets first pick, EXPLAIN ANALYZE included. What
 	// it declines falls back to the row path, counted per reason in
-	// exec.vec_fallbacks.
-	if b.vecSize > 0 {
-		it, reason := b.buildVec(n)
-		if it != nil {
-			return it, nil
-		}
-		b.noteFallback(n, reason)
+	// exec.vec_fallbacks and in total in exec.row_ops.
+	it, reason := b.buildVec(n)
+	if it != nil {
+		return it, nil
 	}
+	b.noteFallback(n, reason)
+	it, err := b.buildRow(n)
+	if err == nil {
+		b.rowOps++
+		if b.met != nil {
+			b.met.RowOps.Inc()
+		}
+	}
+	return it, err
+}
+
+// buildRow builds n's row iterator.
+func (b *Builder) buildRow(n plan.Node) (Iterator, error) {
 	switch n := n.(type) {
 	case *plan.Scan:
 		tbl, ok := b.db.Table(n.Info.Name)
@@ -263,9 +283,9 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 		// input row survives the fragment, so the limit bounds exactly
 		// how many rows the adapter will ever decode. Clamp the batch
 		// size so a small page doesn't fill and box a full batch.
-		if vri, ok := input.(*vecRowsIter); ok && !vri.spec.hasFilter() && n.Count >= 0 && n.Offset >= 0 {
-			if need := n.Offset + n.Count; need > 0 && need < int64(vri.batchSize) {
-				vri.batchSize = int(need)
+		if vri, ok := input.(*vecRowsIter); ok && n.Count >= 0 && n.Offset >= 0 {
+			if need := n.Offset + n.Count; need > 0 {
+				vri.spec.clampScan(need)
 			}
 		}
 		return &limitIter{input: input, count: n.Count, offset: n.Offset}, nil
@@ -307,7 +327,7 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 func (b *Builder) buildPrunedScan(scan *plan.Scan, ranges []storage.ColRange) (Iterator, error) {
 	if b.vecSize > 0 {
 		if f, _ := b.vecFragment(scan); f != nil {
-			f.spec.ranges = ranges
+			f.spec.src.(*scanSource).ranges = ranges
 			if b.analyze {
 				b.attachVecStats(f, false)
 			}

@@ -5,10 +5,11 @@
 //
 // Two execution models share one Iterator contract. The row-at-a-time
 // path pulls boxed rows operator by operator; the vectorized path
-// (SetVectorize) compiles eligible scan→filter→project fragments,
-// aggregations, and hash joins into kernels over fixed-size column
-// batches of raw dictionary codes (Batch, types.Vec), adapting back to
-// rows at the first ineligible operator. Both paths produce row- and
+// (SetVectorize) compiles batch sources — scans and hash joins, with
+// filter/project pipelines over them — and the aggregations, top-k
+// heaps and DISTINCTs that consume them into kernels over fixed-size
+// column batches of raw dictionary codes (Batch, types.Vec), adapting
+// back to rows at the first ineligible operator. Both paths produce row- and
 // order-identical results, each query on one goroutine; see
 // docs/EXECUTION.md for the model, eligibility rules, and layout.
 package exec

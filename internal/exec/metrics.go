@@ -31,6 +31,10 @@ type Metrics struct {
 	VecFallbackUnion           metrics.Counter
 	VecFallbackDistinct        metrics.Counter
 	VecFallbackAnalyzeParallel metrics.Counter
+	// RowOps counts row iterators built for statements that run with the
+	// batch executor on: every operator the batch compiler did not take,
+	// labelled or not (Builder.RowOps is the per-statement count).
+	RowOps metrics.Counter
 	// PeakQueryBytes is the high-water mark of any single query's
 	// governance-tracked memory since the engine started.
 	PeakQueryBytes metrics.Gauge
@@ -48,5 +52,6 @@ func (m *Metrics) RegisterWith(r *metrics.Registry) {
 	r.RegisterCounter("exec.vec_fallbacks.union", &m.VecFallbackUnion)
 	r.RegisterCounter("exec.vec_fallbacks.distinct", &m.VecFallbackDistinct)
 	r.RegisterCounter("exec.vec_fallbacks.analyze_parallel", &m.VecFallbackAnalyzeParallel)
+	r.RegisterCounter("exec.row_ops", &m.RowOps)
 	r.Register("exec.peak_query_bytes", m.PeakQueryBytes.Value)
 }

@@ -25,9 +25,102 @@ type topKIter struct {
 	pos  int
 }
 
-type heapItem struct {
+// topkItem is one heap candidate: a row and its arrival sequence number.
+type topkItem struct {
 	row types.Row
 	seq int
+}
+
+// topkHeap is a bounded max-heap of candidates shared by the row and
+// batch top-k: the root is the worst row kept, evicted as soon as a
+// better candidate arrives. Comparison errors (values of incompatible
+// types, e.g. across UNION ALL branches) are captured on first
+// occurrence.
+type topkHeap struct {
+	items []topkItem
+	keep  int
+	keys  []sortKeySpec
+	err   error
+}
+
+// after reports whether a sorts after b: worse key, or equal keys with
+// later arrival.
+func (h *topkHeap) after(a, b *topkItem) bool {
+	c, err := compareRows(a.row, b.row, h.keys)
+	if err != nil && h.err == nil {
+		h.err = err
+	}
+	if c != 0 {
+		return c > 0
+	}
+	return a.seq > b.seq
+}
+
+// rejects reports whether a full heap turns the candidate away. Only
+// the candidate row's sort-key positions are read, so a caller can test
+// a candidate before boxing the rest of its row.
+func (h *topkHeap) rejects(c *topkItem) bool {
+	return len(h.items) == h.keep && !h.after(&h.items[0], c)
+}
+
+// push offers a candidate, reporting whether the heap grew (the only
+// case that allocates and therefore meters).
+func (h *topkHeap) push(it topkItem) bool {
+	if len(h.items) < h.keep {
+		h.items = append(h.items, it)
+		h.up(len(h.items) - 1)
+		return true
+	}
+	if h.after(&h.items[0], &it) {
+		h.items[0] = it
+		h.down(0)
+	}
+	return false
+}
+
+func (h *topkHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.after(&h.items[i], &h.items[p]) {
+			break
+		}
+		h.items[i], h.items[p] = h.items[p], h.items[i]
+		i = p
+	}
+}
+
+func (h *topkHeap) down(i int) {
+	n := len(h.items)
+	for {
+		l, r := 2*i+1, 2*i+2
+		if l >= n {
+			return
+		}
+		c := l
+		if r < n && h.after(&h.items[r], &h.items[l]) {
+			c = r
+		}
+		if !h.after(&h.items[c], &h.items[i]) {
+			return
+		}
+		h.items[i], h.items[c] = h.items[c], h.items[i]
+		i = c
+	}
+}
+
+// page returns the kept rows past offset, in output order.
+func (h *topkHeap) page(offset int64) ([]types.Row, error) {
+	items := h.items
+	sort.Slice(items, func(i, j int) bool { return h.after(&items[j], &items[i]) })
+	if h.err != nil {
+		return nil, h.err
+	}
+	start := int(min(offset, int64(len(items))))
+	rows := make([]types.Row, 0, len(items)-start)
+	for _, it := range items[start:] {
+		rows = append(rows, it.row)
+	}
+	return rows, nil
 }
 
 func (t *topKIter) Open() error {
@@ -38,52 +131,12 @@ func (t *topKIter) Open() error {
 	if err := t.gov.point(PointTopK); err != nil {
 		return err
 	}
+	t.rows, t.pos = nil, 0
 	keep := int(t.offset + t.count)
 	if keep <= 0 {
-		t.rows, t.pos = nil, 0
 		return nil
 	}
-	var cmpErr error
-	// after reports whether a sorts after b; the heap keeps the
-	// after-most kept row at its root, ready for eviction.
-	after := func(a, b heapItem) bool {
-		c, err := compareRows(a.row, b.row, t.keys)
-		if err != nil && cmpErr == nil {
-			cmpErr = err
-		}
-		if c != 0 {
-			return c > 0
-		}
-		return a.seq > b.seq
-	}
-	h := make([]heapItem, 0, keep)
-	siftUp := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !after(h[i], h[p]) {
-				return
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-	siftDown := func() {
-		i := 0
-		for {
-			m := i
-			if l := 2*i + 1; l < len(h) && after(h[l], h[m]) {
-				m = l
-			}
-			if r := 2*i + 2; r < len(h) && after(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
+	h := &topkHeap{keep: keep, keys: t.keys}
 	stride := govStride{gov: t.gov}
 	for seq := 0; ; seq++ {
 		row, ok, err := t.input.Next()
@@ -96,37 +149,20 @@ func (t *topKIter) Open() error {
 		if err := stride.tick(); err != nil {
 			return err
 		}
-		item := heapItem{row: row, seq: seq}
-		if len(h) < keep {
-			// Only heap growth is metered: the heap is bounded at keep
-			// rows, replacements reuse the slot.
+		// Only heap growth is metered: the heap is bounded at keep rows,
+		// replacements reuse the slot.
+		if h.push(topkItem{row: row, seq: seq}) {
 			if err := t.acct.add(rowBytes(row)); err != nil {
 				return err
 			}
-			h = append(h, item)
-			siftUp(len(h) - 1)
-		} else if after(h[0], item) {
-			h[0] = item
-			siftDown()
 		}
-		if cmpErr != nil {
-			return cmpErr
+		if h.err != nil {
+			return h.err
 		}
 	}
-	sort.Slice(h, func(i, j int) bool { return after(h[j], h[i]) })
-	if cmpErr != nil {
-		return cmpErr
-	}
-	start := int(t.offset)
-	if start > len(h) {
-		start = len(h)
-	}
-	t.rows = make([]types.Row, 0, len(h)-start)
-	for _, item := range h[start:] {
-		t.rows = append(t.rows, item.row)
-	}
-	t.pos = 0
-	return nil
+	rows, err := h.page(t.offset)
+	t.rows = rows
+	return err
 }
 
 func (t *topKIter) Next() (types.Row, bool, error) {

@@ -8,35 +8,44 @@ import (
 	"vdm/internal/types"
 )
 
-// Vectorized batch execution. A vecSpec is a fused pipeline fragment —
-// a scan with any interleaving of filter and project stages — that
-// materializes fixed-size column batches straight from storage
-// (FillVecs: typed vectors, raw dictionary codes, null bitmaps) and
-// narrows them with a selection vector instead of copying survivors.
+// Vectorized batch execution. Every batch operator consumes a batch
+// source: a compiled subtree that hands out column batches through one
+// pull contract (open / next / close). Two kinds produce batches — the
+// snapshot scan (scanSource), which materializes fixed-size column
+// batches straight from storage (FillVecs: typed vectors, raw dictionary
+// codes, null bitmaps), and the equi hash join (joinSource, vecjoin.go)
+// — and a pipeline (vecSpec) runs any interleaving of filter and project
+// stages over either, narrowing batches with a selection vector instead
+// of copying survivors. Pipelines are sources themselves, so a join
+// consumes joins and every sink (aggregation, top-k, DISTINCT, the row
+// adapter) consumes whatever subtree compiled below it.
+//
 // Filter kernels run one tight loop per conjunct per batch; string
-// comparisons translate the literal once per batch by memoizing the
-// comparison outcome per dictionary code; OR trees evaluate one
+// comparisons and IN lists translate the literals once per batch by
+// memoizing the outcome per dictionary code; OR trees evaluate one
 // selection vector per branch and merge them by ordered union; computed
 // projections run expression kernels (vecexpr.go) that publish new batch
 // columns. Governance is checked once per batch (the same granularity as
 // the row path's govStride), and the row-iterator adapter (vecRowsIter)
-// decodes batches back into rows so every downstream operator — and
-// every result — is row- and order-identical to the classic executor.
+// decodes batches back into rows, so every result is row- and
+// order-identical to the classic executor.
 //
-// Dictionary codes are only stable within one batch (a concurrent delta
-// merge re-encodes delta rows), so all cross-batch state keys on decoded
-// values or Value.AppendKey bytes, and per-code memos are epoch-bumped
-// every batch.
+// Storage dictionary codes are only stable within one batch (a
+// concurrent delta merge re-encodes delta rows), so cross-batch state
+// keys on decoded values or Value.AppendKey bytes, and per-code memos
+// are epoch-bumped every batch. A join's build side re-encodes its string
+// columns into a build-local dictionary, whose codes are stable for the
+// join's lifetime.
 
 // DefaultBatchSize is the rows per column batch when the caller does not
 // configure one. It matches the storage zone-map block size, so a batch
 // never spans more than two zones.
 const DefaultBatchSize = 1024
 
-// Batch is a fixed-size horizontal slice of a table: one typed vector
-// per projected column plus an optional selection vector produced by
-// filter kernels. When HasSel is set, only the row indexes in Sel are
-// live; otherwise all N rows are.
+// Batch is a fixed-size horizontal slice of a relation: one typed vector
+// per column plus an optional selection vector produced by filter
+// kernels or a join's probe. When HasSel is set, only the row indexes in
+// Sel are live; otherwise all N rows are.
 type Batch struct {
 	// N is the number of rows materialized in each column vector.
 	N int
@@ -47,8 +56,8 @@ type Batch struct {
 	// distinct from Sel being empty: a fully-filtered batch has
 	// HasSel=true and len(Sel)==0.
 	HasSel bool
-	// Cols holds one vector per column: the storage-filled columns
-	// first, then any computed projection columns.
+	// Cols holds one vector per column: the source's columns first,
+	// then any computed projection columns.
 	Cols []types.Vec
 }
 
@@ -60,7 +69,127 @@ func (b *Batch) NumRows() int {
 	return b.N
 }
 
-// vecStage is one fused pipeline stage above the scan. A Filter node
+// iota32 returns the identity selection [0, n), growing buf as needed.
+func iota32(buf *[]int32, n int) []int32 {
+	if len(*buf) < n {
+		*buf = make([]int32, n)
+		for i := range *buf {
+			(*buf)[i] = int32(i)
+		}
+	}
+	return (*buf)[:n]
+}
+
+// liveRows returns b's live row indexes in ascending order: its
+// selection vector, or the identity drawn from buf.
+func liveRows(b *Batch, buf *[]int32) []int32 {
+	if b.HasSel {
+		return b.Sel
+	}
+	return iota32(buf, b.N)
+}
+
+// batchSource is a compiled subtree that hands out column batches: the
+// one contract every batch operator consumes. next returns nil at the
+// end of the stream; a returned batch and its vectors stay valid until
+// the following next call. close is idempotent and safe after a failed
+// or missing open, so consumers always close every source they hold.
+type batchSource interface {
+	open() error
+	next() (*Batch, error)
+	close()
+}
+
+// forEachBatch opens src, hands every batch to fn, and closes src: the
+// one drain loop of the blocking batch consumers.
+func forEachBatch(src batchSource, fn func(*Batch) error) error {
+	defer src.close()
+	if err := src.open(); err != nil {
+		return err
+	}
+	for {
+		b, err := src.next()
+		if err != nil || b == nil {
+			return err
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+}
+
+// --- snapshot scan ------------------------------------------------------
+
+// scanSource reads the visible rows of successive storage position
+// ranges into typed vectors — one CollectVisible and one FillVecs per
+// batch, skipping zone-map blocks the filters above rule out. Batches
+// carry no selection vector and arrive in storage order, exactly the
+// row scan's order. It fires PointScan on open and checks governance
+// once per batch.
+type scanSource struct {
+	snap      *storage.Snapshot
+	ords      []int              // storage ordinals materialized per batch
+	ranges    []storage.ColRange // zone-map pruning, as the row path
+	batchSize int
+	gov       *Governance
+	met       *Metrics
+	// stats attributes batch fills to the Scan node under EXPLAIN
+	// ANALYZE (nil when off or when the scan is the operator statIter
+	// wraps).
+	stats *OpStats
+
+	unpin      func()
+	pos, total int
+	idx        []int
+	batch      Batch
+	ptrs       []*types.Vec
+}
+
+func (s *scanSource) open() error {
+	s.unpin = s.snap.Pin()
+	if s.ptrs == nil {
+		s.batch.Cols = make([]types.Vec, len(s.ords))
+		s.ptrs = make([]*types.Vec, len(s.ords))
+		for i := range s.ptrs {
+			s.ptrs[i] = &s.batch.Cols[i]
+		}
+	}
+	s.pos, s.total = 0, s.snap.NumRowVersions()
+	return s.gov.point(PointScan)
+}
+
+func (s *scanSource) next() (*Batch, error) {
+	for s.pos < s.total {
+		if err := s.gov.Err(); err != nil {
+			return nil, err
+		}
+		lo := s.pos
+		s.pos += s.batchSize
+		s.idx = s.snap.CollectVisible(lo, s.pos, s.ranges, s.idx[:0])
+		if len(s.idx) == 0 {
+			continue
+		}
+		s.snap.FillVecs(s.idx, s.ords, s.ptrs)
+		if s.met != nil {
+			s.met.VecBatches.Inc()
+		}
+		statAdd(s.stats, int64(len(s.idx)))
+		s.batch.N = len(s.idx)
+		return &s.batch, nil
+	}
+	return nil, nil
+}
+
+func (s *scanSource) close() {
+	if s.unpin != nil {
+		s.unpin()
+		s.unpin = nil
+	}
+}
+
+// --- pipeline -----------------------------------------------------------
+
+// vecStage is one fused pipeline stage above the source. A Filter node
 // compiles to a stage with conjunct kernels; a Project node compiles to
 // a stage with computed-column kernels (bare column shuffles need no
 // stage work and compile to an empty stage kept for EXPLAIN ANALYZE
@@ -71,28 +200,23 @@ type vecStage struct {
 	stats *OpStats     // per-stage EXPLAIN ANALYZE attribution (nil off)
 }
 
-// vecSpec is the immutable description of a batch pipeline fragment;
-// the mutable state of one sweep over it lives in vecScratch.
+// vecSpec is a pipeline: a batch source with filter/project stages run
+// over its batches. It is itself a batch source. The compiled fields are
+// immutable; the mutable state of one sweep lives in sc.
 type vecSpec struct {
-	snap    *storage.Snapshot
-	ords    []int              // storage ordinals materialized per batch
-	ranges  []storage.ColRange // zone-map pruning, as the row path
-	stages  []vecStage         // filter/project stages in plan order
-	proj    []int              // batch column per output row position
-	numCols int                // len(ords) + computed columns
-	nMemos  int                // dictionary-code memo tables needed
-	nBufs   int                // scratch selection buffers needed
-	nSlots  int                // scratch expression vectors needed
-	gov     *Governance
-	met     *Metrics
+	src     batchSource
+	width   int        // columns of the source's batches
+	stages  []vecStage // filter/project stages in plan order
+	proj    []int      // batch column per output row position
+	numCols int        // width + computed columns
+	nMemos  int        // dictionary-code memo tables needed
+	nBufs   int        // scratch selection buffers needed
+	nSlots  int        // scratch expression vectors needed
 
-	// scanStats attributes batch fills to the Scan node under EXPLAIN
-	// ANALYZE (nil when off or when the scan is the operator statIter
-	// wraps).
-	scanStats *OpStats
+	sc *vecScratch
 }
 
-// hasFilter reports whether the fragment filters rows.
+// hasFilter reports whether the pipeline drops rows of its source.
 func (s *vecSpec) hasFilter() bool {
 	for i := range s.stages {
 		if len(s.stages[i].filt) > 0 {
@@ -100,6 +224,15 @@ func (s *vecSpec) hasFilter() bool {
 		}
 	}
 	return false
+}
+
+// clampScan lowers the batch size of a filter-less pipeline straight
+// over a scan, where every scanned row is an output row: a LIMIT that
+// needs n rows then fills and decodes only n.
+func (s *vecSpec) clampScan(n int64) {
+	if scan, ok := s.src.(*scanSource); ok && !s.hasFilter() && n < int64(scan.batchSize) {
+		scan.batchSize = int(n)
+	}
 }
 
 // statAdd accumulates per-stage analyze counters.
@@ -111,106 +244,94 @@ func statAdd(st *OpStats, rows int64) {
 	st.Nexts++
 }
 
-// vecScratch is one sweep's reusable batch state: the visible-position
-// buffer, the column batch, selection-vector ping-pong buffers, the
-// per-conjunct dictionary-code memo tables, and the expression kernels'
-// output vectors and selection scratch.
+// vecScratch is one sweep's reusable batch state: the output batch, the
+// selection-vector ping-pong buffers, the per-conjunct dictionary-code
+// memo tables, and the expression kernels' output vectors and selection
+// scratch.
 type vecScratch struct {
-	idx        []int
 	batch      Batch
-	ptrs       []*types.Vec
 	allIdx     []int32
 	selA, selB []int32
 	memos      []codeMemo
 	selBufs    [][]int32   // OR-branch and CASE-arm selection scratch
 	exprVecs   []types.Vec // expression kernel outputs, by slot
-	keyBuf     []byte      // AppendKeyAt composite-key scratch
 }
 
-// newVecScratch sizes scratch state for the spec's batch width.
+// newVecScratch sizes scratch state for the pipeline's batch width.
 func newVecScratch(s *vecSpec) *vecScratch {
-	sc := &vecScratch{}
-	sc.batch.Cols = make([]types.Vec, s.numCols)
-	sc.ptrs = make([]*types.Vec, len(s.ords))
-	for i := range sc.ptrs {
-		sc.ptrs[i] = &sc.batch.Cols[i]
+	return &vecScratch{
+		batch:    Batch{Cols: make([]types.Vec, s.numCols)},
+		memos:    make([]codeMemo, s.nMemos),
+		selBufs:  make([][]int32, s.nBufs),
+		exprVecs: make([]types.Vec, s.nSlots),
 	}
-	sc.memos = make([]codeMemo, s.nMemos)
-	sc.selBufs = make([][]int32, s.nBufs)
-	sc.exprVecs = make([]types.Vec, s.nSlots)
-	return sc
 }
 
-// liveAll returns the identity selection [0..n), growing the shared
-// buffer as needed.
-func (sc *vecScratch) liveAll(n int) []int32 {
-	for len(sc.allIdx) < n {
-		sc.allIdx = append(sc.allIdx, int32(len(sc.allIdx)))
-	}
-	return sc.allIdx[:n]
+func (s *vecSpec) open() error {
+	s.sc = newVecScratch(s)
+	return s.src.open()
 }
 
-// fill materializes the visible rows of position range [lo, hi) into the
-// scratch batch and runs the stage kernels: filters narrow the selection
-// vector, computed projections publish new batch columns. It checks
-// governance once per batch.
-func (s *vecSpec) fill(lo, hi int, sc *vecScratch) error {
-	if err := s.gov.Err(); err != nil {
-		return err
-	}
-	sc.idx = s.snap.CollectVisible(lo, hi, s.ranges, sc.idx[:0])
+func (s *vecSpec) close() { s.src.close() }
+
+// next pulls source batches until one has live rows after the stages:
+// filters narrow the selection vector, computed projections publish new
+// batch columns. The source's vectors are shared, never copied.
+func (s *vecSpec) next() (*Batch, error) {
+	sc := s.sc
 	b := &sc.batch
-	b.N = len(sc.idx)
-	b.Sel, b.HasSel = nil, false
-	if b.N == 0 {
-		return nil
-	}
-	s.snap.FillVecs(sc.idx, s.ords, sc.ptrs)
-	if s.met != nil {
-		s.met.VecBatches.Inc()
-	}
-	statAdd(s.scanStats, int64(b.N))
-	cur := sc.liveAll(b.N)
-	filtered := false
-	flip := 0
-	for si := range s.stages {
-		st := &s.stages[si]
-		for ci := range st.filt {
-			var dst []int32
-			if flip%2 == 0 {
-				dst = sc.selA[:0]
-			} else {
-				dst = sc.selB[:0]
-			}
-			dst = st.filt[ci].run(b, cur, dst, sc)
-			if flip%2 == 0 {
-				sc.selA = dst
-			} else {
-				sc.selB = dst
-			}
-			cur = dst
-			flip++
-			filtered = true
-			if len(cur) == 0 {
-				break
-			}
+	for {
+		in, err := s.src.next()
+		if in == nil || err != nil {
+			return nil, err
 		}
-		for _, ce := range st.exprs {
-			res := ce.expr.eval(b, cur, sc)
-			b.Cols[ce.dst] = *res
+		copy(b.Cols, in.Cols[:s.width])
+		b.N = in.N
+		cur := liveRows(in, &sc.allIdx)
+		filtered := in.HasSel
+		flip := 0
+		for si := range s.stages {
+			st := &s.stages[si]
+			for ci := range st.filt {
+				var dst []int32
+				if flip%2 == 0 {
+					dst = sc.selA[:0]
+				} else {
+					dst = sc.selB[:0]
+				}
+				dst = st.filt[ci].run(b, cur, dst, sc)
+				if flip%2 == 0 {
+					sc.selA = dst
+				} else {
+					sc.selB = dst
+				}
+				cur = dst
+				flip++
+				filtered = true
+				if len(cur) == 0 {
+					break
+				}
+			}
+			for _, ce := range st.exprs {
+				res := ce.expr.eval(b, cur, sc)
+				b.Cols[ce.dst] = *res
+			}
+			statAdd(st.stats, int64(len(cur)))
 		}
-		statAdd(st.stats, int64(len(cur)))
+		if len(cur) == 0 {
+			continue
+		}
+		b.Sel, b.HasSel = nil, false
+		if filtered {
+			b.Sel, b.HasSel = cur, true
+		}
+		return b, nil
 	}
-	if filtered {
-		b.Sel, b.HasSel = cur, true
-	}
-	return nil
 }
 
-// decodeRows boxes the batch's live rows in selection order, appending
-// to dst. Rows share one flat backing array per batch.
-func (s *vecSpec) decodeRows(sc *vecScratch, dst []types.Row) []types.Row {
-	b := &sc.batch
+// decodeRows boxes the batch's live output rows in selection order,
+// appending to dst. Rows share one flat backing array per batch.
+func (s *vecSpec) decodeRows(b *Batch, dst []types.Row) []types.Row {
 	n := b.NumRows()
 	if n == 0 {
 		return dst
@@ -231,6 +352,24 @@ func (s *vecSpec) decodeRows(sc *vecScratch, dst []types.Row) []types.Row {
 	}
 	for i := 0; i < n; i++ {
 		dst = append(dst, flat[i*w:(i+1)*w:(i+1)*w])
+	}
+	return dst
+}
+
+// decodeRow boxes one output row of the batch.
+func (s *vecSpec) decodeRow(b *Batch, ri int) types.Row {
+	row := make(types.Row, len(s.proj))
+	for k, ci := range s.proj {
+		row[k] = b.Cols[ci].Value(ri)
+	}
+	return row
+}
+
+// appendRowKey appends the composite AppendKey encoding of row ri's
+// output columns to dst.
+func (s *vecSpec) appendRowKey(dst []byte, b *Batch, ri int) []byte {
+	for _, ci := range s.proj {
+		dst = b.Cols[ci].AppendKeyAt(dst, ri)
 	}
 	return dst
 }
@@ -272,26 +411,29 @@ type vecCmp struct {
 	list        []types.Value // IN: non-NULL constant elements
 	sawNullElem bool          // IN: list contained a NULL
 	not         bool          // IN / IS NULL negation
-	memo        int           // vcStr: dictionary-code memo table index
+	memo        int           // vcStr, vcIn: dictionary-code memo table index
 	branches    [][]vecCmp    // vcOr: conjunct chain per branch
 	bufBase     int           // vcOr: four scratch selection buffers
 	expr        vecExpr       // vcExpr: compiled boolean kernel
 }
 
-// codeMemo caches a per-dictionary-code outcome for one conjunct within
-// one batch. Entries are valid only when their epoch matches cur; the
-// epoch is bumped every batch because combined dictionary codes are not
-// stable across batches.
-type codeMemo struct {
-	val   []int8
+// epochMemo caches one outcome per dictionary code for the current
+// batch. Entries are valid only when their epoch matches cur; next bumps
+// the epoch every batch because storage dictionary codes are not stable
+// across batches.
+type epochMemo[T any] struct {
+	val   []T
 	epoch []uint32
 	cur   uint32
 }
 
+// codeMemo is the filter kernels' per-code comparison outcome memo.
+type codeMemo = epochMemo[int8]
+
 // next starts a new batch epoch, growing the tables to cover size codes.
-func (m *codeMemo) next(size int) {
+func (m *epochMemo[T]) next(size int) {
 	if size > len(m.val) {
-		nv := make([]int8, size)
+		nv := make([]T, size)
 		copy(nv, m.val)
 		m.val = nv
 		ne := make([]uint32, size)
@@ -305,6 +447,16 @@ func (m *codeMemo) next(size int) {
 		}
 		m.cur = 1
 	}
+}
+
+// get returns the outcome memoized for code in this epoch, if any.
+func (m *epochMemo[T]) get(code int32) (T, bool) {
+	return m.val[code], m.epoch[code] == m.cur
+}
+
+// put memoizes code's outcome for this epoch.
+func (m *epochMemo[T]) put(code int32, v T) {
+	m.val[code], m.epoch[code] = v, m.cur
 }
 
 func signIdx(c int) int8 {
@@ -338,6 +490,18 @@ func mergeUnion(dst, a, b []int32) []int32 {
 	dst = append(dst, a[i:]...)
 	dst = append(dst, b[j:]...)
 	return dst
+}
+
+// inKeeps reports whether a non-NULL value survives the IN kernel: a
+// match keeps it unless negated; no match keeps it only under NOT IN
+// with no NULL element (a NULL element turns the non-match into NULL).
+func (c *vecCmp) inKeeps(val types.Value) bool {
+	for _, x := range c.list {
+		if types.Equal(val, x) {
+			return !c.not
+		}
+	}
+	return c.not && !c.sawNullElem
 }
 
 // run applies the conjunct to the rows listed in `in`, appending
@@ -462,38 +626,43 @@ func (c *vecCmp) run(b *Batch, in, out []int32, sc *vecScratch) []int32 {
 				continue
 			}
 			code := v.Codes[i]
-			s := m.val[code]
-			if m.epoch[code] != m.cur {
+			s, ok := m.get(code)
+			if !ok {
 				s = signIdx(strings.Compare(v.Dict.Decode(code), c.str))
-				m.val[code], m.epoch[code] = s, m.cur
+				m.put(code, s)
 			}
 			if c.want[s] {
 				out = append(out, i)
 			}
 		}
 	case vcIn:
-		for _, i := range in {
-			val := v.Value(int(i))
-			if val.IsNull() {
-				continue // NULL IN (...) is NULL: dropped
-			}
-			matched := false
-			for _, x := range c.list {
-				if types.Equal(val, x) {
-					matched = true
-					break
+		if v.Typ == types.TString && len(v.Strs) == 0 {
+			// Dictionary-coded strings: one list probe per distinct code
+			// per batch, then a memo lookup for every further row.
+			m := &sc.memos[c.memo]
+			m.next(v.Dict.Size())
+			for _, i := range in {
+				if hasNulls && v.NullAt(int(i)) {
+					continue // NULL IN (...) is NULL: dropped
+				}
+				code := v.Codes[i]
+				keep, ok := m.get(code)
+				if !ok {
+					keep = 0
+					if c.inKeeps(types.NewString(v.Dict.Decode(code))) {
+						keep = 1
+					}
+					m.put(code, keep)
+				}
+				if keep != 0 {
+					out = append(out, i)
 				}
 			}
-			var keep bool
-			switch {
-			case matched:
-				keep = !c.not
-			case c.sawNullElem:
-				keep = false // no match but a NULL element: NULL, dropped
-			default:
-				keep = c.not
-			}
-			if keep {
+			break
+		}
+		for _, i := range in {
+			val := v.Value(int(i))
+			if !val.IsNull() && c.inKeeps(val) {
 				out = append(out, i)
 			}
 		}
@@ -540,45 +709,32 @@ func (c *vecCmp) runOr(b *Batch, in, out []int32, sc *vecScratch) []int32 {
 
 // --- row adapter --------------------------------------------------------
 
-// vecRowsIter adapts a batch pipeline fragment to the row Iterator
-// contract: it fills batches lazily (so LIMIT stops reading early) and
-// emits decoded rows in position order — exactly the serial scan order.
+// vecRowsIter is the single batch→row adapter: it pulls batches from a
+// pipeline lazily (so LIMIT stops reading early) and emits their live
+// rows decoded, in batch order — exactly the row executor's order.
 type vecRowsIter struct {
-	spec      *vecSpec
-	batchSize int
+	spec *vecSpec
+	met  *Metrics
 
-	sc         *vecScratch
-	unpin      func()
-	total, pos int
-	rows       []types.Row
-	idx        int
+	rows []types.Row
+	idx  int
 }
 
 func (s *vecRowsIter) Open() error {
-	s.unpin = s.spec.snap.Pin()
-	if err := s.spec.gov.point(PointScan); err != nil {
-		return err
+	s.rows, s.idx = nil, 0
+	if s.met != nil {
+		s.met.VecPipelines.Inc()
 	}
-	s.total = s.spec.snap.NumRowVersions()
-	s.pos, s.idx, s.rows = 0, 0, nil
-	s.sc = newVecScratch(s.spec)
-	if s.spec.met != nil {
-		s.spec.met.VecPipelines.Inc()
-	}
-	return nil
+	return s.spec.open()
 }
 
 func (s *vecRowsIter) Next() (types.Row, bool, error) {
 	for s.idx >= len(s.rows) {
-		if s.pos >= s.total {
-			return nil, false, nil
-		}
-		hi := s.pos + s.batchSize
-		if err := s.spec.fill(s.pos, hi, s.sc); err != nil {
+		b, err := s.spec.next()
+		if b == nil || err != nil {
 			return nil, false, err
 		}
-		s.pos = hi
-		s.rows = s.spec.decodeRows(s.sc, s.rows[:0])
+		s.rows = s.spec.decodeRows(b, s.rows[:0])
 		s.idx = 0
 	}
 	row := s.rows[s.idx]
@@ -587,9 +743,6 @@ func (s *vecRowsIter) Next() (types.Row, bool, error) {
 }
 
 func (s *vecRowsIter) Close() {
-	if s.unpin != nil {
-		s.unpin()
-		s.unpin = nil
-	}
+	s.spec.close()
 	s.rows = nil
 }

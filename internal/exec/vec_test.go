@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -93,6 +95,125 @@ func TestVecStringFilterUsesDictCodes(t *testing.T) {
 	}
 }
 
+// TestVecInListUsesDictCodes checks the IN kernel against the row
+// evaluator: over dictionary-coded vectors it decides once per distinct
+// code per batch through the code memo, and over a computed (Strs)
+// vector it keeps the per-row path. The cases cover NULL rows, a NULL
+// list element, NOT IN, repeated codes, and a second batch whose codes
+// resolve against different dictionaries.
+func TestVecInListUsesDictCodes(t *testing.T) {
+	col := &plan.ColRef{ID: 0, Typ: types.TString}
+	lit := func(s string) plan.Expr { return &plan.Const{Val: types.NewString(s)} }
+	nullLit := &plan.Const{Val: types.NewNull(types.TString)}
+
+	// dictVec builds a dictionary-coded vector; code -1 is a NULL row.
+	dictVec := func(main, delta []string, codes []int32) types.Vec {
+		var v types.Vec
+		v.Reset(types.TString, len(codes))
+		v.Dict = types.NewDictView(main, delta)
+		for i, c := range codes {
+			if c < 0 {
+				v.SetNull(i)
+				c = 0
+			}
+			v.Codes[i] = c
+		}
+		return v
+	}
+	batches := []types.Vec{
+		dictVec([]string{"a", "b", "c"}, []string{"d"}, []int32{0, 1, 2, 3, -1, 0, 2, 2, -1, 1}),
+		// Same strings, other codes: "c" is 0 now, "a" a delta code.
+		dictVec([]string{"c", "d"}, []string{"b", "a"}, []int32{3, 0, -1, 1, 2, 3, 0}),
+	}
+	// strsOf materializes a dictionary vector's strings, as a computed
+	// projection would.
+	strsOf := func(d *types.Vec) types.Vec {
+		var v types.Vec
+		v.ResetStrings(len(d.Codes))
+		for i := range d.Codes {
+			if d.NullAt(i) {
+				v.SetNull(i)
+				continue
+			}
+			v.Strs[i] = d.StrAt(i)
+		}
+		return v
+	}
+
+	cases := []struct {
+		name string
+		list []plan.Expr
+		not  bool
+	}{
+		{"in", []plan.Expr{lit("a"), lit("c")}, false},
+		{"not-in", []plan.Expr{lit("a"), lit("c")}, true},
+		{"in-null-elem", []plan.Expr{lit("b"), nullLit}, false},
+		{"not-in-null-elem", []plan.Expr{lit("b"), nullLit}, true},
+	}
+	for _, tc := range cases {
+		expr := &plan.InListExpr{E: col, List: tc.list, Not: tc.not}
+		ref, err := Compile(expr, map[types.ColumnID]int{0: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, sawNull, ok := inListConsts(tc.list)
+		if !ok {
+			t.Fatal("list is not constant")
+		}
+		cmp := vecCmp{kind: vcIn, col: 0, list: vals, sawNullElem: sawNull, not: tc.not}
+		dictSc := &vecScratch{memos: make([]codeMemo, 1)}
+		strsSc := &vecScratch{memos: make([]codeMemo, 1)}
+		for bi := range batches {
+			dv := &batches[bi]
+			var want []int32
+			var all []int32
+			for i := range dv.Codes {
+				all = append(all, int32(i))
+				v, err := ref(types.Row{dv.Value(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !v.IsNull() && v.Bool() {
+					want = append(want, int32(i))
+				}
+			}
+			sv := strsOf(dv)
+			for _, leg := range []struct {
+				name string
+				vec  types.Vec
+				sc   *vecScratch
+			}{{"dict", *dv, dictSc}, {"strs", sv, strsSc}} {
+				b := &Batch{N: len(all), Cols: []types.Vec{leg.vec}}
+				got := cmp.run(b, all, nil, leg.sc)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s/batch%d/%s: kept %v, want %v", tc.name, bi, leg.name, got, want)
+				}
+			}
+			// The dictionary leg memoized exactly one outcome per distinct
+			// non-NULL code of this batch.
+			distinct := map[int32]bool{}
+			for i, c := range dv.Codes {
+				if !dv.NullAt(i) {
+					distinct[c] = true
+				}
+			}
+			m := &dictSc.memos[0]
+			current := 0
+			for _, e := range m.epoch {
+				if e == m.cur {
+					current++
+				}
+			}
+			if current != len(distinct) {
+				t.Errorf("%s/batch%d: memo holds %d current codes, want %d", tc.name, bi, current, len(distinct))
+			}
+		}
+		if strsSc.memos[0].cur != 0 {
+			t.Errorf("%s: computed vector went through the code memo", tc.name)
+		}
+	}
+}
+
 // TestVecJoinMatchesRowPath covers inner and left-outer joins, both
 // build orientations, through the batch executor.
 func TestVecJoinMatchesRowPath(t *testing.T) {
@@ -111,6 +232,81 @@ func TestVecJoinMatchesRowPath(t *testing.T) {
 		if rows := runVecAndRow(t, ctx, db, outer, 2); len(rows) != 4 {
 			t.Fatalf("buildLeft=%v: outer rows = %d, want 4", buildLeft, len(rows))
 		}
+	}
+}
+
+// TestVecJoinInnerBuildMemoryBudget kills a join over a join on the
+// nested join's build: the outer join builds a three-row side within the
+// budget, then opens its probe — the nested join — whose 20 000-row
+// build side exceeds it. The kill is the typed ErrMemoryBudget, raised
+// from Open after both joins reached PointHashBuild, and every byte is
+// released on Close. The same plan without a budget runs.
+func TestVecJoinInnerBuildMemoryBudget(t *testing.T) {
+	db := storage.NewDB()
+	ctx := plan.NewContext()
+	scanOf := func(name string, n int) *plan.Scan {
+		tbl, err := db.CreateTable(name, types.Schema{{Name: "k", Type: types.TInt}, {Name: "s", Type: types.TString}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i % 3)), types.NewString(fmt.Sprintf("%s-%06d", name, i))}
+		}
+		if err := db.InsertRows(name, rows); err != nil {
+			t.Fatal(err)
+		}
+		s := &plan.Scan{Info: &plan.TableInfo{Name: name, Schema: tbl.Schema()}, Instance: ctx.NewInstance(), Ords: []int{0, 1}}
+		s.Cols = []types.ColumnID{ctx.NewColumn(name+".k", types.TInt), ctx.NewColumn(name+".s", types.TString)}
+		return s
+	}
+	small, probe, big := scanOf("small", 3), scanOf("probe", 3), scanOf("big", 20000)
+	eq := func(a, b *plan.Scan) plan.Expr {
+		return &plan.Bin{Op: "=", L: &plan.ColRef{ID: a.Cols[0], Typ: types.TInt}, R: &plan.ColRef{ID: b.Cols[0], Typ: types.TInt}, Typ: types.TBool}
+	}
+	// Both joins build right: the outer one on small, the nested one on big.
+	inner := &plan.Join{Kind: plan.InnerJoin, Left: probe, Right: big, Cond: eq(probe, big)}
+	outer := &plan.Join{Kind: plan.InnerJoin, Left: inner, Right: small, Cond: eq(probe, small)}
+
+	var builds int
+	hooks := &Hooks{OnPoint: func(_ context.Context, p string) error {
+		if p == PointHashBuild {
+			builds++
+		}
+		return nil
+	}}
+	gov := NewGovernance(context.Background(), 128<<10, hooks)
+	b := NewBuilder(ctx, db, db.CurrentTS())
+	b.SetVectorize(0)
+	b.SetGovernance(gov)
+	it, err := b.Build(outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := it.(*vecRowsIter); !ok {
+		t.Fatalf("join over join built %T, want one batch pipeline", it)
+	}
+	err = it.Open()
+	it.Close()
+	if !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("Open: %v, want ErrMemoryBudget", err)
+	}
+	if builds != 2 {
+		t.Fatalf("%d joins reached PointHashBuild before the kill, want both", builds)
+	}
+	if used := gov.Tracker().Used(); used != 0 {
+		t.Fatalf("%d bytes still reserved after Close", used)
+	}
+
+	b = NewBuilder(ctx, db, db.CurrentTS())
+	b.SetVectorize(0)
+	rows, err := b.Run(outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every big row meets exactly one probe row and one small row.
+	if want := 20000; len(rows) != want {
+		t.Fatalf("unbudgeted run: %d rows, want %d", len(rows), want)
 	}
 }
 
@@ -184,8 +380,8 @@ func TestVecRowsIterLazyFill(t *testing.T) {
 	if !ok {
 		t.Fatalf("iterator is %T, want *vecRowsIter", it)
 	}
-	if vi.pos > 10 {
-		t.Fatalf("adapter prefetched to pos %d after one row (batch 10)", vi.pos)
+	if pos := vi.spec.src.(*scanSource).pos; pos > 10 {
+		t.Fatalf("adapter prefetched to pos %d after one row (batch 10)", pos)
 	}
 }
 

@@ -27,13 +27,12 @@ type vecAggCol struct {
 	gspec groupSpec
 }
 
-// vecAggSpec describes a full aggregation over a batch pipeline.
+// vecAggSpec describes a full aggregation over a batch source.
 type vecAggSpec struct {
 	spec      *vecSpec
 	groupCols []int // batch columns of the group-by keys
 	aggs      []vecAggCol
 	scalarAgg bool // no group columns: always emit one row
-	batchSize int
 }
 
 // pgEntry is one group's aggregate state: its key encoding, the boxed
@@ -55,15 +54,13 @@ type vecAggTable struct {
 
 	keyBuf []byte
 	valBuf []types.Value
+	all    []int32
 
 	// Single-string-group fast path: per-batch memo from dictionary code
-	// to group entry, epoch-bumped every batch because combined codes are
-	// not stable across batches. strGroup caches the shape check.
-	strGroup  bool
-	codeEnt   []*pgEntry
-	codeEpoch []uint32
-	epoch     uint32
-	nullEnt   *pgEntry
+	// to group entry. strGroup caches the shape check.
+	strGroup bool
+	codeEnt  epochMemo[*pgEntry]
+	nullEnt  *pgEntry
 }
 
 func newVecAggTable(va *vecAggSpec, acct *memAcct) *vecAggTable {
@@ -72,20 +69,9 @@ func newVecAggTable(va *vecAggSpec, acct *memAcct) *vecAggTable {
 	return t
 }
 
-// fold sweeps every batch of the pipeline into the table.
+// fold drains the source into the table.
 func (t *vecAggTable) fold() error {
-	spec := t.va.spec
-	sc := newVecScratch(spec)
-	total := spec.snap.NumRowVersions()
-	for pos := 0; pos < total; pos += t.va.batchSize {
-		if err := spec.fill(pos, pos+t.va.batchSize, sc); err != nil {
-			return err
-		}
-		if err := t.foldBatch(&sc.batch); err != nil {
-			return err
-		}
-	}
-	return nil
+	return forEachBatch(t.va.spec, t.foldBatch)
 }
 
 // added meters a freshly-created group.
@@ -93,32 +79,44 @@ func (t *vecAggTable) added(e *pgEntry) error {
 	return t.acct.add(int64(len(e.key)) + rowBytes(e.groupVals) + int64(len(t.va.aggs))*aggStateBytes)
 }
 
-// foldBatch folds one filled batch's live rows into the table.
+// foldBatch folds one batch's live rows into the table.
 func (t *vecAggTable) foldBatch(b *Batch) error {
-	n := b.NumRows()
-	if n == 0 {
+	rows := liveRows(b, &t.all)
+	if len(rows) == 0 {
 		return nil
 	}
 	va := t.va
 	if va.scalarAgg {
-		return t.foldScalar(b, n)
+		return t.foldScalar(b, rows)
 	}
 	if t.strGroup {
 		// Computed string vectors carry materialized Strs instead of
-		// dictionary codes; only dictionary-backed columns can use the
-		// code memo.
+		// dictionary codes; only dictionary-backed columns (scanned, or
+		// gathered from a join's build-local dictionary) use the memo.
 		if gv := &b.Cols[va.groupCols[0]]; gv.Typ == types.TString && len(gv.Strs) == 0 {
-			return t.foldStringGroup(b, gv)
+			return t.foldStringGroup(b, gv, rows)
 		}
 	}
-	return t.foldGeneric(b)
+	// Any other grouping encodes each live row's group key (the same
+	// Value.AppendKey encoding the row operators use, so group identity
+	// is identical).
+	for _, ri := range rows {
+		e, err := t.entryFor(b, int(ri))
+		if err != nil {
+			return err
+		}
+		if err := t.accumRow(b, e, int(ri)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // foldScalar folds a no-group-columns aggregation: one entry, created on
 // the first live row (the zero-row case is handled at finalize, exactly
 // like the row operator). COUNT(*) aggregates advance by the batch's
 // live-row count without touching any vector.
-func (t *vecAggTable) foldScalar(b *Batch, n int) error {
+func (t *vecAggTable) foldScalar(b *Batch, rows []int32) error {
 	if len(t.order) == 0 {
 		e := &pgEntry{states: make([]aggState, len(t.va.aggs))}
 		t.order = append(t.order, e)
@@ -131,21 +129,13 @@ func (t *vecAggTable) foldScalar(b *Batch, n int) error {
 		a := &t.va.aggs[i]
 		st := &e.states[i]
 		if a.star {
-			st.count += int64(n)
+			st.count += int64(len(rows))
 			continue
 		}
 		v := &b.Cols[a.col]
-		if b.HasSel {
-			for _, ri := range b.Sel {
-				if err := vecAccumulate(st, a, v, int(ri)); err != nil {
-					return err
-				}
-			}
-		} else {
-			for ri := 0; ri < n; ri++ {
-				if err := vecAccumulate(st, a, v, ri); err != nil {
-					return err
-				}
+		for _, ri := range rows {
+			if err := vecAccumulate(st, a, v, int(ri)); err != nil {
+				return err
 			}
 		}
 	}
@@ -155,88 +145,35 @@ func (t *vecAggTable) foldScalar(b *Batch, n int) error {
 // foldStringGroup folds a single-string-column grouping on dictionary
 // codes: each distinct code is decoded and looked up in the global table
 // once per batch, then every further row with that code hits the memo.
-func (t *vecAggTable) foldStringGroup(b *Batch, gv *types.Vec) error {
-	size := gv.Dict.Size()
-	if size > len(t.codeEnt) {
-		ne := make([]*pgEntry, size)
-		copy(ne, t.codeEnt)
-		t.codeEnt = ne
-		np := make([]uint32, size)
-		copy(np, t.codeEpoch)
-		t.codeEpoch = np
-	}
-	t.epoch++
-	if t.epoch == 0 { // wrapped: stale epochs could collide, reset
-		for i := range t.codeEpoch {
-			t.codeEpoch[i] = 0
-		}
-		t.epoch = 1
-	}
+func (t *vecAggTable) foldStringGroup(b *Batch, gv *types.Vec, rows []int32) error {
+	t.codeEnt.next(gv.Dict.Size())
 	hasNulls := len(gv.Nulls) > 0
-	fold := func(ri int) error {
+	for _, r := range rows {
+		ri := int(r)
 		var e *pgEntry
-		if hasNulls && gv.NullAt(ri) {
+		var err error
+		switch {
+		case hasNulls && gv.NullAt(ri):
 			// NULL group values are stable across batches; the entry is
 			// cached directly rather than through the code memo.
 			if t.nullEnt == nil {
-				var err error
 				if t.nullEnt, err = t.entryFor(b, ri); err != nil {
 					return err
 				}
 			}
 			e = t.nullEnt
-		} else {
+		default:
 			code := gv.Codes[ri]
-			if t.codeEpoch[code] == t.epoch {
-				e = t.codeEnt[code]
-			} else {
-				var err error
+			var ok bool
+			if e, ok = t.codeEnt.get(code); !ok {
 				if e, err = t.entryFor(b, ri); err != nil {
 					return err
 				}
-				t.codeEnt[code], t.codeEpoch[code] = e, t.epoch
+				t.codeEnt.put(code, e)
 			}
 		}
-		return t.accumRow(b, e, ri)
-	}
-	if b.HasSel {
-		for _, ri := range b.Sel {
-			if err := fold(int(ri)); err != nil {
-				return err
-			}
-		}
-	} else {
-		for ri := 0; ri < b.N; ri++ {
-			if err := fold(ri); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// foldGeneric folds arbitrary group columns by encoding each live row's
-// group key (the same Value.AppendKey encoding the row operators use, so
-// group identity is identical).
-func (t *vecAggTable) foldGeneric(b *Batch) error {
-	fold := func(ri int) error {
-		e, err := t.entryFor(b, ri)
-		if err != nil {
+		if err := t.accumRow(b, e, ri); err != nil {
 			return err
-		}
-		return t.accumRow(b, e, ri)
-	}
-	if b.HasSel {
-		for _, ri := range b.Sel {
-			if err := fold(int(ri)); err != nil {
-				return err
-			}
-		}
-	} else {
-		for ri := 0; ri < b.N; ri++ {
-			if err := fold(ri); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -323,10 +260,10 @@ func vecAccumulate(st *aggState, a *vecAggCol, v *types.Vec, ri int) error {
 	return accumulateValue(st, &a.gspec, v.Value(ri))
 }
 
-// vecGroupByIter is the batch aggregation operator: it sweeps the
-// pipeline's batches through one vecAggTable during Open, then streams
-// the finalized groups. Output rows, group order, and governance
-// metering are identical to groupByIter.
+// vecGroupByIter is the batch aggregation operator: it drains its
+// source's batches through one vecAggTable during Open, then streams the
+// finalized groups. Output rows, group order, and governance metering
+// are identical to groupByIter.
 type vecGroupByIter struct {
 	va  *vecAggSpec
 	gov *Governance
@@ -338,10 +275,6 @@ type vecGroupByIter struct {
 }
 
 func (g *vecGroupByIter) Open() error {
-	// The sweep happens entirely inside Open; pin the snapshot's
-	// timestamp in the GC watermark for its duration.
-	unpin := g.va.spec.snap.Pin()
-	defer unpin()
 	g.acct = memAcct{gov: g.gov}
 	if err := g.gov.point(PointGroupMerge); err != nil {
 		return err
@@ -386,6 +319,7 @@ func (g *vecGroupByIter) Next() (types.Row, bool, error) {
 }
 
 func (g *vecGroupByIter) Close() {
+	g.va.spec.close()
 	g.acct.close()
 	g.groups = nil
 }

@@ -8,14 +8,15 @@ import (
 
 // Compilation of plan subtrees into vectorized batch operators. The
 // compiler is the only authority on what vectorizes: a subtree runs in
-// batch mode iff it compiles here, into vecSpec pipeline fragments and
-// the batch operators over them. The rules are deliberately
-// conservative — a shape compiles only when the batch kernels are
-// guaranteed to reproduce the row path's semantics exactly, including
-// three-valued logic, type promotion and aggregate NULL handling —
-// because declining is always safe: a compile function that returns nil
-// hands the node to the row-at-a-time builder, which produces identical
-// rows in identical order (and identical errors).
+// batch mode iff it compiles here, into batch sources (snapshot scans
+// and hash joins), the filter/project pipelines over them, and the batch
+// sinks that consume them. The rules are deliberately conservative — a
+// shape compiles only when the batch kernels are guaranteed to reproduce
+// the row path's semantics exactly, including three-valued logic, type
+// promotion and aggregate NULL handling — because declining is always
+// safe: a compile function that returns nil hands the node to the
+// row-at-a-time builder, which produces identical rows in identical
+// order (and identical errors).
 //
 // A decline carries its reason out of the compile call as one of five
 // vec_fallback labels (expression, or, sort, union, distinct). The label
@@ -25,8 +26,8 @@ import (
 // exec.vec_fallbacks metrics.
 
 // SetVectorize enables the vectorized batch executor for subsequent
-// Build calls: eligible scan/filter/project pipelines, aggregations,
-// hash joins, top-k sorts, DISTINCT, and UNION ALL branches run over
+// Build calls: scans, filter/project pipelines, equi hash joins,
+// aggregations, top-k sorts, DISTINCT, and UNION ALL branches run over
 // column batches of the given size (<= 0 selects DefaultBatchSize). Off
 // by default, so direct Builder users keep the row executor unless they
 // opt in.
@@ -41,17 +42,10 @@ func (b *Builder) SetVectorize(batchSize int) {
 // iterator declines n to the row builder, for the returned reason.
 func (b *Builder) buildVec(n plan.Node) (Iterator, string) {
 	switch n := n.(type) {
-	case *plan.Scan, *plan.Filter:
-		return b.buildVecPipeline(n)
-	case *plan.Project:
-		if it := b.buildVecProjectedJoin(n); it != nil {
-			return it, ""
-		}
+	case *plan.Scan, *plan.Filter, *plan.Project, *plan.Join:
 		return b.buildVecPipeline(n)
 	case *plan.GroupBy:
 		return b.buildVecGroupBy(n)
-	case *plan.Join:
-		return b.buildVecJoin(n)
 	case *plan.Limit:
 		return b.buildVecTopK(n), ""
 	case *plan.Distinct:
@@ -65,52 +59,28 @@ func (b *Builder) buildVec(n plan.Node) (Iterator, string) {
 	return nil, ""
 }
 
-// buildVecProjectedJoin fuses a Project of bare column refs over a
-// batch-eligible Join into the join's emission loop, skipping one
-// per-row copy for every joined row. Declined under analyze so the
-// Project node keeps its own statIter counters.
-func (b *Builder) buildVecProjectedJoin(n *plan.Project) Iterator {
-	j, ok := n.Input.(*plan.Join)
-	if !ok || b.analyze {
-		return nil
-	}
-	combined := append([]types.ColumnID{}, j.Left.Columns()...)
-	combined = append(combined, j.Right.Columns()...)
-	proj := make([]int, len(n.Cols))
-	for i, c := range n.Cols {
-		cr, ok := c.Expr.(*plan.ColRef)
-		if !ok {
-			return nil
-		}
-		pos := -1
-		for p, id := range combined {
-			if id == cr.ID {
-				pos = p
-				break
-			}
-		}
-		if pos < 0 {
-			return nil
-		}
-		proj[i] = pos
-	}
-	it, _ := b.buildVecJoin(j)
-	if it == nil {
-		return nil
-	}
-	it.(*vecHashJoinIter).proj = proj
-	return it
-}
-
-// vecFrag is a compiled pipeline fragment: the spec plus the mapping
-// from output column IDs to batch columns, the plan nodes it fused
-// (scan first, stages[i] ↔ nodes[i+1]) for EXPLAIN ANALYZE attribution,
-// and the zone-map range builder accumulated across all filter stages.
+// vecFrag is a compiled pipeline fragment: the pipeline plus the
+// mapping from output column IDs to batch columns, the plan nodes it
+// fused (the source's node first, stages[i] ↔ nodes[i+1]) and a join
+// source's input fragments, both for EXPLAIN ANALYZE attribution, and
+// the zone-map range builder accumulated across all filter stages over a
+// scan.
 type vecFrag struct {
 	spec  *vecSpec
 	cols  []types.ColumnID
 	nodes []plan.Node
+	kids  []*vecFrag
 	rb    rangeBuilder
+}
+
+// newVecSpec returns a stage-less pipeline over a source of the given
+// width, its output columns being the source's.
+func newVecSpec(src batchSource, width int) *vecSpec {
+	s := &vecSpec{src: src, width: width, numCols: width, proj: make([]int, width)}
+	for i := range s.proj {
+		s.proj[i] = i
+	}
+	return s
 }
 
 // batchCol returns the batch column holding the given output column.
@@ -133,10 +103,10 @@ func (f *vecFrag) rowPos(id types.ColumnID) (int, bool) {
 	return 0, false
 }
 
-// vecFragment compiles a scan with any interleaving of Filter and
-// Project stages into a batch pipeline fragment. A nil fragment
-// declines; the reason is set when n's input compiled and n's own stage
-// did not.
+// vecFragment compiles a batch source — a scan or an equi hash join —
+// with any interleaving of Filter and Project stages above it into a
+// pipeline fragment. A nil fragment declines; the reason is set when
+// n's inputs compiled and n itself did not.
 func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
 	var input plan.Node
 	switch n := n.(type) {
@@ -145,12 +115,10 @@ func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
 		if !ok {
 			return nil, "" // the row path reports the error
 		}
-		spec := &vecSpec{snap: tbl.SnapshotAt(b.ts), ords: n.Ords, numCols: len(n.Ords), gov: b.gov, met: b.met}
-		spec.proj = make([]int, len(n.Cols))
-		for i := range spec.proj {
-			spec.proj[i] = i
-		}
-		return &vecFrag{spec: spec, cols: n.Cols, nodes: []plan.Node{n}, rb: rangeBuilder{ords: n.Ords}}, ""
+		scan := &scanSource{snap: tbl.SnapshotAt(b.ts), ords: n.Ords, batchSize: b.vecSize, gov: b.gov, met: b.met}
+		return &vecFrag{spec: newVecSpec(scan, len(n.Ords)), cols: n.Cols, nodes: []plan.Node{n}, rb: rangeBuilder{ords: n.Ords}}, ""
+	case *plan.Join:
+		return b.vecJoin(n)
 	case *plan.Filter:
 		input = n.Input
 	case *plan.Project:
@@ -166,6 +134,83 @@ func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
 		return nil, reason
 	}
 	return f, ""
+}
+
+// vecJoin compiles a join of two batch sources into the batch hash join:
+// an inner or left-outer join whose condition is purely equi-join
+// conjuncts (col = col, one side each) with no residual. Its fragment
+// has no stages yet; a Project or Filter above it is just a stage.
+func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
+	lf, _ := b.vecFragment(n.Left)
+	if lf == nil {
+		return nil, ""
+	}
+	rf, _ := b.vecFragment(n.Right)
+	if rf == nil {
+		return nil, ""
+	}
+	conjuncts := plan.Conjuncts(n.Cond)
+	if (n.Kind != plan.InnerJoin && n.Kind != plan.LeftOuterJoin) || len(conjuncts) == 0 {
+		return nil, "expression"
+	}
+	var leftPos, rightPos []int
+	var leftTyps, rightTyps []types.Type
+	for _, conj := range conjuncts {
+		eq, ok := conj.(*plan.Bin)
+		if !ok || eq.Op != "=" {
+			return nil, "expression"
+		}
+		a, ok := eq.L.(*plan.ColRef)
+		if !ok {
+			return nil, "expression"
+		}
+		c, ok := eq.R.(*plan.ColRef)
+		if !ok {
+			return nil, "expression"
+		}
+		lc, rc := a, c
+		lp, lok := lf.rowPos(lc.ID)
+		rp, rok := rf.rowPos(rc.ID)
+		if !lok || !rok {
+			lc, rc = c, a
+			lp, lok = lf.rowPos(lc.ID)
+			rp, rok = rf.rowPos(rc.ID)
+			if !lok || !rok {
+				return nil, "expression"
+			}
+		}
+		leftPos, rightPos = append(leftPos, lp), append(rightPos, rp)
+		leftTyps, rightTyps = append(leftTyps, lc.Typ), append(rightTyps, rc.Typ)
+	}
+	keyKind := jkBytes
+	if len(leftPos) == 1 {
+		switch {
+		case intKeyType(leftTyps[0]) && intKeyType(rightTyps[0]):
+			keyKind = jkInt
+		case leftTyps[0] == types.TString && rightTyps[0] == types.TString:
+			keyKind = jkStr
+		}
+	}
+	// The row builder also builds left when the left input is bounded by
+	// a LIMIT (boundedSide); a batch source never is, so only the
+	// optimizer's choice applies here.
+	js := &joinSource{
+		buildLeft: n.BuildLeft,
+		leftOuter: n.Kind == plan.LeftOuterJoin,
+		keyKind:   keyKind,
+		batchSize: b.vecSize,
+		gov:       b.gov,
+		met:       b.met,
+	}
+	if n.BuildLeft {
+		js.build, js.probe = lf.spec, rf.spec
+		js.buildKey, js.probeKey = leftPos, rightPos
+	} else {
+		js.build, js.probe = rf.spec, lf.spec
+		js.buildKey, js.probeKey = rightPos, leftPos
+	}
+	cols := n.Columns()
+	return &vecFrag{spec: newVecSpec(js, len(cols)), cols: cols, nodes: []plan.Node{n}, kids: []*vecFrag{lf, rf}}, ""
 }
 
 // applyVecStage compiles one Filter or Project node into a stage
@@ -196,7 +241,9 @@ func applyVecFilter(f *vecFrag, n *plan.Filter) string {
 		}
 		st.filt = append(st.filt, cmp)
 	}
-	f.spec.ranges = f.rb.ranges()
+	if scan, ok := f.spec.src.(*scanSource); ok {
+		scan.ranges = f.rb.ranges()
+	}
 	f.spec.stages = append(f.spec.stages, st)
 	f.nodes = append(f.nodes, n)
 	return ""
@@ -334,7 +381,9 @@ func makeVecCmp(f *vecFrag, conj plan.Expr, rb *rangeBuilder) (vecCmp, bool) {
 		if cr, ok := e.E.(*plan.ColRef); ok {
 			if bc, ok := f.batchCol(cr.ID); ok {
 				if list, sawNull, ok := inListConsts(e.List); ok {
-					return vecCmp{kind: vcIn, col: bc, not: e.Not, list: list, sawNullElem: sawNull}, true
+					c := vecCmp{kind: vcIn, col: bc, not: e.Not, list: list, sawNullElem: sawNull, memo: f.spec.nMemos}
+					f.spec.nMemos++
+					return c, true
 				}
 			}
 		}
@@ -503,28 +552,40 @@ func applyOrRange(f *vecFrag, rb *rangeBuilder, disj []plan.Expr) {
 }
 
 // attachVecStats wires EXPLAIN ANALYZE attribution for a fragment's
-// fused nodes: every node is stamped mode=vector, and each stage records
-// rows/batches through its stage stats pointer. The top node (when
-// !includeTop) is counted by the statIter the Build caller wraps around
-// the returned operator, so only its mode is stamped.
+// fused nodes, recursively through a join source's inputs: every node is
+// stamped mode=vector, and each stage and source records rows/batches
+// through its stats pointer. The top node (when !includeTop) is counted
+// by the statIter the Build caller wraps around the returned operator,
+// so only its mode is stamped — except that a join records its build
+// size and memory either way.
 func (b *Builder) attachVecStats(f *vecFrag, includeTop bool) {
 	for i, node := range f.nodes {
 		st := b.nodeStats(node)
 		st.Mode = "vector"
-		if !includeTop && i == len(f.nodes)-1 {
+		counted := includeTop || i < len(f.nodes)-1
+		if i > 0 {
+			if counted {
+				f.spec.stages[i-1].stats = st
+			}
 			continue
 		}
-		if i == 0 {
-			f.spec.scanStats = st
-		} else {
-			f.spec.stages[i-1].stats = st
+		switch src := f.spec.src.(type) {
+		case *scanSource:
+			if counted {
+				src.stats = st
+			}
+		case *joinSource:
+			src.stats, src.countRows = st, counted
 		}
+	}
+	for _, k := range f.kids {
+		b.attachVecStats(k, true)
 	}
 }
 
-// vecRows adapts a batch fragment to the row Iterator contract.
+// vecRows adapts a batch pipeline to the row Iterator contract.
 func (b *Builder) vecRows(spec *vecSpec) Iterator {
-	return &vecRowsIter{spec: spec, batchSize: b.vecSize}
+	return &vecRowsIter{spec: spec, met: b.met}
 }
 
 // isVecPipeline reports whether a built iterator is a batch pipeline
@@ -539,8 +600,8 @@ func isVecPipeline(it Iterator) bool {
 }
 
 // buildVecPipeline builds a batch pipeline — Filter/Project stages over
-// a scan, or over a UnionAll of such pipelines — behind the row-iterator
-// adapter. Union branches run back to back in branch order, exactly the
+// a scan or a join, or over a UnionAll of such pipelines — behind the
+// row-iterator adapter. Union branches run back to back in branch order, exactly the
 // row union's emission order.
 func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, string) {
 	frags, reason := b.vecSources(n)
@@ -564,7 +625,7 @@ func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, string) {
 }
 
 // buildVecGroupBy builds the batch aggregation operator over a compiled
-// input pipeline. Aggregates have kernels when they are plain
+// batch source. Aggregates have kernels when they are plain
 // (non-DISTINCT) and over bare columns; SUM/AVG additionally need a
 // numeric argument, so the typed accumulator can never hit the row
 // path's "SUM/AVG on <type>" error — the decline leaves the row path to
@@ -579,7 +640,7 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
 			return nil, "distinct"
 		}
 	}
-	va := &vecAggSpec{spec: f.spec, scalarAgg: len(n.GroupCols) == 0, batchSize: b.vecSize}
+	va := &vecAggSpec{spec: f.spec, scalarAgg: len(n.GroupCols) == 0}
 	for _, g := range n.GroupCols {
 		bc, ok := f.batchCol(g)
 		if !ok {
@@ -614,85 +675,6 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
 		b.nodeStats(n).Mode = "vector"
 	}
 	return &vecGroupByIter{va: va, gov: b.gov, met: b.met}, ""
-}
-
-// buildVecJoin builds the batch hash join over two compiled pipelines:
-// an inner or left-outer join whose condition is purely equi-join
-// conjuncts (col = col, one side each) with no residual.
-func (b *Builder) buildVecJoin(n *plan.Join) (Iterator, string) {
-	lf, _ := b.vecFragment(n.Left)
-	if lf == nil {
-		return nil, ""
-	}
-	rf, _ := b.vecFragment(n.Right)
-	if rf == nil {
-		return nil, ""
-	}
-	conjuncts := plan.Conjuncts(n.Cond)
-	if (n.Kind != plan.InnerJoin && n.Kind != plan.LeftOuterJoin) || len(conjuncts) == 0 {
-		return nil, "expression"
-	}
-	var leftPos, rightPos []int
-	var leftTyps, rightTyps []types.Type
-	for _, conj := range conjuncts {
-		eq, ok := conj.(*plan.Bin)
-		if !ok || eq.Op != "=" {
-			return nil, "expression"
-		}
-		a, ok := eq.L.(*plan.ColRef)
-		if !ok {
-			return nil, "expression"
-		}
-		c, ok := eq.R.(*plan.ColRef)
-		if !ok {
-			return nil, "expression"
-		}
-		lc, rc := a, c
-		lp, lok := lf.rowPos(lc.ID)
-		rp, rok := rf.rowPos(rc.ID)
-		if !lok || !rok {
-			lc, rc = c, a
-			lp, lok = lf.rowPos(lc.ID)
-			rp, rok = rf.rowPos(rc.ID)
-			if !lok || !rok {
-				return nil, "expression"
-			}
-		}
-		leftPos, rightPos = append(leftPos, lp), append(rightPos, rp)
-		leftTyps, rightTyps = append(leftTyps, lc.Typ), append(rightTyps, rc.Typ)
-	}
-	keyKind := jkBytes
-	if len(leftPos) == 1 {
-		switch {
-		case intKeyType(leftTyps[0]) && intKeyType(rightTyps[0]):
-			keyKind = jkInt
-		case leftTyps[0] == types.TString && rightTyps[0] == types.TString:
-			keyKind = jkStr
-		}
-	}
-	buildLeft := n.BuildLeft || (boundedSide(n.Left) && !boundedSide(n.Right))
-	if b.analyze {
-		b.attachVecStats(lf, true)
-		b.attachVecStats(rf, true)
-		b.nodeStats(n).Mode = "vector"
-	}
-	it := &vecHashJoinIter{
-		buildLeft:  buildLeft,
-		leftOuter:  n.Kind == plan.LeftOuterJoin,
-		keyKind:    keyKind,
-		rightWidth: len(n.Right.Columns()),
-		batchSize:  b.vecSize,
-		met:        b.met,
-		gov:        b.gov,
-	}
-	if buildLeft {
-		it.build, it.probe = lf.spec, rf.spec
-		it.buildKeyPos, it.probeKeyPos = leftPos, rightPos
-	} else {
-		it.build, it.probe = rf.spec, lf.spec
-		it.buildKeyPos, it.probeKeyPos = rightPos, leftPos
-	}
-	return it, ""
 }
 
 // vecSources compiles a batch source — the input of a pipeline adapter
