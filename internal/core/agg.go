@@ -12,21 +12,22 @@ import (
 //   - eager aggregation: pushing a GroupBy below an augmentation join
 //     when the grouping columns and (decomposed) aggregate inputs come
 //     from the anchor, so aggregation shrinks the data before the join.
-func (o *Optimizer) rewriteAggregates(n plan.Node, changed *bool) plan.Node {
+func (o *Optimizer) rewriteAggregates(n plan.Node) plan.Node {
+	defer o.settle(n, o.rewrites)
 	for i, c := range n.Inputs() {
-		n.SetInput(i, o.rewriteAggregates(c, changed))
+		n.SetInput(i, o.rewriteAggregates(c))
 	}
 	gb, ok := n.(*plan.GroupBy)
 	if !ok {
 		return n
 	}
 	if o.caps.Has(CapEagerAgg) {
-		if out := o.eagerAggregate(gb, changed); out != nil {
+		if out := o.eagerAggregate(gb); out != nil {
 			return out
 		}
 	}
 	if o.caps.Has(CapPrecisionLoss) {
-		if out := o.aplRewrite(gb, changed); out != nil {
+		if out := o.aplRewrite(gb); out != nil {
 			return out
 		}
 	}
@@ -89,7 +90,7 @@ func roundPattern(e plan.Expr) (inner plan.Expr, scaleArg plan.Expr, ok bool) {
 // expressions: SUM(ROUND(x·c, s)) becomes ROUND(SUM(x)·c, s), where c is
 // a constant product. Returns a Project over the modified GroupBy, or
 // nil when nothing matched.
-func (o *Optimizer) aplRewrite(gb *plan.GroupBy, changed *bool) plan.Node {
+func (o *Optimizer) aplRewrite(gb *plan.GroupBy) plan.Node {
 	matched := false
 	outer := map[types.ColumnID]plan.Expr{}
 	for i := range gb.Aggs {
@@ -132,7 +133,7 @@ func (o *Optimizer) aplRewrite(gb *plan.GroupBy, changed *bool) plan.Node {
 	if !matched {
 		return nil
 	}
-	*changed = true
+	o.rewrote(gb)
 	o.log("apl-round-interchange")
 	var cols []plan.ProjCol
 	for _, g := range gb.GroupCols {
@@ -169,7 +170,7 @@ func (o *Optimizer) aplRewrite(gb *plan.GroupBy, changed *bool) plan.Node {
 // ALLOW_PRECISION_LOSS — are rounded products with augmenter-side
 // factors that are constant within each group (the §7.1 currency
 // conversion scenario).
-func (o *Optimizer) eagerAggregate(gb *plan.GroupBy, changed *bool) plan.Node {
+func (o *Optimizer) eagerAggregate(gb *plan.GroupBy) plan.Node {
 	j, ok := gb.Input.(*plan.Join)
 	if !ok || (j.Kind != plan.InnerJoin && j.Kind != plan.LeftOuterJoin) {
 		return nil
@@ -177,8 +178,7 @@ func (o *Optimizer) eagerAggregate(gb *plan.GroupBy, changed *bool) plan.Node {
 	if !o.isRowPreservingAJ(j) {
 		return nil
 	}
-	leftCols := plan.ColumnsOf(j.Left)
-	rightCols := plan.ColumnsOf(j.Right)
+	leftCols, rightCols := o.cols(j.Left), o.cols(j.Right)
 	groupSet := types.MakeColSet(gb.GroupCols...)
 	if !groupSet.SubsetOf(leftCols) {
 		return nil
@@ -266,7 +266,7 @@ func (o *Optimizer) eagerAggregate(gb *plan.GroupBy, changed *bool) plan.Node {
 		}
 		cols = append(cols, plan.ProjCol{ID: a.ID, Expr: e})
 	}
-	*changed = true
+	o.rewrote(j)
 	o.log("eager-agg-across-aj")
 	return &plan.Project{Input: j, Cols: cols}
 }

@@ -15,9 +15,10 @@ import (
 // in the anchor with a self-join table in every child (13a), and unions
 // on both sides matched by branch IDs under a CASE JOIN (13b) — are
 // handled as well.
-func (o *Optimizer) rewriteASJ(n plan.Node, changed *bool) plan.Node {
+func (o *Optimizer) rewriteASJ(n plan.Node) plan.Node {
+	defer o.settle(n, o.rewrites)
 	for i, c := range n.Inputs() {
-		n.SetInput(i, o.rewriteASJ(c, changed))
+		n.SetInput(i, o.rewriteASJ(c))
 	}
 	j, ok := n.(*plan.Join)
 	if !ok || !o.caps.Has(CapASJ) {
@@ -26,7 +27,7 @@ func (o *Optimizer) rewriteASJ(n plan.Node, changed *bool) plan.Node {
 	if j.Kind != plan.LeftOuterJoin && j.Kind != plan.InnerJoin {
 		return n
 	}
-	if out := o.tryASJ(j, changed); out != nil {
+	if out := o.tryASJ(j); out != nil {
 		return out
 	}
 	return n
@@ -172,7 +173,7 @@ type keyPair struct {
 }
 
 func (o *Optimizer) analyzeASJCond(j *plan.Join, branch *augInfo) (*asjCond, bool) {
-	leftCols := plan.ColumnsOf(j.Left)
+	leftCols := o.cols(j.Left)
 	out := &asjCond{keyByOrd: map[int]types.ColumnID{}, selectors: map[types.ColumnID]types.ColumnID{}}
 	for _, conj := range plan.Conjuncts(j.Cond) {
 		eq, ok := conj.(*plan.Bin)
@@ -276,13 +277,13 @@ func anchorPredsFor(n plan.Node, instance int) map[string]bool {
 }
 
 // tryASJ attempts the rewrite; nil means not applicable.
-func (o *Optimizer) tryASJ(j *plan.Join, changed *bool) plan.Node {
+func (o *Optimizer) tryASJ(j *plan.Join) plan.Node {
 	branches, isUnionAug, _, ok := analyzeAugmenter(j.Right)
 	if !ok {
 		return nil
 	}
 	if isUnionAug {
-		return o.tryUnionASJ(j, branches, changed)
+		return o.tryUnionASJ(j, branches)
 	}
 	branch := branches[0]
 	pk := primaryKeyOrds(branch.scan.Info)
@@ -299,16 +300,14 @@ func (o *Optimizer) tryASJ(j *plan.Join, changed *bool) plan.Node {
 	}
 	// Locate the anchor's instance of the table via provenance of the
 	// anchor-side key columns.
-	prov := provenance(j.Left)
 	instance := -1
 	for _, ord := range pk {
-		anchorCol := cond.keyByOrd[ord]
-		s, has := prov[anchorCol]
+		s, has := o.sourceOf(j.Left, cond.keyByOrd[ord])
 		if !has || !equalsFold(s.table, branch.scan.Info.Name) || s.ord != ord {
 			// Figure 13a: the anchor may be a Union All with a self-join
 			// instance in every child.
 			if o.caps.Has(CapASJUnionAnchor) {
-				return o.tryUnionAnchorASJ(j, branch, cond, changed)
+				return o.tryUnionAnchorASJ(j, branch, cond)
 			}
 			return nil
 		}
@@ -358,7 +357,7 @@ func (o *Optimizer) tryASJ(j *plan.Join, changed *bool) plan.Node {
 	if !ok {
 		return nil
 	}
-	*changed = true
+	o.rewrote()
 	o.logEvent("asj-elim", j, plan.CollectStats(j.Right).Joins+1,
 		"augmentation self-join folded into anchor")
 	return o.buildASJProject(j, widened, func(rightCol types.ColumnID) plan.Expr {

@@ -21,7 +21,7 @@ const pristineSpineDepth = 1
 // pattern), matched per branch against an anchor-side Union All. Branch
 // correspondence is established by selector equalities on per-branch
 // constant columns (branch IDs) or, absent selectors, by table identity.
-func (o *Optimizer) tryUnionASJ(j *plan.Join, branches []*augInfo, changed *bool) plan.Node {
+func (o *Optimizer) tryUnionASJ(j *plan.Join, branches []*augInfo) plan.Node {
 	if j.CaseJoin {
 		if !o.caps.Has(CapCaseJoin) {
 			return nil
@@ -90,7 +90,7 @@ func (o *Optimizer) tryUnionASJ(j *plan.Join, branches []*augInfo, changed *bool
 	for _, ac := range sel {
 		anchorCols = append(anchorCols, ac)
 	}
-	au, posOf, spineDepth, ok := resolveToUnion(j.Left, anchorCols)
+	au, posOf, spineDepth, ok := o.resolveToUnion(j.Left, anchorCols)
 	if !ok {
 		return nil
 	}
@@ -132,9 +132,7 @@ func (o *Optimizer) tryUnionASJ(j *plan.Join, branches []*augInfo, changed *bool
 			}
 		} else {
 			// Match by table identity via the first key column.
-			prov := provenance(child)
-			cid := childCols[posOf[keyPairs[0].anchorCol]]
-			s, has := prov[cid]
+			s, has := o.sourceOf(child, childCols[posOf[keyPairs[0].anchorCol]])
 			if !has {
 				return nil
 			}
@@ -153,15 +151,13 @@ func (o *Optimizer) tryUnionASJ(j *plan.Join, branches []*augInfo, changed *bool
 			branchIdx = match
 		}
 		la := lifted[branchIdx]
-		prov := provenance(child)
 		inst := -1
 		for _, kp := range keyPairs {
 			ord, has := la.colOrd[kp.augCol]
 			if !has {
 				return nil
 			}
-			cid := childCols[posOf[kp.anchorCol]]
-			s, has := prov[cid]
+			s, has := o.sourceOf(child, childCols[posOf[kp.anchorCol]])
 			if !has || !equalsFold(s.table, la.scan.Info.Name) || s.ord != ord {
 				return nil
 			}
@@ -228,7 +224,7 @@ func (o *Optimizer) tryUnionASJ(j *plan.Join, branches []*augInfo, changed *bool
 	if !ok {
 		return nil
 	}
-	*changed = true
+	o.rewrote()
 	if j.CaseJoin {
 		o.logEvent("asj-case-join-elim", j, plan.CollectStats(j.Right).Joins+1,
 			"ASJ over UNION ALL augmenter (declared CASE JOIN)")
@@ -249,7 +245,7 @@ func (o *Optimizer) tryUnionASJ(j *plan.Join, branches []*augInfo, changed *bool
 // T while the anchor is (reachable through pass-through operators from)
 // a Union All whose every child contains its own self-join instance of
 // T carrying the key columns at the same positions.
-func (o *Optimizer) tryUnionAnchorASJ(j *plan.Join, branch *augInfo, cond *asjCond, changed *bool) plan.Node {
+func (o *Optimizer) tryUnionAnchorASJ(j *plan.Join, branch *augInfo, cond *asjCond) plan.Node {
 	if len(cond.keyPairs) == 0 {
 		return nil
 	}
@@ -257,7 +253,7 @@ func (o *Optimizer) tryUnionAnchorASJ(j *plan.Join, branch *augInfo, cond *asjCo
 	for _, kp := range cond.keyPairs {
 		anchorCols = append(anchorCols, kp.anchorCol)
 	}
-	au, posOf, _, ok := resolveToUnion(j.Left, anchorCols)
+	au, posOf, _, ok := o.resolveToUnion(j.Left, anchorCols)
 	if !ok {
 		return nil
 	}
@@ -268,15 +264,13 @@ func (o *Optimizer) tryUnionAnchorASJ(j *plan.Join, branch *augInfo, cond *asjCo
 	childInsts := make([]int, len(au.Children))
 	for k, child := range au.Children {
 		childCols := child.Columns()
-		prov := provenance(child)
 		inst := -1
 		for _, kp := range cond.keyPairs {
 			ord, has := branch.colOrd[kp.augCol]
 			if !has {
 				return nil
 			}
-			cid := childCols[posOf[kp.anchorCol]]
-			s, has := prov[cid]
+			s, has := o.sourceOf(child, childCols[posOf[kp.anchorCol]])
 			if !has || !equalsFold(s.table, branch.scan.Info.Name) || s.ord != ord {
 				return nil
 			}
@@ -324,7 +318,7 @@ func (o *Optimizer) tryUnionAnchorASJ(j *plan.Join, branch *augInfo, cond *asjCo
 	if !ok {
 		return nil
 	}
-	*changed = true
+	o.rewrote()
 	o.logEvent("asj-union-anchor-elim", j, plan.CollectStats(j.Right).Joins+1,
 		"ASJ with UNION ALL anchor: augmenter served by per-child self-join instances")
 	return o.buildASJProject(j, widened, func(rc types.ColumnID) plan.Expr {

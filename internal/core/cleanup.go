@@ -8,9 +8,10 @@ import (
 // cleanup normalizes the tree after the other passes: merges adjacent
 // projections, drops identity projections and no-op limits, and
 // collapses single-child unions.
-func (o *Optimizer) cleanup(n plan.Node, changed *bool) plan.Node {
+func (o *Optimizer) cleanup(n plan.Node) plan.Node {
+	defer o.settle(n, o.rewrites)
 	for i, c := range n.Inputs() {
-		n.SetInput(i, o.cleanup(c, changed))
+		n.SetInput(i, o.cleanup(c))
 	}
 	switch n := n.(type) {
 	case *plan.Project:
@@ -24,18 +25,18 @@ func (o *Optimizer) cleanup(n plan.Node, changed *bool) plan.Node {
 				n.Cols[i].Expr = plan.SubstituteColumns(n.Cols[i].Expr, subs)
 			}
 			n.Input = inner.Input
-			*changed = true
+			o.rewrote(n)
 			o.log("project-merge")
-			return o.cleanup(n, changed)
+			return o.cleanup(n)
 		}
 		if isIdentityProject(n) {
-			*changed = true
+			o.rewrote()
 			o.log("project-identity-elim")
 			return n.Input
 		}
 	case *plan.Limit:
 		if n.Count < 0 && n.Offset == 0 {
-			*changed = true
+			o.rewrote()
 			o.log("limit-noop-elim")
 			return n.Input
 		}
@@ -47,9 +48,9 @@ func (o *Optimizer) cleanup(n plan.Node, changed *bool) plan.Node {
 			for pos, id := range n.Cols {
 				pc = append(pc, plan.ProjCol{ID: id, Expr: &plan.ColRef{ID: childCols[pos], Typ: o.ctx.Type(id)}})
 			}
-			*changed = true
+			o.rewrote()
 			o.log("union-single-elim")
-			return o.cleanup(&plan.Project{Input: child, Cols: pc}, changed)
+			return o.cleanup(&plan.Project{Input: child, Cols: pc})
 		}
 	}
 	return n

@@ -17,11 +17,20 @@ type Optimizer struct {
 	costing bool
 	est     *stats.Estimator
 
+	// memo holds each node's derived facts for the Optimize call in
+	// progress (memo.go); nil outside it.
+	memo map[plan.Node]*facts
+	// rewrites counts rewrites: a pass that leaves it unchanged ends the
+	// fixpoint loop, and a walk that sees it move forgets the node it
+	// visits.
+	rewrites int
+
 	// trace state, populated during Optimize
 	pass          int
 	events        []TraceEvent
 	before, after plan.Stats
 	passes        int
+	derived       int
 }
 
 // NewOptimizer returns an optimizer for the given profile.
@@ -48,6 +57,7 @@ func (o *Optimizer) Report() *Trace {
 		Before:  o.before,
 		After:   o.after,
 		Passes:  o.passes,
+		Derived: o.derived,
 		Events:  o.events,
 		Skipped: skippedFor(o.caps),
 	}
@@ -76,28 +86,31 @@ const maxPasses = 12
 // preserved exactly (IDs and order).
 func (o *Optimizer) Optimize(root plan.Node) plan.Node {
 	o.before = plan.CollectStats(root)
+	o.derived = 0
 	if o.caps != 0 {
+		o.memo = make(map[plan.Node]*facts, o.before.Total)
 		for i := 0; i < maxPasses; i++ {
 			o.pass = i + 1
 			o.passes = o.pass
-			changed := false
-			root = o.simplify(root, &changed)
+			start := o.rewrites
+			root = o.simplify(root)
 			if o.caps.Has(CapFilterPushdown) {
-				root = o.pushFilters(root, &changed)
+				root = o.pushFilters(root)
 			}
-			root = o.rewriteASJ(root, &changed)
+			root = o.rewriteASJ(root)
 			if o.caps.Has(CapLimitPushdown) {
-				root = o.pushLimits(root, &changed)
+				root = o.pushLimits(root)
 			}
-			root = o.rewriteAggregates(root, &changed)
+			root = o.rewriteAggregates(root)
 			if o.caps.Has(CapColumnPrune) {
-				root = o.prune(root, plan.ColumnsOf(root), &changed)
+				root = o.prune(root, o.cols(root))
 			}
-			root = o.cleanup(root, &changed)
-			if !changed {
+			root = o.cleanup(root)
+			if o.rewrites == start {
 				break
 			}
 		}
+		o.memo = nil
 	}
 	if o.costing {
 		root = o.costPass(root)
@@ -167,39 +180,39 @@ func evalIfConst(x plan.Expr) plan.Expr {
 
 // simplify folds filter conditions, drops TRUE filters, converts FALSE
 // filters into empty Values, and converts left outer joins under
-// null-rejecting filters into inner joins.
-func (o *Optimizer) simplify(n plan.Node, changed *bool) plan.Node {
+// null-rejecting filters into inner joins. foldExpr copies on write, so
+// comparing pointers tells whether folding changed an expression.
+func (o *Optimizer) simplify(n plan.Node) plan.Node {
+	defer o.settle(n, o.rewrites)
 	for i, c := range n.Inputs() {
-		n.SetInput(i, o.simplify(c, changed))
+		n.SetInput(i, o.simplify(c))
 	}
 	switch n := n.(type) {
 	case *plan.Filter:
-		folded := foldExpr(n.Cond)
-		if !plan.EqualExprs(folded, n.Cond) {
+		if folded := foldExpr(n.Cond); folded != n.Cond {
 			n.Cond = folded
-			*changed = true
+			o.rewrote(n)
 		}
 		if plan.IsConstBool(n.Cond, true) {
-			*changed = true
+			o.rewrote()
 			o.log("filter-true-elim")
 			return n.Input
 		}
 		if isFalseOrNullConst(n.Cond) {
-			*changed = true
+			o.rewrote()
 			o.log("filter-false-to-empty")
 			return &plan.Values{Cols: n.Input.Columns()}
 		}
 		if o.caps.Has(CapOuterToInner) {
-			if out := o.outerToInner(n, changed); out != nil {
+			if out := o.outerToInner(n); out != nil {
 				return out
 			}
 		}
 	case *plan.Project:
 		for i := range n.Cols {
-			folded := foldExpr(n.Cols[i].Expr)
-			if !plan.EqualExprs(folded, n.Cols[i].Expr) {
+			if folded := foldExpr(n.Cols[i].Expr); folded != n.Cols[i].Expr {
 				n.Cols[i].Expr = folded
-				*changed = true
+				o.rewrote(n)
 			}
 		}
 	}
@@ -216,16 +229,16 @@ func isFalseOrNullConst(e plan.Expr) bool {
 
 // outerToInner converts LeftOuterJoin to InnerJoin when a filter conjunct
 // above it rejects NULL-extended right sides.
-func (o *Optimizer) outerToInner(f *plan.Filter, changed *bool) plan.Node {
+func (o *Optimizer) outerToInner(f *plan.Filter) plan.Node {
 	j, ok := f.Input.(*plan.Join)
 	if !ok || j.Kind != plan.LeftOuterJoin {
 		return nil
 	}
-	rightCols := plan.ColumnsOf(j.Right)
+	rightCols := o.cols(j.Right)
 	for _, conj := range plan.Conjuncts(f.Cond) {
 		if nullRejecting(conj, rightCols) {
 			j.Kind = plan.InnerJoin
-			*changed = true
+			o.rewrote(j)
 			o.logEvent("outer-to-inner", j, 0, "null-rejecting filter above left outer join")
 			return f
 		}

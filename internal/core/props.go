@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"vdm/internal/plan"
 	"vdm/internal/types"
 )
@@ -32,6 +34,15 @@ func (p *props) addKey(k types.ColSet) {
 	}
 }
 
+// setConst records that column id holds v; consts is allocated on the
+// first constant.
+func (p *props) setConst(id types.ColumnID, v types.Value) {
+	if p.consts == nil {
+		p.consts = map[types.ColumnID]types.Value{}
+	}
+	p.consts[id] = v
+}
+
 // constCols returns the set of constant output columns.
 func (p *props) constCols() types.ColSet {
 	var s types.ColSet
@@ -41,12 +52,14 @@ func (p *props) constCols() types.ColSet {
 	return s
 }
 
-// deriveProps computes logical properties bottom-up, honoring the
-// optimizer's capability gates (a capability a system lacks means that
-// system cannot derive the corresponding property, which is how the
-// paper's Tables 1–4 observations arise).
-func (o *Optimizer) deriveProps(n plan.Node) *props {
-	p := &props{out: plan.ColumnsOf(n), consts: map[types.ColumnID]types.Value{}}
+// computeProps derives n's logical properties from its inputs' (through
+// the memo), honoring the optimizer's capability gates (a capability a
+// system lacks means that system cannot derive the corresponding
+// property, which is how the paper's Tables 1–4 observations arise).
+// Inputs' properties are shared, never modified: key lists taken over are
+// clipped so that adding a key copies them.
+func (o *Optimizer) computeProps(n plan.Node) *props {
+	p := &props{out: o.cols(n)}
 	switch n := n.(type) {
 	case *plan.Scan:
 		if o.caps.Has(CapUAJUniqueKey) {
@@ -85,10 +98,10 @@ func (o *Optimizer) deriveProps(n plan.Node) *props {
 
 	case *plan.Filter:
 		in := o.deriveProps(n.Input)
-		p.keys = in.keys
+		p.keys = clipKeys(in.keys)
 		p.notNull = in.notNull.Copy()
 		for k, v := range in.consts {
-			p.consts[k] = v
+			p.setConst(k, v)
 		}
 		for _, conj := range plan.Conjuncts(n.Cond) {
 			switch c := conj.(type) {
@@ -96,13 +109,13 @@ func (o *Optimizer) deriveProps(n plan.Node) *props {
 				if c.Op == "=" {
 					if cr, ok := c.L.(*plan.ColRef); ok {
 						if k, ok := c.R.(*plan.Const); ok && !k.Val.IsNull() {
-							p.consts[cr.ID] = k.Val
+							p.setConst(cr.ID, k.Val)
 							p.notNull.Add(cr.ID)
 						}
 					}
 					if cr, ok := c.R.(*plan.ColRef); ok {
 						if k, ok := c.L.(*plan.Const); ok && !k.Val.IsNull() {
-							p.consts[cr.ID] = k.Val
+							p.setConst(cr.ID, k.Val)
 							p.notNull.Add(cr.ID)
 						}
 					}
@@ -127,14 +140,14 @@ func (o *Optimizer) deriveProps(n plan.Node) *props {
 					alias[e.ID] = c.ID
 				}
 				if v, ok := in.consts[e.ID]; ok {
-					p.consts[c.ID] = v
+					p.setConst(c.ID, v)
 				}
 				if in.notNull.Contains(e.ID) {
 					p.notNull.Add(c.ID)
 				}
 			case *plan.Const:
 				if !e.Val.IsNull() {
-					p.consts[c.ID] = e.Val
+					p.setConst(c.ID, e.Val)
 					p.notNull.Add(c.ID)
 				}
 			}
@@ -160,7 +173,7 @@ func (o *Optimizer) deriveProps(n plan.Node) *props {
 			// Semi/anti joins filter the left side: keys, constants, and
 			// non-null columns carry over unchanged.
 			in := o.deriveProps(n.Left)
-			p.keys = in.keys
+			p.keys = clipKeys(in.keys)
 			p.consts = in.consts
 			p.notNull = in.notNull
 			return p
@@ -168,12 +181,12 @@ func (o *Optimizer) deriveProps(n plan.Node) *props {
 		lp := o.deriveProps(n.Left)
 		rp := o.deriveProps(n.Right)
 		for k, v := range lp.consts {
-			p.consts[k] = v
+			p.setConst(k, v)
 		}
 		p.notNull = lp.notNull.Copy()
 		if n.Kind == plan.InnerJoin {
 			for k, v := range rp.consts {
-				p.consts[k] = v
+				p.setConst(k, v)
 			}
 			p.notNull = p.notNull.Union(rp.notNull)
 		}
@@ -204,7 +217,7 @@ func (o *Optimizer) deriveProps(n plan.Node) *props {
 		}
 		for _, g := range n.GroupCols {
 			if v, ok := in.consts[g]; ok {
-				p.consts[g] = v
+				p.setConst(g, v)
 			}
 			if in.notNull.Contains(g) {
 				p.notNull.Add(g)
@@ -222,7 +235,7 @@ func (o *Optimizer) deriveProps(n plan.Node) *props {
 	case *plan.Sort:
 		in := o.deriveProps(n.Input)
 		if o.caps.Has(CapUAJOrderByLimit) {
-			p.keys = in.keys
+			p.keys = clipKeys(in.keys)
 		}
 		p.consts = in.consts
 		p.notNull = in.notNull
@@ -230,7 +243,7 @@ func (o *Optimizer) deriveProps(n plan.Node) *props {
 	case *plan.Limit:
 		in := o.deriveProps(n.Input)
 		if o.caps.Has(CapUAJOrderByLimit) {
-			p.keys = in.keys
+			p.keys = clipKeys(in.keys)
 		}
 		if n.Count >= 0 && n.Count <= 1 {
 			p.addKey(types.ColSet{})
@@ -269,7 +282,7 @@ func (o *Optimizer) deriveProps(n plan.Node) *props {
 				}
 			}
 			if allConst {
-				p.consts[id] = v
+				p.setConst(id, v)
 				p.notNull.Add(id)
 			}
 		}
@@ -290,6 +303,12 @@ func (o *Optimizer) deriveProps(n plan.Node) *props {
 	return p
 }
 
+// clipKeys returns keys with its capacity cut to its length, so an append
+// to the result never writes into the shared backing array.
+func clipKeys(keys []types.ColSet) []types.ColSet {
+	return keys[:len(keys):len(keys)]
+}
+
 // joinSideUnique reports whether the given side of the join produces at
 // most one match per row of the other side: some key of that side is
 // covered by equality-bound columns (bound to the other side or to
@@ -304,11 +323,9 @@ func (o *Optimizer) joinSideUnique(j *plan.Join, sideProps *props, leftSide bool
 func (o *Optimizer) boundJoinCols(j *plan.Join, leftSide bool) types.ColSet {
 	var side, other types.ColSet
 	if leftSide {
-		side = plan.ColumnsOf(j.Left)
-		other = plan.ColumnsOf(j.Right)
+		side, other = o.cols(j.Left), o.cols(j.Right)
 	} else {
-		side = plan.ColumnsOf(j.Right)
-		other = plan.ColumnsOf(j.Left)
+		side, other = o.cols(j.Right), o.cols(j.Left)
 	}
 	var bound types.ColSet
 	for _, conj := range plan.Conjuncts(j.Cond) {
@@ -360,53 +377,60 @@ type source struct {
 	ord      int
 }
 
-// provenance maps each output column of n that is a pure pass-through of
-// a base-table column to its origin. Union All outputs have ambiguous
-// provenance and are omitted; GroupBy keeps group columns only.
-func provenance(n plan.Node) map[types.ColumnID]source {
-	switch n := n.(type) {
-	case *plan.Scan:
-		m := make(map[types.ColumnID]source, len(n.Cols))
-		for i, id := range n.Cols {
-			m[id] = source{table: n.Info.Name, instance: n.Instance, ord: n.Ords[i]}
-		}
-		return m
-	case *plan.Filter:
-		return provenance(n.Input)
-	case *plan.Sort:
-		return provenance(n.Input)
-	case *plan.Limit:
-		return provenance(n.Input)
-	case *plan.Distinct:
-		return provenance(n.Input)
-	case *plan.Project:
-		in := provenance(n.Input)
-		m := make(map[types.ColumnID]source)
-		for _, c := range n.Cols {
-			if cr, ok := c.Expr.(*plan.ColRef); ok {
-				if s, ok := in[cr.ID]; ok {
-					m[c.ID] = s
+// sourceOf traces column id of n down through pass-through operators to
+// the base-table column it carries; false when the column is computed,
+// comes out of a Union All (ambiguous) or is an aggregate (GroupBy passes
+// group columns only). It follows one path and builds nothing: at a join
+// the memoized column sets pick the side, the right one first.
+func (o *Optimizer) sourceOf(n plan.Node, id types.ColumnID) (source, bool) {
+	for {
+		switch cur := n.(type) {
+		case *plan.Scan:
+			for i, c := range cur.Cols {
+				if c == id {
+					return source{table: cur.Info.Name, instance: cur.Instance, ord: cur.Ords[i]}, true
 				}
 			}
-		}
-		return m
-	case *plan.Join:
-		m := provenance(n.Left)
-		for k, v := range provenance(n.Right) {
-			m[k] = v
-		}
-		return m
-	case *plan.GroupBy:
-		in := provenance(n.Input)
-		m := make(map[types.ColumnID]source)
-		for _, g := range n.GroupCols {
-			if s, ok := in[g]; ok {
-				m[g] = s
+			return source{}, false
+		case *plan.Filter:
+			n = cur.Input
+		case *plan.Sort:
+			n = cur.Input
+		case *plan.Limit:
+			n = cur.Input
+		case *plan.Distinct:
+			n = cur.Input
+		case *plan.Project:
+			// The last pass-through of id that resolves wins.
+			for i := len(cur.Cols) - 1; i >= 0; i-- {
+				if c := cur.Cols[i]; c.ID == id {
+					if cr, ok := c.Expr.(*plan.ColRef); ok {
+						if s, ok := o.sourceOf(cur.Input, cr.ID); ok {
+							return s, true
+						}
+					}
+				}
 			}
+			return source{}, false
+		case *plan.Join:
+			if o.cols(cur.Right).Contains(id) {
+				if s, ok := o.sourceOf(cur.Right, id); ok {
+					return s, true
+				}
+			}
+			if !o.cols(cur.Left).Contains(id) {
+				return source{}, false
+			}
+			n = cur.Left
+		case *plan.GroupBy:
+			if !slices.Contains(cur.GroupCols, id) {
+				return source{}, false
+			}
+			n = cur.Input
+		default:
+			return source{}, false
 		}
-		return m
 	}
-	return map[types.ColumnID]source{}
 }
 
 // nullableInstances returns the scan instances that may be null-extended

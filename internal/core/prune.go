@@ -16,7 +16,8 @@ const (
 // augmentation join elimination (§4.3), and distinct elimination:
 // `required` is the set of columns the parent needs; everything else is
 // removed where provably safe.
-func (o *Optimizer) prune(n plan.Node, required types.ColSet, changed *bool) plan.Node {
+func (o *Optimizer) prune(n plan.Node, required types.ColSet) plan.Node {
+	defer o.settle(n, o.rewrites)
 	switch n := n.(type) {
 	case *plan.Scan:
 		var cols []types.ColumnID
@@ -29,7 +30,7 @@ func (o *Optimizer) prune(n plan.Node, required types.ColSet, changed *bool) pla
 		}
 		if len(cols) != len(n.Cols) {
 			n.Cols, n.Ords = cols, ords
-			*changed = true
+			o.rewrote(n)
 			o.log("prune-scan")
 		}
 		return n
@@ -45,19 +46,19 @@ func (o *Optimizer) prune(n plan.Node, required types.ColSet, changed *bool) pla
 		}
 		if len(cols) != len(n.Cols) {
 			n.Cols = cols
-			*changed = true
+			o.rewrote(n)
 			o.log("prune-project")
 		}
-		n.Input = o.prune(n.Input, childReq, changed)
+		n.Input = o.prune(n.Input, childReq)
 		return n
 
 	case *plan.Filter:
 		childReq := required.Union(plan.ColsUsed(n.Cond))
-		n.Input = o.prune(n.Input, childReq, changed)
+		n.Input = o.prune(n.Input, childReq)
 		return n
 
 	case *plan.Join:
-		return o.pruneJoin(n, required, changed)
+		return o.pruneJoin(n, required)
 
 	case *plan.GroupBy:
 		var aggs []plan.AggCol
@@ -75,39 +76,38 @@ func (o *Optimizer) prune(n plan.Node, required types.ColSet, changed *bool) pla
 		}
 		if len(aggs) != len(n.Aggs) {
 			n.Aggs = aggs
-			*changed = true
+			o.rewrote(n)
 			o.log("prune-aggs")
 		}
-		n.Input = o.prune(n.Input, childReq, changed)
+		n.Input = o.prune(n.Input, childReq)
 		return n
 
 	case *plan.UnionAll:
-		return o.pruneUnion(n, required, changed)
+		return o.pruneUnion(n, required)
 
 	case *plan.Sort:
 		childReq := required.Copy()
 		for _, k := range n.Keys {
 			childReq.Add(k.Col)
 		}
-		n.Input = o.prune(n.Input, childReq, changed)
+		n.Input = o.prune(n.Input, childReq)
 		return n
 
 	case *plan.Limit:
-		n.Input = o.prune(n.Input, required, changed)
+		n.Input = o.prune(n.Input, required)
 		return n
 
 	case *plan.Distinct:
 		if o.caps.Has(CapDistinctElim) {
-			inCols := plan.ColumnsOf(n.Input)
-			if o.uniqueOnCols(n.Input, inCols) {
-				*changed = true
+			if o.uniqueOnCols(n.Input, o.cols(n.Input)) {
+				o.rewrote()
 				o.log("distinct-elim")
-				return o.prune(n.Input, required, changed)
+				return o.prune(n.Input, required)
 			}
 		}
 		// DISTINCT semantics depend on every input column; none may be
 		// pruned below it.
-		n.Input = o.prune(n.Input, plan.ColumnsOf(n.Input), changed)
+		n.Input = o.prune(n.Input, o.cols(n.Input))
 		return n
 
 	case *plan.Values:
@@ -129,7 +129,7 @@ func (o *Optimizer) prune(n plan.Node, required types.ColSet, changed *bool) pla
 				rows[ri] = nr
 			}
 			n.Cols, n.Rows = cols, rows
-			*changed = true
+			o.rewrote(n)
 			o.log("prune-values")
 		}
 		return n
@@ -138,20 +138,20 @@ func (o *Optimizer) prune(n plan.Node, required types.ColSet, changed *bool) pla
 }
 
 // pruneJoin applies UAJ elimination and otherwise prunes both sides.
-func (o *Optimizer) pruneJoin(j *plan.Join, required types.ColSet, changed *bool) plan.Node {
-	rightCols := plan.ColumnsOf(j.Right)
+func (o *Optimizer) pruneJoin(j *plan.Join, required types.ColSet) plan.Node {
+	rightCols := o.cols(j.Right)
 	if !required.Intersects(rightCols) && o.isUnusedRemovableAJ(j) {
-		*changed = true
+		o.rewrote()
 		o.logEvent("uaj-elim", j, plan.CollectStats(j.Right).Joins+1,
 			"unused augmentation join: augmenter columns unreferenced above")
-		return o.prune(j.Left, required, changed)
+		return o.prune(j.Left, required)
 	}
 	condCols := plan.ColsUsed(j.Cond)
-	leftCols := plan.ColumnsOf(j.Left)
+	leftCols := o.cols(j.Left)
 	leftReq := required.Union(condCols).Intersect(leftCols)
 	rightReq := required.Union(condCols).Intersect(rightCols)
-	j.Left = o.prune(j.Left, leftReq, changed)
-	j.Right = o.prune(j.Right, rightReq, changed)
+	j.Left = o.prune(j.Left, leftReq)
+	j.Right = o.prune(j.Right, rightReq)
 	return j
 }
 
@@ -211,7 +211,7 @@ func (o *Optimizer) fkGuaranteesExactlyOne(j *plan.Join) bool {
 		return false
 	}
 	// Collect equalities left-col = right-col; every conjunct must be one.
-	leftCols := plan.ColumnsOf(j.Left)
+	leftCols := o.cols(j.Left)
 	rightByOrd := map[int]types.ColumnID{} // right table ordinal -> left column
 	for _, conj := range plan.Conjuncts(j.Cond) {
 		eq, ok := conj.(*plan.Bin)
@@ -249,7 +249,6 @@ func (o *Optimizer) fkGuaranteesExactlyOne(j *plan.Join) bool {
 	}
 	// Left columns: NOT NULL and provenance matching a declared FK.
 	lp := o.deriveProps(j.Left)
-	prov := provenance(j.Left)
 	var srcTable string
 	var srcInstance int
 	srcOrds := make([]int, len(leftKey))
@@ -257,7 +256,7 @@ func (o *Optimizer) fkGuaranteesExactlyOne(j *plan.Join) bool {
 		if !lp.notNull.Contains(id) {
 			return false
 		}
-		s, ok := prov[id]
+		s, ok := o.sourceOf(j.Left, id)
 		if !ok {
 			return false
 		}
@@ -320,7 +319,7 @@ func equalsFold(a, b string) bool {
 // pruneUnion narrows a Union All to the required positions, keeping the
 // children positionally aligned (wrapping a child in a pass-through
 // projection when pruning left extra columns in it).
-func (o *Optimizer) pruneUnion(u *plan.UnionAll, required types.ColSet, changed *bool) plan.Node {
+func (o *Optimizer) pruneUnion(u *plan.UnionAll, required types.ColSet) plan.Node {
 	var keepPos []int
 	var cols []types.ColumnID
 	for pos, id := range u.Cols {
@@ -330,7 +329,7 @@ func (o *Optimizer) pruneUnion(u *plan.UnionAll, required types.ColSet, changed 
 		}
 	}
 	if len(cols) != len(u.Cols) {
-		*changed = true
+		o.rewrote(u)
 		o.log("prune-union")
 	}
 	for i, c := range u.Children {
@@ -341,7 +340,7 @@ func (o *Optimizer) pruneUnion(u *plan.UnionAll, required types.ColSet, changed 
 			childReqIDs = append(childReqIDs, childCols[pos])
 			childReq.Add(childCols[pos])
 		}
-		pruned := o.prune(c, childReq, changed)
+		pruned := o.prune(c, childReq)
 		if !columnsEqual(pruned.Columns(), childReqIDs) {
 			// Re-align positions with a pass-through projection.
 			var pc []plan.ProjCol

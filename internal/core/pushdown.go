@@ -11,27 +11,28 @@ import (
 // projections (by substitution), into the qualifying side of joins, into
 // every child of a Union All, below grouping (for group-column
 // predicates), and below sorts and distincts.
-func (o *Optimizer) pushFilters(n plan.Node, changed *bool) plan.Node {
+func (o *Optimizer) pushFilters(n plan.Node) plan.Node {
+	defer o.settle(n, o.rewrites)
 	switch n := n.(type) {
 	case *plan.Filter:
-		if out := o.pushFilterOnce(n, changed); out != nil {
-			return o.pushFilters(out, changed)
+		if out := o.pushFilterOnce(n); out != nil {
+			return o.pushFilters(out)
 		}
 	}
 	for i, c := range n.Inputs() {
-		n.SetInput(i, o.pushFilters(c, changed))
+		n.SetInput(i, o.pushFilters(c))
 	}
 	return n
 }
 
 // pushFilterOnce attempts one pushdown step for a filter; nil means no
 // rewrite applies.
-func (o *Optimizer) pushFilterOnce(f *plan.Filter, changed *bool) plan.Node {
+func (o *Optimizer) pushFilterOnce(f *plan.Filter) plan.Node {
 	switch child := f.Input.(type) {
 	case *plan.Filter:
 		// Merge adjacent filters.
 		child.Cond = plan.AndAll(append(plan.Conjuncts(child.Cond), plan.Conjuncts(f.Cond)...))
-		*changed = true
+		o.rewrote(child)
 		o.log("filter-merge")
 		return child
 
@@ -44,7 +45,7 @@ func (o *Optimizer) pushFilterOnce(f *plan.Filter, changed *bool) plan.Node {
 		}
 		cond := plan.SubstituteColumns(f.Cond, subs)
 		child.Input = &plan.Filter{Input: child.Input, Cond: cond}
-		*changed = true
+		o.rewrote(child)
 		o.log("filter-through-project")
 		return child
 
@@ -52,8 +53,7 @@ func (o *Optimizer) pushFilterOnce(f *plan.Filter, changed *bool) plan.Node {
 		if child.Kind == plan.CrossJoin {
 			return nil
 		}
-		leftCols := plan.ColumnsOf(child.Left)
-		rightCols := plan.ColumnsOf(child.Right)
+		leftCols, rightCols := o.cols(child.Left), o.cols(child.Right)
 		var leftPush, rightPush, keep []plan.Expr
 		for _, conj := range plan.Conjuncts(f.Cond) {
 			used := plan.ColsUsed(conj)
@@ -75,7 +75,7 @@ func (o *Optimizer) pushFilterOnce(f *plan.Filter, changed *bool) plan.Node {
 		if len(rightPush) > 0 {
 			child.Right = &plan.Filter{Input: child.Right, Cond: plan.AndAll(rightPush)}
 		}
-		*changed = true
+		o.rewrote(child, f)
 		o.log("filter-through-join")
 		if len(keep) == 0 {
 			return child
@@ -94,7 +94,7 @@ func (o *Optimizer) pushFilterOnce(f *plan.Filter, changed *bool) plan.Node {
 			cond := plan.RemapColumns(f.Cond, m)
 			child.Children[i] = &plan.Filter{Input: uc, Cond: cond}
 		}
-		*changed = true
+		o.rewrote(child)
 		o.log("filter-through-union")
 		return child
 
@@ -112,7 +112,7 @@ func (o *Optimizer) pushFilterOnce(f *plan.Filter, changed *bool) plan.Node {
 			return nil
 		}
 		child.Input = &plan.Filter{Input: child.Input, Cond: plan.AndAll(push)}
-		*changed = true
+		o.rewrote(child, f)
 		o.log("filter-through-groupby")
 		if len(keep) == 0 {
 			return child
@@ -122,13 +122,13 @@ func (o *Optimizer) pushFilterOnce(f *plan.Filter, changed *bool) plan.Node {
 
 	case *plan.Sort:
 		child.Input = &plan.Filter{Input: child.Input, Cond: f.Cond}
-		*changed = true
+		o.rewrote(child)
 		o.log("filter-through-sort")
 		return child
 
 	case *plan.Distinct:
 		child.Input = &plan.Filter{Input: child.Input, Cond: f.Cond}
-		*changed = true
+		o.rewrote(child)
 		o.log("filter-through-distinct")
 		return child
 	}
@@ -138,35 +138,36 @@ func (o *Optimizer) pushFilterOnce(f *plan.Filter, changed *bool) plan.Node {
 // pushLimits pushes LIMIT/OFFSET across row-preserving operators: below
 // projections and — the paper's §4.4 optimization — across augmentation
 // joins onto the anchor side.
-func (o *Optimizer) pushLimits(n plan.Node, changed *bool) plan.Node {
+func (o *Optimizer) pushLimits(n plan.Node) plan.Node {
+	defer o.settle(n, o.rewrites)
 	if lim, ok := n.(*plan.Limit); ok {
 		switch child := lim.Input.(type) {
 		case *plan.Project:
 			// Limit(Project(x)) = Project(Limit(x)).
 			lim.Input = child.Input
 			child.Input = lim
-			*changed = true
+			o.rewrote(lim, child)
 			o.log("limit-through-project")
-			return o.pushLimits(child, changed)
+			return o.pushLimits(child)
 		case *plan.Join:
 			if o.isRowPreservingAJ(child) {
 				// Limit over an augmentation join applies to the anchor:
 				// the join neither filters nor duplicates anchor rows.
 				lim.Input = child.Left
 				child.Left = lim
-				*changed = true
+				o.rewrote(lim, child)
 				o.logEvent("limit-across-aj", child, 0,
 					fmt.Sprintf("LIMIT %d pushed to the anchor side of a row-preserving augmentation join", lim.Count))
-				return o.pushLimits(child, changed)
+				return o.pushLimits(child)
 			}
 		case *plan.Limit:
 			// Limit(a,o1) over Limit(b,o2): compose conservatively when
 			// the outer has no offset and the inner no count.
 			if lim.Offset == 0 && child.Count < 0 {
 				child.Count = lim.Count
-				*changed = true
+				o.rewrote(child)
 				o.log("limit-merge")
-				return o.pushLimits(child, changed)
+				return o.pushLimits(child)
 			}
 		case *plan.UnionAll:
 			// Each union child needs at most count+offset rows; the outer
@@ -182,14 +183,14 @@ func (o *Optimizer) pushLimits(n plan.Node, changed *bool) plan.Node {
 					pushedAny = true
 				}
 				if pushedAny {
-					*changed = true
+					o.rewrote(child)
 					o.log("limit-into-union")
 				}
 			}
 		}
 	}
 	for i, c := range n.Inputs() {
-		n.SetInput(i, o.pushLimits(c, changed))
+		n.SetInput(i, o.pushLimits(c))
 	}
 	return n
 }

@@ -67,6 +67,10 @@ type Trace struct {
 	Before, After plan.Stats
 	// Passes is the number of fixpoint passes executed.
 	Passes int
+	// Derived counts the derived facts the passes computed: a node's
+	// column set or logical properties, each computed once per node until
+	// a rewrite at or below the node invalidates it.
+	Derived int
 	// Events lists every rule application in firing order.
 	Events []TraceEvent
 	// Skipped lists rules unavailable under this profile.
@@ -115,7 +119,7 @@ func (t *Trace) String() string {
 	fmt.Fprintf(&b, "profile: %s\n", t.Profile)
 	fmt.Fprintf(&b, "plan before: %s\n", t.Before)
 	fmt.Fprintf(&b, "plan after:  %s\n", t.After)
-	fmt.Fprintf(&b, "passes: %d\n", t.Passes)
+	fmt.Fprintf(&b, "passes: %d  derived: %d\n", t.Passes, t.Derived)
 	if len(t.Events) == 0 {
 		b.WriteString("fired: (none)\n")
 	} else {

@@ -51,7 +51,7 @@ func (o *Optimizer) deriveUnionProps(n *plan.UnionAll, p *props) {
 			}
 		}
 		if allConst && len(children) > 0 {
-			p.consts[n.Cols[pos]] = v
+			p.setConst(n.Cols[pos], v)
 		}
 		allNN := true
 		for i := range children {
@@ -148,10 +148,10 @@ func (o *Optimizer) deriveUnionProps(n *plan.UnionAll, p *props) {
 			if !allChildrenHaveKeyWithin(childKeyPos, full) {
 				continue
 			}
-			if !sameTableAt(children, childCols, cand) {
+			if !o.sameTableAt(children, childCols, cand) {
 				continue
 			}
-			if !coversBaseTableKey(children[0], childCols[0], cand) {
+			if !o.coversBaseTableKey(children[0], childCols[0], cand) {
 				continue
 			}
 			if childrenPairwiseDisjoint(children) {
@@ -216,13 +216,12 @@ func branchTuplesDistinct(children []plan.Node, constAt []map[int]types.Value, b
 // column is a pass-through of the same base-table column (same table
 // name, same ordinal) — the Figure 12(a) shape where each child scans
 // the same relation.
-func sameTableAt(children []plan.Node, childCols [][]types.ColumnID, positions []int) bool {
+func (o *Optimizer) sameTableAt(children []plan.Node, childCols [][]types.ColumnID, positions []int) bool {
 	var ref map[int]source // position -> source of child 0 (ord/table)
 	for i, c := range children {
-		prov := provenance(c)
 		cur := map[int]source{}
 		for _, pos := range positions {
-			s, ok := prov[childCols[i][pos]]
+			s, ok := o.sourceOf(c, childCols[i][pos])
 			if !ok {
 				return false
 			}
@@ -243,12 +242,11 @@ func sameTableAt(children []plan.Node, childCols [][]types.ColumnID, positions [
 
 // coversBaseTableKey reports whether the base-table ordinals behind the
 // given child positions cover a declared key of that base table.
-func coversBaseTableKey(child plan.Node, childCols []types.ColumnID, positions []int) bool {
-	prov := provenance(child)
+func (o *Optimizer) coversBaseTableKey(child plan.Node, childCols []types.ColumnID, positions []int) bool {
 	ords := map[int]bool{}
 	instance := -1
 	for _, pos := range positions {
-		s, ok := prov[childCols[pos]]
+		s, ok := o.sourceOf(child, childCols[pos])
 		if !ok {
 			return false
 		}

@@ -55,8 +55,10 @@ func containsWidenTarget(n plan.Node, t *widenTarget) bool {
 // refuses to cross operators that would change semantics (GroupBy,
 // Distinct) — the paper's "projection operations don't block ASJ
 // optimization" observation implemented literally: only projections are
-// modified, everything else passes columns through.
+// modified, everything else passes columns through. Every node widen
+// reaches may change below or in itself, so its facts are forgotten.
 func (o *Optimizer) widen(n plan.Node, t *widenTarget) (plan.Node, []types.ColumnID, bool) {
+	o.forget(n)
 	switch n := n.(type) {
 	case *plan.Scan:
 		if t.union != nil || n.Instance != t.instance {
@@ -226,7 +228,7 @@ func (o *Optimizer) widenUnion(u *plan.UnionAll, t *widenTarget) (plan.Node, []t
 // resolveToUnion walks pass-through operators from n down to a Union All
 // whose outputs carry all the given columns, returning the union, the
 // position of each column, and the number of interposed operators.
-func resolveToUnion(n plan.Node, cols []types.ColumnID) (*plan.UnionAll, map[types.ColumnID]int, int, bool) {
+func (o *Optimizer) resolveToUnion(n plan.Node, cols []types.ColumnID) (*plan.UnionAll, map[types.ColumnID]int, int, bool) {
 	remap := map[types.ColumnID]types.ColumnID{}
 	for _, c := range cols {
 		remap[c] = c
@@ -283,8 +285,7 @@ func resolveToUnion(n plan.Node, cols []types.ColumnID) (*plan.UnionAll, map[typ
 			n = cur.Input
 			depth++
 		case *plan.Join:
-			var side types.ColSet
-			left := plan.ColumnsOf(cur.Left)
+			left := o.cols(cur.Left)
 			all := true
 			for _, orig := range cols {
 				if !left.Contains(remap[orig]) {
@@ -296,7 +297,7 @@ func resolveToUnion(n plan.Node, cols []types.ColumnID) (*plan.UnionAll, map[typ
 				n = cur.Left
 				continue
 			}
-			side = plan.ColumnsOf(cur.Right)
+			side := o.cols(cur.Right)
 			for _, orig := range cols {
 				if !side.Contains(remap[orig]) {
 					return nil, nil, 0, false

@@ -246,6 +246,23 @@ func TestVectorRowEquivalence(t *testing.T) {
 	check("post-merge")
 }
 
+const browser = "JournalEntryItemBrowser"
+
+// vdmRoundStatements are the seven statements of a vdm_read round over
+// the tiny S/4 fixture plus Figure 3's select *, paged.
+func vdmRoundStatements() []experiments.NamedQuery {
+	return []experiments.NamedQuery{
+		{Name: "count_star", SQL: "select count(*) from " + browser},
+		{Name: "narrow_page", SQL: "select rbukrs, gjahr, belnr, docln, hsl, sup_name1, cus_name1 from " + browser + " limit 100 offset 20"},
+		{Name: "group_by", SQL: "select rbukrs, company_name, sum(hsl) total, count(*) n from " + browser + " group by rbukrs, company_name order by rbukrs, company_name"},
+		{Name: "filtered_agg", SQL: "select cty_landx, sum(hsl) total, count(*) n from " + browser + " where gjahr = 2023 group by cty_landx order by cty_landx"},
+		{Name: "topk", SQL: "select belnr, docln, hsl, cus_name1 from " + browser + " order by hsl desc, belnr, docln limit 50"},
+		{Name: "casejoin_page", SQL: "select * from C_Document001XC limit 10"},
+		{Name: "union_page", SQL: "select * from C_Document003 limit 10"},
+		{Name: "select_star", SQL: "select * from " + browser + " limit 100"},
+	}
+}
+
 // TestVectorVDMStatementsMatchRowPath diffs the benchmark's VDM read
 // statements — the seven of a vdm_read round and Figure 3's select * —
 // and the unoptimized (ProfileNone) unfolding of the 57-join browser
@@ -258,21 +275,15 @@ func TestVectorVDMStatementsMatchRowPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const browser = "JournalEntryItemBrowser"
-	stmts := []struct {
+	type stmt struct {
 		name, sql string
 		profile   core.Profile
-	}{
-		{"count_star", "select count(*) from " + browser, core.ProfileHANA},
-		{"narrow_page", "select rbukrs, gjahr, belnr, docln, hsl, sup_name1, cus_name1 from " + browser + " limit 100 offset 20", core.ProfileHANA},
-		{"group_by", "select rbukrs, company_name, sum(hsl) total, count(*) n from " + browser + " group by rbukrs, company_name order by rbukrs, company_name", core.ProfileHANA},
-		{"filtered_agg", "select cty_landx, sum(hsl) total, count(*) n from " + browser + " where gjahr = 2023 group by cty_landx order by cty_landx", core.ProfileHANA},
-		{"topk", "select belnr, docln, hsl, cus_name1 from " + browser + " order by hsl desc, belnr, docln limit 50", core.ProfileHANA},
-		{"casejoin_page", "select * from C_Document001XC limit 10", core.ProfileHANA},
-		{"union_page", "select * from C_Document003 limit 10", core.ProfileHANA},
-		{"select_star", "select * from " + browser + " limit 100", core.ProfileHANA},
-		{"unfolded", "select rbukrs, gjahr, belnr, docln, hsl, company_name, cty_landx, sup_name1, cus_name1 from " + browser, core.ProfileNone},
 	}
+	var stmts []stmt
+	for _, q := range vdmRoundStatements() {
+		stmts = append(stmts, stmt{q.Name, q.SQL, core.ProfileHANA})
+	}
+	stmts = append(stmts, stmt{"unfolded", "select rbukrs, gjahr, belnr, docln, hsl, company_name, cty_landx, sup_name1, cus_name1 from " + browser, core.ProfileNone})
 	run := func(sqlText string, o engine.Options, p core.Profile) *engine.Result {
 		t.Helper()
 		e.SetOptions(o)

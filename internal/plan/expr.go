@@ -1,7 +1,10 @@
 package plan
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"vdm/internal/types"
@@ -208,8 +211,9 @@ func AndAll(conj []Expr) Expr {
 	return out
 }
 
-// RemapColumns returns a copy of e with every column reference replaced
-// per the mapping; references absent from the map are kept.
+// RemapColumns returns e with every column reference replaced per the
+// mapping; references absent from the map are kept. Like RewriteExpr,
+// it shares every unchanged subtree with e.
 func RemapColumns(e Expr, m map[types.ColumnID]types.ColumnID) Expr {
 	return RewriteExpr(e, func(x Expr) Expr {
 		if c, ok := x.(*ColRef); ok {
@@ -221,8 +225,9 @@ func RemapColumns(e Expr, m map[types.ColumnID]types.ColumnID) Expr {
 	})
 }
 
-// SubstituteColumns returns a copy of e with column references replaced
-// by arbitrary expressions; references absent from the map are kept.
+// SubstituteColumns returns e with column references replaced by
+// arbitrary expressions; references absent from the map are kept. Like
+// RewriteExpr, it shares every unchanged subtree with e.
 func SubstituteColumns(e Expr, m map[types.ColumnID]Expr) Expr {
 	return RewriteExpr(e, func(x Expr) Expr {
 		if c, ok := x.(*ColRef); ok {
@@ -235,7 +240,12 @@ func SubstituteColumns(e Expr, m map[types.ColumnID]Expr) Expr {
 }
 
 // RewriteExpr rebuilds the expression bottom-up, applying fn to every
-// node (children first).
+// node (children first). It copies on write: a node is rebuilt only when
+// the rewrite of one of its children returned a different expression, so
+// an fn that changes nothing returns e itself and the result shares every
+// unchanged subtree with e. Expressions are immutable once built: fn must
+// return a new node rather than modify its argument, and callers must not
+// modify the result in place.
 func RewriteExpr(e Expr, fn func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
@@ -244,103 +254,161 @@ func RewriteExpr(e Expr, fn func(Expr) Expr) Expr {
 	case *ColRef, *Const:
 		return fn(e)
 	case *Bin:
-		return fn(&Bin{Op: e.Op, L: RewriteExpr(e.L, fn), R: RewriteExpr(e.R, fn), Typ: e.Typ})
+		if l, r := RewriteExpr(e.L, fn), RewriteExpr(e.R, fn); l != e.L || r != e.R {
+			e = &Bin{Op: e.Op, L: l, R: r, Typ: e.Typ}
+		}
+		return fn(e)
 	case *Un:
-		return fn(&Un{Op: e.Op, E: RewriteExpr(e.E, fn), Typ: e.Typ})
+		if x := RewriteExpr(e.E, fn); x != e.E {
+			e = &Un{Op: e.Op, E: x, Typ: e.Typ}
+		}
+		return fn(e)
 	case *IsNullExpr:
-		return fn(&IsNullExpr{E: RewriteExpr(e.E, fn), Not: e.Not})
+		if x := RewriteExpr(e.E, fn); x != e.E {
+			e = &IsNullExpr{E: x, Not: e.Not}
+		}
+		return fn(e)
 	case *InListExpr:
-		list := make([]Expr, len(e.List))
-		for i, x := range e.List {
-			list[i] = RewriteExpr(x, fn)
+		x, list := RewriteExpr(e.E, fn), rewriteExprs(e.List, fn)
+		if x != e.E || list != nil {
+			if list == nil {
+				list = e.List
+			}
+			e = &InListExpr{E: x, List: list, Not: e.Not}
 		}
-		return fn(&InListExpr{E: RewriteExpr(e.E, fn), List: list, Not: e.Not})
+		return fn(e)
 	case *Func:
-		args := make([]Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = RewriteExpr(a, fn)
+		if args := rewriteExprs(e.Args, fn); args != nil {
+			e = &Func{Name: e.Name, Args: args, Typ: e.Typ}
 		}
-		return fn(&Func{Name: e.Name, Args: args, Typ: e.Typ})
+		return fn(e)
 	case *Case:
-		whens := make([]CaseArm, len(e.Whens))
+		var whens []CaseArm
 		for i, w := range e.Whens {
-			whens[i] = CaseArm{Cond: RewriteExpr(w.Cond, fn), Then: RewriteExpr(w.Then, fn)}
+			c, t := RewriteExpr(w.Cond, fn), RewriteExpr(w.Then, fn)
+			if whens == nil && (c != w.Cond || t != w.Then) {
+				whens = make([]CaseArm, len(e.Whens))
+				copy(whens, e.Whens[:i])
+			}
+			if whens != nil {
+				whens[i] = CaseArm{Cond: c, Then: t}
+			}
 		}
-		return fn(&Case{Whens: whens, Else: RewriteExpr(e.Else, fn), Typ: e.Typ})
+		if els := RewriteExpr(e.Else, fn); whens != nil || els != e.Else {
+			if whens == nil {
+				whens = e.Whens
+			}
+			e = &Case{Whens: whens, Else: els, Typ: e.Typ}
+		}
+		return fn(e)
 	}
 	panic(fmt.Sprintf("plan: RewriteExpr: unknown expr %T", e))
+}
+
+// rewriteExprs rewrites every expression of xs. It returns nil when none
+// changed, else a new slice.
+func rewriteExprs(xs []Expr, fn func(Expr) Expr) []Expr {
+	var out []Expr
+	for i, x := range xs {
+		y := RewriteExpr(x, fn)
+		if out == nil && y != x {
+			out = make([]Expr, len(xs))
+			copy(out, xs[:i])
+		}
+		if out != nil {
+			out[i] = y
+		}
+	}
+	return out
 }
 
 // ExprKey returns a canonical string for structural comparison of bound
 // expressions (used to match GROUP BY expressions against select items
 // and to compare filter conjuncts for subsumption).
 func ExprKey(e Expr) string {
-	var b strings.Builder
-	writeExprKey(e, &b)
-	return b.String()
+	return string(appendExprKey(make([]byte, 0, 64), e))
 }
 
-func writeExprKey(e Expr, b *strings.Builder) {
+// appendExprKey appends e's key to b. Every operand key is written in
+// place, so a commutative operator canonicalizes by comparing and, if
+// need be, swapping two adjacent byte ranges rather than building operand
+// strings.
+func appendExprKey(b []byte, e Expr) []byte {
 	switch e := e.(type) {
 	case nil:
-		b.WriteString("∅")
+		return append(b, "∅"...)
 	case *ColRef:
-		fmt.Fprintf(b, "c%d", e.ID)
+		return strconv.AppendInt(append(b, 'c'), int64(e.ID), 10)
 	case *Const:
-		b.WriteString("k")
-		b.WriteString(e.Val.Key())
+		return e.Val.AppendKey(append(b, 'k'))
 	case *Bin:
-		l, r := ExprKey(e.L), ExprKey(e.R)
-		op := e.Op
+		b = append(b, '(')
+		l := len(b)
+		b = appendExprKey(b, e.L)
+		r := len(b)
+		b = appendExprKey(b, e.R)
+		op, swap := e.Op, false
 		// Canonicalize commutative operators so a=b matches b=a.
 		switch op {
 		case "=", "<>", "+", "*", "AND", "OR":
-			if r < l {
-				l, r = r, l
-			}
+			swap = bytes.Compare(b[r:], b[l:r]) < 0
 		case ">":
-			op, l, r = "<", r, l
+			op, swap = "<", true
 		case ">=":
-			op, l, r = "<=", r, l
+			op, swap = "<=", true
 		}
-		fmt.Fprintf(b, "(%s %s %s)", l, op, r)
+		mid := r // where the first operand key ends
+		if swap {
+			rotateLeft(b[l:], r-l)
+			mid = l + len(b) - r
+		}
+		var sep [8]byte
+		b = slices.Insert(b, mid, append(append(append(sep[:0], ' '), op...), ' ')...)
+		return append(b, ')')
 	case *Un:
-		fmt.Fprintf(b, "(%s %s)", e.Op, ExprKey(e.E))
+		b = append(append(append(b, '('), e.Op...), ' ')
+		return append(appendExprKey(b, e.E), ')')
 	case *IsNullExpr:
+		b = appendExprKey(append(b, '('), e.E)
 		if e.Not {
-			fmt.Fprintf(b, "(%s ISNOTNULL)", ExprKey(e.E))
-		} else {
-			fmt.Fprintf(b, "(%s ISNULL)", ExprKey(e.E))
+			return append(b, " ISNOTNULL)"...)
 		}
+		return append(b, " ISNULL)"...)
 	case *InListExpr:
-		fmt.Fprintf(b, "(%s IN", ExprKey(e.E))
+		b = append(appendExprKey(append(b, '('), e.E), " IN"...)
 		if e.Not {
-			b.WriteString(" NOT")
+			b = append(b, " NOT"...)
 		}
 		for _, x := range e.List {
-			b.WriteByte(' ')
-			writeExprKey(x, b)
+			b = appendExprKey(append(b, ' '), x)
 		}
-		b.WriteByte(')')
+		return append(b, ')')
 	case *Func:
-		fmt.Fprintf(b, "(%s", e.Name)
+		b = append(append(b, '('), e.Name...)
 		for _, a := range e.Args {
-			b.WriteByte(' ')
-			writeExprKey(a, b)
+			b = appendExprKey(append(b, ' '), a)
 		}
-		b.WriteByte(')')
+		return append(b, ')')
 	case *Case:
-		b.WriteString("(CASE")
+		b = append(b, "(CASE"...)
 		for _, w := range e.Whens {
-			fmt.Fprintf(b, " [%s->%s]", ExprKey(w.Cond), ExprKey(w.Then))
+			b = appendExprKey(append(b, " ["...), w.Cond)
+			b = appendExprKey(append(b, "->"...), w.Then)
+			b = append(b, ']')
 		}
 		if e.Else != nil {
-			fmt.Fprintf(b, " else %s", ExprKey(e.Else))
+			b = appendExprKey(append(b, " else "...), e.Else)
 		}
-		b.WriteByte(')')
-	default:
-		panic(fmt.Sprintf("plan: ExprKey: unknown expr %T", e))
+		return append(b, ')')
 	}
+	panic(fmt.Sprintf("plan: ExprKey: unknown expr %T", e))
+}
+
+// rotateLeft moves the first k bytes of b to its end, in place.
+func rotateLeft(b []byte, k int) {
+	slices.Reverse(b[:k])
+	slices.Reverse(b[k:])
+	slices.Reverse(b)
 }
 
 // ExprString renders the expression for plan display, resolving column
@@ -410,6 +478,3 @@ func IsConstBool(e Expr, val bool) bool {
 	c, ok := e.(*Const)
 	return ok && !c.Val.IsNull() && c.Val.Typ == types.TBool && c.Val.Bool() == val
 }
-
-// EqualExprs reports structural equality of two bound expressions.
-func EqualExprs(a, b Expr) bool { return ExprKey(a) == ExprKey(b) }

@@ -3,7 +3,6 @@ package types
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -35,8 +34,11 @@ func (s *ColSet) Add(c ColumnID) {
 		panic("types: negative ColumnID")
 	}
 	w := int(c) / 64
-	for len(s.words) <= w {
+	switch n := len(s.words); {
+	case w == n:
 		s.words = append(s.words, 0)
+	case w > n:
+		s.words = append(s.words, make([]uint64, w+1-n)...)
 	}
 	s.words[w] |= 1 << (uint(c) % 64)
 }
@@ -76,11 +78,9 @@ func (s ColSet) Len() int {
 
 // Union returns s ∪ o.
 func (s ColSet) Union(o ColSet) ColSet {
-	out := s.Copy()
+	out := ColSet{words: make([]uint64, max(len(s.words), len(o.words)))}
+	copy(out.words, s.words)
 	for i, w := range o.words {
-		for len(out.words) <= i {
-			out.words = append(out.words, 0)
-		}
 		out.words[i] |= w
 	}
 	return out
@@ -153,21 +153,19 @@ func (s ColSet) Copy() ColSet {
 // Ordered returns the elements in ascending order.
 func (s ColSet) Ordered() []ColumnID {
 	var out []ColumnID
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, ColumnID(wi*64+b))
-			w &^= 1 << uint(b)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	s.ForEach(func(c ColumnID) { out = append(out, c) })
 	return out
 }
 
-// ForEach calls fn on each element in ascending order.
+// ForEach calls fn on each element in ascending order; fn must not
+// modify s.
 func (s ColSet) ForEach(fn func(ColumnID)) {
-	for _, c := range s.Ordered() {
-		fn(c)
+	for wi, w := range s.words {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			fn(ColumnID(wi*64 + b))
+			w &^= 1 << uint(b)
+		}
 	}
 }
 

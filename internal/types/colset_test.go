@@ -74,6 +74,39 @@ func TestColSetCopyIndependence(t *testing.T) {
 	if a.Contains(2) {
 		t.Error("Copy must be independent")
 	}
+	u := a.Union(MakeColSet(300))
+	u.Add(3)
+	if a.Contains(3) || a.Contains(300) {
+		t.Error("Union must be independent of its operands")
+	}
+}
+
+// BenchmarkColSetAdd builds sets the way the optimizer does for a wide
+// plan: column IDs in the thousands, each Add reaching past the words
+// the set holds so far.
+func BenchmarkColSetAdd(b *testing.B) {
+	var ids []ColumnID
+	for id := ColumnID(0); id < 4096; id += 61 {
+		ids = append(ids, id)
+	}
+	b.Run("ascending", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var s ColSet
+			for _, id := range ids {
+				s.Add(id)
+			}
+		}
+	})
+	b.Run("high-first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var s ColSet
+			for j := len(ids) - 1; j >= 0; j-- {
+				s.Add(ids[j])
+			}
+		}
+	})
 }
 
 func genSet(r *rand.Rand) ColSet {
