@@ -175,7 +175,7 @@ func (ab *aggBinder) transform(e sql.Expr) (plan.Expr, error) {
 	case *sql.ColRef:
 		return nil, fmt.Errorf("bind: column %s must appear in GROUP BY or inside an aggregate", e.String())
 	case *sql.Lit:
-		return &plan.Const{Val: e.Val}, nil
+		return &plan.Const{Val: e.Val, Slot: e.Slot}, nil
 	case *sql.BinOp:
 		l, err := ab.transform(e.L)
 		if err != nil {

@@ -110,7 +110,7 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope, allowAgg bool) (plan.Expr, erro
 		}
 		return &plan.ColRef{ID: c.id, Typ: c.typ}, nil
 	case *sql.Lit:
-		return &plan.Const{Val: e.Val}, nil
+		return &plan.Const{Val: e.Val, Slot: e.Slot}, nil
 	case *sql.BinOp:
 		l, err := b.bindExpr(e.L, sc, allowAgg)
 		if err != nil {

@@ -40,6 +40,7 @@ func (c *Catalog) AddCache(info *CacheInfo) error {
 		return fmt.Errorf("catalog: view %s is already cached", info.View)
 	}
 	c.caches[key] = info
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -60,5 +61,6 @@ func (c *Catalog) DropCache(view string) error {
 		return fmt.Errorf("catalog: view %s is not cached", view)
 	}
 	delete(c.caches, key)
+	c.epoch.Add(1)
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"vdm/internal/sql"
 	"vdm/internal/storage"
@@ -40,7 +41,16 @@ type Catalog struct {
 	views  map[string]*ViewDef
 	dacs   map[string][]DACPolicy
 	caches map[string]*CacheInfo
+	// epoch counts mutations. Each one bumps it after it is applied, under
+	// mu, so a reader that sees an epoch also sees every mutation before
+	// it; a plan bound between two reads of an unchanged epoch saw one
+	// consistent catalog.
+	epoch atomic.Uint64
 }
+
+// Epoch returns the mutation counter: it moves whenever a view, DAC
+// policy or cache registration changes.
+func (c *Catalog) Epoch() uint64 { return c.epoch.Load() }
 
 // New returns a catalog over the given storage database.
 func New(db *storage.DB) *Catalog {
@@ -83,6 +93,7 @@ func (c *Catalog) CreateView(v *ViewDef) error {
 		v.Macros = make(map[string]sql.Expr)
 	}
 	c.views[key] = v
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -100,6 +111,7 @@ func (c *Catalog) ReplaceView(v *ViewDef) error {
 		v.Macros = make(map[string]sql.Expr)
 	}
 	c.views[strings.ToLower(v.Name)] = v
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -113,6 +125,7 @@ func (c *Catalog) DropView(name string) error {
 	}
 	delete(c.views, key)
 	delete(c.dacs, key)
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -136,6 +149,7 @@ func (c *Catalog) AddDAC(viewName string, p DACPolicy) error {
 		return fmt.Errorf("catalog: view %s does not exist", viewName)
 	}
 	c.dacs[key] = append(c.dacs[key], p)
+	c.epoch.Add(1)
 	return nil
 }
 

@@ -25,7 +25,7 @@ func TestFoldExprBooleanIdentities(t *testing.T) {
 		{&plan.Bin{Op: "OR", L: c, R: boolConst(true), Typ: types.TBool}, plan.ExprKey(plan.TrueExpr())},
 	}
 	for i, cse := range cases {
-		if got := plan.ExprKey(foldExpr(cse.in)); got != cse.want {
+		if got := plan.ExprKey(new(Optimizer).fold(cse.in)); got != cse.want {
 			t.Errorf("case %d: folded to %s, want %s", i, got, cse.want)
 		}
 	}
@@ -33,14 +33,14 @@ func TestFoldExprBooleanIdentities(t *testing.T) {
 
 func TestFoldExprConstArithmetic(t *testing.T) {
 	e := &plan.Bin{Op: "+", L: intConst(1), R: &plan.Bin{Op: "*", L: intConst(2), R: intConst(3), Typ: types.TInt}, Typ: types.TInt}
-	folded := foldExpr(e)
+	folded := new(Optimizer).fold(e)
 	c, ok := folded.(*plan.Const)
 	if !ok || c.Val.Int() != 7 {
 		t.Fatalf("folded = %v", plan.ExprString(nil, folded))
 	}
 	// Errors (division by zero) are left unfolded for runtime.
 	bad := &plan.Bin{Op: "/", L: intConst(1), R: intConst(0), Typ: types.TFloat}
-	if _, isConst := foldExpr(bad).(*plan.Const); isConst {
+	if _, isConst := new(Optimizer).fold(bad).(*plan.Const); isConst {
 		t.Fatal("division by zero must not fold")
 	}
 }
@@ -70,7 +70,7 @@ func TestNullRejecting(t *testing.T) {
 		{&plan.InListExpr{E: colRef(5, types.TInt), List: []plan.Expr{intConst(1), intConst(2)}}, true},
 	}
 	for i, c := range cases {
-		if got := nullRejecting(c.e, right); got != c.want {
+		if got := new(Optimizer).nullRejecting(c.e, right); got != c.want {
 			t.Errorf("case %d (%s): nullRejecting = %v, want %v",
 				i, plan.ExprString(nil, c.e), got, c.want)
 		}
@@ -78,19 +78,19 @@ func TestNullRejecting(t *testing.T) {
 }
 
 func TestPairDisjoint(t *testing.T) {
-	v := func(s string) *types.Value { x := types.NewString(s); return &x }
-	iv := func(n int64) *types.Value { x := types.NewInt(n); return &x }
+	v := func(s string) *plan.Const { return &plan.Const{Val: types.NewString(s)} }
+	iv := func(n int64) *plan.Const { return &plan.Const{Val: types.NewInt(n)} }
 	cases := []struct {
 		a, b *colConstraint
 		want bool
 	}{
 		{&colConstraint{eq: v("O")}, &colConstraint{eq: v("F")}, true},
 		{&colConstraint{eq: v("O")}, &colConstraint{eq: v("O")}, false},
-		{&colConstraint{eq: v("O")}, &colConstraint{ne: []types.Value{*v("O")}}, true},
-		{&colConstraint{eq: v("O")}, &colConstraint{in: []types.Value{*v("F"), *v("P")}}, true},
-		{&colConstraint{eq: v("F")}, &colConstraint{in: []types.Value{*v("F"), *v("P")}}, false},
-		{&colConstraint{in: []types.Value{*v("A")}}, &colConstraint{in: []types.Value{*v("B")}}, true},
-		{&colConstraint{in: []types.Value{*v("A"), *v("B")}}, &colConstraint{in: []types.Value{*v("B")}}, false},
+		{&colConstraint{eq: v("O")}, &colConstraint{ne: []*plan.Const{v("O")}}, true},
+		{&colConstraint{eq: v("O")}, &colConstraint{in: []*plan.Const{v("F"), v("P")}}, true},
+		{&colConstraint{eq: v("F")}, &colConstraint{in: []*plan.Const{v("F"), v("P")}}, false},
+		{&colConstraint{in: []*plan.Const{v("A")}}, &colConstraint{in: []*plan.Const{v("B")}}, true},
+		{&colConstraint{in: []*plan.Const{v("A"), v("B")}}, &colConstraint{in: []*plan.Const{v("B")}}, false},
 		{&colConstraint{hi: iv(5), hiOpen: true}, &colConstraint{lo: iv(5)}, true},
 		{&colConstraint{hi: iv(5)}, &colConstraint{lo: iv(5)}, false},
 		{&colConstraint{hi: iv(4)}, &colConstraint{lo: iv(5)}, true},
@@ -99,7 +99,8 @@ func TestPairDisjoint(t *testing.T) {
 		{&colConstraint{eq: iv(5)}, &colConstraint{lo: iv(5)}, false},
 	}
 	for i, c := range cases {
-		got := pairDisjoint(c.a, c.b) || pairDisjoint(c.b, c.a)
+		o := new(Optimizer)
+		got := o.pairDisjoint(c.a, c.b) || o.pairDisjoint(c.b, c.a)
 		if got != c.want {
 			t.Errorf("case %d: disjoint = %v, want %v", i, got, c.want)
 		}
@@ -181,27 +182,27 @@ func TestPropsScanKeysAndConstReduction(t *testing.T) {
 func TestIsStaticallyEmpty(t *testing.T) {
 	ctx := plan.NewContext()
 	empty := &plan.Values{Cols: []types.ColumnID{ctx.NewColumn("a", types.TInt)}}
-	if !isStaticallyEmpty(empty) {
+	if !new(Optimizer).isStaticallyEmpty(empty) {
 		t.Error("empty Values")
 	}
 	oneRow := &plan.Values{Rows: [][]plan.Expr{{intConst(1)}}, Cols: []types.ColumnID{ctx.NewColumn("a", types.TInt)}}
-	if isStaticallyEmpty(oneRow) {
+	if new(Optimizer).isStaticallyEmpty(oneRow) {
 		t.Error("one-row Values is not empty")
 	}
 	falseFilter := &plan.Filter{Input: oneRow, Cond: boolConst(false)}
-	if !isStaticallyEmpty(falseFilter) {
+	if !new(Optimizer).isStaticallyEmpty(falseFilter) {
 		t.Error("FALSE filter")
 	}
-	if !isStaticallyEmpty(&plan.Limit{Input: oneRow, Count: 0}) {
+	if !new(Optimizer).isStaticallyEmpty(&plan.Limit{Input: oneRow, Count: 0}) {
 		t.Error("LIMIT 0")
 	}
-	if !isStaticallyEmpty(&plan.Join{Kind: plan.InnerJoin, Left: empty, Right: oneRow}) {
+	if !new(Optimizer).isStaticallyEmpty(&plan.Join{Kind: plan.InnerJoin, Left: empty, Right: oneRow}) {
 		t.Error("inner join with empty side")
 	}
-	if isStaticallyEmpty(&plan.Join{Kind: plan.LeftOuterJoin, Left: oneRow, Right: empty}) {
+	if new(Optimizer).isStaticallyEmpty(&plan.Join{Kind: plan.LeftOuterJoin, Left: oneRow, Right: empty}) {
 		t.Error("left outer join with empty right keeps left rows")
 	}
-	if !isStaticallyEmpty(&plan.UnionAll{Children: []plan.Node{empty, falseFilter}}) {
+	if !new(Optimizer).isStaticallyEmpty(&plan.UnionAll{Children: []plan.Node{empty, falseFilter}}) {
 		t.Error("union of empties")
 	}
 }

@@ -158,7 +158,7 @@ func (p *props) equals(q *props) bool {
 	}
 	for id, v := range p.consts {
 		w, ok := q.consts[id]
-		if !ok || v.Typ != w.Typ || !types.Equal(v, w) {
+		if !ok || v.Slot != w.Slot || v.Val.Typ != w.Val.Typ || !types.Equal(v.Val, w.Val) {
 			return false
 		}
 	}

@@ -24,6 +24,8 @@ type Optimizer struct {
 	// fixpoint loop, and a walk that sees it move forgets the node it
 	// visits.
 	rewrites int
+	// pins holds the lifted-literal slots the rewrites decided on (pin.go).
+	pins map[int]bool
 
 	// trace state, populated during Optimize
 	pass          int
@@ -87,6 +89,7 @@ const maxPasses = 12
 func (o *Optimizer) Optimize(root plan.Node) plan.Node {
 	o.before = plan.CollectStats(root)
 	o.derived = 0
+	o.pins = nil
 	if o.caps != 0 {
 		o.memo = make(map[plan.Node]*facts, o.before.Total)
 		for i := 0; i < maxPasses; i++ {
@@ -121,8 +124,8 @@ func (o *Optimizer) Optimize(root plan.Node) plan.Node {
 
 // --- constant folding and filter simplification ------------------------
 
-// foldExpr folds constant subexpressions and applies boolean identities.
-func foldExpr(e plan.Expr) plan.Expr {
+// fold folds constant subexpressions and applies boolean identities.
+func (o *Optimizer) fold(e plan.Expr) plan.Expr {
 	return plan.RewriteExpr(e, func(x plan.Expr) plan.Expr {
 		switch x := x.(type) {
 		case *plan.Bin:
@@ -151,18 +154,27 @@ func foldExpr(e plan.Expr) plan.Expr {
 				return x
 			}
 		}
-		return evalIfConst(x)
+		return o.evalIfConst(x)
 	})
 }
 
-// evalIfConst evaluates an expression with no column references.
-func evalIfConst(x plan.Expr) plan.Expr {
+// evalIfConst evaluates an expression with no column references. The
+// result is a fact about the lifted literals in x, which it pins — except
+// for a strict operator over a NULL operand, which is NULL whatever the
+// other operand holds.
+func (o *Optimizer) evalIfConst(x plan.Expr) plan.Expr {
 	switch x.(type) {
 	case *plan.Const, *plan.ColRef:
 		return x
 	}
 	if !plan.ColsUsed(x).Empty() {
 		return x
+	}
+	if hasSlot(x) {
+		if strictOverNull(x) {
+			return &plan.Const{Val: types.NewNull(x.Type())}
+		}
+		o.pinExpr(x)
 	}
 	fn, err := exec.Compile(x, map[types.ColumnID]int{})
 	if err != nil {
@@ -178,9 +190,24 @@ func evalIfConst(x plan.Expr) plan.Expr {
 	return &plan.Const{Val: v}
 }
 
+// strictOverNull reports whether x is a comparison or arithmetic with a
+// NULL constant operand, or a negation of one.
+func strictOverNull(x plan.Expr) bool {
+	switch x := x.(type) {
+	case *plan.Bin:
+		switch x.Op {
+		case "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/":
+			return isNullConst(x.L) || isNullConst(x.R)
+		}
+	case *plan.Un:
+		return x.Op == "-" && isNullConst(x.E)
+	}
+	return false
+}
+
 // simplify folds filter conditions, drops TRUE filters, converts FALSE
 // filters into empty Values, and converts left outer joins under
-// null-rejecting filters into inner joins. foldExpr copies on write, so
+// null-rejecting filters into inner joins. fold copies on write, so
 // comparing pointers tells whether folding changed an expression.
 func (o *Optimizer) simplify(n plan.Node) plan.Node {
 	defer o.settle(n, o.rewrites)
@@ -189,7 +216,7 @@ func (o *Optimizer) simplify(n plan.Node) plan.Node {
 	}
 	switch n := n.(type) {
 	case *plan.Filter:
-		if folded := foldExpr(n.Cond); folded != n.Cond {
+		if folded := o.fold(n.Cond); folded != n.Cond {
 			n.Cond = folded
 			o.rewrote(n)
 		}
@@ -210,7 +237,7 @@ func (o *Optimizer) simplify(n plan.Node) plan.Node {
 		}
 	case *plan.Project:
 		for i := range n.Cols {
-			if folded := foldExpr(n.Cols[i].Expr); folded != n.Cols[i].Expr {
+			if folded := o.fold(n.Cols[i].Expr); folded != n.Cols[i].Expr {
 				n.Cols[i].Expr = folded
 				o.rewrote(n)
 			}
@@ -236,7 +263,7 @@ func (o *Optimizer) outerToInner(f *plan.Filter) plan.Node {
 	}
 	rightCols := o.cols(j.Right)
 	for _, conj := range plan.Conjuncts(f.Cond) {
-		if nullRejecting(conj, rightCols) {
+		if o.nullRejecting(conj, rightCols) {
 			j.Kind = plan.InnerJoin
 			o.rewrote(j)
 			o.logEvent("outer-to-inner", j, 0, "null-rejecting filter above left outer join")
@@ -248,7 +275,7 @@ func (o *Optimizer) outerToInner(f *plan.Filter) plan.Node {
 
 // nullRejecting reports whether the predicate is provably FALSE or NULL
 // whenever all columns in the given set are NULL.
-func nullRejecting(e plan.Expr, cols types.ColSet) bool {
+func (o *Optimizer) nullRejecting(e plan.Expr, cols types.ColSet) bool {
 	used := plan.ColsUsed(e)
 	if !used.Intersects(cols) {
 		return false
@@ -260,7 +287,7 @@ func nullRejecting(e plan.Expr, cols types.ColSet) bool {
 	used.Intersect(cols).ForEach(func(id types.ColumnID) {
 		nulls[id] = &plan.Const{Val: types.NewNull(types.TNull)}
 	})
-	sub := foldExpr(plan.SubstituteColumns(e, nulls))
+	sub := o.fold(plan.SubstituteColumns(e, nulls))
 	if isFalseOrNullConst(sub) {
 		return true
 	}

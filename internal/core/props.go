@@ -15,8 +15,10 @@ type props struct {
 	// output. An empty ColSet means the node produces at most one row.
 	keys []types.ColSet
 	// consts maps output columns known to hold a single constant value
-	// (from equality filters or constant projections).
-	consts map[types.ColumnID]types.Value
+	// (from equality filters or constant projections) to that constant.
+	// The Const itself is kept, slot and all, so a rule that reads its
+	// value can pin it.
+	consts map[types.ColumnID]*plan.Const
 	// notNull is the set of output columns that can never be NULL.
 	notNull types.ColSet
 }
@@ -36,9 +38,9 @@ func (p *props) addKey(k types.ColSet) {
 
 // setConst records that column id holds v; consts is allocated on the
 // first constant.
-func (p *props) setConst(id types.ColumnID, v types.Value) {
+func (p *props) setConst(id types.ColumnID, v *plan.Const) {
 	if p.consts == nil {
-		p.consts = map[types.ColumnID]types.Value{}
+		p.consts = map[types.ColumnID]*plan.Const{}
 	}
 	p.consts[id] = v
 }
@@ -109,13 +111,13 @@ func (o *Optimizer) computeProps(n plan.Node) *props {
 				if c.Op == "=" {
 					if cr, ok := c.L.(*plan.ColRef); ok {
 						if k, ok := c.R.(*plan.Const); ok && !k.Val.IsNull() {
-							p.setConst(cr.ID, k.Val)
+							p.setConst(cr.ID, k)
 							p.notNull.Add(cr.ID)
 						}
 					}
 					if cr, ok := c.R.(*plan.ColRef); ok {
 						if k, ok := c.L.(*plan.Const); ok && !k.Val.IsNull() {
-							p.setConst(cr.ID, k.Val)
+							p.setConst(cr.ID, k)
 							p.notNull.Add(cr.ID)
 						}
 					}
@@ -147,7 +149,7 @@ func (o *Optimizer) computeProps(n plan.Node) *props {
 				}
 			case *plan.Const:
 				if !e.Val.IsNull() {
-					p.setConst(c.ID, e.Val)
+					p.setConst(c.ID, e)
 					p.notNull.Add(c.ID)
 				}
 			}
@@ -267,7 +269,7 @@ func (o *Optimizer) computeProps(n plan.Node) *props {
 				continue
 			}
 			allConst := true
-			var v types.Value
+			var v *plan.Const
 			for ri, row := range n.Rows {
 				c, ok := row[i].(*plan.Const)
 				if !ok || c.Val.IsNull() {
@@ -275,8 +277,8 @@ func (o *Optimizer) computeProps(n plan.Node) *props {
 					break
 				}
 				if ri == 0 {
-					v = c.Val
-				} else if !types.Equal(v, c.Val) {
+					v = c
+				} else if !o.sameConst(v, c) {
 					allConst = false
 					break
 				}

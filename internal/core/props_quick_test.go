@@ -179,9 +179,9 @@ func TestDerivedConstsAreSound(t *testing.T) {
 				continue
 			}
 			for _, row := range rows {
-				if !types.Equal(row[pos], want) {
+				if !types.Equal(row[pos], want.Val) {
 					t.Fatalf("query %q: column #%d claimed constant %s but holds %s",
-						q, id, want, row[pos])
+						q, id, want.Val, row[pos])
 				}
 			}
 		}

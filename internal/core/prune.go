@@ -173,7 +173,7 @@ func (o *Optimizer) isUnusedRemovableAJ(j *plan.Join) bool {
 			(j.Card.Right == cardOne || j.Card.Right == cardExactOne) {
 			return true
 		}
-		if isStaticallyEmpty(j.Right) {
+		if o.isStaticallyEmpty(j.Right) {
 			return true // AJ 2b
 		}
 		bound := o.boundJoinCols(j, false)

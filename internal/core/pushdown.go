@@ -221,7 +221,7 @@ func (o *Optimizer) isRowPreservingAJ(j *plan.Join) bool {
 		if keyCovered(o.caps, o.deriveProps(j.Right), bound) {
 			return true
 		}
-		return isStaticallyEmpty(j.Right)
+		return o.isStaticallyEmpty(j.Right)
 	case plan.InnerJoin:
 		// Inner joins require an exactly-one guarantee.
 		if o.caps.Has(CapJoinCardSpec) && j.Card.Right == cardExactOne {
@@ -236,36 +236,36 @@ func (o *Optimizer) isRowPreservingAJ(j *plan.Join) bool {
 
 // isStaticallyEmpty reports whether the subtree provably yields no rows
 // (the AJ 2b case: left outer join with an empty relation).
-func isStaticallyEmpty(n plan.Node) bool {
+func (o *Optimizer) isStaticallyEmpty(n plan.Node) bool {
 	switch n := n.(type) {
 	case *plan.Values:
 		return len(n.Rows) == 0
 	case *plan.Filter:
-		return isFalseOrNullConst(foldExpr(n.Cond)) || isStaticallyEmpty(n.Input)
+		return isFalseOrNullConst(o.fold(n.Cond)) || o.isStaticallyEmpty(n.Input)
 	case *plan.Project:
-		return isStaticallyEmpty(n.Input)
+		return o.isStaticallyEmpty(n.Input)
 	case *plan.Sort:
-		return isStaticallyEmpty(n.Input)
+		return o.isStaticallyEmpty(n.Input)
 	case *plan.Distinct:
-		return isStaticallyEmpty(n.Input)
+		return o.isStaticallyEmpty(n.Input)
 	case *plan.Limit:
-		return n.Count == 0 || isStaticallyEmpty(n.Input)
+		return n.Count == 0 || o.isStaticallyEmpty(n.Input)
 	case *plan.Join:
 		switch n.Kind {
 		case plan.InnerJoin, plan.CrossJoin:
-			return isStaticallyEmpty(n.Left) || isStaticallyEmpty(n.Right)
+			return o.isStaticallyEmpty(n.Left) || o.isStaticallyEmpty(n.Right)
 		case plan.LeftOuterJoin:
-			return isStaticallyEmpty(n.Left)
+			return o.isStaticallyEmpty(n.Left)
 		}
 	case *plan.UnionAll:
 		for _, c := range n.Children {
-			if !isStaticallyEmpty(c) {
+			if !o.isStaticallyEmpty(c) {
 				return false
 			}
 		}
 		return true
 	case *plan.GroupBy:
-		return len(n.GroupCols) > 0 && isStaticallyEmpty(n.Input)
+		return len(n.GroupCols) > 0 && o.isStaticallyEmpty(n.Input)
 	}
 	return false
 }

@@ -23,9 +23,9 @@ func (o *Optimizer) deriveUnionProps(n *plan.UnionAll, p *props) {
 	}
 
 	// Per-position constants.
-	constAt := make([]map[int]types.Value, len(children))
+	constAt := make([]map[int]*plan.Const, len(children))
 	for i := range children {
-		constAt[i] = map[int]types.Value{}
+		constAt[i] = map[int]*plan.Const{}
 		for pos := 0; pos < nPos; pos++ {
 			if v, ok := childProps[i].consts[childCols[i][pos]]; ok {
 				constAt[i][pos] = v
@@ -36,7 +36,7 @@ func (o *Optimizer) deriveUnionProps(n *plan.UnionAll, p *props) {
 	// Union-level constants and non-nulls (shared across children).
 	for pos := 0; pos < nPos; pos++ {
 		allConst := true
-		var v types.Value
+		var v *plan.Const
 		for i := range children {
 			cv, ok := constAt[i][pos]
 			if !ok {
@@ -45,7 +45,7 @@ func (o *Optimizer) deriveUnionProps(n *plan.UnionAll, p *props) {
 			}
 			if i == 0 {
 				v = cv
-			} else if !types.Equal(v, cv) {
+			} else if !o.sameConst(v, cv) {
 				allConst = false
 				break
 			}
@@ -115,7 +115,7 @@ func (o *Optimizer) deriveUnionProps(n *plan.UnionAll, p *props) {
 				bidPos = append(bidPos, pos)
 			}
 		}
-		if len(bidPos) > 0 && branchTuplesDistinct(children, constAt, bidPos) {
+		if len(bidPos) > 0 && o.branchTuplesDistinct(children, constAt, bidPos) {
 			for _, cand := range childKeyPos[0] {
 				full := posSet(cand)
 				for _, bp := range bidPos {
@@ -154,7 +154,7 @@ func (o *Optimizer) deriveUnionProps(n *plan.UnionAll, p *props) {
 			if !o.coversBaseTableKey(children[0], childCols[0], cand) {
 				continue
 			}
-			if childrenPairwiseDisjoint(children) {
+			if o.childrenPairwiseDisjoint(children) {
 				var key types.ColSet
 				for pos := range full {
 					key.Add(n.Cols[pos])
@@ -196,13 +196,16 @@ func allChildrenHaveKeyWithin(childKeyPos [][][]int, allowed map[int]bool) bool 
 	return true
 }
 
-func branchTuplesDistinct(children []plan.Node, constAt []map[int]types.Value, bidPos []int) bool {
+// branchTuplesDistinct reports whether the children's branch-ID tuples
+// are pairwise distinct; the answer rests on every value compared.
+func (o *Optimizer) branchTuplesDistinct(children []plan.Node, constAt []map[int]*plan.Const, bidPos []int) bool {
 	seen := map[string]bool{}
 	var keyBuf []byte
 	for i := range children {
 		keyBuf = keyBuf[:0]
 		for _, pos := range bidPos {
-			keyBuf = constAt[i][pos].AppendKey(keyBuf)
+			o.pin(constAt[i][pos])
+			keyBuf = constAt[i][pos].Val.AppendKey(keyBuf)
 		}
 		if seen[string(keyBuf)] {
 			return false
@@ -277,12 +280,14 @@ func (o *Optimizer) coversBaseTableKey(child plan.Node, childCols []types.Column
 }
 
 // colConstraint summarizes the filter constraints a child places on one
-// base-table column (identified by table name + ordinal).
+// base-table column (identified by table name + ordinal). It keeps the
+// constants themselves: collecting a constraint decides nothing, and
+// pairDisjoint pins each constant it compares.
 type colConstraint struct {
-	eq     *types.Value
-	in     []types.Value
-	ne     []types.Value
-	lo, hi *types.Value
+	eq     *plan.Const
+	in     []*plan.Const
+	ne     []*plan.Const
+	lo, hi *plan.Const
 	loOpen bool
 	hiOpen bool
 }
@@ -381,20 +386,19 @@ func applyConstraint(conj plan.Expr, src map[types.ColumnID]source, get func(sou
 			return
 		}
 		c := get(s)
-		v := k.Val
 		switch op {
 		case "=":
-			c.eq = &v
+			c.eq = k
 		case "<>":
-			c.ne = append(c.ne, v)
+			c.ne = append(c.ne, k)
 		case "<":
-			c.hi, c.hiOpen = &v, true
+			c.hi, c.hiOpen = k, true
 		case "<=":
-			c.hi, c.hiOpen = &v, false
+			c.hi, c.hiOpen = k, false
 		case ">":
-			c.lo, c.loOpen = &v, true
+			c.lo, c.loOpen = k, true
 		case ">=":
-			c.lo, c.loOpen = &v, false
+			c.lo, c.loOpen = k, false
 		}
 	case *plan.InListExpr:
 		if e.Not {
@@ -408,13 +412,13 @@ func applyConstraint(conj plan.Expr, src map[types.ColumnID]source, get func(sou
 		if !sok {
 			return
 		}
-		var vals []types.Value
+		var vals []*plan.Const
 		for _, x := range e.List {
 			k, ok := x.(*plan.Const)
 			if !ok || k.Val.IsNull() {
 				return
 			}
-			vals = append(vals, k.Val)
+			vals = append(vals, k)
 		}
 		get(s).in = vals
 	}
@@ -423,14 +427,14 @@ func applyConstraint(conj plan.Expr, src map[types.ColumnID]source, get func(sou
 // childrenPairwiseDisjoint proves that no row can satisfy the filter
 // sets of two different children: for every pair there is a base column
 // with contradictory constraints.
-func childrenPairwiseDisjoint(children []plan.Node) bool {
+func (o *Optimizer) childrenPairwiseDisjoint(children []plan.Node) bool {
 	cons := make([]map[string]*colConstraint, len(children))
 	for i, c := range children {
 		cons[i] = childConstraints(c)
 	}
 	for i := 0; i < len(children); i++ {
 		for j := i + 1; j < len(children); j++ {
-			if !constraintsDisjoint(cons[i], cons[j]) {
+			if !o.constraintsDisjoint(cons[i], cons[j]) {
 				return false
 			}
 		}
@@ -438,13 +442,13 @@ func childrenPairwiseDisjoint(children []plan.Node) bool {
 	return true
 }
 
-func constraintsDisjoint(a, b map[string]*colConstraint) bool {
+func (o *Optimizer) constraintsDisjoint(a, b map[string]*colConstraint) bool {
 	for key, ca := range a {
 		cb, ok := b[key]
 		if !ok {
 			continue
 		}
-		if pairDisjoint(ca, cb) || pairDisjoint(cb, ca) {
+		if o.pairDisjoint(ca, cb) || o.pairDisjoint(cb, ca) {
 			return true
 		}
 	}
@@ -452,21 +456,25 @@ func constraintsDisjoint(a, b map[string]*colConstraint) bool {
 }
 
 // pairDisjoint reports whether the two single-column constraints cannot
-// both hold.
-func pairDisjoint(a, b *colConstraint) bool {
-	lt := func(x, y types.Value) bool {
-		c, err := types.Compare(x, y)
+// both hold. Every comparison pins both constants: the constraints that
+// prove the pair disjoint, and also those that fail to, since other
+// values might prove it and give the union a key.
+func (o *Optimizer) pairDisjoint(a, b *colConstraint) bool {
+	lt := func(x, y *plan.Const) bool {
+		o.pin(x)
+		o.pin(y)
+		c, err := types.Compare(x.Val, y.Val)
 		return err == nil && c < 0
 	}
-	eq := func(x, y types.Value) bool { return types.Equal(x, y) }
+	eq := func(x, y *plan.Const) bool { return o.sameConst(x, y) }
 	if a.eq != nil {
-		if b.eq != nil && !eq(*a.eq, *b.eq) {
+		if b.eq != nil && !eq(a.eq, b.eq) {
 			return true
 		}
 		if b.in != nil {
 			found := false
 			for _, v := range b.in {
-				if eq(*a.eq, v) {
+				if eq(a.eq, v) {
 					found = true
 					break
 				}
@@ -476,14 +484,14 @@ func pairDisjoint(a, b *colConstraint) bool {
 			}
 		}
 		for _, v := range b.ne {
-			if eq(*a.eq, v) {
+			if eq(a.eq, v) {
 				return true
 			}
 		}
-		if b.lo != nil && (lt(*a.eq, *b.lo) || (b.loOpen && eq(*a.eq, *b.lo))) {
+		if b.lo != nil && (lt(a.eq, b.lo) || (b.loOpen && eq(a.eq, b.lo))) {
 			return true
 		}
-		if b.hi != nil && (lt(*b.hi, *a.eq) || (b.hiOpen && eq(*a.eq, *b.hi))) {
+		if b.hi != nil && (lt(b.hi, a.eq) || (b.hiOpen && eq(a.eq, b.hi))) {
 			return true
 		}
 	}
@@ -498,10 +506,10 @@ func pairDisjoint(a, b *colConstraint) bool {
 		return true
 	}
 	if a.hi != nil && b.lo != nil {
-		if lt(*a.hi, *b.lo) {
+		if lt(a.hi, b.lo) {
 			return true
 		}
-		if eq(*a.hi, *b.lo) && (a.hiOpen || b.loOpen) {
+		if eq(a.hi, b.lo) && (a.hiOpen || b.loOpen) {
 			return true
 		}
 	}

@@ -7,10 +7,11 @@ import (
 
 // slotSrc describes how one widening slot is produced for one anchor
 // union child: either a table ordinal of the child's matched instance or
-// a per-child constant (branch ID columns of the augmenter).
+// a per-child constant (branch ID columns of the augmenter), which is
+// placed in the plan as it is, slot and all.
 type slotSrc struct {
 	ord    int
-	constV *types.Value
+	constV *plan.Const
 }
 
 // widenTarget identifies where new columns must be surfaced from:
@@ -202,8 +203,8 @@ func (o *Optimizer) widenUnion(u *plan.UnionAll, t *widenTarget) (plan.Node, []t
 			var e plan.Expr
 			var typ types.Type
 			if src.constV != nil {
-				e = &plan.Const{Val: *src.constV}
-				typ = src.constV.Typ
+				e = src.constV
+				typ = src.constV.Val.Typ
 			} else {
 				e = &plan.ColRef{ID: childCols[s], Typ: o.ctx.Type(childCols[s])}
 				typ = o.ctx.Type(childCols[s])

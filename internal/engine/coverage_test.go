@@ -133,6 +133,10 @@ func TestEngineMetricsSnapshot(t *testing.T) {
 	e.EnablePlanCache(true)
 	mustQuery(t, e, `select count(*) from emp`)
 	mustQuery(t, e, `select count(*) from emp`)
+	// A second shape, sent with two literals: its template is planned
+	// once and instantiated once.
+	mustQuery(t, e, `select count(*) from emp where id > 10`)
+	mustQuery(t, e, `select count(*) from emp where id > 11`)
 	if err := e.MergeAllDeltas(); err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +151,14 @@ func TestEngineMetricsSnapshot(t *testing.T) {
 			t.Fatalf("%s = %d, want >= %d\n%s", name, v, min, snap)
 		}
 	}
-	want("engine.queries", 2)
-	want("engine.rows_returned", 2)
-	want("engine.query_latency_ns.count", 2)
-	want("plancache.hits", 1)
-	want("plancache.misses", 1)
-	want("plancache.entries", 1)
+	want("engine.queries", 4)
+	want("engine.rows_returned", 4)
+	want("engine.query_latency_ns.count", 4)
+	want("plancache.hits", 2) // the repeat and the instantiation
+	want("plancache.misses", 2)
+	want("plancache.entries", 2)
+	want("plancache.template_hits", 1)
+	want("plancache.evictions", 0)
 	want("storage.commits", 2)       // the two fixture inserts
 	want("storage.rows_inserted", 7) // 3 dept + 4 emp
 	want("storage.snapshots", 2)

@@ -295,7 +295,9 @@ func (e *Engine) SetProfile(p core.Profile) { e.profile = p }
 // clears the plan cache.
 func (e *Engine) EnableCosting(on bool) {
 	e.costing = on
-	e.invalidatePlans()
+	if e.plans != nil {
+		e.plans.invalidate()
+	}
 }
 
 // CostingEnabled reports whether the cost-based pass is active.
@@ -314,13 +316,6 @@ func (e *Engine) DB() *storage.DB { return e.db }
 type Result struct {
 	Columns []string
 	Rows    []types.Row
-}
-
-// invalidatePlans clears the plan cache (called on every DDL).
-func (e *Engine) invalidatePlans() {
-	if e.plans != nil {
-		e.plans.invalidate()
-	}
 }
 
 // MergeAllDeltas merges every table's write-optimized delta into its
@@ -366,13 +361,10 @@ func (e *Engine) ExecScript(script string) error {
 func (e *Engine) execStatement(st sql.Statement) error {
 	switch st := st.(type) {
 	case *sql.CreateTable:
-		e.invalidatePlans()
 		return e.createTable(st)
 	case *sql.CreateView:
-		e.invalidatePlans()
 		return e.createView(st)
 	case *sql.DropTable:
-		e.invalidatePlans()
 		if st.View {
 			return e.cat.DropView(st.Name)
 		}

@@ -76,6 +76,18 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		}
 		return int64(e.plans.len())
 	})
+	r.Register("plancache.template_hits", func() int64 {
+		if e.plans == nil {
+			return 0
+		}
+		return e.plans.templateHits.Value()
+	})
+	r.Register("plancache.evictions", func() int64 {
+		if e.plans == nil {
+			return 0
+		}
+		return e.plans.evictions.Value()
+	})
 	r.RegisterCounter("cachedview.refreshes", &m.cacheRefreshes)
 	m.exec.RegisterWith(r)
 	e.db.Metrics().RegisterWith(r)

@@ -81,21 +81,34 @@ func (e *Engine) queryStatement(ctx context.Context, user string, q *sql.Query) 
 }
 
 // planStatement plans a query, going through the plan cache when one is
-// enabled.
+// enabled: the statement's fingerprint finds its shape's templates, and
+// the plan is planned only when no template accepts its literals.
 func (e *Engine) planStatement(ctx context.Context, user string, q *sql.Query) (*plan.Plan, error) {
 	if e.plans == nil {
 		return e.planQuery(ctx, user, q.Body, true)
 	}
-	e.plans.checkEpoch(e.db.SchemaEpoch(), e.db.StatsEpoch())
-	key := user + "\x00" + e.profile.Name + "\x00" + sql.RenderQuery(q.Body)
-	if p, ok := e.plans.get(key); ok {
+	fp, vals := sql.Fingerprint(q.Body)
+	key := user + "\x00" + e.profile.Name + "\x00" + fp
+	ep := e.cacheEpoch()
+	if v, ok := e.plans.get(key, vals, ep); ok {
+		p := v.instance(vals)
+		if p != v.plan {
+			e.plans.templateHits.Inc()
+			if planCacheAudit {
+				e.auditInstance(user, v, q.Body, vals)
+			}
+		}
 		return p, nil
 	}
-	p, err := e.planQuery(ctx, user, q.Body, true)
+	p, pinned, err := e.planPinned(ctx, user, q.Body, true)
 	if err != nil {
 		return nil, err
 	}
-	e.plans.put(key, p)
+	v := &variant{key: key, plan: p, vals: vals, pinned: pinned}
+	if planCacheAudit {
+		v.body = q.Body
+	}
+	e.plans.put(v, ep, e.cacheEpoch())
 	return p, nil
 }
 
@@ -111,27 +124,35 @@ func (e *Engine) PlanQuery(user, sqlText string, optimize bool) (*plan.Plan, err
 }
 
 func (e *Engine) planQuery(ctx context.Context, user string, body sql.QueryExpr, optimize bool) (*plan.Plan, error) {
+	p, _, err := e.planPinned(ctx, user, body, optimize)
+	return p, err
+}
+
+// planPinned is planQuery that also returns the lifted-literal slots the
+// optimizer pinned.
+func (e *Engine) planPinned(ctx context.Context, user string, body sql.QueryExpr, optimize bool) (*plan.Plan, []int, error) {
 	// Checkpoints before the two planning phases: binding and optimizing
 	// are pure CPU, so these are the only places a dead context can stop
 	// a pathological plan before execution starts.
 	if err := ctx.Err(); err != nil {
-		return nil, exec.ContextErr(ctx)
+		return nil, nil, exec.ContextErr(ctx)
 	}
 	b := bind.New(e.cat, user)
 	p, err := b.BindQuery(body)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if optimize {
-		if err := ctx.Err(); err != nil {
-			return nil, exec.ContextErr(ctx)
-		}
-		opt := core.NewOptimizer(p.Ctx, e.profile)
-		opt.SetCosting(e.costing)
-		p.Root = opt.Optimize(p.Root)
-		p.Est = opt.Estimates()
+	if !optimize {
+		return p, nil, nil
 	}
-	return p, nil
+	if err := ctx.Err(); err != nil {
+		return nil, nil, exec.ContextErr(ctx)
+	}
+	opt := core.NewOptimizer(p.Ctx, e.profile)
+	opt.SetCosting(e.costing)
+	p.Root = opt.Optimize(p.Root)
+	p.Est = opt.Estimates()
+	return p, opt.Pinned(), nil
 }
 
 // Run executes a plan against the current committed snapshot.

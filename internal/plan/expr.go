@@ -27,9 +27,13 @@ type ColRef struct {
 func (c *ColRef) Type() types.Type { return c.Typ }
 func (c *ColRef) exprNode()        {}
 
-// Const is a literal.
+// Const is a literal. Slot is the statement parameter the literal was
+// lifted into (sql.Fingerprint); 0 means the value is part of the plan.
+// A plan whose Consts carry slots is a template: Instantiate re-binds it
+// to another statement's literal values.
 type Const struct {
-	Val types.Value
+	Val  types.Value
+	Slot int
 }
 
 // Type implements Expr.
@@ -340,6 +344,11 @@ func appendExprKey(b []byte, e Expr) []byte {
 	case *ColRef:
 		return strconv.AppendInt(append(b, 'c'), int64(e.ID), 10)
 	case *Const:
+		// A lifted literal is keyed by its slot, never by its value: two
+		// slots compare equal in one instantiation only if they are one.
+		if e.Slot > 0 {
+			return strconv.AppendInt(append(b, '$'), int64(e.Slot), 10)
+		}
 		return e.Val.AppendKey(append(b, 'k'))
 	case *Bin:
 		b = append(b, '(')
@@ -423,6 +432,9 @@ func ExprString(ctx *Context, e Expr) string {
 		}
 		return fmt.Sprintf("#%d", e.ID)
 	case *Const:
+		if e.Slot > 0 {
+			return "$" + strconv.Itoa(e.Slot)
+		}
 		if e.Val.Typ == types.TString {
 			return "'" + e.Val.Str() + "'"
 		}

@@ -1,9 +1,6 @@
 package sql
 
 import (
-	"fmt"
-	"strings"
-
 	"vdm/internal/types"
 )
 
@@ -276,9 +273,11 @@ func (c *ColRef) String() string {
 	return quoteIdent(c.Name)
 }
 
-// Lit is a literal value.
+// Lit is a literal value. Slot numbers the literal once Fingerprint has
+// lifted it into a statement parameter ($1, $2, ...); 0 means not lifted.
 type Lit struct {
-	Val types.Value
+	Val  types.Value
+	Slot int
 }
 
 func (*Lit) expr() {}
@@ -388,82 +387,4 @@ func (*MacroRef) expr() {}
 // AggFuncs is the set of aggregate function names.
 var AggFuncs = map[string]bool{
 	"SUM": true, "COUNT": true, "MIN": true, "MAX": true, "AVG": true,
-}
-
-// ExprString renders an expression back to SQL-ish text for plan display
-// and error messages.
-func ExprString(e Expr) string {
-	switch e := e.(type) {
-	case nil:
-		return "<nil>"
-	case *ColRef:
-		return e.String()
-	case *Lit:
-		if e.Val.Typ == types.TString && !e.Val.IsNull() {
-			return quoteString(e.Val.Str())
-		}
-		return e.Val.String()
-	case *BinOp:
-		return "(" + ExprString(e.L) + " " + e.Op + " " + ExprString(e.R) + ")"
-	case *UnOp:
-		return e.Op + " " + ExprString(e.E)
-	case *IsNull:
-		if e.Not {
-			return ExprString(e.E) + " IS NOT NULL"
-		}
-		return ExprString(e.E) + " IS NULL"
-	case *InList:
-		var parts []string
-		for _, x := range e.List {
-			parts = append(parts, ExprString(x))
-		}
-		op := " IN ("
-		if e.Not {
-			op = " NOT IN ("
-		}
-		return ExprString(e.E) + op + strings.Join(parts, ", ") + ")"
-	case *Between:
-		return ExprString(e.E) + " BETWEEN " + ExprString(e.Lo) + " AND " + ExprString(e.Hi)
-	case *Exists:
-		not := ""
-		if e.Not {
-			not = "NOT "
-		}
-		return not + "EXISTS (" + RenderQuery(e.Query) + ")"
-	case *InSubquery:
-		op := " IN ("
-		if e.Not {
-			op = " NOT IN ("
-		}
-		return ExprString(e.E) + op + RenderQuery(e.Query) + ")"
-	case *FuncCall:
-		if e.Star {
-			return quoteIdent(e.Name) + "(*)"
-		}
-		var parts []string
-		for _, a := range e.Args {
-			parts = append(parts, ExprString(a))
-		}
-		d := ""
-		if e.Distinct {
-			d = "DISTINCT "
-		}
-		return quoteIdent(e.Name) + "(" + d + strings.Join(parts, ", ") + ")"
-	case *CaseExpr:
-		var b strings.Builder
-		b.WriteString("CASE")
-		for _, w := range e.Whens {
-			fmt.Fprintf(&b, " WHEN %s THEN %s", ExprString(w.Cond), ExprString(w.Then))
-		}
-		if e.Else != nil {
-			fmt.Fprintf(&b, " ELSE %s", ExprString(e.Else))
-		}
-		b.WriteString(" END")
-		return b.String()
-	case *AllowPrecisionLoss:
-		return "ALLOW_PRECISION_LOSS(" + ExprString(e.E) + ")"
-	case *MacroRef:
-		return "EXPRESSION_MACRO(" + e.Name + ")"
-	}
-	return fmt.Sprintf("<%T>", e)
 }

@@ -6,12 +6,13 @@ import (
 )
 
 // FuzzParse feeds arbitrary input through the SQL front end and checks
-// the parser's two safety properties: it never panics (errors must
-// surface as errors), and for every accepted query the renderer is a
-// fixed point — render(parse(q)) must re-parse successfully and render
-// to the identical string. The second property is what the engine's
-// plan cache relies on: RenderQuery canonicalizes the cache key, so a
-// render that loses or reorders syntax would alias distinct queries.
+// the parser's safety properties: it never panics (errors must surface
+// as errors), for every accepted query the renderer is a fixed point —
+// render(parse(q)) must re-parse successfully and render to the
+// identical string — and so is the fingerprint: parse(render(q)) has
+// q's. The last two are what the engine's plan cache relies on: the
+// fingerprint is the cache key, so a render that loses or reorders
+// syntax would alias distinct queries.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		// From parser_test.go round-trip and clause-coverage cases.
@@ -77,6 +78,16 @@ func FuzzParse(f *testing.F) {
 		r2 := RenderQuery(body2)
 		if r1 != r2 {
 			t.Fatalf("render not a fixed point\ninput: %q\nr1:    %q\nr2:    %q", src, r1, r2)
+		}
+		f1, v1 := Fingerprint(q.Body)
+		f2, v2 := Fingerprint(body2)
+		if f1 != f2 || len(v1) != len(v2) {
+			t.Fatalf("fingerprint not stable under render\ninput: %q\nf1:    %q\nf2:    %q", src, f1, f2)
+		}
+		for i := range v1 {
+			if v1[i] != v2[i] {
+				t.Fatalf("slot %d: %v then %v\ninput: %q", i, v1[i], v2[i], src)
+			}
 		}
 	})
 }
