@@ -310,10 +310,12 @@ func (e *Engine) runAt(ctx context.Context, p *plan.Plan, db *storage.DB, ts uin
 // ExplainAnalyze plans, executes, and renders the optimized plan with
 // per-operator actuals appended to each line: rows produced, Next()
 // calls, inclusive wall time, and hash-build rows/bytes for blocking
-// operators. The query runs to completion under instrumentation; the
-// result rows are discarded. On an engine with read replicas the
-// query is routed exactly like a normal read, and the root line shows
-// the routing verdict: target=primary|replica<N> lag=<d>.
+// operators; q_err compares the estimate with the rows of operators that
+// ran to the end of their stream (OpStats.Drained) only. The query runs
+// to completion under instrumentation; the result rows are discarded.
+// On an engine with read replicas the query is routed exactly like a
+// normal read, and the root line shows the routing verdict:
+// target=primary|replica<N> lag=<d>.
 func (e *Engine) ExplainAnalyze(user, sqlText string) (string, error) {
 	p, err := e.PlanQuery(user, sqlText, true)
 	if err != nil {
@@ -355,8 +357,11 @@ func (e *Engine) explainAnalyzeOn(ctx context.Context, p *plan.Plan, db *storage
 		}
 		var note string
 		switch {
-		case st != nil && hasEst:
+		case st != nil && hasEst && st.Drained:
 			note = fmt.Sprintf("%s est_rows=%.0f q_err=%.2f", st, est, qerror(est, float64(st.Rows)))
+		case st != nil && hasEst:
+			// Stopped early or never counted: its rows are no cardinality.
+			note = fmt.Sprintf("%s est_rows=%.0f", st, est)
 		case st != nil:
 			note = st.String()
 		case hasEst:

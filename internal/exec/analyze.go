@@ -26,6 +26,10 @@ type OpStats struct {
 	// rows for sort and cross join. Zero for streaming operators.
 	BuildRows  int64
 	BuildBytes int64
+	// BuildFiltered is set on a batch hash join that runs a folded
+	// build-side filter; BuildPass is how many of its BuildRows pass it.
+	BuildFiltered bool
+	BuildPass     int64
 	// MemBytes is the operator's governance-accounted memory: every
 	// byte it charged against the query budget (hash tables, sort
 	// buffers, top-k heaps, group tables, DISTINCT seen-sets). Zero for
@@ -37,6 +41,11 @@ type OpStats struct {
 	Mode string
 	// Note is a free-form annotation (e.g. top-k fusion).
 	Note string
+	// Drained reports that the operator ran to the end of its stream
+	// while counting its rows, so Rows is its true output cardinality.
+	// An operator under a LIMIT that stopped early, or one that records
+	// no rows of its own (a Sort fused into top-k), is not drained.
+	Drained bool
 	// Fallback is the vec_fallback label of a node the batch compiler
 	// declined for a reason of its own (see Builder.noteFallback), else
 	// empty. It is not part of String: EXPLAIN renders it last on the
@@ -51,6 +60,9 @@ func (s *OpStats) String() string {
 	out := fmt.Sprintf("[rows=%d nexts=%d time=%v", s.Rows, s.Nexts, total)
 	if s.BuildRows > 0 || s.BuildBytes > 0 {
 		out += fmt.Sprintf(" build_rows=%d build_bytes=%d", s.BuildRows, s.BuildBytes)
+	}
+	if s.BuildFiltered {
+		out += fmt.Sprintf(" build_filter=%d/%d", s.BuildPass, s.BuildRows)
 	}
 	if s.MemBytes > 0 {
 		out += fmt.Sprintf(" mem_bytes=%d", s.MemBytes)
@@ -184,6 +196,8 @@ func (s *statIter) Next() (types.Row, bool, error) {
 	s.stats.Nexts++
 	if ok {
 		s.stats.Rows++
+	} else if err == nil {
+		s.stats.Drained = true
 	}
 	return row, ok, err
 }

@@ -21,21 +21,22 @@ import (
 // adapter) consumes whatever subtree compiled below it.
 //
 // Filter kernels run one tight loop per conjunct per batch; string
-// comparisons and IN lists translate the literals once per batch by
-// memoizing the outcome per dictionary code; OR trees evaluate one
-// selection vector per branch and merge them by ordered union; computed
-// projections run expression kernels (vecexpr.go) that publish new batch
-// columns. Governance is checked once per batch (the same granularity as
+// comparisons and IN lists translate the literals once per dictionary
+// view by memoizing the outcome per dictionary code; OR trees evaluate
+// one selection vector per branch and merge them by ordered union;
+// computed projections run expression kernels (vecexpr.go) that publish
+// new batch columns. Governance is checked once per batch (the same granularity as
 // the row path's govStride), and the row-iterator adapter (vecRowsIter)
 // decodes batches back into rows, so every result is row- and
 // order-identical to the classic executor.
 //
-// Storage dictionary codes are only stable within one batch (a
-// concurrent delta merge re-encodes delta rows), so cross-batch state
-// keys on decoded values or Value.AppendKey bytes, and per-code memos
-// are epoch-bumped every batch. A join's build side re-encodes its string
-// columns into a build-local dictionary, whose codes are stable for the
-// join's lifetime.
+// Storage dictionary codes are only stable within one DictView (a
+// concurrent delta merge re-encodes delta rows), so state that outlives
+// a view keys on decoded values or Value.AppendKey bytes, and per-code
+// memos (epochMemo) start a new epoch whenever a batch's view is not
+// Same as the one they memoized under. A join's build side re-encodes
+// its string columns into a build-local dictionary, whose codes are
+// stable for the join's lifetime.
 
 // DefaultBatchSize is the rows per column batch when the caller does not
 // configure one. It matches the storage zone-map block size, so a batch
@@ -177,6 +178,7 @@ func (s *scanSource) next() (*Batch, error) {
 		s.batch.N = len(s.idx)
 		return &s.batch, nil
 	}
+	statDrained(s.stats)
 	return nil, nil
 }
 
@@ -195,9 +197,10 @@ func (s *scanSource) close() {
 // stage work and compile to an empty stage kept for EXPLAIN ANALYZE
 // attribution). stages[i] corresponds to nodes[i+1] of the fragment.
 type vecStage struct {
-	filt  []vecCmp     // filter conjuncts; narrow the selection
-	exprs []vecCompute // computed projections; publish batch columns
-	stats *OpStats     // per-stage EXPLAIN ANALYZE attribution (nil off)
+	filt   []vecCmp     // filter conjuncts; narrow the selection
+	folded int          // the Filter's conjuncts folded into the join below
+	exprs  []vecCompute // computed projections; publish batch columns
+	stats  *OpStats     // per-stage EXPLAIN ANALYZE attribution (nil off)
 }
 
 // vecSpec is a pipeline: a batch source with filter/project stages run
@@ -208,6 +211,7 @@ type vecSpec struct {
 	width   int        // columns of the source's batches
 	stages  []vecStage // filter/project stages in plan order
 	proj    []int      // batch column per output row position
+	reads   []int      // batch columns the stages' kernels read
 	numCols int        // width + computed columns
 	nMemos  int        // dictionary-code memo tables needed
 	nBufs   int        // scratch selection buffers needed
@@ -235,6 +239,27 @@ func (s *vecSpec) clampScan(n int64) {
 	}
 }
 
+// need tells the pipeline which of its batch columns its consumer reads.
+// With the columns its own stages read, that is what its source must
+// produce: a join source gathers only those of its build columns and
+// passes the narrowing on to its inputs. A pipeline that is never
+// narrowed produces every column.
+func (s *vecSpec) need(cols []int) {
+	js, ok := s.src.(*joinSource)
+	if !ok {
+		return
+	}
+	out := make([]bool, s.width)
+	for _, cs := range [][]int{cols, s.reads} {
+		for _, c := range cs {
+			if c < s.width {
+				out[c] = true
+			}
+		}
+	}
+	js.need(out)
+}
+
 // statAdd accumulates per-stage analyze counters.
 func statAdd(st *OpStats, rows int64) {
 	if st == nil {
@@ -242,6 +267,13 @@ func statAdd(st *OpStats, rows int64) {
 	}
 	st.Rows += rows
 	st.Nexts++
+}
+
+// statDrained records that an operator reached the end of its stream.
+func statDrained(st *OpStats) {
+	if st != nil {
+		st.Drained = true
+	}
 }
 
 // vecScratch is one sweep's reusable batch state: the output batch, the
@@ -252,6 +284,7 @@ type vecScratch struct {
 	batch      Batch
 	allIdx     []int32
 	selA, selB []int32
+	flip       bool // narrow writes selB next (else selA)
 	memos      []codeMemo
 	selBufs    [][]int32   // OR-branch and CASE-arm selection scratch
 	exprVecs   []types.Vec // expression kernel outputs, by slot
@@ -282,35 +315,24 @@ func (s *vecSpec) next() (*Batch, error) {
 	b := &sc.batch
 	for {
 		in, err := s.src.next()
-		if in == nil || err != nil {
+		if err != nil {
 			return nil, err
+		}
+		if in == nil {
+			for si := range s.stages {
+				statDrained(s.stages[si].stats)
+			}
+			return nil, nil
 		}
 		copy(b.Cols, in.Cols[:s.width])
 		b.N = in.N
 		cur := liveRows(in, &sc.allIdx)
 		filtered := in.HasSel
-		flip := 0
 		for si := range s.stages {
 			st := &s.stages[si]
-			for ci := range st.filt {
-				var dst []int32
-				if flip%2 == 0 {
-					dst = sc.selA[:0]
-				} else {
-					dst = sc.selB[:0]
-				}
-				dst = st.filt[ci].run(b, cur, dst, sc)
-				if flip%2 == 0 {
-					sc.selA = dst
-				} else {
-					sc.selB = dst
-				}
-				cur = dst
-				flip++
+			if len(st.filt) > 0 {
+				cur = sc.narrow(st.filt, b, cur)
 				filtered = true
-				if len(cur) == 0 {
-					break
-				}
 			}
 			for _, ce := range st.exprs {
 				res := ce.expr.eval(b, cur, sc)
@@ -327,6 +349,25 @@ func (s *vecSpec) next() (*Batch, error) {
 		}
 		return b, nil
 	}
+}
+
+// narrow runs filter conjuncts over the live rows cur, alternating
+// between the two scratch selection buffers so no conjunct writes the
+// buffer it reads, and returns the survivors.
+func (sc *vecScratch) narrow(filt []vecCmp, b *Batch, cur []int32) []int32 {
+	for ci := range filt {
+		buf := &sc.selA
+		if sc.flip {
+			buf = &sc.selB
+		}
+		sc.flip = !sc.flip
+		*buf = filt[ci].run(b, cur, (*buf)[:0], sc)
+		cur = *buf
+		if len(cur) == 0 {
+			break
+		}
+	}
+	return cur
 }
 
 // decodeRows boxes the batch's live output rows in selection order,
@@ -418,20 +459,34 @@ type vecCmp struct {
 }
 
 // epochMemo caches one outcome per dictionary code for the current
-// batch. Entries are valid only when their epoch matches cur; next bumps
-// the epoch every batch because storage dictionary codes are not stable
-// across batches.
+// dictionary view. Entries are valid only when their epoch matches cur;
+// nextView keeps the epoch while successive batches decode through a
+// Same view and bumps it when the view changes, since a delta merge
+// re-encodes codes. The memo holds its view, so the dictionary arrays
+// Same compares stay alive (and cannot be reused) while entries refer to
+// them.
 type epochMemo[T any] struct {
 	val   []T
 	epoch []uint32
 	cur   uint32
+	view  types.DictView
 }
 
 // codeMemo is the filter kernels' per-code comparison outcome memo.
 type codeMemo = epochMemo[int8]
 
-// next starts a new batch epoch, growing the tables to cover size codes.
-func (m *epochMemo[T]) next(size int) {
+// nextView readies the memo for a vector decoded by v: a no-op while v is
+// Same as the memo's view, else a new epoch covering v's codes.
+func (m *epochMemo[T]) nextView(v types.DictView) {
+	if m.cur != 0 && v.Same(m.view) {
+		return
+	}
+	m.view = v
+	m.bump(v.Size())
+}
+
+// bump starts a new epoch, growing the tables to cover size codes.
+func (m *epochMemo[T]) bump(size int) {
 	if size > len(m.val) {
 		nv := make([]T, size)
 		copy(nv, m.val)
@@ -620,7 +675,7 @@ func (c *vecCmp) run(b *Batch, in, out []int32, sc *vecScratch) []int32 {
 		}
 	case vcStr:
 		m := &sc.memos[c.memo]
-		m.next(v.Dict.Size())
+		m.nextView(v.Dict)
 		for _, i := range in {
 			if hasNulls && v.NullAt(int(i)) {
 				continue
@@ -638,9 +693,10 @@ func (c *vecCmp) run(b *Batch, in, out []int32, sc *vecScratch) []int32 {
 	case vcIn:
 		if v.Typ == types.TString && len(v.Strs) == 0 {
 			// Dictionary-coded strings: one list probe per distinct code
-			// per batch, then a memo lookup for every further row.
+			// per dictionary view, then a memo lookup for every further
+			// row.
 			m := &sc.memos[c.memo]
-			m.next(v.Dict.Size())
+			m.nextView(v.Dict)
 			for _, i := range in {
 				if hasNulls && v.NullAt(int(i)) {
 					continue // NULL IN (...) is NULL: dropped

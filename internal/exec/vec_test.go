@@ -310,25 +310,34 @@ func TestVecJoinInnerBuildMemoryBudget(t *testing.T) {
 	}
 }
 
-// TestCodeMemoEpochs pins the per-batch memo contract: values from an
-// earlier epoch are invisible, and the uint32 epoch wrap resets instead
-// of colliding with stale entries.
+// TestCodeMemoEpochs pins the memo contract: values memoized under one
+// dictionary view stay current while later batches decode through a Same
+// view, are invisible under any other view (a merged delta, another
+// column), and the uint32 epoch wrap resets instead of colliding with
+// stale entries.
 func TestCodeMemoEpochs(t *testing.T) {
+	main, delta := []string{"a", "b"}, []string{"c", "d"}
+	v1 := types.NewDictView(main, delta)
 	var m codeMemo
-	m.next(4)
-	m.val[2] = 1
-	m.epoch[2] = m.cur
-	if m.epoch[2] != m.cur {
+	m.nextView(v1)
+	m.put(2, 1)
+	if _, ok := m.get(2); !ok {
 		t.Fatal("memo entry not current after write")
 	}
-	m.next(4)
-	if m.epoch[2] == m.cur {
-		t.Fatal("stale entry still current after next()")
+	// Same view: the next batch of the scan keeps the value.
+	m.nextView(types.NewDictView(main, delta))
+	if v, ok := m.get(2); !ok || v != 1 {
+		t.Fatalf("entry under a Same view = %d, %v; want carried", v, ok)
+	}
+	// New view (the delta was merged away): the value is gone.
+	m.nextView(types.NewDictView(main, nil))
+	if _, ok := m.get(2); ok {
+		t.Fatal("stale entry still current under a new view")
 	}
 	// Force the wrap: cur overflows to 0 and must reset all epochs.
 	m.cur = ^uint32(0)
 	m.epoch[1] = m.cur // stale entry that would collide after wrap
-	m.next(4)
+	m.nextView(v1)
 	if m.cur != 1 {
 		t.Fatalf("cur after wrap = %d, want 1", m.cur)
 	}

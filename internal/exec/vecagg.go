@@ -9,9 +9,9 @@ import (
 // Vectorized aggregation: group-by and scalar aggregates folded directly
 // from column batches. Grouping happens on dictionary codes where the
 // single group column is a string (one decode per distinct code per
-// batch, memoized), and the typed accumulators fold int/float/decimal
-// vectors without boxing. Group values are decoded only when a group is
-// first seen — never per input row. The fold keeps the row path's
+// dictionary view, memoized), and the typed accumulators fold
+// int/float/decimal vectors without boxing. Group values are decoded
+// only when a group is first seen — never per input row. The fold keeps the row path's
 // aggState machine (accumulateValue, finalize), so the output is
 // bit-identical to the row operators (first-seen group order, NULL
 // handling, sum type promotion, and all).
@@ -56,7 +56,7 @@ type vecAggTable struct {
 	valBuf []types.Value
 	all    []int32
 
-	// Single-string-group fast path: per-batch memo from dictionary code
+	// Single-string-group fast path: per-view memo from dictionary code
 	// to group entry. strGroup caches the shape check.
 	strGroup bool
 	codeEnt  epochMemo[*pgEntry]
@@ -144,9 +144,10 @@ func (t *vecAggTable) foldScalar(b *Batch, rows []int32) error {
 
 // foldStringGroup folds a single-string-column grouping on dictionary
 // codes: each distinct code is decoded and looked up in the global table
-// once per batch, then every further row with that code hits the memo.
+// once per dictionary view, then every further row with that code hits
+// the memo.
 func (t *vecAggTable) foldStringGroup(b *Batch, gv *types.Vec, rows []int32) error {
-	t.codeEnt.next(gv.Dict.Size())
+	t.codeEnt.nextView(gv.Dict)
 	hasNulls := len(gv.Nulls) > 0
 	for _, r := range rows {
 		ri := int(r)

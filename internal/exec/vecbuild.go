@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
+
 	"vdm/internal/plan"
 	"vdm/internal/storage"
 	"vdm/internal/types"
@@ -202,13 +205,18 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
 		gov:       b.gov,
 		met:       b.met,
 	}
+	nl, nr := len(lf.spec.proj), len(rf.spec.proj)
 	if n.BuildLeft {
 		js.build, js.probe = lf.spec, rf.spec
 		js.buildKey, js.probeKey = leftPos, rightPos
+		js.probeOff, js.buildOff = nl, 0
 	} else {
 		js.build, js.probe = rf.spec, lf.spec
 		js.buildKey, js.probeKey = rightPos, leftPos
+		js.probeOff, js.buildOff = 0, nl
 	}
+	js.keep = allTrue(nl + nr)
+	js.store = allTrue(len(js.build.proj))
 	cols := n.Columns()
 	return &vecFrag{spec: newVecSpec(js, len(cols)), cols: cols, nodes: []plan.Node{n}, kids: []*vecFrag{lf, rf}}, ""
 }
@@ -225,12 +233,36 @@ func applyVecStage(f *vecFrag, n plan.Node) string {
 	return "expression"
 }
 
+// allTrue returns n true flags.
+func allTrue(n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = true
+	}
+	return out
+}
+
+// exprCols returns the batch columns an expression reads.
+func (f *vecFrag) exprCols(e plan.Expr) []int {
+	var out []int
+	plan.ColsUsed(e).ForEach(func(id types.ColumnID) {
+		if bc, ok := f.batchCol(id); ok {
+			out = append(out, bc)
+		}
+	})
+	return out
+}
+
 // applyVecFilter compiles one Filter node into a stage appended to the
 // fragment. Every conjunct needs a kernel (makeVecCmp); when one has
 // none the filter declines as "or" if its condition holds an OR tree,
-// else as "expression".
+// else as "expression". Over a join source, conjuncts that read build
+// columns only fold into the join (joinSource.fold); the stage keeps the
+// rest, and stays for EXPLAIN ANALYZE to count the filter's rows even
+// when it keeps none.
 func applyVecFilter(f *vecFrag, n *plan.Filter) string {
 	var st vecStage
+	js, _ := f.spec.src.(*joinSource)
 	for _, conj := range plan.Conjuncts(n.Cond) {
 		cmp, ok := makeVecCmp(f, conj, &f.rb)
 		if !ok {
@@ -239,7 +271,13 @@ func applyVecFilter(f *vecFrag, n *plan.Filter) string {
 			}
 			return "expression"
 		}
+		cols := f.exprCols(conj)
+		if js != nil && js.fold(cmp, cols, f.spec) {
+			st.folded++
+			continue
+		}
 		st.filt = append(st.filt, cmp)
+		f.spec.reads = append(f.spec.reads, cols...)
 	}
 	if scan, ok := f.spec.src.(*scanSource); ok {
 		scan.ranges = f.rb.ranges()
@@ -280,6 +318,7 @@ func applyVecProject(f *vecFrag, n *plan.Project) string {
 		if !ok {
 			return "expression"
 		}
+		f.spec.reads = append(f.spec.reads, f.exprCols(c.Expr)...)
 		dst := f.spec.numCols
 		f.spec.numCols++
 		st.exprs = append(st.exprs, vecCompute{expr: ex, dst: dst})
@@ -557,15 +596,20 @@ func applyOrRange(f *vecFrag, rb *rangeBuilder, disj []plan.Expr) {
 // through its stats pointer. The top node (when !includeTop) is counted
 // by the statIter the Build caller wraps around the returned operator,
 // so only its mode is stamped — except that a join records its build
-// size and memory either way.
+// size and memory either way. A Filter that folded conjuncts into the
+// join below notes folded=<folded>/<conjuncts>.
 func (b *Builder) attachVecStats(f *vecFrag, includeTop bool) {
 	for i, node := range f.nodes {
 		st := b.nodeStats(node)
 		st.Mode = "vector"
 		counted := includeTop || i < len(f.nodes)-1
 		if i > 0 {
+			stage := &f.spec.stages[i-1]
+			if stage.folded > 0 {
+				st.Note = fmt.Sprintf("folded=%d/%d", stage.folded, stage.folded+len(stage.filt))
+			}
 			if counted {
-				f.spec.stages[i-1].stats = st
+				stage.stats = st
 			}
 			continue
 		}
@@ -583,8 +627,10 @@ func (b *Builder) attachVecStats(f *vecFrag, includeTop bool) {
 	}
 }
 
-// vecRows adapts a batch pipeline to the row Iterator contract.
+// vecRows adapts a batch pipeline to the row Iterator contract. The
+// adapter decodes every output column.
 func (b *Builder) vecRows(spec *vecSpec) Iterator {
+	spec.need(spec.proj)
 	return &vecRowsIter{spec: spec, met: b.met}
 }
 
@@ -670,6 +716,15 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
 		}
 		va.aggs = append(va.aggs, ac)
 	}
+	// The fold reads the group and argument columns only: a count(*)
+	// gathers no join build column at all.
+	reads := slices.Clone(va.groupCols)
+	for _, a := range va.aggs {
+		if !a.star {
+			reads = append(reads, a.col)
+		}
+	}
+	f.spec.need(reads)
 	if b.analyze {
 		b.attachVecStats(f, true)
 		b.nodeStats(n).Mode = "vector"

@@ -108,6 +108,7 @@ func (b *Builder) buildVecDistinct(n *plan.Distinct) (Iterator, string) {
 	}
 	srcs := make([]*vecSpec, len(frags))
 	for i, f := range frags {
+		f.spec.need(f.spec.proj)
 		srcs[i] = f.spec
 	}
 	if b.analyze {

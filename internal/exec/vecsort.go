@@ -139,6 +139,7 @@ func (b *Builder) buildVecTopK(n *plan.Limit) Iterator {
 			}
 			kc[x] = f.spec.proj[k.idx]
 		}
+		f.spec.need(f.spec.proj)
 		srcs[i] = vecTopKSrc{spec: f.spec, keyCols: kc}
 	}
 	if b.met != nil {

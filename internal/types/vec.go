@@ -22,9 +22,9 @@ import "vdm/internal/decimal"
 //
 // IMPORTANT: dictionary codes are only meaningful relative to the Dict
 // captured with the same fill. A delta merge re-encodes delta rows, so
-// codes must never be compared or retained across batches; cross-batch
-// state (group tables, join keys) must key on decoded strings or on
-// Value.AppendKey bytes.
+// codes may be compared or retained across batches only within one
+// DictView, checked by Same; state that outlives a view (group tables,
+// join keys) must key on decoded strings or on Value.AppendKey bytes.
 type Vec struct {
 	// Typ is the column's declared datatype.
 	Typ Type
@@ -69,6 +69,22 @@ func (d DictView) Decode(code int32) string {
 		return d.main[code]
 	}
 	return d.delta[int(code)-len(d.main)]
+}
+
+// Same reports whether d and o view the same backing main and delta
+// slices at the same lengths. Both dictionaries are append-only, so every
+// code then decodes to the same string under either view; a delta merge
+// that re-encoded codes, or another column, yields a view that is not
+// Same. A caller that keeps codes across views keeps the old view too,
+// so the arrays it compares cannot be freed and reused meanwhile.
+func (d DictView) Same(o DictView) bool {
+	return sameStrings(d.main, o.main) && sameStrings(d.delta, o.delta)
+}
+
+// sameStrings reports whether a and b are the same slice: equal lengths
+// over one backing array (any two empty slices qualify).
+func sameStrings(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Size returns the number of distinct codes addressable by the view,

@@ -24,6 +24,31 @@ func TestDictViewDecodeBoundaries(t *testing.T) {
 	}
 }
 
+// TestDictViewSame pins view identity: the same main and delta slices at
+// the same lengths are Same; a grown delta, a fresh delta after a merge,
+// or another backing array with equal contents is not.
+func TestDictViewSame(t *testing.T) {
+	main := []string{"a", "b"}
+	delta := make([]string, 1, 4)
+	delta[0] = "x"
+	v := NewDictView(main, delta)
+	if !v.Same(NewDictView(main, delta)) {
+		t.Error("views over the same slices are not Same")
+	}
+	if v.Same(NewDictView(main, append(delta, "y"))) {
+		t.Error("a grown delta is Same")
+	}
+	if v.Same(NewDictView(main, nil)) {
+		t.Error("a merged (empty) delta is Same")
+	}
+	if v.Same(NewDictView([]string{"a", "b"}, delta)) {
+		t.Error("an equal copy of main is Same")
+	}
+	if !NewDictView(main, nil).Same(NewDictView(main, []string{})) {
+		t.Error("two empty deltas over one main are not Same")
+	}
+}
+
 func TestVecSetNullClearsStaleBits(t *testing.T) {
 	var v Vec
 	// First batch: 130 rows (three bitmap words), all NULL.
