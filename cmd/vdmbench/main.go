@@ -21,25 +21,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: all, t1, t2, t3, t4, f3, f4, f14, f14csv, ablate, s71, s72, s73, wal")
+	exp := flag.String("exp", "all", "experiment id: all, t1, t2, t3, t4, f3, f4, f14, f14csv, ablate, s71, s72, s73")
 	views := flag.Int("views", 100, "number of Figure 14 views to measure")
 	reps := flag.Int("reps", 3, "timing repetitions per query")
 	big := flag.Bool("big", false, "use benchmark-sized data volumes")
 	timeout := flag.Duration("timeout", 0, "statement timeout per benchmark query (0 = none)")
 	memlimit := flag.Int64("memlimit", 0, "per-query memory budget in bytes (0 = unlimited)")
-	walDir := flag.String("wal", "", "directory for the 'wal' durability-throughput experiment (empty = temp dir)")
-	walCommits := flag.Int("wal-commits", 2000, "commits per configuration in the 'wal' experiment")
 	flag.Parse()
 	gov := govOpts{timeout: *timeout, memlimit: *memlimit}
-	if *exp == "wal" {
-		out, err := walExperiment(*walDir, *walCommits)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vdmbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println(out)
-		return
-	}
 	if err := run(*exp, *views, *reps, *big, gov); err != nil {
 		fmt.Fprintln(os.Stderr, "vdmbench:", err)
 		os.Exit(1)
@@ -79,6 +68,9 @@ func run(exp string, views, reps int, big bool, gov govOpts) error {
 	needTPCH := map[string]bool{"all": true, "t1": true, "t2": true, "t3": true, "t4": true,
 		"s71": true, "s72": true, "s73": true}
 	needS4 := map[string]bool{"all": true, "f3": true, "f4": true, "f14": true, "f14csv": true, "ablate": true}
+	if !needTPCH[exp] && !needS4[exp] {
+		return fmt.Errorf("unknown experiment %q", exp)
+	}
 
 	var te *engine.Engine
 	var err error

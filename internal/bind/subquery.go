@@ -72,8 +72,8 @@ func stripNot(e sql.Expr) (sql.Expr, bool) {
 // bindSubqueryJoin binds the subquery with the outer scope visible
 // (correlation), lifts correlated filter conjuncts into the join
 // condition, and attaches a semi or anti join to node. inExpr is the
-// left-hand expression for IN subqueries (nil for EXISTS); nullAware
-// selects NOT IN's three-valued anti-join semantics.
+// left-hand expression for IN subqueries (nil for EXISTS); a NOT IN
+// join names its compared column in Join.NotIn.
 func (b *Binder) bindSubqueryJoin(node plan.Node, sc *scope, depth int, q sql.QueryExpr, inExpr sql.Expr, anti, isIn bool) (plan.Node, error) {
 	outerCols := plan.ColumnsOf(node)
 	sub, names, err := b.bindQueryExpr(q, depth+1, sc)
@@ -102,6 +102,7 @@ func (b *Binder) bindSubqueryJoin(node plan.Node, sc *scope, depth int, q sql.Qu
 		}
 	}
 	conds := lifted
+	var inCol *plan.ColRef
 	if isIn {
 		if len(names) != 1 {
 			return nil, fmt.Errorf("bind: IN subquery must return exactly one column, got %d", len(names))
@@ -111,11 +112,8 @@ func (b *Binder) bindSubqueryJoin(node plan.Node, sc *scope, depth int, q sql.Qu
 			return nil, err
 		}
 		right := sub.Columns()[0]
-		conds = append([]plan.Expr{&plan.Bin{
-			Op: "=", L: left,
-			R:   &plan.ColRef{ID: right, Typ: b.ctx.Type(right)},
-			Typ: types.TBool,
-		}}, conds...)
+		inCol = &plan.ColRef{ID: right, Typ: b.ctx.Type(right)}
+		conds = append([]plan.Expr{&plan.Bin{Op: "=", L: left, R: inCol, Typ: types.TBool}}, conds...)
 	}
 	kind := plan.SemiJoin
 	if anti {
@@ -123,7 +121,9 @@ func (b *Binder) bindSubqueryJoin(node plan.Node, sc *scope, depth int, q sql.Qu
 	}
 	join := &plan.Join{Kind: kind, Left: node, Right: sub, Cond: plan.AndAll(conds)}
 	if anti && isIn {
-		join.AntiNullAware = true
+		// The subquery's output column is fresh and defined above every
+		// lifted conjunct, so x = y is the only conjunct that reads it.
+		join.NotIn = inCol
 	}
 	if join.Cond == nil {
 		join.Cond = plan.TrueExpr()

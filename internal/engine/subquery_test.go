@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -8,16 +9,17 @@ import (
 func subqueryEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New()
-	if err := e.ExecScript(`
-		create table c (id bigint primary key, name varchar not null, tier bigint);
-		create table o (id bigint primary key, cid bigint, total bigint);
-		insert into c values (1,'a',1), (2,'b',2), (3,'c',1), (4,'d',3);
-		insert into o values (10,1,100), (11,1,50), (12,2,75), (13,null,20);
-	`); err != nil {
+	if err := e.ExecScript(subqueryFixture); err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
+
+const subqueryFixture = `
+	create table c (id bigint primary key, name varchar not null, tier bigint);
+	create table o (id bigint primary key, cid bigint, total bigint);
+	insert into c values (1,'a',1), (2,'b',2), (3,'c',1), (4,'d',3);
+	insert into o values (10,1,100), (11,1,50), (12,2,75), (13,null,20);`
 
 func names(t *testing.T, e *Engine, q string) string {
 	t.Helper()
@@ -87,6 +89,62 @@ func TestNotInNullSemantics(t *testing.T) {
 	got = names(t, e, `select name from c where id not in (select cid from o where total > 99999) order by name`)
 	if got != "a,b,c,d" {
 		t.Fatalf("NOT IN empty = %q", got)
+	}
+}
+
+// TestNotInCorrelatedNullSemantics: a correlated NOT IN decides its
+// empty-set and NULL cases per correlation group C (the subquery rows
+// whose correlation is TRUE for the outer row), never across the whole
+// subquery: a row is kept iff C is empty, or x is non-NULL and no row of
+// C has y = x or a NULL y. Each statement runs on both executors, with
+// the plan cache off and on (twice, so the second run instantiates the
+// cached template).
+func TestNotInCorrelatedNullSemantics(t *testing.T) {
+	// o.cid NULL (rows 13, 16) puts a row in no group; row 14's NULL total
+	// sits in c.id=1's equi group but in no non-equi (o.cid > c.id) group.
+	extra := `
+		insert into c values (5,'e',null), (6,'f',null);
+		insert into o values (14,1,null), (15,6,10), (16,null,null);`
+	cases := []struct {
+		name, fixture, q, want string
+	}{
+		{"equi-correlated", "",
+			`select name from c where tier not in (select total from o where o.cid = c.id) order by name`,
+			"a,b,c,d"},
+		// a's group holds a NULL total; e has a NULL tier over an empty
+		// group, f a NULL tier over a non-empty one.
+		{"null-in-group", extra,
+			`select name from c where tier not in (select total from o where o.cid = c.id) order by name`,
+			"b,c,d,e"},
+		// A NULL outer correlation key (e, f) leaves C empty; a constant x.
+		{"null-probe-correlation", extra,
+			`select name from c where 75 not in (select total from o where o.cid = c.tier) order by name`,
+			"d,e,f"},
+		{"non-equi-correlation", extra,
+			`select name from c where tier not in (select total from o where o.cid > c.id) order by name`,
+			"a,b,c,d,f"},
+	}
+	for _, vec := range []bool{true, false} {
+		for _, cache := range []bool{false, true} {
+			for _, tc := range cases {
+				t.Run(fmt.Sprintf("%s/vector=%v/cache=%v", tc.name, vec, cache), func(t *testing.T) {
+					e := NewWithOptions(Options{DisableVectorize: !vec})
+					defer e.Close()
+					if err := e.ExecScript(subqueryFixture + tc.fixture); err != nil {
+						t.Fatal(err)
+					}
+					e.EnablePlanCache(cache)
+					for run := 0; run < 2; run++ {
+						if got := names(t, e, tc.q); got != tc.want {
+							t.Fatalf("run %d: %q = %q, want %q", run, tc.q, got, tc.want)
+						}
+					}
+					if hits, _ := e.PlanCacheStats(); cache && hits == 0 {
+						t.Fatalf("plan cache never hit")
+					}
+				})
+			}
+		}
 	}
 }
 

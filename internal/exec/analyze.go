@@ -22,8 +22,8 @@ type OpStats struct {
 	// NextNs is wall time spent across all Next() calls.
 	NextNs int64
 	// BuildRows / BuildBytes describe the materialized side of blocking
-	// operators: hash-table rows for joins, groups for GROUP BY, buffered
-	// rows for sort and cross join. Zero for streaming operators.
+	// operators: the build rows of joins, groups for GROUP BY, buffered
+	// rows for sort. Zero for streaming operators.
 	BuildRows  int64
 	BuildBytes int64
 	// BuildFiltered is set on a batch hash join that runs a folded
@@ -104,38 +104,20 @@ func rowBytes(r types.Row) int64 {
 	return b
 }
 
-func (j *hashJoinIter) buildStats() (int64, int64) {
-	if j.table != nil {
-		var n, bytes int64
-		for _, rows := range j.table {
-			rn, rb := rowSetBytes(rows)
-			n += rn
-			bytes += rb
-		}
-		return n, bytes
+// buildStats counts the rows a join indexed when it builds right (a
+// NULL-keyed row never probes), and every build row when it builds left.
+func (j *joinIter) buildStats() (int64, int64) {
+	if j.buildLeft {
+		return rowSetBytes(j.rows)
 	}
-	return rowSetBytes(j.rightRows)
-}
-
-func (j *semiJoinIter) buildStats() (int64, int64) {
-	if j.table != nil {
-		var n, bytes int64
-		for _, rows := range j.table {
-			rn, rb := rowSetBytes(rows)
-			n += rn
-			bytes += rb
+	var n, bytes int64
+	for _, idxs := range j.table {
+		for _, i := range idxs {
+			n++
+			bytes += rowBytes(j.rows[i])
 		}
-		return n, bytes
 	}
-	return rowSetBytes(j.rightRows)
-}
-
-func (j *hashJoinBuildLeftIter) buildStats() (int64, int64) {
-	return rowSetBytes(j.leftRows)
-}
-
-func (c *crossJoinIter) buildStats() (int64, int64) {
-	return rowSetBytes(c.rightRows)
+	return n, bytes
 }
 
 func (g *groupByIter) buildStats() (int64, int64) {
@@ -160,14 +142,11 @@ type memAccounter interface {
 	memBytes() int64
 }
 
-func (j *hashJoinIter) memBytes() int64          { return j.acct.bytes() }
-func (j *semiJoinIter) memBytes() int64          { return j.acct.bytes() }
-func (j *hashJoinBuildLeftIter) memBytes() int64 { return j.acct.bytes() }
-func (c *crossJoinIter) memBytes() int64         { return c.acct.bytes() }
-func (g *groupByIter) memBytes() int64           { return g.acct.bytes() }
-func (s *sortIter) memBytes() int64              { return s.acct.bytes() }
-func (t *topKIter) memBytes() int64              { return t.acct.bytes() }
-func (d *distinctIter) memBytes() int64          { return d.acct.bytes() }
+func (j *joinIter) memBytes() int64     { return j.acct.bytes() }
+func (g *groupByIter) memBytes() int64  { return g.acct.bytes() }
+func (s *sortIter) memBytes() int64     { return s.acct.bytes() }
+func (t *topKIter) memBytes() int64     { return t.acct.bytes() }
+func (d *distinctIter) memBytes() int64 { return d.acct.bytes() }
 
 // statIter wraps an iterator and records OpStats. It exists only when
 // the builder is in analyze mode, so the normal execution path pays

@@ -350,103 +350,93 @@ func (b *Builder) buildJoin(n *plan.Join) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n.Kind == plan.CrossJoin {
-		return &crossJoinIter{left: left, right: right, gov: b.gov}, nil
-	}
+	j := &joinIter{left: left, right: right, kind: n.Kind, rightWidth: len(n.Right.Columns()), gov: b.gov}
 
 	leftCols := plan.ColumnsOf(n.Left)
 	rightCols := plan.ColumnsOf(n.Right)
 	leftSlots := slotsOf(n.Left)
 	rightSlots := slotsOf(n.Right)
-	// Residual predicates see the concatenated left++right row, which
-	// for semi/anti joins is wider than the node's output.
-	combinedSlots := map[types.ColumnID]int{}
-	for i, id := range n.Left.Columns() {
-		combinedSlots[id] = i
-	}
-	off := len(n.Left.Columns())
-	for i, id := range n.Right.Columns() {
-		combinedSlots[id] = off + i
-	}
+	// Residual predicates see the concatenated left++right row (an inner
+	// join's), which for semi/anti joins is wider than the node's output.
+	combinedSlots := slotsOf(&plan.Join{Kind: plan.InnerJoin, Left: n.Left, Right: n.Right})
 
-	var leftKeys, rightKeys []EvalFn
+	// Split the condition into equi-keys and a residual. NOT IN's x = y
+	// is found by its column y, and keyed last: the keys before it are
+	// the correlation.
 	var residual []plan.Expr
+	var notInX plan.Expr
 	for _, conj := range plan.Conjuncts(n.Cond) {
-		eq, ok := conj.(*plan.Bin)
-		if ok && eq.Op == "=" {
-			lUsed := plan.ColsUsed(eq.L)
-			rUsed := plan.ColsUsed(eq.R)
-			var lexpr, rexpr plan.Expr
-			switch {
-			case lUsed.SubsetOf(leftCols) && rUsed.SubsetOf(rightCols):
-				lexpr, rexpr = eq.L, eq.R
-			case lUsed.SubsetOf(rightCols) && rUsed.SubsetOf(leftCols):
-				lexpr, rexpr = eq.R, eq.L
+		l, r := equiSides(conj, leftCols, rightCols)
+		if y, ok := r.(*plan.ColRef); ok && n.NotIn != nil && y.ID == n.NotIn.ID && notInX == nil {
+			notInX = l
+		} else if l != nil && !plan.ColsUsed(l).Empty() && !plan.ColsUsed(r).Empty() {
+			if err := j.addKey(l, r, leftSlots, rightSlots); err != nil {
+				return nil, err
 			}
-			if lexpr != nil && !plan.ColsUsed(lexpr).Empty() && !plan.ColsUsed(rexpr).Empty() {
-				lk, err := Compile(lexpr, leftSlots)
-				if err != nil {
-					return nil, err
-				}
-				rk, err := Compile(rexpr, rightSlots)
-				if err != nil {
-					return nil, err
-				}
-				leftKeys = append(leftKeys, lk)
-				rightKeys = append(rightKeys, rk)
-				continue
-			}
+		} else {
+			residual = append(residual, conj)
 		}
-		residual = append(residual, conj)
 	}
-	var residualFn EvalFn
-	if res := plan.AndAll(residual); res != nil {
-		fn, err := Compile(res, combinedSlots)
-		if err != nil {
+	if n.NotIn != nil {
+		if notInX == nil {
+			return nil, fmt.Errorf("exec: NOT IN comparison on #%d missing from the join condition", n.NotIn.ID)
+		}
+		if err := j.addKey(notInX, n.NotIn, leftSlots, rightSlots); err != nil {
 			return nil, err
 		}
-		residualFn = fn
+		j.notIn = j.probeKeys[len(j.probeKeys)-1]
 	}
-	if n.Kind == plan.SemiJoin || n.Kind == plan.AntiJoin {
-		return &semiJoinIter{
-			left:      left,
-			right:     right,
-			anti:      n.Kind == plan.AntiJoin,
-			nullAware: n.AntiNullAware,
-			leftKeys:  leftKeys,
-			rightKeys: rightKeys,
-			residual:  residualFn,
-			gov:       b.gov,
-		}, nil
+	if res := plan.AndAll(residual); res != nil {
+		if j.residual, err = Compile(res, combinedSlots); err != nil {
+			return nil, err
+		}
 	}
 	// Build-side choice: build the hash table on the left when the
 	// optimizer's cost-based pass estimated the left input smaller
 	// (n.BuildLeft), or when the anchor side is bounded (a limit pushed
 	// across the augmentation join, §4.4) — the paper's point that limit
 	// pushdown "directly impacts which side of the join builds the hash
-	// table".
-	if len(leftKeys) > 0 && (n.BuildLeft || (boundedSide(n.Left) && !boundedSide(n.Right))) {
-		return &hashJoinBuildLeftIter{
-			left:       left,
-			right:      right,
-			leftOuter:  n.Kind == plan.LeftOuterJoin,
-			leftKeys:   leftKeys,
-			rightKeys:  rightKeys,
-			residual:   residualFn,
-			rightWidth: len(n.Right.Columns()),
-			gov:        b.gov,
-		}, nil
+	// table". Semi, anti and keyless joins always build right.
+	if (n.Kind == plan.InnerJoin || n.Kind == plan.LeftOuterJoin) && len(j.buildKeys) > 0 &&
+		(n.BuildLeft || (boundedSide(n.Left) && !boundedSide(n.Right))) {
+		j.buildLeft = true
+		j.buildKeys, j.probeKeys = j.probeKeys, j.buildKeys
 	}
-	return &hashJoinIter{
-		left:       left,
-		right:      right,
-		leftOuter:  n.Kind == plan.LeftOuterJoin,
-		leftKeys:   leftKeys,
-		rightKeys:  rightKeys,
-		residual:   residualFn,
-		rightWidth: len(n.Right.Columns()),
-		gov:        b.gov,
-	}, nil
+	return j, nil
+}
+
+// addKey compiles one equi-key pair, lexpr over left rows and rexpr
+// over right rows, as a build-right key.
+func (j *joinIter) addKey(lexpr, rexpr plan.Expr, leftSlots, rightSlots map[types.ColumnID]int) error {
+	lk, err := Compile(lexpr, leftSlots)
+	if err != nil {
+		return err
+	}
+	rk, err := Compile(rexpr, rightSlots)
+	if err != nil {
+		return err
+	}
+	j.probeKeys = append(j.probeKeys, lk)
+	j.buildKeys = append(j.buildKeys, rk)
+	return nil
+}
+
+// equiSides splits conj, when it is an equality between an expression
+// over the left input and one over the right, into those two sides
+// (left first); otherwise both are nil.
+func equiSides(conj plan.Expr, leftCols, rightCols types.ColSet) (l, r plan.Expr) {
+	eq, ok := conj.(*plan.Bin)
+	if !ok || eq.Op != "=" {
+		return nil, nil
+	}
+	lUsed, rUsed := plan.ColsUsed(eq.L), plan.ColsUsed(eq.R)
+	switch {
+	case lUsed.SubsetOf(leftCols) && rUsed.SubsetOf(rightCols):
+		return eq.L, eq.R
+	case lUsed.SubsetOf(rightCols) && rUsed.SubsetOf(leftCols):
+		return eq.R, eq.L
+	}
+	return nil, nil
 }
 
 // sortKeys resolves a Sort node's keys to row positions.

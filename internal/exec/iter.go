@@ -116,78 +116,6 @@ func (p *projectIter) Next() (types.Row, bool, error) {
 
 func (p *projectIter) Close() { p.input.Close() }
 
-// --- hash join --------------------------------------------------------
-
-// hashJoinIter implements inner and left-outer equi-joins with optional
-// residual predicates, and degrades to a nested loop when no equi-keys
-// exist.
-type hashJoinIter struct {
-	left, right Iterator
-	leftOuter   bool
-	leftKeys    []EvalFn // over left rows
-	rightKeys   []EvalFn // over right rows
-	residual    EvalFn   // over combined rows, may be nil
-	rightWidth  int
-	gov         *Governance
-	acct        memAcct
-
-	table     map[string][]types.Row
-	rightRows []types.Row // nested-loop fallback
-	keyBuf    []byte
-	// probe state
-	curLeft  types.Row
-	matches  []types.Row
-	matchPos int
-	matched  bool
-}
-
-func (j *hashJoinIter) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	if err := j.right.Open(); err != nil {
-		return err
-	}
-	j.acct = memAcct{gov: j.gov}
-	if err := j.gov.point(PointHashBuild); err != nil {
-		return err
-	}
-	if len(j.rightKeys) > 0 {
-		j.table = make(map[string][]types.Row)
-	}
-	stride := govStride{gov: j.gov}
-	for {
-		row, ok, err := j.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := j.acct.add(rowBytes(row)); err != nil {
-			return err
-		}
-		if err := stride.tick(); err != nil {
-			return err
-		}
-		if j.table != nil {
-			key, null, err := appendEvalKey(j.keyBuf[:0], row, j.rightKeys)
-			j.keyBuf = key[:0]
-			if err != nil {
-				return err
-			}
-			if null {
-				continue // NULL keys never match
-			}
-			j.table[string(key)] = append(j.table[string(key)], row)
-		} else {
-			j.rightRows = append(j.rightRows, row)
-		}
-	}
-	j.curLeft = nil
-	return nil
-}
-
 // drainRows materializes every row of an open iterator, metering the
 // buffered bytes against the query budget and checking cancellation at
 // batch granularity (gov and acct may be nil/inert).
@@ -212,423 +140,6 @@ func drainRows(it Iterator, gov *Governance, acct *memAcct) ([]types.Row, error)
 		}
 		rows = append(rows, row)
 	}
-}
-
-func (j *hashJoinIter) Next() (types.Row, bool, error) {
-	for {
-		if j.curLeft == nil {
-			row, ok, err := j.left.Next()
-			if !ok || err != nil {
-				return nil, false, err
-			}
-			j.curLeft = row
-			j.matched = false
-			j.matchPos = 0
-			if j.table != nil {
-				key, null, err := appendEvalKey(j.keyBuf[:0], row, j.leftKeys)
-				j.keyBuf = key[:0]
-				if err != nil {
-					return nil, false, err
-				}
-				if null {
-					j.matches = nil
-				} else {
-					j.matches = j.table[string(key)]
-				}
-			} else {
-				j.matches = j.rightRows
-			}
-		}
-		for j.matchPos < len(j.matches) {
-			r := j.matches[j.matchPos]
-			j.matchPos++
-			combined := make(types.Row, 0, len(j.curLeft)+len(r))
-			combined = append(combined, j.curLeft...)
-			combined = append(combined, r...)
-			if j.residual != nil {
-				v, err := j.residual(combined)
-				if err != nil {
-					return nil, false, err
-				}
-				if v.IsNull() || !v.Bool() {
-					continue
-				}
-			}
-			j.matched = true
-			return combined, true, nil
-		}
-		// exhausted matches for current left row
-		left := j.curLeft
-		wasMatched := j.matched
-		j.curLeft = nil
-		if j.leftOuter && !wasMatched {
-			combined := make(types.Row, len(left)+j.rightWidth)
-			copy(combined, left)
-			for i := len(left); i < len(combined); i++ {
-				combined[i] = types.NewNull(types.TNull)
-			}
-			return combined, true, nil
-		}
-	}
-}
-
-func (j *hashJoinIter) Close() {
-	j.left.Close()
-	j.right.Close()
-	j.acct.close()
-	j.table = nil
-	j.rightRows = nil
-}
-
-// --- semi / anti join ---------------------------------------------------
-
-// semiJoinIter implements semi and anti joins (EXISTS / IN subqueries
-// after unnesting). Output rows are left rows only. nullAware selects
-// NOT IN's three-valued semantics: any NULL key on the build side — or
-// a NULL probe key with a non-empty build side — rejects non-matching
-// rows.
-type semiJoinIter struct {
-	left, right Iterator
-	anti        bool
-	nullAware   bool
-	leftKeys    []EvalFn
-	rightKeys   []EvalFn
-	residual    EvalFn // over combined (left ++ right) rows
-
-	table      map[string][]types.Row
-	rightRows  []types.Row // nested-loop fallback (no equi keys)
-	rightCount int
-	sawNullKey bool
-	keyBuf     []byte
-	gov        *Governance
-	acct       memAcct
-}
-
-func (j *semiJoinIter) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	if err := j.right.Open(); err != nil {
-		return err
-	}
-	j.acct = memAcct{gov: j.gov}
-	if err := j.gov.point(PointHashBuild); err != nil {
-		return err
-	}
-	if len(j.rightKeys) > 0 {
-		j.table = make(map[string][]types.Row)
-	}
-	stride := govStride{gov: j.gov}
-	for {
-		row, ok, err := j.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := j.acct.add(rowBytes(row)); err != nil {
-			return err
-		}
-		if err := stride.tick(); err != nil {
-			return err
-		}
-		j.rightCount++
-		if j.table != nil {
-			key, null, err := appendEvalKey(j.keyBuf[:0], row, j.rightKeys)
-			j.keyBuf = key[:0]
-			if err != nil {
-				return err
-			}
-			if null {
-				j.sawNullKey = true
-				continue
-			}
-			j.table[string(key)] = append(j.table[string(key)], row)
-		} else {
-			j.rightRows = append(j.rightRows, row)
-		}
-	}
-	return nil
-}
-
-func (j *semiJoinIter) matches(left types.Row) (bool, error) {
-	var candidates []types.Row
-	keyNull := false
-	if j.table != nil {
-		key, null, err := appendEvalKey(j.keyBuf[:0], left, j.leftKeys)
-		j.keyBuf = key[:0]
-		if err != nil {
-			return false, err
-		}
-		keyNull = null
-		if !null {
-			candidates = j.table[string(key)]
-		}
-	} else {
-		candidates = j.rightRows
-	}
-	if j.nullAware {
-		// NOT IN semantics (the iterator runs in anti mode): a NULL probe
-		// key or any NULL build key makes the predicate NULL, rejecting
-		// the row — unless the subquery returned no rows at all.
-		if j.rightCount == 0 {
-			return false, nil
-		}
-		if keyNull || j.sawNullKey {
-			return true, nil // "matches" → anti join drops the row
-		}
-	}
-	if j.residual == nil {
-		return len(candidates) > 0, nil
-	}
-	for _, r := range candidates {
-		combined := make(types.Row, 0, len(left)+len(r))
-		combined = append(combined, left...)
-		combined = append(combined, r...)
-		v, err := j.residual(combined)
-		if err != nil {
-			return false, err
-		}
-		if !v.IsNull() && v.Bool() {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-func (j *semiJoinIter) Next() (types.Row, bool, error) {
-	for {
-		row, ok, err := j.left.Next()
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		m, err := j.matches(row)
-		if err != nil {
-			return nil, false, err
-		}
-		if m != j.anti {
-			return row, true, nil
-		}
-	}
-}
-
-func (j *semiJoinIter) Close() {
-	j.left.Close()
-	j.right.Close()
-	j.acct.close()
-	j.table = nil
-	j.rightRows = nil
-}
-
-// --- hash join, build-left variant --------------------------------------
-
-// hashJoinBuildLeftIter materializes the (small, limit-bounded) left
-// side into the hash table and streams the right side, emitting matches
-// as they are found and NULL-extending unmatched left rows at the end
-// for left outer joins. The output multiset is identical to
-// hashJoinIter's; only the order differs.
-type hashJoinBuildLeftIter struct {
-	left, right Iterator
-	leftOuter   bool
-	leftKeys    []EvalFn
-	rightKeys   []EvalFn
-	residual    EvalFn
-	rightWidth  int
-
-	leftRows []types.Row
-	matched  []bool
-	table    map[string][]int // key -> left row indexes
-	keyBuf   []byte
-	gov      *Governance
-	acct     memAcct
-
-	// streaming state
-	pending   []types.Row
-	pendPos   int
-	rightDone bool
-	tailPos   int
-}
-
-func (j *hashJoinBuildLeftIter) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	if err := j.right.Open(); err != nil {
-		return err
-	}
-	j.acct = memAcct{gov: j.gov}
-	if err := j.gov.point(PointHashBuild); err != nil {
-		return err
-	}
-	j.table = make(map[string][]int)
-	stride := govStride{gov: j.gov}
-	for {
-		row, ok, err := j.left.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := j.acct.add(rowBytes(row)); err != nil {
-			return err
-		}
-		if err := stride.tick(); err != nil {
-			return err
-		}
-		idx := len(j.leftRows)
-		j.leftRows = append(j.leftRows, row)
-		key, null, err := appendEvalKey(j.keyBuf[:0], row, j.leftKeys)
-		j.keyBuf = key[:0]
-		if err != nil {
-			return err
-		}
-		if !null {
-			j.table[string(key)] = append(j.table[string(key)], idx)
-		}
-	}
-	j.matched = make([]bool, len(j.leftRows))
-	return nil
-}
-
-func (j *hashJoinBuildLeftIter) Next() (types.Row, bool, error) {
-	for {
-		if j.pendPos < len(j.pending) {
-			row := j.pending[j.pendPos]
-			j.pendPos++
-			return row, true, nil
-		}
-		if !j.rightDone {
-			rrow, ok, err := j.right.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.rightDone = true
-				continue
-			}
-			key, null, err := appendEvalKey(j.keyBuf[:0], rrow, j.rightKeys)
-			j.keyBuf = key[:0]
-			if err != nil {
-				return nil, false, err
-			}
-			if null {
-				continue
-			}
-			j.pending = j.pending[:0]
-			j.pendPos = 0
-			for _, li := range j.table[string(key)] {
-				combined := make(types.Row, 0, len(j.leftRows[li])+len(rrow))
-				combined = append(combined, j.leftRows[li]...)
-				combined = append(combined, rrow...)
-				if j.residual != nil {
-					v, err := j.residual(combined)
-					if err != nil {
-						return nil, false, err
-					}
-					if v.IsNull() || !v.Bool() {
-						continue
-					}
-				}
-				j.matched[li] = true
-				j.pending = append(j.pending, combined)
-			}
-			continue
-		}
-		// Right exhausted: NULL-extend unmatched left rows.
-		if !j.leftOuter {
-			return nil, false, nil
-		}
-		for j.tailPos < len(j.leftRows) {
-			li := j.tailPos
-			j.tailPos++
-			if j.matched[li] {
-				continue
-			}
-			combined := make(types.Row, len(j.leftRows[li])+j.rightWidth)
-			copy(combined, j.leftRows[li])
-			for i := len(j.leftRows[li]); i < len(combined); i++ {
-				combined[i] = types.NewNull(types.TNull)
-			}
-			return combined, true, nil
-		}
-		return nil, false, nil
-	}
-}
-
-func (j *hashJoinBuildLeftIter) Close() {
-	j.left.Close()
-	j.right.Close()
-	j.acct.close()
-	j.table = nil
-	j.leftRows = nil
-}
-
-// --- cross join -------------------------------------------------------
-
-type crossJoinIter struct {
-	left, right Iterator
-	rightRows   []types.Row
-	curLeft     types.Row
-	pos         int
-	gov         *Governance
-	acct        memAcct
-	stride      govStride
-}
-
-func (c *crossJoinIter) Open() error {
-	if err := c.left.Open(); err != nil {
-		return err
-	}
-	if err := c.right.Open(); err != nil {
-		return err
-	}
-	c.acct = memAcct{gov: c.gov}
-	c.stride = govStride{gov: c.gov}
-	if err := c.gov.point(PointHashBuild); err != nil {
-		return err
-	}
-	rows, err := drainRows(c.right, c.gov, &c.acct)
-	if err != nil {
-		return err
-	}
-	c.rightRows = rows
-	return nil
-}
-
-func (c *crossJoinIter) Next() (types.Row, bool, error) {
-	// The output is |left|×|right| rows: check cancellation on the
-	// emit path too, not just while draining the build side.
-	if err := c.stride.tick(); err != nil {
-		return nil, false, err
-	}
-	for {
-		if c.curLeft == nil {
-			row, ok, err := c.left.Next()
-			if !ok || err != nil {
-				return nil, false, err
-			}
-			c.curLeft = row
-			c.pos = 0
-		}
-		if c.pos < len(c.rightRows) {
-			r := c.rightRows[c.pos]
-			c.pos++
-			combined := make(types.Row, 0, len(c.curLeft)+len(r))
-			combined = append(combined, c.curLeft...)
-			combined = append(combined, r...)
-			return combined, true, nil
-		}
-		c.curLeft = nil
-	}
-}
-
-func (c *crossJoinIter) Close() {
-	c.left.Close()
-	c.right.Close()
-	c.acct.close()
-	c.rightRows = nil
 }
 
 // --- group by ---------------------------------------------------------

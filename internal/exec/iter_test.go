@@ -168,8 +168,8 @@ func TestBuildLeftJoinEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, isBL := it.(*hashJoinBuildLeftIter); !isBL {
-		t.Fatalf("expected build-left variant, got %T", it)
+	if j, ok := it.(*joinIter); !ok || !j.buildLeft {
+		t.Fatalf("expected a join building left, got %T %+v", it, it)
 	}
 	gotRows := runAll(t, b, outer)
 

@@ -24,9 +24,9 @@ import (
 //     emits its pairs in chunks of at most the batch size.
 //
 // Emission order, NULL-key handling, LEFT OUTER extension and the
-// build-left tail sweep replicate hashJoinIter (build right, probe left)
-// and hashJoinBuildLeftIter (build left, probe right) exactly, so
-// results are row- and order-identical to the row executor. The probe
+// build-left tail sweep replicate the row executor's joinIter, building
+// right or left, exactly, so results are row- and order-identical to
+// the row executor. The probe
 // streams, so a LIMIT above stops the probe scan early.
 //
 // Two things are done once per build row instead of once per output

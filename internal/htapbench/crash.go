@@ -124,19 +124,6 @@ func (cf *CrashFixture) Close() error { return cf.Eng.Close() }
 // Clock returns the current commit timestamp.
 func (cf *CrashFixture) Clock() uint64 { return cf.db.CurrentTS() }
 
-// adjustLedger mirrors the harness writer's read-modify-write of the
-// session account inside tx.
-func (cf *CrashFixture) adjustLedger(tx *storage.Txn, acct, deltaCents int64) error {
-	snap := tx.Snapshot(cf.ledgerTbl)
-	pos, ok := snap.LookupUnique(cf.ledgerPK, types.Row{types.NewInt(acct)})
-	if !ok {
-		return fmt.Errorf("ledger account %d not found", acct)
-	}
-	row := snap.Row(pos)
-	newBal := row[1].Decimal().Add(cents(deltaCents).Decimal())
-	return tx.UpdateAt(snap, pos, types.Row{types.NewInt(acct), types.NewDecimal(newBal)})
-}
-
 // RunCrashOps streams up to n writer commits for the given kill cycle:
 // document inserts with matching ledger adjustments, interleaved with
 // deletes of this cycle's own documents (so replay exercises
@@ -163,7 +150,7 @@ func (cf *CrashFixture) RunCrashOps(cycle, n int, progress io.Writer) error {
 				return fmt.Errorf("crash cycle %d: own document %d missing", cycle, r.id)
 			}
 			if err = tx.DeleteAt(snap, pos); err == nil {
-				err = cf.adjustLedger(tx, account, -r.c)
+				err = adjustLedger(tx, cf.ledgerTbl, cf.ledgerPK, account, -r.c)
 			}
 			if err == nil {
 				if err = tx.Commit(); err == nil {
@@ -183,7 +170,7 @@ func (cf *CrashFixture) RunCrashOps(cycle, n int, progress io.Writer) error {
 				Cur:     currencies[rng.Intn(len(currencies))][0],
 			}
 			if err = tx.Insert(cf.activeTbl, docRow(op)); err == nil {
-				err = cf.adjustLedger(tx, account, c)
+				err = adjustLedger(tx, cf.ledgerTbl, cf.ledgerPK, account, c)
 			}
 			if err == nil {
 				if err = tx.Commit(); err == nil {

@@ -161,12 +161,13 @@ func (r *readerSession) genOp(m Mix, seq int) Op {
 
 // --- writer execution ----------------------------------------------------
 
-// adjustLedger rewrites the session's account balance by deltaCents
-// inside tx, via a unique-index point lookup (the OLTP read-modify-
-// write shape).
-func (h *Harness) adjustLedger(tx *storage.Txn, acct, deltaCents int64) error {
-	snap := tx.Snapshot(h.ledgerTbl)
-	pos, ok := snap.LookupUnique(h.ledgerPK, types.Row{types.NewInt(acct)})
+// adjustLedger adds deltaCents to account acct's balance in ledger,
+// whose primary key index is pk, inside tx: a unique-index point lookup
+// (the OLTP read-modify-write shape) shared by the harness writers and
+// the crash fixture.
+func adjustLedger(tx *storage.Txn, ledger *storage.Table, pk int, acct, deltaCents int64) error {
+	snap := tx.Snapshot(ledger)
+	pos, ok := snap.LookupUnique(pk, types.Row{types.NewInt(acct)})
 	if !ok {
 		return fmt.Errorf("ledger account %d not found", acct)
 	}
@@ -209,7 +210,7 @@ func (h *Harness) writerTx(tx *storage.Txn, op Op) error {
 		if err := tx.Insert(h.activeTbl, docRow(op)); err != nil {
 			return err
 		}
-		return h.adjustLedger(tx, op.Account, op.Cents)
+		return adjustLedger(tx, h.ledgerTbl, h.ledgerPK, op.Account, op.Cents)
 	case OpDraft:
 		return tx.Insert(h.draftTbl, docRow(op))
 	case OpActivate:
@@ -225,7 +226,7 @@ func (h *Harness) writerTx(tx *storage.Txn, op Op) error {
 		if err := tx.Insert(h.activeTbl, snap.Row(pos)); err != nil {
 			return err
 		}
-		return h.adjustLedger(tx, op.Account, op.Cents)
+		return adjustLedger(tx, h.ledgerTbl, h.ledgerPK, op.Account, op.Cents)
 	case OpDelete:
 		snap := tx.Snapshot(h.activeTbl)
 		pos, ok := snap.LookupUnique(h.activePK, types.Row{types.NewInt(op.ID)})
@@ -235,7 +236,7 @@ func (h *Harness) writerTx(tx *storage.Txn, op Op) error {
 		if err := tx.DeleteAt(snap, pos); err != nil {
 			return err
 		}
-		return h.adjustLedger(tx, op.Account, -op.Cents)
+		return adjustLedger(tx, h.ledgerTbl, h.ledgerPK, op.Account, -op.Cents)
 	}
 	return fmt.Errorf("unknown writer op %s", op.Kind)
 }

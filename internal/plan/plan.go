@@ -211,10 +211,14 @@ type Join struct {
 	Cond     Expr // nil for cross join
 	Card     sql.CardSpec
 	CaseJoin bool
-	// AntiNullAware marks a NOT IN anti join: NULLs on either key side
-	// follow NOT IN's three-valued semantics (any NULL in the subquery
-	// result rejects every non-matching row).
-	AntiNullAware bool
+	// NotIn marks a NOT IN anti join: it is the subquery column y of the
+	// comparison x = y among Cond's conjuncts (nil on every other join).
+	// The other conjuncts are the lifted correlation; the build rows they
+	// hold TRUE for are the probe row's group C. NOT IN keeps a probe row
+	// iff C is empty, or x is non-NULL and no row of C has y = x or a
+	// NULL y. Column IDs survive rewrites, so the executor finds the
+	// comparison by y and never by conjunct order.
+	NotIn *ColRef
 	// BuildLeft asks the executor to build the hash table on the left
 	// input and stream the right — set by the optimizer's cost-based
 	// build-side pass when the left is estimated smaller. The executor
