@@ -139,9 +139,9 @@ func TestVecDACFiltersFoldIntoBuild(t *testing.T) {
 // TestVecExplainAnalyzeQErrDrainedOnly pins that EXPLAIN ANALYZE prints
 // q_err only for operators that ran to the end of their stream and
 // counted their rows: not for a Sort fused into top-k (it records no
-// rows), nor for the union whose branches ran as batch fragments, nor
-// for operators under a LIMIT that stopped early — while every operator
-// of the fully drained Figure 4 count(*) keeps one.
+// rows), nor for operators under a LIMIT that stopped early — while the
+// batch union under the top-k, which counts the rows it passes on, and
+// every operator of the fully drained Figure 4 count(*) keep one.
 func TestVecExplainAnalyzeQErrDrainedOnly(t *testing.T) {
 	e, err := experiments.NewS4Engine(s4.TinySize(), s4.Fig14Tiny())
 	if err != nil {
@@ -158,10 +158,11 @@ func TestVecExplainAnalyzeQErrDrainedOnly(t *testing.T) {
 
 	page := analyze(`select bid, id, amount from (select 1 bid, id, amount from doc_active union all
 		select 2 bid, id, amount from doc_draft) u order by amount desc, bid, id limit 5 offset 2`)
-	for _, op := range []string{"Sort", "UnionAll"} {
-		if line := planLine(t, page, op); strings.Contains(line, "q_err=") {
-			t.Errorf("%s line carries q_err:\n%s", op, line)
-		}
+	if line := planLine(t, page, "Sort"); strings.Contains(line, "q_err=") {
+		t.Errorf("Sort line carries q_err:\n%s", line)
+	}
+	if line := planLine(t, page, "UnionAll"); !strings.Contains(line, "rows=840 ") || !strings.Contains(line, "q_err=") {
+		t.Errorf("drained batch union did not count its 800+40 rows:\n%s", line)
 	}
 	if line := planLine(t, page, "Limit"); !strings.Contains(line, "q_err=") {
 		t.Errorf("drained Limit lost its q_err:\n%s", line)

@@ -221,20 +221,12 @@ func (b *Builder) buildRow(n plan.Node) (Iterator, error) {
 
 	case *plan.UnionAll:
 		var children []Iterator
-		pipelines := true
 		for _, c := range n.Children {
 			it, err := b.Build(c)
 			if err != nil {
 				return nil, err
 			}
 			children = append(children, it)
-			pipelines = pipelines && isVecPipeline(it)
-		}
-		// A union of batch pipelines is one the set operators above it
-		// could have consumed in batch mode; any other branch is the
-		// union's own coverage gap.
-		if !pipelines {
-			b.noteFallback(n, "union")
 		}
 		return &unionIter{children: children}, nil
 
@@ -278,15 +270,6 @@ func (b *Builder) buildRow(n plan.Node) (Iterator, error) {
 		input, err := b.Build(n.Input)
 		if err != nil {
 			return nil, err
-		}
-		// LIMIT directly above a filter-less vectorized scan: every
-		// input row survives the fragment, so the limit bounds exactly
-		// how many rows the adapter will ever decode. Clamp the batch
-		// size so a small page doesn't fill and box a full batch.
-		if vri, ok := input.(*vecRowsIter); ok && n.Count >= 0 && n.Offset >= 0 {
-			if need := n.Offset + n.Count; need > 0 {
-				vri.spec.clampScan(need)
-			}
 		}
 		return &limitIter{input: input, count: n.Count, offset: n.Offset}, nil
 

@@ -10,15 +10,18 @@ import (
 
 // Vectorized batch execution. Every batch operator consumes a batch
 // source: a compiled subtree that hands out column batches through one
-// pull contract (open / next / close). Two kinds produce batches — the
-// snapshot scan (scanSource), which materializes fixed-size column
-// batches straight from storage (FillVecs: typed vectors, raw dictionary
-// codes, null bitmaps), and the equi hash join (joinSource, vecjoin.go)
-// — and a pipeline (vecSpec) runs any interleaving of filter and project
-// stages over either, narrowing batches with a selection vector instead
-// of copying survivors. Pipelines are sources themselves, so a join
-// consumes joins and every sink (aggregation, top-k, DISTINCT, the row
-// adapter) consumes whatever subtree compiled below it.
+// pull contract (open / next / close). Four kinds produce batches — the
+// snapshot scan (scanSource), which materializes column batches straight
+// from storage (FillVecs: typed vectors, raw dictionary codes, null
+// bitmaps); the equi hash join (joinSource, vecjoin.go); LIMIT/OFFSET
+// (limitSource), which narrows its input's selection to the page and
+// stops pulling once it is full; and UNION ALL (unionSource), which
+// drains its branches in branch order — and a pipeline (vecSpec) runs
+// any interleaving of filter and project stages over any of them,
+// narrowing batches with a selection vector instead of copying
+// survivors. Pipelines are sources themselves, so every source consumes
+// whatever subtree compiled below it, and so does every sink
+// (aggregation, top-k, DISTINCT, the row adapter).
 //
 // Filter kernels run one tight loop per conjunct per batch; string
 // comparisons and IN lists translate the literals once per dictionary
@@ -27,8 +30,8 @@ import (
 // computed projections run expression kernels (vecexpr.go) that publish
 // new batch columns. Governance is checked once per batch (the same granularity as
 // the row path's govStride), and the row-iterator adapter (vecRowsIter)
-// decodes batches back into rows, so every result is row- and
-// order-identical to the classic executor.
+// boxes only the rows it hands out, a small chunk at a time, so every
+// result is row- and order-identical to the classic executor.
 //
 // Storage dictionary codes are only stable within one DictView (a
 // concurrent delta merge re-encodes delta rows), so state that outlives
@@ -126,7 +129,7 @@ func forEachBatch(src batchSource, fn func(*Batch) error) error {
 // batch, skipping zone-map blocks the filters above rule out. Batches
 // carry no selection vector and arrive in storage order, exactly the
 // row scan's order. It fires PointScan on open and checks governance
-// once per batch.
+// once per batch. A LIMIT above can start the sweep small (startAt).
 type scanSource struct {
 	snap      *storage.Snapshot
 	ords      []int              // storage ordinals materialized per batch
@@ -141,6 +144,7 @@ type scanSource struct {
 
 	unpin      func()
 	pos, total int
+	size       int // storage positions the next batch reads
 	idx        []int
 	batch      Batch
 	ptrs       []*types.Vec
@@ -155,8 +159,16 @@ func (s *scanSource) open() error {
 			s.ptrs[i] = &s.batch.Cols[i]
 		}
 	}
-	s.pos, s.total = 0, s.snap.NumRowVersions()
+	s.pos, s.total, s.size = 0, s.snap.NumRowVersions(), s.batchSize
 	return s.gov.point(PointScan)
+}
+
+// startAt makes the open sweep read n storage positions first and twice
+// as many per batch after that, up to the batch size: a LIMIT needing n
+// rows fills about n when its filters pass them, and still reaches full
+// batches after a few when they do not.
+func (s *scanSource) startAt(n int64) {
+	s.size = int(max(1, min(n, int64(s.batchSize))))
 }
 
 func (s *scanSource) next() (*Batch, error) {
@@ -165,7 +177,8 @@ func (s *scanSource) next() (*Batch, error) {
 			return nil, err
 		}
 		lo := s.pos
-		s.pos += s.batchSize
+		s.pos += s.size
+		s.size = min(2*s.size, s.batchSize)
 		s.idx = s.snap.CollectVisible(lo, s.pos, s.ranges, s.idx[:0])
 		if len(s.idx) == 0 {
 			continue
@@ -186,6 +199,141 @@ func (s *scanSource) close() {
 	if s.unpin != nil {
 		s.unpin()
 		s.unpin = nil
+	}
+}
+
+// --- LIMIT and UNION ALL -------------------------------------------------
+
+// limitSource is LIMIT/OFFSET over a batch source: it narrows each input
+// batch's selection to the rows inside the offset/count window and stops
+// pulling once the page is full, as the row limit does. Its
+// batches are the input's, under the narrowed selection. When a scan
+// sits right under the input's stages, open starts that scan at
+// offset+count rows (scanSource.startAt).
+type limitSource struct {
+	in            *vecSpec
+	offset, count int64       // count < 0: no limit
+	scan          *scanSource // the scan under in's stages, if any
+	stats         *OpStats    // EXPLAIN ANALYZE attribution (nil off)
+
+	skipped, emitted int64
+	all              []int32
+	out              Batch
+}
+
+func (l *limitSource) open() error {
+	l.skipped, l.emitted = 0, 0
+	if err := l.in.open(); err != nil {
+		return err
+	}
+	if l.scan != nil && l.count >= 0 {
+		l.scan.startAt(l.offset + l.count)
+	}
+	return nil
+}
+
+func (l *limitSource) next() (*Batch, error) {
+	for l.count < 0 || l.emitted < l.count || l.skipped < l.offset {
+		b, err := l.in.next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		live := liveRows(b, &l.all)
+		skip := min(l.offset-l.skipped, int64(len(live)))
+		l.skipped += skip
+		live = live[skip:]
+		if l.count >= 0 {
+			live = live[:min(int64(len(live)), l.count-l.emitted)]
+		}
+		if len(live) == 0 {
+			continue
+		}
+		l.emitted += int64(len(live))
+		l.out = Batch{N: b.N, Sel: live, HasSel: true, Cols: b.Cols}
+		statAdd(l.stats, int64(len(live)))
+		return &l.out, nil
+	}
+	statDrained(l.stats)
+	return nil, nil
+}
+
+func (l *limitSource) close() { l.in.close() }
+
+// need passes the consumer's columns, batch columns of the input, on.
+func (l *limitSource) need(out []bool) {
+	var cols []int
+	for c, o := range out {
+		if o {
+			cols = append(cols, c)
+		}
+	}
+	l.in.need(cols)
+}
+
+// unionSource is UNION ALL over batch sources: it drains its branches in
+// branch order, the row union's emission order. Each branch batch is
+// published with its output vectors at the union's column positions —
+// header copies, no data moves — and its selection passed through.
+// Branches open together, as the row union's do.
+type unionSource struct {
+	kids  []*vecSpec
+	stats *OpStats // EXPLAIN ANALYZE attribution (nil off)
+
+	cur int
+	out Batch
+}
+
+func (u *unionSource) open() error {
+	u.cur = 0
+	for _, k := range u.kids {
+		if err := k.open(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (u *unionSource) next() (*Batch, error) {
+	for ; u.cur < len(u.kids); u.cur++ {
+		k := u.kids[u.cur]
+		b, err := k.next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			continue
+		}
+		for i, ci := range k.proj {
+			u.out.Cols[i] = b.Cols[ci]
+		}
+		u.out.N, u.out.Sel, u.out.HasSel = b.N, b.Sel, b.HasSel
+		statAdd(u.stats, int64(b.NumRows()))
+		return &u.out, nil
+	}
+	statDrained(u.stats)
+	return nil, nil
+}
+
+func (u *unionSource) close() {
+	for _, k := range u.kids {
+		k.close()
+	}
+}
+
+// need passes the consumer's union positions on to every branch, as the
+// branch's own output columns.
+func (u *unionSource) need(out []bool) {
+	for _, k := range u.kids {
+		var cols []int
+		for i, o := range out {
+			if o {
+				cols = append(cols, k.proj[i])
+			}
+		}
+		k.need(cols)
 	}
 }
 
@@ -220,32 +368,13 @@ type vecSpec struct {
 	sc *vecScratch
 }
 
-// hasFilter reports whether the pipeline drops rows of its source.
-func (s *vecSpec) hasFilter() bool {
-	for i := range s.stages {
-		if len(s.stages[i].filt) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// clampScan lowers the batch size of a filter-less pipeline straight
-// over a scan, where every scanned row is an output row: a LIMIT that
-// needs n rows then fills and decodes only n.
-func (s *vecSpec) clampScan(n int64) {
-	if scan, ok := s.src.(*scanSource); ok && !s.hasFilter() && n < int64(scan.batchSize) {
-		scan.batchSize = int(n)
-	}
-}
-
 // need tells the pipeline which of its batch columns its consumer reads.
 // With the columns its own stages read, that is what its source must
-// produce: a join source gathers only those of its build columns and
-// passes the narrowing on to its inputs. A pipeline that is never
-// narrowed produces every column.
+// produce: a join source gathers only those of its build columns, and
+// every source passes the narrowing on to its inputs. A pipeline that is
+// never narrowed produces every column.
 func (s *vecSpec) need(cols []int) {
-	js, ok := s.src.(*joinSource)
+	src, ok := s.src.(interface{ need(out []bool) })
 	if !ok {
 		return
 	}
@@ -257,7 +386,7 @@ func (s *vecSpec) need(cols []int) {
 			}
 		}
 	}
-	js.need(out)
+	src.need(out)
 }
 
 // statAdd accumulates per-stage analyze counters.
@@ -370,28 +499,18 @@ func (sc *vecScratch) narrow(filt []vecCmp, b *Batch, cur []int32) []int32 {
 	return cur
 }
 
-// decodeRows boxes the batch's live output rows in selection order,
-// appending to dst. Rows share one flat backing array per batch.
-func (s *vecSpec) decodeRows(b *Batch, dst []types.Row) []types.Row {
-	n := b.NumRows()
-	if n == 0 {
-		return dst
-	}
+// decodeRows boxes the given rows of the batch in order, appending to
+// dst. The rows share one flat backing array.
+func (s *vecSpec) decodeRows(b *Batch, rows []int32, dst []types.Row) []types.Row {
 	w := len(s.proj)
-	flat := make(types.Row, n*w)
+	flat := make(types.Row, len(rows)*w)
 	for k, ci := range s.proj {
 		v := &b.Cols[ci]
-		if b.HasSel {
-			for i, ri := range b.Sel {
-				flat[i*w+k] = v.Value(int(ri))
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				flat[i*w+k] = v.Value(i)
-			}
+		for i, ri := range rows {
+			flat[i*w+k] = v.Value(int(ri))
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i := range rows {
 		dst = append(dst, flat[i*w:(i+1)*w:(i+1)*w])
 	}
 	return dst
@@ -674,6 +793,16 @@ func (c *vecCmp) run(b *Batch, in, out []int32, sc *vecScratch) []int32 {
 			}
 		}
 	case vcStr:
+		if len(v.Strs) > 0 {
+			// A computed string column (a union branch constant, say) has
+			// no dictionary: compare every row.
+			for _, i := range in {
+				if (!hasNulls || !v.NullAt(int(i))) && c.want[signIdx(strings.Compare(v.Strs[i], c.str))] {
+					out = append(out, i)
+				}
+			}
+			break
+		}
 		m := &sc.memos[c.memo]
 		m.nextView(v.Dict)
 		for _, i := range in {
@@ -765,19 +894,26 @@ func (c *vecCmp) runOr(b *Batch, in, out []int32, sc *vecScratch) []int32 {
 
 // --- row adapter --------------------------------------------------------
 
+// decodeChunk is how many rows the row adapter boxes at a time: a row
+// consumer that stops early leaves the rest of the batch undecoded.
+const decodeChunk = 64
+
 // vecRowsIter is the single batch→row adapter: it pulls batches from a
-// pipeline lazily (so LIMIT stops reading early) and emits their live
-// rows decoded, in batch order — exactly the row executor's order.
+// pipeline lazily and hands out their live rows in batch order — exactly
+// the row executor's order — boxing them decodeChunk rows at a time.
 type vecRowsIter struct {
 	spec *vecSpec
 	met  *Metrics
 
-	rows []types.Row
+	b    *Batch
+	live []int32 // the batch's live rows not yet decoded
+	all  []int32
+	rows []types.Row // the decoded chunk
 	idx  int
 }
 
 func (s *vecRowsIter) Open() error {
-	s.rows, s.idx = nil, 0
+	s.b, s.live, s.rows, s.idx = nil, nil, nil, 0
 	if s.met != nil {
 		s.met.VecPipelines.Inc()
 	}
@@ -786,12 +922,16 @@ func (s *vecRowsIter) Open() error {
 
 func (s *vecRowsIter) Next() (types.Row, bool, error) {
 	for s.idx >= len(s.rows) {
-		b, err := s.spec.next()
-		if b == nil || err != nil {
-			return nil, false, err
+		if len(s.live) == 0 {
+			b, err := s.spec.next()
+			if b == nil || err != nil {
+				return nil, false, err
+			}
+			s.b, s.live = b, liveRows(b, &s.all)
 		}
-		s.rows = s.spec.decodeRows(b, s.rows[:0])
-		s.idx = 0
+		n := min(len(s.live), decodeChunk)
+		s.rows, s.idx = s.spec.decodeRows(s.b, s.live[:n], s.rows[:0]), 0
+		s.live = s.live[n:]
 	}
 	row := s.rows[s.idx]
 	s.idx++
@@ -800,5 +940,5 @@ func (s *vecRowsIter) Next() (types.Row, bool, error) {
 
 func (s *vecRowsIter) Close() {
 	s.spec.close()
-	s.rows = nil
+	s.b, s.live, s.rows = nil, nil, nil
 }

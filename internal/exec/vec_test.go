@@ -482,6 +482,16 @@ func deepExpr(x *plan.ColRef, depth int) plan.Expr {
 
 var benchSink Iterator
 
+// isVecPipeline reports whether a built iterator is a batch pipeline
+// behind the row adapter, looking through the analyze wrapper.
+func isVecPipeline(it Iterator) bool {
+	if st, ok := it.(*statIter); ok {
+		it = st.inner
+	}
+	_, ok := it.(*vecRowsIter)
+	return ok
+}
+
 // BenchmarkVecCompileDeepExpr times building a Project whose computed
 // column nests CASE/arithmetic 64 levels deep. The compiler types each
 // subtree once, on the way up; typing it again at every enclosing level

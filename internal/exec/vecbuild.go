@@ -11,29 +11,30 @@ import (
 
 // Compilation of plan subtrees into vectorized batch operators. The
 // compiler is the only authority on what vectorizes: a subtree runs in
-// batch mode iff it compiles here, into batch sources (snapshot scans
-// and hash joins), the filter/project pipelines over them, and the batch
-// sinks that consume them. The rules are deliberately conservative — a
-// shape compiles only when the batch kernels are guaranteed to reproduce
-// the row path's semantics exactly, including three-valued logic, type
-// promotion and aggregate NULL handling — because declining is always
-// safe: a compile function that returns nil hands the node to the
-// row-at-a-time builder, which produces identical rows in identical
-// order (and identical errors).
+// batch mode iff it compiles here, into batch sources (snapshot scans,
+// hash joins, LIMIT and UNION ALL), the filter/project pipelines over
+// them, and the batch sinks that consume them. The rules are
+// deliberately conservative — a shape compiles only when the batch
+// kernels are guaranteed to reproduce the row path's semantics exactly,
+// including three-valued logic, type promotion and aggregate NULL
+// handling — because declining is always safe: a compile function that
+// returns nil hands the node to the row-at-a-time builder, which
+// produces identical rows in identical order (and identical errors).
 //
 // A decline carries its reason out of the compile call as one of five
 // vec_fallback labels (expression, or, sort, union, distinct). The label
 // is non-empty only when the node's inputs compiled and the node itself
-// did not, so every coverage gap is reported once, at the operator that
-// owns it; noteFallback surfaces it through EXPLAIN and the
-// exec.vec_fallbacks metrics.
+// did not — or, for a UNION ALL, when it is no batch source, since a
+// branch that is not one is the union's gap — so every coverage gap is
+// reported once, at the operator that owns it; noteFallback surfaces it
+// through EXPLAIN and the exec.vec_fallbacks metrics.
 
 // SetVectorize enables the vectorized batch executor for subsequent
-// Build calls: scans, filter/project pipelines, equi hash joins,
-// aggregations, top-k sorts, DISTINCT, and UNION ALL branches run over
-// column batches of the given size (<= 0 selects DefaultBatchSize). Off
-// by default, so direct Builder users keep the row executor unless they
-// opt in.
+// Build calls: scans, filter/project pipelines, equi hash joins, LIMIT,
+// UNION ALL, aggregations, top-k sorts and DISTINCT run over column
+// batches of the given size (<= 0 selects DefaultBatchSize). Off by
+// default, so direct Builder users keep the row executor unless they opt
+// in.
 func (b *Builder) SetVectorize(batchSize int) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
@@ -45,12 +46,15 @@ func (b *Builder) SetVectorize(batchSize int) {
 // iterator declines n to the row builder, for the returned reason.
 func (b *Builder) buildVec(n plan.Node) (Iterator, string) {
 	switch n := n.(type) {
-	case *plan.Scan, *plan.Filter, *plan.Project, *plan.Join:
+	case *plan.Scan, *plan.Filter, *plan.Project, *plan.Join, *plan.UnionAll:
 		return b.buildVecPipeline(n)
 	case *plan.GroupBy:
 		return b.buildVecGroupBy(n)
 	case *plan.Limit:
-		return b.buildVecTopK(n), ""
+		if it := b.buildVecTopK(n); it != nil {
+			return it, ""
+		}
+		return b.buildVecPipeline(n)
 	case *plan.Distinct:
 		return b.buildVecDistinct(n)
 	case *plan.Sort:
@@ -64,7 +68,7 @@ func (b *Builder) buildVec(n plan.Node) (Iterator, string) {
 
 // vecFrag is a compiled pipeline fragment: the pipeline plus the
 // mapping from output column IDs to batch columns, the plan nodes it
-// fused (the source's node first, stages[i] ↔ nodes[i+1]) and a join
+// fused (the source's node first, stages[i] ↔ nodes[i+1]) and the
 // source's input fragments, both for EXPLAIN ANALYZE attribution, and
 // the zone-map range builder accumulated across all filter stages over a
 // scan.
@@ -106,10 +110,11 @@ func (f *vecFrag) rowPos(id types.ColumnID) (int, bool) {
 	return 0, false
 }
 
-// vecFragment compiles a batch source — a scan or an equi hash join —
-// with any interleaving of Filter and Project stages above it into a
-// pipeline fragment. A nil fragment declines; the reason is set when
-// n's inputs compiled and n itself did not.
+// vecFragment compiles a batch source — a scan, an equi hash join, a
+// LIMIT or a UNION ALL — with any interleaving of Filter and Project
+// stages above it into a pipeline fragment. A nil fragment declines; the
+// reason is set when n's inputs compiled and n itself did not, and on a
+// UNION ALL that is no source.
 func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
 	var input plan.Node
 	switch n := n.(type) {
@@ -122,6 +127,10 @@ func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
 		return &vecFrag{spec: newVecSpec(scan, len(n.Ords)), cols: n.Cols, nodes: []plan.Node{n}, rb: rangeBuilder{ords: n.Ords}}, ""
 	case *plan.Join:
 		return b.vecJoin(n)
+	case *plan.Limit:
+		return b.vecLimit(n)
+	case *plan.UnionAll:
+		return b.vecUnion(n)
 	case *plan.Filter:
 		input = n.Input
 	case *plan.Project:
@@ -194,11 +203,10 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
 			keyKind = jkStr
 		}
 	}
-	// The row builder also builds left when the left input is bounded by
-	// a LIMIT (boundedSide); a batch source never is, so only the
-	// optimizer's choice applies here.
+	// The build side is the row join's: the optimizer's choice, or the
+	// left input when a LIMIT bounds it and none bounds the right.
 	js := &joinSource{
-		buildLeft: n.BuildLeft,
+		buildLeft: n.BuildLeft || (boundedSide(n.Left) && !boundedSide(n.Right)),
 		leftOuter: n.Kind == plan.LeftOuterJoin,
 		keyKind:   keyKind,
 		batchSize: b.vecSize,
@@ -206,7 +214,7 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
 		met:       b.met,
 	}
 	nl, nr := len(lf.spec.proj), len(rf.spec.proj)
-	if n.BuildLeft {
+	if js.buildLeft {
 		js.build, js.probe = lf.spec, rf.spec
 		js.buildKey, js.probeKey = leftPos, rightPos
 		js.probeOff, js.buildOff = nl, 0
@@ -219,6 +227,46 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
 	js.store = allTrue(len(js.build.proj))
 	cols := n.Columns()
 	return &vecFrag{spec: newVecSpec(js, len(cols)), cols: cols, nodes: []plan.Node{n}, kids: []*vecFrag{lf, rf}}, ""
+}
+
+// vecLimit compiles a LIMIT over a batch source into a limit source (a
+// Sort is none: a LIMIT over ORDER BY is the top-k sink, buildVecTopK).
+// Its fragment passes the input's batch columns through.
+func (b *Builder) vecLimit(n *plan.Limit) (*vecFrag, string) {
+	if n.Offset < 0 {
+		return nil, ""
+	}
+	in, _ := b.vecFragment(n.Input)
+	if in == nil {
+		return nil, ""
+	}
+	ls := &limitSource{in: in.spec, offset: n.Offset, count: n.Count}
+	ls.scan, _ = in.spec.src.(*scanSource)
+	spec := newVecSpec(ls, in.spec.numCols)
+	spec.proj = slices.Clone(in.spec.proj)
+	return &vecFrag{spec: spec, cols: in.cols, nodes: []plan.Node{n}, kids: []*vecFrag{in}}, ""
+}
+
+// vecUnion compiles a UNION ALL whose branches are batch sources with the
+// union's column types into a union source. Any other union declines as
+// "union", its own coverage gap, whatever its branches report.
+func (b *Builder) vecUnion(n *plan.UnionAll) (*vecFrag, string) {
+	us := &unionSource{out: Batch{Cols: make([]types.Vec, len(n.Cols))}}
+	f := &vecFrag{spec: newVecSpec(us, len(n.Cols)), cols: n.Cols, nodes: []plan.Node{n}}
+	for _, c := range n.Children {
+		k, _ := b.vecFragment(c)
+		if k == nil || len(k.cols) != len(n.Cols) {
+			return nil, "union"
+		}
+		for i, id := range k.cols {
+			if b.ctx.Type(id) != b.ctx.Type(n.Cols[i]) {
+				return nil, "union"
+			}
+		}
+		us.kids = append(us.kids, k.spec)
+		f.kids = append(f.kids, k)
+	}
+	return f, ""
 }
 
 // applyVecStage compiles one Filter or Project node into a stage
@@ -591,7 +639,7 @@ func applyOrRange(f *vecFrag, rb *rangeBuilder, disj []plan.Expr) {
 }
 
 // attachVecStats wires EXPLAIN ANALYZE attribution for a fragment's
-// fused nodes, recursively through a join source's inputs: every node is
+// fused nodes, recursively through its source's inputs: every node is
 // stamped mode=vector, and each stage and source records rows/batches
 // through its stats pointer. The top node (when !includeTop) is counted
 // by the statIter the Build caller wraps around the returned operator,
@@ -620,6 +668,14 @@ func (b *Builder) attachVecStats(f *vecFrag, includeTop bool) {
 			}
 		case *joinSource:
 			src.stats, src.countRows = st, counted
+		case *limitSource:
+			if counted {
+				src.stats = st
+			}
+		case *unionSource:
+			if counted {
+				src.stats = st
+			}
 		}
 	}
 	for _, k := range f.kids {
@@ -634,40 +690,17 @@ func (b *Builder) vecRows(spec *vecSpec) Iterator {
 	return &vecRowsIter{spec: spec, met: b.met}
 }
 
-// isVecPipeline reports whether a built iterator is a batch pipeline
-// behind the row adapter (see vecRows), looking through the analyze
-// wrapper.
-func isVecPipeline(it Iterator) bool {
-	if st, ok := it.(*statIter); ok {
-		it = st.inner
-	}
-	_, ok := it.(*vecRowsIter)
-	return ok
-}
-
 // buildVecPipeline builds a batch pipeline — Filter/Project stages over
-// a scan or a join, or over a UnionAll of such pipelines — behind the
-// row-iterator adapter. Union branches run back to back in branch order, exactly the
-// row union's emission order.
+// any batch source — behind the row-iterator adapter.
 func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, string) {
-	frags, reason := b.vecSources(n)
-	if frags == nil {
+	f, reason := b.vecFragment(n)
+	if f == nil {
 		return nil, reason
 	}
 	if b.analyze {
-		for _, f := range frags {
-			b.attachVecStats(f, false)
-		}
-		b.stampVecUnion(n)
+		b.attachVecStats(f, false)
 	}
-	if len(frags) == 1 {
-		return b.vecRows(frags[0].spec), ""
-	}
-	children := make([]Iterator, len(frags))
-	for i, f := range frags {
-		children[i] = b.vecRows(f.spec)
-	}
-	return &unionIter{children: children}, ""
+	return b.vecRows(f.spec), ""
 }
 
 // buildVecGroupBy builds the batch aggregation operator over a compiled
@@ -730,75 +763,6 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
 		b.nodeStats(n).Mode = "vector"
 	}
 	return &vecGroupByIter{va: va, gov: b.gov, met: b.met}, ""
-}
-
-// vecSources compiles a batch source — the input of a pipeline adapter
-// or of a batch set operator (top-k, DISTINCT) — into pipeline
-// fragments: one for a plain pipeline, one per child for Filter/Project
-// stages stacked over a UnionAll of pipelines (the shape a derived-table
-// union binds to). The outer stages are replayed onto every branch
-// fragment, with the union's output column IDs aliased positionally to
-// each branch's outputs. Nil declines, with a reason when n is itself
-// the stage that failed over inputs that compiled.
-func (b *Builder) vecSources(n plan.Node) ([]*vecFrag, string) {
-	var outer []plan.Node
-	inner := n
-peel:
-	for {
-		switch t := inner.(type) {
-		case *plan.Filter:
-			outer = append(outer, t)
-			inner = t.Input
-		case *plan.Project:
-			outer = append(outer, t)
-			inner = t.Input
-		default:
-			break peel
-		}
-	}
-	u, ok := inner.(*plan.UnionAll)
-	if !ok {
-		f, reason := b.vecFragment(n)
-		if f == nil {
-			return nil, reason
-		}
-		return []*vecFrag{f}, ""
-	}
-	frags := make([]*vecFrag, 0, len(u.Children))
-	for _, c := range u.Children {
-		f, _ := b.vecFragment(c)
-		if f == nil || len(f.cols) != len(u.Cols) {
-			return nil, ""
-		}
-		f.cols = append([]types.ColumnID(nil), u.Cols...)
-		for i := len(outer) - 1; i >= 0; i-- {
-			if reason := applyVecStage(f, outer[i]); reason != "" {
-				if i > 0 {
-					reason = "" // a stage below n failed: it reports itself
-				}
-				return nil, reason
-			}
-		}
-		frags = append(frags, f)
-	}
-	return frags, ""
-}
-
-// stampVecUnion walks single-input operators below n and marks the
-// first UnionAll found as vectorized in EXPLAIN ANALYZE — its branches
-// were consumed as batch fragments, so the union node itself never ran.
-func (b *Builder) stampVecUnion(n plan.Node) {
-	for m := n; m != nil; {
-		if u, ok := m.(*plan.UnionAll); ok {
-			b.nodeStats(u).Mode = "vector"
-			return
-		}
-		ins := m.Inputs()
-		if len(ins) != 1 {
-			return
-		}
-		m = ins[0]
-	}
 }
 
 // intKeyType reports whether the type's AppendKey encoding is the

@@ -590,7 +590,7 @@ func (p *Parser) parseQueryExpr() (QueryExpr, error) {
 		}
 		body = &UnionAll{Left: body, Right: right}
 	}
-	if u, ok := body.(*UnionAll); ok && (p.peekKeyword("ORDER") || p.peekKeyword("LIMIT")) {
+	if u, ok := body.(*UnionAll); ok && (p.peekKeyword("ORDER") || p.peekKeyword("LIMIT") || p.peekKeyword("OFFSET")) {
 		wrap := &Select{
 			Items: []SelectItem{{Star: true}},
 			From:  &SubqueryRef{Query: u, Alias: "__u"},
