@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"vdm/internal/plan"
 	"vdm/internal/storage"
@@ -151,7 +152,12 @@ func (b *Builder) buildRow(n plan.Node) (Iterator, error) {
 		var ranges []storage.ColRange
 		scan, fused := n.Input.(*plan.Scan)
 		if fused {
-			ranges = extractRanges(n.Cond, scan)
+			ranges = zoneRanges(nil, plan.Conjuncts(n.Cond), func(id types.ColumnID) (int, bool) {
+				if i := slices.Index(scan.Cols, id); i >= 0 {
+					return scan.Ords[i], true
+				}
+				return 0, false
+			})
 		}
 		var input Iterator
 		var err error
@@ -436,32 +442,42 @@ func (b *Builder) sortKeys(n *plan.Sort) ([]sortKeySpec, error) {
 	return keys, nil
 }
 
-// extractRanges derives zone-map pruning ranges from filter conjuncts of
-// the form `col op constant` over the scan's columns.
-func extractRanges(cond plan.Expr, scan *plan.Scan) []storage.ColRange {
-	ordOf := map[types.ColumnID]int{}
-	for i, id := range scan.Cols {
-		ordOf[id] = scan.Ords[i]
-	}
-	byOrd := map[int]*storage.ColRange{}
+// zoneRanges adds the zone-map pruning ranges that filter conjuncts imply
+// to rs, one ColRange per storage ordinal, and returns it. It is the one
+// range builder of the row Filter(Scan) and of every batch filter stage
+// over a scan. ordOf maps a column to its storage ordinal; a computed
+// column has none and bounds nothing. A `col op literal` conjunct sets
+// its bound, overwriting an earlier one; `<>` and NULL literals bound
+// nothing; an OR whose every branch compares one shared column with a
+// literal sets the closed range enclosing its branches.
+func zoneRanges(rs []storage.ColRange, conjs []plan.Expr, ordOf func(types.ColumnID) (int, bool)) []storage.ColRange {
 	get := func(ord int) *storage.ColRange {
-		if r, ok := byOrd[ord]; ok {
-			return r
+		for i := range rs {
+			if rs[i].Ord == ord {
+				return &rs[i]
+			}
 		}
-		r := &storage.ColRange{Ord: ord}
-		byOrd[ord] = r
-		return r
+		rs = append(rs, storage.ColRange{Ord: ord})
+		return &rs[len(rs)-1]
 	}
-	for _, conj := range plan.Conjuncts(cond) {
-		bin, ok := conj.(*plan.Bin)
-		if !ok {
+	for _, conj := range conjs {
+		if disj := plan.Disjuncts(conj); len(disj) > 1 {
+			if ord, lo, hi, ok := orRange(disj, ordOf); ok {
+				r := get(ord)
+				if lo != nil {
+					r.Lo, r.LoOpen = lo, false
+				}
+				if hi != nil {
+					r.Hi, r.HiOpen = hi, false
+				}
+			}
 			continue
 		}
-		cr, v, op, ok := plan.ColConstCmp(bin)
+		cr, v, op, ok := colConstCmp(conj)
 		if !ok || v.IsNull() {
 			continue
 		}
-		ord, ok := ordOf[cr.ID]
+		ord, ok := ordOf(cr.ID)
 		if !ok {
 			continue
 		}
@@ -478,11 +494,81 @@ func extractRanges(cond plan.Expr, scan *plan.Scan) []storage.ColRange {
 			get(ord).Lo, get(ord).LoOpen = &v, false
 		}
 	}
-	var out []storage.ColRange
-	for _, r := range byOrd {
-		out = append(out, *r)
+	return rs
+}
+
+// orRange returns the storage ordinal and enclosing closed range of an
+// OR whose every branch is a `col op literal` comparison on one column:
+// lo the least lower bound and hi the greatest upper bound, nil where a
+// branch leaves that side open. A NULL-literal branch keeps no row and
+// adds nothing. ok is false when there is no such range: a branch of
+// another shape (IS NULL, IN, AND chains, `<>`), two columns, or bounds
+// that do not compare.
+func orRange(disj []plan.Expr, ordOf func(types.ColumnID) (int, bool)) (ord int, lo, hi *types.Value, ok bool) {
+	ord = -1
+	haveLo, haveHi := true, true
+	// widen moves bound b out to v on side sign (-1 lower, +1 upper).
+	widen := func(b **types.Value, v *types.Value, sign int) bool {
+		if *b == nil {
+			*b = v
+			return true
+		}
+		c, err := types.Compare(*v, **b)
+		if c*sign > 0 {
+			*b = v
+		}
+		return err == nil
 	}
-	return out
+	for _, d := range disj {
+		cr, v, op, isCmp := colConstCmp(d)
+		if !isCmp {
+			return -1, nil, nil, false
+		}
+		if v.IsNull() {
+			continue
+		}
+		o, known := ordOf(cr.ID)
+		if !known || (ord >= 0 && o != ord) {
+			return -1, nil, nil, false
+		}
+		ord = o
+		var blo, bhi *types.Value
+		switch op {
+		case "=":
+			blo, bhi = &v, &v
+		case "<", "<=":
+			bhi = &v
+		case ">", ">=":
+			blo = &v
+		default:
+			return -1, nil, nil, false
+		}
+		if blo == nil {
+			haveLo = false
+		} else if haveLo && !widen(&lo, blo, -1) {
+			return -1, nil, nil, false
+		}
+		if bhi == nil {
+			haveHi = false
+		} else if haveHi && !widen(&hi, bhi, 1) {
+			return -1, nil, nil, false
+		}
+	}
+	if !haveLo {
+		lo = nil
+	}
+	if !haveHi {
+		hi = nil
+	}
+	return ord, lo, hi, ord >= 0 && (lo != nil || hi != nil)
+}
+
+// colConstCmp is plan.ColConstCmp over any expression.
+func colConstCmp(e plan.Expr) (*plan.ColRef, types.Value, string, bool) {
+	if b, ok := e.(*plan.Bin); ok {
+		return plan.ColConstCmp(b)
+	}
+	return nil, types.Value{}, "", false
 }
 
 // boundedSide reports whether the subtree's row count is bounded by a

@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"strings"
-
-	"vdm/internal/decimal"
 	"vdm/internal/storage"
 	"vdm/internal/types"
 )
@@ -23,15 +20,16 @@ import (
 // whatever subtree compiled below it, and so does every sink
 // (aggregation, top-k, DISTINCT, the row adapter).
 //
-// Filter kernels run one tight loop per conjunct per batch; string
-// comparisons and IN lists translate the literals once per dictionary
-// view by memoizing the outcome per dictionary code; OR trees evaluate
-// one selection vector per branch and merge them by ordered union;
-// computed projections run expression kernels (vecexpr.go) that publish
-// new batch columns. Governance is checked once per batch (the same granularity as
-// the row path's govStride), and the row-iterator adapter (vecRowsIter)
-// boxes only the rows it hands out, a small chunk at a time, so every
-// result is row- and order-identical to the classic executor.
+// Filter and project stages run the expression kernels (vecexpr.go):
+// a filter narrows the selection conjunct by conjunct to the rows whose
+// kernel result is non-NULL TRUE, and a computed projection publishes a
+// new batch column. Comparisons with a literal read it in place, and
+// string comparisons and IN lists decide once per dictionary code per
+// dictionary view. Governance is checked once per batch (the same
+// granularity as the row path's govStride), and the row-iterator adapter
+// (vecRowsIter) boxes only the rows it hands out, a small chunk at a
+// time, so every result is row- and order-identical to the classic
+// executor.
 //
 // Storage dictionary codes are only stable within one DictView (a
 // concurrent delta merge re-encodes delta rows), so state that outlives
@@ -177,9 +175,8 @@ func (s *scanSource) next() (*Batch, error) {
 			return nil, err
 		}
 		lo := s.pos
-		s.pos += s.size
+		s.idx, s.pos = s.snap.CollectVisible(lo, lo+s.size, s.ranges, s.idx[:0])
 		s.size = min(2*s.size, s.batchSize)
-		s.idx = s.snap.CollectVisible(lo, s.pos, s.ranges, s.idx[:0])
 		if len(s.idx) == 0 {
 			continue
 		}
@@ -345,7 +342,7 @@ func (u *unionSource) need(out []bool) {
 // stage work and compile to an empty stage kept for EXPLAIN ANALYZE
 // attribution). stages[i] corresponds to nodes[i+1] of the fragment.
 type vecStage struct {
-	filt   []vecCmp     // filter conjuncts; narrow the selection
+	filt   []vecExpr    // filter conjuncts; narrow the selection
 	folded int          // the Filter's conjuncts folded into the join below
 	exprs  []vecCompute // computed projections; publish batch columns
 	stats  *OpStats     // per-stage EXPLAIN ANALYZE attribution (nil off)
@@ -406,8 +403,8 @@ func statDrained(st *OpStats) {
 }
 
 // vecScratch is one sweep's reusable batch state: the output batch, the
-// selection-vector ping-pong buffers, the per-conjunct dictionary-code
-// memo tables, and the expression kernels' output vectors and selection
+// selection-vector ping-pong buffers, the kernels' dictionary-code memo
+// tables, and the expression kernels' output vectors and selection
 // scratch.
 type vecScratch struct {
 	batch      Batch
@@ -415,7 +412,7 @@ type vecScratch struct {
 	selA, selB []int32
 	flip       bool // narrow writes selB next (else selA)
 	memos      []codeMemo
-	selBufs    [][]int32   // OR-branch and CASE-arm selection scratch
+	selBufs    [][]int32   // CASE-arm selection scratch
 	exprVecs   []types.Vec // expression kernel outputs, by slot
 }
 
@@ -480,18 +477,25 @@ func (s *vecSpec) next() (*Batch, error) {
 	}
 }
 
-// narrow runs filter conjuncts over the live rows cur, alternating
-// between the two scratch selection buffers so no conjunct writes the
-// buffer it reads, and returns the survivors.
-func (sc *vecScratch) narrow(filt []vecCmp, b *Batch, cur []int32) []int32 {
-	for ci := range filt {
+// narrow runs filter conjuncts over the live rows cur, keeping after
+// each the rows whose result is non-NULL TRUE, so later conjuncts see
+// only the survivors. It alternates between the two scratch selection
+// buffers so no conjunct writes the buffer it reads.
+func (sc *vecScratch) narrow(filt []vecExpr, b *Batch, cur []int32) []int32 {
+	for _, c := range filt {
 		buf := &sc.selA
 		if sc.flip {
 			buf = &sc.selB
 		}
 		sc.flip = !sc.flip
-		*buf = filt[ci].run(b, cur, (*buf)[:0], sc)
-		cur = *buf
+		v := c.eval(b, cur, sc)
+		out, res, hn := (*buf)[:0], v.I64, len(v.Nulls) > 0
+		for _, i := range cur {
+			if res[i] != 0 && (!hn || !v.NullAt(int(i))) {
+				out = append(out, i)
+			}
+		}
+		*buf, cur = out, out
 		if len(cur) == 0 {
 			break
 		}
@@ -534,48 +538,7 @@ func (s *vecSpec) appendRowKey(dst []byte, b *Batch, ri int) []byte {
 	return dst
 }
 
-// --- filter kernels -----------------------------------------------------
-
-// Kernel kinds. The compiler (vecbuild.go) picks the kind from the
-// statically-known column/literal type pair, replicating types.Compare's
-// promotion rules exactly: same-type ints/dates/bools compare as int64,
-// same-type decimals compare coefficient-wise when scales match (else
-// decimal.Cmp), strings compare per dictionary code with a memo, and any
-// other numeric mix falls back to float64 — exactly the types.Compare
-// ladder. OR trees (vcOr) evaluate each branch's conjunct chain into its
-// own selection vector and merge the survivors by ordered, deduplicating
-// union; arbitrary total boolean expressions (vcExpr) run the expression
-// kernels and keep rows with a non-NULL TRUE result.
-const (
-	vcNone   uint8 = iota // NULL literal: comparison is NULL for every row
-	vcI64                 // int/date/bool column vs same-kind literal
-	vcF64                 // mixed numeric column vs numeric literal
-	vcDec                 // decimal column vs decimal literal
-	vcStr                 // string column vs string literal
-	vcIn                  // col [NOT] IN (const, ...)
-	vcIsNull              // col IS [NOT] NULL
-	vcOr                  // OR tree: per-branch selections, ordered union
-	vcExpr                // total boolean expression kernel
-)
-
-// vecCmp is one compiled filter conjunct.
-type vecCmp struct {
-	kind uint8
-	col  int // batch column index
-	// want maps the comparison sign (-1,0,+1 → index 0,1,2) to keep.
-	want        [3]bool
-	i64         int64
-	f64         float64
-	dec         decimal.Decimal
-	str         string
-	list        []types.Value // IN: non-NULL constant elements
-	sawNullElem bool          // IN: list contained a NULL
-	not         bool          // IN / IS NULL negation
-	memo        int           // vcStr, vcIn: dictionary-code memo table index
-	branches    [][]vecCmp    // vcOr: conjunct chain per branch
-	bufBase     int           // vcOr: four scratch selection buffers
-	expr        vecExpr       // vcExpr: compiled boolean kernel
-}
+// --- dictionary-code memos ---------------------------------------------
 
 // epochMemo caches one outcome per dictionary code for the current
 // dictionary view. Entries are valid only when their epoch matches cur;
@@ -591,7 +554,8 @@ type epochMemo[T any] struct {
 	view  types.DictView
 }
 
-// codeMemo is the filter kernels' per-code comparison outcome memo.
+// codeMemo is the predicate kernels' per-code outcome memo: 1 TRUE, 0
+// FALSE, -1 NULL.
 type codeMemo = epochMemo[int8]
 
 // nextView readies the memo for a vector decoded by v: a no-op while v is
@@ -631,265 +595,6 @@ func (m *epochMemo[T]) get(code int32) (T, bool) {
 // put memoizes code's outcome for this epoch.
 func (m *epochMemo[T]) put(code int32, v T) {
 	m.val[code], m.epoch[code] = v, m.cur
-}
-
-func signIdx(c int) int8 {
-	switch {
-	case c < 0:
-		return 0
-	case c > 0:
-		return 2
-	}
-	return 1
-}
-
-// mergeUnion appends the ordered, deduplicating union of two ascending
-// selection vectors to dst.
-func mergeUnion(dst, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
-// inKeeps reports whether a non-NULL value survives the IN kernel: a
-// match keeps it unless negated; no match keeps it only under NOT IN
-// with no NULL element (a NULL element turns the non-match into NULL).
-func (c *vecCmp) inKeeps(val types.Value) bool {
-	for _, x := range c.list {
-		if types.Equal(val, x) {
-			return !c.not
-		}
-	}
-	return c.not && !c.sawNullElem
-}
-
-// run applies the conjunct to the rows listed in `in`, appending
-// survivors to out. NULL comparison results drop the row, which is
-// exactly the row filter's three-valued semantics: both FALSE and NULL
-// conjuncts drop a row, so intersecting selection vectors conjunct by
-// conjunct equals evaluating the AND tree — and unioning per-branch
-// selections equals evaluating the OR tree, because a row survives an OR
-// iff at least one branch is non-NULL TRUE.
-func (c *vecCmp) run(b *Batch, in, out []int32, sc *vecScratch) []int32 {
-	switch c.kind {
-	case vcOr:
-		return c.runOr(b, in, out, sc)
-	case vcExpr:
-		v := c.expr.eval(b, in, sc)
-		hasNulls := len(v.Nulls) > 0
-		for _, i := range in {
-			if hasNulls && v.NullAt(int(i)) {
-				continue
-			}
-			if v.I64[i] != 0 {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	v := &b.Cols[c.col]
-	hasNulls := len(v.Nulls) > 0
-	switch c.kind {
-	case vcNone:
-		// cmp with NULL literal is NULL for every row: keep nothing.
-	case vcI64:
-		lit := c.i64
-		for _, i := range in {
-			if hasNulls && v.NullAt(int(i)) {
-				continue
-			}
-			x := v.I64[i]
-			var s int8
-			switch {
-			case x < lit:
-				s = 0
-			case x > lit:
-				s = 2
-			default:
-				s = 1
-			}
-			if c.want[s] {
-				out = append(out, i)
-			}
-		}
-	case vcDec:
-		lc, ls := c.dec.Coef, c.dec.Scale
-		for _, i := range in {
-			if hasNulls && v.NullAt(int(i)) {
-				continue
-			}
-			var s int8
-			if v.Scale[i] == ls {
-				// Equal scales: decimal.Cmp aligns to raw coefficients,
-				// so a plain coefficient compare is identical.
-				x := v.I64[i]
-				switch {
-				case x < lc:
-					s = 0
-				case x > lc:
-					s = 2
-				default:
-					s = 1
-				}
-			} else {
-				s = signIdx((decimal.Decimal{Coef: v.I64[i], Scale: v.Scale[i]}).Cmp(c.dec))
-			}
-			if c.want[s] {
-				out = append(out, i)
-			}
-		}
-	case vcF64:
-		lit := c.f64
-		cmpF := func(i int32, x float64) {
-			var s int8
-			switch {
-			case x < lit:
-				s = 0
-			case x > lit:
-				s = 2
-			default:
-				s = 1
-			}
-			if c.want[s] {
-				out = append(out, i)
-			}
-		}
-		switch v.Typ {
-		case types.TFloat:
-			for _, i := range in {
-				if hasNulls && v.NullAt(int(i)) {
-					continue
-				}
-				cmpF(i, v.F64[i])
-			}
-		case types.TDecimal:
-			for _, i := range in {
-				if hasNulls && v.NullAt(int(i)) {
-					continue
-				}
-				cmpF(i, (decimal.Decimal{Coef: v.I64[i], Scale: v.Scale[i]}).Float64())
-			}
-		default: // TInt, TDate
-			for _, i := range in {
-				if hasNulls && v.NullAt(int(i)) {
-					continue
-				}
-				cmpF(i, float64(v.I64[i]))
-			}
-		}
-	case vcStr:
-		if len(v.Strs) > 0 {
-			// A computed string column (a union branch constant, say) has
-			// no dictionary: compare every row.
-			for _, i := range in {
-				if (!hasNulls || !v.NullAt(int(i))) && c.want[signIdx(strings.Compare(v.Strs[i], c.str))] {
-					out = append(out, i)
-				}
-			}
-			break
-		}
-		m := &sc.memos[c.memo]
-		m.nextView(v.Dict)
-		for _, i := range in {
-			if hasNulls && v.NullAt(int(i)) {
-				continue
-			}
-			code := v.Codes[i]
-			s, ok := m.get(code)
-			if !ok {
-				s = signIdx(strings.Compare(v.Dict.Decode(code), c.str))
-				m.put(code, s)
-			}
-			if c.want[s] {
-				out = append(out, i)
-			}
-		}
-	case vcIn:
-		if v.Typ == types.TString && len(v.Strs) == 0 {
-			// Dictionary-coded strings: one list probe per distinct code
-			// per dictionary view, then a memo lookup for every further
-			// row.
-			m := &sc.memos[c.memo]
-			m.nextView(v.Dict)
-			for _, i := range in {
-				if hasNulls && v.NullAt(int(i)) {
-					continue // NULL IN (...) is NULL: dropped
-				}
-				code := v.Codes[i]
-				keep, ok := m.get(code)
-				if !ok {
-					keep = 0
-					if c.inKeeps(types.NewString(v.Dict.Decode(code))) {
-						keep = 1
-					}
-					m.put(code, keep)
-				}
-				if keep != 0 {
-					out = append(out, i)
-				}
-			}
-			break
-		}
-		for _, i := range in {
-			val := v.Value(int(i))
-			if !val.IsNull() && c.inKeeps(val) {
-				out = append(out, i)
-			}
-		}
-	case vcIsNull:
-		for _, i := range in {
-			if v.NullAt(int(i)) != c.not {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-// runOr evaluates each branch's conjunct chain over the full input
-// selection and merges the per-branch survivors by ordered union.
-// Re-evaluating a row in several branches is harmless because admitted
-// kernels are total. Uses four scratch buffers: the union accumulator
-// ping-pong pair, and the branch-chain ping-pong pair (nested OR trees
-// allocate their own quadruple).
-func (c *vecCmp) runOr(b *Batch, in, out []int32, sc *vecScratch) []int32 {
-	accIdx, otherIdx := c.bufBase, c.bufBase+1
-	acc := sc.selBufs[accIdx][:0]
-	sc.selBufs[accIdx] = acc
-	for bi := range c.branches {
-		src := in
-		for ki := range c.branches[bi] {
-			dstIdx := c.bufBase + 2 + ki%2
-			dst := c.branches[bi][ki].run(b, src, sc.selBufs[dstIdx][:0], sc)
-			sc.selBufs[dstIdx] = dst
-			src = dst
-			if len(src) == 0 {
-				break
-			}
-		}
-		if len(src) == 0 {
-			continue
-		}
-		merged := mergeUnion(sc.selBufs[otherIdx][:0], sc.selBufs[accIdx], src)
-		sc.selBufs[otherIdx] = merged
-		accIdx, otherIdx = otherIdx, accIdx
-	}
-	return append(out, sc.selBufs[accIdx]...)
 }
 
 // --- row adapter --------------------------------------------------------

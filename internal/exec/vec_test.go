@@ -68,7 +68,8 @@ func TestVecPipelineMatchesRowPath(t *testing.T) {
 }
 
 // TestVecStringFilterUsesDictCodes checks dictionary-column equality
-// through the batch path on a table whose delta re-encodes codes.
+// through the batch path on a table whose delta re-encodes codes, and the
+// string comparison kernel against the row evaluator (checkDictKernel).
 func TestVecStringFilterUsesDictCodes(t *testing.T) {
 	db, ctx, ls, _ := buildEnv(t)
 	// Push extra rows into the delta so the same strings carry rebased
@@ -93,53 +94,127 @@ func TestVecStringFilterUsesDictCodes(t *testing.T) {
 	if len(rows) != 2 { // id 1 (main) and id 5 (delta)
 		t.Fatalf("string filter rows = %d, want 2", len(rows))
 	}
+
+	// The literal-comparison kernel decides once per code, with the
+	// literal on either side.
+	col := &plan.ColRef{ID: 0, Typ: types.TString}
+	for _, op := range []string{"=", "<>", "<", ">="} {
+		lit := &plan.Const{Val: types.NewString("b")}
+		checkDictKernel(t, "col"+op+"lit", &plan.Bin{Op: op, L: col, R: lit, Typ: types.TBool})
+		checkDictKernel(t, "lit"+op+"col", &plan.Bin{Op: op, L: lit, R: col, Typ: types.TBool})
+	}
 }
 
-// TestVecInListUsesDictCodes checks the IN kernel against the row
-// evaluator: over dictionary-coded vectors it decides once per distinct
-// code per batch through the code memo, and over a computed (Strs)
-// vector it keeps the per-row path. The cases cover NULL rows, a NULL
-// list element, NOT IN, repeated codes, and a second batch whose codes
-// resolve against different dictionaries.
-func TestVecInListUsesDictCodes(t *testing.T) {
-	col := &plan.ColRef{ID: 0, Typ: types.TString}
-	lit := func(s string) plan.Expr { return &plan.Const{Val: types.NewString(s)} }
-	nullLit := &plan.Const{Val: types.NewNull(types.TString)}
-
-	// dictVec builds a dictionary-coded vector; code -1 is a NULL row.
-	dictVec := func(main, delta []string, codes []int32) types.Vec {
-		var v types.Vec
-		v.Reset(types.TString, len(codes))
-		v.Dict = types.NewDictView(main, delta)
-		for i, c := range codes {
-			if c < 0 {
-				v.SetNull(i)
-				c = 0
-			}
-			v.Codes[i] = c
+// dictVec builds a dictionary-coded string vector; code -1 is a NULL row.
+func dictVec(main, delta []string, codes []int32) types.Vec {
+	var v types.Vec
+	v.Reset(types.TString, len(codes))
+	v.Dict = types.NewDictView(main, delta)
+	for i, c := range codes {
+		if c < 0 {
+			v.SetNull(i)
+			c = 0
 		}
-		return v
+		v.Codes[i] = c
+	}
+	return v
+}
+
+// strsOf materializes a dictionary vector's strings, as a computed
+// projection would.
+func strsOf(d *types.Vec) types.Vec {
+	var v types.Vec
+	v.ResetStrings(len(d.Codes))
+	for i := range d.Codes {
+		if d.NullAt(i) {
+			v.SetNull(i)
+			continue
+		}
+		v.Strs[i] = d.StrAt(i)
+	}
+	return v
+}
+
+// checkDictKernel compiles a predicate over one string column (ID 0)
+// into its batch kernel, the single memo of which is the kernel's code
+// memo, and runs it as a filter conjunct over two batches whose codes
+// resolve against different dictionaries — repeated codes, NULL rows,
+// and in the second batch the same strings under other codes. Each
+// batch runs twice: dictionary-coded, where the kernel must decide once
+// per distinct code per batch (one current memo entry per distinct
+// non-NULL code), and as a computed (Strs) vector, which must never
+// touch the memo. Both must keep exactly the rows the row evaluator
+// finds TRUE.
+func checkDictKernel(t *testing.T, name string, expr plan.Expr) {
+	t.Helper()
+	ref, err := Compile(expr, map[types.ColumnID]int{0: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &vecFrag{spec: newVecSpec(nil, 1), cols: []types.ColumnID{0}}
+	kernel, _, ok := f.compileVecExpr(expr)
+	if !ok || f.spec.nMemos != 1 {
+		t.Fatalf("%s: compiled=%v with %d code memos, want one", name, ok, f.spec.nMemos)
 	}
 	batches := []types.Vec{
 		dictVec([]string{"a", "b", "c"}, []string{"d"}, []int32{0, 1, 2, 3, -1, 0, 2, 2, -1, 1}),
 		// Same strings, other codes: "c" is 0 now, "a" a delta code.
 		dictVec([]string{"c", "d"}, []string{"b", "a"}, []int32{3, 0, -1, 1, 2, 3, 0}),
 	}
-	// strsOf materializes a dictionary vector's strings, as a computed
-	// projection would.
-	strsOf := func(d *types.Vec) types.Vec {
-		var v types.Vec
-		v.ResetStrings(len(d.Codes))
-		for i := range d.Codes {
-			if d.NullAt(i) {
-				v.SetNull(i)
-				continue
+	dictSc, strsSc := newVecScratch(f.spec), newVecScratch(f.spec)
+	for bi := range batches {
+		dv := &batches[bi]
+		var want, all []int32
+		for i := range dv.Codes {
+			all = append(all, int32(i))
+			v, err := ref(types.Row{dv.Value(i)})
+			if err != nil {
+				t.Fatal(err)
 			}
-			v.Strs[i] = d.StrAt(i)
+			if !v.IsNull() && v.Bool() {
+				want = append(want, int32(i))
+			}
 		}
-		return v
+		for _, leg := range []struct {
+			name string
+			vec  types.Vec
+			sc   *vecScratch
+		}{{"dict", *dv, dictSc}, {"strs", strsOf(dv), strsSc}} {
+			b := &Batch{N: len(all), Cols: []types.Vec{leg.vec}}
+			got := leg.sc.narrow([]vecExpr{kernel}, b, all)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s/batch%d/%s: kept %v, want %v", name, bi, leg.name, got, want)
+			}
+		}
+		distinct := map[int32]bool{}
+		for i, c := range dv.Codes {
+			if !dv.NullAt(i) {
+				distinct[c] = true
+			}
+		}
+		m := &dictSc.memos[0]
+		current := 0
+		for _, e := range m.epoch {
+			if e == m.cur {
+				current++
+			}
+		}
+		if current != len(distinct) {
+			t.Errorf("%s/batch%d: memo holds %d current codes, want %d", name, bi, current, len(distinct))
+		}
 	}
+	if strsSc.memos[0].cur != 0 {
+		t.Errorf("%s: computed vector went through the code memo", name)
+	}
+}
 
+// TestVecInListUsesDictCodes checks the compiled IN kernel against the
+// row evaluator (checkDictKernel): NULL rows, a NULL list element, NOT
+// IN, repeated codes, and a second batch under other dictionaries.
+func TestVecInListUsesDictCodes(t *testing.T) {
+	col := &plan.ColRef{ID: 0, Typ: types.TString}
+	lit := func(s string) plan.Expr { return &plan.Const{Val: types.NewString(s)} }
+	nullLit := &plan.Const{Val: types.NewNull(types.TString)}
 	cases := []struct {
 		name string
 		list []plan.Expr
@@ -151,66 +226,7 @@ func TestVecInListUsesDictCodes(t *testing.T) {
 		{"not-in-null-elem", []plan.Expr{lit("b"), nullLit}, true},
 	}
 	for _, tc := range cases {
-		expr := &plan.InListExpr{E: col, List: tc.list, Not: tc.not}
-		ref, err := Compile(expr, map[types.ColumnID]int{0: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vals, sawNull, ok := inListConsts(tc.list)
-		if !ok {
-			t.Fatal("list is not constant")
-		}
-		cmp := vecCmp{kind: vcIn, col: 0, list: vals, sawNullElem: sawNull, not: tc.not}
-		dictSc := &vecScratch{memos: make([]codeMemo, 1)}
-		strsSc := &vecScratch{memos: make([]codeMemo, 1)}
-		for bi := range batches {
-			dv := &batches[bi]
-			var want []int32
-			var all []int32
-			for i := range dv.Codes {
-				all = append(all, int32(i))
-				v, err := ref(types.Row{dv.Value(i)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !v.IsNull() && v.Bool() {
-					want = append(want, int32(i))
-				}
-			}
-			sv := strsOf(dv)
-			for _, leg := range []struct {
-				name string
-				vec  types.Vec
-				sc   *vecScratch
-			}{{"dict", *dv, dictSc}, {"strs", sv, strsSc}} {
-				b := &Batch{N: len(all), Cols: []types.Vec{leg.vec}}
-				got := cmp.run(b, all, nil, leg.sc)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s/batch%d/%s: kept %v, want %v", tc.name, bi, leg.name, got, want)
-				}
-			}
-			// The dictionary leg memoized exactly one outcome per distinct
-			// non-NULL code of this batch.
-			distinct := map[int32]bool{}
-			for i, c := range dv.Codes {
-				if !dv.NullAt(i) {
-					distinct[c] = true
-				}
-			}
-			m := &dictSc.memos[0]
-			current := 0
-			for _, e := range m.epoch {
-				if e == m.cur {
-					current++
-				}
-			}
-			if current != len(distinct) {
-				t.Errorf("%s/batch%d: memo holds %d current codes, want %d", tc.name, bi, current, len(distinct))
-			}
-		}
-		if strsSc.memos[0].cur != 0 {
-			t.Errorf("%s: computed vector went through the code memo", tc.name)
-		}
+		checkDictKernel(t, tc.name, &plan.InListExpr{E: col, List: tc.list, Not: tc.not})
 	}
 }
 

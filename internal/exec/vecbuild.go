@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"vdm/internal/plan"
-	"vdm/internal/storage"
 	"vdm/internal/types"
 )
 
@@ -13,7 +12,10 @@ import (
 // compiler is the only authority on what vectorizes: a subtree runs in
 // batch mode iff it compiles here, into batch sources (snapshot scans,
 // hash joins, LIMIT and UNION ALL), the filter/project pipelines over
-// them, and the batch sinks that consume them. The rules are
+// them, and the batch sinks that consume them. Filter conjuncts and
+// computed projections alike compile through compileVecExpr, the one
+// expression compiler, and a filter over a scan derives the scan's
+// zone-map ranges with zoneRanges, as the row path does. The rules are
 // deliberately conservative — a shape compiles only when the batch
 // kernels are guaranteed to reproduce the row path's semantics exactly,
 // including three-valued logic, type promotion and aggregate NULL
@@ -69,15 +71,12 @@ func (b *Builder) buildVec(n plan.Node) (Iterator, string) {
 // vecFrag is a compiled pipeline fragment: the pipeline plus the
 // mapping from output column IDs to batch columns, the plan nodes it
 // fused (the source's node first, stages[i] ↔ nodes[i+1]) and the
-// source's input fragments, both for EXPLAIN ANALYZE attribution, and
-// the zone-map range builder accumulated across all filter stages over a
-// scan.
+// source's input fragments, both for EXPLAIN ANALYZE attribution.
 type vecFrag struct {
 	spec  *vecSpec
 	cols  []types.ColumnID
 	nodes []plan.Node
 	kids  []*vecFrag
-	rb    rangeBuilder
 }
 
 // newVecSpec returns a stage-less pipeline over a source of the given
@@ -124,7 +123,7 @@ func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
 			return nil, "" // the row path reports the error
 		}
 		scan := &scanSource{snap: tbl.SnapshotAt(b.ts), ords: n.Ords, batchSize: b.vecSize, gov: b.gov, met: b.met}
-		return &vecFrag{spec: newVecSpec(scan, len(n.Ords)), cols: n.Cols, nodes: []plan.Node{n}, rb: rangeBuilder{ords: n.Ords}}, ""
+		return &vecFrag{spec: newVecSpec(scan, len(n.Ords)), cols: n.Cols, nodes: []plan.Node{n}}, ""
 	case *plan.Join:
 		return b.vecJoin(n)
 	case *plan.Limit:
@@ -302,33 +301,41 @@ func (f *vecFrag) exprCols(e plan.Expr) []int {
 }
 
 // applyVecFilter compiles one Filter node into a stage appended to the
-// fragment. Every conjunct needs a kernel (makeVecCmp); when one has
-// none the filter declines as "or" if its condition holds an OR tree,
-// else as "expression". Over a join source, conjuncts that read build
-// columns only fold into the join (joinSource.fold); the stage keeps the
-// rest, and stays for EXPLAIN ANALYZE to count the filter's rows even
-// when it keeps none.
+// fragment: each conjunct becomes one expression kernel (compileVecExpr).
+// When one has none the filter declines as "or" if its condition holds an
+// OR tree, else as "expression". Over a join source, conjuncts that read
+// build columns only fold into the join (joinSource.fold); the stage
+// keeps the rest, and stays for EXPLAIN ANALYZE to count the filter's
+// rows even when it keeps none. Over a scan, the conjuncts add their
+// zone-map ranges to the scan's (zoneRanges).
 func applyVecFilter(f *vecFrag, n *plan.Filter) string {
 	var st vecStage
 	js, _ := f.spec.src.(*joinSource)
-	for _, conj := range plan.Conjuncts(n.Cond) {
-		cmp, ok := makeVecCmp(f, conj, &f.rb)
-		if !ok {
+	conjs := plan.Conjuncts(n.Cond)
+	for _, conj := range conjs {
+		ex, t, ok := f.compileVecExpr(conj)
+		if !ok || !typedAs(conj, t, types.TBool) {
 			if hasOr(n.Cond) {
 				return "or"
 			}
 			return "expression"
 		}
 		cols := f.exprCols(conj)
-		if js != nil && js.fold(cmp, cols, f.spec) {
+		if js != nil && js.fold(ex, cols, f.spec) {
 			st.folded++
 			continue
 		}
-		st.filt = append(st.filt, cmp)
+		st.filt = append(st.filt, ex)
 		f.spec.reads = append(f.spec.reads, cols...)
 	}
 	if scan, ok := f.spec.src.(*scanSource); ok {
-		scan.ranges = f.rb.ranges()
+		scan.ranges = zoneRanges(scan.ranges, conjs, func(id types.ColumnID) (int, bool) {
+			bc, ok := f.batchCol(id)
+			if !ok || bc >= len(scan.ords) {
+				return 0, false // a computed column
+			}
+			return scan.ords[bc], true
+		})
 	}
 	f.spec.stages = append(f.spec.stages, st)
 	f.nodes = append(f.nodes, n)
@@ -376,266 +383,6 @@ func applyVecProject(f *vecFrag, n *plan.Project) string {
 	f.spec.stages = append(f.spec.stages, st)
 	f.nodes = append(f.nodes, n)
 	return ""
-}
-
-// rangeBuilder accumulates zone-map pruning ranges from compiled filter
-// conjuncts, reproducing extractRanges' merge behavior (one ColRange per
-// storage ordinal, later conjuncts overwrite earlier bounds). Computed
-// projection columns have no storage ordinal and contribute no bounds.
-type rangeBuilder struct {
-	ords  []int
-	byOrd map[int]*storage.ColRange
-}
-
-func (rb *rangeBuilder) get(batchCol int) *storage.ColRange {
-	ord := rb.ords[batchCol]
-	if rb.byOrd == nil {
-		rb.byOrd = map[int]*storage.ColRange{}
-	}
-	if r, ok := rb.byOrd[ord]; ok {
-		return r
-	}
-	r := &storage.ColRange{Ord: ord}
-	rb.byOrd[ord] = r
-	return r
-}
-
-// apply records one `col op literal` conjunct as a pruning bound.
-func (rb *rangeBuilder) apply(batchCol int, op string, v types.Value) {
-	if v.IsNull() || batchCol >= len(rb.ords) {
-		return
-	}
-	switch op {
-	case "=":
-		rb.get(batchCol).Eq = &v
-	case "<":
-		rb.get(batchCol).Hi, rb.get(batchCol).HiOpen = &v, true
-	case "<=":
-		rb.get(batchCol).Hi, rb.get(batchCol).HiOpen = &v, false
-	case ">":
-		rb.get(batchCol).Lo, rb.get(batchCol).LoOpen = &v, true
-	case ">=":
-		rb.get(batchCol).Lo, rb.get(batchCol).LoOpen = &v, false
-	}
-}
-
-func (rb *rangeBuilder) ranges() []storage.ColRange {
-	var out []storage.ColRange
-	for _, r := range rb.byOrd {
-		out = append(out, *r)
-	}
-	return out
-}
-
-// wantFor maps a comparison operator to the keep-mask over the
-// comparison sign (-1, 0, +1).
-func wantFor(op string) ([3]bool, bool) {
-	switch op {
-	case "=":
-		return [3]bool{false, true, false}, true
-	case "<>":
-		return [3]bool{true, false, true}, true
-	case "<":
-		return [3]bool{true, false, false}, true
-	case "<=":
-		return [3]bool{true, true, false}, true
-	case ">":
-		return [3]bool{false, false, true}, true
-	case ">=":
-		return [3]bool{false, true, true}, true
-	}
-	return [3]bool{}, false
-}
-
-// makeVecCmp compiles one filter conjunct into a kernel: the dedicated
-// column-vs-literal, IN, and IS NULL kernels when the shape matches; an
-// OR-tree kernel for disjunctions; and the general expression kernel for
-// any other total boolean expression. Comparison conjuncts feed the
-// zone-map range builder (rb nil inside OR branches: a branch bound is
-// not a global bound — the whole OR contributes its enclosing range
-// instead).
-func makeVecCmp(f *vecFrag, conj plan.Expr, rb *rangeBuilder) (vecCmp, bool) {
-	switch e := conj.(type) {
-	case *plan.Bin:
-		if e.Op == "OR" {
-			return makeVecOr(f, e, rb)
-		}
-		if c, ok := makeSimpleCmp(f, e, rb); ok {
-			return c, true
-		}
-
-	case *plan.InListExpr:
-		if cr, ok := e.E.(*plan.ColRef); ok {
-			if bc, ok := f.batchCol(cr.ID); ok {
-				if list, sawNull, ok := inListConsts(e.List); ok {
-					c := vecCmp{kind: vcIn, col: bc, not: e.Not, list: list, sawNullElem: sawNull, memo: f.spec.nMemos}
-					f.spec.nMemos++
-					return c, true
-				}
-			}
-		}
-
-	case *plan.IsNullExpr:
-		if cr, ok := e.E.(*plan.ColRef); ok {
-			if bc, ok := f.batchCol(cr.ID); ok {
-				return vecCmp{kind: vcIsNull, col: bc, not: e.Not}, true
-			}
-		}
-	}
-	// General case: any total boolean expression runs as an expression
-	// kernel whose non-NULL TRUE results keep the row.
-	if ex, t, ok := f.compileVecExpr(conj); ok && t == types.TBool {
-		return vecCmp{kind: vcExpr, expr: ex}, true
-	}
-	return vecCmp{}, false
-}
-
-// makeSimpleCmp compiles a column-vs-literal comparison into a dedicated
-// kernel, choosing the kind from the statically-known type pair so the
-// kernel replicates types.Compare's promotion ladder exactly. A NULL
-// literal is fine: the comparison is NULL for every row, so the kernel
-// rejects the whole batch.
-func makeSimpleCmp(f *vecFrag, e *plan.Bin, rb *rangeBuilder) (vecCmp, bool) {
-	cr, lit, op, ok := plan.ColConstCmp(e)
-	if !ok {
-		return vecCmp{}, false
-	}
-	want, ok := wantFor(op)
-	if !ok {
-		return vecCmp{}, false
-	}
-	bc, ok := f.batchCol(cr.ID)
-	if !ok {
-		return vecCmp{}, false
-	}
-	c := vecCmp{col: bc, want: want}
-	if lit.IsNull() {
-		c.kind = vcNone
-		return c, true
-	}
-	kind, ok := cmpKind(cr.Typ, lit.Typ)
-	if !ok {
-		return vecCmp{}, false
-	}
-	switch kind {
-	case ckStr:
-		c.kind, c.str = vcStr, lit.Str()
-		c.memo = f.spec.nMemos
-		f.spec.nMemos++
-	case ckI64:
-		c.kind, c.i64 = vcI64, lit.Int()
-	case ckDec:
-		c.kind, c.dec = vcDec, lit.Decimal()
-	default:
-		c.kind, c.f64 = vcF64, lit.Float()
-	}
-	if rb != nil && op != "<>" {
-		rb.apply(bc, op, lit)
-	}
-	return c, true
-}
-
-// makeVecOr compiles an OR tree: each disjunct's conjunct chain becomes
-// one branch of selection kernels; at run time the per-branch survivor
-// vectors merge by ordered union. When every branch is a comparison on
-// the same column, the enclosing range of the branch bounds feeds the
-// zone-map builder, so a multi-range OR still prunes blocks.
-func makeVecOr(f *vecFrag, e *plan.Bin, rb *rangeBuilder) (vecCmp, bool) {
-	c := vecCmp{kind: vcOr, bufBase: f.spec.nBufs}
-	f.spec.nBufs += 4
-	disj := plan.Disjuncts(e)
-	for _, d := range disj {
-		var chain []vecCmp
-		for _, dc := range plan.Conjuncts(d) {
-			k, ok := makeVecCmp(f, dc, nil)
-			if !ok {
-				return vecCmp{}, false
-			}
-			chain = append(chain, k)
-		}
-		c.branches = append(c.branches, chain)
-	}
-	if rb != nil {
-		applyOrRange(f, rb, disj)
-	}
-	return c, true
-}
-
-// applyOrRange records the enclosing zone-map range of an OR whose every
-// branch is a single `col op literal` comparison on one shared column:
-// lo = min of the branch lower bounds, hi = max of the upper bounds,
-// both closed (conservative). Any branch without a bound on a side
-// leaves that side unbounded; any non-comparison branch (IS NULL, IN,
-// AND chains) disables pruning for the whole OR.
-func applyOrRange(f *vecFrag, rb *rangeBuilder, disj []plan.Expr) {
-	var lo, hi *types.Value
-	col := -1
-	haveLo, haveHi := true, true
-	for _, d := range disj {
-		e, ok := d.(*plan.Bin)
-		if !ok {
-			return
-		}
-		cr, v, op, ok := plan.ColConstCmp(e)
-		if !ok {
-			return
-		}
-		if v.IsNull() {
-			continue // branch keeps nothing: no contribution to the range
-		}
-		bc, ok := f.batchCol(cr.ID)
-		if !ok || bc >= len(rb.ords) {
-			return
-		}
-		if col == -1 {
-			col = bc
-		} else if col != bc {
-			return // bounds on different columns: no single-column range
-		}
-		var blo, bhi *types.Value
-		switch op {
-		case "=":
-			blo, bhi = &v, &v
-		case "<", "<=":
-			bhi = &v
-		case ">", ">=":
-			blo = &v
-		default:
-			return // <> admits everything: no pruning
-		}
-		if blo == nil {
-			haveLo = false
-		} else if haveLo {
-			if lo == nil {
-				lo = blo
-			} else if c, err := types.Compare(*blo, *lo); err != nil {
-				return
-			} else if c < 0 {
-				lo = blo
-			}
-		}
-		if bhi == nil {
-			haveHi = false
-		} else if haveHi {
-			if hi == nil {
-				hi = bhi
-			} else if c, err := types.Compare(*bhi, *hi); err != nil {
-				return
-			} else if c > 0 {
-				hi = bhi
-			}
-		}
-	}
-	if col == -1 || (!haveLo && !haveHi) {
-		return
-	}
-	r := rb.get(col)
-	if haveLo && lo != nil {
-		r.Lo, r.LoOpen = lo, false
-	}
-	if haveHi && hi != nil {
-		r.Hi, r.HiOpen = hi, false
-	}
 }
 
 // attachVecStats wires EXPLAIN ANALYZE attribution for a fragment's

@@ -299,71 +299,128 @@ func cmpKind(a, b types.Type) (uint8, bool) {
 	return 0, false
 }
 
+// wantFor maps a comparison operator to the keep-mask over the
+// comparison sign (-1, 0, +1).
+func wantFor(op string) ([3]bool, bool) {
+	switch op {
+	case "=":
+		return [3]bool{false, true, false}, true
+	case "<>":
+		return [3]bool{true, false, true}, true
+	case "<":
+		return [3]bool{true, false, false}, true
+	case "<=":
+		return [3]bool{true, true, false}, true
+	case ">":
+		return [3]bool{false, false, true}, true
+	case ">=":
+		return [3]bool{false, true, true}, true
+	}
+	return [3]bool{}, false
+}
+
+// veCmp compares two operands on types.Compare's ladder. A non-NULL
+// literal operand is read in place from lit, a one-row vector built at
+// compile time, instead of being broadcast per batch; the compiler puts
+// it on the right (r nil). A dictionary-coded string compared with a
+// literal decides once per code through its code memo.
 type veCmp struct {
 	kind uint8
 	want [3]bool // keep-mask over comparison sign (-1, 0, +1)
 	l, r vecExpr
+	lit  types.Vec // the right operand when r is nil
+	memo int       // code memo of a string comparison with a literal
 	slot int
 }
 
 func (e *veCmp) eval(b *Batch, sel []int32, sc *vecScratch) *types.Vec {
 	lv := e.l.eval(b, sel, sc)
-	rv := e.r.eval(b, sel, sc)
 	out := &sc.exprVecs[e.slot]
 	out.Reset(types.TBool, b.N)
+	// The right operand's row j is i*step: row 0 of a literal.
+	rv, step := &e.lit, 0
+	if e.r != nil {
+		rv, step = e.r.eval(b, sel, sc), 1
+	} else if e.kind == ckStr && len(lv.Strs) == 0 {
+		lit := e.lit.Strs[0]
+		byCode(lv, out, sel, &sc.memos[e.memo], func(s string) int8 {
+			return b2i8(e.want[signIdx(strings.Compare(s, lit))])
+		})
+		return out
+	}
+	keep := [3]int64{b2i(e.want[0]), b2i(e.want[1]), b2i(e.want[2])}
+	kind, res, li, ri := e.kind, out.I64, lv.I64, rv.I64
 	ln, rn := len(lv.Nulls) > 0, len(rv.Nulls) > 0
 	for _, si := range sel {
 		i := int(si)
-		if (ln && lv.NullAt(i)) || (rn && rv.NullAt(i)) {
+		j := i * step
+		if (ln && lv.NullAt(i)) || (rn && rv.NullAt(j)) {
 			out.SetNull(i)
 			continue
 		}
 		var s int8
-		switch e.kind {
+		switch kind {
 		case ckI64:
-			x, y := lv.I64[i], rv.I64[i]
-			switch {
-			case x < y:
-				s = 0
-			case x > y:
-				s = 2
-			default:
-				s = 1
-			}
+			s = cmpSign(li[i], ri[j])
 		case ckDec:
-			if lv.Scale[i] == rv.Scale[i] {
-				x, y := lv.I64[i], rv.I64[i]
-				switch {
-				case x < y:
-					s = 0
-				case x > y:
-					s = 2
-				default:
-					s = 1
-				}
+			if lv.Scale[i] == rv.Scale[j] {
+				s = cmpSign(li[i], ri[j])
 			} else {
-				s = signIdx(decAt(lv, i).Cmp(decAt(rv, i)))
+				s = signIdx(decAt(lv, i).Cmp(decAt(rv, j)))
 			}
 		case ckStr:
-			s = signIdx(strings.Compare(lv.StrAt(i), rv.StrAt(i)))
+			s = signIdx(strings.Compare(lv.StrAt(i), rv.StrAt(j)))
 		default:
-			x, y := floatAt(lv, i), floatAt(rv, i)
-			switch {
-			case x < y:
-				s = 0
-			case x > y:
-				s = 2
-			default:
-				s = 1
-			}
+			s = cmpSign(floatAt(lv, i), floatAt(rv, j))
 		}
-		if e.want[s] {
-			out.I64[i] = 1
-		} else {
-			out.I64[i] = 0
-		}
+		res[i] = keep[s]
 	}
 	return out
+}
+
+// cmpSign is the comparison sign of x against y as a keep-mask index.
+func cmpSign[T int64 | float64](x, y T) int8 {
+	switch {
+	case x < y:
+		return 0
+	case x > y:
+		return 2
+	}
+	return 1
+}
+
+func signIdx(c int) int8 { return cmpSign(int64(c), 0) }
+
+// byCode writes a three-valued outcome (1 TRUE, 0 FALSE, -1 NULL) for
+// the selected rows of a dictionary-coded string vector into out,
+// deciding once per distinct code per dictionary view through memo m.
+// NULL rows are NULL.
+func byCode(v, out *types.Vec, sel []int32, m *codeMemo, outcome func(string) int8) {
+	m.nextView(v.Dict)
+	hn := len(v.Nulls) > 0
+	for _, si := range sel {
+		i := int(si)
+		if hn && v.NullAt(i) {
+			out.SetNull(i)
+			continue
+		}
+		code := v.Codes[i]
+		r, ok := m.get(code)
+		if !ok {
+			r = outcome(v.Dict.Decode(code))
+			m.put(code, r)
+		}
+		setTri(out, i, r)
+	}
+}
+
+// setTri stores a three-valued outcome in row i of a bool vector.
+func setTri(out *types.Vec, i int, r int8) {
+	if r < 0 {
+		out.SetNull(i)
+		return
+	}
+	out.I64[i] = int64(r)
 }
 
 // --- boolean connectives ------------------------------------------------
@@ -467,35 +524,40 @@ type veIn struct {
 	list        []types.Value // non-NULL constant elements
 	sawNullElem bool
 	not         bool
+	memo        int // code memo for a dictionary-coded operand
 	slot        int
+}
+
+// outcome is IN's three-valued result for a non-NULL value: a match is
+// TRUE unless negated; no match is NULL when the list held a NULL, else
+// TRUE only under NOT IN.
+func (e *veIn) outcome(val types.Value) int8 {
+	for _, x := range e.list {
+		if types.Equal(val, x) {
+			return b2i8(!e.not)
+		}
+	}
+	if e.sawNullElem {
+		return -1
+	}
+	return b2i8(e.not)
 }
 
 func (e *veIn) eval(b *Batch, sel []int32, sc *vecScratch) *types.Vec {
 	v := e.e.eval(b, sel, sc)
 	out := &sc.exprVecs[e.slot]
 	out.Reset(types.TBool, b.N)
+	if v.Typ == types.TString && len(v.Strs) == 0 {
+		byCode(v, out, sel, &sc.memos[e.memo], func(s string) int8 { return e.outcome(types.NewString(s)) })
+		return out
+	}
 	for _, si := range sel {
 		i := int(si)
-		val := v.Value(i)
-		if val.IsNull() {
+		if v.NullAt(i) {
 			out.SetNull(i)
 			continue
 		}
-		matched := false
-		for _, x := range e.list {
-			if types.Equal(val, x) {
-				matched = true
-				break
-			}
-		}
-		switch {
-		case matched:
-			out.I64[i] = b2i(!e.not)
-		case e.sawNullElem:
-			out.SetNull(i)
-		default:
-			out.I64[i] = b2i(e.not)
-		}
+		setTri(out, i, e.outcome(v.Value(i)))
 	}
 	return out
 }
@@ -506,6 +568,8 @@ func b2i(b bool) int64 {
 	}
 	return 0
 }
+
+func b2i8(b bool) int8 { return int8(b2i(b)) }
 
 // --- strings ------------------------------------------------------------
 
@@ -700,6 +764,13 @@ func (f *vecFrag) newSlot() int {
 	return s
 }
 
+// newMemo allocates a dictionary-code memo table for one kernel.
+func (f *vecFrag) newMemo() int {
+	m := f.spec.nMemos
+	f.spec.nMemos++
+	return m
+}
+
 // isNullConst reports whether e is a literal NULL, which satisfies any
 // required operand type (the kernels emit a typed NULL of the output
 // vector's type, and downstream semantics never distinguish NULL types).
@@ -797,7 +868,7 @@ func (f *vecFrag) compileVecExpr(e plan.Expr) (vecExpr, types.Type, bool) {
 		if !ok {
 			return nil, 0, false
 		}
-		return &veIn{e: inner, list: list, sawNullElem: sawNull, not: e.Not, slot: f.newSlot()}, types.TBool, true
+		return &veIn{e: inner, list: list, sawNullElem: sawNull, not: e.Not, memo: f.newMemo(), slot: f.newSlot()}, types.TBool, true
 
 	case *plan.Case:
 		c := &veCase{typ: e.Typ, slot: f.newSlot(), bufBase: f.spec.nBufs}
@@ -842,6 +913,9 @@ func (f *vecFrag) compileVecExpr(e plan.Expr) (vecExpr, types.Type, bool) {
 }
 
 func (f *vecFrag) compileVecBin(e *plan.Bin) (vecExpr, types.Type, bool) {
+	if want, ok := wantFor(e.Op); ok {
+		return f.compileVecCmp(e, want)
+	}
 	l, lt, ok := f.compileVecExpr(e.L)
 	if !ok {
 		return nil, 0, false
@@ -872,18 +946,6 @@ func (f *vecFrag) compileVecBin(e *plan.Bin) (vecExpr, types.Type, bool) {
 		}
 		return a, t, true
 
-	case "=", "<>", "<", "<=", ">", ">=":
-		if nullOperand {
-			// The comparison is NULL for every row, which is total.
-			return &veNullConst{typ: types.TBool, slot: f.newSlot()}, types.TBool, true
-		}
-		kind, ok := cmpKind(lt, rt)
-		if !ok {
-			return nil, 0, false
-		}
-		want, _ := wantFor(e.Op)
-		return &veCmp{kind: kind, want: want, l: l, r: r, slot: f.newSlot()}, types.TBool, true
-
 	case "AND", "OR":
 		if !typedAs(e.L, lt, types.TBool) || !typedAs(e.R, rt, types.TBool) {
 			return nil, 0, false
@@ -898,4 +960,42 @@ func (f *vecFrag) compileVecBin(e *plan.Bin) (vecExpr, types.Type, bool) {
 		return &veConcat{l: l, r: r, slot: f.newSlot()}, types.TString, true
 	}
 	return nil, 0, false
+}
+
+// compileVecCmp compiles a comparison with keep-mask want. A non-NULL
+// literal operand becomes the kernel's in-place literal, moved to the
+// right (the mask mirrored when it was on the left); a string compared
+// with a literal gets a code memo.
+func (f *vecFrag) compileVecCmp(e *plan.Bin, want [3]bool) (vecExpr, types.Type, bool) {
+	isLit := func(x plan.Expr) bool { k, ok := x.(*plan.Const); return ok && !k.Val.IsNull() }
+	lx, rx := e.L, e.R
+	if isLit(lx) && !isLit(rx) {
+		lx, rx, want = rx, lx, [3]bool{want[2], want[1], want[0]}
+	}
+	l, lt, ok := f.compileVecExpr(lx)
+	if !ok {
+		return nil, 0, false
+	}
+	c := &veCmp{want: want, l: l}
+	var rt types.Type
+	if isLit(rx) {
+		v := rx.(*plan.Const).Val
+		rt = v.Typ
+		resetComputed(&c.lit, rt, 1)
+		setVecValue(&c.lit, 0, v)
+	} else if c.r, rt, ok = f.compileVecExpr(rx); !ok {
+		return nil, 0, false
+	}
+	if lt == types.TNull || rt == types.TNull {
+		// The comparison is NULL for every row, which is total.
+		return &veNullConst{typ: types.TBool, slot: f.newSlot()}, types.TBool, true
+	}
+	if c.kind, ok = cmpKind(lt, rt); !ok {
+		return nil, 0, false
+	}
+	if c.kind == ckStr && c.r == nil {
+		c.memo = f.newMemo()
+	}
+	c.slot = f.newSlot()
+	return c, types.TBool, true
 }

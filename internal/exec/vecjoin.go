@@ -231,7 +231,7 @@ type joinSource struct {
 	// filt is the folded build-side filter (see fold): conjuncts over
 	// the build columns filtCols only, compiled against the scratch
 	// layout of over, the pipeline above the join.
-	filt     []vecCmp
+	filt     []vecExpr
 	filtCols []int
 	over     *vecSpec
 
@@ -278,7 +278,7 @@ type joinSource struct {
 // join only when it builds its NULL-supplying right side, where an
 // unmatched probe row's NULL extension survives iff the conjunct holds
 // on all-NULL build columns. Reports whether the conjunct moved.
-func (j *joinSource) fold(c vecCmp, cols []int, over *vecSpec) bool {
+func (j *joinSource) fold(c vecExpr, cols []int, over *vecSpec) bool {
 	if j.leftOuter && j.buildLeft {
 		return false
 	}

@@ -561,19 +561,20 @@ func (s *Snapshot) NumRowVersions() int {
 
 // CollectVisible appends to dst the visible row positions in [lo, hi),
 // skipping zone-mapped blocks that cannot satisfy the range constraints
-// (which may be nil). The whole range is processed under a single lock
-// acquisition, so per-row locking cost is amortized across the batch.
-func (s *Snapshot) CollectVisible(lo, hi int, ranges []ColRange, dst []int) []int {
+// (which may be nil), and returns where the walk stopped: hi, or past it
+// when a skipped block ran beyond hi. A scan resumes there, so each block
+// is examined, and each skip counted, once. The whole range is processed
+// under a single lock acquisition, so per-row locking cost is amortized
+// across the batch.
+func (s *Snapshot) CollectVisible(lo, hi int, ranges []ColRange, dst []int) ([]int, int) {
 	if h := s.t.hooks(); h != nil && h.BeforeScanBatch != nil {
 		h.BeforeScanBatch(s.t.Name())
 	}
 	s.t.mu.RLock()
 	defer s.t.mu.RUnlock()
 	d := s.data
-	if hi > len(d.begin) {
-		hi = len(d.begin)
-	}
-	for r := lo; r < hi; {
+	r, end := lo, min(hi, len(d.begin))
+	for r < end {
 		if next := d.zoneSkip(r, ranges, s.t.metrics); next > r {
 			r = next
 			continue
@@ -581,13 +582,13 @@ func (s *Snapshot) CollectVisible(lo, hi int, ranges []ColRange, dst []int) []in
 		// r's block passed every range constraint; that verdict holds for
 		// the rest of the block (zone blocks are aligned across columns),
 		// so scan to the block boundary without re-evaluating zones.
-		for end := d.zoneRunEnd(r, hi, ranges); r < end; r++ {
+		for run := d.zoneRunEnd(r, end, ranges); r < run; r++ {
 			if d.begin[r] <= s.ts && s.ts < d.end[r] {
 				dst = append(dst, r)
 			}
 		}
 	}
-	return dst
+	return dst, max(r, hi)
 }
 
 // Row materializes a full row.

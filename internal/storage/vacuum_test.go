@@ -220,8 +220,8 @@ func TestVacuumZoneMapConsistency(t *testing.T) {
 	snap := tbl.SnapshotAt(db.CurrentTS())
 	lo, hi := types.NewInt(2000), types.NewInt(2200)
 	ranges := []ColRange{{Ord: 0, Lo: &lo, Hi: &hi, HiOpen: true}}
-	pruned := snap.CollectVisible(0, snap.NumRowVersions(), ranges, nil)
-	unpruned := snap.CollectVisible(0, snap.NumRowVersions(), nil, nil)
+	pruned, _ := snap.CollectVisible(0, snap.NumRowVersions(), ranges, nil)
+	unpruned, _ := snap.CollectVisible(0, snap.NumRowVersions(), nil, nil)
 	keyOf := func(positions []int) map[int64]bool {
 		out := map[int64]bool{}
 		for _, r := range positions {

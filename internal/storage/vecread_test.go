@@ -91,7 +91,7 @@ func TestFillVecsMatchesRowReads(t *testing.T) {
 	db, tbl := vecFixture(t)
 	snap := tbl.SnapshotAt(db.CurrentTS())
 
-	rows := snap.CollectVisible(0, snap.NumRowVersions(), nil, nil)
+	rows, _ := snap.CollectVisible(0, snap.NumRowVersions(), nil, nil)
 	if len(rows) != 6 {
 		t.Fatalf("visible rows = %d, want 6", len(rows))
 	}
@@ -125,7 +125,7 @@ func TestFillVecsMatchesRowReads(t *testing.T) {
 func TestFillVecsDictRebase(t *testing.T) {
 	db, tbl := vecFixture(t)
 	snap := tbl.SnapshotAt(db.CurrentTS())
-	rows := snap.CollectVisible(0, snap.NumRowVersions(), nil, nil)
+	rows, _ := snap.CollectVisible(0, snap.NumRowVersions(), nil, nil)
 
 	v := &types.Vec{}
 	snap.FillVecs(rows, []int{1}, []*types.Vec{v})
@@ -157,7 +157,7 @@ func TestFillVecsDictRebase(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap2 := tbl.SnapshotAt(db.CurrentTS())
-	rows2 := snap2.CollectVisible(0, snap2.NumRowVersions(), nil, nil)
+	rows2, _ := snap2.CollectVisible(0, snap2.NumRowVersions(), nil, nil)
 	v2, iv2 := &types.Vec{}, &types.Vec{}
 	snap2.FillVecs(rows2, []int{1}, []*types.Vec{v2})
 	snap2.FillVecs(rows2, []int{0}, []*types.Vec{iv2})
