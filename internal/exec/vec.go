@@ -72,9 +72,16 @@ func (b *Batch) NumRows() int {
 }
 
 // iota32 returns the identity selection [0, n), growing buf as needed.
+// A buffer that has to grow again grows straight to a default batch, so
+// the doubling batches of a LIMIT's scan sweep (startAt) do not regrow
+// it each time.
 func iota32(buf *[]int32, n int) []int32 {
 	if len(*buf) < n {
-		*buf = make([]int32, n)
+		size := n
+		if len(*buf) > 0 {
+			size = max(n, DefaultBatchSize)
+		}
+		*buf = make([]int32, size)
 		for i := range *buf {
 			(*buf)[i] = int32(i)
 		}
@@ -158,6 +165,9 @@ func (s *scanSource) open() error {
 		}
 	}
 	s.pos, s.total, s.size = 0, s.snap.NumRowVersions(), s.batchSize
+	if n := min(s.batchSize, s.total); cap(s.idx) < n {
+		s.idx = make([]int, 0, n) // a batch's positions never outgrow it
+	}
 	return s.gov.point(PointScan)
 }
 

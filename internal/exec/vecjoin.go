@@ -32,10 +32,16 @@ import (
 // Two things are done once per build row instead of once per output
 // row. A Filter above the join may fold its build-only conjuncts into
 // the join (fold): Open evaluates them over the build rows and over one
-// all-NULL extension row, and the probe drops failing pairs before
-// anything is gathered. And the join gathers only the output columns
-// its consumer reads (need), so a build column that only the folded
-// filter or nobody reads is never copied per row.
+// all-NULL extension row and folds the pass bits into the build layout,
+// and the probe drops failing pairs before anything is gathered. And
+// the join gathers only the output columns its consumer reads (need),
+// so a build column that only the folded filter or nobody reads is
+// never copied per row.
+//
+// When every key has one build row (the n:1 associations of the VDM),
+// Open rewrites the key maps to give each key's outcome — its build row,
+// or filtered — and the probe takes one lookup per live row, a
+// dictionary-coded key's once per code per dictionary view.
 
 // Join key strategies. The typed fast paths are byte-parity with
 // Value.AppendKey: TInt/TDate/TBool share the integer key tag encoding
@@ -242,27 +248,28 @@ type joinSource struct {
 	// key: the key column's build-local code for a string key (strIDs is
 	// its interning index), else first-seen order (intIDs, bytesIDs).
 	// keyOf holds each build row's id while building (-1: NULL key); the
-	// rows of id k are then rows[off[k]:off[k+1]], in build order.
+	// rows of id k are then rows[off[k]:off[k+1]], in build order, a row
+	// failing the folded filter as ^row. When every id has one row
+	// (unique), layout rewrites the id maps to map each key straight to
+	// its outcome: the build row, or filtered.
 	intIDs    map[int64]int32
 	bytesIDs  map[string]int32
 	strIDs    map[string]int32
 	keyOf     []int32
 	off, rows []int32
+	unique    bool
 	matched   []bool // buildLeft && leftOuter
-	// pass holds per build row whether the folded filter holds (nil
-	// without one); nullPass whether it holds on the NULL extension.
-	pass     []bool
+	// nullPass: the folded filter holds on the NULL extension.
 	nullPass bool
 	bkc, pkc []int // key batch columns of the build/probe batches
 	keyBuf   []byte
-	// keyMemo maps a probe key code to its key id (-1: none), per
-	// dictionary view.
+	// keyMemo maps a probe key code to what the id maps give its string
+	// (noMatch when absent), per dictionary view.
 	keyMemo epochMemo[int32]
 
 	// probe state
 	pb           *Batch
 	pairP, pairB []int32 // output pairs: probe row, build row (-1: NULL)
-	ids          []int32 // key id per live probe row
 	pairPos      int
 	probeDone    bool
 	tailPos      int
@@ -347,9 +354,11 @@ func (j *joinSource) open() error {
 	if err := j.buildTable(); err != nil {
 		return err
 	}
-	j.pass, j.nullPass = nil, true
+	var pass []bool // per build row: the folded filter holds
+	j.nullPass = true
 	if j.filt != nil {
-		if err := j.filterBuild(); err != nil {
+		var err error
+		if pass, err = j.filterBuild(); err != nil {
 			return err
 		}
 	}
@@ -358,10 +367,11 @@ func (j *joinSource) open() error {
 		if j.buildLeft {
 			j.stats.BuildRows = int64(j.nbuild)
 		}
-		if j.pass != nil {
-			j.stats.BuildFiltered, j.stats.BuildPass = true, j.passed()
+		if pass != nil {
+			j.stats.BuildFiltered, j.stats.BuildPass = true, j.passed(pass)
 		}
 	}
+	j.layout(pass)
 	if j.buildLeft && j.leftOuter {
 		j.matched = make([]bool, j.nbuild)
 	}
@@ -507,28 +517,29 @@ func (j *joinSource) groupRows(nkeys int) {
 
 // filterBuild evaluates the folded filter once per build row, in
 // batch-size chunks over the column store, and once over a one-row
-// all-NULL extension, metering the pass bits against the query budget.
-func (j *joinSource) filterBuild() error {
+// all-NULL extension (nullPass), metering the pass bits against the
+// query budget. It returns the pass bit of each build row.
+func (j *joinSource) filterBuild() ([]bool, error) {
 	if err := j.acct.add(int64(j.nbuild)); err != nil {
-		return err
+		return nil, err
 	}
-	j.pass = make([]bool, j.nbuild)
+	pass := make([]bool, j.nbuild)
 	sc := newVecScratch(j.over)
 	var from []int32
 	for lo := 0; lo < j.nbuild; lo += j.batchSize {
 		if err := j.gov.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		from = from[:0]
 		for r := lo; r < min(lo+j.batchSize, j.nbuild); r++ {
 			from = append(from, int32(r))
 		}
 		for _, k := range j.filterRows(sc, from) {
-			j.pass[lo+int(k)] = true
+			pass[lo+int(k)] = true
 		}
 	}
 	j.nullPass = len(j.filterRows(sc, []int32{-1})) > 0
-	return nil
+	return pass, nil
 }
 
 // filterRows gathers the build rows from (-1: an all-NULL row) into the
@@ -547,10 +558,10 @@ func (j *joinSource) filterRows(sc *vecScratch, from []int32) []int32 {
 // passed counts the build rows EXPLAIN ANALYZE reports as build_rows
 // (those indexed; all of them when building left) that pass the folded
 // filter.
-func (j *joinSource) passed() int64 {
+func (j *joinSource) passed(pass []bool) int64 {
 	var n int64
 	if j.buildLeft {
-		for _, p := range j.pass {
+		for _, p := range pass {
 			if p {
 				n++
 			}
@@ -558,11 +569,49 @@ func (j *joinSource) passed() int64 {
 		return n
 	}
 	for _, bi := range j.rows {
-		if j.pass[bi] {
+		if pass[bi] {
 			n++
 		}
 	}
 	return n
+}
+
+// A probe key's outcome under a unique build, besides its build row.
+const (
+	noMatch  int32 = -1 // a NULL key, or no build row has it
+	filtered int32 = -2 // its build row fails the folded filter
+)
+
+// layout folds the folded filter's pass bits (nil without one) into the
+// build layout. When every key id has one build row — an n:1 association
+// — id k's row is rows[k], and each id map is rewritten to give the
+// key's outcome, the row or filtered, so a probe key resolves in one
+// lookup; the per-id layout goes. Otherwise a failing row stays in rows
+// as ^row: still a match before the filter, never a pair.
+func (j *joinSource) layout(pass []bool) {
+	j.unique = len(j.rows) == len(j.off)-1
+	for i, bi := range j.rows {
+		switch {
+		case pass == nil || pass[bi]:
+		case j.unique:
+			j.rows[i] = filtered
+		default:
+			j.rows[i] = ^bi
+		}
+	}
+	if !j.unique {
+		return
+	}
+	for k, id := range j.intIDs {
+		j.intIDs[k] = j.rows[id]
+	}
+	for k, id := range j.strIDs {
+		j.strIDs[k] = j.rows[id]
+	}
+	for k, id := range j.bytesIDs {
+		j.bytesIDs[k] = j.rows[id]
+	}
+	j.off, j.rows = nil, nil
 }
 
 // appendVecKey appends the AppendKey encoding of row ri's key columns to
@@ -579,60 +628,19 @@ func appendVecKey(dst []byte, b *Batch, cols []int, ri int) ([]byte, bool) {
 	return dst, false
 }
 
-// keyIDs appends the key id of each live probe row to dst: -1 when its
-// key is NULL or no build row has it. A dictionary-coded string key
-// resolves each distinct code once per dictionary view.
-func (j *joinSource) keyIDs(pb *Batch, live, dst []int32) []int32 {
-	v := &pb.Cols[j.pkc[0]]
-	hasNulls := len(v.Nulls) > 0
-	switch {
-	case j.keyKind == jkInt:
-		for _, ri := range live {
-			id := int32(-1)
-			if !hasNulls || !v.NullAt(int(ri)) {
-				if k, ok := j.intIDs[v.I64[ri]]; ok {
-					id = k
-				}
-			}
-			dst = append(dst, id)
-		}
-	case j.keyKind == jkStr && len(v.Strs) == 0:
-		m := &j.keyMemo
-		m.nextView(v.Dict)
-		for _, ri := range live {
-			id := int32(-1)
-			if !hasNulls || !v.NullAt(int(ri)) {
-				code := v.Codes[ri]
-				var ok bool
-				if id, ok = m.get(code); !ok {
-					id = strID(j.strIDs, v.Dict.Decode(code))
-					m.put(code, id)
-				}
-			}
-			dst = append(dst, id)
-		}
-	case j.keyKind == jkStr:
-		for _, ri := range live {
-			id := int32(-1)
-			if !hasNulls || !v.NullAt(int(ri)) {
-				id = strID(j.strIDs, v.Strs[ri])
-			}
-			dst = append(dst, id)
-		}
-	default:
-		for _, ri := range live {
-			id := int32(-1)
-			key, null := appendVecKey(j.keyBuf[:0], pb, j.pkc, int(ri))
-			j.keyBuf = key
-			if !null {
-				if k, ok := j.bytesIDs[string(key)]; ok {
-					id = k
-				}
-			}
-			dst = append(dst, id)
-		}
+// key returns what the id maps give a non-NULL probe key that is a
+// computed string or byte-encoded, or noMatch (probeBatch resolves int
+// and dictionary-coded string keys itself).
+func (j *joinSource) key(pb *Batch, v *types.Vec, ri int32) int32 {
+	if j.keyKind == jkStr {
+		return strID(j.strIDs, v.Strs[ri])
 	}
-	return dst
+	key, null := appendVecKey(j.keyBuf[:0], pb, j.pkc, int(ri))
+	j.keyBuf = key
+	if id, ok := j.bytesIDs[string(key)]; ok && !null {
+		return id
+	}
+	return noMatch
 }
 
 // strID returns s's id in ids, or -1.
@@ -690,41 +698,73 @@ func (j *joinSource) next() (*Batch, error) {
 // probe batch itself, narrowed, with the build columns gathered beside
 // it; with one, the pairs are emitted in chunks. Nil means the batch
 // produced no rows.
+//
+// Each live probe row takes one key lookup: a dictionary-coded string
+// key resolves each distinct code once per dictionary view (keyMemo).
+// Under a unique build the lookup yields the row's outcome and the row
+// takes at most one append; otherwise it yields the key id, whose rows
+// are walked.
 func (j *joinSource) probeBatch(pb *Batch) *Batch {
-	j.pb = pb
-	j.pairP, j.pairB, j.pairPos = j.pairP[:0], j.pairB[:0], 0
-	live := liveRows(pb, &j.all)
-	j.ids = j.keyIDs(pb, live, j.ids[:0])
+	j.pb, j.pairPos = pb, 0
+	v := &pb.Cols[j.pkc[0]]
+	hasNulls := len(v.Nulls) > 0
+	coded := j.keyKind == jkStr && len(v.Strs) == 0
+	memo := &j.keyMemo
+	if coded {
+		memo.nextView(v.Dict)
+	}
 	extend := j.leftOuter && !j.buildLeft
+	unique, matched := j.unique, j.matched
+	pairP, pairB := j.pairP[:0], j.pairB[:0]
 	fanout := false
 	dropped := 0 // joined rows the folded filter removed
-	for k, ri := range live {
-		id := j.ids[k]
-		if id < 0 {
-			switch {
-			case !extend:
-			case j.nullPass:
-				j.pairP, j.pairB = append(j.pairP, ri), append(j.pairB, -1)
-			default:
-				dropped++
+	for _, ri := range liveRows(pb, &j.all) {
+		o := noMatch
+		switch {
+		case hasNulls && v.NullAt(int(ri)):
+		case coded:
+			var ok bool
+			if o, ok = memo.get(v.Codes[ri]); !ok {
+				o = strID(j.strIDs, v.Dict.Decode(v.Codes[ri]))
+				memo.put(v.Codes[ri], o)
 			}
-			continue
+		case j.keyKind == jkInt:
+			if id, ok := j.intIDs[v.I64[ri]]; ok {
+				o = id
+			}
+		default:
+			o = j.key(pb, v, ri)
 		}
-		m := j.rows[j.off[id]:j.off[id+1]]
-		hits := 0
-		for _, bi := range m {
-			if j.pass != nil && !j.pass[bi] {
-				continue
+		switch {
+		case o >= 0 && unique:
+			pairP, pairB = append(pairP, ri), append(pairB, o)
+			if matched != nil {
+				matched[o] = true
 			}
-			hits++
-			j.pairP, j.pairB = append(j.pairP, ri), append(j.pairB, bi)
-			if j.matched != nil {
-				j.matched[bi] = true
+		case o >= 0:
+			hits := 0
+			for _, bi := range j.rows[j.off[o]:j.off[o+1]] {
+				if bi < 0 {
+					dropped++
+					continue
+				}
+				hits++
+				pairP, pairB = append(pairP, ri), append(pairB, bi)
+				if matched != nil {
+					matched[bi] = true
+				}
 			}
+			fanout = fanout || hits > 1
+		case o == filtered:
+			dropped++
+		case !extend:
+		case j.nullPass:
+			pairP, pairB = append(pairP, ri), append(pairB, -1)
+		default:
+			dropped++
 		}
-		fanout = fanout || hits > 1
-		dropped += len(m) - hits
 	}
+	j.pairP, j.pairB = pairP, pairB
 	if j.countRows {
 		// The join's own rows are counted before its folded filter, so
 		// EXPLAIN ANALYZE shows the Filter's rows apart from the join's.
@@ -834,7 +874,7 @@ func (j *joinSource) close() {
 		j.stats.MemBytes = j.acct.bytes()
 	}
 	j.acct.close()
-	j.cols, j.intIDs, j.bytesIDs, j.strIDs, j.matched, j.pass = nil, nil, nil, nil, nil, nil
+	j.cols, j.intIDs, j.bytesIDs, j.strIDs, j.matched = nil, nil, nil, nil, nil
 	j.off, j.rows = nil, nil
 	j.pb = nil
 }

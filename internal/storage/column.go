@@ -53,6 +53,11 @@ type fragment interface {
 	compact(remap []int, base, kept int) fragment
 	// zone summarizes the values at positions [lo, hi).
 	zone(lo, hi int) zone
+	// fill copies the n values at positions [lo, lo+n) into rows
+	// [at, at+n) of v, which has been Reset to the column's type: payloads
+	// by slice, NULLs a word at a time (a NULL's payload is zero). base
+	// offsets a string fragment's codes; the other types ignore it.
+	fill(v *types.Vec, at, lo, n int, base int32)
 }
 
 // newFragment returns an empty fragment for the given type.

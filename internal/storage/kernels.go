@@ -7,28 +7,54 @@ import (
 	"vdm/internal/types"
 )
 
-// Bulk kernels of the maintenance passes. Delta merge (appendAll),
-// compaction (compact) and zone-map summaries (zone) work on the raw
-// slices of each fragment type: no value is boxed, a string is looked
-// up in a dictionary once per distinct value instead of once per row,
-// and NULL bitmaps move a word or a set bit at a time.
+// Bulk kernels of the maintenance passes and the batch scan. Delta merge
+// (appendAll), compaction (compact), zone-map summaries (zone) and batch
+// fills (fill) work on the raw slices of each fragment type: no value is
+// boxed, a string is looked up in a dictionary once per distinct value
+// instead of once per row, and NULL bitmaps move a word or a set bit at a
+// time.
 
-// appendBits ORs the bits of src into b shifted up by at positions: bit
-// i of src becomes bit at+i of b.
-func (b *nullBitmap) appendBits(src *nullBitmap, at int) {
-	for j, w := range src.words {
+// orBits ORs bits [lo, lo+n) of src into b, bit lo+i landing at bit
+// at+i, a word at a time. b grows (zero-filled) only where a set bit
+// lands, so copying a run without NULLs leaves it as it was.
+func (b *nullBitmap) orBits(src *nullBitmap, at, lo, n int) {
+	for k := 0; k < n && (lo+k)/64 < len(src.words); k += 64 {
+		w := src.word(lo+k, n-k)
 		if w == 0 {
 			continue
 		}
-		pos := at + j*64
-		i, sh := pos/64, uint(pos)%64
-		if lo := w << sh; lo != 0 {
-			b.or(i, lo)
+		i, sh := (at+k)/64, uint(at+k)%64
+		if low := w << sh; low != 0 {
+			b.or(i, low)
 		}
-		if hi := w >> (64 - sh); hi != 0 { // sh == 0 shifts everything out
-			b.or(i+1, hi)
+		if high := w >> (64 - sh); high != 0 { // sh == 0 shifts everything out
+			b.or(i+1, high)
 		}
 	}
+}
+
+// word returns bits [p, p+min(n, 64)) of b as one word, bit p lowest.
+func (b *nullBitmap) word(p, n int) uint64 {
+	i, sh := p/64, uint(p)%64
+	var w uint64
+	if i < len(b.words) {
+		w = b.words[i] >> sh
+	}
+	if sh != 0 && i+1 < len(b.words) {
+		w |= b.words[i+1] << (64 - sh)
+	}
+	if n < 64 {
+		w &= 1<<uint(n) - 1
+	}
+	return w
+}
+
+// fillNulls marks v's rows [at, at+n) NULL where bits [lo, lo+n) of
+// nulls are set; v.Nulls stays empty while no NULL lands.
+func fillNulls(v *types.Vec, nulls *nullBitmap, at, lo, n int) {
+	dst := nullBitmap{words: v.Nulls}
+	dst.orBits(nulls, at, lo, n)
+	v.Nulls = dst.words
 }
 
 // compactBits returns the set bits of src that survive remap, at their
@@ -59,7 +85,7 @@ func compactSlice[T any](src []T, remap []int, base, kept int) []T {
 
 func (f *intFragment) appendAll(src fragment) {
 	s := src.(*intFragment)
-	f.nulls.appendBits(&s.nulls, len(f.vals))
+	f.nulls.orBits(&s.nulls, len(f.vals), 0, len(s.vals))
 	f.vals = append(f.vals, s.vals...)
 }
 
@@ -67,6 +93,11 @@ func (f *intFragment) compact(remap []int, base, kept int) fragment {
 	return &intFragment{typ: f.typ,
 		vals:  compactSlice(f.vals, remap, base, kept),
 		nulls: compactBits(&f.nulls, remap, base)}
+}
+
+func (f *intFragment) fill(v *types.Vec, at, lo, n int, _ int32) {
+	copy(v.I64[at:at+n], f.vals[lo:lo+n])
+	fillNulls(v, &f.nulls, at, lo, n)
 }
 
 func (f *intFragment) zone(lo, hi int) zone {
@@ -94,7 +125,7 @@ func (f *intFragment) zone(lo, hi int) zone {
 
 func (f *floatFragment) appendAll(src fragment) {
 	s := src.(*floatFragment)
-	f.nulls.appendBits(&s.nulls, len(f.vals))
+	f.nulls.orBits(&s.nulls, len(f.vals), 0, len(s.vals))
 	f.vals = append(f.vals, s.vals...)
 }
 
@@ -102,6 +133,11 @@ func (f *floatFragment) compact(remap []int, base, kept int) fragment {
 	return &floatFragment{
 		vals:  compactSlice(f.vals, remap, base, kept),
 		nulls: compactBits(&f.nulls, remap, base)}
+}
+
+func (f *floatFragment) fill(v *types.Vec, at, lo, n int, _ int32) {
+	copy(v.F64[at:at+n], f.vals[lo:lo+n])
+	fillNulls(v, &f.nulls, at, lo, n)
 }
 
 // zone orders floats as types.Compare does: a NaN never replaces a bound
@@ -132,8 +168,8 @@ func (f *floatFragment) zone(lo, hi int) zone {
 
 func (f *boolFragment) appendAll(src fragment) {
 	s := src.(*boolFragment)
-	f.vals.appendBits(&s.vals, f.n)
-	f.nulls.appendBits(&s.nulls, f.n)
+	f.vals.orBits(&s.vals, f.n, 0, s.n)
+	f.nulls.orBits(&s.nulls, f.n, 0, s.n)
 	f.n += s.n
 }
 
@@ -141,6 +177,18 @@ func (f *boolFragment) compact(remap []int, base, kept int) fragment {
 	return &boolFragment{n: kept,
 		vals:  compactBits(&f.vals, remap, base),
 		nulls: compactBits(&f.nulls, remap, base)}
+}
+
+// fill unpacks the value bits; a NULL's value bit is never set.
+func (f *boolFragment) fill(v *types.Vec, at, lo, n int, _ int32) {
+	dst := v.I64[at : at+n]
+	for k := 0; k < n; k += 64 {
+		w := f.vals.word(lo+k, n-k)
+		for i := range dst[k:min(k+64, n)] {
+			dst[k+i] = int64(w >> uint(i) & 1)
+		}
+	}
+	fillNulls(v, &f.nulls, at, lo, n)
 }
 
 func (f *boolFragment) zone(lo, hi int) zone {
@@ -172,7 +220,7 @@ func (f *stringFragment) appendAll(src fragment) {
 		recode[c] = f.dict.code(str)
 	}
 	n := len(f.codes)
-	f.nulls.appendBits(&s.nulls, n)
+	f.nulls.orBits(&s.nulls, n, 0, len(s.codes))
 	f.codes = append(f.codes, s.codes...)
 	for i, c := range s.codes {
 		if !s.nulls.get(i) { // a NULL's code stays 0
@@ -208,6 +256,24 @@ func (f *stringFragment) compact(remap []int, base, kept int) fragment {
 	return out
 }
 
+// fill copies the codes, adding base to each non-NULL one (a delta's
+// codes follow the main dictionary's); a NULL's code stays 0.
+func (f *stringFragment) fill(v *types.Vec, at, lo, n int, base int32) {
+	dst := v.Codes[at : at+n]
+	copy(dst, f.codes[lo:lo+n])
+	if base != 0 {
+		for i := range dst {
+			dst[i] += base
+		}
+		for k := 0; k < n; k += 64 {
+			for w := f.nulls.word(lo+k, n-k); w != 0; w &= w - 1 {
+				dst[k+bits.TrailingZeros64(w)] = 0
+			}
+		}
+	}
+	fillNulls(v, &f.nulls, at, lo, n)
+}
+
 func (f *stringFragment) zone(lo, hi int) zone {
 	var z zone
 	var mn, mx string
@@ -238,7 +304,7 @@ func (f *stringFragment) zone(lo, hi int) zone {
 
 func (f *decimalFragment) appendAll(src fragment) {
 	s := src.(*decimalFragment)
-	f.nulls.appendBits(&s.nulls, len(f.coefs))
+	f.nulls.orBits(&s.nulls, len(f.coefs), 0, len(s.coefs))
 	f.coefs = append(f.coefs, s.coefs...)
 	f.scales = append(f.scales, s.scales...)
 }
@@ -248,6 +314,12 @@ func (f *decimalFragment) compact(remap []int, base, kept int) fragment {
 		coefs:  compactSlice(f.coefs, remap, base, kept),
 		scales: compactSlice(f.scales, remap, base, kept),
 		nulls:  compactBits(&f.nulls, remap, base)}
+}
+
+func (f *decimalFragment) fill(v *types.Vec, at, lo, n int, _ int32) {
+	copy(v.I64[at:at+n], f.coefs[lo:lo+n])
+	copy(v.Scale[at:at+n], f.scales[lo:lo+n])
+	fillNulls(v, &f.nulls, at, lo, n)
 }
 
 func (f *decimalFragment) zone(lo, hi int) zone {

@@ -4,9 +4,13 @@ import "vdm/internal/types"
 
 // Batch column readers: FillVecs materializes row positions into typed
 // vectors without boxing each value, the entry point of the vectorized
-// executor. Strings stay dictionary-encoded — the vector receives raw
-// codes plus a DictView over both dictionaries — so downstream kernels
-// can compare and group on codes instead of materialized strings.
+// executor. Visible positions mostly come in long runs, so a fill copies
+// each run of consecutive positions by slice and its NULLs a bitmap word
+// at a time; a vector with no NULL keeps an empty bitmap, the kernels'
+// null-free fast path. Strings stay dictionary-encoded — the vector
+// receives raw codes plus a DictView over both dictionaries — so
+// downstream kernels can compare and group on codes instead of
+// materialized strings.
 
 // FillVecs fills vecs[k] with column ords[k] of the given row positions.
 // Each vector is Reset to len(rows) entries of the column's type and
@@ -31,121 +35,44 @@ func (s *Snapshot) FillVecs(rows []int, ords []int, vecs []*types.Vec) {
 // fillVec copies the values at the given row positions into v, which has
 // been Reset to len(rows) entries. Caller holds the table lock. Row
 // position r maps to the main fragment when r < main.len(), else to the
-// delta fragment at r - main.len(), mirroring column.get.
+// delta fragment at r - main.len(), mirroring column.get. The sorted
+// positions split into maximal runs of consecutive positions within one
+// fragment, and each run is copied by the fragment's fill kernel. Sorted
+// distinct positions rows[i..j] are consecutive iff rows[j]-rows[i] ==
+// j-i, so a run's end is found by galloping then bisecting, not row by
+// row.
 func (c *column) fillVec(rows []int, v *types.Vec) {
 	m := c.main.len()
-	switch mf := c.main.(type) {
-	case *intFragment:
-		df := c.delta.(*intFragment)
-		for i, r := range rows {
-			if r < m {
-				if mf.nulls.get(r) {
-					v.SetNull(i)
-					v.I64[i] = 0
-				} else {
-					v.I64[i] = mf.vals[r]
-				}
+	var base int32 // a delta string code's offset: the main dictionary's size
+	if mf, ok := c.main.(*stringFragment); ok {
+		base = int32(len(mf.dict.vals))
+		v.Dict = types.NewDictView(mf.dict.vals, c.delta.(*stringFragment).dict.vals)
+	}
+	for i := 0; i < len(rows); {
+		r, n, hi := rows[i], 1, len(rows)-i
+		if r < m {
+			hi = min(hi, m-r)
+		}
+		for n < hi { // rows[i:i+n] is a run; it ends at or before i+hi
+			k := min(2*n, hi)
+			if rows[i+k-1]-r != k-1 {
+				hi = k - 1
+				break
+			}
+			n = k
+		}
+		for n < hi {
+			if mid := (n + hi + 1) / 2; rows[i+mid-1]-r == mid-1 {
+				n = mid
 			} else {
-				if df.nulls.get(r - m) {
-					v.SetNull(i)
-					v.I64[i] = 0
-				} else {
-					v.I64[i] = df.vals[r-m]
-				}
+				hi = mid - 1
 			}
 		}
-	case *floatFragment:
-		df := c.delta.(*floatFragment)
-		for i, r := range rows {
-			if r < m {
-				if mf.nulls.get(r) {
-					v.SetNull(i)
-					v.F64[i] = 0
-				} else {
-					v.F64[i] = mf.vals[r]
-				}
-			} else {
-				if df.nulls.get(r - m) {
-					v.SetNull(i)
-					v.F64[i] = 0
-				} else {
-					v.F64[i] = df.vals[r-m]
-				}
-			}
+		if r < m {
+			c.main.fill(v, i, r, n, 0)
+		} else {
+			c.delta.fill(v, i, r-m, n, base)
 		}
-	case *boolFragment:
-		df := c.delta.(*boolFragment)
-		for i, r := range rows {
-			v.I64[i] = 0
-			if r < m {
-				if mf.nulls.get(r) {
-					v.SetNull(i)
-				} else if mf.vals.get(r) {
-					v.I64[i] = 1
-				}
-			} else {
-				if df.nulls.get(r - m) {
-					v.SetNull(i)
-				} else if df.vals.get(r - m) {
-					v.I64[i] = 1
-				}
-			}
-		}
-	case *decimalFragment:
-		df := c.delta.(*decimalFragment)
-		for i, r := range rows {
-			if r < m {
-				if mf.nulls.get(r) {
-					v.SetNull(i)
-					v.I64[i], v.Scale[i] = 0, 0
-				} else {
-					v.I64[i], v.Scale[i] = mf.coefs[r], mf.scales[r]
-				}
-			} else {
-				if df.nulls.get(r - m) {
-					v.SetNull(i)
-					v.I64[i], v.Scale[i] = 0, 0
-				} else {
-					v.I64[i], v.Scale[i] = df.coefs[r-m], df.scales[r-m]
-				}
-			}
-		}
-	case *stringFragment:
-		df := c.delta.(*stringFragment)
-		base := int32(len(mf.dict.vals))
-		v.Dict = types.NewDictView(mf.dict.vals, df.dict.vals)
-		for i, r := range rows {
-			if r < m {
-				if mf.nulls.get(r) {
-					v.SetNull(i)
-					v.Codes[i] = 0
-				} else {
-					v.Codes[i] = mf.codes[r]
-				}
-			} else {
-				if df.nulls.get(r - m) {
-					v.SetNull(i)
-					v.Codes[i] = 0
-				} else {
-					v.Codes[i] = base + df.codes[r-m]
-				}
-			}
-		}
-	default:
-		// Unreachable with the current fragment set; box row-at-a-time
-		// so a future fragment type degrades instead of corrupting.
-		for i, r := range rows {
-			val := c.get(r)
-			if val.IsNull() {
-				v.SetNull(i)
-			} else {
-				switch v.Typ {
-				case types.TFloat:
-					v.F64[i] = val.Float()
-				default:
-					v.I64[i] = val.Int()
-				}
-			}
-		}
+		i += n
 	}
 }
