@@ -539,15 +539,6 @@ func (s *vecSpec) decodeRow(b *Batch, ri int) types.Row {
 	return row
 }
 
-// appendRowKey appends the composite AppendKey encoding of row ri's
-// output columns to dst.
-func (s *vecSpec) appendRowKey(dst []byte, b *Batch, ri int) []byte {
-	for _, ci := range s.proj {
-		dst = b.Cols[ci].AppendKeyAt(dst, ri)
-	}
-	return dst
-}
-
 // --- dictionary-code memos ---------------------------------------------
 
 // epochMemo caches one outcome per dictionary code for the current
@@ -569,13 +560,14 @@ type epochMemo[T any] struct {
 type codeMemo = epochMemo[int8]
 
 // nextView readies the memo for a vector decoded by v: a no-op while v is
-// Same as the memo's view, else a new epoch covering v's codes.
+// Same as the memo's view, else a new epoch covering v's codes and one
+// slot more (keyIndex shifts codes up one to give NULL slot 0).
 func (m *epochMemo[T]) nextView(v types.DictView) {
 	if m.cur != 0 && v.Same(m.view) {
 		return
 	}
 	m.view = v
-	m.bump(v.Size())
+	m.bump(v.Size() + 1)
 }
 
 // bump starts a new epoch, growing the tables to cover size codes.

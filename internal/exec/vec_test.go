@@ -326,6 +326,74 @@ func TestVecJoinInnerBuildMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestVecGroupByDistinctMemoryBudget runs a batch GROUP BY and a batch
+// DISTINCT over 20 000 distinct keys: under a 128 KiB budget each fails
+// with ErrMemoryBudget from its key index and groups and releases every
+// byte on Close, and under a 64 MiB one each returns all its rows.
+func TestVecGroupByDistinctMemoryBudget(t *testing.T) {
+	db := storage.NewDB()
+	ctx := plan.NewContext()
+	const n = 20000
+	tbl, err := db.CreateTable("hc", types.Schema{{Name: "k", Type: types.TInt}, {Name: "s", Type: types.TString}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i % 3)), types.NewString(fmt.Sprintf("hc-%06d", i))}
+	}
+	if err := db.InsertRows("hc", rows); err != nil {
+		t.Fatal(err)
+	}
+	scan := &plan.Scan{Info: &plan.TableInfo{Name: "hc", Schema: tbl.Schema()}, Instance: ctx.NewInstance(), Ords: []int{0, 1}}
+	scan.Cols = []types.ColumnID{ctx.NewColumn("hc.k", types.TInt), ctx.NewColumn("hc.s", types.TString)}
+	groupBy := &plan.GroupBy{Input: scan, GroupCols: []types.ColumnID{scan.Cols[1]}, Aggs: []plan.AggCol{
+		{ID: ctx.NewColumn("n", types.TInt), Op: plan.AggCount, Star: true}}}
+	strs := &plan.Scan{Info: scan.Info, Instance: ctx.NewInstance(), Ords: []int{1}}
+	strs.Cols = []types.ColumnID{ctx.NewColumn("hc.s", types.TString)}
+	plans := []struct {
+		name string
+		node plan.Node
+	}{{"group-by", groupBy}, {"distinct", &plan.Distinct{Input: strs}}}
+	for _, p := range plans {
+		for _, budget := range []int64{128 << 10, 64 << 20} {
+			gov := NewGovernance(context.Background(), budget, nil)
+			b := NewBuilder(ctx, db, db.CurrentTS())
+			b.SetVectorize(0)
+			b.SetGovernance(gov)
+			it, err := b.Build(p.node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch it.(type) {
+			case *vecGroupByIter, *vecDistinctIter:
+			default:
+				t.Fatalf("%s built %T, want a batch operator", p.name, it)
+			}
+			var got int
+			err = it.Open()
+			for err == nil {
+				var ok bool
+				if _, ok, err = it.Next(); !ok {
+					break
+				}
+				got++
+			}
+			it.Close()
+			if budget < 1<<20 {
+				if !errors.Is(err, ErrMemoryBudget) {
+					t.Errorf("%s under %d bytes: %v, want ErrMemoryBudget", p.name, budget, err)
+				}
+			} else if err != nil || got != n {
+				t.Errorf("%s under %d bytes: %d rows, %v; want %d rows", p.name, budget, got, err, n)
+			}
+			if used := gov.Tracker().Used(); used != 0 {
+				t.Errorf("%s: %d bytes still reserved after Close", p.name, used)
+			}
+		}
+	}
+}
+
 // TestCodeMemoEpochs pins the memo contract: values memoized under one
 // dictionary view stay current while later batches decode through a Same
 // view, are invisible under any other view (a merged delta, another

@@ -7,14 +7,14 @@ import (
 )
 
 // Vectorized aggregation: group-by and scalar aggregates folded directly
-// from column batches. Grouping happens on dictionary codes where the
-// single group column is a string (one decode per distinct code per
-// dictionary view, memoized), and the typed accumulators fold
-// int/float/decimal vectors without boxing. Group values are decoded
-// only when a group is first seen — never per input row. The fold keeps the row path's
-// aggState machine (accumulateValue, finalize), so the output is
-// bit-identical to the row operators (first-seen group order, NULL
-// handling, sum type promotion, and all).
+// from column batches. A keyIndex numbers each batch's group keys (a
+// dictionary-coded string decoded once per code per dictionary view),
+// and the typed accumulators fold int/float/decimal vectors without
+// boxing. Group values are boxed only when a group is first seen —
+// never per input row. The fold keeps the row path's aggState machine
+// (accumulateValue, finalize), so the output is bit-identical to the
+// row operators (first-seen group order, NULL handling, sum type
+// promotion, and all).
 
 // vecAggCol is one aggregate compiled against batch columns. gspec
 // carries the op/star/typ triple in the shape accumulateValue and
@@ -35,37 +35,31 @@ type vecAggSpec struct {
 	scalarAgg bool // no group columns: always emit one row
 }
 
-// pgEntry is one group's aggregate state: its key encoding, the boxed
-// group values, and one aggState per aggregate.
+// pgEntry is one group's aggregate state: the boxed group values, and
+// one aggState per aggregate.
 type pgEntry struct {
-	key       string
 	groupVals types.Row
 	states    []aggState
 }
 
-// vecAggTable folds batches into an ordered aggregate table, in
-// first-seen group order.
+// vecAggTable folds batches into an aggregate table: entries[id] is the
+// group of key id, in first-seen group order.
 type vecAggTable struct {
-	va    *vecAggSpec
-	table map[string]*pgEntry
-	order []*pgEntry
+	va      *vecAggSpec
+	keys    keyIndex
+	entries []pgEntry
 	// acct meters every freshly-created group against the query budget.
 	acct *memAcct
 
-	keyBuf []byte
-	valBuf []types.Value
-	all    []int32
-
-	// Single-string-group fast path: per-view memo from dictionary code
-	// to group entry. strGroup caches the shape check.
-	strGroup bool
-	codeEnt  epochMemo[*pgEntry]
-	nullEnt  *pgEntry
+	ids []int32
+	all []int32
 }
 
 func newVecAggTable(va *vecAggSpec, acct *memAcct) *vecAggTable {
-	t := &vecAggTable{va: va, table: make(map[string]*pgEntry), acct: acct}
-	t.strGroup = len(va.groupCols) == 1 && !va.scalarAgg
+	t := &vecAggTable{va: va, acct: acct}
+	if !va.scalarAgg {
+		t.keys = newKeyIndex(len(va.groupCols), true, acct)
+	}
 	return t
 }
 
@@ -76,36 +70,36 @@ func (t *vecAggTable) fold() error {
 
 // added meters a freshly-created group.
 func (t *vecAggTable) added(e *pgEntry) error {
-	return t.acct.add(int64(len(e.key)) + rowBytes(e.groupVals) + int64(len(t.va.aggs))*aggStateBytes)
+	return t.acct.add(rowBytes(e.groupVals) + int64(len(t.va.aggs))*aggStateBytes)
 }
 
-// foldBatch folds one batch's live rows into the table.
+// foldBatch folds one batch's live rows into the table. A row whose key
+// id is new opens the next group, boxing its group values.
 func (t *vecAggTable) foldBatch(b *Batch) error {
 	rows := liveRows(b, &t.all)
 	if len(rows) == 0 {
 		return nil
 	}
-	va := t.va
-	if va.scalarAgg {
+	if t.va.scalarAgg {
 		return t.foldScalar(b, rows)
 	}
-	if t.strGroup {
-		// Computed string vectors carry materialized Strs instead of
-		// dictionary codes; only dictionary-backed columns (scanned, or
-		// gathered from a join's build-local dictionary) use the memo.
-		if gv := &b.Cols[va.groupCols[0]]; gv.Typ == types.TString && len(gv.Strs) == 0 {
-			return t.foldStringGroup(b, gv, rows)
-		}
+	var err error
+	if t.ids, err = t.keys.insert(b, t.va.groupCols, rows, t.ids[:0]); err != nil {
+		return err
 	}
-	// Any other grouping encodes each live row's group key (the same
-	// Value.AppendKey encoding the row operators use, so group identity
-	// is identical).
-	for _, ri := range rows {
-		e, err := t.entryFor(b, int(ri))
-		if err != nil {
-			return err
+	for k, ri := range rows {
+		id := int(t.ids[k])
+		if id == len(t.entries) {
+			vals := make(types.Row, len(t.va.groupCols))
+			for i, ci := range t.va.groupCols {
+				vals[i] = b.Cols[ci].Value(int(ri))
+			}
+			t.entries = append(t.entries, pgEntry{groupVals: vals, states: make([]aggState, len(t.va.aggs))})
+			if err := t.added(&t.entries[id]); err != nil {
+				return err
+			}
 		}
-		if err := t.accumRow(b, e, int(ri)); err != nil {
+		if err := t.accumRow(b, &t.entries[id], int(ri)); err != nil {
 			return err
 		}
 	}
@@ -117,14 +111,13 @@ func (t *vecAggTable) foldBatch(b *Batch) error {
 // like the row operator). COUNT(*) aggregates advance by the batch's
 // live-row count without touching any vector.
 func (t *vecAggTable) foldScalar(b *Batch, rows []int32) error {
-	if len(t.order) == 0 {
-		e := &pgEntry{states: make([]aggState, len(t.va.aggs))}
-		t.order = append(t.order, e)
-		if err := t.added(e); err != nil {
+	if len(t.entries) == 0 {
+		t.entries = append(t.entries, pgEntry{states: make([]aggState, len(t.va.aggs))})
+		if err := t.added(&t.entries[0]); err != nil {
 			return err
 		}
 	}
-	e := t.order[0]
+	e := &t.entries[0]
 	for i := range t.va.aggs {
 		a := &t.va.aggs[i]
 		st := &e.states[i]
@@ -140,69 +133,6 @@ func (t *vecAggTable) foldScalar(b *Batch, rows []int32) error {
 		}
 	}
 	return nil
-}
-
-// foldStringGroup folds a single-string-column grouping on dictionary
-// codes: each distinct code is decoded and looked up in the global table
-// once per dictionary view, then every further row with that code hits
-// the memo.
-func (t *vecAggTable) foldStringGroup(b *Batch, gv *types.Vec, rows []int32) error {
-	t.codeEnt.nextView(gv.Dict)
-	hasNulls := len(gv.Nulls) > 0
-	for _, r := range rows {
-		ri := int(r)
-		var e *pgEntry
-		var err error
-		switch {
-		case hasNulls && gv.NullAt(ri):
-			// NULL group values are stable across batches; the entry is
-			// cached directly rather than through the code memo.
-			if t.nullEnt == nil {
-				if t.nullEnt, err = t.entryFor(b, ri); err != nil {
-					return err
-				}
-			}
-			e = t.nullEnt
-		default:
-			code := gv.Codes[ri]
-			var ok bool
-			if e, ok = t.codeEnt.get(code); !ok {
-				if e, err = t.entryFor(b, ri); err != nil {
-					return err
-				}
-				t.codeEnt.put(code, e)
-			}
-		}
-		if err := t.accumRow(b, e, ri); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// entryFor resolves (creating if needed) the group entry for row ri,
-// boxing and key-encoding the group values. Creation order is first-seen
-// order, which the batch sweep visits in serial scan order.
-func (t *vecAggTable) entryFor(b *Batch, ri int) (*pgEntry, error) {
-	t.keyBuf = t.keyBuf[:0]
-	t.valBuf = t.valBuf[:0]
-	for _, ci := range t.va.groupCols {
-		v := b.Cols[ci].Value(ri)
-		t.valBuf = append(t.valBuf, v)
-		t.keyBuf = v.AppendKey(t.keyBuf)
-	}
-	e, ok := t.table[string(t.keyBuf)]
-	if !ok {
-		groupVals := make(types.Row, len(t.valBuf))
-		copy(groupVals, t.valBuf)
-		e = &pgEntry{key: string(t.keyBuf), groupVals: groupVals, states: make([]aggState, len(t.va.aggs))}
-		t.table[e.key] = e
-		t.order = append(t.order, e)
-		if err := t.added(e); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
 }
 
 // accumRow folds row ri into the entry's aggregate states.
@@ -287,11 +217,12 @@ func (g *vecGroupByIter) Open() error {
 	if err := t.fold(); err != nil {
 		return err
 	}
-	order := t.order
-	if len(order) == 0 && g.va.scalarAgg {
-		order = append(order, &pgEntry{states: make([]aggState, len(g.va.aggs))})
+	entries := t.entries
+	if len(entries) == 0 && g.va.scalarAgg {
+		entries = append(entries, pgEntry{states: make([]aggState, len(g.va.aggs))})
 	}
-	for _, e := range order {
+	for k := range entries {
+		e := &entries[k]
 		out := make(types.Row, 0, len(e.groupVals)+len(g.va.aggs))
 		out = append(out, e.groupVals...)
 		for i := range g.va.aggs {

@@ -165,7 +165,6 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
 		return nil, "expression"
 	}
 	var leftPos, rightPos []int
-	var leftTyps, rightTyps []types.Type
 	for _, conj := range conjuncts {
 		eq, ok := conj.(*plan.Bin)
 		if !ok || eq.Op != "=" {
@@ -191,23 +190,12 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
 			}
 		}
 		leftPos, rightPos = append(leftPos, lp), append(rightPos, rp)
-		leftTyps, rightTyps = append(leftTyps, lc.Typ), append(rightTyps, rc.Typ)
-	}
-	keyKind := jkBytes
-	if len(leftPos) == 1 {
-		switch {
-		case intKeyType(leftTyps[0]) && intKeyType(rightTyps[0]):
-			keyKind = jkInt
-		case leftTyps[0] == types.TString && rightTyps[0] == types.TString:
-			keyKind = jkStr
-		}
 	}
 	// The build side is the row join's: the optimizer's choice, or the
 	// left input when a LIMIT bounds it and none bounds the right.
 	js := &joinSource{
 		buildLeft: n.BuildLeft || (boundedSide(n.Left) && !boundedSide(n.Right)),
 		leftOuter: n.Kind == plan.LeftOuterJoin,
-		keyKind:   keyKind,
 		batchSize: b.vecSize,
 		gov:       b.gov,
 		met:       b.met,
@@ -510,12 +498,6 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
 		b.nodeStats(n).Mode = "vector"
 	}
 	return &vecGroupByIter{va: va, gov: b.gov, met: b.met}, ""
-}
-
-// intKeyType reports whether the type's AppendKey encoding is the
-// shared integer tag (so typed int64 keys are byte-parity with it).
-func intKeyType(t types.Type) bool {
-	return t == types.TInt || t == types.TDate || t == types.TBool
 }
 
 // noteFallback records that the batch compiler declined n for the given

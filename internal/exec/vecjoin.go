@@ -9,11 +9,9 @@ import (
 
 // Vectorized hash join: a batch source over two batch sources. Open
 // drains the build side once into typed column vectors (string columns
-// re-encoded into a build-local dictionary) and indexes the non-NULL keys
-// in a hash table keyed on typed values: int64 for integer-tagged keys,
-// the decoded string for string keys, Value.AppendKey bytes otherwise.
-// Next streams probe batches through the table and emits joined batches
-// without boxing a row:
+// re-encoded into a build-local dictionary) and numbers the non-NULL keys
+// with a keyIndex. Next streams probe batches through the index and
+// emits joined batches without boxing a row:
 //
 //   - when no probe row of a batch matches more than one build row (n:1
 //     associations, LEFT OUTER extension), the probe batch's vectors pass
@@ -39,40 +37,31 @@ import (
 // never copied per row.
 //
 // When every key has one build row (the n:1 associations of the VDM),
-// Open rewrites the key maps to give each key's outcome — its build row,
-// or filtered — and the probe takes one lookup per live row, a
+// a key id resolves straight to its outcome — its build row, or
+// filtered — and the probe takes one lookup per live row, a
 // dictionary-coded key's once per code per dictionary view.
-
-// Join key strategies. The typed fast paths are byte-parity with
-// Value.AppendKey: TInt/TDate/TBool share the integer key tag encoding
-// the raw payload (so an int column joins a date column exactly as the
-// row path does), and a single string key's encoding is injective in
-// the string. Everything else — decimals (which normalize), float/int
-// mixes (which never match, as their tags differ), multi-column keys —
-// goes through the actual AppendKey bytes.
-const (
-	jkInt   uint8 = iota // single key, both sides integer-tagged
-	jkStr                // single key, both sides strings
-	jkBytes              // AppendKey-encoded key bytes
-)
 
 // buildCol is one build-side column drained into a typed vector. String
 // values are re-encoded into a build-local dictionary, so the vector's
 // codes stay valid for the join's lifetime (storage codes do not), and
-// columns gathered from it are dictionary-coded like scanned ones. Every
-// string is interned through index, so the dictionary holds each
-// distinct string once and a string join key's codes are its key ids.
+// columns gathered from it are dictionary-coded like scanned ones. A
+// keyIndex interns the strings: a string's code is its id, so the
+// dictionary holds each distinct string once. A stored single-column
+// string key takes its codes from the join's own key index instead, so
+// its strings are interned and metered once.
 type buildCol struct {
-	vec   types.Vec
-	n     int
-	dict  []string
-	index map[string]int32
-	memo  epochMemo[int32] // storage code → local code, per dictionary view
+	vec  types.Vec
+	n    int
+	dict []string
+	strs keyIndex
 }
 
-// appendRows appends src's rows at the given indexes and returns the
-// bytes they add.
-func (c *buildCol) appendRows(src *types.Vec, rows []int32) int64 {
+// appendRows appends the rows at the given indexes of b's column ci and
+// returns the bytes they add. A string column's codes are ids, its
+// rows' ids in the join's key index when given, else interned through
+// the column's own index and metered through acct.
+func (c *buildCol) appendRows(b *Batch, ci int, rows, ids []int32, acct *memAcct) (int64, error) {
+	src := &b.Cols[ci]
 	v := &c.vec
 	v.Typ = src.Typ
 	if len(src.Nulls) > 0 {
@@ -86,74 +75,58 @@ func (c *buildCol) appendRows(src *types.Vec, rows []int32) int64 {
 	n := int64(len(rows))
 	switch {
 	case src.Typ == types.TString:
-		return c.appendStrings(src, rows)
+		return 4 * n, c.appendStrings(b, ci, rows, ids, acct)
 	case src.Typ == types.TFloat:
 		for _, ri := range rows {
 			v.F64 = append(v.F64, src.F64[ri])
 		}
-		return 8 * n
+		return 8 * n, nil
 	case src.Typ == types.TDecimal:
 		for _, ri := range rows {
 			v.I64 = append(v.I64, src.I64[ri])
 			v.Scale = append(v.Scale, src.Scale[ri])
 		}
-		return 12 * n
+		return 12 * n, nil
 	}
 	v.I64 = slices.Grow(v.I64, len(rows))
 	for _, ri := range rows {
 		v.I64 = append(v.I64, src.I64[ri])
 	}
-	return 8 * n
+	return 8 * n, nil
 }
 
-// appendStrings appends string rows as build-local codes, decoding each
+// appendStrings appends string rows as build-local codes: their ids,
+// given or taken from the column's own index, which decodes each
 // distinct storage code once per dictionary view. NULL rows get code 0,
 // which no reader looks at.
-func (c *buildCol) appendStrings(src *types.Vec, rows []int32) int64 {
-	bytes := 4 * int64(len(rows))
-	hasNulls := len(src.Nulls) > 0
+func (c *buildCol) appendStrings(b *Batch, ci int, rows, ids []int32, acct *memAcct) error {
 	if c.dict == nil {
 		// A storage dictionary bounds the distinct strings a scanned
-		// column holds: size the dictionary (and the interning map) for
-		// it up front.
-		distinct := min(src.Dict.Size(), len(rows))
-		c.dict = make([]string, 0, distinct)
-		c.index = make(map[string]int32, distinct)
+		// column holds: size the dictionary for it up front.
+		c.dict = make([]string, 0, min(b.Cols[ci].Dict.Size(), len(rows)))
 	}
-	c.vec.Codes = slices.Grow(c.vec.Codes, len(rows))
-	if len(src.Strs) == 0 {
-		c.memo.nextView(src.Dict)
-	}
-	for _, ri := range rows {
-		var code int32
-		switch {
-		case hasNulls && src.NullAt(int(ri)):
-		case len(src.Strs) > 0:
-			code = c.intern(src.Strs[ri], &bytes)
-		default:
-			sc := src.Codes[ri]
-			var ok bool
-			if code, ok = c.memo.get(sc); !ok {
-				code = c.intern(src.Dict.Decode(sc), &bytes)
-				c.memo.put(sc, code)
-			}
+	base := len(c.vec.Codes)
+	if ids != nil {
+		c.vec.Codes = append(c.vec.Codes, ids...)
+	} else {
+		if c.strs.cols == nil {
+			c.strs = newKeyIndex(1, false, acct)
 		}
-		c.vec.Codes = append(c.vec.Codes, code)
+		var err error
+		if c.vec.Codes, err = c.strs.insert(b, []int{ci}, rows, c.vec.Codes); err != nil {
+			return err
+		}
+		ids = c.vec.Codes[base:]
 	}
-	return bytes
-}
-
-// intern returns the build-local code of s, adding s to the dictionary
-// (and its bytes to *bytes) the first time it is seen.
-func (c *buildCol) intern(s string, bytes *int64) int32 {
-	if code, ok := c.index[s]; ok {
-		return code
+	for k, code := range ids {
+		switch {
+		case code < 0:
+			c.vec.Codes[base+k] = 0
+		case int(code) == len(c.dict):
+			c.dict = append(c.dict, b.Cols[ci].StrAt(int(rows[k])))
+		}
 	}
-	code := int32(len(c.dict))
-	c.dict = append(c.dict, s)
-	c.index[s] = code
-	*bytes += int64(len(s)) + 16
-	return code
+	return nil
 }
 
 // gatherVec resets dst to n rows of src's layout and copies src row
@@ -218,7 +191,6 @@ type joinSource struct {
 	leftOuter bool
 	// key positions among the build/probe outputs.
 	buildKey, probeKey []int
-	keyKind            uint8
 	batchSize          int
 	gov                *Governance
 	met                *Metrics
@@ -230,8 +202,8 @@ type joinSource struct {
 	countRows bool
 	// probeOff and buildOff are each side's first output column. keep
 	// marks the output columns a consumer reads (all until need narrows
-	// it); store marks the build columns the build holds: the kept ones,
-	// those the folded filter reads, and a string key.
+	// it); store marks the build columns the build holds: the kept ones
+	// and those the folded filter reads.
 	probeOff, buildOff int
 	keep, store        []bool
 	// filt is the folded build-side filter (see fold): conjuncts over
@@ -244,28 +216,20 @@ type joinSource struct {
 	acct   memAcct
 	cols   []buildCol // build side, one per build output column
 	nbuild int
-	// The build is indexed by key id, one dense id per distinct non-NULL
-	// key: the key column's build-local code for a string key (strIDs is
-	// its interning index), else first-seen order (intIDs, bytesIDs).
+	// keys numbers the distinct non-NULL build keys in first-seen order.
 	// keyOf holds each build row's id while building (-1: NULL key); the
 	// rows of id k are then rows[off[k]:off[k+1]], in build order, a row
 	// failing the folded filter as ^row. When every id has one row
-	// (unique), layout rewrites the id maps to map each key straight to
-	// its outcome: the build row, or filtered.
-	intIDs    map[int64]int32
-	bytesIDs  map[string]int32
-	strIDs    map[string]int32
+	// (unique), rows[k] is id k's outcome: its build row, or filtered.
+	keys      keyIndex
 	keyOf     []int32
 	off, rows []int32
 	unique    bool
 	matched   []bool // buildLeft && leftOuter
 	// nullPass: the folded filter holds on the NULL extension.
 	nullPass bool
-	bkc, pkc []int // key batch columns of the build/probe batches
-	keyBuf   []byte
-	// keyMemo maps a probe key code to what the id maps give its string
-	// (noMatch when absent), per dictionary view.
-	keyMemo epochMemo[int32]
+	bkc, pkc []int   // key batch columns of the build/probe batches
+	ids      []int32 // a probe batch's key ids
 
 	// probe state
 	pb           *Batch
@@ -314,9 +278,6 @@ func (j *joinSource) need(out []bool) {
 	j.store = slices.Clone(out[j.buildOff : j.buildOff+nb])
 	for _, k := range j.filtCols {
 		j.store[k] = true
-	}
-	if j.keyKind == jkStr {
-		j.store[j.buildKey[0]] = true
 	}
 	var probe, build []int
 	for k, bc := range j.probe.proj {
@@ -401,95 +362,53 @@ func batchCols(s *vecSpec, pos []int) []int {
 func (j *joinSource) buildTable() error {
 	j.cols, j.nbuild = make([]buildCol, len(j.build.proj)), 0
 	j.bkc = batchCols(j.build, j.buildKey)
-	j.keyMemo = epochMemo[int32]{} // its ids were another build's
-	switch j.keyKind {
-	case jkInt:
-		j.intIDs = make(map[int64]int32)
-	case jkBytes:
-		j.bytesIDs = make(map[string]int32)
-	}
+	j.keys = newKeyIndex(len(j.bkc), false, &j.acct)
 	j.keyOf = j.keyOf[:0]
+	shared := -1 // the stored column whose ids are its key ids
+	if len(j.buildKey) == 1 && j.store[j.buildKey[0]] {
+		shared = j.buildKey[0]
+	}
 	var all []int32
 	err := forEachBatch(j.build, func(b *Batch) error {
 		if err := j.gov.Err(); err != nil {
 			return err
 		}
 		rows := liveRows(b, &all)
+		base := len(j.keyOf)
+		var err error
+		if j.keyOf, err = j.keys.insert(b, j.bkc, rows, j.keyOf); err != nil {
+			return err
+		}
 		bytes := 4 * int64(len(rows)) // hash-table row index
 		for k, ci := range j.build.proj {
-			if j.store[k] {
-				bytes += j.cols[k].appendRows(&b.Cols[ci], rows)
+			if !j.store[k] {
+				continue
 			}
+			var ids []int32
+			if k == shared {
+				ids = j.keyOf[base:]
+			}
+			n, err := j.cols[k].appendRows(b, ci, rows, ids, &j.acct)
+			if err != nil {
+				return err
+			}
+			bytes += n
 		}
-		j.index(b, rows)
 		j.nbuild += len(rows)
 		return j.acct.add(bytes)
 	})
 	if err != nil {
 		return err
 	}
-	nkeys := len(j.intIDs) + len(j.bytesIDs)
-	if j.keyKind == jkStr {
-		key := &j.cols[j.buildKey[0]]
-		j.strIDs, nkeys = key.index, len(key.dict)
-	}
 	for k := range j.cols {
 		c := &j.cols[k]
 		if c.vec.Typ == types.TString {
 			c.vec.Dict = types.NewDictView(c.dict, nil)
 		}
-		c.index, c.memo = nil, epochMemo[int32]{}
+		c.strs = keyIndex{}
 	}
-	j.groupRows(nkeys)
+	j.groupRows(j.keys.size())
 	return nil
-}
-
-// index records the key id of each of one build batch's rows, which were
-// appended as build rows nbuild, nbuild+1, …; a NULL key gets -1 and
-// never matches.
-func (j *joinSource) index(b *Batch, rows []int32) {
-	switch j.keyKind {
-	case jkInt:
-		v := &b.Cols[j.bkc[0]]
-		for _, ri := range rows {
-			if v.NullAt(int(ri)) {
-				j.keyOf = append(j.keyOf, -1)
-				continue
-			}
-			id, ok := j.intIDs[v.I64[ri]]
-			if !ok {
-				id = int32(len(j.intIDs))
-				j.intIDs[v.I64[ri]] = id
-			}
-			j.keyOf = append(j.keyOf, id)
-		}
-	case jkStr:
-		// The key column was just interned: its build-local code is the
-		// key id.
-		c := &j.cols[j.buildKey[0]]
-		for bi := j.nbuild; bi < j.nbuild+len(rows); bi++ {
-			id := int32(-1)
-			if !c.vec.NullAt(bi) {
-				id = c.vec.Codes[bi]
-			}
-			j.keyOf = append(j.keyOf, id)
-		}
-	default:
-		for _, ri := range rows {
-			key, null := appendVecKey(j.keyBuf[:0], b, j.bkc, int(ri))
-			j.keyBuf = key
-			if null {
-				j.keyOf = append(j.keyOf, -1)
-				continue
-			}
-			id, ok := j.bytesIDs[string(key)]
-			if !ok {
-				id = int32(len(j.bytesIDs))
-				j.bytesIDs[string(key)] = id
-			}
-			j.keyOf = append(j.keyOf, id)
-		}
-	}
 }
 
 // groupRows lays the indexed build rows out by key id (a counting sort of
@@ -576,18 +495,15 @@ func (j *joinSource) passed(pass []bool) int64 {
 	return n
 }
 
-// A probe key's outcome under a unique build, besides its build row.
-const (
-	noMatch  int32 = -1 // a NULL key, or no build row has it
-	filtered int32 = -2 // its build row fails the folded filter
-)
+// filtered is a unique build's outcome for a key whose build row fails
+// the folded filter.
+const filtered int32 = -2
 
 // layout folds the folded filter's pass bits (nil without one) into the
 // build layout. When every key id has one build row — an n:1 association
-// — id k's row is rows[k], and each id map is rewritten to give the
-// key's outcome, the row or filtered, so a probe key resolves in one
-// lookup; the per-id layout goes. Otherwise a failing row stays in rows
-// as ^row: still a match before the filter, never a pair.
+// — id k's row is rows[k], and a failing row becomes filtered, so a probe
+// key resolves to its outcome in one lookup. Otherwise a failing row
+// stays in rows as ^row: still a match before the filter, never a pair.
 func (j *joinSource) layout(pass []bool) {
 	j.unique = len(j.rows) == len(j.off)-1
 	for i, bi := range j.rows {
@@ -599,56 +515,6 @@ func (j *joinSource) layout(pass []bool) {
 			j.rows[i] = ^bi
 		}
 	}
-	if !j.unique {
-		return
-	}
-	for k, id := range j.intIDs {
-		j.intIDs[k] = j.rows[id]
-	}
-	for k, id := range j.strIDs {
-		j.strIDs[k] = j.rows[id]
-	}
-	for k, id := range j.bytesIDs {
-		j.bytesIDs[k] = j.rows[id]
-	}
-	j.off, j.rows = nil, nil
-}
-
-// appendVecKey appends the AppendKey encoding of row ri's key columns to
-// dst; null is true when any key value is NULL (the row never matches,
-// mirroring appendEvalKey).
-func appendVecKey(dst []byte, b *Batch, cols []int, ri int) ([]byte, bool) {
-	for _, ci := range cols {
-		v := &b.Cols[ci]
-		if v.NullAt(ri) {
-			return dst, true
-		}
-		dst = v.AppendKeyAt(dst, ri)
-	}
-	return dst, false
-}
-
-// key returns what the id maps give a non-NULL probe key that is a
-// computed string or byte-encoded, or noMatch (probeBatch resolves int
-// and dictionary-coded string keys itself).
-func (j *joinSource) key(pb *Batch, v *types.Vec, ri int32) int32 {
-	if j.keyKind == jkStr {
-		return strID(j.strIDs, v.Strs[ri])
-	}
-	key, null := appendVecKey(j.keyBuf[:0], pb, j.pkc, int(ri))
-	j.keyBuf = key
-	if id, ok := j.bytesIDs[string(key)]; ok && !null {
-		return id
-	}
-	return noMatch
-}
-
-// strID returns s's id in ids, or -1.
-func strID(ids map[string]int32, s string) int32 {
-	if id, ok := ids[s]; ok {
-		return id
-	}
-	return -1
 }
 
 func (j *joinSource) next() (*Batch, error) {
@@ -699,41 +565,22 @@ func (j *joinSource) next() (*Batch, error) {
 // it; with one, the pairs are emitted in chunks. Nil means the batch
 // produced no rows.
 //
-// Each live probe row takes one key lookup: a dictionary-coded string
-// key resolves each distinct code once per dictionary view (keyMemo).
-// Under a unique build the lookup yields the row's outcome and the row
-// takes at most one append; otherwise it yields the key id, whose rows
-// are walked.
+// Each live probe row takes one key lookup (keyIndex.lookup). Under a
+// unique build its id yields the row's outcome and the row takes at most
+// one append; otherwise the id's rows are walked.
 func (j *joinSource) probeBatch(pb *Batch) *Batch {
 	j.pb, j.pairPos = pb, 0
-	v := &pb.Cols[j.pkc[0]]
-	hasNulls := len(v.Nulls) > 0
-	coded := j.keyKind == jkStr && len(v.Strs) == 0
-	memo := &j.keyMemo
-	if coded {
-		memo.nextView(v.Dict)
-	}
+	live := liveRows(pb, &j.all)
+	j.ids = j.keys.lookup(pb, j.pkc, live, j.ids[:0])
 	extend := j.leftOuter && !j.buildLeft
 	unique, matched := j.unique, j.matched
 	pairP, pairB := j.pairP[:0], j.pairB[:0]
 	fanout := false
 	dropped := 0 // joined rows the folded filter removed
-	for _, ri := range liveRows(pb, &j.all) {
-		o := noMatch
-		switch {
-		case hasNulls && v.NullAt(int(ri)):
-		case coded:
-			var ok bool
-			if o, ok = memo.get(v.Codes[ri]); !ok {
-				o = strID(j.strIDs, v.Dict.Decode(v.Codes[ri]))
-				memo.put(v.Codes[ri], o)
-			}
-		case j.keyKind == jkInt:
-			if id, ok := j.intIDs[v.I64[ri]]; ok {
-				o = id
-			}
-		default:
-			o = j.key(pb, v, ri)
+	for k, ri := range live {
+		o := j.ids[k]
+		if o >= 0 && unique {
+			o = j.rows[o]
 		}
 		switch {
 		case o >= 0 && unique:
@@ -874,7 +721,7 @@ func (j *joinSource) close() {
 		j.stats.MemBytes = j.acct.bytes()
 	}
 	j.acct.close()
-	j.cols, j.intIDs, j.bytesIDs, j.strIDs, j.matched = nil, nil, nil, nil, nil
+	j.cols, j.keys, j.matched = nil, keyIndex{}, nil
 	j.off, j.rows = nil, nil
 	j.pb = nil
 }

@@ -295,7 +295,8 @@ func TestVecProbeMemoAcrossDeltaMerge(t *testing.T) {
 }
 
 // TestVecBuildInternsComputedStrings builds a join over a computed
-// string column (a CASE with two results over 2 000 build rows). The
+// string column (a CASE with two results over 2 000 build rows), once as
+// a payload column and once as the join key a consumer also reads. The
 // computed column arrives as plain strings, not storage codes, and the
 // build must still hold each distinct string once and meter it once, so
 // a large build over a few distinct values stays inside its budget.
@@ -324,54 +325,78 @@ func TestVecBuildInternsComputedStrings(t *testing.T) {
 		s.Cols = []types.ColumnID{ctx.NewColumn(name+".k", types.TInt), ctx.NewColumn(name+".n", types.TInt)}
 		return s
 	}
-	ps, bs := scan("cp"), scan("cb")
 	col := func(s *plan.Scan, i int) *plan.ColRef { return &plan.ColRef{ID: s.Cols[i], Typ: types.TInt} }
 	str := func(v string) plan.Expr { return &plan.Const{Val: types.NewString(v)} }
-	band := ctx.NewColumn("band", types.TString)
-	build := &plan.Project{Input: bs, Cols: []plan.ProjCol{
-		{ID: bs.Cols[0], Expr: col(bs, 0)},
-		{ID: band, Expr: &plan.Case{Typ: types.TString, Else: str("low"), Whens: []plan.CaseArm{{
-			Cond: &plan.Bin{Op: ">", Typ: types.TBool, L: col(bs, 1), R: &plan.Const{Val: types.NewInt(nbuild / 2)}},
-			Then: str("high")}}}},
-	}}
-	join := &plan.Project{
-		Input: &plan.Join{Kind: plan.InnerJoin, Left: ps, Right: build, Cond: &plan.Bin{Op: "=", Typ: types.TBool, L: col(ps, 0), R: col(bs, 0)}},
-		Cols:  []plan.ProjCol{{ID: ps.Cols[0], Expr: col(ps, 0)}, {ID: band, Expr: &plan.ColRef{ID: band, Typ: types.TString}}},
+	// banded projects k and a CASE band over n: "high" above nbuild/2.
+	banded := func(s *plan.Scan) (*plan.Project, *plan.ColRef) {
+		band := ctx.NewColumn("band", types.TString)
+		return &plan.Project{Input: s, Cols: []plan.ProjCol{
+			{ID: s.Cols[0], Expr: col(s, 0)},
+			{ID: band, Expr: &plan.Case{Typ: types.TString, Else: str("low"), Whens: []plan.CaseArm{{
+				Cond: &plan.Bin{Op: ">", Typ: types.TBool, L: col(s, 1), R: &plan.Const{Val: types.NewInt(nbuild / 2)}},
+				Then: str("high")}}}},
+		}}, &plan.ColRef{ID: band, Typ: types.TString}
 	}
-	for _, size := range []int{1, 2, 1024} {
-		runVecAndRow(t, ctx, db, join, size)
-	}
-
-	b := NewBuilder(ctx, db, db.CurrentTS())
-	b.SetVectorize(1024)
-	it, err := b.Build(join)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, ok := it.(*vecRowsIter).spec.src.(*joinSource)
-	if !ok {
-		t.Fatalf("pipeline source is %T, want a join", it.(*vecRowsIter).spec.src)
-	}
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var strCols int
-	for k := range js.cols {
-		if c := &js.cols[k]; c.vec.Typ == types.TString {
-			strCols++
-			if len(c.dict) != 2 {
-				t.Errorf("build column %d holds %d strings for 2 distinct values over %d rows", k, len(c.dict), nbuild)
+	strBytes := int64(len("high") + len("low") + 2*(16+keyEntryBytes))
+	for _, tc := range []struct {
+		name   string
+		strKey bool
+		// Per build row: the string's code and the row index (4 bytes
+		// each; no consumer reads the integer key column, so it is not
+		// stored), plus the index entry of each distinct key; the two
+		// distinct strings once each, with their interning entries.
+		want int64
+	}{
+		{"payload", false, nbuild*(8+keyEntryBytes) + strBytes},
+		{"key", true, nbuild*8 + strBytes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps, bs := scan("cp"), scan("cb")
+			build, band := banded(bs)
+			var probe plan.Node = ps
+			var cond plan.Expr = &plan.Bin{Op: "=", Typ: types.TBool, L: col(ps, 0), R: col(bs, 0)}
+			if tc.strKey {
+				var pband *plan.ColRef
+				probe, pband = banded(ps)
+				cond = &plan.Bin{Op: "=", Typ: types.TBool, L: pband, R: band}
 			}
-		}
-	}
-	if strCols != 1 {
-		t.Fatalf("build stores %d string columns, want the computed one", strCols)
-	}
-	// Per build row: the string's code and the row index (4 bytes each;
-	// no consumer reads the key column, so it is not stored); the two
-	// distinct strings once each.
-	if got, want := js.acct.bytes(), int64(nbuild*8+len("high")+len("low")+2*16); got != want {
-		t.Errorf("build metered %d bytes, want %d", got, want)
+			join := &plan.Project{
+				Input: &plan.Join{Kind: plan.InnerJoin, Left: probe, Right: build, Cond: cond},
+				Cols:  []plan.ProjCol{{ID: ps.Cols[0], Expr: col(ps, 0)}, {ID: band.ID, Expr: band}},
+			}
+			for _, size := range []int{1, 2, 1024} {
+				runVecAndRow(t, ctx, db, join, size)
+			}
+
+			b := NewBuilder(ctx, db, db.CurrentTS())
+			b.SetVectorize(1024)
+			it, err := b.Build(join)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, ok := it.(*vecRowsIter).spec.src.(*joinSource)
+			if !ok {
+				t.Fatalf("pipeline source is %T, want a join", it.(*vecRowsIter).spec.src)
+			}
+			if err := it.Open(); err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			var strCols int
+			for k := range js.cols {
+				if c := &js.cols[k]; c.vec.Typ == types.TString {
+					strCols++
+					if len(c.dict) != 2 {
+						t.Errorf("build column %d holds %d strings for 2 distinct values over %d rows", k, len(c.dict), nbuild)
+					}
+				}
+			}
+			if strCols != 1 {
+				t.Fatalf("build stores %d string columns, want the computed one", strCols)
+			}
+			if got := js.acct.bytes(); got != tc.want {
+				t.Errorf("build metered %d bytes, want %d", got, tc.want)
+			}
+		})
 	}
 }

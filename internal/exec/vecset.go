@@ -5,14 +5,13 @@ import (
 	"vdm/internal/types"
 )
 
-// Vectorized DISTINCT: dedup over a batch source, keying on the typed
-// AppendKey encodings built directly from the column batches
-// (Vec.AppendKeyAt is byte-parity with boxing the value and calling
-// Value.AppendKey, so group identity is exactly distinctIter's). It
-// streams: batches are pulled lazily and rows decode one at a time only
-// when their key is first seen, so a LIMIT above stops the scan early
-// and a high-duplication input boxes almost nothing. UNION ALL branches
-// dedup straight into one seen set, never materializing the union.
+// Vectorized DISTINCT: dedup over a batch source. A keyIndex numbers
+// each batch's rows by their output columns, with NULL one value as in
+// distinctIter's AppendKey keys, and a row is new when its id is. It
+// streams: batches are pulled lazily and a row is decoded only when it
+// is new, so a LIMIT above stops the scan early and a high-duplication
+// input boxes almost nothing. UNION ALL branches dedup straight into
+// one index, never materializing the union.
 
 // vecDistinctIter is the batch dedup operator.
 type vecDistinctIter struct {
@@ -22,12 +21,13 @@ type vecDistinctIter struct {
 
 	acct   memAcct
 	stride govStride
-	seen   map[string]bool
-	keyBuf []byte
+	keys   keyIndex
+	seen   int32 // distinct rows emitted: the next new id
 
-	// streaming state: current batch, its live rows
+	// streaming state: current batch, its live rows and their key ids
 	b    *Batch
 	live []int32
+	ids  []int32
 	li   int
 	all  []int32
 }
@@ -35,7 +35,7 @@ type vecDistinctIter struct {
 func (d *vecDistinctIter) Open() error {
 	d.acct = memAcct{gov: d.gov}
 	d.stride = govStride{gov: d.gov}
-	d.seen = make(map[string]bool)
+	d.keys, d.seen = newKeyIndex(len(d.src.proj), true, &d.acct), 0
 	if d.met != nil {
 		d.met.VecPipelines.Inc()
 	}
@@ -46,34 +46,32 @@ func (d *vecDistinctIter) Open() error {
 func (d *vecDistinctIter) Next() (types.Row, bool, error) {
 	for {
 		if d.li < len(d.live) {
-			ri := int(d.live[d.li])
+			k := d.li
 			d.li++
 			if err := d.stride.tick(); err != nil {
 				return nil, false, err
 			}
-			d.keyBuf = d.src.appendRowKey(d.keyBuf[:0], d.b, ri)
-			if d.seen[string(d.keyBuf)] {
+			if d.ids[k] < d.seen {
 				continue
 			}
-			key := string(d.keyBuf)
-			d.seen[key] = true
-			if err := d.acct.add(int64(len(key)) + 48); err != nil {
-				return nil, false, err
-			}
-			return d.src.decodeRow(d.b, ri), true, nil
+			d.seen++
+			return d.src.decodeRow(d.b, int(d.live[k])), true, nil
 		}
 		b, err := d.src.next()
 		if b == nil || err != nil {
 			return nil, false, err
 		}
 		d.b, d.live, d.li = b, liveRows(b, &d.all), 0
+		if d.ids, err = d.keys.insert(b, d.src.proj, d.live, d.ids[:0]); err != nil {
+			return nil, false, err
+		}
 	}
 }
 
 func (d *vecDistinctIter) Close() {
 	d.src.close()
 	d.acct.close()
-	d.seen = nil
+	d.keys = keyIndex{}
 	d.live = nil
 	d.b = nil
 }

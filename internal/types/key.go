@@ -3,8 +3,6 @@ package types
 import (
 	"encoding/binary"
 	"math"
-
-	"vdm/internal/decimal"
 )
 
 // Key-encoding tags. TInt, TDate, and TBool share one tag so that the
@@ -58,33 +56,4 @@ func AppendRowKey(dst []byte, row Row) []byte {
 		dst = v.AppendKey(dst)
 	}
 	return dst
-}
-
-// AppendKeyAt appends the key encoding of the vector's row i without
-// boxing it. The encoding is byte-identical to Value(i).AppendKey, so
-// batch operators may mix vector-derived and row-derived keys in one
-// hash table.
-func (v *Vec) AppendKeyAt(dst []byte, i int) []byte {
-	if v.NullAt(i) {
-		return append(dst, keyTagNull)
-	}
-	switch v.Typ {
-	case TInt, TDate, TBool:
-		dst = append(dst, keyTagInt)
-		return binary.BigEndian.AppendUint64(dst, uint64(v.I64[i]))
-	case TFloat:
-		dst = append(dst, keyTagFloat)
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.F64[i]))
-	case TString:
-		s := v.StrAt(i)
-		dst = append(dst, keyTagString)
-		dst = binary.AppendUvarint(dst, uint64(len(s)))
-		return append(dst, s...)
-	case TDecimal:
-		d := (decimal.Decimal{Coef: v.I64[i], Scale: v.Scale[i]}).Normalize()
-		dst = append(dst, keyTagDecimal)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(d.Coef))
-		return binary.BigEndian.AppendUint32(dst, uint32(d.Scale))
-	}
-	return append(dst, keyTagOther)
 }
