@@ -206,3 +206,52 @@ func TestIsStaticallyEmpty(t *testing.T) {
 		t.Error("union of empties")
 	}
 }
+
+// TestBoundedSideBuildsLeft pins the bounded-side build rule: under every
+// profile and with costing on or off, Optimize marks a keyed inner or
+// left-outer join BuildLeft exactly when a LIMIT bounds its left input
+// and none bounds its right.
+func TestBoundedSideBuildsLeft(t *testing.T) {
+	for _, costing := range []bool{false, true} {
+		for _, prof := range []Profile{ProfileNone, ProfileHANA} {
+			for _, kind := range []plan.JoinKind{plan.InnerJoin, plan.LeftOuterJoin} {
+				for _, side := range []struct {
+					name        string
+					left, right bool
+				}{{"unbounded", false, false}, {"bounded-left", true, false}, {"bounded-right", false, true}, {"both-bounded", true, true}} {
+					ctx := plan.NewContext()
+					input := func(name string, bounded bool) (plan.Node, types.ColumnID) {
+						info := &plan.TableInfo{Name: name, Schema: types.Schema{{Name: "k", Type: types.TInt}}}
+						scan := &plan.Scan{Info: info, Instance: ctx.NewInstance(), Ords: []int{0}}
+						scan.Cols = []types.ColumnID{ctx.NewColumn(name+".k", types.TInt)}
+						if bounded {
+							return &plan.Limit{Input: scan, Count: 5}, scan.Cols[0]
+						}
+						return scan, scan.Cols[0]
+					}
+					l, lk := input("l", side.left)
+					r, rk := input("r", side.right)
+					cond := &plan.Bin{Op: "=", L: colRef(lk, types.TInt), R: colRef(rk, types.TInt), Typ: types.TBool}
+					o := NewOptimizer(ctx, prof)
+					o.SetCosting(costing)
+					root := o.Optimize(&plan.Join{Kind: kind, Left: l, Right: r, Cond: cond})
+					var j *plan.Join
+					var find func(n plan.Node)
+					find = func(n plan.Node) {
+						if jn, ok := n.(*plan.Join); ok && j == nil {
+							j = jn
+						}
+						for _, c := range n.Inputs() {
+							find(c)
+						}
+					}
+					find(root)
+					want := side.left && !side.right
+					if j == nil || j.BuildLeft != want {
+						t.Errorf("costing=%v/%s/%s/%s: join %+v, want BuildLeft=%v", costing, prof.Name, kind, side.name, j, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -19,7 +19,9 @@ import (
 // Both decisions preserve the optimizer contract: the root's output
 // columns (IDs and order) are unchanged. Build-side selection only
 // flips a flag; join reordering wraps the rebuilt chain in a
-// pass-through Project restoring the original column order.
+// pass-through Project restoring the original column order. The build
+// side also has one statistics-free rule, markBoundedBuilds, which
+// Optimize runs last whether costing is on or off.
 
 // SetCosting enables or disables the cost-based pass for subsequent
 // Optimize calls. The pass is not a capability bit: §7 frames costing
@@ -232,6 +234,38 @@ func (o *Optimizer) chooseBuildSides(n plan.Node) {
 		o.logEvent("cost-build-side", j, 0,
 			fmt.Sprintf("build on left: est_rows left=%.0f right=%.0f", l, r))
 	}
+}
+
+// markBoundedBuilds sets Join.BuildLeft on every keyed inner or
+// left-outer join whose left input, and not its right, is bounded by a
+// LIMIT or a VALUES list: the anchor side of an augmentation join a
+// limit was pushed across (§4.4) — the paper's point that limit pushdown
+// "directly impacts which side of the join builds the hash table". It is
+// Optimize's last step under every profile, costing on or off, so the
+// flag alone decides the executors' build side.
+func markBoundedBuilds(n plan.Node) {
+	for _, c := range n.Inputs() {
+		markBoundedBuilds(c)
+	}
+	j, ok := n.(*plan.Join)
+	if ok && (j.Kind == plan.InnerJoin || j.Kind == plan.LeftOuterJoin) &&
+		boundedSide(j.Left) && !boundedSide(j.Right) && hasEquiKey(j) {
+		j.BuildLeft = true
+	}
+}
+
+// boundedSide reports whether the subtree's row count is bounded by a
+// LIMIT or a VALUES list reachable through row-preserving operators.
+func boundedSide(n plan.Node) bool {
+	switch n := n.(type) {
+	case *plan.Limit:
+		return n.Count >= 0
+	case *plan.Project, *plan.Filter:
+		return boundedSide(n.Inputs()[0])
+	case *plan.Values:
+		return true
+	}
+	return false
 }
 
 // hasEquiKey reports whether the join has at least one hashable equi

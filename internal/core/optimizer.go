@@ -118,6 +118,7 @@ func (o *Optimizer) Optimize(root plan.Node) plan.Node {
 	if o.costing {
 		root = o.costPass(root)
 	}
+	markBoundedBuilds(root)
 	o.after = plan.CollectStats(root)
 	return root
 }

@@ -168,3 +168,128 @@ func printedRows(res *engine.Result) string {
 	}
 	return sb.String()
 }
+
+// orderByPages are the LIMIT/OFFSET windows the ORDER BY battery runs
+// each sort under: none, a top-k, a page, LIMIT 0, k > n, OFFSET past the
+// end, and OFFSET without LIMIT.
+var orderByPages = []struct{ name, clause string }{
+	{"all", ""}, {"limit", " limit 10"}, {"page", " limit 10 offset 5"}, {"limit-0", " limit 0"},
+	{"k>n", " limit 1000"}, {"offset-past-end", " limit 5 offset 1000"},
+	{"offset-only", " offset 17"}, {"offset-only-past-end", " offset 1000"},
+}
+
+// orderByBattery is the ORDER BY shapes of the sort operator over every
+// key class of keyEngine's tables, each under every orderByPages window:
+// one key ascending and descending (NULLs first ascending, last
+// descending; 1, 1.0 and 1.00 tie and keep arrival order), several keys
+// with mixed directions, computed string and decimal keys, and several
+// keys over a UNION ALL whose branches tie with each other.
+func orderByBattery() []struct{ name, sql string } {
+	const u = `(select id, s, m, b from kx union all select id, s, m, b from ky) u`
+	var out []struct{ name, sql string }
+	for _, k := range []struct{ name, sel, order string }{
+		{"int", "i", "i"}, {"date", "d", "d"}, {"bool", "b", "b"}, {"decimal", "m", "m"},
+		{"float", "f", "f"}, {"string", "s", "s"},
+		{"int-desc", "i", "i desc"}, {"decimal-desc", "m", "m desc"}, {"string-desc", "s", "s desc"},
+		{"multi", "s, b, m", "s, b desc, m"},
+		{"computed-string", "s || t k", "k desc"},
+		{"computed-decimal", "m * 2 k", "k"},
+	} {
+		for _, p := range orderByPages {
+			out = append(out, struct{ name, sql string }{k.name + "/" + p.name,
+				"select id, " + k.sel + " from kx order by " + k.order + p.clause})
+		}
+	}
+	for _, p := range orderByPages {
+		out = append(out, struct{ name, sql string }{"union-multi/" + p.name,
+			"select u.id, u.s, u.m, u.b from " + u + " order by u.s desc, u.b, u.m" + p.clause})
+	}
+	return out
+}
+
+// TestVecOrderByBattery diffs the ORDER BY battery against the row
+// executor at batch sizes 1, 7 and 1024, with and without a populated
+// delta: rows, order and each value's printed form. Every Sort of the
+// battery, bare or under a LIMIT/OFFSET, must run in batch mode with no
+// decline label anywhere in the plan.
+func TestVecOrderByBattery(t *testing.T) {
+	e := keyEngine(t, 1)
+	for _, state := range []string{"main+delta", "merged"} {
+		if state == "merged" {
+			if err := e.MergeAllDeltas(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range orderByBattery() {
+			label := state + "/" + q.name
+			text, err := e.ExplainAnalyze("", q.sql)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if line := planLine(t, text, "Sort"); !strings.Contains(line, "mode=vector") || strings.Contains(text, "vec_fallback") {
+				t.Errorf("%s: Sort is not a batch operator:\n%s", label, text)
+			}
+			want := printedRows(runMeta(t, e, q.sql, engine.Options{DisableVectorize: true}, core.ProfileHANA))
+			for _, size := range []int{1, 7, 1024} {
+				got := printedRows(runMeta(t, e, q.sql, engine.Options{BatchSize: size}, core.ProfileHANA))
+				if got != want {
+					t.Errorf("%s/batch=%d: %q\n got:\n%s\nwant:\n%s", label, size, q.sql, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestVecOrderByBareSortRunsInBatchMode pins EXPLAIN ANALYZE of a bare
+// ORDER BY and an OFFSET-only one over a scan: the Sort and everything
+// under it mode=vector, and no decline label. An ORDER BY on a column
+// the query does not select leaves one row operator, the Project above
+// the Sort that drops the hidden key: a Project over a batch sink is no
+// batch stage yet. With the keys selected there is none, and row_ops=0.
+func TestVecOrderByBareSortRunsInBatchMode(t *testing.T) {
+	e := equivEngine(t)
+	for _, q := range []struct {
+		sql    string
+		rowOps int
+	}{
+		{`select o_orderkey from orders order by o_totalprice desc, o_orderkey`, 1},
+		{`select o_orderkey, o_totalprice from orders order by o_totalprice desc, o_orderkey`, 0},
+		{`select o_orderkey, o_totalprice from orders order by o_totalprice desc, o_orderkey offset 190`, 0},
+	} {
+		text, err := e.ExplainAnalyze("", q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := strings.SplitN(text, "\n", 2)[0]
+		if !strings.Contains(root, fmt.Sprintf("row_ops=%d", q.rowOps)) || strings.Contains(text, "vec_fallback") {
+			t.Errorf("%q: want row_ops=%d and no vec_fallback:\n%s", q.sql, q.rowOps, text)
+		}
+		for _, op := range []string{"Sort", "Scan"} {
+			if line := planLine(t, text, op); !strings.Contains(line, "mode=vector") {
+				t.Errorf("%q: %s is not a batch operator:\n%s", q.sql, op, text)
+			}
+		}
+	}
+}
+
+// TestVecOrderByWindowOverflow is the regression test for a LIMIT whose
+// window end, offset+count, overflows int64: it keeps every row past the
+// offset, in both executors, over a scan and over a UNION ALL.
+func TestVecOrderByWindowOverflow(t *testing.T) {
+	e := engine.New()
+	if err := e.ExecScript(`create table w (id bigint primary key, v bigint);
+		insert into w values (1, 30), (2, 10), (3, 20);`); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct{ sql, want string }{
+		{`select id from w order by v limit 9223372036854775807 offset 1`, "3\n1\n"},
+		{`select id from (select id, v from w union all select id, v from w) u order by v, id
+			limit 9223372036854775807 offset 1`, "2\n3\n3\n1\n1\n"},
+	} {
+		for _, o := range []engine.Options{{DisableVectorize: true}, {}} {
+			if got := printedRows(runMeta(t, e, q.sql, o, core.ProfileHANA)); got != q.want {
+				t.Errorf("%q (DisableVectorize=%v):\n got:\n%s\nwant:\n%s", q.sql, o.DisableVectorize, got, q.want)
+			}
+		}
+	}
+}

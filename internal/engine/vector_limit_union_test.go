@@ -101,8 +101,9 @@ func TestVecLimitUnionEquivalence(t *testing.T) {
 		}
 	}
 
-	// Without costing no join is marked BuildLeft, so a LIMIT-bounded
-	// left input is the only reason either executor builds left.
+	// Without costing only the optimizer's bounded-side rule marks a join
+	// BuildLeft: a LIMIT-bounded left input is the only reason either
+	// executor builds left.
 	check := func(state string) {
 		t.Helper()
 		for _, costing := range []bool{true, false} {

@@ -180,7 +180,7 @@ func planLine(t *testing.T, text, op string) string {
 }
 
 // TestVecFallbackExplainReasons checks the per-operator observability
-// surface over all five decline labels: the operator the batch compiler
+// surface over all four decline labels: the operator the batch compiler
 // declined carries vec_fallback=<label> in EXPLAIN (a build-only pass
 // that moves no executor counter) and in EXPLAIN ANALYZE (which also
 // bumps exec.vec_fallbacks.<label>, as plain execution does).
@@ -194,7 +194,6 @@ func TestVecFallbackExplainReasons(t *testing.T) {
 		{"mod", "expression", "Project", `select o_orderkey, mod(o_orderkey, 7) from orders`},
 		{"to-decimal", "expression", "Project", `select o_orderkey, to_decimal(o_totalprice, 1) from orders`},
 		{"or-branch", "or", "Filter", `select o_orderkey from orders where o_orderkey < 10 or o_totalprice / 2 > 1000.00`},
-		{"bare-order-by", "sort", "Sort", `select o_orderkey from orders order by o_totalprice desc, o_orderkey`},
 		{"union-of-aggregates", "union", "UnionAll", `select o_orderstatus s, count(*) c from orders group by o_orderstatus
 			union all select c_mktsegment, count(*) from customer group by c_mktsegment`},
 		{"count-distinct", "distinct", "GroupBy", `select count(distinct o_custkey) from orders`},

@@ -124,10 +124,6 @@ func (g *groupByIter) buildStats() (int64, int64) {
 	return rowSetBytes(g.groups)
 }
 
-func (s *sortIter) buildStats() (int64, int64) {
-	return rowSetBytes(s.rows)
-}
-
 // extraStatser is implemented by iterators that report extra details
 // (the top-k fusion note); statIter harvests them on Close, after the
 // counters are final.
@@ -144,8 +140,6 @@ type memAccounter interface {
 
 func (j *joinIter) memBytes() int64     { return j.acct.bytes() }
 func (g *groupByIter) memBytes() int64  { return g.acct.bytes() }
-func (s *sortIter) memBytes() int64     { return s.acct.bytes() }
-func (t *topKIter) memBytes() int64     { return t.acct.bytes() }
 func (d *distinctIter) memBytes() int64 { return d.acct.bytes() }
 
 // statIter wraps an iterator and records OpStats. It exists only when

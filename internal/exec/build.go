@@ -237,41 +237,11 @@ func (b *Builder) buildRow(n plan.Node) (Iterator, error) {
 		return &unionIter{children: children}, nil
 
 	case *plan.Sort:
-		input, err := b.Build(n.Input)
-		if err != nil {
-			return nil, err
-		}
-		keys, err := b.sortKeys(n)
-		if err != nil {
-			return nil, err
-		}
-		return &sortIter{input: input, keys: keys, gov: b.gov}, nil
+		return b.buildSort(n, nil)
 
 	case *plan.Limit:
-		// LIMIT directly above ORDER BY: fuse into a bounded top-k heap
-		// (O(k) memory, O(n log k) comparisons) instead of a full sort.
-		// Tie-breaking by input order makes it result-identical to the
-		// stable sort.
-		if srt, ok := n.Input.(*plan.Sort); ok && n.Count >= 0 && n.Offset >= 0 {
-			// The Sort node is bypassed by the fusion, so its vectorization
-			// decline (the batch top-k didn't take the pair) is recorded
-			// here.
-			b.noteFallback(srt, "sort")
-			input, err := b.Build(srt.Input)
-			if err != nil {
-				return nil, err
-			}
-			keys, err := b.sortKeys(srt)
-			if err != nil {
-				return nil, err
-			}
-			if b.met != nil {
-				b.met.TopKFusions.Inc()
-			}
-			if b.analyze {
-				b.nodeStats(srt).Note = fmt.Sprintf("fused into top_k=%d", n.Offset+n.Count)
-			}
-			return &topKIter{input: input, keys: keys, offset: n.Offset, count: n.Count, gov: b.gov}, nil
+		if srt, ok := n.Input.(*plan.Sort); ok && n.Offset >= 0 {
+			return b.buildSort(srt, n)
 		}
 		input, err := b.Build(n.Input)
 		if err != nil {
@@ -380,14 +350,9 @@ func (b *Builder) buildJoin(n *plan.Join) (Iterator, error) {
 			return nil, err
 		}
 	}
-	// Build-side choice: build the hash table on the left when the
-	// optimizer's cost-based pass estimated the left input smaller
-	// (n.BuildLeft), or when the anchor side is bounded (a limit pushed
-	// across the augmentation join, §4.4) — the paper's point that limit
-	// pushdown "directly impacts which side of the join builds the hash
-	// table". Semi, anti and keyless joins always build right.
-	if (n.Kind == plan.InnerJoin || n.Kind == plan.LeftOuterJoin) && len(j.buildKeys) > 0 &&
-		(n.BuildLeft || (boundedSide(n.Left) && !boundedSide(n.Right))) {
+	// The optimizer alone chooses the build side (n.BuildLeft). Semi,
+	// anti and keyless joins always build right.
+	if (n.Kind == plan.InnerJoin || n.Kind == plan.LeftOuterJoin) && len(j.buildKeys) > 0 && n.BuildLeft {
 		j.buildLeft = true
 		j.buildKeys, j.probeKeys = j.probeKeys, j.buildKeys
 	}
@@ -426,6 +391,42 @@ func equiSides(conj plan.Expr, leftCols, rightCols types.ColSet) (l, r plan.Expr
 		return eq.R, eq.L
 	}
 	return nil, nil
+}
+
+// buildSort builds the row ORDER BY operator over srt's input. lim is
+// the LIMIT/OFFSET fused into it, nil for a bare ORDER BY; either way one
+// stable sort by topkHeap's rule, bounded to the page when lim is.
+func (b *Builder) buildSort(srt *plan.Sort, lim *plan.Limit) (Iterator, error) {
+	input, err := b.Build(srt.Input)
+	if err != nil {
+		return nil, err
+	}
+	keys, err := b.sortKeys(srt)
+	if err != nil {
+		return nil, err
+	}
+	it := &sortIter{sortPage: sortPage{keys: keys, count: -1, gov: b.gov}, input: input}
+	if lim != nil {
+		it.offset, it.count = lim.Offset, lim.Count
+		b.noteFusion(srt, lim)
+	}
+	return it, nil
+}
+
+// noteFusion records a LIMIT fused into the ORDER BY below it: in
+// exec.topk_fusions, and under analyze on the Sort, which runs no
+// operator of its own.
+func (b *Builder) noteFusion(srt *plan.Sort, lim *plan.Limit) {
+	if b.met != nil {
+		b.met.TopKFusions.Inc()
+	}
+	if b.analyze {
+		note := topkNote(lim.Offset, lim.Count)
+		if note == "" {
+			note = "limit"
+		}
+		b.nodeStats(srt).Note = "fused into " + note
+	}
 }
 
 // sortKeys resolves a Sort node's keys to row positions.
@@ -569,22 +570,6 @@ func colConstCmp(e plan.Expr) (*plan.ColRef, types.Value, string, bool) {
 		return plan.ColConstCmp(b)
 	}
 	return nil, types.Value{}, "", false
-}
-
-// boundedSide reports whether the subtree's row count is bounded by a
-// LIMIT reachable through row-preserving operators.
-func boundedSide(n plan.Node) bool {
-	switch n := n.(type) {
-	case *plan.Limit:
-		return n.Count >= 0
-	case *plan.Project:
-		return boundedSide(n.Input)
-	case *plan.Filter:
-		return boundedSide(n.Input)
-	case *plan.Values:
-		return true
-	}
-	return false
 }
 
 // Run materializes all rows of a plan. Under governance it is also the

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"vdm/internal/decimal"
 	"vdm/internal/plan"
@@ -155,6 +154,13 @@ type aggState struct {
 	distinct map[string]bool
 }
 
+// pgEntry is one group's aggregate state: the boxed group values, and
+// one aggState per aggregate.
+type pgEntry struct {
+	groupVals types.Row
+	states    []aggState
+}
+
 type groupSpec struct {
 	op       plan.AggOp
 	arg      EvalFn // nil for COUNT(*)
@@ -188,12 +194,8 @@ func (g *groupByIter) Open() error {
 	if err := g.gov.point(PointGroupMerge); err != nil {
 		return err
 	}
-	type entry struct {
-		groupVals types.Row
-		states    []aggState
-	}
-	table := make(map[string]*entry)
-	var order []*entry
+	index := make(map[string]int)
+	var entries []pgEntry
 	var keyBuf []byte
 	stride := govStride{gov: g.gov}
 	for {
@@ -211,45 +213,30 @@ func (g *groupByIter) Open() error {
 		for _, idx := range g.groupIdx {
 			keyBuf = row[idx].AppendKey(keyBuf)
 		}
-		e, ok := table[string(keyBuf)]
+		id, ok := index[string(keyBuf)]
 		if !ok {
 			groupVals := make(types.Row, len(g.groupIdx))
 			for i, idx := range g.groupIdx {
 				groupVals[i] = row[idx]
 			}
-			e = &entry{groupVals: groupVals, states: make([]aggState, len(g.aggs))}
-			table[string(keyBuf)] = e
-			order = append(order, e)
+			id = len(entries)
+			index[string(keyBuf)] = id
+			entries = append(entries, pgEntry{groupVals: groupVals, states: make([]aggState, len(g.aggs))})
 			if err := g.acct.add(int64(len(keyBuf)) + rowBytes(groupVals) + int64(len(g.aggs))*aggStateBytes); err != nil {
 				return err
 			}
 		}
+		e := &entries[id]
 		for i := range g.aggs {
 			if err := accumulate(&e.states[i], &g.aggs[i], row, &g.acct); err != nil {
 				return err
 			}
 		}
 	}
-	if len(order) == 0 && g.scalarAgg {
-		order = append(order, &entry{states: make([]aggState, len(g.aggs))})
-	}
-	for _, e := range order {
-		out := make(types.Row, 0, len(e.groupVals)+len(g.aggs))
-		out = append(out, e.groupVals...)
-		for i := range g.aggs {
-			v, err := finalize(&e.states[i], &g.aggs[i])
-			if err != nil {
-				return err
-			}
-			out = append(out, v)
-		}
-		if err := g.acct.add(rowBytes(out)); err != nil {
-			return err
-		}
-		g.groups = append(g.groups, out)
-	}
+	var err error
+	g.groups, err = emitGroups(entries, g.aggs, g.scalarAgg, &g.acct)
 	g.pos = 0
-	return nil
+	return err
 }
 
 // accumulate folds one row into an aggregation state; acct (never nil)
@@ -379,6 +366,34 @@ func finalize(st *aggState, spec *groupSpec) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("exec: unknown aggregate")
 }
 
+// emitGroups finalizes each group's aggregate states into an output row
+// (its group values, then its aggregates), in entry order, metering every
+// row. A scalar aggregate over no input emits one row of empty states.
+// It is the one group emitter of the row and batch aggregations.
+func emitGroups(entries []pgEntry, aggs []groupSpec, scalarAgg bool, acct *memAcct) ([]types.Row, error) {
+	if len(entries) == 0 && scalarAgg {
+		entries = []pgEntry{{states: make([]aggState, len(aggs))}}
+	}
+	out := make([]types.Row, 0, len(entries))
+	for k := range entries {
+		e := &entries[k]
+		row := make(types.Row, 0, len(e.groupVals)+len(aggs))
+		row = append(row, e.groupVals...)
+		for i := range aggs {
+			v, err := finalize(&e.states[i], &aggs[i])
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, v)
+		}
+		if err := acct.add(rowBytes(row)); err != nil {
+			return nil, err
+		}
+		out = append(out, row)
+	}
+	return out, nil
+}
+
 func (g *groupByIter) Next() (types.Row, bool, error) {
 	if g.pos >= len(g.groups) {
 		return nil, false, nil
@@ -440,8 +455,7 @@ type sortKeySpec struct {
 }
 
 // compareRows orders two rows under the given sort keys. NULLs sort
-// first ascending (last descending), matching sortIter's historical
-// behavior.
+// first ascending (last descending).
 func compareRows(a, b types.Row, keys []sortKeySpec) (int, error) {
 	for _, k := range keys {
 		va, vb := a[k.idx], b[k.idx]
@@ -472,58 +486,6 @@ func compareRows(a, b types.Row, keys []sortKeySpec) (int, error) {
 		return c, nil
 	}
 	return 0, nil
-}
-
-type sortIter struct {
-	input Iterator
-	keys  []sortKeySpec
-	rows  []types.Row
-	pos   int
-	gov   *Governance
-	acct  memAcct
-}
-
-func (s *sortIter) Open() error {
-	if err := s.input.Open(); err != nil {
-		return err
-	}
-	s.acct = memAcct{gov: s.gov}
-	if err := s.gov.point(PointSort); err != nil {
-		return err
-	}
-	rows, err := drainRows(s.input, s.gov, &s.acct)
-	if err != nil {
-		return err
-	}
-	s.rows = rows
-	var sortErr error
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		c, err := compareRows(s.rows[i], s.rows[j], s.keys)
-		if err != nil && sortErr == nil {
-			sortErr = err
-		}
-		return c < 0
-	})
-	if sortErr != nil {
-		return sortErr
-	}
-	s.pos = 0
-	return nil
-}
-
-func (s *sortIter) Next() (types.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
-}
-
-func (s *sortIter) Close() {
-	s.input.Close()
-	s.acct.close()
-	s.rows = nil
 }
 
 // --- limit ------------------------------------------------------------

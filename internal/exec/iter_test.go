@@ -160,10 +160,10 @@ func TestBuildLeftJoinEquivalence(t *testing.T) {
 		Typ: types.TBool}
 	cond := &plan.Bin{Op: "AND", L: eq, R: residual, Typ: types.TBool}
 
-	// Wrap the left side in a generous limit so the build-left variant is
-	// selected (bounded side heuristic).
+	// A generous limit bounds the left side, and the plan asks for the
+	// build-left variant as the optimizer's bounded-side rule would.
 	limited := &plan.Limit{Input: ls, Count: 100}
-	outer := &plan.Join{Kind: plan.LeftOuterJoin, Left: limited, Right: rs, Cond: cond}
+	outer := &plan.Join{Kind: plan.LeftOuterJoin, Left: limited, Right: rs, Cond: cond, BuildLeft: true}
 	it, err := b.Build(outer)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestBuildLeftJoinEquivalence(t *testing.T) {
 		}
 	}
 	// Inner-mode build-left: unmatched tail suppressed.
-	innerJ := &plan.Join{Kind: plan.InnerJoin, Left: &plan.Limit{Input: ls, Count: 100}, Right: rs, Cond: eq}
+	innerJ := &plan.Join{Kind: plan.InnerJoin, Left: &plan.Limit{Input: ls, Count: 100}, Right: rs, Cond: eq, BuildLeft: true}
 	rows := runAll(t, b, innerJ)
 	if len(rows) != 2 {
 		t.Fatalf("inner build-left rows = %d", len(rows))

@@ -7,8 +7,8 @@ import "vdm/internal/metrics"
 // compiler declined. All fields are atomic; one instance is shared by
 // every Builder the engine creates (see Builder.SetMetrics).
 type Metrics struct {
-	// TopKFusions counts LIMIT-over-SORT pairs fused into a bounded
-	// top-k heap.
+	// TopKFusions counts LIMIT-over-SORT pairs fused into one ORDER BY
+	// operator.
 	TopKFusions metrics.Counter
 	// VecPipelines counts pipelines executed by the vectorized batch
 	// path (serial adapters, batch aggregations, and batch hash joins).
@@ -18,13 +18,15 @@ type Metrics struct {
 	// VecFallback* count plan nodes the batch compiler declined, by the
 	// decline's label (Builder.noteFallback): an expression or join or
 	// aggregate shape with no total kernel, an OR tree it cannot
-	// compile, an unbounded sort, a union with non-pipeline branches,
-	// and a DISTINCT (aggregate or set) it cannot key.
-	// VecFallbackAnalyzeParallel is never incremented: nothing runs in
-	// parallel, so nothing declines for it. bench/layers.go sums the
-	// field into exec.vec_fallbacks and TestVecFallbackZero* read its
-	// registered name, so it is deleted together with that bench/ code
-	// (ROADMAP item 5).
+	// compile, a union with non-pipeline branches, and a DISTINCT
+	// (aggregate or set) it cannot key.
+	// VecFallbackSort and VecFallbackAnalyzeParallel are never
+	// incremented: a Sort over a batch source always runs in batch mode
+	// and one over anything else declines unlabelled, and nothing runs
+	// in parallel. bench/layers.go sums both fields into
+	// exec.vec_fallbacks and TestVecFallbackZero* read their registered
+	// names, so they are deleted together with that bench/ code
+	// (ROADMAP item 2).
 	VecFallbackExpression      metrics.Counter
 	VecFallbackOr              metrics.Counter
 	VecFallbackSort            metrics.Counter

@@ -318,7 +318,9 @@ func rjCheck(t *testing.T, k rjKind, c rjCond, side string) {
 	if side == "limited-left" {
 		left = &plan.Limit{Input: ls, Count: 100}
 	}
-	j := &plan.Join{Kind: k.kind, Left: left, Right: rs, BuildLeft: side == "BuildLeft"}
+	// A limited left side is what the optimizer's bounded-side rule
+	// flags; the plan carries the flag either way.
+	j := &plan.Join{Kind: k.kind, Left: left, Right: rs, BuildLeft: side != "default"}
 	conds := c.exprs(ls, rs)
 	if k.notIn {
 		// x = y sits after the correlation keys: the operator finds it by

@@ -1,28 +1,46 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"vdm/internal/types"
 )
 
-// topKIter fuses ORDER BY + LIMIT into a bounded-memory top-k: instead
-// of materializing and sorting the whole input, it keeps the best
-// offset+count rows in a max-heap (O(n log k) comparisons, O(k)
-// memory). Ties on the sort keys break by input sequence number, which
-// makes the result identical to the stable full sort the serial
-// sortIter performs.
-type topKIter struct {
-	input  Iterator
-	keys   []sortKeySpec
-	offset int64
-	count  int64 // >= 0
-	gov    *Governance
-	acct   memAcct
+// sortPage is the state the row and batch ORDER BY operators share: the
+// page [offset, offset+count) they keep (count < 0: every row past
+// offset), the memory account the kept rows are metered on, and the
+// emitted rows. Both order by topkHeap's rule: bounded to the page it
+// is a max-heap (O(n log k) comparisons, O(k) memory), unbounded it
+// keeps every row; its tie-break on input sequence makes either a
+// stable sort.
+type sortPage struct {
+	keys          []sortKeySpec
+	offset, count int64
+	gov           *Governance
 
+	acct memAcct
 	rows []types.Row
 	pos  int
+}
+
+// sortIter is the row executor's one ORDER BY operator, bare (count -1)
+// or fused with the LIMIT/OFFSET above it.
+type sortIter struct {
+	sortPage
+	input Iterator
+}
+
+// pageEnd returns the end of the page [offset, offset+count), which is
+// how many rows an ORDER BY keeps and a LIMIT's scan starts at: -1 (no
+// end) when count is negative or offset+count overflows.
+func pageEnd(offset, count int64) int64 {
+	if count < 0 || count > math.MaxInt64-offset {
+		return -1
+	}
+	return offset + count
 }
 
 // topkItem is one heap candidate: a row and its arrival sequence number.
@@ -31,11 +49,12 @@ type topkItem struct {
 	seq int
 }
 
-// topkHeap is a bounded max-heap of candidates shared by the row and
-// batch top-k: the root is the worst row kept, evicted as soon as a
-// better candidate arrives. Comparison errors (values of incompatible
-// types, e.g. across UNION ALL branches) are captured on first
-// occurrence.
+// topkHeap holds the candidates of the row and batch ORDER BY. Bounded
+// (keep >= 0), it is a max-heap whose root is the worst row kept,
+// evicted as soon as a better candidate arrives; unbounded (keep < 0),
+// it keeps every candidate and orders them once, in page. Comparison
+// errors (values of incompatible types, e.g. across UNION ALL branches)
+// are captured on first occurrence.
 type topkHeap struct {
 	items []topkItem
 	keep  int
@@ -43,18 +62,22 @@ type topkHeap struct {
 	err   error
 }
 
-// after reports whether a sorts after b: worse key, or equal keys with
-// later arrival.
-func (h *topkHeap) after(a, b *topkItem) bool {
+// cmp orders two candidates: by their sort keys, then by arrival. It is
+// a total order, since no two candidates share a sequence number.
+func (h *topkHeap) cmp(a, b *topkItem) int {
 	c, err := compareRows(a.row, b.row, h.keys)
 	if err != nil && h.err == nil {
 		h.err = err
 	}
 	if c != 0 {
-		return c > 0
+		return c
 	}
-	return a.seq > b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
+
+// after reports whether a sorts after b: worse key, or equal keys with
+// later arrival.
+func (h *topkHeap) after(a, b *topkItem) bool { return h.cmp(a, b) > 0 }
 
 // rejects reports whether a full heap turns the candidate away. Only
 // the candidate row's sort-key positions are read, so a caller can test
@@ -66,7 +89,11 @@ func (h *topkHeap) rejects(c *topkItem) bool {
 // push offers a candidate, reporting whether the heap grew (the only
 // case that allocates and therefore meters).
 func (h *topkHeap) push(it topkItem) bool {
-	if len(h.items) < h.keep {
+	switch {
+	case h.keep < 0:
+		h.items = append(h.items, it)
+		return true
+	case len(h.items) < h.keep:
 		h.items = append(h.items, it)
 		h.up(len(h.items) - 1)
 		return true
@@ -111,7 +138,7 @@ func (h *topkHeap) down(i int) {
 // page returns the kept rows past offset, in output order.
 func (h *topkHeap) page(offset int64) ([]types.Row, error) {
 	items := h.items
-	sort.Slice(items, func(i, j int) bool { return h.after(&items[j], &items[i]) })
+	slices.SortFunc(items, func(a, b topkItem) int { return h.cmp(&a, &b) })
 	if h.err != nil {
 		return nil, h.err
 	}
@@ -123,20 +150,47 @@ func (h *topkHeap) page(offset int64) ([]types.Row, error) {
 	return rows, nil
 }
 
-func (t *topKIter) Open() error {
+// start readies the page for Open: it resets the account and the rows,
+// fires the pause point of a full sort or of a top-k, and returns the
+// heap to fill, nil when the page is empty.
+func (p *sortPage) start() (*topkHeap, error) {
+	p.acct = memAcct{gov: p.gov}
+	p.rows, p.pos = nil, 0
+	keep := pageEnd(p.offset, p.count)
+	point := PointTopK
+	if keep < 0 {
+		point = PointSort
+	}
+	if err := p.gov.point(point); err != nil || keep == 0 {
+		return nil, err
+	}
+	return &topkHeap{keep: int(keep), keys: p.keys}, nil
+}
+
+func (p *sortPage) Next() (types.Row, bool, error) {
+	if p.pos >= len(p.rows) {
+		return nil, false, nil
+	}
+	row := p.rows[p.pos]
+	p.pos++
+	return row, true, nil
+}
+
+func (p *sortPage) buildStats() (int64, int64) { return rowSetBytes(p.rows) }
+func (p *sortPage) memBytes() int64            { return p.acct.bytes() }
+
+func (p *sortPage) extraStats(st *OpStats) {
+	st.Note = topkNote(p.offset, p.count)
+}
+
+func (t *sortIter) Open() error {
 	if err := t.input.Open(); err != nil {
 		return err
 	}
-	t.acct = memAcct{gov: t.gov}
-	if err := t.gov.point(PointTopK); err != nil {
+	h, err := t.start()
+	if h == nil || err != nil {
 		return err
 	}
-	t.rows, t.pos = nil, 0
-	keep := int(t.offset + t.count)
-	if keep <= 0 {
-		return nil
-	}
-	h := &topkHeap{keep: keep, keys: t.keys}
 	stride := govStride{gov: t.gov}
 	for seq := 0; ; seq++ {
 		row, ok, err := t.input.Next()
@@ -149,8 +203,8 @@ func (t *topKIter) Open() error {
 		if err := stride.tick(); err != nil {
 			return err
 		}
-		// Only heap growth is metered: the heap is bounded at keep rows,
-		// replacements reuse the slot.
+		// Only heap growth is metered: a bounded heap holds at most keep
+		// rows, and replacements reuse the slot.
 		if h.push(topkItem{row: row, seq: seq}) {
 			if err := t.acct.add(rowBytes(row)); err != nil {
 				return err
@@ -160,30 +214,21 @@ func (t *topKIter) Open() error {
 			return h.err
 		}
 	}
-	rows, err := h.page(t.offset)
-	t.rows = rows
+	t.rows, err = h.page(t.offset)
 	return err
 }
 
-func (t *topKIter) Next() (types.Row, bool, error) {
-	if t.pos >= len(t.rows) {
-		return nil, false, nil
-	}
-	row := t.rows[t.pos]
-	t.pos++
-	return row, true, nil
-}
-
-func (t *topKIter) Close() {
+func (t *sortIter) Close() {
 	t.input.Close()
 	t.acct.close()
 	t.rows = nil
 }
 
-func (t *topKIter) buildStats() (int64, int64) {
-	return rowSetBytes(t.rows)
-}
-
-func (t *topKIter) extraStats(st *OpStats) {
-	st.Note = fmt.Sprintf("top_k=%d", t.offset+t.count)
+// topkNote is the EXPLAIN ANALYZE note of an ORDER BY operator: its
+// top-k window, or nothing when it keeps every row.
+func topkNote(offset, count int64) string {
+	if keep := pageEnd(offset, count); keep >= 0 {
+		return fmt.Sprintf("top_k=%d", keep)
+	}
+	return ""
 }

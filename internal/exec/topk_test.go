@@ -2,6 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"vdm/internal/types"
@@ -35,9 +38,10 @@ func drainAll(t *testing.T, it Iterator) []types.Row {
 	return rows
 }
 
-// TestTopKMatchesSortLimit verifies the fused top-k heap produces
-// exactly the rows the stable full sort + limit pipeline produces, for
-// ascending/descending keys, ties, offsets, and out-of-range limits.
+// TestTopKMatchesSortLimit verifies the ORDER BY operator, bounded to a
+// top-k heap or keeping every row, produces exactly the rows a stable
+// full sort sliced to the page produces, for ascending/descending keys,
+// ties, offsets, and out-of-range limits.
 func TestTopKMatchesSortLimit(t *testing.T) {
 	rows := topKInput(100)
 	cases := []struct {
@@ -53,20 +57,27 @@ func TestTopKMatchesSortLimit(t *testing.T) {
 		{false, 0, 1000}, // keep > input
 		{true, 98, 10},   // offset near the end
 		{false, 200, 5},  // offset past the end
+		{false, 0, -1},   // bare ORDER BY
+		{true, 0, -1},
+		{true, 7, -1},              // OFFSET without LIMIT
+		{false, 1, math.MaxInt64},  // window end overflows
+		{true, 200, math.MaxInt64}, // ... and the offset is past the end
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("desc=%v/off=%d/cnt=%d", c.desc, c.offset, c.count)
 		keys := []sortKeySpec{{idx: 0, desc: c.desc}}
-		want := drainAll(t, &limitIter{
-			input:  &sortIter{input: &valuesIter{rows: rows}, keys: keys},
-			count:  c.count,
-			offset: c.offset,
+		want := slices.Clone(rows)
+		sort.SliceStable(want, func(i, j int) bool {
+			cmp, _ := compareRows(want[i], want[j], keys)
+			return cmp < 0
 		})
-		got := drainAll(t, &topKIter{
-			input:  &valuesIter{rows: rows},
-			keys:   keys,
-			offset: c.offset,
-			count:  c.count,
+		want = want[min(c.offset, int64(len(want))):]
+		if c.count >= 0 {
+			want = want[:min(c.count, int64(len(want)))]
+		}
+		got := drainAll(t, &sortIter{
+			sortPage: sortPage{keys: keys, offset: c.offset, count: c.count},
+			input:    &valuesIter{rows: rows},
 		})
 		if len(got) != len(want) {
 			t.Errorf("%s: got %d rows, want %d", name, len(got), len(want))
@@ -91,10 +102,9 @@ func TestTopKTieBreakIsInputOrder(t *testing.T) {
 		{types.NewInt(1), types.NewString("third")},
 		{types.NewInt(0), types.NewString("smallest")},
 	}
-	got := drainAll(t, &topKIter{
-		input: &valuesIter{rows: rows},
-		keys:  []sortKeySpec{{idx: 0}},
-		count: 2,
+	got := drainAll(t, &sortIter{
+		sortPage: sortPage{keys: []sortKeySpec{{idx: 0}}, count: 2},
+		input:    &valuesIter{rows: rows},
 	})
 	if len(got) != 2 || got[0][1].Str() != "smallest" || got[1][1].Str() != "first" {
 		t.Fatalf("tie-break violated: got %v", got)

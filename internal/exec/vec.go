@@ -233,8 +233,8 @@ func (l *limitSource) open() error {
 	if err := l.in.open(); err != nil {
 		return err
 	}
-	if l.scan != nil && l.count >= 0 {
-		l.scan.startAt(l.offset + l.count)
+	if end := pageEnd(l.offset, l.count); l.scan != nil && end >= 0 {
+		l.scan.startAt(end)
 	}
 	return nil
 }

@@ -394,6 +394,87 @@ func TestVecGroupByDistinctMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestVecSortPointsAndMemoryBudget runs the batch ORDER BY bare, as a
+// top-k and OFFSET-only over 20 000 rows. An unbounded sort fires
+// PointSort and a bounded one PointTopK. Under a 128 KiB budget the two
+// unbounded sorts fail with ErrMemoryBudget and the top-k, which holds
+// ten rows, does not; under 64 MiB each returns its page. Every byte is
+// released on Close.
+func TestVecSortPointsAndMemoryBudget(t *testing.T) {
+	db := storage.NewDB()
+	ctx := plan.NewContext()
+	const n = 20000
+	tbl, err := db.CreateTable("hs", types.Schema{{Name: "k", Type: types.TInt}, {Name: "s", Type: types.TString}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i % 7)), types.NewString(fmt.Sprintf("hs-%06d", i))}
+	}
+	if err := db.InsertRows("hs", rows); err != nil {
+		t.Fatal(err)
+	}
+	scan := &plan.Scan{Info: &plan.TableInfo{Name: "hs", Schema: tbl.Schema()}, Instance: ctx.NewInstance(), Ords: []int{0, 1}}
+	scan.Cols = []types.ColumnID{ctx.NewColumn("hs.k", types.TInt), ctx.NewColumn("hs.s", types.TString)}
+	srt := &plan.Sort{Input: scan, Keys: []plan.SortKey{{Col: scan.Cols[0], Desc: true}}}
+	plans := []struct {
+		name  string
+		node  plan.Node
+		point string
+		rows  int
+	}{
+		{"bare", srt, PointSort, n},
+		{"top-k", &plan.Limit{Input: srt, Count: 10}, PointTopK, 10},
+		{"offset-only", &plan.Limit{Input: srt, Count: -1, Offset: 5}, PointSort, n - 5},
+	}
+	for _, p := range plans {
+		for _, budget := range []int64{128 << 10, 64 << 20} {
+			var points []string
+			hooks := &Hooks{OnPoint: func(_ context.Context, point string) error {
+				if point == PointSort || point == PointTopK {
+					points = append(points, point)
+				}
+				return nil
+			}}
+			gov := NewGovernance(context.Background(), budget, hooks)
+			b := NewBuilder(ctx, db, db.CurrentTS())
+			b.SetVectorize(0)
+			b.SetGovernance(gov)
+			it, err := b.Build(p.node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := it.(*vecSortIter); !ok {
+				t.Fatalf("%s built %T, want the batch sort", p.name, it)
+			}
+			var got int
+			err = it.Open()
+			for err == nil {
+				var ok bool
+				if _, ok, err = it.Next(); !ok {
+					break
+				}
+				got++
+			}
+			it.Close()
+			if len(points) != 1 || points[0] != p.point {
+				t.Errorf("%s fired %v, want [%s]", p.name, points, p.point)
+			}
+			if budget < 1<<20 && p.point == PointSort {
+				if !errors.Is(err, ErrMemoryBudget) {
+					t.Errorf("%s under %d bytes: %v, want ErrMemoryBudget", p.name, budget, err)
+				}
+			} else if err != nil || got != p.rows {
+				t.Errorf("%s under %d bytes: %d rows, %v; want %d rows", p.name, budget, got, err, p.rows)
+			}
+			if used := gov.Tracker().Used(); used != 0 {
+				t.Errorf("%s: %d bytes still reserved after Close", p.name, used)
+			}
+		}
+	}
+}
+
 // TestCodeMemoEpochs pins the memo contract: values memoized under one
 // dictionary view stay current while later batches decode through a Same
 // view, are invisible under any other view (a merged delta, another

@@ -16,30 +16,16 @@ import (
 // row operators (first-seen group order, NULL handling, sum type
 // promotion, and all).
 
-// vecAggCol is one aggregate compiled against batch columns. gspec
-// carries the op/star/typ triple in the shape accumulateValue and
-// finalize expect, so the vector fold reuses the row path's state
-// machine exactly.
-type vecAggCol struct {
-	op    plan.AggOp
-	star  bool
-	col   int // batch column of the argument; unused when star
-	gspec groupSpec
-}
-
-// vecAggSpec describes a full aggregation over a batch source.
+// vecAggSpec describes a full aggregation over a batch source. Its
+// aggregates are groupSpecs, as the row path's, so the vector fold reuses
+// the row path's state machine (accumulateValue, finalize) exactly; their
+// arguments are the batch columns argCols instead of compiled functions.
 type vecAggSpec struct {
 	spec      *vecSpec
 	groupCols []int // batch columns of the group-by keys
-	aggs      []vecAggCol
-	scalarAgg bool // no group columns: always emit one row
-}
-
-// pgEntry is one group's aggregate state: the boxed group values, and
-// one aggState per aggregate.
-type pgEntry struct {
-	groupVals types.Row
-	states    []aggState
+	aggs      []groupSpec
+	argCols   []int // batch column of each aggregate's argument; unused when star
+	scalarAgg bool  // no group columns: always emit one row
 }
 
 // vecAggTable folds batches into an aggregate table: entries[id] is the
@@ -125,7 +111,7 @@ func (t *vecAggTable) foldScalar(b *Batch, rows []int32) error {
 			st.count += int64(len(rows))
 			continue
 		}
-		v := &b.Cols[a.col]
+		v := &b.Cols[t.va.argCols[i]]
 		for _, ri := range rows {
 			if err := vecAccumulate(st, a, v, int(ri)); err != nil {
 				return err
@@ -144,7 +130,7 @@ func (t *vecAggTable) accumRow(b *Batch, e *pgEntry, ri int) error {
 			st.count++
 			continue
 		}
-		if err := vecAccumulate(st, a, &b.Cols[a.col], ri); err != nil {
+		if err := vecAccumulate(st, a, &b.Cols[t.va.argCols[i]], ri); err != nil {
 			return err
 		}
 	}
@@ -157,7 +143,7 @@ func (t *vecAggTable) accumRow(b *Batch, e *pgEntry, ri int) error {
 // equal-scale decimal add is identical to decimal.Add (alignment at
 // equal scales is a raw coefficient add). Everything else boxes the slot
 // and calls accumulateValue itself, so the semantics cannot drift.
-func vecAccumulate(st *aggState, a *vecAggCol, v *types.Vec, ri int) error {
+func vecAccumulate(st *aggState, a *groupSpec, v *types.Vec, ri int) error {
 	if len(v.Nulls) > 0 && v.NullAt(ri) {
 		return nil // NULLs don't count and don't accumulate
 	}
@@ -188,7 +174,7 @@ func vecAccumulate(st *aggState, a *vecAggCol, v *types.Vec, ri int) error {
 			return nil
 		}
 	}
-	return accumulateValue(st, &a.gspec, v.Value(ri))
+	return accumulateValue(st, a, v.Value(ri))
 }
 
 // vecGroupByIter is the batch aggregation operator: it drains its
@@ -217,28 +203,10 @@ func (g *vecGroupByIter) Open() error {
 	if err := t.fold(); err != nil {
 		return err
 	}
-	entries := t.entries
-	if len(entries) == 0 && g.va.scalarAgg {
-		entries = append(entries, pgEntry{states: make([]aggState, len(g.va.aggs))})
-	}
-	for k := range entries {
-		e := &entries[k]
-		out := make(types.Row, 0, len(e.groupVals)+len(g.va.aggs))
-		out = append(out, e.groupVals...)
-		for i := range g.va.aggs {
-			v, err := finalize(&e.states[i], &g.va.aggs[i].gspec)
-			if err != nil {
-				return err
-			}
-			out = append(out, v)
-		}
-		if err := g.acct.add(rowBytes(out)); err != nil {
-			return err
-		}
-		g.groups = append(g.groups, out)
-	}
+	var err error
+	g.groups, err = emitGroups(t.entries, g.va.aggs, g.va.scalarAgg, &g.acct)
 	g.pos = 0
-	return nil
+	return err
 }
 
 func (g *vecGroupByIter) Next() (types.Row, bool, error) {

@@ -23,8 +23,8 @@ import (
 // returns nil hands the node to the row-at-a-time builder, which
 // produces identical rows in identical order (and identical errors).
 //
-// A decline carries its reason out of the compile call as one of five
-// vec_fallback labels (expression, or, sort, union, distinct). The label
+// A decline carries its reason out of the compile call as one of four
+// vec_fallback labels (expression, or, union, distinct). The label
 // is non-empty only when the node's inputs compiled and the node itself
 // did not — or, for a UNION ALL, when it is no batch source, since a
 // branch that is not one is the union's gap — so every coverage gap is
@@ -33,7 +33,7 @@ import (
 
 // SetVectorize enables the vectorized batch executor for subsequent
 // Build calls: scans, filter/project pipelines, equi hash joins, LIMIT,
-// UNION ALL, aggregations, top-k sorts and DISTINCT run over column
+// UNION ALL, aggregations, sorts and DISTINCT run over column
 // batches of the given size (<= 0 selects DefaultBatchSize). Off by
 // default, so direct Builder users keep the row executor unless they opt
 // in.
@@ -53,17 +53,14 @@ func (b *Builder) buildVec(n plan.Node) (Iterator, string) {
 	case *plan.GroupBy:
 		return b.buildVecGroupBy(n)
 	case *plan.Limit:
-		if it := b.buildVecTopK(n); it != nil {
-			return it, ""
+		if srt, ok := n.Input.(*plan.Sort); ok && n.Offset >= 0 {
+			return b.buildVecSort(srt, n), ""
 		}
 		return b.buildVecPipeline(n)
+	case *plan.Sort:
+		return b.buildVecSort(n, nil), ""
 	case *plan.Distinct:
 		return b.buildVecDistinct(n)
-	case *plan.Sort:
-		// The batch executor only runs sorts fused into a bounded top-k
-		// heap (buildVecTopK), so a Sort built on its own always falls
-		// back, however well its input pipelines.
-		return nil, "sort"
 	}
 	return nil, ""
 }
@@ -191,10 +188,9 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
 		}
 		leftPos, rightPos = append(leftPos, lp), append(rightPos, rp)
 	}
-	// The build side is the row join's: the optimizer's choice, or the
-	// left input when a LIMIT bounds it and none bounds the right.
+	// The build side is the optimizer's choice, as in the row join.
 	js := &joinSource{
-		buildLeft: n.BuildLeft || (boundedSide(n.Left) && !boundedSide(n.Right)),
+		buildLeft: n.BuildLeft,
 		leftOuter: n.Kind == plan.LeftOuterJoin,
 		batchSize: b.vecSize,
 		gov:       b.gov,
@@ -217,7 +213,7 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
 }
 
 // vecLimit compiles a LIMIT over a batch source into a limit source (a
-// Sort is none: a LIMIT over ORDER BY is the top-k sink, buildVecTopK).
+// Sort is none: a LIMIT over ORDER BY is the sort sink, buildVecSort).
 // Its fragment passes the input's batch columns through.
 func (b *Builder) vecLimit(n *plan.Limit) (*vecFrag, string) {
 	if n.Offset < 0 {
@@ -463,7 +459,7 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
 		va.groupCols = append(va.groupCols, bc)
 	}
 	for _, a := range n.Aggs {
-		ac := vecAggCol{op: a.Op, star: a.Star, gspec: groupSpec{op: a.Op, star: a.Star, typ: b.ctx.Type(a.ID)}}
+		col := 0
 		if !a.Star {
 			cr, ok := a.Arg.(*plan.ColRef)
 			if !ok {
@@ -480,16 +476,17 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
 			if !ok {
 				return nil, "expression"
 			}
-			ac.col = bc
+			col = bc
 		}
-		va.aggs = append(va.aggs, ac)
+		va.aggs = append(va.aggs, groupSpec{op: a.Op, star: a.Star, typ: b.ctx.Type(a.ID)})
+		va.argCols = append(va.argCols, col)
 	}
 	// The fold reads the group and argument columns only: a count(*)
 	// gathers no join build column at all.
 	reads := slices.Clone(va.groupCols)
-	for _, a := range va.aggs {
+	for i, a := range va.aggs {
 		if !a.star {
-			reads = append(reads, a.col)
+			reads = append(reads, va.argCols[i])
 		}
 	}
 	f.spec.need(reads)
@@ -519,8 +516,6 @@ func (b *Builder) noteFallback(n plan.Node, reason string) {
 		b.met.VecFallbackExpression.Inc()
 	case "or":
 		b.met.VecFallbackOr.Inc()
-	case "sort":
-		b.met.VecFallbackSort.Inc()
 	case "union":
 		b.met.VecFallbackUnion.Inc()
 	case "distinct":

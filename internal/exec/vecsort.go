@@ -1,62 +1,55 @@
 package exec
 
 import (
-	"fmt"
-
 	"vdm/internal/plan"
 	"vdm/internal/types"
 )
 
-// Vectorized top-k: LIMIT over ORDER BY over a batch source runs as the
-// bounded topkHeap over rows boxed straight from column batches. Only the
-// sort keys are boxed for a candidate; the rest of its row is decoded
-// only if it enters the heap, so a LIMIT 10 over millions of rows decodes
-// the keys once and full rows a handful of times. Candidates carry their
-// arrival sequence (UNION ALL branches arrive in branch order), which is
-// the row path's tie-break, so results are row- and order-identical to
-// topKIter.
+// Vectorized ORDER BY: a Sort over a batch source, bare or fused with the
+// LIMIT/OFFSET above it, runs as topkHeap over rows boxed straight from
+// column batches. A bounded sweep boxes only a candidate's sort keys
+// first; the rest of its row is decoded only if it enters the heap, so a
+// LIMIT 10 over millions of rows decodes the keys once and full rows a
+// handful of times. An unbounded sweep keeps every row, so it boxes each
+// batch's live rows at once. Candidates carry their arrival sequence
+// (UNION ALL branches arrive in branch order), which is the row path's
+// tie-break, so results are row- and order-identical to sortIter.
 
-// vecTopKIter is the batch top-k operator. Open drains the source
+// vecSortIter is the batch ORDER BY operator. Open drains the source
 // through the heap and keeps the emitted page.
-type vecTopKIter struct {
-	spec          *vecSpec
-	keyCols       []int         // batch column of each sort key
-	keys          []sortKeySpec // positions in the source's output rows
-	offset, count int64
-	gov           *Governance
-	met           *Metrics
-
-	acct memAcct
-	rows []types.Row
-	pos  int
+type vecSortIter struct {
+	sortPage
+	spec    *vecSpec
+	keyCols []int // batch column of each sort key; keys index the source's output rows
+	met     *Metrics
 }
 
-func (t *vecTopKIter) Open() error {
-	t.acct = memAcct{gov: t.gov}
-	t.rows, t.pos = nil, 0
-	if err := t.gov.point(PointTopK); err != nil {
+func (t *vecSortIter) Open() error {
+	h, err := t.start()
+	if err != nil {
 		return err
 	}
 	if t.met != nil {
 		t.met.VecPipelines.Inc()
 	}
-	keep := t.offset + t.count
-	if keep <= 0 {
+	if h == nil {
 		return nil
 	}
-	h := &topkHeap{keep: int(keep), keys: t.keys}
-	if err := t.sweep(h); err != nil {
+	sweep := t.sweepBounded
+	if h.keep < 0 {
+		sweep = t.sweepAll
+	}
+	if err := sweep(h); err != nil {
 		return err
 	}
-	rows, err := h.page(t.offset)
-	t.rows = rows
+	t.rows, err = h.page(t.offset)
 	return err
 }
 
-// sweep offers every live row of the source to the heap. A candidate's
-// sort keys are boxed into a scratch row first; the full row is boxed,
-// and the heap growth metered, only when the heap takes it.
-func (t *vecTopKIter) sweep(h *topkHeap) error {
+// sweepBounded offers every live row of the source to a bounded heap. A
+// candidate's sort keys are boxed into a scratch row first; the full row
+// is boxed, and the heap growth metered, only when the heap takes it.
+func (t *vecSortIter) sweepBounded(h *topkHeap) error {
 	scratch := make(types.Row, len(t.spec.proj))
 	var all []int32
 	seq := 0
@@ -81,35 +74,33 @@ func (t *vecTopKIter) sweep(h *topkHeap) error {
 	})
 }
 
-func (t *vecTopKIter) Next() (types.Row, bool, error) {
-	if t.pos >= len(t.rows) {
-		return nil, false, nil
-	}
-	row := t.rows[t.pos]
-	t.pos++
-	return row, true, nil
+// sweepAll keeps every live row of the source in an unbounded heap,
+// boxing each batch's rows with one decodeRows call and metering each.
+func (t *vecSortIter) sweepAll(h *topkHeap) error {
+	var all []int32
+	var rows []types.Row
+	return forEachBatch(t.spec, func(b *Batch) error {
+		rows = t.spec.decodeRows(b, liveRows(b, &all), rows[:0])
+		for _, row := range rows {
+			h.push(topkItem{row: row, seq: len(h.items)})
+			if err := t.acct.add(rowBytes(row)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-func (t *vecTopKIter) Close() {
+func (t *vecSortIter) Close() {
 	t.spec.close()
 	t.acct.close()
 	t.rows = nil
 }
 
-func (t *vecTopKIter) buildStats() (int64, int64) { return rowSetBytes(t.rows) }
-func (t *vecTopKIter) memBytes() int64            { return t.acct.bytes() }
-
-func (t *vecTopKIter) extraStats(st *OpStats) {
-	st.Note = fmt.Sprintf("top_k=%d", t.offset+t.count)
-}
-
-// buildVecTopK compiles LIMIT-over-ORDER BY into the batch top-k
-// operator when the sort input is a batch source.
-func (b *Builder) buildVecTopK(n *plan.Limit) Iterator {
-	srt, ok := n.Input.(*plan.Sort)
-	if !ok || n.Count < 0 || n.Offset < 0 {
-		return nil
-	}
+// buildVecSort compiles a Sort into the batch ORDER BY operator when its
+// input is a batch source, or returns nil. lim is the LIMIT/OFFSET fused
+// into it, nil for a bare ORDER BY.
+func (b *Builder) buildVecSort(srt *plan.Sort, lim *plan.Limit) Iterator {
 	f, _ := b.vecFragment(srt.Input)
 	if f == nil {
 		return nil
@@ -123,22 +114,14 @@ func (b *Builder) buildVecTopK(n *plan.Limit) Iterator {
 		kc[x] = f.spec.proj[k.idx]
 	}
 	f.spec.need(f.spec.proj)
-	if b.met != nil {
-		b.met.TopKFusions.Inc()
+	it := &vecSortIter{sortPage: sortPage{keys: keys, count: -1, gov: b.gov}, spec: f.spec, keyCols: kc, met: b.met}
+	if lim != nil {
+		it.offset, it.count = lim.Offset, lim.Count
+		b.noteFusion(srt, lim)
 	}
 	if b.analyze {
 		b.attachVecStats(f, true)
-		st := b.nodeStats(srt)
-		st.Mode = "vector"
-		st.Note = fmt.Sprintf("fused into top_k=%d", n.Offset+n.Count)
+		b.nodeStats(srt).Mode = "vector"
 	}
-	return &vecTopKIter{
-		spec:    f.spec,
-		keyCols: kc,
-		keys:    keys,
-		offset:  n.Offset,
-		count:   n.Count,
-		gov:     b.gov,
-		met:     b.met,
-	}
+	return it
 }

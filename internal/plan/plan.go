@@ -220,10 +220,11 @@ type Join struct {
 	// comparison by y and never by conjunct order.
 	NotIn *ColRef
 	// BuildLeft asks the executor to build the hash table on the left
-	// input and stream the right — set by the optimizer's cost-based
-	// build-side pass when the left is estimated smaller. The executor
-	// also flips on its own LIMIT-bound heuristic, so BuildLeft=false
-	// means "no statistics-driven preference", not "build right".
+	// input and stream the right. The optimizer sets it, and both
+	// executors read it alone: under costing when the left is estimated
+	// smaller, and under every profile when a LIMIT or VALUES list bounds
+	// the left input and not the right. BuildLeft=false builds right, so
+	// an unoptimized (bound-only) plan builds right everywhere.
 	BuildLeft bool
 }
 
