@@ -242,17 +242,16 @@ func TestVecOrderByBattery(t *testing.T) {
 
 // TestVecOrderByBareSortRunsInBatchMode pins EXPLAIN ANALYZE of a bare
 // ORDER BY and an OFFSET-only one over a scan: the Sort and everything
-// under it mode=vector, and no decline label. An ORDER BY on a column
-// the query does not select leaves one row operator, the Project above
-// the Sort that drops the hidden key: a Project over a batch sink is no
-// batch stage yet. With the keys selected there is none, and row_ops=0.
+// under it mode=vector, no decline label, and row_ops=0. An ORDER BY on
+// a column the query does not select runs the Project that drops the
+// hidden key as a batch stage over the sort source.
 func TestVecOrderByBareSortRunsInBatchMode(t *testing.T) {
 	e := equivEngine(t)
 	for _, q := range []struct {
 		sql    string
 		rowOps int
 	}{
-		{`select o_orderkey from orders order by o_totalprice desc, o_orderkey`, 1},
+		{`select o_orderkey from orders order by o_totalprice desc, o_orderkey`, 0},
 		{`select o_orderkey, o_totalprice from orders order by o_totalprice desc, o_orderkey`, 0},
 		{`select o_orderkey, o_totalprice from orders order by o_totalprice desc, o_orderkey offset 190`, 0},
 	} {
@@ -289,6 +288,119 @@ func TestVecOrderByWindowOverflow(t *testing.T) {
 		for _, o := range []engine.Options{{DisableVectorize: true}, {}} {
 			if got := printedRows(runMeta(t, e, q.sql, o, core.ProfileHANA)); got != q.want {
 				t.Errorf("%q (DisableVectorize=%v):\n got:\n%s\nwant:\n%s", q.sql, o.DisableVectorize, got, q.want)
+			}
+		}
+	}
+}
+
+// typedRows renders a result one row per line, each value as printed
+// with its type, so a value that prints alike under another type (an
+// INT 1 and a DECIMAL 1, a NULL of either) differs. With untypedNulls a
+// NULL prints without its type.
+func typedRows(res *engine.Result, untypedNulls bool) string {
+	var sb strings.Builder
+	for _, r := range res.Rows {
+		for i, v := range r {
+			if i > 0 {
+				sb.WriteString(" | ")
+			}
+			if untypedNulls && v.IsNull() {
+				sb.WriteString("NULL")
+				continue
+			}
+			fmt.Fprintf(&sb, "%s:%s", v.Typ, v)
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
+
+// overSinkBattery puts each operator that can sit above an aggregation,
+// an ORDER BY (bare or paged) or a DISTINCT over each such subquery of
+// keyEngine's tables. Every subquery exposes k (a key of its own type,
+// NULL in some rows), n (a BIGINT) and v (a number), plus the columns
+// that cover AVG, MIN/MAX over strings and dates, and multi-column keys.
+// The group-by-id subquery has 240 groups, so its output spans batches
+// at every batch size below that; the scalar one over no rows emits its
+// one row of empty aggregates.
+func overSinkBattery() []struct{ name, sql string } {
+	sinks := []struct{ name, sql string }{
+		{"group-int", "select i k, count(*) n, sum(m) v, avg(f) af, avg(m) am, avg(i) ai, min(s) smin, max(s) smax from kx group by i"},
+		{"group-string", "select s k, count(*) n, max(m) v, min(t) tmin, max(d) dmax from kx group by s"},
+		{"group-date", "select d k, count(*) n, sum(m) v, min(b) bmin from kx group by d"},
+		{"group-bool", "select b k, count(*) n, min(m) v, max(f) fmax from kx group by b"},
+		{"group-decimal", "select m k, count(*) n, sum(m) v, avg(m) am from kx group by m"},
+		{"group-multi", "select s k, b kb, m km, count(*) n, sum(m) v from kx group by s, b, m"},
+		{"group-id", "select id k, count(*) n, sum(m) v, max(s) smax from kx group by id"},
+		{"scalar-empty", "select min(s) k, count(*) n, sum(m) v, avg(m) am, max(d) dmax from kx where id < 0"},
+		{"scalar", "select min(s) k, count(*) n, sum(m) v, avg(f) af, max(s) smax, min(d) dmin from kx"},
+		{"sort", "select s k, id n, m v, b from kx order by s desc, b, id"},
+		{"sort-page", "select m k, id n, m v, s from kx order by m desc, id limit 30 offset 5"},
+		{"sort-offset", "select d k, id n, f v from kx order by d, id offset 200"},
+		{"distinct", "select distinct s k, i n, m v from kx"},
+		{"distinct-bool-date", "select distinct b k, d, i n, i v from kx"},
+	}
+	ops := []struct{ name, sql string }{
+		{"project", "select q.*, n * 2 + 1 n2, v + 1 v1 from (%s) q"},
+		{"filter", "select q.* from (%s) q where n > 1 or k is null"},
+		{"sort", "select q.* from (%s) q order by v desc, n, k"},
+		{"sort-page", "select q.* from (%s) q order by n desc, k limit 4 offset 1"},
+		{"limit", "select q.* from (%s) q limit 5 offset 2"},
+		{"distinct", "select distinct k from (%s) q"},
+		{"distinct-n-v", "select distinct n, v from (%s) q"},
+		{"join", "select q.k, q.n, ky.id, ky.s from (%s) q join ky on q.n = ky.id"},
+		{"left-outer-probe", "select q.k, q.n, ky.id from (%s) q left outer join ky on q.n = ky.id"},
+		{"left-outer-build", "select ky.id, q.k, q.v from ky left outer join (%s) q on ky.id = q.n"},
+		{"union", "select k, n, v from (%[1]s) q union all select k, n, v from (%[1]s) p"},
+		{"aggregate", "select count(*) c, sum(n) sn, min(k) mk, max(v) mv from (%s) q"},
+		{"group", "select k, count(*) c, sum(n) sn from (%s) q group by k"},
+	}
+	var out []struct{ name, sql string }
+	for _, s := range sinks {
+		for _, o := range ops {
+			out = append(out, struct{ name, sql string }{s.name + "/" + o.name, fmt.Sprintf(o.sql, s.sql)})
+		}
+	}
+	// A group source's strings are packed without a dictionary: compare,
+	// join and union them against dictionary-coded columns.
+	const g = "(select s k, count(*) n from kx group by s) q"
+	out = append(out, []struct{ name, sql string }{
+		{"group-string/filter-compare", "select q.* from " + g + " where k > 'b' or k = ''"},
+		{"group-string/join-on-string", "select q.k, q.n, ky.id from " + g + " join ky on q.k = ky.s"},
+		{"group-string/left-outer-build-on-string", "select ky.id, q.k, q.n from ky left outer join " + g + " on ky.s = q.k"},
+		{"group-string/union-with-scan", "select k from " + g + " union all select s from ky"},
+	}...)
+	return out
+}
+
+// TestVecOverSinksBattery diffs the over-sink battery against the row
+// executor at batch sizes 1, 7 and 1024, with and without a populated
+// delta: rows, order, and each value's type and printed form (a NULL's
+// type aside under a LEFT OUTER join, whose two executors type the NULL
+// extension differently whatever sits below them). An
+// aggregation, ORDER BY and DISTINCT are batch sources, so every
+// operator of the battery runs in batch mode, with row_ops=0 and no
+// decline label.
+func TestVecOverSinksBattery(t *testing.T) {
+	e := keyEngine(t, 1)
+	for _, state := range []string{"main+delta", "merged"} {
+		if state == "merged" {
+			if err := e.MergeAllDeltas(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range overSinkBattery() {
+			label := state + "/" + q.name
+			requireAllBatch(t, e, "", q.sql)
+			// A row LEFT OUTER join NULL-extends with untyped NULLs, the
+			// batch join with NULLs of the column's type.
+			untyped := strings.Contains(q.name, "left-outer")
+			want := typedRows(runMeta(t, e, q.sql, engine.Options{DisableVectorize: true}, core.ProfileHANA), untyped)
+			for _, size := range []int{1, 7, 1024} {
+				got := typedRows(runMeta(t, e, q.sql, engine.Options{BatchSize: size}, core.ProfileHANA), untyped)
+				if got != want {
+					t.Errorf("%s/batch=%d: %q\n got:\n%s\nwant:\n%s", label, size, q.sql, got, want)
+				}
 			}
 		}
 	}

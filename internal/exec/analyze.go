@@ -36,8 +36,8 @@ type OpStats struct {
 	// streaming operators.
 	MemBytes int64
 	// Mode reports which executor ran the operator: "vector" for the
-	// batch kernels, "row" for the classic iterators. Empty when the
-	// distinction does not apply (e.g. Values).
+	// batch kernels, "row" for the classic iterators. A Sort fused into
+	// its LIMIT reports the LIMIT's.
 	Mode string
 	// Note is a free-form annotation (e.g. top-k fusion).
 	Note string
@@ -124,13 +124,6 @@ func (g *groupByIter) buildStats() (int64, int64) {
 	return rowSetBytes(g.groups)
 }
 
-// extraStatser is implemented by iterators that report extra details
-// (the top-k fusion note); statIter harvests them on Close, after the
-// counters are final.
-type extraStatser interface {
-	extraStats(*OpStats)
-}
-
 // memAccounter is implemented by iterators carrying a governance memory
 // account; statIter harvests the accounted bytes on Close (before the
 // inner Close releases the account) into OpStats.MemBytes.
@@ -176,9 +169,6 @@ func (s *statIter) Next() (types.Row, bool, error) {
 }
 
 func (s *statIter) Close() {
-	if es, ok := s.inner.(extraStatser); ok {
-		es.extraStats(s.stats)
-	}
 	if ma, ok := s.inner.(memAccounter); ok {
 		s.stats.MemBytes = ma.memBytes()
 	}

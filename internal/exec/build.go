@@ -88,19 +88,16 @@ func (b *Builder) nodeStats(n plan.Node) *OpStats {
 }
 
 // wrapNode attaches instrumentation to a built iterator in analyze mode.
-// Nodes with both a batch and a row implementation report which executor
-// ran them; vectorized builds stamp "vector" first, so anything still
-// unstamped here ran the row iterators.
+// Every node reports which executor ran it; vectorized builds stamp
+// "vector" first, so anything still unstamped here ran the row
+// iterators.
 func (b *Builder) wrapNode(n plan.Node, it Iterator) Iterator {
 	if !b.analyze {
 		return it
 	}
 	st := b.nodeStats(n)
 	if st.Mode == "" {
-		switch n.(type) {
-		case *plan.Scan, *plan.Filter, *plan.Project, *plan.GroupBy, *plan.Join:
-			st.Mode = "row"
-		}
+		st.Mode = "row"
 	}
 	return &statIter{inner: it, stats: st}
 }
@@ -118,12 +115,13 @@ func (b *Builder) build(n plan.Node) (Iterator, error) {
 	if b.vecSize == 0 {
 		return b.buildRow(n)
 	}
-	// The batch compiler gets first pick, EXPLAIN ANALYZE included. What
-	// it declines falls back to the row path, counted per reason in
+	// The batch compiler gets first pick, EXPLAIN ANALYZE included: a
+	// subtree it compiles is one batch pipeline behind the row adapter.
+	// What it declines falls back to the row path, counted per reason in
 	// exec.vec_fallbacks and in total in exec.row_ops.
-	it, reason := b.buildVec(n)
-	if it != nil {
-		return it, nil
+	f, reason := b.vecFragment(n)
+	if f != nil {
+		return b.vecRows(f), nil
 	}
 	b.noteFallback(n, reason)
 	it, err := b.buildRow(n)
@@ -287,10 +285,7 @@ func (b *Builder) buildPrunedScan(scan *plan.Scan, ranges []storage.ColRange) (I
 	if b.vecSize > 0 {
 		if f, _ := b.vecFragment(scan); f != nil {
 			f.spec.src.(*scanSource).ranges = ranges
-			if b.analyze {
-				b.attachVecStats(f, false)
-			}
-			return b.vecRows(f.spec), nil
+			return b.vecRows(f), nil
 		}
 	}
 	tbl, ok := b.db.Table(scan.Info.Name)
@@ -408,24 +403,27 @@ func (b *Builder) buildSort(srt *plan.Sort, lim *plan.Limit) (Iterator, error) {
 	it := &sortIter{sortPage: sortPage{keys: keys, count: -1, gov: b.gov}, input: input}
 	if lim != nil {
 		it.offset, it.count = lim.Offset, lim.Count
-		b.noteFusion(srt, lim)
+		b.noteFusion(srt, lim, "row")
 	}
 	return it, nil
 }
 
 // noteFusion records a LIMIT fused into the ORDER BY below it: in
-// exec.topk_fusions, and under analyze on the Sort, which runs no
-// operator of its own.
-func (b *Builder) noteFusion(srt *plan.Sort, lim *plan.Limit) {
+// exec.topk_fusions, and under analyze as the Limit's top-k window and
+// on the Sort, which runs no operator of its own and reports the mode
+// of the one it fused into.
+func (b *Builder) noteFusion(srt *plan.Sort, lim *plan.Limit, mode string) {
 	if b.met != nil {
 		b.met.TopKFusions.Inc()
 	}
 	if b.analyze {
 		note := topkNote(lim.Offset, lim.Count)
+		b.nodeStats(lim).Note = note
 		if note == "" {
 			note = "limit"
 		}
-		b.nodeStats(srt).Note = "fused into " + note
+		st := b.nodeStats(srt)
+		st.Note, st.Mode = "fused into "+note, mode
 	}
 }
 

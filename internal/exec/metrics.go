@@ -11,7 +11,7 @@ type Metrics struct {
 	// operator.
 	TopKFusions metrics.Counter
 	// VecPipelines counts pipelines executed by the vectorized batch
-	// path (serial adapters, batch aggregations, and batch hash joins).
+	// path (row adapters and batch hash joins).
 	VecPipelines metrics.Counter
 	// VecBatches counts column batches filled by the vectorized path.
 	VecBatches metrics.Counter
@@ -19,7 +19,7 @@ type Metrics struct {
 	// decline's label (Builder.noteFallback): an expression or join or
 	// aggregate shape with no total kernel, an OR tree it cannot
 	// compile, a union with non-pipeline branches, and a DISTINCT
-	// (aggregate or set) it cannot key.
+	// aggregate.
 	// VecFallbackSort and VecFallbackAnalyzeParallel are never
 	// incremented: a Sort over a batch source always runs in batch mode
 	// and one over anything else declines unlabelled, and nothing runs

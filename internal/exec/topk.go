@@ -179,10 +179,6 @@ func (p *sortPage) Next() (types.Row, bool, error) {
 func (p *sortPage) buildStats() (int64, int64) { return rowSetBytes(p.rows) }
 func (p *sortPage) memBytes() int64            { return p.acct.bytes() }
 
-func (p *sortPage) extraStats(st *OpStats) {
-	st.Note = topkNote(p.offset, p.count)
-}
-
 func (t *sortIter) Open() error {
 	if err := t.input.Open(); err != nil {
 		return err

@@ -1,24 +1,24 @@
 package exec
 
 import (
+	"time"
+
 	"vdm/internal/storage"
 	"vdm/internal/types"
 )
 
-// Vectorized batch execution. Every batch operator consumes a batch
-// source: a compiled subtree that hands out column batches through one
-// pull contract (open / next / close). Four kinds produce batches — the
-// snapshot scan (scanSource), which materializes column batches straight
-// from storage (FillVecs: typed vectors, raw dictionary codes, null
-// bitmaps); the equi hash join (joinSource, vecjoin.go); LIMIT/OFFSET
-// (limitSource), which narrows its input's selection to the page and
-// stops pulling once it is full; and UNION ALL (unionSource), which
-// drains its branches in branch order — and a pipeline (vecSpec) runs
-// any interleaving of filter and project stages over any of them,
+// Vectorized batch execution. Every batch operator is a batch source: a
+// compiled subtree that hands out column batches through one pull
+// contract (open / next / close). The snapshot scan (scanSource) fills
+// typed vectors straight from storage (FillVecs); the equi hash join
+// (vecjoin.go), LIMIT/OFFSET, UNION ALL and DISTINCT (vecset.go) pass
+// their inputs' vectors on, narrowed or regrouped; aggregation
+// (vecagg.go) and ORDER BY (vecsort.go) hand out their materialized
+// result packed into typed vectors (rowPacker). A pipeline (vecSpec)
+// runs any interleaving of filter and project stages over any of them,
 // narrowing batches with a selection vector instead of copying
-// survivors. Pipelines are sources themselves, so every source consumes
-// whatever subtree compiled below it, and so does every sink
-// (aggregation, top-k, DISTINCT, the row adapter).
+// survivors. Pipelines are sources themselves, so a compiled plan leaves
+// batch mode only at the one row adapter (vecRowsIter) above its root.
 //
 // Filter and project stages run the expression kernels (vecexpr.go):
 // a filter narrows the selection conjunct by conjunct to the rows whose
@@ -27,9 +27,8 @@ import (
 // string comparisons and IN lists decide once per dictionary code per
 // dictionary view. Governance is checked once per batch (the same
 // granularity as the row path's govStride), and the row-iterator adapter
-// (vecRowsIter) boxes only the rows it hands out, a small chunk at a
-// time, so every result is row- and order-identical to the classic
-// executor.
+// boxes only the rows it hands out, a small chunk at a time, so every
+// result is row- and order-identical to the classic executor.
 //
 // Storage dictionary codes are only stable within one DictView (a
 // concurrent delta merge re-encodes delta rows), so state that outlives
@@ -110,7 +109,7 @@ type batchSource interface {
 }
 
 // forEachBatch opens src, hands every batch to fn, and closes src: the
-// one drain loop of the blocking batch consumers.
+// one drain loop of the blocking batch sources.
 func forEachBatch(src batchSource, fn func(*Batch) error) error {
 	defer src.close()
 	if err := src.open(); err != nil {
@@ -125,6 +124,86 @@ func forEachBatch(src batchSource, fn func(*Batch) error) error {
 			return err
 		}
 	}
+}
+
+// srcStats attributes a batch source's work to its plan node under
+// EXPLAIN ANALYZE (stats nil when off). A source records its build size
+// and memory whenever it has stats; its rows, open time and end of
+// stream only when countRows, since statIter counts those for the node it
+// wraps.
+type srcStats struct {
+	stats     *OpStats
+	countRows bool
+}
+
+func (s *srcStats) attach(st *OpStats, count bool) { s.stats, s.countRows = st, count }
+
+// emit counts an output batch, or a nil one as the end of the
+// stream, and returns it.
+func (s *srcStats) emit(b *Batch) *Batch {
+	if s.countRows {
+		if b == nil {
+			statDrained(s.stats)
+		} else {
+			statAdd(s.stats, int64(b.NumRows()))
+		}
+	}
+	return b
+}
+
+// timeOpen starts timing an open the source counts itself; the returned
+// func, deferred, records the time.
+func (s *srcStats) timeOpen() func() {
+	if s.stats == nil || !s.countRows {
+		return func() {}
+	}
+	t0 := time.Now()
+	return func() { s.stats.OpenNs += time.Since(t0).Nanoseconds() }
+}
+
+// built records the rows a materializing source holds.
+func (s *srcStats) built(rows []types.Row) {
+	if s.stats != nil {
+		s.stats.BuildRows, s.stats.BuildBytes = rowSetBytes(rows)
+	}
+}
+
+// release records acct's bytes as the node's memory and releases them.
+// A second close finds the account empty and keeps the figure.
+func (s *srcStats) release(acct *memAcct) {
+	if n := acct.bytes(); s.stats != nil && n > 0 {
+		s.stats.MemBytes = n
+	}
+	acct.close()
+}
+
+// rowPacker hands out materialized rows — finalized groups, a sorted
+// page — as batches of at most size rows, packed into vectors of the
+// plan's column types.
+type rowPacker struct {
+	typs []types.Type
+	size int
+	out  Batch
+}
+
+// pack packs the rows from *pos on into the next batch, advancing *pos,
+// or returns nil when none are left.
+func (p *rowPacker) pack(rows []types.Row, pos *int) *Batch {
+	n := min(p.size, len(rows)-*pos)
+	if n <= 0 {
+		return nil
+	}
+	chunk := rows[*pos : *pos+n]
+	for c, t := range p.typs {
+		v := &p.out.Cols[c]
+		resetComputed(v, t, n)
+		for i, row := range chunk {
+			setVecValue(v, i, row[c])
+		}
+	}
+	*pos += n
+	p.out.N = n
+	return &p.out
 }
 
 // --- snapshot scan ------------------------------------------------------
@@ -142,10 +221,7 @@ type scanSource struct {
 	batchSize int
 	gov       *Governance
 	met       *Metrics
-	// stats attributes batch fills to the Scan node under EXPLAIN
-	// ANALYZE (nil when off or when the scan is the operator statIter
-	// wraps).
-	stats *OpStats
+	srcStats
 
 	unpin      func()
 	pos, total int
@@ -194,12 +270,10 @@ func (s *scanSource) next() (*Batch, error) {
 		if s.met != nil {
 			s.met.VecBatches.Inc()
 		}
-		statAdd(s.stats, int64(len(s.idx)))
 		s.batch.N = len(s.idx)
-		return &s.batch, nil
+		return s.emit(&s.batch), nil
 	}
-	statDrained(s.stats)
-	return nil, nil
+	return s.emit(nil), nil
 }
 
 func (s *scanSource) close() {
@@ -221,7 +295,7 @@ type limitSource struct {
 	in            *vecSpec
 	offset, count int64       // count < 0: no limit
 	scan          *scanSource // the scan under in's stages, if any
-	stats         *OpStats    // EXPLAIN ANALYZE attribution (nil off)
+	srcStats
 
 	skipped, emitted int64
 	all              []int32
@@ -260,11 +334,9 @@ func (l *limitSource) next() (*Batch, error) {
 		}
 		l.emitted += int64(len(live))
 		l.out = Batch{N: b.N, Sel: live, HasSel: true, Cols: b.Cols}
-		statAdd(l.stats, int64(len(live)))
-		return &l.out, nil
+		return l.emit(&l.out), nil
 	}
-	statDrained(l.stats)
-	return nil, nil
+	return l.emit(nil), nil
 }
 
 func (l *limitSource) close() { l.in.close() }
@@ -286,8 +358,8 @@ func (l *limitSource) need(out []bool) {
 // header copies, no data moves — and its selection passed through.
 // Branches open together, as the row union's do.
 type unionSource struct {
-	kids  []*vecSpec
-	stats *OpStats // EXPLAIN ANALYZE attribution (nil off)
+	kids []*vecSpec
+	srcStats
 
 	cur int
 	out Batch
@@ -317,11 +389,9 @@ func (u *unionSource) next() (*Batch, error) {
 			u.out.Cols[i] = b.Cols[ci]
 		}
 		u.out.N, u.out.Sel, u.out.HasSel = b.N, b.Sel, b.HasSel
-		statAdd(u.stats, int64(b.NumRows()))
-		return &u.out, nil
+		return u.emit(&u.out), nil
 	}
-	statDrained(u.stats)
-	return nil, nil
+	return u.emit(nil), nil
 }
 
 func (u *unionSource) close() {
@@ -605,8 +675,8 @@ func (m *epochMemo[T]) put(code int32, v T) {
 // consumer that stops early leaves the rest of the batch undecoded.
 const decodeChunk = 64
 
-// vecRowsIter is the single batch→row adapter: it pulls batches from a
-// pipeline lazily and hands out their live rows in batch order — exactly
+// vecRowsIter is the single batch→row adapter: it pulls batches from
+// the pipeline of a compiled plan lazily and hands out their live rows in batch order — exactly
 // the row executor's order — boxing them decodeChunk rows at a time.
 type vecRowsIter struct {
 	spec *vecSpec

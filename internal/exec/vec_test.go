@@ -365,10 +365,8 @@ func TestVecGroupByDistinctMemoryBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch it.(type) {
-			case *vecGroupByIter, *vecDistinctIter:
-			default:
-				t.Fatalf("%s built %T, want a batch operator", p.name, it)
+			if !isVecPipeline(it) {
+				t.Fatalf("%s built %T, want a batch pipeline", p.name, it)
 			}
 			var got int
 			err = it.Open()
@@ -386,6 +384,89 @@ func TestVecGroupByDistinctMemoryBudget(t *testing.T) {
 				}
 			} else if err != nil || got != n {
 				t.Errorf("%s under %d bytes: %d rows, %v; want %d rows", p.name, budget, got, err, n)
+			}
+			if used := gov.Tracker().Used(); used != 0 {
+				t.Errorf("%s: %d bytes still reserved after Close", p.name, used)
+			}
+		}
+	}
+}
+
+// TestVecGroupSourceUnderJoinMemoryBudget puts a batch GROUP BY over
+// 20 000 distinct keys under a batch join, as its build side and as its
+// probe side, opposite a 10-row table: the whole plan is one batch
+// pipeline. Under a 128 KiB budget the group source's fold fails with
+// ErrMemoryBudget and every byte is released on Close; under 64 MiB the
+// join returns one row per small row.
+func TestVecGroupSourceUnderJoinMemoryBudget(t *testing.T) {
+	db := storage.NewDB()
+	ctx := plan.NewContext()
+	const n = 20000
+	big, err := db.CreateTable("hg", types.Schema{{Name: "k", Type: types.TInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := db.CreateTable("sg", types.Schema{{Name: "k", Type: types.TInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i))}
+	}
+	if err := db.InsertRows("hg", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRows("sg", rows[:10]); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(tbl *storage.Table, name string) *plan.Scan {
+		sc := &plan.Scan{Info: &plan.TableInfo{Name: name, Schema: tbl.Schema()}, Instance: ctx.NewInstance(), Ords: []int{0}}
+		sc.Cols = []types.ColumnID{ctx.NewColumn(name+".k", types.TInt)}
+		return sc
+	}
+	hg := scan(big, "hg")
+	groups := &plan.GroupBy{Input: hg, GroupCols: hg.Cols, Aggs: []plan.AggCol{
+		{ID: ctx.NewColumn("n", types.TInt), Op: plan.AggCount, Star: true}}}
+	sg := scan(small, "sg")
+	eq := &plan.Bin{Op: "=", Typ: types.TBool,
+		L: &plan.ColRef{ID: sg.Cols[0], Typ: types.TInt}, R: &plan.ColRef{ID: hg.Cols[0], Typ: types.TInt}}
+	plans := []struct {
+		name string
+		node plan.Node
+	}{
+		{"build", &plan.Join{Kind: plan.InnerJoin, Left: sg, Right: groups, Cond: eq}},
+		{"probe", &plan.Join{Kind: plan.InnerJoin, Left: groups, Right: sg, Cond: eq}},
+	}
+	for _, p := range plans {
+		for _, budget := range []int64{128 << 10, 64 << 20} {
+			gov := NewGovernance(context.Background(), budget, nil)
+			b := NewBuilder(ctx, db, db.CurrentTS())
+			b.SetVectorize(0)
+			b.SetGovernance(gov)
+			it, err := b.Build(p.node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.RowOps() != 0 || it.(*vecRowsIter).spec.src.(*joinSource) == nil {
+				t.Fatalf("%s: built %d row operators, want one batch pipeline", p.name, b.RowOps())
+			}
+			var got int
+			err = it.Open()
+			for err == nil {
+				var ok bool
+				if _, ok, err = it.Next(); !ok {
+					break
+				}
+				got++
+			}
+			it.Close()
+			if budget < 1<<20 {
+				if !errors.Is(err, ErrMemoryBudget) {
+					t.Errorf("%s under %d bytes: %v, want ErrMemoryBudget", p.name, budget, err)
+				}
+			} else if err != nil || got != 10 {
+				t.Errorf("%s under %d bytes: %d rows, %v; want 10 rows", p.name, budget, got, err)
 			}
 			if used := gov.Tracker().Used(); used != 0 {
 				t.Errorf("%s: %d bytes still reserved after Close", p.name, used)
@@ -445,8 +526,8 @@ func TestVecSortPointsAndMemoryBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := it.(*vecSortIter); !ok {
-				t.Fatalf("%s built %T, want the batch sort", p.name, it)
+			if !isVecPipeline(it) {
+				t.Fatalf("%s built %T, want a batch pipeline", p.name, it)
 			}
 			var got int
 			err = it.Open()

@@ -7,14 +7,14 @@ import (
 )
 
 // Vectorized aggregation: group-by and scalar aggregates folded directly
-// from column batches. A keyIndex numbers each batch's group keys (a
-// dictionary-coded string decoded once per code per dictionary view),
-// and the typed accumulators fold int/float/decimal vectors without
-// boxing. Group values are boxed only when a group is first seen —
-// never per input row. The fold keeps the row path's aggState machine
-// (accumulateValue, finalize), so the output is bit-identical to the
-// row operators (first-seen group order, NULL handling, sum type
-// promotion, and all).
+// from column batches, and the groups handed out as batches again. A
+// keyIndex numbers each batch's group keys (a dictionary-coded string
+// decoded once per code per dictionary view), and the typed accumulators
+// fold int/float/decimal vectors without boxing. Group values are boxed
+// only when a group is first seen — never per input row. The fold keeps
+// the row path's aggState machine (accumulateValue, finalize), so the
+// output is bit-identical to the row operators (first-seen group order,
+// NULL handling, sum type promotion, and all).
 
 // vecAggSpec describes a full aggregation over a batch source. Its
 // aggregates are groupSpecs, as the row path's, so the vector fold reuses
@@ -177,52 +177,41 @@ func vecAccumulate(st *aggState, a *groupSpec, v *types.Vec, ri int) error {
 	return accumulateValue(st, a, v.Value(ri))
 }
 
-// vecGroupByIter is the batch aggregation operator: it drains its
-// source's batches through one vecAggTable during Open, then streams the
-// finalized groups. Output rows, group order, and governance metering
-// are identical to groupByIter.
-type vecGroupByIter struct {
+// groupSource is the batch aggregation: open drains its input through
+// one vecAggTable and finalizes the groups (emitGroups), and next hands
+// them out packed into batches. Output rows, group order, and governance
+// metering are identical to groupByIter.
+type groupSource struct {
 	va  *vecAggSpec
 	gov *Governance
-	met *Metrics
+	srcStats
+	rowPacker
 
-	acct   memAcct
-	groups []types.Row
-	pos    int
+	acct memAcct
+	rows []types.Row
+	pos  int
 }
 
-func (g *vecGroupByIter) Open() error {
-	g.acct = memAcct{gov: g.gov}
+func (g *groupSource) open() error {
+	defer g.timeOpen()()
+	g.acct, g.rows, g.pos = memAcct{gov: g.gov}, nil, 0
 	if err := g.gov.point(PointGroupMerge); err != nil {
 		return err
-	}
-	if g.met != nil {
-		g.met.VecPipelines.Inc()
 	}
 	t := newVecAggTable(g.va, &g.acct)
 	if err := t.fold(); err != nil {
 		return err
 	}
 	var err error
-	g.groups, err = emitGroups(t.entries, g.va.aggs, g.va.scalarAgg, &g.acct)
-	g.pos = 0
+	g.rows, err = emitGroups(t.entries, g.va.aggs, g.va.scalarAgg, &g.acct)
+	g.built(g.rows)
 	return err
 }
 
-func (g *vecGroupByIter) Next() (types.Row, bool, error) {
-	if g.pos >= len(g.groups) {
-		return nil, false, nil
-	}
-	row := g.groups[g.pos]
-	g.pos++
-	return row, true, nil
-}
+func (g *groupSource) next() (*Batch, error) { return g.emit(g.pack(g.rows, &g.pos)), nil }
 
-func (g *vecGroupByIter) Close() {
+func (g *groupSource) close() {
 	g.va.spec.close()
-	g.acct.close()
-	g.groups = nil
+	g.release(&g.acct)
+	g.rows = nil
 }
-
-func (g *vecGroupByIter) buildStats() (int64, int64) { return rowSetBytes(g.groups) }
-func (g *vecGroupByIter) memBytes() int64            { return g.acct.bytes() }

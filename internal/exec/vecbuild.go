@@ -11,8 +11,9 @@ import (
 // Compilation of plan subtrees into vectorized batch operators. The
 // compiler is the only authority on what vectorizes: a subtree runs in
 // batch mode iff it compiles here, into batch sources (snapshot scans,
-// hash joins, LIMIT and UNION ALL), the filter/project pipelines over
-// them, and the batch sinks that consume them. Filter conjuncts and
+// hash joins, LIMIT, UNION ALL, aggregations, ORDER BY and DISTINCT) and
+// the filter/project pipelines over them; Build puts the one row adapter
+// above the compiled root. Filter conjuncts and
 // computed projections alike compile through compileVecExpr, the one
 // expression compiler, and a filter over a scan derives the scan's
 // zone-map ranges with zoneRanges, as the row path does. The rules are
@@ -29,7 +30,8 @@ import (
 // did not — or, for a UNION ALL, when it is no batch source, since a
 // branch that is not one is the union's gap — so every coverage gap is
 // reported once, at the operator that owns it; noteFallback surfaces it
-// through EXPLAIN and the exec.vec_fallbacks metrics.
+// through EXPLAIN and the exec.vec_fallbacks metrics. An operator above
+// a row operator is row-built unlabelled.
 
 // SetVectorize enables the vectorized batch executor for subsequent
 // Build calls: scans, filter/project pipelines, equi hash joins, LIMIT,
@@ -42,27 +44,6 @@ func (b *Builder) SetVectorize(batchSize int) {
 		batchSize = DefaultBatchSize
 	}
 	b.vecSize = batchSize
-}
-
-// buildVec compiles the plan shapes the batch operators execute. A nil
-// iterator declines n to the row builder, for the returned reason.
-func (b *Builder) buildVec(n plan.Node) (Iterator, string) {
-	switch n := n.(type) {
-	case *plan.Scan, *plan.Filter, *plan.Project, *plan.Join, *plan.UnionAll:
-		return b.buildVecPipeline(n)
-	case *plan.GroupBy:
-		return b.buildVecGroupBy(n)
-	case *plan.Limit:
-		if srt, ok := n.Input.(*plan.Sort); ok && n.Offset >= 0 {
-			return b.buildVecSort(srt, n), ""
-		}
-		return b.buildVecPipeline(n)
-	case *plan.Sort:
-		return b.buildVecSort(n, nil), ""
-	case *plan.Distinct:
-		return b.buildVecDistinct(n)
-	}
-	return nil, ""
 }
 
 // vecFrag is a compiled pipeline fragment: the pipeline plus the
@@ -107,10 +88,10 @@ func (f *vecFrag) rowPos(id types.ColumnID) (int, bool) {
 }
 
 // vecFragment compiles a batch source — a scan, an equi hash join, a
-// LIMIT or a UNION ALL — with any interleaving of Filter and Project
-// stages above it into a pipeline fragment. A nil fragment declines; the
-// reason is set when n's inputs compiled and n itself did not, and on a
-// UNION ALL that is no source.
+// LIMIT, a UNION ALL, an aggregation, an ORDER BY or a DISTINCT — with
+// any interleaving of Filter and Project stages above it into a pipeline
+// fragment. A nil fragment declines; the reason is set when n's inputs
+// compiled and n itself did not, and on a UNION ALL that is no source.
 func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
 	var input plan.Node
 	switch n := n.(type) {
@@ -127,6 +108,12 @@ func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
 		return b.vecLimit(n)
 	case *plan.UnionAll:
 		return b.vecUnion(n)
+	case *plan.GroupBy:
+		return b.vecGroupBy(n)
+	case *plan.Sort:
+		return b.vecSort(n, nil)
+	case *plan.Distinct:
+		return b.vecDistinct(n)
 	case *plan.Filter:
 		input = n.Input
 	case *plan.Project:
@@ -212,12 +199,15 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
 	return &vecFrag{spec: newVecSpec(js, len(cols)), cols: cols, nodes: []plan.Node{n}, kids: []*vecFrag{lf, rf}}, ""
 }
 
-// vecLimit compiles a LIMIT over a batch source into a limit source (a
-// Sort is none: a LIMIT over ORDER BY is the sort sink, buildVecSort).
-// Its fragment passes the input's batch columns through.
+// vecLimit compiles a LIMIT over a batch source into a limit source,
+// whose fragment passes the input's batch columns through, and a LIMIT
+// over ORDER BY into the sort source the two fuse into.
 func (b *Builder) vecLimit(n *plan.Limit) (*vecFrag, string) {
 	if n.Offset < 0 {
 		return nil, ""
+	}
+	if srt, ok := n.Input.(*plan.Sort); ok {
+		return b.vecSort(srt, n)
 	}
 	in, _ := b.vecFragment(n.Input)
 	if in == nil {
@@ -225,9 +215,24 @@ func (b *Builder) vecLimit(n *plan.Limit) (*vecFrag, string) {
 	}
 	ls := &limitSource{in: in.spec, offset: n.Offset, count: n.Count}
 	ls.scan, _ = in.spec.src.(*scanSource)
-	spec := newVecSpec(ls, in.spec.numCols)
+	return passFrag(ls, in, n), ""
+}
+
+// passFrag returns the fragment of a source run for n that passes its
+// input fragment's batch columns through.
+func passFrag(src batchSource, in *vecFrag, n plan.Node) *vecFrag {
+	spec := newVecSpec(src, in.spec.numCols)
 	spec.proj = slices.Clone(in.spec.proj)
-	return &vecFrag{spec: spec, cols: in.cols, nodes: []plan.Node{n}, kids: []*vecFrag{in}}, ""
+	return &vecFrag{spec: spec, cols: in.cols, nodes: []plan.Node{n}, kids: []*vecFrag{in}}
+}
+
+// packer returns a row packer into vectors of the columns' plan types.
+func (b *Builder) packer(cols []types.ColumnID) rowPacker {
+	p := rowPacker{typs: make([]types.Type, len(cols)), size: b.vecSize, out: Batch{Cols: make([]types.Vec, len(cols))}}
+	for i, id := range cols {
+		p.typs[i] = b.ctx.Type(id)
+	}
+	return p
 }
 
 // vecUnion compiles a UNION ALL whose branches are batch sources with the
@@ -369,78 +374,59 @@ func applyVecProject(f *vecFrag, n *plan.Project) string {
 	return ""
 }
 
-// attachVecStats wires EXPLAIN ANALYZE attribution for a fragment's
-// fused nodes, recursively through its source's inputs: every node is
-// stamped mode=vector, and each stage and source records rows/batches
-// through its stats pointer. The top node (when !includeTop) is counted
-// by the statIter the Build caller wraps around the returned operator,
-// so only its mode is stamped — except that a join records its build
-// size and memory either way. A Filter that folded conjuncts into the
-// join below notes folded=<folded>/<conjuncts>.
-func (b *Builder) attachVecStats(f *vecFrag, includeTop bool) {
+// attachVecStats finishes a compiled fragment, recursively through its
+// source's inputs: it counts a LIMIT fused into a sort source, and under
+// EXPLAIN ANALYZE stamps every fused node mode=vector and has each stage
+// and source record its work through its stats. The top node of the
+// Build caller's fragment (top) is counted by the statIter around the
+// row adapter, so its rows are not counted again — but a source records
+// its build size and memory either way. A Filter that folded conjuncts
+// into the join below notes folded=<folded>/<conjuncts>.
+func (b *Builder) attachVecStats(f *vecFrag, top bool) {
+	if s, ok := f.spec.src.(*sortSource); ok && s.lim != nil {
+		b.noteFusion(s.srt, s.lim, "vector")
+	}
 	for i, node := range f.nodes {
+		if !b.analyze {
+			break
+		}
 		st := b.nodeStats(node)
 		st.Mode = "vector"
-		counted := includeTop || i < len(f.nodes)-1
-		if i > 0 {
-			stage := &f.spec.stages[i-1]
-			if stage.folded > 0 {
-				st.Note = fmt.Sprintf("folded=%d/%d", stage.folded, stage.folded+len(stage.filt))
-			}
-			if counted {
-				stage.stats = st
-			}
+		counted := !top || i < len(f.nodes)-1
+		if i == 0 {
+			f.spec.src.(interface{ attach(*OpStats, bool) }).attach(st, counted)
 			continue
 		}
-		switch src := f.spec.src.(type) {
-		case *scanSource:
-			if counted {
-				src.stats = st
-			}
-		case *joinSource:
-			src.stats, src.countRows = st, counted
-		case *limitSource:
-			if counted {
-				src.stats = st
-			}
-		case *unionSource:
-			if counted {
-				src.stats = st
-			}
+		stage := &f.spec.stages[i-1]
+		if stage.folded > 0 {
+			st.Note = fmt.Sprintf("folded=%d/%d", stage.folded, stage.folded+len(stage.filt))
+		}
+		if counted {
+			stage.stats = st
 		}
 	}
 	for _, k := range f.kids {
-		b.attachVecStats(k, true)
+		b.attachVecStats(k, false)
 	}
 }
 
-// vecRows adapts a batch pipeline to the row Iterator contract. The
-// adapter decodes every output column.
-func (b *Builder) vecRows(spec *vecSpec) Iterator {
-	spec.need(spec.proj)
-	return &vecRowsIter{spec: spec, met: b.met}
+// vecRows finishes a fragment compiled for the Build caller and adapts
+// its pipeline to the row Iterator contract. The adapter decodes every
+// output column.
+func (b *Builder) vecRows(f *vecFrag) Iterator {
+	b.attachVecStats(f, true)
+	f.spec.need(f.spec.proj)
+	return &vecRowsIter{spec: f.spec, met: b.met}
 }
 
-// buildVecPipeline builds a batch pipeline — Filter/Project stages over
-// any batch source — behind the row-iterator adapter.
-func (b *Builder) buildVecPipeline(n plan.Node) (Iterator, string) {
-	f, reason := b.vecFragment(n)
-	if f == nil {
-		return nil, reason
-	}
-	if b.analyze {
-		b.attachVecStats(f, false)
-	}
-	return b.vecRows(f.spec), ""
-}
-
-// buildVecGroupBy builds the batch aggregation operator over a compiled
-// batch source. Aggregates have kernels when they are plain
-// (non-DISTINCT) and over bare columns; SUM/AVG additionally need a
-// numeric argument, so the typed accumulator can never hit the row
-// path's "SUM/AVG on <type>" error — the decline leaves the row path to
-// raise it exactly as before.
-func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
+// vecGroupBy compiles an aggregation over a batch source into a group
+// source. Aggregates have kernels when they are plain (non-DISTINCT) and
+// over bare columns; SUM/AVG additionally need a numeric argument, so
+// the typed accumulator can never hit the row path's "SUM/AVG on <type>"
+// error — the decline leaves the row path to raise it exactly as before.
+// The group source's vectors take the plan's column types, which for
+// these aggregates are the types finalize returns.
+func (b *Builder) vecGroupBy(n *plan.GroupBy) (*vecFrag, string) {
 	f, _ := b.vecFragment(n.Input)
 	if f == nil {
 		return nil, ""
@@ -490,11 +476,9 @@ func (b *Builder) buildVecGroupBy(n *plan.GroupBy) (Iterator, string) {
 		}
 	}
 	f.spec.need(reads)
-	if b.analyze {
-		b.attachVecStats(f, true)
-		b.nodeStats(n).Mode = "vector"
-	}
-	return &vecGroupByIter{va: va, gov: b.gov, met: b.met}, ""
+	cols := n.Columns()
+	g := &groupSource{va: va, gov: b.gov, rowPacker: b.packer(cols)}
+	return &vecFrag{spec: newVecSpec(g, len(cols)), cols: cols, nodes: []plan.Node{n}, kids: []*vecFrag{f}}, ""
 }
 
 // noteFallback records that the batch compiler declined n for the given

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"slices"
-	"time"
 
 	"vdm/internal/types"
 )
@@ -194,12 +193,7 @@ type joinSource struct {
 	batchSize          int
 	gov                *Governance
 	met                *Metrics
-	// stats attributes the join under EXPLAIN ANALYZE (nil when off):
-	// its build size and memory always, its output rows only when
-	// countRows (statIter counts them when the join is the operator it
-	// wraps).
-	stats     *OpStats
-	countRows bool
+	srcStats
 	// probeOff and buildOff are each side's first output column. keep
 	// marks the output columns a consumer reads (all until need narrows
 	// it); store marks the build columns the build holds: the kept ones
@@ -301,10 +295,7 @@ func (j *joinSource) need(out []bool) {
 }
 
 func (j *joinSource) open() error {
-	if j.stats != nil && j.countRows {
-		t0 := time.Now()
-		defer func() { j.stats.OpenNs += time.Since(t0).Nanoseconds() }()
-	}
+	defer j.timeOpen()()
 	j.acct = memAcct{gov: j.gov}
 	if err := j.gov.point(PointHashBuild); err != nil {
 		return err
@@ -546,10 +537,7 @@ func (j *joinSource) next() (*Batch, error) {
 				return out, nil
 			}
 		}
-		if j.countRows {
-			statDrained(j.stats)
-		}
-		return nil, nil
+		return j.emit(nil), nil
 	}
 }
 
@@ -703,24 +691,13 @@ func (j *joinSource) gatherBuild(n int, to, from []int32) {
 	}
 }
 
-// emit counts an output batch under EXPLAIN ANALYZE.
-func (j *joinSource) emit(b *Batch) *Batch {
-	if j.countRows {
-		statAdd(j.stats, int64(b.NumRows()))
-	}
-	return b
-}
-
 func (j *joinSource) close() {
 	j.build.close()
 	j.probe.close()
 	if j.cols == nil {
 		return
 	}
-	if j.stats != nil {
-		j.stats.MemBytes = j.acct.bytes()
-	}
-	j.acct.close()
+	j.release(&j.acct)
 	j.cols, j.keys, j.matched = nil, keyIndex{}, nil
 	j.off, j.rows = nil, nil
 	j.pb = nil

@@ -209,7 +209,7 @@ func TestVecBuildFilterJoinOverJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := it.(*vecGroupByIter).va.spec.src.(*joinSource)
+	top := it.(*vecRowsIter).spec.src.(*groupSource).va.spec.src.(*joinSource)
 	for _, j := range []*joinSource{top, top.probe.src.(*joinSource)} {
 		for k := range j.build.proj {
 			if j.keep[j.buildOff+k] {

@@ -2,93 +2,77 @@ package exec
 
 import (
 	"vdm/internal/plan"
-	"vdm/internal/types"
 )
 
 // Vectorized DISTINCT: dedup over a batch source. A keyIndex numbers
 // each batch's rows by their output columns, with NULL one value as in
 // distinctIter's AppendKey keys, and a row is new when its id is. It
-// streams: batches are pulled lazily and a row is decoded only when it
-// is new, so a LIMIT above stops the scan early and a high-duplication
-// input boxes almost nothing. UNION ALL branches dedup straight into
-// one index, never materializing the union.
+// streams and decodes nothing: each input batch passes on with its
+// selection narrowed to its new rows, so a LIMIT above stops the scan
+// early. UNION ALL branches dedup straight into one index, never
+// materializing the union.
 
-// vecDistinctIter is the batch dedup operator.
-type vecDistinctIter struct {
-	src *vecSpec
+// distinctSource is the batch dedup. Its batches are the input's, under
+// the narrowed selection.
+type distinctSource struct {
+	in  *vecSpec
 	gov *Governance
-	met *Metrics
+	srcStats
 
-	acct   memAcct
-	stride govStride
-	keys   keyIndex
-	seen   int32 // distinct rows emitted: the next new id
+	acct memAcct
+	keys keyIndex
+	seen int32 // distinct rows emitted: the next new id
 
-	// streaming state: current batch, its live rows and their key ids
-	b    *Batch
-	live []int32
-	ids  []int32
-	li   int
-	all  []int32
+	ids, sel, all []int32
+	out           Batch
 }
 
-func (d *vecDistinctIter) Open() error {
+func (d *distinctSource) open() error {
 	d.acct = memAcct{gov: d.gov}
-	d.stride = govStride{gov: d.gov}
-	d.keys, d.seen = newKeyIndex(len(d.src.proj), true, &d.acct), 0
-	if d.met != nil {
-		d.met.VecPipelines.Inc()
-	}
-	d.live, d.li = nil, 0
-	return d.src.open()
+	d.keys, d.seen = newKeyIndex(len(d.in.proj), true, &d.acct), 0
+	return d.in.open()
 }
 
-func (d *vecDistinctIter) Next() (types.Row, bool, error) {
+func (d *distinctSource) next() (*Batch, error) {
 	for {
-		if d.li < len(d.live) {
-			k := d.li
-			d.li++
-			if err := d.stride.tick(); err != nil {
-				return nil, false, err
-			}
-			if d.ids[k] < d.seen {
-				continue
-			}
-			d.seen++
-			return d.src.decodeRow(d.b, int(d.live[k])), true, nil
+		b, err := d.in.next()
+		if err != nil {
+			return nil, err
 		}
-		b, err := d.src.next()
-		if b == nil || err != nil {
-			return nil, false, err
+		if b == nil {
+			return d.emit(nil), nil
 		}
-		d.b, d.live, d.li = b, liveRows(b, &d.all), 0
-		if d.ids, err = d.keys.insert(b, d.src.proj, d.live, d.ids[:0]); err != nil {
-			return nil, false, err
+		live := liveRows(b, &d.all)
+		if d.ids, err = d.keys.insert(b, d.in.proj, live, d.ids[:0]); err != nil {
+			return nil, err
+		}
+		d.sel = d.sel[:0]
+		for k, ri := range live {
+			if d.ids[k] == d.seen {
+				d.sel = append(d.sel, ri)
+				d.seen++
+			}
+		}
+		if len(d.sel) > 0 {
+			d.out = Batch{N: b.N, Sel: d.sel, HasSel: true, Cols: b.Cols}
+			return d.emit(&d.out), nil
 		}
 	}
 }
 
-func (d *vecDistinctIter) Close() {
-	d.src.close()
-	d.acct.close()
+func (d *distinctSource) close() {
+	d.in.close()
+	d.release(&d.acct)
 	d.keys = keyIndex{}
-	d.live = nil
-	d.b = nil
 }
 
-func (d *vecDistinctIter) memBytes() int64 { return d.acct.bytes() }
-
-// buildVecDistinct compiles DISTINCT over a batch source into the batch
-// dedup operator.
-func (b *Builder) buildVecDistinct(n *plan.Distinct) (Iterator, string) {
-	f, _ := b.vecFragment(n.Input)
-	if f == nil {
-		return nil, "distinct"
+// vecDistinct compiles DISTINCT over a batch source into a distinct
+// source. Its fragment passes the input's batch columns through.
+func (b *Builder) vecDistinct(n *plan.Distinct) (*vecFrag, string) {
+	in, _ := b.vecFragment(n.Input)
+	if in == nil {
+		return nil, ""
 	}
-	f.spec.need(f.spec.proj)
-	if b.analyze {
-		b.attachVecStats(f, true)
-		b.nodeStats(n).Mode = "vector"
-	}
-	return &vecDistinctIter{src: f.spec, gov: b.gov, met: b.met}, ""
+	in.spec.need(in.spec.proj)
+	return passFrag(&distinctSource{in: in.spec, gov: b.gov}, in, n), ""
 }
