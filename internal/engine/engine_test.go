@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"vdm/internal/catalog"
@@ -242,6 +245,29 @@ func TestCardinalityVerifier(t *testing.T) {
 	}
 	if len(v) == 0 {
 		t.Fatal("expected a cardinality violation on non-unique region join")
+	}
+}
+
+// TestCardinalityVerifierIsGoverned: the verifier materializes both
+// sides of each join, so the statement's memory budget bounds it like
+// any query.
+func TestCardinalityVerifierIsGoverned(t *testing.T) {
+	e := New()
+	mustExec(t, e, "create table big (id int primary key, k int)", "create table small (id int primary key)",
+		"insert into small values (0), (1), (2)")
+	var ins strings.Builder
+	ins.WriteString("insert into big values (0, 0)")
+	for i := 1; i < 3000; i++ {
+		fmt.Fprintf(&ins, ", (%d, %d)", i, i%3)
+	}
+	mustExec(t, e, ins.String())
+	const q = "select big.id from big left outer many to one join small on big.k = small.id"
+	if v, err := e.VerifyCardinalities("", q); err != nil || len(v) != 0 {
+		t.Fatalf("unbudgeted: violations %v, err %v", v, err)
+	}
+	e.SetOptions(Options{MemoryBudget: 1024})
+	if _, err := e.VerifyCardinalities("", q); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("budget error = %v, want ErrMemoryBudget", err)
 	}
 }
 

@@ -510,6 +510,15 @@ func (e *Engine) VerifyCardinalities(user, sqlText string) ([]CardinalityViolati
 	if err != nil {
 		return nil, err
 	}
+	// Every join is checked at one snapshot of the primary, under the
+	// statement timeout and memory budget, like an executed query.
+	ctx, cancel := e.statementContext(context.Background())
+	defer cancel()
+	lease := e.db.AcquireRead()
+	defer lease.Release()
+	builder := exec.NewBuilder(p.Ctx, e.db, lease.TS())
+	e.configureBuilder(builder)
+	builder.SetGovernance(exec.NewGovernance(ctx, e.opts.MemoryBudget, e.execHooks.Load()))
 	var out []CardinalityViolation
 	var verify func(n plan.Node) error
 	verify = func(n plan.Node) error {
@@ -522,7 +531,7 @@ func (e *Engine) VerifyCardinalities(user, sqlText string) ([]CardinalityViolati
 		if !ok || !j.Card.Specified() {
 			return nil
 		}
-		v, err := e.checkJoinCardinality(p.Ctx, j)
+		v, err := checkJoinCardinality(builder, p.Ctx, j)
 		if err != nil {
 			return err
 		}
@@ -535,10 +544,7 @@ func (e *Engine) VerifyCardinalities(user, sqlText string) ([]CardinalityViolati
 	return out, nil
 }
 
-func (e *Engine) checkJoinCardinality(ctx *plan.Context, j *plan.Join) ([]CardinalityViolation, error) {
-	lease := e.db.AcquireRead()
-	defer lease.Release()
-	builder := exec.NewBuilder(ctx, e.db, lease.TS())
+func checkJoinCardinality(builder *exec.Builder, ctx *plan.Context, j *plan.Join) ([]CardinalityViolation, error) {
 	leftRows, err := builder.Run(j.Left)
 	if err != nil {
 		return nil, err

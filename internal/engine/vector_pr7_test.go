@@ -430,8 +430,7 @@ func TestVecBenchmarkStatementsBuildNoRowOps(t *testing.T) {
 // the tiny S/4 fixture through the plan cache's template path — a text
 // that plans the template, then one that instantiates it — at batch
 // sizes 1, 7 and 1024, and diffs each against the row executor: rows,
-// order, and each value's type (a NULL's aside, as under any LEFT OUTER
-// join). Its joins sit above the two aggregate views of the browser, so
+// order, and each value's type. Its joins sit above the two aggregate views of the browser, so
 // they run over group sources.
 func TestVecSelectStarTemplateMatchesRowPath(t *testing.T) {
 	e, err := experiments.NewS4Engine(s4.TinySize(), s4.Fig14Tiny())
@@ -450,7 +449,7 @@ func TestVecSelectStarTemplateMatchesRowPath(t *testing.T) {
 	if len(ref.Rows) != 100 {
 		t.Fatalf("the reference returned %d rows, want 100", len(ref.Rows))
 	}
-	want := typedRows(ref, true)
+	want := typedRows(ref)
 	k := 1
 	for _, size := range []int{1, 7, 1024} {
 		e.SetOptions(engine.Options{BatchSize: size})
@@ -464,7 +463,7 @@ func TestVecSelectStarTemplateMatchesRowPath(t *testing.T) {
 			if i == 1 && metricValue(t, e, "plancache.template_hits") != hits+1 {
 				t.Errorf("batch=%d: %q did not instantiate the template", size, text(k))
 			}
-			if got := typedRows(res, true); got != want {
+			if got := typedRows(res); got != want {
 				t.Errorf("batch=%d: %q differs from the row executor:\n got:\n%s\nwant:\n%s", size, text(k), got, want)
 			}
 		}

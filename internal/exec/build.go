@@ -304,7 +304,10 @@ func (b *Builder) buildJoin(n *plan.Join) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &joinIter{left: left, right: right, kind: n.Kind, rightWidth: len(n.Right.Columns()), gov: b.gov}
+	j := &joinIter{left: left, right: right, kind: n.Kind, gov: b.gov}
+	for _, id := range n.Right.Columns() {
+		j.rightTypes = append(j.rightTypes, b.ctx.Type(id))
+	}
 
 	leftCols := plan.ColumnsOf(n.Left)
 	rightCols := plan.ColumnsOf(n.Right)

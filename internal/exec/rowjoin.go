@@ -30,7 +30,9 @@ type joinIter struct {
 	// and probe rows; a NOT IN join's x = y comes last.
 	buildKeys, probeKeys []EvalFn
 	residual             EvalFn // over left ++ right rows, may be nil
-	rightWidth           int
+	// rightTypes are the right columns' plan types: a LEFT OUTER row is
+	// NULL-extended with NULLs of these types, as the batch join does.
+	rightTypes []types.Type
 	// notIn is NOT IN's x over probe rows (nil on other joins); groups
 	// holds its build rows by correlation key (see matchesNotIn).
 	notIn  EvalFn
@@ -297,12 +299,12 @@ func (j *joinIter) sweep() (types.Row, bool, error) {
 	return nil, false, nil
 }
 
-// nullExtend pads a left row with a NULL for every right column.
+// nullExtend pads a left row with a typed NULL for every right column.
 func (j *joinIter) nullExtend(left types.Row) types.Row {
-	out := make(types.Row, len(left)+j.rightWidth)
+	out := make(types.Row, len(left), len(left)+len(j.rightTypes))
 	copy(out, left)
-	for i := len(left); i < len(out); i++ {
-		out[i] = types.NewNull(types.TNull)
+	for _, t := range j.rightTypes {
+		out = append(out, types.NewNull(t))
 	}
 	return out
 }
