@@ -11,8 +11,8 @@
 //	vdmhtap -det -ops 200 -schedule run.sched   # deterministic, replayable
 //	vdmhtap -replay run.sched                   # replay a recorded schedule
 //	vdmhtap -wal state/ -duration 10s           # durable run (WAL + checkpoints)
-//	vdmhtap -wal state/ -replicas 2             # WAL-shipped read replicas + the
-//	                                            # replica-consistency reader class
+//	vdmhtap -wal state/ -replicas 2             # WAL-shipped read replicas, read by
+//	                                            # the replica-consistency reader class
 //	vdmhtap -crash-recover 25                   # crash-injection: SIGKILL mid-commit,
 //	                                            # recover, re-verify the oracles
 package main
@@ -49,8 +49,7 @@ func main() {
 		walDir  = flag.String("wal", "", "durability directory: write-ahead log + checkpoints (empty = memory only; must be fresh for workload runs)")
 		walSync = flag.String("wal-sync", "always", "WAL fsync policy with -wal: always, interval, off")
 
-		replicas = flag.Int("replicas", 0, "WAL-shipped analytical read replicas (requires -wal; adds the replica reader class to the default mix)")
-		maxLag   = flag.Uint64("max-replica-lag", 0, "freshness bound for replica-routed reads, in commit timestamps (0 = unbounded)")
+		replicas = flag.Int("replicas", 0, "WAL-shipped analytical read replicas (requires -wal and the replica reader class, which it adds to a mix that does not name it)")
 
 		crashRecover = flag.Int("crash-recover", 0, "crash-injection mode: run this many SIGKILL+recover cycles against the -wal directory (temp dir if unset) and verify the oracles")
 
@@ -78,7 +77,7 @@ func main() {
 
 	if err := run(*writers, *readers, *duration, *seed, *scale, *mixSpec,
 		*ops, *det, *out, *schedule, *replay, *timeout, *memlimit, *maxq,
-		*walDir, *walSync, *replicas, *maxLag); err != nil {
+		*walDir, *walSync, *replicas); err != nil {
 		fmt.Fprintln(os.Stderr, "vdmhtap:", err)
 		os.Exit(1)
 	}
@@ -87,7 +86,7 @@ func main() {
 func run(writers, readers int, duration time.Duration, seed int64, scale int,
 	mixSpec string, ops int, det bool, out, schedule, replay string,
 	timeout time.Duration, memlimit int64, maxq int,
-	walDir, walSync string, replicas int, maxLag uint64) error {
+	walDir, walSync string, replicas int) error {
 
 	var (
 		h   *htapbench.Harness
@@ -107,7 +106,7 @@ func run(writers, readers int, duration time.Duration, seed int64, scale int,
 		if cerr != nil {
 			return cerr
 		}
-		if log.Replicas > 0 {
+		if cfg.Replicas > 0 {
 			// The header records the fleet size but not a usable WAL
 			// path; replay the replica ops against a throwaway one.
 			tmp, terr := os.MkdirTemp("", "vdmhtap-replay-wal-")
@@ -117,7 +116,6 @@ func run(writers, readers int, duration time.Duration, seed int64, scale int,
 			defer os.RemoveAll(tmp)
 			cfg.Engine.WALDir = tmp
 			cfg.Engine.WALSync = wal.SyncOff
-			cfg.Engine.Replicas = log.Replicas
 		}
 		fmt.Fprintf(os.Stderr, "vdmhtap: replaying %d ops (seed=%d writers=%d readers=%d scale=%d replicas=%d)\n",
 			len(log.Entries), cfg.Seed, cfg.Writers, cfg.Readers, cfg.Scale, log.Replicas)
@@ -147,17 +145,10 @@ func run(writers, readers int, duration time.Duration, seed int64, scale int,
 			eng.WALSync = sp
 			eng.CheckpointEvery = 1000
 		}
-		if replicas > 0 {
-			if walDir == "" {
-				return fmt.Errorf("-replicas requires -wal (replicas are WAL-shipped)")
-			}
-			eng.Replicas = replicas
-			eng.MaxReplicaLag = maxLag
-			// Give the replica reader class a default seat in the mix
-			// unless the -mix spec took a position on it.
-			if mix.Replica == 0 && !strings.Contains(mixSpec, "replica") {
-				mix.Replica = 2
-			}
+		// Give the replica reader class a default seat in the mix
+		// unless the -mix spec took a position on it.
+		if replicas > 0 && mix.Replica == 0 && !strings.Contains(mixSpec, "replica") {
+			mix.Replica = 2
 		}
 		cfg := htapbench.Config{
 			Writers:       writers,
@@ -169,6 +160,7 @@ func run(writers, readers int, duration time.Duration, seed int64, scale int,
 			Mix:           mix,
 			Deterministic: det,
 			Engine:        eng,
+			Replicas:      replicas,
 		}
 		fmt.Fprintf(os.Stderr, "vdmhtap: loading fixture (scale=%d)\n", scale)
 		h, err = htapbench.New(cfg)

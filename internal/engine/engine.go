@@ -17,7 +17,6 @@ import (
 	"vdm/internal/core"
 	"vdm/internal/exec"
 	"vdm/internal/plan"
-	"vdm/internal/replica"
 	"vdm/internal/sql"
 	"vdm/internal/storage"
 	"vdm/internal/types"
@@ -49,16 +48,6 @@ type Engine struct {
 	recovery *storage.RecoveryInfo
 	closeMu  sync.Mutex
 	closed   bool
-	// replicas is the WAL-shipped analytical read-replica set (nil
-	// without Options.Replicas). Fixed at construction, like the WAL.
-	replicas *replica.Set
-	// lastServedTS is the read router's monotonic floor: the highest
-	// commit timestamp any read has been served at, raised further by
-	// every engine-side DML commit. A replica is only eligible when its
-	// applied timestamp has reached the floor, which gives engine-level
-	// monotonic reads and read-your-writes even as queries bounce
-	// between primary and replicas.
-	lastServedTS atomic.Uint64
 }
 
 // Options control query execution strategy. The zero value is the
@@ -132,19 +121,6 @@ type Options struct {
 	// time this many commits accumulate since the last one. 0 leaves
 	// checkpointing manual (Engine.Checkpoint).
 	CheckpointEvery int
-
-	// Replicas, with WALDir set, starts this many WAL-shipped
-	// analytical read replicas: each tails the log and applies commits
-	// to its own store, and eligible reads are routed to the freshest
-	// replica whose applied timestamp satisfies the router's
-	// read-your-writes floor. 0 (the default) disables replication.
-	// Like the WAL, the replica set is fixed at construction.
-	Replicas int
-	// MaxReplicaLag bounds, in commit timestamps, how far behind the
-	// primary clock a replica may be and still serve reads; staler
-	// replicas are passed over in favor of the primary. 0 means
-	// unbounded (any caught-up-to-floor replica qualifies).
-	MaxReplicaLag uint64
 }
 
 // DefaultMergeThreshold is the delta row count at which AutoMerge
@@ -194,30 +170,10 @@ func Open(o Options) (*Engine, error) {
 	}
 	e := &Engine{db: db, cat: catalog.New(db), profile: core.ProfileHANA, opts: o, costing: true, recovery: rec}
 	e.admit = newAdmitGate(o)
-	if o.Replicas > 0 {
-		if o.WALDir == "" {
-			return nil, fmt.Errorf("engine: Options.Replicas requires Options.WALDir (replicas are WAL-shipped)")
-		}
-		set, err := replica.Open(replica.Config{
-			Dir:       o.WALDir,
-			Replicas:  o.Replicas,
-			PrimaryTS: db.CurrentTS,
-		})
-		if err != nil {
-			db.CloseWAL()
-			return nil, err
-		}
-		e.replicas = set
-	}
 	e.metrics = newEngineMetrics(e)
 	e.startMaintenance()
 	return e, nil
 }
-
-// ReplicaSet exposes the engine's WAL-shipped read replicas (nil when
-// Options.Replicas is 0), for observability and for harnesses that
-// pin replica snapshots directly (QueryOnReplica).
-func (e *Engine) ReplicaSet() *replica.Set { return e.replicas }
 
 // Recovery returns what Open restored from the WAL directory at
 // construction: checkpoint timestamp, replayed records, torn-tail
@@ -255,12 +211,10 @@ func (e *Engine) SetExecHooks(h *exec.Hooks) { e.execHooks.Store(h) }
 
 // Close shuts the engine down in dependency order: first the background
 // maintenance goroutine (auto-merge, GC, checkpointing) stops — nothing
-// may append to the log mid-close — then the replica tail loops stop
-// (their stores stay readable, frozen at the last applied timestamp),
-// and finally the WAL is flushed, fsynced, and closed. Idempotent:
-// second and later calls return nil. After Close the engine still
-// answers queries from memory, but commits on a durable engine fail
-// with wal.ErrWALFailed.
+// may append to the log mid-close — then the WAL is flushed, fsynced,
+// and closed. Idempotent: second and later calls return nil. After
+// Close the engine still answers queries from memory, but commits on a
+// durable engine fail with wal.ErrWALFailed.
 func (e *Engine) Close() error {
 	e.closeMu.Lock()
 	defer e.closeMu.Unlock()
@@ -269,9 +223,6 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	e.stopMaintenance()
-	if e.replicas != nil {
-		e.replicas.Close()
-	}
 	return e.db.CloseWAL()
 }
 
@@ -370,37 +321,16 @@ func (e *Engine) execStatement(st sql.Statement) error {
 		}
 		return e.db.DropTable(st.Name)
 	case *sql.Insert:
-		return e.noteWrite(e.insert(st))
+		return e.insert(st)
 	case *sql.Delete:
-		return e.noteWrite(e.delete(st))
+		return e.delete(st)
 	case *sql.Update:
-		return e.noteWrite(e.update(st))
+		return e.update(st)
 	case *sql.Query:
 		_, err := e.queryStatement(context.Background(), "", st)
 		return err
 	}
 	return fmt.Errorf("engine: unsupported statement %T", st)
-}
-
-// noteWrite raises the read router's floor to the commit clock after a
-// successful engine-side DML statement, so subsequent reads through
-// this engine are never routed to a replica that has not yet applied
-// the write (read-your-writes at engine granularity).
-func (e *Engine) noteWrite(err error) error {
-	if err == nil && e.replicas != nil {
-		e.noteServed(e.db.CurrentTS())
-	}
-	return err
-}
-
-// noteServed raises the router's monotonic floor to ts.
-func (e *Engine) noteServed(ts uint64) {
-	for {
-		cur := e.lastServedTS.Load()
-		if ts <= cur || e.lastServedTS.CompareAndSwap(cur, ts) {
-			return
-		}
-	}
 }
 
 func (e *Engine) createTable(ct *sql.CreateTable) error {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 
 	"vdm/internal/exec"
 	"vdm/internal/metrics"
@@ -29,12 +28,6 @@ type engineMetrics struct {
 	admissionRejects metrics.Counter
 
 	cacheRefreshes metrics.Counter
-
-	// Read-routing counters: reads served by a replica, and reads that
-	// tried a replica but fell back to the primary on a replica-side
-	// execution failure.
-	replicaReads     metrics.Counter
-	replicaFallbacks metrics.Counter
 
 	// exec holds the executor counters (batch pipelines and batches,
 	// top-k fusions, fallbacks) shared by every builder.
@@ -100,18 +93,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	r.Register("storage.watermark_lag", func() int64 {
 		return int64(e.db.WatermarkLag())
 	})
-	// Replication: routing counters plus each replica's applied
-	// watermark, freshness lag, and shipped-record count, read live.
-	if e.replicas != nil {
-		r.RegisterCounter("engine.replica_reads", &m.replicaReads)
-		r.RegisterCounter("engine.replica_fallbacks", &m.replicaFallbacks)
-		for _, rep := range e.replicas.Replicas() {
-			rep := rep
-			r.Register(fmt.Sprintf("replica.%d.applied_ts", rep.ID()), func() int64 { return int64(rep.AppliedTS()) })
-			r.Register(fmt.Sprintf("replica.%d.lag", rep.ID()), func() int64 { return int64(rep.Lag()) })
-			r.Register(fmt.Sprintf("replica.%d.records_applied", rep.ID()), func() int64 { return rep.RecordsApplied() })
-		}
-	}
 	return m
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -12,7 +11,6 @@ import (
 	"vdm/internal/core"
 	"vdm/internal/exec"
 	"vdm/internal/plan"
-	"vdm/internal/replica"
 	"vdm/internal/sql"
 	"vdm/internal/storage"
 	"vdm/internal/types"
@@ -174,9 +172,9 @@ func (e *Engine) QueryPinned(ctx context.Context, ts uint64, sqlText string) (*R
 }
 
 // QueryOnReplica runs a query pinned at commit timestamp ts against a
-// specific replica store (from ReplicaSet — capture Replica.DB once
-// and lease it for the whole call, exactly as QueryPinned requires on
-// the primary). It is the harness-facing primitive behind the
+// replica store the caller holds (a replica.Replica's DB — capture it
+// once and lease it for the whole call, exactly as QueryPinned requires
+// on the primary). It is the harness-facing primitive behind the
 // replica-consistency oracle: the same ts on primary and replica must
 // yield row- and order-identical results. Planning, admission,
 // timeouts, budgets, and metrics apply as for QueryPinned.
@@ -211,58 +209,12 @@ func (e *Engine) queryAt(ctx context.Context, db *storage.DB, ts uint64, sqlText
 }
 
 func (e *Engine) run(ctx context.Context, p *plan.Plan) (*Result, error) {
-	// Freshness-lag routing: an unpinned read may execute on the
-	// freshest replica whose applied timestamp has reached the router's
-	// floor (and whose lag is within Options.MaxReplicaLag). Failures
-	// that are about the replica — not about the query — fall back to
-	// the primary; governance verdicts (cancel, timeout, memory budget)
-	// are the query's own fate and are returned as-is.
-	if r, ok := e.routeRead(); ok {
-		res, err := e.runOnReplica(ctx, p, r)
-		if err == nil || errors.Is(err, ErrCancelled) || errors.Is(err, ErrTimeout) || errors.Is(err, ErrMemoryBudget) {
-			return res, err
-		}
-		e.metrics.replicaFallbacks.Inc()
-	}
 	// The read lease pins the query's snapshot timestamp in the DB's
 	// watermark, so background version GC cannot reclaim row versions
 	// this query can still see, however long it runs.
 	lease := e.db.AcquireRead()
 	defer lease.Release()
-	ts := lease.TS()
-	res, err := e.runAt(ctx, p, e.db, ts)
-	if err == nil {
-		e.noteServed(ts)
-	}
-	return res, err
-}
-
-// routeRead picks a replica for an unpinned read, or reports that the
-// primary must serve it.
-func (e *Engine) routeRead() (*replica.Replica, bool) {
-	if e.replicas == nil {
-		return nil, false
-	}
-	return e.replicas.Best(e.opts.MaxReplicaLag, e.lastServedTS.Load())
-}
-
-// runOnReplica executes a plan on a replica's store, pinned by a lease
-// on that store (the replica vacuums by its own watermark, so the
-// lease protects the snapshot exactly as on the primary). The store
-// pointer is captured once: a concurrent re-bootstrap freezes, but
-// never mutates, the captured store.
-func (e *Engine) runOnReplica(ctx context.Context, p *plan.Plan, r *replica.Replica) (*Result, error) {
-	rdb := r.DB()
-	lease := rdb.AcquireRead()
-	defer lease.Release()
-	ts := lease.TS()
-	res, err := e.runAt(ctx, p, rdb, ts)
-	if err != nil {
-		return nil, err
-	}
-	e.metrics.replicaReads.Inc()
-	e.noteServed(ts)
-	return res, nil
+	return e.runAt(ctx, p, e.db, lease.TS())
 }
 
 // runAt executes a plan against db's snapshot at ts — db is the
@@ -313,9 +265,6 @@ func (e *Engine) runAt(ctx context.Context, p *plan.Plan, db *storage.DB, ts uin
 // operators; q_err compares the estimate with the rows of operators that
 // ran to the end of their stream (OpStats.Drained) only. The query runs
 // to completion under instrumentation; the result rows are discarded.
-// On an engine with read replicas the query is routed exactly like a
-// normal read, and the root line shows the routing verdict:
-// target=primary|replica<N> lag=<d>.
 func (e *Engine) ExplainAnalyze(user, sqlText string) (string, error) {
 	p, err := e.PlanQuery(user, sqlText, true)
 	if err != nil {
@@ -323,32 +272,15 @@ func (e *Engine) ExplainAnalyze(user, sqlText string) (string, error) {
 	}
 	ctx, cancel := e.statementContext(context.Background())
 	defer cancel()
-	target, lag := "primary", uint64(0)
-	if r, ok := e.routeRead(); ok {
-		if text, err := e.explainAnalyzeOn(ctx, p, r.DB(), fmt.Sprintf("replica%d", r.ID()), r.Lag()); err == nil {
-			return text, nil
-		}
-		// Replica-side failure (e.g. DDL not yet applied): re-run on
-		// the primary, like the read router's fallback.
-		e.metrics.replicaFallbacks.Inc()
-	}
-	return e.explainAnalyzeOn(ctx, p, e.db, target, lag)
-}
-
-// explainAnalyzeOn executes the instrumented plan against one store
-// and renders it, annotating the root operator with the routing
-// target when replicas are configured.
-func (e *Engine) explainAnalyzeOn(ctx context.Context, p *plan.Plan, db *storage.DB, target string, lag uint64) (string, error) {
-	lease := db.AcquireRead()
+	lease := e.db.AcquireRead()
 	defer lease.Release()
-	builder := exec.NewBuilder(p.Ctx, db, lease.TS())
+	builder := exec.NewBuilder(p.Ctx, e.db, lease.TS())
 	e.configureBuilder(builder)
 	builder.SetGovernance(exec.NewGovernance(ctx, e.opts.MemoryBudget, e.execHooks.Load()))
 	builder.EnableAnalyze()
 	if _, err := builder.Run(p.Root); err != nil {
 		return "", err
 	}
-	e.noteServed(lease.TS())
 	return plan.FormatAnnotated(p.Ctx, p.Root, func(n plan.Node) string {
 		st := builder.NodeStats(n)
 		est, hasEst := 0.0, false
@@ -366,9 +298,6 @@ func (e *Engine) explainAnalyzeOn(ctx context.Context, p *plan.Plan, db *storage
 			note = st.String()
 		case hasEst:
 			note = fmt.Sprintf("est_rows=%.0f", est)
-		}
-		if n == p.Root && e.replicas != nil {
-			note = joinNotes(note, fmt.Sprintf("target=%s lag=%d", target, lag))
 		}
 		if n == p.Root && !e.opts.DisableVectorize {
 			note = joinNotes(note, fmt.Sprintf("row_ops=%d", builder.RowOps()))

@@ -8,18 +8,18 @@ import (
 	"testing"
 	"time"
 
-	"vdm/internal/types"
+	"vdm/internal/replica"
 )
 
 // waitReplicasCaughtUp polls until every replica's applied timestamp
 // reaches the primary's current clock.
-func waitReplicasCaughtUp(t *testing.T, e *Engine) {
+func waitReplicasCaughtUp(t *testing.T, e *Engine, set *replica.Set) {
 	t.Helper()
 	target := e.DB().CurrentTS()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		all := true
-		for _, r := range e.ReplicaSet().Replicas() {
+		for _, r := range set.Replicas() {
 			if err := r.Err(); err != nil {
 				t.Fatalf("replica %d failed: %v", r.ID(), err)
 			}
@@ -35,137 +35,19 @@ func waitReplicasCaughtUp(t *testing.T, e *Engine) {
 	t.Fatalf("replicas did not reach ts %d", target)
 }
 
-func TestReplicasRequireWAL(t *testing.T) {
-	if _, err := Open(Options{Replicas: 2}); err == nil {
-		t.Fatal("Open with Replicas but no WALDir must fail")
-	}
-}
-
-// TestReplicaRoutingServesReads is the end-to-end routing path: once
-// the replicas catch up, plain reads are served by a replica with
-// results identical to the primary's, and EXPLAIN ANALYZE reports the
-// routing verdict on the root operator.
-func TestReplicaRoutingServesReads(t *testing.T) {
-	e := openDurableEngine(t, t.TempDir(), Options{Replicas: 2})
-	defer e.Close()
-	mustExec(t, e,
-		"CREATE TABLE sales (id INT PRIMARY KEY, region TEXT, amount INT)",
-		"INSERT INTO sales VALUES (1,'east',10),(2,'west',20),(3,'east',30),(4,'north',40)",
-	)
-	waitReplicasCaughtUp(t, e)
-
-	const q = "SELECT region, SUM(amount) AS total FROM sales GROUP BY region ORDER BY region"
-	want := "[[east 40] [north 40] [west 20]]"
-	for i := 0; i < 10; i++ {
-		res, err := e.Query(q)
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-		if got := fmt.Sprint(res.Rows); got != want {
-			t.Fatalf("query %d rows = %s, want %s", i, got, want)
-		}
-	}
-	snap := e.Metrics()
-	reads, _ := snap.Get("engine.replica_reads")
-	if reads == 0 {
-		t.Fatal("no reads were served by a replica")
-	}
-	if fb, _ := snap.Get("engine.replica_fallbacks"); fb != 0 {
-		t.Fatalf("unexpected fallbacks: %d", fb)
-	}
-	for i := range e.ReplicaSet().Replicas() {
-		if v, ok := snap.Get(fmt.Sprintf("replica.%d.applied_ts", i)); !ok || v == 0 {
-			t.Fatalf("replica.%d.applied_ts = %d, %v", i, v, ok)
-		}
-		if _, ok := snap.Get(fmt.Sprintf("replica.%d.records_applied", i)); !ok {
-			t.Fatalf("replica.%d.records_applied missing", i)
-		}
-	}
-
-	text, err := e.ExplainAnalyze("", q)
-	if err != nil {
-		t.Fatalf("ExplainAnalyze: %v", err)
-	}
-	root := strings.SplitN(text, "\n", 2)[0]
-	if !strings.Contains(root, "target=replica") || !strings.Contains(root, "lag=") {
-		t.Fatalf("root line missing routing verdict: %q", root)
-	}
-}
-
-// TestRoutingHonorsFloorAndLag drives the router predicate directly:
-// a floor above every replica's applied timestamp forces the primary,
-// as does a lag bound tighter than the replicas' actual lag.
-func TestRoutingHonorsFloorAndLag(t *testing.T) {
-	e := openDurableEngine(t, t.TempDir(), Options{Replicas: 1})
-	defer e.Close()
-	mustExec(t, e,
-		"CREATE TABLE kv (k INT PRIMARY KEY, v INT)",
-		"INSERT INTO kv VALUES (1,1),(2,2)",
-	)
-	waitReplicasCaughtUp(t, e)
-	if _, ok := e.routeRead(); !ok {
-		t.Fatal("caught-up replica not eligible")
-	}
-
-	// Raise the floor past everything applied: primary must serve.
-	floor := e.lastServedTS.Load()
-	e.noteServed(e.DB().CurrentTS() + 100)
-	if _, ok := e.routeRead(); ok {
-		t.Fatal("replica eligible above an unreached floor")
-	}
-	e.lastServedTS.Store(floor)
-
-	// Freeze the replicas, advance the primary clock storage-side (no
-	// engine DML, so the floor stays put), and bound the lag: the
-	// now-stale replica must be passed over.
-	e.replicas.Close()
-	tbl, _ := e.DB().Table("kv")
-	for i := int64(10); i < 15; i++ {
-		tx := e.DB().Begin()
-		if err := tx.Insert(tbl, types.Row{types.NewInt(i), types.NewInt(i)}); err != nil {
-			t.Fatalf("insert: %v", err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-	}
-	if _, ok := e.routeRead(); !ok {
-		t.Fatal("unbounded lag must keep the stale replica eligible")
-	}
-	o := e.Options()
-	o.MaxReplicaLag = 2
-	e.SetOptions(o)
-	if _, ok := e.routeRead(); ok {
-		t.Fatal("stale replica eligible under MaxReplicaLag=2")
-	}
-}
-
-// TestReadYourWrites: a read issued right after an engine-side write
-// must observe it, whether the router picks the primary (replica not
-// yet caught up to the floor) or a replica (already caught up).
-func TestReadYourWrites(t *testing.T) {
-	e := openDurableEngine(t, t.TempDir(), Options{Replicas: 2})
-	defer e.Close()
-	mustExec(t, e, "CREATE TABLE log (id INT PRIMARY KEY, note TEXT)")
-	for i := 1; i <= 50; i++ {
-		mustExec(t, e, fmt.Sprintf("INSERT INTO log VALUES (%d, 'n%d')", i, i))
-		res, err := e.Query("SELECT COUNT(*) AS n FROM log")
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if got := res.Rows[0][0].Int(); got != int64(i) {
-			t.Fatalf("read-your-writes violated: count %d after %d inserts", got, i)
-		}
-	}
-}
-
 // TestQueryOnReplicaMatchesPinnedPrimary is the engine half of the
 // replica-consistency oracle: the same pinned timestamp yields row-
 // and order-identical results on the primary and on a replica store,
 // before and after replica-side housekeeping.
 func TestQueryOnReplicaMatchesPinnedPrimary(t *testing.T) {
-	e := openDurableEngine(t, t.TempDir(), Options{Replicas: 1})
+	dir := t.TempDir()
+	e := openDurableEngine(t, dir, Options{})
 	defer e.Close()
+	set, err := replica.Open(replica.Config{Dir: dir, Replicas: 1, PrimaryTS: e.DB().CurrentTS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
 	mustExec(t, e, "CREATE TABLE items (id INT PRIMARY KEY, grp TEXT, qty INT)")
 	for i := 1; i <= 40; i++ {
 		mustExec(t, e, fmt.Sprintf("INSERT INTO items VALUES (%d, 'g%d', %d)", i, i%5, i*3))
@@ -174,8 +56,8 @@ func TestQueryOnReplicaMatchesPinnedPrimary(t *testing.T) {
 	// every timestamp the replica can be pinned at afterwards.
 	please := e.DB().AcquireRead()
 	defer please.Release()
-	waitReplicasCaughtUp(t, e)
-	rep := e.ReplicaSet().Replicas()[0]
+	waitReplicasCaughtUp(t, e, set)
+	rep := set.Replicas()[0]
 	rdb := rep.DB()
 	rlease := rdb.AcquireRead()
 	defer rlease.Release()

@@ -368,22 +368,31 @@ func overSinkBattery() []struct{ name, sql string } {
 	return out
 }
 
-// TestRowLeftOuterNullsAreTyped pins that the row LEFT OUTER join pads an
-// unmatched row with NULLs of the right columns' types, as the batch
-// join does: kx.i is at most 7, so no ky row above 30 finds a partner.
+// TestRowLeftOuterNullsAreTyped pins that both executors pad an
+// unmatched LEFT OUTER row with NULLs of the right columns' types: kx.i
+// is at most 7, so no ky row above 30 finds a partner; and a join that
+// builds its preserved left side pads them even when its probe side
+// yields no batch at all.
 func TestRowLeftOuterNullsAreTyped(t *testing.T) {
 	e := keyEngine(t, 1)
-	const q = "select ky.id, kx.i, kx.m from ky left outer join kx on ky.id = kx.i where ky.id > 30"
-	got := typedRows(runMeta(t, e, q, engine.Options{DisableVectorize: true}, core.ProfileHANA))
-	var want strings.Builder
+	var padded strings.Builder
 	for id := 31; id < 40; id++ {
-		fmt.Fprintf(&want, "BIGINT:%d | BIGINT:NULL | DECIMAL:NULL\n", id)
+		fmt.Fprintf(&padded, "BIGINT:%d | BIGINT:NULL | DECIMAL:NULL\n", id)
 	}
-	if got != want.String() {
-		t.Errorf("row executor:\n got:\n%s\nwant:\n%s", got, want.String())
-	}
-	if batch := typedRows(runMeta(t, e, q, engine.Options{}, core.ProfileHANA)); batch != got {
-		t.Errorf("batch executor:\n got:\n%s\nwant:\n%s", batch, got)
+	for _, c := range []struct{ sql, want string }{
+		{"select ky.id, kx.i, kx.m from ky left outer join kx on ky.id = kx.i where ky.id > 30", padded.String()},
+		{"select a.id, k.i, k.m from (select id, i from ky order by id limit 3) a " +
+			"left outer join (select * from kx where id < 0) k on a.i = k.i",
+			"BIGINT:0 | BIGINT:NULL | DECIMAL:NULL\nBIGINT:1 | BIGINT:NULL | DECIMAL:NULL\nBIGINT:2 | BIGINT:NULL | DECIMAL:NULL\n"},
+	} {
+		if got := typedRows(runMeta(t, e, c.sql, engine.Options{DisableVectorize: true}, core.ProfileHANA)); got != c.want {
+			t.Errorf("%q: row executor:\n got:\n%s\nwant:\n%s", c.sql, got, c.want)
+		}
+		for _, size := range []int{1, 7, 1024} {
+			if got := typedRows(runMeta(t, e, c.sql, engine.Options{BatchSize: size}, core.ProfileHANA)); got != c.want {
+				t.Errorf("%q: batch=%d:\n got:\n%s\nwant:\n%s", c.sql, size, got, c.want)
+			}
+		}
 	}
 }
 

@@ -22,20 +22,25 @@ type Iterator interface {
 // --- scan -------------------------------------------------------------
 
 // scanIter streams visible rows lazily so operators above (LIMIT in
-// particular) can stop early without materializing the whole table.
-// When range constraints are attached (extracted from a filter directly
-// above the scan), zone-mapped blocks that cannot match are skipped.
+// particular) can stop early without materializing the whole table: it
+// collects visible positions DefaultBatchSize storage positions at a
+// time (one table lock per chunk) and reads each row's values only when
+// the row is pulled. When range constraints are attached (extracted
+// from a filter directly above the scan), zone-mapped blocks that
+// cannot match are skipped.
 type scanIter struct {
-	snap   *storage.Snapshot
-	ords   []int
-	ranges []storage.ColRange
-	pos    int
-	gov    *Governance
-	stride govStride
+	snap       *storage.Snapshot
+	ords       []int
+	ranges     []storage.ColRange
+	idx        []int // visible positions of the current chunk
+	i          int   // next entry of idx
+	pos, total int   // next storage position to collect; the end
+	gov        *Governance
+	stride     govStride
 }
 
 func (s *scanIter) Open() error {
-	s.pos = 0
+	s.idx, s.i, s.pos, s.total = s.idx[:0], 0, 0, s.snap.NumRowVersions()
 	s.stride = govStride{gov: s.gov}
 	return s.gov.point(PointScan)
 }
@@ -44,16 +49,15 @@ func (s *scanIter) Next() (types.Row, bool, error) {
 	if err := s.stride.tick(); err != nil {
 		return nil, false, err
 	}
-	var r int
-	if len(s.ranges) > 0 {
-		r = s.snap.NextVisiblePruned(s.pos, s.ranges)
-	} else {
-		r = s.snap.NextVisible(s.pos)
+	for s.i == len(s.idx) {
+		if s.pos >= s.total {
+			return nil, false, nil
+		}
+		s.idx, s.pos = s.snap.CollectVisible(s.pos, s.pos+DefaultBatchSize, s.ranges, s.idx[:0])
+		s.i = 0
 	}
-	if r < 0 {
-		return nil, false, nil
-	}
-	s.pos = r + 1
+	r := s.idx[s.i]
+	s.i++
 	out := make(types.Row, len(s.ords))
 	s.snap.ValuesInto(r, s.ords, out)
 	return out, true, nil

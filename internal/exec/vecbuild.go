@@ -184,14 +184,19 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
 		met:       b.met,
 	}
 	nl, nr := len(lf.spec.proj), len(rf.spec.proj)
+	probe := lf
 	if js.buildLeft {
 		js.build, js.probe = lf.spec, rf.spec
 		js.buildKey, js.probeKey = leftPos, rightPos
 		js.probeOff, js.buildOff = nl, 0
+		probe = rf
 	} else {
 		js.build, js.probe = rf.spec, lf.spec
 		js.buildKey, js.probeKey = rightPos, leftPos
 		js.probeOff, js.buildOff = 0, nl
+	}
+	for _, id := range probe.cols {
+		js.probeTyps = append(js.probeTyps, b.ctx.Type(id))
 	}
 	js.keep = allTrue(nl + nr)
 	js.store = allTrue(len(js.build.proj))

@@ -193,6 +193,9 @@ type joinSource struct {
 	batchSize          int
 	gov                *Governance
 	met                *Metrics
+	// probeTyps are the probe columns' plan types, by probe output
+	// position: the NULL extension's types when no probe batch came.
+	probeTyps []types.Type
 	srcStats
 	// probeOff and buildOff are each side's first output column. keep
 	// marks the output columns a consumer reads (all until need narrows
@@ -662,7 +665,7 @@ func (j *joinSource) tail() *Batch {
 		}
 		// Keep the probe columns' vector types, so every batch of the
 		// stream lays a column out alike (a build above appends them).
-		typ := types.TNull
+		typ := j.probeTyps[k]
 		if j.pb != nil {
 			typ = j.pb.Cols[ci].Typ
 		}

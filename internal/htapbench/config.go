@@ -70,6 +70,10 @@ type Config struct {
 	// governance, execution strategy). The zero value is replaced by
 	// DefaultEngineOptions.
 	Engine engine.Options
+	// Replicas is the number of WAL-shipped read replicas the harness
+	// runs beside the engine, tailing Engine.WALDir; the replica reader
+	// class reads them. 0 runs none.
+	Replicas int
 }
 
 // DefaultEngineOptions are the engine settings a realistic mixed run
@@ -116,7 +120,15 @@ func (c Config) normalized() (Config, error) {
 		c.Engine.StatementTimeout = 0
 		c.Engine.QueueTimeout = 0
 	}
-	if c.Engine.Replicas <= 0 && c.Mix.Replica > 0 {
+	if c.Replicas > 0 {
+		if c.Engine.WALDir == "" {
+			return c, fmt.Errorf("htapbench: replicas require a WAL directory (replicas are WAL-shipped)")
+		}
+		if c.Mix.Replica == 0 {
+			return c, fmt.Errorf("htapbench: replicas need the replica reader class (mix weight replica > 0); no other op reads them")
+		}
+	}
+	if c.Replicas <= 0 && c.Mix.Replica > 0 {
 		// Replica reads need replicas; drop the class rather than fail,
 		// keeping at least one reader class alive if it was the only one.
 		c.Mix.Replica = 0
@@ -147,9 +159,9 @@ func (c Config) walMode() string {
 // Mix holds the per-class operation weights. Writer sessions draw from
 // {Insert, Draft, Activate, Delete}, reader sessions from {View,
 // Filter, Page, Conserve, Pinned, Replica}. A zero weight disables the
-// class. Replica (a replica-routed read checked against the primary at
-// the same pinned timestamp) requires Engine.Replicas > 0 and is
-// forced to zero otherwise.
+// class. Replica (a replica read checked against the primary at the
+// same pinned timestamp) requires Config.Replicas > 0 and is forced to
+// zero otherwise; replicas in turn require it.
 type Mix struct {
 	Insert, Draft, Activate, Delete               int
 	View, Filter, Page, Conserve, Pinned, Replica int

@@ -35,8 +35,12 @@ type Harness struct {
 	writerOps int64
 	readerOps int64
 
+	// replicas is the read-replica set tailing the engine's WAL, owned
+	// by the harness and read by the replica reader class (nil without
+	// Config.Replicas).
+	replicas *replica.Set
 	// Replica-op accounting: per-replica freshness-lag samples taken at
-	// each routed read, plus how many replica ops were served by a
+	// each replica read, plus how many replica ops were served by a
 	// replica versus falling back to a primary-pinned read.
 	replicaLag       map[int]*metrics.Histogram
 	replicaReads     int64
@@ -52,9 +56,10 @@ type Harness struct {
 	globalLog []Op
 }
 
-// New builds a harness: engine with the configured options, fixture
-// loaded at cfg.Scale, sessions constructed with their per-seed RNG
-// streams. The caller must Close it.
+// New builds a harness: engine with the configured options, the
+// replica set tailing its WAL, fixture loaded at cfg.Scale, sessions
+// constructed with their per-seed RNG streams. The caller must Close
+// it.
 func New(cfg Config) (*Harness, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
@@ -83,9 +88,16 @@ func New(cfg Config) (*Harness, error) {
 		errs:       map[OpKind]int64{},
 		replicaLag: map[int]*metrics.Histogram{},
 	}
+	if cfg.Replicas > 0 {
+		h.replicas, err = replica.Open(replica.Config{Dir: cfg.Engine.WALDir, Replicas: cfg.Replicas, PrimaryTS: h.db.CurrentTS})
+		if err != nil {
+			h.Close()
+			return nil, err
+		}
+	}
 	fx, err := SetupFixture(e, cfg)
 	if err != nil {
-		e.Close()
+		h.Close()
 		return nil, err
 	}
 	h.fx = fx
@@ -100,12 +112,12 @@ func New(cfg Config) (*Harness, error) {
 	} {
 		tbl, ok := h.db.Table(bind.name)
 		if !ok {
-			e.Close()
+			h.Close()
 			return nil, fmt.Errorf("htapbench: fixture table %s missing", bind.name)
 		}
 		*bind.tbl = tbl
 		if *bind.pk = tbl.PrimaryKeyIndex(); *bind.pk < 0 {
-			e.Close()
+			h.Close()
 			return nil, fmt.Errorf("htapbench: fixture table %s has no primary key", bind.name)
 		}
 	}
@@ -125,8 +137,14 @@ func (h *Harness) Engine() *engine.Engine { return h.eng }
 // Checker exposes the invariant checker.
 func (h *Harness) Checker() *Checker { return h.check }
 
-// Close shuts the engine down (stopping background maintenance).
-func (h *Harness) Close() { h.eng.Close() }
+// Close stops the replicas' tail loops, then shuts the engine down
+// (stopping background maintenance and closing the WAL they tail).
+func (h *Harness) Close() {
+	if h.replicas != nil {
+		h.replicas.Close()
+	}
+	h.eng.Close()
+}
 
 func (h *Harness) observe(kind OpKind, d time.Duration) {
 	h.mu.Lock()
@@ -295,7 +313,7 @@ func (h *Harness) scheduleLog() *ScheduleLog {
 		Ops:      h.cfg.Ops,
 		Mix:      h.cfg.Mix.String(),
 		Mode:     h.cfg.mode(),
-		Replicas: h.cfg.Engine.Replicas,
+		Replicas: h.cfg.Replicas,
 	}
 	if h.cfg.Deterministic {
 		l.Entries = append(l.Entries, h.globalLog...)
@@ -311,13 +329,16 @@ func (h *Harness) scheduleLog() *ScheduleLog {
 }
 
 // ConfigFromLog reconstructs the run configuration a schedule log was
-// recorded under, so Replay rebuilds the identical fixture.
+// recorded under, with the default engine options, so Replay rebuilds
+// the identical fixture and replica fleet. The header cannot carry a
+// usable WAL directory: for a log with replicas the caller sets
+// Engine.WALDir, and New validates the result.
 func ConfigFromLog(l *ScheduleLog) (Config, error) {
 	mix, err := ParseMix(l.Mix)
 	if err != nil {
 		return Config{}, err
 	}
-	cfg := Config{
+	return Config{
 		Writers:       l.Writers,
 		Readers:       l.Readers,
 		Seed:          l.Seed,
@@ -325,8 +346,9 @@ func ConfigFromLog(l *ScheduleLog) (Config, error) {
 		Ops:           l.Ops,
 		Mix:           mix,
 		Deterministic: true,
-	}
-	return cfg.normalized()
+		Engine:        DefaultEngineOptions(),
+		Replicas:      l.Replicas,
+	}, nil
 }
 
 // Replay executes a schedule log's entries in file order on a single

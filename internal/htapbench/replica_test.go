@@ -3,6 +3,7 @@ package htapbench
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"vdm/internal/wal"
@@ -14,7 +15,6 @@ func replicaConfig(dir string, det bool) Config {
 	eng := DefaultEngineOptions()
 	eng.WALDir = dir
 	eng.WALSync = wal.SyncOff
-	eng.Replicas = 2
 	mix := DefaultMix()
 	mix.Replica = 3
 	return Config{
@@ -26,6 +26,7 @@ func replicaConfig(dir string, det bool) Config {
 		Mix:           mix,
 		Deterministic: det,
 		Engine:        eng,
+		Replicas:      2,
 	}
 }
 
@@ -126,11 +127,13 @@ func TestReplayHonorsReplicaHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cfg.Replicas != 2 {
+		t.Fatalf("ConfigFromLog replicas = %d, want 2", cfg.Replicas)
+	}
 	// The header cannot carry a usable WAL path; the replayer supplies
 	// a fresh one (as cmd/vdmhtap does).
 	cfg.Engine.WALDir = t.TempDir()
 	cfg.Engine.WALSync = wal.SyncOff
-	cfg.Engine.Replicas = log.Replicas
 	h2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -165,12 +168,45 @@ func TestMixDropsReplicaWithoutReplicas(t *testing.T) {
 	}
 	// And with replicas configured the weight survives.
 	cfg.Engine.WALDir = t.TempDir()
-	cfg.Engine.Replicas = 1
+	cfg.Replicas = 1
 	norm, err = cfg.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm.Mix.Replica != 5 {
 		t.Fatalf("Mix.Replica = %d with replicas, want 5", norm.Mix.Replica)
+	}
+}
+
+// TestReplicasRequireWAL: replicas tail the engine's log, so a run
+// that asks for them without a WAL directory is rejected up front.
+func TestReplicasRequireWAL(t *testing.T) {
+	cfg := replicaConfig("", false)
+	if _, err := cfg.normalized(); err == nil || !strings.Contains(err.Error(), "WAL") {
+		t.Fatalf("replicas without a WAL directory: err = %v", err)
+	}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New with replicas but no WAL directory must fail")
+	}
+}
+
+// TestReplicasRequireReplicaClass: the replica reader class is the
+// only op that reads a replica, so replicas under a mix that gives it
+// no weight would only tail the log; the run is rejected, naming the
+// class.
+func TestReplicasRequireReplicaClass(t *testing.T) {
+	for _, spec := range []string{"replica=0", "default", "read-heavy"} {
+		mix, err := ParseMix(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := replicaConfig(t.TempDir(), false)
+		cfg.Mix = mix
+		if _, err := cfg.normalized(); err == nil || !strings.Contains(err.Error(), "replica reader class") {
+			t.Fatalf("mix %q with replicas: err = %v, want one naming the replica reader class", spec, err)
+		}
+	}
+	if _, err := replicaConfig(t.TempDir(), false).normalized(); err != nil {
+		t.Fatalf("replicas with the replica class: %v", err)
 	}
 }

@@ -104,22 +104,17 @@ type Governance struct {
 	PanicsRecovered  int64 `json:"panics_recovered"`
 }
 
-// Replication reports the replica fleet's behavior during the run:
-// routed-read counts from both the harness's replica ops and the
-// engine's read router, plus each replica's applied watermark and the
-// freshness-lag quantiles sampled at every routed read.
+// Replication reports the replica fleet's behavior during the run: how
+// the harness's replica ops were served, plus each replica's applied
+// watermark and the freshness-lag quantiles sampled at every replica
+// read.
 type Replication struct {
-	Replicas int    `json:"replicas"`
-	MaxLag   uint64 `json:"max_replica_lag,omitempty"`
+	Replicas int `json:"replicas"`
 	// RoutedReads/Fallbacks count the harness's replica ops (served by
 	// a replica vs. degraded to a primary-pinned read).
-	RoutedReads int64 `json:"routed_reads"`
-	Fallbacks   int64 `json:"primary_fallbacks"`
-	// EngineReads/EngineFallbacks are the engine router's own counters
-	// (deltas over the run), covering every plain read it routed.
-	EngineReads     int64          `json:"engine_replica_reads"`
-	EngineFallbacks int64          `json:"engine_replica_fallbacks"`
-	PerReplica      []ReplicaStats `json:"per_replica"`
+	RoutedReads int64          `json:"routed_reads"`
+	Fallbacks   int64          `json:"primary_fallbacks"`
+	PerReplica  []ReplicaStats `json:"per_replica"`
 }
 
 // ReplicaStats is one replica's end-of-run state and lag profile.
@@ -171,7 +166,7 @@ func (h *Harness) Report() *Report {
 			Mode:       h.cfg.mode(),
 			Ops:        h.cfg.Ops,
 			WAL:        h.cfg.walMode(),
-			Replicas:   h.cfg.Engine.Replicas,
+			Replicas:   h.cfg.Replicas,
 		},
 		Maintenance: Maintenance{
 			Commits:          counterDelta(h.base, after, "storage.commits"),
@@ -236,17 +231,14 @@ func (h *Harness) Report() *Report {
 		MaxLag:  h.lagHist.Max(),
 	}
 
-	if set := h.eng.ReplicaSet(); set != nil {
+	if h.replicas != nil {
 		h.mu.Lock()
 		repl := &Replication{
-			Replicas:        h.cfg.Engine.Replicas,
-			MaxLag:          h.cfg.Engine.MaxReplicaLag,
-			RoutedReads:     h.replicaReads,
-			Fallbacks:       h.replicaFallbacks,
-			EngineReads:     counterDelta(h.base, after, "engine.replica_reads"),
-			EngineFallbacks: counterDelta(h.base, after, "engine.replica_fallbacks"),
+			Replicas:    h.cfg.Replicas,
+			RoutedReads: h.replicaReads,
+			Fallbacks:   h.replicaFallbacks,
 		}
-		for _, r := range set.Replicas() {
+		for _, r := range h.replicas.Replicas() {
 			stats := ReplicaStats{
 				ID:             r.ID(),
 				AppliedTS:      r.AppliedTS(),

@@ -374,14 +374,14 @@ func (h *Harness) applyReaderOp(ctx context.Context, r *readerSession, op Op) st
 	return "err:unknown reader op " + string(op.Kind)
 }
 
-// applyReplicaOp is the replica-consistency probe: route the pinned
-// analytical query to a caught-up replica and check it row- and order-
+// applyReplicaOp is the replica-consistency probe: run the pinned
+// analytical query on a caught-up replica and check it row- and order-
 // identical against the primary at the same timestamp. The reader's
 // primary lease (already held by applyReaderOp) pins the primary's
 // watermark at or below ts, so any timestamp the replica is pinned at
 // afterwards is GC-safe to re-read on the primary.
 func (h *Harness) applyReplicaOp(ctx context.Context, r *readerSession, op Op, ts uint64, query func(string) (*engine.Result, string)) string {
-	set := h.eng.ReplicaSet()
+	set := h.replicas
 	if set == nil {
 		return "skip:no-replicas"
 	}
@@ -398,7 +398,7 @@ func (h *Harness) applyReplicaOp(ctx context.Context, r *readerSession, op Op, t
 	deadline := time.Now().Add(wait)
 	var rep *replica.Replica
 	for {
-		if got, ok := set.Best(0, ts); ok {
+		if got, ok := set.Best(ts); ok {
 			rep = got
 			break
 		}

@@ -126,11 +126,9 @@ func Open(cfg Config) (*Set, error) {
 func (s *Set) Replicas() []*Replica { return s.reps }
 
 // Best returns the freshest healthy replica whose applied timestamp is
-// at least minTS and whose lag behind the primary clock is at most
-// maxLag (0 = unbounded). ok is false when no replica qualifies and
-// the caller should read from the primary instead.
-func (s *Set) Best(maxLag, minTS uint64) (r *Replica, ok bool) {
-	primary := s.cfg.PrimaryTS()
+// at least minTS. ok is false when no replica qualifies and the caller
+// should read from the primary instead.
+func (s *Set) Best(minTS uint64) (r *Replica, ok bool) {
 	var best *Replica
 	var bestTS uint64
 	for _, c := range s.reps {
@@ -139,9 +137,6 @@ func (s *Set) Best(maxLag, minTS uint64) (r *Replica, ok bool) {
 		}
 		ts := c.appliedTS.Load()
 		if ts < minTS {
-			continue
-		}
-		if maxLag > 0 && primary > ts && primary-ts > maxLag {
 			continue
 		}
 		if best == nil || ts > bestTS {
@@ -199,7 +194,7 @@ func (r *Replica) Lag() uint64 {
 
 // Err reports the replica's sticky fault, if any. A faulted replica
 // stops applying (its store freezes at AppliedTS) and Best never
-// routes to it.
+// returns it.
 func (r *Replica) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -248,7 +243,7 @@ func (r *Replica) bootstrap() error {
 		if old != nil {
 			old.Close()
 		}
-		// Publish applied state before the store pointer: a router that
+		// Publish applied state before the store pointer: a reader that
 		// sees the new db never observes a stale (lower) watermark.
 		r.appliedTS.Store(appliedTS)
 		r.recordsApplied.Add(int64(n))

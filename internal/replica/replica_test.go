@@ -355,8 +355,8 @@ func TestReplicaConvergesUnderChurn(t *testing.T) {
 	}
 }
 
-// TestBestSelection exercises the freshness-lag routing predicate:
-// healthy-only, lag-bounded, floor-respecting, freshest-first.
+// TestBestSelection exercises the replica choice: healthy-only,
+// floor-respecting, freshest-first.
 func TestBestSelection(t *testing.T) {
 	primary := uint64(100)
 	cfg := Config{Dir: "x", Replicas: 3, PrimaryTS: func() uint64 { return primary }}
@@ -369,24 +369,20 @@ func TestBestSelection(t *testing.T) {
 	r0, r1, r2 := mk(0, 90), mk(1, 97), mk(2, 99)
 	set.reps = []*Replica{r0, r1, r2}
 
-	if r, ok := set.Best(0, 0); !ok || r.ID() != 2 {
+	if r, ok := set.Best(0); !ok || r.ID() != 2 {
 		t.Fatalf("unbounded Best = %v, want replica 2", r)
 	}
 	// Floor above every replica: nothing qualifies.
-	if _, ok := set.Best(0, 100); ok {
+	if _, ok := set.Best(100); ok {
 		t.Fatal("Best above all applied TS should fail")
 	}
 	// Floor between replicas: only fresh-enough ones qualify.
-	if r, ok := set.Best(0, 98); !ok || r.ID() != 2 {
+	if r, ok := set.Best(98); !ok || r.ID() != 2 {
 		t.Fatalf("floor=98 Best = %v, want replica 2", r)
-	}
-	// Lag bound excludes the laggard.
-	if r, ok := set.Best(5, 0); !ok || r.ID() != 2 {
-		t.Fatalf("maxLag=5 Best = %v, want replica 2", r)
 	}
 	// Faulted freshest replica is skipped.
 	r2.fail(fmt.Errorf("boom"))
-	if r, ok := set.Best(0, 0); !ok || r.ID() != 1 {
+	if r, ok := set.Best(0); !ok || r.ID() != 1 {
 		t.Fatalf("Best with faulted r2 = %v, want replica 1", r)
 	}
 	// Lag computation.

@@ -467,21 +467,6 @@ func (s *Snapshot) ForEach(fn func(row int) bool) {
 	}
 }
 
-// NextVisible returns the first visible row position >= from, or -1
-// when the snapshot is exhausted. It lets scans stream lazily so LIMIT
-// stops reading early.
-func (s *Snapshot) NextVisible(from int) int {
-	s.t.mu.RLock()
-	defer s.t.mu.RUnlock()
-	d := s.data
-	for r := from; r < len(d.begin); r++ {
-		if d.begin[r] <= s.ts && s.ts < d.end[r] {
-			return r
-		}
-	}
-	return -1
-}
-
 // Rows returns the visible row positions, collected under a single lock
 // acquisition.
 func (s *Snapshot) Rows() []int {

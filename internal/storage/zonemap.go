@@ -173,24 +173,3 @@ func (d *tableData) zoneRunEnd(r, hi int, ranges []ColRange) int {
 	}
 	return end
 }
-
-// NextVisiblePruned behaves like NextVisible but additionally skips
-// whole zone-mapped blocks that cannot satisfy all the given range
-// constraints. Rows beyond zone-map coverage (the delta) are returned
-// for normal filtering.
-func (s *Snapshot) NextVisiblePruned(from int, ranges []ColRange) int {
-	s.t.mu.RLock()
-	defer s.t.mu.RUnlock()
-	d := s.data
-	for r := from; r < len(d.begin); {
-		if next := d.zoneSkip(r, ranges, s.t.metrics); next > r {
-			r = next
-			continue
-		}
-		if d.begin[r] <= s.ts && s.ts < d.end[r] {
-			return r
-		}
-		r++
-	}
-	return -1
-}

@@ -34,16 +34,8 @@ func iv(n int64) *types.Value { v := types.NewInt(n); return &v }
 
 func collectPruned(db *DB, tbl *Table, ranges []ColRange) []int {
 	snap := tbl.SnapshotAt(db.CurrentTS())
-	var out []int
-	pos := 0
-	for {
-		r := snap.NextVisiblePruned(pos, ranges)
-		if r < 0 {
-			return out
-		}
-		out = append(out, r)
-		pos = r + 1
-	}
+	out, _ := snap.CollectVisible(0, snap.NumRowVersions(), ranges, nil)
+	return out
 }
 
 func TestZoneMapEqPruning(t *testing.T) {

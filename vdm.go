@@ -144,7 +144,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 type RecoveryInfo = storage.RecoveryInfo
 
 // Options configures an engine (executor mode and batch size, background
-// maintenance, WAL and replicas, and the query-governance knobs:
+// maintenance, the WAL, and the query-governance knobs:
 // StatementTimeout, MemoryBudget, MaxConcurrentQueries, QueueTimeout).
 // Every query runs on one goroutine.
 type Options = engine.Options
