@@ -90,31 +90,10 @@ func runPlanned(b *testing.B, e *engine.Engine, profile core.Profile, user, q st
 	}
 }
 
-// runPlannedOpts is runPlanned under explicit engine execution options,
-// restored afterwards (the fixture engines are shared).
-func runPlannedOpts(b *testing.B, e *engine.Engine, opts engine.Options, profile core.Profile, user, q string) {
-	b.Helper()
-	saved := e.Options()
-	e.SetOptions(opts)
-	defer e.SetOptions(saved)
-	runPlanned(b, e, profile, user, q)
-}
-
-// execModes are the two executor legs of the vector benchmarks:
-// row-serial is the reference executor (DisableVectorize), vec the
-// batch kernels.
-var execModes = []struct {
-	name string
-	opts engine.Options
-}{
-	{"row-serial", engine.Options{DisableVectorize: true}},
-	{"vec", engine.Options{}},
-}
-
-// BenchmarkVectorSpeedup measures the vectorized batch executor against
-// the row-at-a-time path. The workloads are fused scan→filter→agg
-// pipelines, group-by, a hash join, top-k, and the 57-join browser
-// count(*).
+// BenchmarkVectorSpeedup measures the batch executor on fused
+// scan→filter→agg pipelines, group-by, a hash join, top-k, and the
+// 57-join browser count(*). Speedups are read against the previous
+// committed baseline, not against the row reference.
 func BenchmarkVectorSpeedup(b *testing.B) {
 	tpchQueries := []experiments.NamedQuery{
 		{Name: "count-star", SQL: `select count(*) from lineitem`},
@@ -128,26 +107,20 @@ func BenchmarkVectorSpeedup(b *testing.B) {
 	e := benchTPCH(b)
 	for _, q := range tpchQueries {
 		q := q
-		for _, m := range execModes {
-			m := m
-			b.Run(q.Name+"/"+m.name, func(b *testing.B) {
-				runPlannedOpts(b, e, m.opts, core.ProfileHANA, "", q.SQL)
-			})
-		}
-	}
-	s4e := benchS4(b)
-	for _, m := range execModes {
-		m := m
-		b.Run("s4-count/"+m.name, func(b *testing.B) {
-			runPlannedOpts(b, s4e, m.opts, core.ProfileHANA, "user", "select count(*) from JournalEntryItemBrowser")
+		b.Run(q.Name, func(b *testing.B) {
+			runPlanned(b, e, core.ProfileHANA, "", q.SQL)
 		})
 	}
+	s4e := benchS4(b)
+	b.Run("s4-count", func(b *testing.B) {
+		runPlanned(b, s4e, core.ProfileHANA, "user", "select count(*) from JournalEntryItemBrowser")
+	})
 }
 
 // BenchmarkVectorPR7 measures the PR 7 batch operators on the S/4
 // document population: top-k paging over the active∪draft union (the
 // Figure 14 paging pattern), DISTINCT-over-union dedup, and an
-// expression-kernel filter, each under both execModes.
+// expression-kernel filter.
 func BenchmarkVectorPR7(b *testing.B) {
 	queries := []experiments.NamedQuery{
 		{Name: "paging", SQL: `select bid, id, amount, status from
@@ -165,12 +138,9 @@ func BenchmarkVectorPR7(b *testing.B) {
 	e := benchS4(b)
 	for _, q := range queries {
 		q := q
-		for _, m := range execModes {
-			m := m
-			b.Run(q.Name+"/"+m.name, func(b *testing.B) {
-				runPlannedOpts(b, e, m.opts, core.ProfileHANA, "user", q.SQL)
-			})
-		}
+		b.Run(q.Name, func(b *testing.B) {
+			runPlanned(b, e, core.ProfileHANA, "user", q.SQL)
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"vdm/internal/catalog"
+	"vdm/internal/decimal"
 	"vdm/internal/plan"
 	"vdm/internal/sql"
 	"vdm/internal/types"
@@ -140,12 +141,89 @@ func (b *Binder) bindUnionAll(u *sql.UnionAll, depth int, outer *scope) (plan.No
 		}
 		children = append(children, child)
 	}
-	first := children[0].Columns()
-	outCols := make([]types.ColumnID, len(first))
-	for i, id := range first {
-		outCols[i] = b.ctx.NewColumn(names[i], b.ctx.Type(id))
+	// Each column takes the branches' common type, and a branch whose
+	// column differs is converted in a Project over it, so that every
+	// value of a union column has the column's type.
+	cols := make([][]types.ColumnID, len(children))
+	for ci, child := range children {
+		cols[ci] = child.Columns()
+	}
+	typs := make([]types.Type, len(names))
+	for i := range typs {
+		typs[i] = b.ctx.Type(cols[0][i])
+		for _, cc := range cols[1:] {
+			t := b.ctx.Type(cc[i])
+			common, ok := unionType(typs[i], t)
+			if !ok {
+				return nil, nil, fmt.Errorf("bind: UNION ALL column %d has no common type: %s and %s", i+1, typs[i], t)
+			}
+			typs[i] = common
+		}
+	}
+	for ci, child := range children {
+		children[ci] = b.convertColumns(child, cols[ci], names, typs)
+	}
+	outCols := make([]types.ColumnID, len(names))
+	for i := range outCols {
+		outCols[i] = b.ctx.NewColumn(names[i], typs[i])
 	}
 	return &plan.UnionAll{Children: children, Cols: outCols}, names, nil
+}
+
+// unionType returns the common type of two UNION ALL branch columns:
+// their type when they agree, the other's when one is NULL-typed, and
+// the arithmetic promotion of two numbers (int, decimal, float); ok is
+// false when there is none.
+func unionType(a, b types.Type) (types.Type, bool) {
+	num := func(t types.Type) bool { return t == types.TInt || t == types.TDecimal || t == types.TFloat }
+	switch {
+	case a == b || b == types.TNull:
+		return a, true
+	case a == types.TNull:
+		return b, true
+	case num(a) && num(b):
+		t, err := numericResult("+", a, b)
+		return t, err == nil
+	}
+	return 0, false
+}
+
+// convertColumns returns n, whose columns are cols, with its columns
+// converted to typs: a Project over n when some column's type differs.
+// A NULL-typed column becomes a NULL of its type; a number is promoted
+// by adding a zero of its type, which Arith and the batch kernels
+// evaluate exactly.
+func (b *Binder) convertColumns(n plan.Node, cols []types.ColumnID, names []string, typs []types.Type) plan.Node {
+	same := true
+	for i, id := range cols {
+		same = same && b.ctx.Type(id) == typs[i]
+	}
+	if same {
+		return n
+	}
+	proj := &plan.Project{Input: n, Cols: make([]plan.ProjCol, len(cols))}
+	for i, id := range cols {
+		t := b.ctx.Type(id)
+		var e plan.Expr = &plan.ColRef{ID: id, Typ: t}
+		out := id
+		if t != typs[i] {
+			out = b.ctx.NewColumn(names[i], typs[i])
+			if t == types.TNull {
+				e = &plan.Const{Val: types.NewNull(typs[i])}
+			} else {
+				zero := types.NewInt(0)
+				switch typs[i] {
+				case types.TFloat:
+					zero = types.NewFloat(0)
+				case types.TDecimal:
+					zero = types.NewDecimal(decimal.Decimal{})
+				}
+				e = &plan.Bin{Op: "+", L: e, R: &plan.Const{Val: zero}, Typ: typs[i]}
+			}
+		}
+		proj.Cols[i] = plan.ProjCol{ID: out, Expr: e}
+	}
+	return proj
 }
 
 func (b *Binder) bindSelect(sel *sql.Select, depth int, outer *scope) (plan.Node, []string, error) {

@@ -64,7 +64,9 @@ func numericResult(op string, l, r types.Type) (types.Type, error) {
 		return 0, fmt.Errorf("bind: operator %s requires numeric operands, got %s and %s", op, l, r)
 	}
 	if op == "/" {
-		if l == types.TDecimal || r == types.TDecimal {
+		// Arith divides in float when either side is a float, else in
+		// decimal when either is a decimal, else (two ints) in float.
+		if l != types.TFloat && r != types.TFloat && (l == types.TDecimal || r == types.TDecimal) {
 			return types.TDecimal, nil
 		}
 		return types.TFloat, nil

@@ -43,6 +43,10 @@ type Engine struct {
 	// execHooks holds governance fault-injection hooks for tests (see
 	// SetExecHooks); production engines never set them.
 	execHooks atomic.Pointer[exec.Hooks]
+	// rowReference runs queries on the row executor, the reference the
+	// equivalence tests compare the batch executor against; only tests
+	// set it.
+	rowReference bool
 	// recovery is what Open restored from the WAL directory (nil for
 	// in-memory engines); closeMu/closed make Close idempotent.
 	recovery *storage.RecoveryInfo
@@ -50,22 +54,14 @@ type Engine struct {
 	closed   bool
 }
 
-// Options control query execution strategy. The zero value is the
-// vectorized executor: eligible operators run over column batches of
-// dictionary codes, producing rows bit-identical to the row-at-a-time
-// path (DisableVectorize forces the latter). Every query runs on one
-// goroutine in either mode; concurrency is between queries, and between
-// readers and writers, never inside one query.
+// Options control query execution. Every query runs on the vectorized
+// executor: the whole plan compiles to batch operators over column
+// batches of dictionary codes and leaves batch mode only at its root.
+// Every query runs on one goroutine; concurrency is between queries,
+// and between readers and writers, never inside one query.
 type Options struct {
-	// DisableVectorize forces every operator onto the serial
-	// row-at-a-time iterator path. The default (false) lets eligible
-	// scan, filter, group-by, and join pipelines execute over column
-	// batches of dictionary codes; results are identical either way, so
-	// this knob exists for A/B benchmarking and differential testing.
-	DisableVectorize bool
-	// BatchSize is the number of row positions per column batch on the
-	// vectorized path; 0 uses exec.DefaultBatchSize. Ignored when
-	// DisableVectorize is set.
+	// BatchSize is the number of row positions per column batch; 0 uses
+	// exec.DefaultBatchSize.
 	BatchSize int
 
 	// AutoMerge enables the background maintenance goroutine's delta
@@ -232,7 +228,7 @@ func (e *Engine) Options() Options { return e.opts }
 // configureBuilder applies the engine's execution options and metrics
 // sink to a plan builder.
 func (e *Engine) configureBuilder(b *exec.Builder) {
-	if !e.opts.DisableVectorize {
+	if !e.rowReference {
 		b.SetVectorize(e.opts.BatchSize)
 	}
 	b.SetMetrics(&e.metrics.exec)

@@ -34,13 +34,14 @@ func TestExecutionDocExamples(t *testing.T) {
 	}
 	for _, mode := range []struct {
 		name string
-		opts Options
+		row  bool
 	}{
-		{"vectorized", Options{}},
-		{"row", Options{DisableVectorize: true}},
+		{"vectorized", false},
+		{"row", true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			e := NewWithOptions(mode.opts)
+			e := New()
+			e.rowReference = mode.row
 			defer e.Close()
 			ran := 0
 			for _, stmt := range strings.Split(script.String(), ";") {

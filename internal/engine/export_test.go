@@ -27,3 +27,7 @@ func (e *Engine) PlanFingerprinted(user, sqlText string) (*plan.Plan, *core.Trac
 	p.Est = opt.Estimates()
 	return p, opt.Report(), vals, nil
 }
+
+// SetRowReference switches e between the batch executor and the row
+// executor, the reference the equivalence tests compare it against.
+func SetRowReference(e *Engine, on bool) { e.rowReference = on }

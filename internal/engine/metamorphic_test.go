@@ -200,6 +200,15 @@ func runMeta(t *testing.T, e *engine.Engine, sqlText string, o engine.Options, p
 	return res
 }
 
+// runRef runs sqlText on the row executor, the reference every
+// differential test compares the batch executor against.
+func runRef(t *testing.T, e *engine.Engine, sqlText string, p core.Profile) *engine.Result {
+	t.Helper()
+	engine.SetRowReference(e, true)
+	defer engine.SetRowReference(e, false)
+	return runMeta(t, e, sqlText, engine.Options{}, p)
+}
+
 func requireSameRows(t *testing.T, label, sqlText string, want, got *engine.Result) {
 	t.Helper()
 	if len(want.Rows) != len(got.Rows) {

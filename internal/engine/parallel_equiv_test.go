@@ -102,7 +102,7 @@ func formatRow(r types.Row) string {
 	return strings.Join(parts, " | ")
 }
 
-// runBoth executes the query on the row executor (DisableVectorize) and
+// runBoth executes the query on the row executor (the reference) and
 // under the given vectorized options on the same engine and requires the
 // ordered row sequences to match: both executors emit scan order, so
 // the results must be identical, not merely multiset-equal.
@@ -111,8 +111,9 @@ func runBoth(t *testing.T, e *engine.Engine, name, sqlText string, vec engine.Op
 	saved := e.Options()
 	defer e.SetOptions(saved)
 
-	e.SetOptions(engine.Options{DisableVectorize: true})
+	engine.SetRowReference(e, true)
 	row, err := e.Query(sqlText)
+	engine.SetRowReference(e, false)
 	if err != nil {
 		t.Fatalf("%s: row: %v", name, err)
 	}
@@ -199,15 +200,16 @@ func TestPartitionedJoinEquivalence(t *testing.T) {
 	runBoth(t, e, "partitioned-join", q, engine.Options{})
 }
 
-// TestDisableVectorizeRunsRowExecutor pins that DisableVectorize runs
-// every operator on the row iterators: EXPLAIN ANALYZE shows no batch
-// operator and no batch pipeline starts.
+// TestDisableVectorizeRunsRowExecutor pins that the row reference, the
+// test hook that replaced the DisableVectorize option, runs every
+// operator on the row iterators: no batch pipeline starts and no batch
+// is filled, under plain execution and EXPLAIN ANALYZE alike.
 func TestDisableVectorizeRunsRowExecutor(t *testing.T) {
 	e := equivEngine(t)
-	e.SetOptions(engine.Options{DisableVectorize: true})
-	defer e.SetOptions(engine.Options{})
+	engine.SetRowReference(e, true)
+	defer engine.SetRowReference(e, false)
 
-	pipelines := metricValue(t, e, "exec.vec_pipelines")
+	pipelines, batches := metricValue(t, e, "exec.vec_pipelines"), metricValue(t, e, "exec.vec_batches")
 	q := `select o_orderstatus, count(*) from orders where o_totalprice > 100.00 group by o_orderstatus`
 	if _, err := e.Query(q); err != nil {
 		t.Fatal(err)
@@ -219,8 +221,11 @@ func TestDisableVectorizeRunsRowExecutor(t *testing.T) {
 	if v := metricValue(t, e, "exec.vec_pipelines"); v != pipelines {
 		t.Errorf("exec.vec_pipelines advanced on the row path: %d -> %d", pipelines, v)
 	}
-	if !strings.Contains(out, "mode=row") || strings.Contains(out, "mode=vector") {
-		t.Errorf("EXPLAIN ANALYZE is not the row executor:\n%s", out)
+	if v := metricValue(t, e, "exec.vec_batches"); v != batches {
+		t.Errorf("exec.vec_batches advanced on the row path: %d -> %d", batches, v)
+	}
+	if !strings.Contains(out, "GroupBy") || !strings.Contains(out, "rows=") {
+		t.Errorf("EXPLAIN ANALYZE lacks the row operators' counters:\n%s", out)
 	}
 }
 

@@ -299,38 +299,8 @@ func (e *Engine) ExplainAnalyze(user, sqlText string) (string, error) {
 		case hasEst:
 			note = fmt.Sprintf("est_rows=%.0f", est)
 		}
-		if n == p.Root && !e.opts.DisableVectorize {
-			note = joinNotes(note, fmt.Sprintf("row_ops=%d", builder.RowOps()))
-		}
-		return joinNotes(note, vecFallbackNote(st))
+		return note
 	}), nil
-}
-
-// vecFallbackNote names the reason the batch compiler declined a plan
-// node, surfaced in EXPLAIN output so coverage gaps are visible per
-// operator. Empty when the node compiled, was never built, or
-// vectorization is disabled engine-wide (nothing is declined then).
-func vecFallbackNote(st *exec.OpStats) string {
-	if st == nil || st.Fallback == "" {
-		return ""
-	}
-	return "vec_fallback=" + st.Fallback
-}
-
-// joinNotes concatenates the non-empty annotation fragments with single
-// spaces.
-func joinNotes(parts ...string) string {
-	var out string
-	for _, p := range parts {
-		if p == "" {
-			continue
-		}
-		if out != "" {
-			out += " "
-		}
-		out += p
-	}
-	return out
 }
 
 // TraceQuery binds and optimizes the query under the active profile and
@@ -365,28 +335,13 @@ func (e *Engine) Explain(user, sqlText string) (string, error) {
 }
 
 // formatWithEstimates renders a plan with est_rows= annotations from
-// the optimizer's estimate map (when costing ran) and vec_fallback=
-// decline reasons. The reasons come from compiling the plan without
-// running it: a build-only pass that opens nothing and feeds no metrics.
+// the optimizer's estimate map (when costing ran).
 func (e *Engine) formatWithEstimates(p *plan.Plan) string {
-	lease := e.db.AcquireRead()
-	defer lease.Release()
-	builder := exec.NewBuilder(p.Ctx, e.db, lease.TS())
-	if !e.opts.DisableVectorize {
-		builder.SetVectorize(e.opts.BatchSize)
-		builder.EnableAnalyze()
-		// A plan that fails to build is still worth showing; the error
-		// is the executing statement's to report.
-		_, _ = builder.Build(p.Root)
-	}
 	return plan.FormatAnnotated(p.Ctx, p.Root, func(n plan.Node) string {
-		var est string
-		if p.Est != nil {
-			if v, ok := p.Est[n]; ok {
-				est = fmt.Sprintf("est_rows=%.0f", v)
-			}
+		if v, ok := p.Est[n]; ok {
+			return fmt.Sprintf("est_rows=%.0f", v)
 		}
-		return joinNotes(est, vecFallbackNote(builder.NodeStats(n)))
+		return ""
 	})
 }
 

@@ -128,7 +128,8 @@ func TestNotInCorrelatedNullSemantics(t *testing.T) {
 		for _, cache := range []bool{false, true} {
 			for _, tc := range cases {
 				t.Run(fmt.Sprintf("%s/vector=%v/cache=%v", tc.name, vec, cache), func(t *testing.T) {
-					e := NewWithOptions(Options{DisableVectorize: !vec})
+					e := New()
+					e.rowReference = !vec
 					defer e.Close()
 					if err := e.ExecScript(subqueryFixture + tc.fixture); err != nil {
 						t.Fatal(err)

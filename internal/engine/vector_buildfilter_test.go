@@ -57,14 +57,13 @@ func buildFilterBattery() []experiments.NamedQuery {
 // at least one filter into a join build.
 func TestVecBuildFilterBattery(t *testing.T) {
 	e := equivEngine(t)
-	rowSerial := engine.Options{DisableVectorize: true}
 	legs := []engine.Options{{BatchSize: 1}, {BatchSize: 2}, {BatchSize: 1024}}
 	folded := 0
 	check := func(state string) {
 		for _, costing := range []bool{true, false} {
 			e.EnableCosting(costing)
 			for _, q := range buildFilterBattery() {
-				ref := runMeta(t, e, q.SQL, rowSerial, core.ProfileHANA)
+				ref := runRef(t, e, q.SQL, core.ProfileHANA)
 				for _, o := range legs {
 					got := runMeta(t, e, q.SQL, o, core.ProfileHANA)
 					requireSameRows(t, state+"/"+q.Name, q.SQL, ref, got)

@@ -123,7 +123,7 @@ func keyOps(text string) []string {
 // at batch sizes 1, 7 and 1024, with and without a populated delta:
 // rows, order and each value's printed form, so a group of 1, 1.0 and
 // 1.00 must emit the scale it met first. Every GROUP BY, DISTINCT and
-// join of the battery must run in batch mode.
+// join of the battery must report its batch operator's counters.
 func TestVecKeyIndexBattery(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		e := keyEngine(t, seed)
@@ -144,11 +144,11 @@ func TestVecKeyIndexBattery(t *testing.T) {
 					t.Fatalf("%s: no GROUP BY, DISTINCT or join in\n%s", label, text)
 				}
 				for _, op := range ops {
-					if !strings.Contains(op, "mode=vector") {
-						t.Errorf("%s: not a batch operator: %s", label, op)
+					if !strings.Contains(op, "[rows=") {
+						t.Errorf("%s: operator without counters: %s", label, op)
 					}
 				}
-				want := printedRows(runMeta(t, e, q.sql, engine.Options{DisableVectorize: true}, core.ProfileHANA))
+				want := printedRows(runRef(t, e, q.sql, core.ProfileHANA))
 				for _, size := range []int{1, 7, 1024} {
 					got := printedRows(runMeta(t, e, q.sql, engine.Options{BatchSize: size}, core.ProfileHANA))
 					if got != want {
@@ -226,10 +226,10 @@ func TestVecOrderByBattery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if line := planLine(t, text, "Sort"); !strings.Contains(line, "mode=vector") || strings.Contains(text, "vec_fallback") {
-				t.Errorf("%s: Sort is not a batch operator:\n%s", label, text)
+			if line := planLine(t, text, "Sort"); !strings.Contains(line, "[rows=") {
+				t.Errorf("%s: Sort without counters:\n%s", label, text)
 			}
-			want := printedRows(runMeta(t, e, q.sql, engine.Options{DisableVectorize: true}, core.ProfileHANA))
+			want := printedRows(runRef(t, e, q.sql, core.ProfileHANA))
 			for _, size := range []int{1, 7, 1024} {
 				got := printedRows(runMeta(t, e, q.sql, engine.Options{BatchSize: size}, core.ProfileHANA))
 				if got != want {
@@ -240,34 +240,21 @@ func TestVecOrderByBattery(t *testing.T) {
 	}
 }
 
-// TestVecOrderByBareSortRunsInBatchMode pins EXPLAIN ANALYZE of a bare
-// ORDER BY and an OFFSET-only one over a scan: the Sort and everything
-// under it mode=vector, no decline label, and row_ops=0. An ORDER BY on
-// a column the query does not select runs the Project that drops the
-// hidden key as a batch stage over the sort source.
+// TestVecOrderByBareSortRunsInBatchMode pins a bare ORDER BY and an
+// OFFSET-only one over a scan: EXPLAIN ANALYZE runs them as one batch
+// pipeline, the Sort and the Scan each with their counters, and the
+// rows match the row reference. An ORDER BY on a column the query does
+// not select runs the Project that drops the hidden key as a batch
+// stage over the sort source.
 func TestVecOrderByBareSortRunsInBatchMode(t *testing.T) {
 	e := equivEngine(t)
-	for _, q := range []struct {
-		sql    string
-		rowOps int
-	}{
-		{`select o_orderkey from orders order by o_totalprice desc, o_orderkey`, 0},
-		{`select o_orderkey, o_totalprice from orders order by o_totalprice desc, o_orderkey`, 0},
-		{`select o_orderkey, o_totalprice from orders order by o_totalprice desc, o_orderkey offset 190`, 0},
+	for _, q := range []string{
+		`select o_orderkey from orders order by o_totalprice desc, o_orderkey`,
+		`select o_orderkey, o_totalprice from orders order by o_totalprice desc, o_orderkey`,
+		`select o_orderkey, o_totalprice from orders order by o_totalprice desc, o_orderkey offset 190`,
 	} {
-		text, err := e.ExplainAnalyze("", q.sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		root := strings.SplitN(text, "\n", 2)[0]
-		if !strings.Contains(root, fmt.Sprintf("row_ops=%d", q.rowOps)) || strings.Contains(text, "vec_fallback") {
-			t.Errorf("%q: want row_ops=%d and no vec_fallback:\n%s", q.sql, q.rowOps, text)
-		}
-		for _, op := range []string{"Sort", "Scan"} {
-			if line := planLine(t, text, op); !strings.Contains(line, "mode=vector") {
-				t.Errorf("%q: %s is not a batch operator:\n%s", q.sql, op, text)
-			}
-		}
+		requireAllBatch(t, e, "", q)
+		requireSameRows(t, "bare-sort", q, runRef(t, e, q, core.ProfileHANA), runMeta(t, e, q, engine.Options{}, core.ProfileHANA))
 	}
 }
 
@@ -285,11 +272,13 @@ func TestVecOrderByWindowOverflow(t *testing.T) {
 		{`select id from (select id, v from w union all select id, v from w) u order by v, id
 			limit 9223372036854775807 offset 1`, "2\n3\n3\n1\n1\n"},
 	} {
-		for _, o := range []engine.Options{{DisableVectorize: true}, {}} {
-			if got := printedRows(runMeta(t, e, q.sql, o, core.ProfileHANA)); got != q.want {
-				t.Errorf("%q (DisableVectorize=%v):\n got:\n%s\nwant:\n%s", q.sql, o.DisableVectorize, got, q.want)
+		for _, row := range []bool{true, false} {
+			engine.SetRowReference(e, row)
+			if got := printedRows(runMeta(t, e, q.sql, engine.Options{}, core.ProfileHANA)); got != q.want {
+				t.Errorf("%q (row reference=%v):\n got:\n%s\nwant:\n%s", q.sql, row, got, q.want)
 			}
 		}
+		engine.SetRowReference(e, false)
 	}
 }
 
@@ -385,7 +374,7 @@ func TestRowLeftOuterNullsAreTyped(t *testing.T) {
 			"left outer join (select * from kx where id < 0) k on a.i = k.i",
 			"BIGINT:0 | BIGINT:NULL | DECIMAL:NULL\nBIGINT:1 | BIGINT:NULL | DECIMAL:NULL\nBIGINT:2 | BIGINT:NULL | DECIMAL:NULL\n"},
 	} {
-		if got := typedRows(runMeta(t, e, c.sql, engine.Options{DisableVectorize: true}, core.ProfileHANA)); got != c.want {
+		if got := typedRows(runRef(t, e, c.sql, core.ProfileHANA)); got != c.want {
 			t.Errorf("%q: row executor:\n got:\n%s\nwant:\n%s", c.sql, got, c.want)
 		}
 		for _, size := range []int{1, 7, 1024} {
@@ -400,8 +389,7 @@ func TestRowLeftOuterNullsAreTyped(t *testing.T) {
 // executor at batch sizes 1, 7 and 1024, with and without a populated
 // delta: rows, order, and each value's type and printed form. An
 // aggregation, ORDER BY and DISTINCT are batch sources, so every
-// operator of the battery runs in batch mode, with row_ops=0 and no
-// decline label.
+// operator of the battery runs in batch mode and reports its counters.
 func TestVecOverSinksBattery(t *testing.T) {
 	e := keyEngine(t, 1)
 	for _, state := range []string{"main+delta", "merged"} {
@@ -413,7 +401,7 @@ func TestVecOverSinksBattery(t *testing.T) {
 		for _, q := range overSinkBattery() {
 			label := state + "/" + q.name
 			requireAllBatch(t, e, "", q.sql)
-			want := typedRows(runMeta(t, e, q.sql, engine.Options{DisableVectorize: true}, core.ProfileHANA))
+			want := typedRows(runRef(t, e, q.sql, core.ProfileHANA))
 			for _, size := range []int{1, 7, 1024} {
 				got := typedRows(runMeta(t, e, q.sql, engine.Options{BatchSize: size}, core.ProfileHANA))
 				if got != want {

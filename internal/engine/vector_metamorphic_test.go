@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"vdm/internal/core"
@@ -221,15 +220,13 @@ func TestVectorRowEquivalence(t *testing.T) {
 		})
 	}
 
-	rowSerial := engine.Options{DisableVectorize: true}
-
 	check := func(state string) {
 		t.Helper()
 		for _, costing := range []bool{true, false} {
 			e.EnableCosting(costing)
 			label := fmt.Sprintf("%s/costing=%v", state, costing)
 			for _, q := range queries {
-				ref := runMeta(t, e, q.SQL, rowSerial, core.ProfileHANA)
+				ref := runRef(t, e, q.SQL, core.ProfileHANA)
 				for _, leg := range vecLegs() {
 					got := runMeta(t, e, q.SQL, leg.opts, core.ProfileHANA)
 					requireSameRows(t, label+"/"+leg.name+"/"+q.Name, q.SQL, ref, got)
@@ -295,7 +292,9 @@ func TestVectorVDMStatementsMatchRowPath(t *testing.T) {
 		return res
 	}
 	for _, s := range stmts {
-		ref := run(s.sql, engine.Options{DisableVectorize: true}, s.profile)
+		engine.SetRowReference(e, true)
+		ref := run(s.sql, engine.Options{}, s.profile)
+		engine.SetRowReference(e, false)
 		if len(ref.Rows) == 0 {
 			t.Fatalf("%s: the reference returned no rows", s.name)
 		}
@@ -305,50 +304,33 @@ func TestVectorVDMStatementsMatchRowPath(t *testing.T) {
 	}
 }
 
-// TestDeclinedShapesScanVector pins what a vector decline costs: only
-// the declined operator runs the row iterator; the scan beneath it
-// stays a batch scan. (TestVectorRowEquivalence diffs the same queries'
-// rows against the row-serial reference.)
+// TestDeclinedShapesScanVector pins the battery's shapes that the
+// batch compiler once declined to the row iterators (a DISTINCT
+// aggregate, a division filter, a join residual): each now runs as one
+// batch pipeline whose scans fill column batches, with the rows of the
+// row reference, which fills none. (TestVectorRowEquivalence diffs the
+// same queries at more batch sizes.)
 func TestDeclinedShapesScanVector(t *testing.T) {
 	e := equivEngine(t)
 
-	declined := map[string]string{ // battery query -> its declined operator
-		"fallback-distinct":      "GroupBy",
-		"fallback-div-filter":    "Filter",
-		"fallback-join-residual": "InnerJoin on ((c_custkey",
-	}
+	declined := map[string]bool{"fallback-distinct": true, "fallback-div-filter": true, "fallback-join-residual": true}
 	seen := 0
 	for _, q := range vecBattery() {
-		op, ok := declined[q.Name]
-		if !ok {
+		if !declined[q.Name] {
 			continue
 		}
 		seen++
-		out, err := e.ExplainAnalyze("", q.SQL)
-		if err != nil {
-			t.Fatalf("%s: %v", q.Name, err)
+		batches := metricValue(t, e, "exec.vec_batches")
+		ref := runRef(t, e, q.SQL, core.ProfileHANA)
+		if d := metricValue(t, e, "exec.vec_batches") - batches; d != 0 {
+			t.Errorf("%s: the row reference filled %d batches", q.Name, d)
 		}
-		lines := strings.Split(out, "\n")
-		at := -1
-		for i, l := range lines {
-			if strings.HasPrefix(strings.TrimSpace(l), op) {
-				at = i
-				break
-			}
+		batches = metricValue(t, e, "exec.vec_batches")
+		requireSameRows(t, q.Name, q.SQL, ref, runMeta(t, e, q.SQL, engine.Options{}, core.ProfileHANA))
+		if metricValue(t, e, "exec.vec_batches") == batches {
+			t.Errorf("%s: no scan filled a column batch", q.Name)
 		}
-		if at < 0 || !strings.Contains(lines[at], "mode=row") {
-			t.Errorf("%s: %s is not a row operator:\n%s", q.Name, op, out)
-			continue
-		}
-		scanVector := false
-		for _, l := range lines[at+1:] {
-			if strings.HasPrefix(strings.TrimSpace(l), "Scan") && strings.Contains(l, "mode=vector") {
-				scanVector = true
-			}
-		}
-		if !scanVector {
-			t.Errorf("%s: no batch scan beneath the declined %s:\n%s", q.Name, op, out)
-		}
+		requireAllBatch(t, e, "", q.SQL)
 	}
 	if seen != len(declined) {
 		t.Fatalf("vecBattery has %d of the %d declined shapes", seen, len(declined))
@@ -369,10 +351,9 @@ func TestVectorBatchBoundarySweep(t *testing.T) {
 		{Name: "join", SQL: `select c_custkey, o_orderkey, o_totalprice from customer inner join orders on c_custkey = o_custkey order by c_custkey, o_orderkey`},
 	}
 
-	rowSerial := engine.Options{DisableVectorize: true}
 	ref := make([]*engine.Result, len(queries))
 	for i, q := range queries {
-		ref[i] = runMeta(t, e, q.SQL, rowSerial, core.ProfileHANA)
+		ref[i] = runRef(t, e, q.SQL, core.ProfileHANA)
 	}
 
 	// The largest row-position domain in the fixture: lineitem's

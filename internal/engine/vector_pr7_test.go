@@ -29,9 +29,7 @@ func TestVectorTopKBoundarySweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rowSerial := engine.Options{DisableVectorize: true}
-
-	rows := runMeta(t, e, `select count(*) from orders`, rowSerial, core.ProfileHANA)
+	rows := runRef(t, e, `select count(*) from orders`, core.ProfileHANA)
 	n := int(rows.Rows[0][0].Int())
 	if n < 12 {
 		t.Fatalf("orders too small for the sweep: %d rows", n)
@@ -55,7 +53,7 @@ func TestVectorTopKBoundarySweep(t *testing.T) {
 			for _, offset := range offsets {
 				q := fmt.Sprintf("%s limit %d offset %d", shape.SQL, limit, offset)
 				label := fmt.Sprintf("%s/limit=%d/offset=%d", shape.Name, limit, offset)
-				ref := runMeta(t, e, q, rowSerial, core.ProfileHANA)
+				ref := runRef(t, e, q, core.ProfileHANA)
 				if want := max(0, min(limit, n-offset)); len(ref.Rows) != want {
 					t.Fatalf("%s: reference returned %d rows, want %d", label, len(ref.Rows), want)
 				}
@@ -70,65 +68,24 @@ func TestVectorTopKBoundarySweep(t *testing.T) {
 
 // TestVecFallbackZeroOnFigureQueries is the CI guard for the paper's
 // two benchmark anchors: the Figure 6 LimitAJ paging query and the
-// Figure 4 count(*) over JournalEntryItemBrowser. No exec.vec_fallbacks.*
-// counter may move and exec.vec_pipelines must advance; exec.row_ops —
-// every row iterator built, labelled or not — is pinned per query, and
-// EXPLAIN ANALYZE reports the same count on its root.
-//
-// Fig. 4's pin went from 6 to 1 when joins became batch sources (the
-// DAC filters, both LEFT OUTER joins and the count(*) run on batches),
-// and from 1 to 0 when aggregation became one: the Project above the
-// aggregate is a batch stage. Fig. 6's went from 3 to 0 when LIMIT
-// became a batch source: its join builds the LIMIT below it and the
-// whole plan runs on batches.
+// Figure 4 count(*) over JournalEntryItemBrowser. Each must start a
+// batch pipeline, report every operator's counters under EXPLAIN
+// ANALYZE, and return the row reference's rows. (The name recalls the
+// exec.vec_fallbacks counters it once pinned at zero: nothing falls
+// back since every plan compiles to batch operators.)
 func TestVecFallbackZeroOnFigureQueries(t *testing.T) {
-	fallbackNames := []string{
-		"exec.vec_fallbacks.expression",
-		"exec.vec_fallbacks.or",
-		"exec.vec_fallbacks.sort",
-		"exec.vec_fallbacks.union",
-		"exec.vec_fallbacks.distinct",
-		"exec.vec_fallbacks.analyze_parallel",
-	}
-
-	snapshot := func(e *engine.Engine) map[string]int64 {
-		out := make(map[string]int64, len(fallbackNames))
-		for _, name := range fallbackNames {
-			out[name] = metricValue(t, e, name)
-		}
-		return out
-	}
-
-	check := func(t *testing.T, name string, e *engine.Engine, sql string, rowOps int64) {
+	check := func(t *testing.T, name string, e *engine.Engine, sql string) {
 		t.Helper()
-		before := snapshot(e)
 		pipesBefore := metricValue(t, e, "exec.vec_pipelines")
-		opsBefore := metricValue(t, e, "exec.row_ops")
-		if _, err := e.Query(sql); err != nil {
+		got, err := e.Query(sql)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		after := snapshot(e)
-		for _, metric := range fallbackNames {
-			if d := after[metric] - before[metric]; d != 0 {
-				t.Errorf("%s: %s moved by %d; query did not stay vectorized", name, metric, d)
-			}
 		}
 		if pipesAfter := metricValue(t, e, "exec.vec_pipelines"); pipesAfter <= pipesBefore {
 			t.Errorf("%s: exec.vec_pipelines did not advance (%d -> %d)", name, pipesBefore, pipesAfter)
 		}
-		d := metricValue(t, e, "exec.row_ops") - opsBefore
-		if d != rowOps {
-			t.Errorf("%s: exec.row_ops moved by %d, want %d", name, d, rowOps)
-		}
-		t.Logf("%s: row_ops=%d", name, d)
-		text, err := e.ExplainAnalyze("", sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		root := strings.SplitN(text, "\n", 2)[0]
-		if want := fmt.Sprintf("row_ops=%d", rowOps); !strings.Contains(root, want) {
-			t.Errorf("%s: EXPLAIN ANALYZE root line lacks %s:\n%s", name, want, text)
-		}
+		requireSameRows(t, name, sql, runRef(t, e, sql, core.ProfileHANA), got)
+		requireAllBatch(t, e, "", sql)
 	}
 
 	t.Run("fig6-limit-aj", func(t *testing.T) {
@@ -136,7 +93,7 @@ func TestVecFallbackZeroOnFigureQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, "Fig. 6", e, experiments.LimitAJQuery().SQL, 0)
+		check(t, "Fig. 6", e, experiments.LimitAJQuery().SQL)
 	})
 
 	t.Run("fig4-count-star", func(t *testing.T) {
@@ -144,28 +101,8 @@ func TestVecFallbackZeroOnFigureQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, "Fig. 4", e, `select count(*) from JournalEntryItemBrowser`, 0)
+		check(t, "Fig. 4", e, `select count(*) from JournalEntryItemBrowser`)
 	})
-}
-
-// vecFallbackNames lists the exec.vec_fallbacks.<reason> counters.
-var vecFallbackNames = []string{
-	"exec.vec_fallbacks.expression",
-	"exec.vec_fallbacks.or",
-	"exec.vec_fallbacks.sort",
-	"exec.vec_fallbacks.union",
-	"exec.vec_fallbacks.distinct",
-	"exec.vec_fallbacks.analyze_parallel",
-}
-
-// vecFallbackTotal sums the exec.vec_fallbacks.* counters.
-func vecFallbackTotal(t *testing.T, e *engine.Engine) int64 {
-	t.Helper()
-	var sum int64
-	for _, name := range vecFallbackNames {
-		sum += metricValue(t, e, name)
-	}
-	return sum
 }
 
 // planLine returns the line of an EXPLAIN rendering that shows the
@@ -181,197 +118,103 @@ func planLine(t *testing.T, text, op string) string {
 	return ""
 }
 
-// TestVecFallbackExplainReasons checks the per-operator observability
-// surface over all four decline labels: the operator the batch compiler
-// declined carries vec_fallback=<label> in EXPLAIN (a build-only pass
-// that moves no executor counter) and in EXPLAIN ANALYZE (which also
-// bumps exec.vec_fallbacks.<label>, as plain execution does).
+// TestVecFallbackExplainReasons covers the shapes that carried each of
+// the batch compiler's former decline labels (expression, or, union,
+// distinct) and two that once ran in part on the row iterators. Plain
+// EXPLAIN renders each without running it (no executor counter moves);
+// EXPLAIN ANALYZE runs it as one batch pipeline with every operator's
+// counters; and its rows, order and value types are the row
+// reference's.
 func TestVecFallbackExplainReasons(t *testing.T) {
 	e := equivEngine(t)
 
-	cases := []struct {
-		name, label, op, sql string
-	}{
-		{"division", "expression", "Project", `select l_orderkey, l_extendedprice / l_quantity from lineitem`},
-		{"mod", "expression", "Project", `select o_orderkey, mod(o_orderkey, 7) from orders`},
-		{"to-decimal", "expression", "Project", `select o_orderkey, to_decimal(o_totalprice, 1) from orders`},
-		{"or-branch", "or", "Filter", `select o_orderkey from orders where o_orderkey < 10 or o_totalprice / 2 > 1000.00`},
-		// The union's columns take its first branch's types; a branch of
-		// other types is no batch source of the union's.
-		{"union-types-disagree", "union", "UnionAll", `select o_orderkey k from orders
-			union all select o_totalprice from orders`},
-		{"count-distinct", "distinct", "GroupBy", `select count(distinct o_custkey) from orders`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			metric := "exec.vec_fallbacks." + tc.label
-			want := "vec_fallback=" + tc.label
-
-			before, pipes := vecFallbackTotal(t, e), metricValue(t, e, "exec.vec_pipelines")
-			text, err := e.Explain("", tc.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if line := planLine(t, text, tc.op); !strings.Contains(line, want) {
-				t.Errorf("EXPLAIN %s line missing %q:\n%s", tc.op, want, text)
-			}
-			if n := strings.Count(text, "vec_fallback="); n != 1 {
-				t.Errorf("EXPLAIN carries %d labels, want 1:\n%s", n, text)
-			}
-			if vecFallbackTotal(t, e) != before || metricValue(t, e, "exec.vec_pipelines") != pipes {
-				t.Errorf("plain EXPLAIN moved executor counters")
-			}
-
-			labelBefore := metricValue(t, e, metric)
-			text, err = e.ExplainAnalyze("", tc.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if line := planLine(t, text, tc.op); !strings.Contains(line, want) {
-				t.Errorf("EXPLAIN ANALYZE %s line missing %q:\n%s", tc.op, want, text)
-			}
-			if d := metricValue(t, e, metric) - labelBefore; d != 1 {
-				t.Errorf("%s moved by %d under EXPLAIN ANALYZE, want 1", metric, d)
-			}
-			if d := vecFallbackTotal(t, e) - before; d != 1 {
-				t.Errorf("exec.vec_fallbacks.* moved by %d in total, want 1", d)
-			}
-		})
-	}
-
-	// Aggregations are batch sources, so a UNION ALL of aggregates and a
-	// DISTINCT over a join over one run wholly in batch mode.
 	for _, tc := range []struct{ name, sql string }{
+		{"division", `select l_orderkey, l_extendedprice / l_quantity from lineitem`},
+		{"mod", `select o_orderkey, mod(o_orderkey, 7) from orders`},
+		{"to-decimal", `select o_orderkey, to_decimal(o_totalprice, 1) from orders`},
+		{"or-branch", `select o_orderkey from orders where o_orderkey < 10 or o_totalprice / 2 > 1000.00`},
+		{"union-types-disagree", `select o_orderkey k from orders
+			union all select o_totalprice from orders`},
+		{"count-distinct", `select count(distinct o_custkey) from orders`},
 		{"union-of-aggregates", `select o_orderstatus s, count(*) c from orders group by o_orderstatus
 			union all select c_mktsegment, count(*) from customer group by c_mktsegment`},
 		{"distinct-over-join", `select distinct c_mktsegment from
 			(select o_custkey k, count(*) n from orders group by o_custkey) t inner join customer on k = c_custkey`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			pipes := metricValue(t, e, "exec.vec_pipelines")
+			if _, err := e.Explain("", tc.sql); err != nil {
+				t.Fatal(err)
+			}
+			if metricValue(t, e, "exec.vec_pipelines") != pipes {
+				t.Errorf("plain EXPLAIN moved executor counters")
+			}
 			requireAllBatch(t, e, "", tc.sql)
+			want := typedRows(runRef(t, e, tc.sql, core.ProfileHANA))
+			if got := typedRows(runMeta(t, e, tc.sql, engine.Options{}, core.ProfileHANA)); got != want {
+				t.Errorf("%q:\n got:\n%s\nwant:\n%s", tc.sql, got, want)
+			}
 		})
 	}
 }
 
-// requireAllBatch runs EXPLAIN ANALYZE of a statement and requires every
-// operator mode=vector, row_ops=0 on the root and no decline label.
+// requireAllBatch runs EXPLAIN ANALYZE of a statement and requires that
+// it started a batch pipeline and that every operator line carries the
+// counters its batch source or stage recorded.
 func requireAllBatch(t *testing.T, e *engine.Engine, user, sqlText string) {
 	t.Helper()
+	pipes := metricValue(t, e, "exec.vec_pipelines")
 	text, err := e.ExplainAnalyze(user, sqlText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := strings.SplitN(text, "\n", 2)[0]
-	if !strings.Contains(root, "row_ops=0") || strings.Contains(text, "vec_fallback") {
-		t.Errorf("%q: want row_ops=0 and no vec_fallback:\n%s", sqlText, text)
+	if metricValue(t, e, "exec.vec_pipelines") <= pipes {
+		t.Errorf("%q: EXPLAIN ANALYZE started no batch pipeline", sqlText)
 	}
 	for _, line := range strings.Split(text, "\n") {
-		if line != "" && !strings.Contains(line, "mode=vector") {
-			t.Errorf("%q: operator not in batch mode: %s", sqlText, line)
+		if line != "" && !strings.Contains(line, "[rows=") {
+			t.Errorf("%q: operator without counters: %s", sqlText, line)
 		}
 	}
 }
 
 // TestVecDistinctOverRowOperatorLabelsOnce is the regression test for a
-// coverage gap reported twice: a DISTINCT over a Project with no kernel
-// is row-built above a row operator, like any operator above one, so
-// the Project's expression label is the plan's only label and
-// exec.vec_fallbacks moves by one.
+// coverage gap once reported twice: a DISTINCT over a Project whose
+// division had no kernel. The Project's division is a row kernel now,
+// so the whole statement runs as one batch pipeline, with the row
+// reference's rows.
 func TestVecDistinctOverRowOperatorLabelsOnce(t *testing.T) {
 	e := equivEngine(t)
 	q := `select distinct o_orderkey / 2 from orders`
-	before := vecFallbackTotal(t, e)
-	text, err := e.ExplainAnalyze("", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if line := planLine(t, text, "Project"); !strings.Contains(line, "vec_fallback=expression") {
-		t.Errorf("Project lacks its label:\n%s", text)
-	}
-	if n := strings.Count(text, "vec_fallback="); n != 1 {
-		t.Errorf("plan carries %d labels, want the Project's alone:\n%s", n, text)
-	}
-	if d := vecFallbackTotal(t, e) - before; d != 1 {
-		t.Errorf("exec.vec_fallbacks.* moved by %d, want 1", d)
-	}
-}
-
-// TestRowExecutorStampsEveryOperator checks that under DisableVectorize
-// every operator line of EXPLAIN ANALYZE carries mode=row: a LIMIT, the
-// Sort fused into it, a DISTINCT, a UNION ALL, a semi join and a VALUES
-// as much as a scan, filter, project, aggregation or join. The batch
-// executor's declines stamp the same: the LIMIT and fused Sort above a
-// row Project read mode=row.
-func TestRowExecutorStampsEveryOperator(t *testing.T) {
-	e := equivEngine(t)
-	queries := []string{
-		`select o_orderkey, o_totalprice / 2 from orders order by o_orderkey limit 3`,
-		`select distinct o_orderkey / 2 from orders`,
-		`select o_orderkey from orders limit 5 offset 2`,
-		`select c_mktsegment, count(*) from customer inner join orders on c_custkey = o_custkey
-			where o_totalprice > 100.00 group by c_mktsegment order by c_mktsegment`,
-		`select o_orderkey from orders union all select c_custkey from customer`,
-		`select c_custkey from customer where c_custkey in (select o_custkey from orders)`,
-		`select 1 x`,
-	}
-	check := func(t *testing.T, q, text string) {
-		t.Helper()
-		for _, line := range strings.Split(text, "\n") {
-			if line != "" && !strings.Contains(line, "mode=") {
-				t.Errorf("%q: operator without a mode: %s", q, line)
-			}
-		}
-	}
-	saved := e.Options()
-	e.SetOptions(engine.Options{DisableVectorize: true})
-	for _, q := range queries {
-		text, err := e.ExplainAnalyze("", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, q, text)
-		if strings.Contains(text, "mode=vector") {
-			t.Errorf("%q: a batch operator under DisableVectorize:\n%s", q, text)
-		}
-	}
-	e.SetOptions(saved)
-	text, err := e.ExplainAnalyze("", queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(t, queries[0], text)
-	for _, op := range []string{"Limit", "Sort"} {
-		if line := planLine(t, text, op); !strings.Contains(line, "mode=row") {
-			t.Errorf("%s above the row Project is not mode=row:\n%s", op, text)
-		}
-	}
+	requireAllBatch(t, e, "", q)
+	requireSameRows(t, "distinct-division", q, runRef(t, e, q, core.ProfileHANA), runMeta(t, e, q, engine.Options{}, core.ProfileHANA))
 }
 
 // TestVecBenchmarkStatementsBuildNoRowOps pins the benchmark's read
 // statements in batch mode: the seven of a vdm_read round, in plain and
 // in vdm_plan's spliced form, and Figure 3's select * on the tiny S/4
 // fixture as the DAC user; and the four of an htap_mix reader round on
-// the htapbench fixture. Each builds no row operator and carries no
-// decline label, in EXPLAIN ANALYZE (every operator mode=vector,
-// row_ops=0 on the root) and through the plan cache (exec.row_ops and
-// exec.vec_fallbacks.* stay flat over a miss and a hit).
+// the htapbench fixture. Each runs as one batch pipeline under EXPLAIN
+// ANALYZE, every operator with its counters, and through the plan cache
+// (a miss and a hit) returns the row reference's rows.
 func TestVecBenchmarkStatementsBuildNoRowOps(t *testing.T) {
 	check := func(t *testing.T, e *engine.Engine, user string, stmts []string) {
 		t.Helper()
 		e.EnablePlanCache(true)
 		for _, q := range stmts {
 			requireAllBatch(t, e, user, q)
-			ops, fallbacks := metricValue(t, e, "exec.row_ops"), vecFallbackTotal(t, e)
+			engine.SetRowReference(e, true)
+			ref, err := e.QueryAs(user, q)
+			engine.SetRowReference(e, false)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
 			for i := 0; i < 2; i++ {
-				if _, err := e.QueryAs(user, q); err != nil {
+				got, err := e.QueryAs(user, q)
+				if err != nil {
 					t.Fatalf("%q: %v", q, err)
 				}
-			}
-			if d := metricValue(t, e, "exec.row_ops") - ops; d != 0 {
-				t.Errorf("%q: exec.row_ops moved by %d", q, d)
-			}
-			if d := vecFallbackTotal(t, e) - fallbacks; d != 0 {
-				t.Errorf("%q: exec.vec_fallbacks.* moved by %d", q, d)
+				requireSameRows(t, "plan cache", q, ref, got)
 			}
 		}
 	}
@@ -441,8 +284,9 @@ func TestVecSelectStarTemplateMatchesRowPath(t *testing.T) {
 	text := func(k int) string {
 		return fmt.Sprintf("select * from JournalEntryItemBrowser where gjahr > -%d limit 100", k)
 	}
-	e.SetOptions(engine.Options{DisableVectorize: true})
+	engine.SetRowReference(e, true)
 	ref, err := e.QueryAs("user", text(1))
+	engine.SetRowReference(e, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,66 +315,35 @@ func TestVecSelectStarTemplateMatchesRowPath(t *testing.T) {
 	requireAllBatch(t, e, "user", text(k))
 }
 
-// TestVecCompilerDeclinesJoinShapes covers the join checks the batch
-// compiler owns: semi, anti, non-equi and equi-with-residual joins have
-// no batch operator, so they decline to the row join (labelled on the
-// join, results identical to the all-row engine). A batch join is a
-// batch source, so a Filter above it that has no kernel is the filter's
-// own coverage gap: labelled once, on the filter, with the join below it
-// still running in batch mode.
+// TestVecCompilerDeclinesJoinShapes covers the join shapes the batch
+// compiler once declined to the row join: semi, anti, non-equi and
+// equi-with-residual joins run the batch join's general mode, and a
+// Filter with no typed kernel above a batch join is a row kernel stage
+// over it. Each runs as one batch pipeline with the row reference's
+// rows at batch sizes 1, 7 and 1024.
 func TestVecCompilerDeclinesJoinShapes(t *testing.T) {
 	e := equivEngine(t)
-	rowOpts := engine.Options{DisableVectorize: true}
-
-	declined := []struct{ name, op, sql string }{
-		{"semi", "SemiJoin", `select c_custkey from customer where c_custkey in
+	for _, tc := range []struct{ name, sql string }{
+		{"semi", `select c_custkey from customer where c_custkey in
 			(select o_custkey from orders where o_totalprice > 500.00) order by c_custkey`},
-		{"anti", "AntiJoin", `select c_custkey from customer where c_custkey not in
+		{"anti", `select c_custkey from customer where c_custkey not in
 			(select o_custkey from orders) order by c_custkey`},
-		{"non-equi", "InnerJoin", `select c_custkey, o_orderkey from customer inner join orders
+		{"non-equi", `select c_custkey, o_orderkey from customer inner join orders
 			on c_custkey < o_custkey where o_orderkey < 5 order by c_custkey, o_orderkey`},
-		{"residual", "InnerJoin", `select c_custkey, o_orderkey from customer inner join orders
+		{"residual", `select c_custkey, o_orderkey from customer inner join orders
 			on c_custkey = o_custkey and o_totalprice > c_acctbal order by c_custkey, o_orderkey`},
-	}
-	for _, tc := range declined {
+		{"filter-above-join", `select o_orderkey from orders inner join customer on o_custkey = c_custkey
+			where o_totalprice / 2 > c_acctbal`},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := runMeta(t, e, tc.sql, rowOpts, core.ProfileHANA)
-			got := runMeta(t, e, tc.sql, e.Options(), core.ProfileHANA)
-			requireSameRows(t, tc.name, tc.sql, want, got)
-
-			text, err := e.ExplainAnalyze("", tc.sql)
-			if err != nil {
-				t.Fatal(err)
+			want := runRef(t, e, tc.sql, core.ProfileHANA)
+			for _, size := range []int{1, 7, 1024} {
+				got := runMeta(t, e, tc.sql, engine.Options{BatchSize: size}, core.ProfileHANA)
+				requireSameRows(t, fmt.Sprintf("%s/batch=%d", tc.name, size), tc.sql, want, got)
 			}
-			line := planLine(t, text, tc.op)
-			if !strings.Contains(line, "mode=row") || !strings.Contains(line, "vec_fallback=expression") {
-				t.Errorf("%s did not decline to the row join:\n%s", tc.op, text)
-			}
+			requireAllBatch(t, e, "", tc.sql)
 		})
 	}
-
-	t.Run("filter-above-join", func(t *testing.T) {
-		q := `select o_orderkey from orders inner join customer on o_custkey = c_custkey
-			where o_totalprice / 2 > c_acctbal`
-		before := vecFallbackTotal(t, e)
-		text, err := e.ExplainAnalyze("", q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		line := planLine(t, text, "Filter")
-		if !strings.Contains(line, "mode=row") || !strings.Contains(line, "vec_fallback=expression") {
-			t.Errorf("division filter did not decline to row mode with its label:\n%s", text)
-		}
-		if line := planLine(t, text, "InnerJoin"); !strings.Contains(line, "mode=vector") {
-			t.Errorf("join below the filter did not vectorize:\n%s", text)
-		}
-		if n := strings.Count(text, "vec_fallback="); n != 1 {
-			t.Errorf("plan carries %d labels, want the filter's alone:\n%s", n, text)
-		}
-		if d := vecFallbackTotal(t, e) - before; d != 1 {
-			t.Errorf("exec.vec_fallbacks.* moved by %d, want 1", d)
-		}
-	})
 }
 
 // TestUnoptimizedPlanVectorizes pins that vectorization is the
@@ -549,7 +362,7 @@ func TestUnoptimizedPlanVectorizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipes, fallbacks := metricValue(t, e, "exec.vec_pipelines"), vecFallbackTotal(t, e)
+		pipes := metricValue(t, e, "exec.vec_pipelines")
 		got, err := e.Run(p)
 		if err != nil {
 			t.Fatal(err)
@@ -557,14 +370,11 @@ func TestUnoptimizedPlanVectorizes(t *testing.T) {
 		if metricValue(t, e, "exec.vec_pipelines") <= pipes {
 			t.Errorf("%q: unoptimized plan did not advance exec.vec_pipelines", q)
 		}
-		if d := vecFallbackTotal(t, e) - fallbacks; d != 0 {
-			t.Errorf("%q: unoptimized plan counted %d fallbacks", q, d)
-		}
 		requireSameRows(t, "unoptimized", q, runMeta(t, e, q, e.Options(), core.ProfileHANA), got)
 
 		// EXPLAIN ANALYZE-style: build the same bound-only plan under
-		// instrumentation, as the engine does, and read each operator's
-		// executor mode.
+		// instrumentation, as the engine does: each operator is a batch
+		// source or stage that recorded its counters.
 		db := e.DB()
 		builder := exec.NewBuilder(p.Ctx, db, db.CurrentTS())
 		builder.SetVectorize(0)
@@ -576,8 +386,8 @@ func TestUnoptimizedPlanVectorizes(t *testing.T) {
 		walk = func(n plan.Node) {
 			switch n.(type) {
 			case *plan.Scan, *plan.Filter, *plan.GroupBy:
-				if st := builder.NodeStats(n); st == nil || st.Mode != "vector" {
-					t.Errorf("%q: %T ran %+v, want mode=vector", q, n, st)
+				if st := builder.NodeStats(n); st == nil {
+					t.Errorf("%q: %T recorded no counters", q, n)
 				}
 			}
 			for _, in := range n.Inputs() {
@@ -591,10 +401,9 @@ func TestUnoptimizedPlanVectorizes(t *testing.T) {
 // TestVecFallbackZeroUnderChurn runs the Fig. 6 LimitAJ paging query
 // repeatedly while a concurrent writer churns the orders table
 // (inserts + deletes driving delta growth, auto-merges, and vacuums):
-// the vectorized pipeline must keep running end to end — every
-// exec.vec_fallbacks.* counter stays flat and exec.vec_pipelines keeps
-// advancing — whatever fragment layout the maintenance loop leaves
-// behind.
+// the vectorized pipeline must keep running end to end — every query
+// succeeds and exec.vec_pipelines advances with each — whatever
+// fragment layout the maintenance loop leaves behind.
 func TestVecFallbackZeroUnderChurn(t *testing.T) {
 	e, err := experiments.NewTPCHEngine(tpch.TinyScale())
 	if err != nil {
@@ -679,18 +488,6 @@ func TestVecFallbackZeroUnderChurn(t *testing.T) {
 		}
 	}()
 
-	fallbackNames := []string{
-		"exec.vec_fallbacks.expression",
-		"exec.vec_fallbacks.or",
-		"exec.vec_fallbacks.sort",
-		"exec.vec_fallbacks.union",
-		"exec.vec_fallbacks.distinct",
-		"exec.vec_fallbacks.analyze_parallel",
-	}
-	before := make(map[string]int64, len(fallbackNames))
-	for _, name := range fallbackNames {
-		before[name] = metricValue(t, e, name)
-	}
 	pipesBefore := metricValue(t, e, "exec.vec_pipelines")
 
 	sql := experiments.LimitAJQuery().SQL
@@ -705,11 +502,6 @@ func TestVecFallbackZeroUnderChurn(t *testing.T) {
 		t.Fatalf("churn writer: %v", err)
 	}
 
-	for _, name := range fallbackNames {
-		if d := metricValue(t, e, name) - before[name]; d != 0 {
-			t.Errorf("%s moved by %d under churn; paging query fell back", name, d)
-		}
-	}
 	if pipesAfter := metricValue(t, e, "exec.vec_pipelines"); pipesAfter < pipesBefore+25 {
 		t.Errorf("exec.vec_pipelines advanced only %d in 25 queries", pipesAfter-pipesBefore)
 	}

@@ -57,8 +57,10 @@ func zoneSkips(t *testing.T, e *engine.Engine, sql string, o engine.Options) (*e
 func TestVecZoneMapSkipsOncePerBlock(t *testing.T) {
 	e := zoneEngine(t)
 	const sql = `select count(*) from z where x < 100`
-	for _, o := range []engine.Options{{DisableVectorize: true}, {}, {BatchSize: 7}, {BatchSize: 1000}} {
+	for i, o := range []engine.Options{{}, {}, {BatchSize: 7}, {BatchSize: 1000}} {
+		engine.SetRowReference(e, i == 0)
 		res, skips := zoneSkips(t, e, sql, o)
+		engine.SetRowReference(e, false)
 		if n := res.Rows[0][0].Int(); n != 100 {
 			t.Errorf("%+v: count %d, want 100", o, n)
 		}
@@ -86,7 +88,9 @@ func TestVecZoneMapParity(t *testing.T) {
 		{"declined-beside-range", `select id from z where x / 1 < 100 and x < 300`, 19},
 	}
 	for _, s := range shapes {
-		ref, rowSkips := zoneSkips(t, e, s.sql, engine.Options{DisableVectorize: true})
+		engine.SetRowReference(e, true)
+		ref, rowSkips := zoneSkips(t, e, s.sql, engine.Options{})
+		engine.SetRowReference(e, false)
 		if rowSkips < s.minSkips {
 			t.Errorf("%s: row path skipped %d blocks, want at least %d", s.name, rowSkips, s.minSkips)
 		}
@@ -266,7 +270,7 @@ func TestVecPredicateOracle(t *testing.T) {
 	}
 	check := func(state string) {
 		for _, q := range queries {
-			ref := runMeta(t, e, q.sql, engine.Options{DisableVectorize: true}, q.prof)
+			ref := runRef(t, e, q.sql, q.prof)
 			for _, size := range []int{1024, 7} {
 				got := runMeta(t, e, q.sql, engine.Options{BatchSize: size}, q.prof)
 				requireSameRows(t, fmt.Sprintf("%s/batch=%d", state, size), q.sql, ref, got)

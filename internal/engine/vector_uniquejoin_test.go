@@ -139,11 +139,12 @@ func analyzeCounts(t *testing.T, e *engine.Engine, sql string, o engine.Options,
 func TestVecJoinUniqueBuild(t *testing.T) {
 	e := uniqEngine(t)
 	sizes := []int{1, 7, 1024}
-	row := engine.Options{DisableVectorize: true}
 	folded := 0
 	for _, q := range uniqJoinBattery() {
-		ref := runMeta(t, e, q.sql, row, q.prof)
-		refCounts, _ := analyzeCounts(t, e, q.sql, row, q.prof)
+		ref := runRef(t, e, q.sql, q.prof)
+		engine.SetRowReference(e, true)
+		refCounts, _ := analyzeCounts(t, e, q.sql, engine.Options{}, q.prof)
+		engine.SetRowReference(e, false)
 		var refFilters []string
 		for _, size := range sizes {
 			o := engine.Options{BatchSize: size}
@@ -166,7 +167,7 @@ func TestVecJoinUniqueBuild(t *testing.T) {
 	}
 
 	for _, q := range uniqJoinBattery() {
-		ref := runMeta(t, e, q.sql, row, q.prof)
+		ref := runRef(t, e, q.sql, q.prof)
 		for _, size := range sizes {
 			fresh := uniqEngine(t)
 			pr, _ := fresh.DB().Table("pr")

@@ -35,10 +35,6 @@ type OpStats struct {
 	// buffers, top-k heaps, group tables, DISTINCT seen-sets). Zero for
 	// streaming operators.
 	MemBytes int64
-	// Mode reports which executor ran the operator: "vector" for the
-	// batch kernels, "row" for the classic iterators. A Sort fused into
-	// its LIMIT reports the LIMIT's.
-	Mode string
 	// Note is a free-form annotation (e.g. top-k fusion).
 	Note string
 	// Drained reports that the operator ran to the end of its stream
@@ -46,11 +42,6 @@ type OpStats struct {
 	// An operator under a LIMIT that stopped early, or one that records
 	// no rows of its own (a Sort fused into top-k), is not drained.
 	Drained bool
-	// Fallback is the vec_fallback label of a node the batch compiler
-	// declined for a reason of its own (see Builder.noteFallback), else
-	// empty. It is not part of String: EXPLAIN renders it last on the
-	// line, after the estimates.
-	Fallback string
 }
 
 // String renders the stats in the bracketed form EXPLAIN ANALYZE
@@ -66,9 +57,6 @@ func (s *OpStats) String() string {
 	}
 	if s.MemBytes > 0 {
 		out += fmt.Sprintf(" mem_bytes=%d", s.MemBytes)
-	}
-	if s.Mode != "" {
-		out += " mode=" + s.Mode
 	}
 	if s.Note != "" {
 		out += " " + s.Note

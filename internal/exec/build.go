@@ -30,14 +30,7 @@ type Builder struct {
 	// gov carries the query's cancellation context, memory budget, and
 	// test hooks (see SetGovernance); nil runs ungoverned.
 	gov *Governance
-	// rowOps counts the row iterators built while vectorizing (RowOps).
-	rowOps int
 }
-
-// RowOps returns how many row iterators the builder has built while the
-// batch executor was on: the operators the batch compiler did not take.
-// It is zero for a builder that is not vectorizing.
-func (b *Builder) RowOps() int { return b.rowOps }
 
 // SetGovernance attaches a query's governance handle: subsequent Build
 // calls produce iterators that check its context at batch granularity,
@@ -88,18 +81,11 @@ func (b *Builder) nodeStats(n plan.Node) *OpStats {
 }
 
 // wrapNode attaches instrumentation to a built iterator in analyze mode.
-// Every node reports which executor ran it; vectorized builds stamp
-// "vector" first, so anything still unstamped here ran the row
-// iterators.
 func (b *Builder) wrapNode(n plan.Node, it Iterator) Iterator {
 	if !b.analyze {
 		return it
 	}
-	st := b.nodeStats(n)
-	if st.Mode == "" {
-		st.Mode = "row"
-	}
-	return &statIter{inner: it, stats: st}
+	return &statIter{inner: it, stats: b.nodeStats(n)}
 }
 
 // Build compiles the plan rooted at n.
@@ -111,27 +97,17 @@ func (b *Builder) Build(n plan.Node) (Iterator, error) {
 	return b.wrapNode(n, it), nil
 }
 
+// build compiles n into one batch pipeline behind the row adapter when
+// vectorizing, else into the row iterators.
 func (b *Builder) build(n plan.Node) (Iterator, error) {
 	if b.vecSize == 0 {
 		return b.buildRow(n)
 	}
-	// The batch compiler gets first pick, EXPLAIN ANALYZE included: a
-	// subtree it compiles is one batch pipeline behind the row adapter.
-	// What it declines falls back to the row path, counted per reason in
-	// exec.vec_fallbacks and in total in exec.row_ops.
-	f, reason := b.vecFragment(n)
-	if f != nil {
-		return b.vecRows(f), nil
+	f, err := b.vecFragment(n)
+	if err != nil {
+		return nil, err
 	}
-	b.noteFallback(n, reason)
-	it, err := b.buildRow(n)
-	if err == nil {
-		b.rowOps++
-		if b.met != nil {
-			b.met.RowOps.Inc()
-		}
-	}
-	return it, err
+	return b.vecRows(f), nil
 }
 
 // buildRow builds n's row iterator.
@@ -255,39 +231,40 @@ func (b *Builder) buildRow(n plan.Node) (Iterator, error) {
 		return &distinctIter{input: input, gov: b.gov}, nil
 
 	case *plan.Values:
-		var rows []types.Row
-		empty := map[types.ColumnID]int{}
-		for _, exprRow := range n.Rows {
-			row := make(types.Row, len(exprRow))
-			for i, e := range exprRow {
-				fn, err := Compile(e, empty)
-				if err != nil {
-					return nil, err
-				}
-				v, err := fn(nil)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			rows = append(rows, row)
+		rows, err := valueRows(n)
+		if err != nil {
+			return nil, err
 		}
 		return &valuesIter{rows: rows}, nil
 	}
 	return nil, fmt.Errorf("exec: cannot build %T", n)
 }
 
-// buildPrunedScan builds the scan beneath a row filter, pruned by the
-// filter's zone-map ranges. When vectorizing it is the batch scan, so
-// the input of a filter the vector builder declined still reads column
-// batches.
-func (b *Builder) buildPrunedScan(scan *plan.Scan, ranges []storage.ColRange) (Iterator, error) {
-	if b.vecSize > 0 {
-		if f, _ := b.vecFragment(scan); f != nil {
-			f.spec.src.(*scanSource).ranges = ranges
-			return b.vecRows(f), nil
+// valueRows evaluates a VALUES node's literal rows.
+func valueRows(n *plan.Values) ([]types.Row, error) {
+	var rows []types.Row
+	empty := map[types.ColumnID]int{}
+	for _, exprRow := range n.Rows {
+		row := make(types.Row, len(exprRow))
+		for i, e := range exprRow {
+			fn, err := Compile(e, empty)
+			if err != nil {
+				return nil, err
+			}
+			v, err := fn(nil)
+			if err != nil {
+				return nil, err
+			}
+			row[i] = v
 		}
+		rows = append(rows, row)
 	}
+	return rows, nil
+}
+
+// buildPrunedScan builds the row scan beneath a row filter, pruned by
+// the filter's zone-map ranges.
+func (b *Builder) buildPrunedScan(scan *plan.Scan, ranges []storage.ColRange) (Iterator, error) {
 	tbl, ok := b.db.Table(scan.Info.Name)
 	if !ok {
 		return nil, fmt.Errorf("exec: table %s does not exist", scan.Info.Name)
@@ -308,43 +285,25 @@ func (b *Builder) buildJoin(n *plan.Join) (Iterator, error) {
 	for _, id := range n.Right.Columns() {
 		j.rightTypes = append(j.rightTypes, b.ctx.Type(id))
 	}
-
-	leftCols := plan.ColumnsOf(n.Left)
-	rightCols := plan.ColumnsOf(n.Right)
-	leftSlots := slotsOf(n.Left)
-	rightSlots := slotsOf(n.Right)
-	// Residual predicates see the concatenated left++right row (an inner
-	// join's), which for semi/anti joins is wider than the node's output.
-	combinedSlots := slotsOf(&plan.Join{Kind: plan.InnerJoin, Left: n.Left, Right: n.Right})
-
-	// Split the condition into equi-keys and a residual. NOT IN's x = y
-	// is found by its column y, and keyed last: the keys before it are
-	// the correlation.
-	var residual []plan.Expr
-	var notInX plan.Expr
-	for _, conj := range plan.Conjuncts(n.Cond) {
-		l, r := equiSides(conj, leftCols, rightCols)
-		if y, ok := r.(*plan.ColRef); ok && n.NotIn != nil && y.ID == n.NotIn.ID && notInX == nil {
-			notInX = l
-		} else if l != nil && !plan.ColsUsed(l).Empty() && !plan.ColsUsed(r).Empty() {
-			if err := j.addKey(l, r, leftSlots, rightSlots); err != nil {
-				return nil, err
-			}
-		} else {
-			residual = append(residual, conj)
+	lkeys, rkeys, residual, err := splitJoinCond(n, plan.ColumnsOf(n.Left), plan.ColumnsOf(n.Right))
+	if err != nil {
+		return nil, err
+	}
+	leftSlots, rightSlots := slotsOf(n.Left), slotsOf(n.Right)
+	for i := range lkeys {
+		if err := j.addKey(lkeys[i], rkeys[i], leftSlots, rightSlots); err != nil {
+			return nil, err
 		}
 	}
 	if n.NotIn != nil {
-		if notInX == nil {
-			return nil, fmt.Errorf("exec: NOT IN comparison on #%d missing from the join condition", n.NotIn.ID)
-		}
-		if err := j.addKey(notInX, n.NotIn, leftSlots, rightSlots); err != nil {
-			return nil, err
-		}
 		j.notIn = j.probeKeys[len(j.probeKeys)-1]
 	}
-	if res := plan.AndAll(residual); res != nil {
-		if j.residual, err = Compile(res, combinedSlots); err != nil {
+	if residual != nil {
+		// Residual predicates see the concatenated left++right row (an
+		// inner join's), which for semi/anti joins is wider than the
+		// node's output.
+		combinedSlots := slotsOf(&plan.Join{Kind: plan.InnerJoin, Left: n.Left, Right: n.Right})
+		if j.residual, err = Compile(residual, combinedSlots); err != nil {
 			return nil, err
 		}
 	}
@@ -355,6 +314,34 @@ func (b *Builder) buildJoin(n *plan.Join) (Iterator, error) {
 		j.buildKeys, j.probeKeys = j.probeKeys, j.buildKeys
 	}
 	return j, nil
+}
+
+// splitJoinCond splits a join condition into equi-keys and a residual,
+// the one split of the row and batch joins: lkeys[i] over the left
+// input (columns leftCols) equals rkeys[i] over the right (rightCols),
+// and the residual (nil when none) is every other conjunct. NOT IN's
+// x = y is found by its column y and keyed last: the keys before it
+// are the correlation.
+func splitJoinCond(n *plan.Join, leftCols, rightCols types.ColSet) (lkeys, rkeys []plan.Expr, residual plan.Expr, err error) {
+	var rest []plan.Expr
+	var notInX plan.Expr
+	for _, conj := range plan.Conjuncts(n.Cond) {
+		l, r := equiSides(conj, leftCols, rightCols)
+		if y, ok := r.(*plan.ColRef); ok && n.NotIn != nil && y.ID == n.NotIn.ID && notInX == nil {
+			notInX = l
+		} else if l != nil && !plan.ColsUsed(l).Empty() && !plan.ColsUsed(r).Empty() {
+			lkeys, rkeys = append(lkeys, l), append(rkeys, r)
+		} else {
+			rest = append(rest, conj)
+		}
+	}
+	if n.NotIn != nil {
+		if notInX == nil {
+			return nil, nil, nil, fmt.Errorf("exec: NOT IN comparison on #%d missing from the join condition", n.NotIn.ID)
+		}
+		lkeys, rkeys = append(lkeys, notInX), append(rkeys, n.NotIn)
+	}
+	return lkeys, rkeys, plan.AndAll(rest), nil
 }
 
 // addKey compiles one equi-key pair, lexpr over left rows and rexpr
@@ -406,16 +393,15 @@ func (b *Builder) buildSort(srt *plan.Sort, lim *plan.Limit) (Iterator, error) {
 	it := &sortIter{sortPage: sortPage{keys: keys, count: -1, gov: b.gov}, input: input}
 	if lim != nil {
 		it.offset, it.count = lim.Offset, lim.Count
-		b.noteFusion(srt, lim, "row")
+		b.noteFusion(srt, lim)
 	}
 	return it, nil
 }
 
 // noteFusion records a LIMIT fused into the ORDER BY below it: in
 // exec.topk_fusions, and under analyze as the Limit's top-k window and
-// on the Sort, which runs no operator of its own and reports the mode
-// of the one it fused into.
-func (b *Builder) noteFusion(srt *plan.Sort, lim *plan.Limit, mode string) {
+// on the Sort, which runs no operator of its own.
+func (b *Builder) noteFusion(srt *plan.Sort, lim *plan.Limit) {
 	if b.met != nil {
 		b.met.TopKFusions.Inc()
 	}
@@ -425,8 +411,7 @@ func (b *Builder) noteFusion(srt *plan.Sort, lim *plan.Limit, mode string) {
 		if note == "" {
 			note = "limit"
 		}
-		st := b.nodeStats(srt)
-		st.Note, st.Mode = "fused into "+note, mode
+		b.nodeStats(srt).Note = "fused into " + note
 	}
 }
 

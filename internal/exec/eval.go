@@ -3,15 +3,17 @@
 // limit, union all, and distinct, plus the scalar expression evaluator
 // with SQL three-valued logic.
 //
-// Two execution models share one Iterator contract. The row-at-a-time
-// path pulls boxed rows operator by operator; the vectorized path
-// (SetVectorize) compiles batch sources — scans and hash joins, with
-// filter/project pipelines over them — and the aggregations, top-k
-// heaps and DISTINCTs that consume them into kernels over fixed-size
-// column batches of raw dictionary codes (Batch, types.Vec), adapting
-// back to rows at the first ineligible operator. Both paths produce row- and
-// order-identical results, each query on one goroutine; see
-// docs/EXECUTION.md for the model, eligibility rules, and layout.
+// Two execution models share one Iterator contract. The vectorized
+// path (SetVectorize), the one the engine runs, compiles every plan into
+// batch sources — scans, VALUES, joins, aggregations, sorts, LIMIT,
+// UNION ALL and DISTINCT, with filter/project pipelines over them —
+// exchanging fixed-size column batches of raw dictionary codes (Batch,
+// types.Vec), and adapts back to rows only at the plan's root. The
+// row-at-a-time path pulls boxed rows operator by operator; it is the
+// reference the equivalence tests compare against, and its evaluator
+// (Compile) serves DML, constant folding and the batch row kernels.
+// Both produce row- and order-identical results, each query on one
+// goroutine; see docs/EXECUTION.md for the model and layout.
 package exec
 
 import (

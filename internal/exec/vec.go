@@ -3,6 +3,7 @@ package exec
 import (
 	"time"
 
+	"vdm/internal/plan"
 	"vdm/internal/storage"
 	"vdm/internal/types"
 )
@@ -205,6 +206,21 @@ func (p *rowPacker) pack(rows []types.Row, pos *int) *Batch {
 	p.out.N = n
 	return &p.out
 }
+
+// valuesSource hands out a VALUES node's literal rows, packed into
+// vectors of the plan's column types.
+type valuesSource struct {
+	rows []types.Row
+	pos  int
+	srcStats
+	rowPacker
+}
+
+func (v *valuesSource) open() error { v.pos = 0; return nil }
+
+func (v *valuesSource) next() (*Batch, error) { return v.emit(v.pack(v.rows, &v.pos)), nil }
+
+func (v *valuesSource) close() {}
 
 // --- snapshot scan ------------------------------------------------------
 
@@ -420,8 +436,10 @@ func (u *unionSource) need(out []bool) {
 // compiles to a stage with conjunct kernels; a Project node compiles to
 // a stage with computed-column kernels (bare column shuffles need no
 // stage work and compile to an empty stage kept for EXPLAIN ANALYZE
-// attribution). stages[i] corresponds to nodes[i+1] of the fragment.
+// attribution); an aggregation's arguments and a join's key
+// expressions compile to a stage of computed columns with no node.
 type vecStage struct {
+	node   plan.Node    // the Filter or Project compiled, nil for none
 	filt   []vecExpr    // filter conjuncts; narrow the selection
 	folded int          // the Filter's conjuncts folded into the join below
 	exprs  []vecCompute // computed projections; publish batch columns
@@ -484,8 +502,8 @@ func statDrained(st *OpStats) {
 
 // vecScratch is one sweep's reusable batch state: the output batch, the
 // selection-vector ping-pong buffers, the kernels' dictionary-code memo
-// tables, and the expression kernels' output vectors and selection
-// scratch.
+// tables, the expression kernels' output vectors and selection scratch,
+// and the error a row kernel raised (see veRow).
 type vecScratch struct {
 	batch      Batch
 	allIdx     []int32
@@ -494,6 +512,27 @@ type vecScratch struct {
 	memos      []codeMemo
 	selBufs    [][]int32   // CASE-arm selection scratch
 	exprVecs   []types.Vec // expression kernel outputs, by slot
+	// err is the error a row kernel raised at selection index errAt of
+	// its last evaluation; pend is the error a pipeline returns once the
+	// rows before it have gone out.
+	err   error
+	errAt int
+	pend  error
+}
+
+// fail records a row kernel's error at selection index at.
+func (sc *vecScratch) fail(at int, err error) { sc.err, sc.errAt = err, at }
+
+// cut truncates the live rows cur at a row kernel's error and moves the
+// error to the pipeline's pending error. The rows before the error are
+// the ones the row executor would have finished first: a later stage's
+// error at one of them replaces the pending one.
+func (sc *vecScratch) cut(cur []int32) []int32 {
+	if sc.err == nil {
+		return cur
+	}
+	cur, sc.pend, sc.err = cur[:min(sc.errAt, len(cur))], sc.err, nil
+	return cur
 }
 
 // newVecScratch sizes scratch state for the pipeline's batch width.
@@ -515,11 +554,18 @@ func (s *vecSpec) close() { s.src.close() }
 
 // next pulls source batches until one has live rows after the stages:
 // filters narrow the selection vector, computed projections publish new
-// batch columns. The source's vectors are shared, never copied.
+// batch columns. The source's vectors are shared, never copied. A row
+// kernel's error cuts the batch before the failing row: the rows before
+// it go out, and the error is returned by the following call, so a
+// LIMIT satisfied by them never sees it, as under the row executor.
 func (s *vecSpec) next() (*Batch, error) {
 	sc := s.sc
 	b := &sc.batch
 	for {
+		if err := sc.pend; err != nil {
+			sc.pend = nil
+			return nil, err
+		}
 		in, err := s.src.next()
 		if err != nil {
 			return nil, err
@@ -537,12 +583,15 @@ func (s *vecSpec) next() (*Batch, error) {
 		for si := range s.stages {
 			st := &s.stages[si]
 			if len(st.filt) > 0 {
-				cur = sc.narrow(st.filt, b, cur)
+				cur = sc.cut(sc.narrow(st.filt, b, cur))
 				filtered = true
 			}
 			for _, ce := range st.exprs {
 				res := ce.expr.eval(b, cur, sc)
 				b.Cols[ce.dst] = *res
+				if sc.err != nil {
+					cur, filtered = sc.cut(cur), true
+				}
 			}
 			statAdd(st.stats, int64(len(cur)))
 		}
@@ -560,7 +609,9 @@ func (s *vecSpec) next() (*Batch, error) {
 // narrow runs filter conjuncts over the live rows cur, keeping after
 // each the rows whose result is non-NULL TRUE, so later conjuncts see
 // only the survivors. It alternates between the two scratch selection
-// buffers so no conjunct writes the buffer it reads.
+// buffers so no conjunct writes the buffer it reads. A row kernel's
+// error (sc.err) stops it with the survivors before the failing row,
+// whose index into the rows it was given stays in sc.errAt.
 func (sc *vecScratch) narrow(filt []vecExpr, b *Batch, cur []int32) []int32 {
 	for _, c := range filt {
 		buf := &sc.selA
@@ -569,6 +620,10 @@ func (sc *vecScratch) narrow(filt []vecExpr, b *Batch, cur []int32) []int32 {
 		}
 		sc.flip = !sc.flip
 		v := c.eval(b, cur, sc)
+		failed := sc.err != nil
+		if failed {
+			cur = cur[:sc.errAt]
+		}
 		out, res, hn := (*buf)[:0], v.I64, len(v.Nulls) > 0
 		for _, i := range cur {
 			if res[i] != 0 && (!hn || !v.NullAt(int(i))) {
@@ -576,6 +631,9 @@ func (sc *vecScratch) narrow(filt []vecExpr, b *Batch, cur []int32) []int32 {
 			}
 		}
 		*buf, cur = out, out
+		if failed {
+			break
+		}
 		if len(cur) == 0 {
 			break
 		}

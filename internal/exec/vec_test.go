@@ -448,8 +448,8 @@ func TestVecGroupSourceUnderJoinMemoryBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b.RowOps() != 0 || it.(*vecRowsIter).spec.src.(*joinSource) == nil {
-				t.Fatalf("%s: built %d row operators, want one batch pipeline", p.name, b.RowOps())
+			if it.(*vecRowsIter).spec.src.(*joinSource) == nil {
+				t.Fatalf("%s: built %T, want one batch join pipeline", p.name, it)
 			}
 			var got int
 			err = it.Open()
@@ -640,26 +640,13 @@ func TestVecRowsIterLazyFill(t *testing.T) {
 	}
 }
 
-// builtFallback builds n under the batch compiler with instrumentation
-// on and returns the decline label it recorded for n.
-func builtFallback(t *testing.T, ctx *plan.Context, db *storage.DB, n plan.Node) string {
-	t.Helper()
-	b := NewBuilder(ctx, db, db.CurrentTS())
-	b.SetVectorize(2)
-	b.EnableAnalyze()
-	if _, err := b.Build(n); err != nil {
-		t.Fatal(err)
-	}
-	return b.NodeStats(n).Fallback
-}
-
 // TestVecCompilerDeclines covers, on hand-built plans nothing has
-// analysed beforehand, the shapes whose rejection is the compiler's own:
-// join kinds and conditions the batch hash join cannot run, DISTINCT
-// aggregates, and SUM over a non-numeric column, whose error must stay
-// the row path's. Each must decline with its label and match the row
-// executor — compiling any of them as the nearest batch shape (an inner
-// equi-join, a plain aggregate) would change the result.
+// analysed beforehand, the shapes the batch compiler once declined to
+// the row executor: join kinds and conditions outside the hash join's
+// probe loop, DISTINCT aggregates, and SUM over a non-numeric column,
+// whose error must stay the row path's. Each now compiles to one batch
+// pipeline and matches the row executor — compiling any of them as the
+// nearest hash-join or plain-aggregate shape would change the result.
 func TestVecCompilerDeclines(t *testing.T) {
 	db, ctx, ls, rs := buildEnv(t)
 	eq := &plan.Bin{Op: "=",
@@ -667,6 +654,18 @@ func TestVecCompilerDeclines(t *testing.T) {
 		R:   &plan.ColRef{ID: rs.Cols[0], Typ: types.TInt},
 		Typ: types.TBool}
 	lt := &plan.Bin{Op: "<", L: eq.L, R: eq.R, Typ: types.TBool}
+	requirePipeline := func(name string, n plan.Node) {
+		t.Helper()
+		b := NewBuilder(ctx, db, db.CurrentTS())
+		b.SetVectorize(2)
+		it, err := b.Build(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !isVecPipeline(it) {
+			t.Errorf("%s: built %T, want one batch pipeline", name, it)
+		}
+	}
 
 	joins := []struct {
 		name string
@@ -682,9 +681,7 @@ func TestVecCompilerDeclines(t *testing.T) {
 		if rows := runVecAndRow(t, ctx, db, tc.join, 2); len(rows) != tc.rows {
 			t.Errorf("%s join: %d rows, want %d", tc.name, len(rows), tc.rows)
 		}
-		if got := builtFallback(t, ctx, db, tc.join); got != "expression" {
-			t.Errorf("%s join: fallback %q, want expression", tc.name, got)
-		}
+		requirePipeline(tc.name+" join", tc.join)
 	}
 
 	distinct := &plan.GroupBy{Input: ls, Aggs: []plan.AggCol{{
@@ -693,9 +690,7 @@ func TestVecCompilerDeclines(t *testing.T) {
 	if rows := runVecAndRow(t, ctx, db, distinct, 2); rows[0][0].Int() != 3 {
 		t.Errorf("count(distinct ref) = %v, want 3", rows[0][0])
 	}
-	if got := builtFallback(t, ctx, db, distinct); got != "distinct" {
-		t.Errorf("distinct aggregate: fallback %q, want distinct", got)
-	}
+	requirePipeline("distinct aggregate", distinct)
 
 	sumStr := &plan.GroupBy{Input: ls, Aggs: []plan.AggCol{{
 		ID: ctx.NewColumn("s", types.TString), Op: plan.AggSum,
@@ -707,9 +702,7 @@ func TestVecCompilerDeclines(t *testing.T) {
 	if rowErr == nil || vecErr == nil || vecErr.Error() != rowErr.Error() {
 		t.Errorf("sum(varchar): vectorized error %v, row error %v", vecErr, rowErr)
 	}
-	if got := builtFallback(t, ctx, db, sumStr); got != "expression" {
-		t.Errorf("sum(varchar): fallback %q, want expression", got)
-	}
+	requirePipeline("sum(varchar)", sumStr)
 }
 
 // deepExpr nests CASE and arithmetic depth levels over one int column:

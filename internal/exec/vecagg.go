@@ -39,6 +39,7 @@ type vecAggTable struct {
 
 	ids []int32
 	all []int32
+	one [1]types.Value // a DISTINCT aggregate's argument row
 }
 
 func newVecAggTable(va *vecAggSpec, acct *memAcct) *vecAggTable {
@@ -113,7 +114,7 @@ func (t *vecAggTable) foldScalar(b *Batch, rows []int32) error {
 		}
 		v := &b.Cols[t.va.argCols[i]]
 		for _, ri := range rows {
-			if err := vecAccumulate(st, a, v, int(ri)); err != nil {
+			if err := t.accumulate(st, a, v, int(ri)); err != nil {
 				return err
 			}
 		}
@@ -130,20 +131,27 @@ func (t *vecAggTable) accumRow(b *Batch, e *pgEntry, ri int) error {
 			st.count++
 			continue
 		}
-		if err := vecAccumulate(st, a, &b.Cols[t.va.argCols[i]], ri); err != nil {
+		if err := t.accumulate(st, a, &b.Cols[t.va.argCols[i]], ri); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// vecAccumulate folds one vector slot into an aggregate state. The
-// int/float/decimal SUM/AVG paths are unboxed transcriptions of
-// accumulateValue specialized by the statically-known column type; the
-// equal-scale decimal add is identical to decimal.Add (alignment at
-// equal scales is a raw coefficient add). Everything else boxes the slot
-// and calls accumulateValue itself, so the semantics cannot drift.
-func vecAccumulate(st *aggState, a *groupSpec, v *types.Vec, ri int) error {
+// accumulate folds one vector slot into an aggregate state. A DISTINCT
+// aggregate's slot goes through the row path's accumulate, whose
+// seen-set dedups it, metered on the table's account. The int/float/
+// decimal SUM/AVG paths are unboxed transcriptions of accumulateValue
+// specialized by the statically-known column type; the equal-scale
+// decimal add is identical to decimal.Add (alignment at equal scales is
+// a raw coefficient add). Everything else boxes the slot and calls
+// accumulateValue itself, so the semantics — the error of a SUM over
+// strings included — cannot drift.
+func (t *vecAggTable) accumulate(st *aggState, a *groupSpec, v *types.Vec, ri int) error {
+	if a.distinct {
+		t.one[0] = v.Value(ri)
+		return accumulate(st, a, t.one[:], t.acct)
+	}
 	if len(v.Nulls) > 0 && v.NullAt(ri) {
 		return nil // NULLs don't count and don't accumulate
 	}

@@ -8,37 +8,27 @@ import (
 	"vdm/internal/types"
 )
 
-// Compilation of plan subtrees into vectorized batch operators. The
-// compiler is the only authority on what vectorizes: a subtree runs in
-// batch mode iff it compiles here, into batch sources (snapshot scans,
-// hash joins, LIMIT, UNION ALL, aggregations, ORDER BY and DISTINCT) and
-// the filter/project pipelines over them; Build puts the one row adapter
-// above the compiled root. Filter conjuncts and
-// computed projections alike compile through compileVecExpr, the one
-// expression compiler, and a filter over a scan derives the scan's
-// zone-map ranges with zoneRanges, as the row path does. The rules are
-// deliberately conservative — a shape compiles only when the batch
-// kernels are guaranteed to reproduce the row path's semantics exactly,
-// including three-valued logic, type promotion and aggregate NULL
-// handling — because declining is always safe: a compile function that
-// returns nil hands the node to the row-at-a-time builder, which
-// produces identical rows in identical order (and identical errors).
+// Compilation of plans into vectorized batch operators. With the batch
+// executor on, the compiler takes every plan: each node compiles into a
+// batch source (snapshot scans, VALUES, joins, LIMIT, UNION ALL,
+// aggregations, ORDER BY and DISTINCT) or into a filter/project stage of
+// the pipeline over one, and Build puts the one row adapter above the
+// compiled root. A compile function returns a fragment or a genuine
+// build error (a missing table or column), never a decline.
 //
-// A decline carries its reason out of the compile call as one of four
-// vec_fallback labels (expression, or, union, distinct). The label
-// is non-empty only when the node's inputs compiled and the node itself
-// did not — or, for a UNION ALL, when it is no batch source, since a
-// branch that is not one is the union's gap — so every coverage gap is
-// reported once, at the operator that owns it; noteFallback surfaces it
-// through EXPLAIN and the exec.vec_fallbacks metrics. An operator above
-// a row operator is row-built unlabelled.
+// Filter conjuncts, computed projections, aggregate arguments, join keys
+// and join residuals compile through compileExpr: an expression the
+// typed kernels cover exactly (compileVecExpr) becomes a kernel tree,
+// and any other one — division, MOD, TO_DECIMAL, a mixed-type
+// comparison, an IN list of expressions — is evaluated whole, row by row
+// over the selected rows, by the row evaluator (veRow). A filter over a
+// scan derives the scan's zone-map ranges with zoneRanges, as the row
+// path does.
 
 // SetVectorize enables the vectorized batch executor for subsequent
-// Build calls: scans, filter/project pipelines, equi hash joins, LIMIT,
-// UNION ALL, aggregations, sorts and DISTINCT run over column
-// batches of the given size (<= 0 selects DefaultBatchSize). Off by
-// default, so direct Builder users keep the row executor unless they opt
-// in.
+// Build calls, with column batches of the given size (<= 0 selects
+// DefaultBatchSize). A builder that is never told to vectorize runs the
+// row executor, the reference the equivalence tests compare against.
 func (b *Builder) SetVectorize(batchSize int) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
@@ -47,14 +37,14 @@ func (b *Builder) SetVectorize(batchSize int) {
 }
 
 // vecFrag is a compiled pipeline fragment: the pipeline plus the
-// mapping from output column IDs to batch columns, the plan nodes it
-// fused (the source's node first, stages[i] ↔ nodes[i+1]) and the
-// source's input fragments, both for EXPLAIN ANALYZE attribution.
+// mapping from output column IDs to batch columns, the plan node of its
+// source, and the source's input fragments, both for EXPLAIN ANALYZE
+// attribution. Each stage names its own node.
 type vecFrag struct {
-	spec  *vecSpec
-	cols  []types.ColumnID
-	nodes []plan.Node
-	kids  []*vecFrag
+	spec *vecSpec
+	cols []types.ColumnID
+	node plan.Node
+	kids []*vecFrag
 }
 
 // newVecSpec returns a stage-less pipeline over a source of the given
@@ -77,31 +67,23 @@ func (f *vecFrag) batchCol(id types.ColumnID) (int, bool) {
 	return 0, false
 }
 
-// rowPos returns the decoded-row position of the given output column.
-func (f *vecFrag) rowPos(id types.ColumnID) (int, bool) {
-	for i, c := range f.cols {
-		if c == id {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// vecFragment compiles a batch source — a scan, an equi hash join, a
-// LIMIT, a UNION ALL, an aggregation, an ORDER BY or a DISTINCT — with
-// any interleaving of Filter and Project stages above it into a pipeline
-// fragment. A nil fragment declines; the reason is set when n's inputs
-// compiled and n itself did not, and on a UNION ALL that is no source.
-func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
-	var input plan.Node
+// vecFragment compiles the plan rooted at n into a pipeline fragment.
+func (b *Builder) vecFragment(n plan.Node) (*vecFrag, error) {
 	switch n := n.(type) {
 	case *plan.Scan:
 		tbl, ok := b.db.Table(n.Info.Name)
 		if !ok {
-			return nil, "" // the row path reports the error
+			return nil, fmt.Errorf("exec: table %s does not exist", n.Info.Name)
 		}
 		scan := &scanSource{snap: tbl.SnapshotAt(b.ts), ords: n.Ords, batchSize: b.vecSize, gov: b.gov, met: b.met}
-		return &vecFrag{spec: newVecSpec(scan, len(n.Ords)), cols: n.Cols, nodes: []plan.Node{n}}, ""
+		return &vecFrag{spec: newVecSpec(scan, len(n.Ords)), cols: n.Cols, node: n}, nil
+	case *plan.Values:
+		rows, err := valueRows(n)
+		if err != nil {
+			return nil, err
+		}
+		vs := &valuesSource{rows: rows, rowPacker: b.packer(n.Cols)}
+		return &vecFrag{spec: newVecSpec(vs, len(n.Cols)), cols: n.Cols, node: n}, nil
 	case *plan.Join:
 		return b.vecJoin(n)
 	case *plan.Limit:
@@ -115,112 +97,36 @@ func (b *Builder) vecFragment(n plan.Node) (*vecFrag, string) {
 	case *plan.Distinct:
 		return b.vecDistinct(n)
 	case *plan.Filter:
-		input = n.Input
+		f, err := b.vecFragment(n.Input)
+		if err != nil {
+			return nil, err
+		}
+		return f, f.applyFilter(n)
 	case *plan.Project:
-		input = n.Input
-	default:
-		return nil, ""
+		f, err := b.vecFragment(n.Input)
+		if err != nil {
+			return nil, err
+		}
+		return f, f.applyProject(n)
 	}
-	f, _ := b.vecFragment(input)
-	if f == nil {
-		return nil, ""
-	}
-	if reason := applyVecStage(f, n); reason != "" {
-		return nil, reason
-	}
-	return f, ""
+	return nil, fmt.Errorf("exec: cannot build %T", n)
 }
 
-// vecJoin compiles a join of two batch sources into the batch hash join:
-// an inner or left-outer join whose condition is purely equi-join
-// conjuncts (col = col, one side each) with no residual. Its fragment
-// has no stages yet; a Project or Filter above it is just a stage.
-func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, string) {
-	lf, _ := b.vecFragment(n.Left)
-	if lf == nil {
-		return nil, ""
-	}
-	rf, _ := b.vecFragment(n.Right)
-	if rf == nil {
-		return nil, ""
-	}
-	conjuncts := plan.Conjuncts(n.Cond)
-	if (n.Kind != plan.InnerJoin && n.Kind != plan.LeftOuterJoin) || len(conjuncts) == 0 {
-		return nil, "expression"
-	}
-	var leftPos, rightPos []int
-	for _, conj := range conjuncts {
-		eq, ok := conj.(*plan.Bin)
-		if !ok || eq.Op != "=" {
-			return nil, "expression"
-		}
-		a, ok := eq.L.(*plan.ColRef)
-		if !ok {
-			return nil, "expression"
-		}
-		c, ok := eq.R.(*plan.ColRef)
-		if !ok {
-			return nil, "expression"
-		}
-		lc, rc := a, c
-		lp, lok := lf.rowPos(lc.ID)
-		rp, rok := rf.rowPos(rc.ID)
-		if !lok || !rok {
-			lc, rc = c, a
-			lp, lok = lf.rowPos(lc.ID)
-			rp, rok = rf.rowPos(rc.ID)
-			if !lok || !rok {
-				return nil, "expression"
-			}
-		}
-		leftPos, rightPos = append(leftPos, lp), append(rightPos, rp)
-	}
-	// The build side is the optimizer's choice, as in the row join.
-	js := &joinSource{
-		buildLeft: n.BuildLeft,
-		leftOuter: n.Kind == plan.LeftOuterJoin,
-		batchSize: b.vecSize,
-		gov:       b.gov,
-		met:       b.met,
-	}
-	nl, nr := len(lf.spec.proj), len(rf.spec.proj)
-	probe := lf
-	if js.buildLeft {
-		js.build, js.probe = lf.spec, rf.spec
-		js.buildKey, js.probeKey = leftPos, rightPos
-		js.probeOff, js.buildOff = nl, 0
-		probe = rf
-	} else {
-		js.build, js.probe = rf.spec, lf.spec
-		js.buildKey, js.probeKey = rightPos, leftPos
-		js.probeOff, js.buildOff = 0, nl
-	}
-	for _, id := range probe.cols {
-		js.probeTyps = append(js.probeTyps, b.ctx.Type(id))
-	}
-	js.keep = allTrue(nl + nr)
-	js.store = allTrue(len(js.build.proj))
-	cols := n.Columns()
-	return &vecFrag{spec: newVecSpec(js, len(cols)), cols: cols, nodes: []plan.Node{n}, kids: []*vecFrag{lf, rf}}, ""
-}
-
-// vecLimit compiles a LIMIT over a batch source into a limit source,
-// whose fragment passes the input's batch columns through, and a LIMIT
-// over ORDER BY into the sort source the two fuse into.
-func (b *Builder) vecLimit(n *plan.Limit) (*vecFrag, string) {
-	if n.Offset < 0 {
-		return nil, ""
-	}
-	if srt, ok := n.Input.(*plan.Sort); ok {
+// vecLimit compiles a LIMIT into a limit source, whose fragment passes
+// the input's batch columns through, and a LIMIT over ORDER BY into the
+// sort source the two fuse into. A negative offset skips nothing, as in
+// the row limit.
+func (b *Builder) vecLimit(n *plan.Limit) (*vecFrag, error) {
+	if srt, ok := n.Input.(*plan.Sort); ok && n.Offset >= 0 {
 		return b.vecSort(srt, n)
 	}
-	in, _ := b.vecFragment(n.Input)
-	if in == nil {
-		return nil, ""
+	in, err := b.vecFragment(n.Input)
+	if err != nil {
+		return nil, err
 	}
-	ls := &limitSource{in: in.spec, offset: n.Offset, count: n.Count}
+	ls := &limitSource{in: in.spec, offset: max(n.Offset, 0), count: n.Count}
 	ls.scan, _ = in.spec.src.(*scanSource)
-	return passFrag(ls, in, n), ""
+	return passFrag(ls, in, n), nil
 }
 
 // passFrag returns the fragment of a source run for n that passes its
@@ -228,7 +134,7 @@ func (b *Builder) vecLimit(n *plan.Limit) (*vecFrag, string) {
 func passFrag(src batchSource, in *vecFrag, n plan.Node) *vecFrag {
 	spec := newVecSpec(src, in.spec.numCols)
 	spec.proj = slices.Clone(in.spec.proj)
-	return &vecFrag{spec: spec, cols: in.cols, nodes: []plan.Node{n}, kids: []*vecFrag{in}}
+	return &vecFrag{spec: spec, cols: in.cols, node: n, kids: []*vecFrag{in}}
 }
 
 // packer returns a row packer into vectors of the columns' plan types.
@@ -240,38 +146,30 @@ func (b *Builder) packer(cols []types.ColumnID) rowPacker {
 	return p
 }
 
-// vecUnion compiles a UNION ALL whose branches are batch sources with the
-// union's column types into a union source. Any other union declines as
-// "union", its own coverage gap, whatever its branches report.
-func (b *Builder) vecUnion(n *plan.UnionAll) (*vecFrag, string) {
+// vecUnion compiles a UNION ALL into a union source. Its branches pass
+// their vectors through, so each branch column must have the union
+// column's type; the binder converts branches to the columns' common
+// type, and a plan that breaks the rule is an error.
+func (b *Builder) vecUnion(n *plan.UnionAll) (*vecFrag, error) {
 	us := &unionSource{out: Batch{Cols: make([]types.Vec, len(n.Cols))}}
-	f := &vecFrag{spec: newVecSpec(us, len(n.Cols)), cols: n.Cols, nodes: []plan.Node{n}}
-	for _, c := range n.Children {
-		k, _ := b.vecFragment(c)
-		if k == nil || len(k.cols) != len(n.Cols) {
-			return nil, "union"
+	f := &vecFrag{spec: newVecSpec(us, len(n.Cols)), cols: n.Cols, node: n}
+	for bi, c := range n.Children {
+		k, err := b.vecFragment(c)
+		if err != nil {
+			return nil, err
+		}
+		if len(k.cols) != len(n.Cols) {
+			return nil, fmt.Errorf("exec: UNION ALL branch %d has %d columns, want %d", bi, len(k.cols), len(n.Cols))
 		}
 		for i, id := range k.cols {
-			if b.ctx.Type(id) != b.ctx.Type(n.Cols[i]) {
-				return nil, "union"
+			if got, want := b.ctx.Type(id), b.ctx.Type(n.Cols[i]); got != want {
+				return nil, fmt.Errorf("exec: UNION ALL branch %d column %d is %s, want %s", bi, i+1, got, want)
 			}
 		}
 		us.kids = append(us.kids, k.spec)
 		f.kids = append(f.kids, k)
 	}
-	return f, ""
-}
-
-// applyVecStage compiles one Filter or Project node into a stage
-// appended to the fragment, or returns the reason it cannot.
-func applyVecStage(f *vecFrag, n plan.Node) string {
-	switch n := n.(type) {
-	case *plan.Filter:
-		return applyVecFilter(f, n)
-	case *plan.Project:
-		return applyVecProject(f, n)
-	}
-	return "expression"
+	return f, nil
 }
 
 // allTrue returns n true flags.
@@ -294,27 +192,44 @@ func (f *vecFrag) exprCols(e plan.Expr) []int {
 	return out
 }
 
-// applyVecFilter compiles one Filter node into a stage appended to the
-// fragment: each conjunct becomes one expression kernel (compileVecExpr).
-// When one has none the filter declines as "or" if its condition holds an
-// OR tree, else as "expression". Over a join source, conjuncts that read
+// predicate compiles a condition's conjuncts into filter kernels: one
+// per conjunct when each has a typed kernel, else one row kernel over
+// the whole condition, so that its AND/OR short-circuiting and its first
+// error are the row evaluator's.
+func (f *vecFrag) predicate(conjs []plan.Expr, cond plan.Expr) ([]vecExpr, error) {
+	ks := make([]vecExpr, 0, len(conjs))
+	for _, c := range conjs {
+		ex, t, ok := f.compileVecExpr(c)
+		if !ok || !typedAs(c, t, types.TBool) {
+			ex, err := f.rowKernel(cond, types.TBool)
+			return []vecExpr{ex}, err
+		}
+		ks = append(ks, ex)
+	}
+	return ks, nil
+}
+
+// applyFilter compiles one Filter node into a stage appended to the
+// fragment. Over a join source, conjuncts with typed kernels that read
 // build columns only fold into the join (joinSource.fold); the stage
 // keeps the rest, and stays for EXPLAIN ANALYZE to count the filter's
 // rows even when it keeps none. Over a scan, the conjuncts add their
 // zone-map ranges to the scan's (zoneRanges).
-func applyVecFilter(f *vecFrag, n *plan.Filter) string {
-	var st vecStage
-	js, _ := f.spec.src.(*joinSource)
+func (f *vecFrag) applyFilter(n *plan.Filter) error {
+	st := vecStage{node: n}
 	conjs := plan.Conjuncts(n.Cond)
-	for _, conj := range conjs {
-		ex, t, ok := f.compileVecExpr(conj)
-		if !ok || !typedAs(conj, t, types.TBool) {
-			if hasOr(n.Cond) {
-				return "or"
-			}
-			return "expression"
-		}
-		cols := f.exprCols(conj)
+	ks, err := f.predicate(conjs, n.Cond)
+	if err != nil {
+		return err
+	}
+	js, _ := f.spec.src.(*joinSource)
+	if _, whole := ks[0].(*veRow); whole {
+		st.filt = ks
+		f.spec.reads = append(f.spec.reads, f.exprCols(n.Cond)...)
+		ks = nil
+	}
+	for i, ex := range ks {
+		cols := f.exprCols(conjs[i])
 		if js != nil && js.fold(ex, cols, f.spec) {
 			st.folded++
 			continue
@@ -332,82 +247,108 @@ func applyVecFilter(f *vecFrag, n *plan.Filter) string {
 		})
 	}
 	f.spec.stages = append(f.spec.stages, st)
-	f.nodes = append(f.nodes, n)
-	return ""
+	return nil
 }
 
-// hasOr reports whether the expression contains an OR node.
-func hasOr(e plan.Expr) bool {
-	found := false
-	plan.RewriteExpr(e, func(x plan.Expr) plan.Expr {
-		if b, ok := x.(*plan.Bin); ok && b.Op == "OR" {
-			found = true
-		}
-		return x
-	})
-	return found
-}
-
-// applyVecProject compiles one Project node — a column shuffle plus
-// total computed expressions — into a stage appended to the fragment.
-func applyVecProject(f *vecFrag, n *plan.Project) string {
-	var st vecStage
+// applyProject compiles one Project node — a column shuffle plus
+// computed expressions — into a stage appended to the fragment.
+func (f *vecFrag) applyProject(n *plan.Project) error {
+	st := vecStage{node: n}
 	proj := make([]int, len(n.Cols))
 	cols := make([]types.ColumnID, len(n.Cols))
 	for i, c := range n.Cols {
 		if cr, ok := c.Expr.(*plan.ColRef); ok {
 			bc, ok := f.batchCol(cr.ID)
 			if !ok {
-				return "expression"
+				return fmt.Errorf("exec: column #%d not available in this row", cr.ID)
 			}
 			proj[i], cols[i] = bc, c.ID
 			continue
 		}
-		ex, _, ok := f.compileVecExpr(c.Expr)
-		if !ok {
-			return "expression"
+		ce, err := f.compute(c.Expr)
+		if err != nil {
+			return err
 		}
-		f.spec.reads = append(f.spec.reads, f.exprCols(c.Expr)...)
-		dst := f.spec.numCols
-		f.spec.numCols++
-		st.exprs = append(st.exprs, vecCompute{expr: ex, dst: dst})
-		proj[i], cols[i] = dst, c.ID
+		st.exprs = append(st.exprs, ce)
+		proj[i], cols[i] = ce.dst, c.ID
 	}
 	f.spec.proj, f.cols = proj, cols
 	f.spec.stages = append(f.spec.stages, st)
-	f.nodes = append(f.nodes, n)
-	return ""
+	return nil
+}
+
+// compute compiles e into a computed column: a new batch column the
+// kernel publishes.
+func (f *vecFrag) compute(e plan.Expr) (vecCompute, error) {
+	ex, err := f.compileExpr(e)
+	if err != nil {
+		return vecCompute{}, err
+	}
+	f.spec.reads = append(f.spec.reads, f.exprCols(e)...)
+	dst := f.spec.numCols
+	f.spec.numCols++
+	return vecCompute{expr: ex, dst: dst}, nil
+}
+
+// stageCols returns the batch column of each expression: an output
+// column's own for a bare column reference, else a column computed, in
+// expression order, by one stage appended to the fragment. The stage
+// has no plan node: it is the aggregation's or the join's own work.
+func (f *vecFrag) stageCols(exprs []plan.Expr) ([]int, error) {
+	out := make([]int, len(exprs))
+	var st vecStage
+	for i, e := range exprs {
+		if cr, ok := e.(*plan.ColRef); ok {
+			if bc, ok := f.batchCol(cr.ID); ok {
+				out[i] = bc
+				continue
+			}
+		}
+		ce, err := f.compute(e)
+		if err != nil {
+			return nil, err
+		}
+		st.exprs = append(st.exprs, ce)
+		out[i] = ce.dst
+	}
+	if len(st.exprs) > 0 {
+		f.spec.stages = append(f.spec.stages, st)
+	}
+	return out, nil
 }
 
 // attachVecStats finishes a compiled fragment, recursively through its
 // source's inputs: it counts a LIMIT fused into a sort source, and under
-// EXPLAIN ANALYZE stamps every fused node mode=vector and has each stage
-// and source record its work through its stats. The top node of the
-// Build caller's fragment (top) is counted by the statIter around the
-// row adapter, so its rows are not counted again — but a source records
-// its build size and memory either way. A Filter that folded conjuncts
-// into the join below notes folded=<folded>/<conjuncts>.
+// EXPLAIN ANALYZE has each stage and source record its work through its
+// plan node's stats. The top node of the Build caller's fragment (top)
+// is counted by the statIter around the row adapter, so its rows are
+// not counted again — but a source records its build size and memory
+// either way. A Filter that folded conjuncts into the join below notes
+// folded=<folded>/<conjuncts>.
 func (b *Builder) attachVecStats(f *vecFrag, top bool) {
 	if s, ok := f.spec.src.(*sortSource); ok && s.lim != nil {
-		b.noteFusion(s.srt, s.lim, "vector")
+		b.noteFusion(s.srt, s.lim)
 	}
-	for i, node := range f.nodes {
-		if !b.analyze {
-			break
+	if b.analyze {
+		last := -1 // the last stage with a plan node
+		for i := range f.spec.stages {
+			if f.spec.stages[i].node != nil {
+				last = i
+			}
 		}
-		st := b.nodeStats(node)
-		st.Mode = "vector"
-		counted := !top || i < len(f.nodes)-1
-		if i == 0 {
-			f.spec.src.(interface{ attach(*OpStats, bool) }).attach(st, counted)
-			continue
-		}
-		stage := &f.spec.stages[i-1]
-		if stage.folded > 0 {
-			st.Note = fmt.Sprintf("folded=%d/%d", stage.folded, stage.folded+len(stage.filt))
-		}
-		if counted {
-			stage.stats = st
+		f.spec.src.(interface{ attach(*OpStats, bool) }).attach(b.nodeStats(f.node), !top || last >= 0)
+		for i := range f.spec.stages {
+			stage := &f.spec.stages[i]
+			if stage.node == nil {
+				continue
+			}
+			st := b.nodeStats(stage.node)
+			if stage.folded > 0 {
+				st.Note = fmt.Sprintf("folded=%d/%d", stage.folded, stage.folded+len(stage.filt))
+			}
+			if !top || i < last {
+				stage.stats = st
+			}
 		}
 	}
 	for _, k := range f.kids {
@@ -424,90 +365,170 @@ func (b *Builder) vecRows(f *vecFrag) Iterator {
 	return &vecRowsIter{spec: f.spec, met: b.met}
 }
 
-// vecGroupBy compiles an aggregation over a batch source into a group
-// source. Aggregates have kernels when they are plain (non-DISTINCT) and
-// over bare columns; SUM/AVG additionally need a numeric argument, so
-// the typed accumulator can never hit the row path's "SUM/AVG on <type>"
-// error — the decline leaves the row path to raise it exactly as before.
-// The group source's vectors take the plan's column types, which for
-// these aggregates are the types finalize returns.
-func (b *Builder) vecGroupBy(n *plan.GroupBy) (*vecFrag, string) {
-	f, _ := b.vecFragment(n.Input)
-	if f == nil {
-		return nil, ""
-	}
-	for _, a := range n.Aggs {
-		if a.Distinct {
-			return nil, "distinct"
-		}
+// vecGroupBy compiles an aggregation into a group source. Its
+// aggregates are the row path's groupSpecs, folded by the row path's
+// state machine (vecAggTable.accumulate); an argument that is not a bare column
+// is a column computed in a stage over the input, and a DISTINCT
+// aggregate folds through accumulate's seen-set. The group source's
+// vectors take the plan's column types.
+func (b *Builder) vecGroupBy(n *plan.GroupBy) (*vecFrag, error) {
+	f, err := b.vecFragment(n.Input)
+	if err != nil {
+		return nil, err
 	}
 	va := &vecAggSpec{spec: f.spec, scalarAgg: len(n.GroupCols) == 0}
 	for _, g := range n.GroupCols {
 		bc, ok := f.batchCol(g)
 		if !ok {
-			return nil, "expression"
+			return nil, fmt.Errorf("exec: group column #%d missing from input", g)
 		}
 		va.groupCols = append(va.groupCols, bc)
 	}
+	var args []plan.Expr
 	for _, a := range n.Aggs {
-		col := 0
+		spec := groupSpec{op: a.Op, star: a.Star, distinct: a.Distinct, typ: b.ctx.Type(a.ID)}
 		if !a.Star {
-			cr, ok := a.Arg.(*plan.ColRef)
-			if !ok {
-				return nil, "expression"
+			args = append(args, a.Arg)
+			if a.Distinct {
+				spec.arg = firstValue
 			}
-			if a.Op == plan.AggSum || a.Op == plan.AggAvg {
-				switch cr.Typ {
-				case types.TInt, types.TFloat, types.TDecimal:
-				default:
-					return nil, "expression"
-				}
-			}
-			bc, ok := f.batchCol(cr.ID)
-			if !ok {
-				return nil, "expression"
-			}
-			col = bc
 		}
-		va.aggs = append(va.aggs, groupSpec{op: a.Op, star: a.Star, typ: b.ctx.Type(a.ID)})
-		va.argCols = append(va.argCols, col)
+		va.aggs = append(va.aggs, spec)
+	}
+	argCols, err := f.stageCols(args)
+	if err != nil {
+		return nil, err
 	}
 	// The fold reads the group and argument columns only: a count(*)
 	// gathers no join build column at all.
 	reads := slices.Clone(va.groupCols)
-	for i, a := range va.aggs {
+	for _, a := range va.aggs {
+		col := 0
 		if !a.star {
-			reads = append(reads, va.argCols[i])
+			col, argCols = argCols[0], argCols[1:]
+			reads = append(reads, col)
 		}
+		va.argCols = append(va.argCols, col)
 	}
 	f.spec.need(reads)
 	cols := n.Columns()
 	g := &groupSource{va: va, gov: b.gov, rowPacker: b.packer(cols)}
-	return &vecFrag{spec: newVecSpec(g, len(cols)), cols: cols, nodes: []plan.Node{n}, kids: []*vecFrag{f}}, ""
+	return &vecFrag{spec: newVecSpec(g, len(cols)), cols: cols, node: n, kids: []*vecFrag{f}}, nil
 }
 
-// noteFallback records that the batch compiler declined n for the given
-// reason: in the per-reason exec.vec_fallbacks counter, and under
-// analyze in the node's OpStats for EXPLAIN to render. A builder that
-// is not vectorizing declines nothing.
-func (b *Builder) noteFallback(n plan.Node, reason string) {
-	if reason == "" || b.vecSize == 0 {
-		return
+// firstValue is a DISTINCT aggregate's argument in the batch fold: the
+// one value accumulate is handed.
+func firstValue(row types.Row) (types.Value, error) { return row[0], nil }
+
+// vecJoin compiles a join into the batch join source. The condition
+// splits as the row join's does (splitJoinCond): equi-keys over one side
+// each, keyed by batch columns (an expression key is a column computed
+// in a stage over its input), and a residual compiled over the
+// left ++ right layout. An inner or left outer join with keys and no
+// residual runs the hash join's probe loop; every other join — semi,
+// anti, NOT IN, cross, non-equi, or one with a residual — runs its
+// general mode (joinSource.probeGeneral), building right as the row
+// join does unless the optimizer chose to build left.
+func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, error) {
+	lf, err := b.vecFragment(n.Left)
+	if err != nil {
+		return nil, err
 	}
-	if b.analyze {
-		b.nodeStats(n).Fallback = reason
+	rf, err := b.vecFragment(n.Right)
+	if err != nil {
+		return nil, err
 	}
-	if b.met == nil {
-		return
+	lkeys, rkeys, residual, err := splitJoinCond(n, types.MakeColSet(lf.cols...), types.MakeColSet(rf.cols...))
+	if err != nil {
+		return nil, err
 	}
-	switch reason {
-	case "expression":
-		b.met.VecFallbackExpression.Inc()
-	case "or":
-		b.met.VecFallbackOr.Inc()
-	case "union":
-		b.met.VecFallbackUnion.Inc()
-	case "distinct":
-		b.met.VecFallbackDistinct.Inc()
+	lkc, err := lf.stageCols(lkeys)
+	if err != nil {
+		return nil, err
 	}
+	rkc, err := rf.stageCols(rkeys)
+	if err != nil {
+		return nil, err
+	}
+	semi := n.Kind == plan.SemiJoin || n.Kind == plan.AntiJoin
+	js := &joinSource{
+		buildLeft: !semi && n.Kind != plan.CrossJoin && len(lkeys) > 0 && n.BuildLeft,
+		leftOuter: n.Kind == plan.LeftOuterJoin,
+		semi:      semi,
+		anti:      n.Kind == plan.AntiJoin,
+		notIn:     n.NotIn != nil,
+		batchSize: b.vecSize,
+		gov:       b.gov,
+		met:       b.met,
+	}
+	nl, nr := len(lf.cols), len(rf.cols)
+	probe := lf
+	if js.buildLeft {
+		js.build, js.probe = lf.spec, rf.spec
+		js.bkc, js.pkc = lkc, rkc
+		js.probeOff, js.buildOff = nl, 0
+		probe = rf
+	} else {
+		js.build, js.probe = rf.spec, lf.spec
+		js.bkc, js.pkc = rkc, lkc
+		js.probeOff, js.buildOff = 0, nl
+	}
+	for _, id := range probe.cols {
+		js.probeTyps = append(js.probeTyps, b.ctx.Type(id))
+	}
+	if residual != nil {
+		// The residual sees the concatenated left ++ right row, as the
+		// row join's does: for a semi or anti join that is wider than
+		// the join's output.
+		comb := &vecFrag{spec: newVecSpec(nil, nl+nr), cols: slices.Concat(lf.cols, rf.cols)}
+		if js.resid, err = comb.predicate(plan.Conjuncts(residual), residual); err != nil {
+			return nil, err
+		}
+		js.residCols, js.residSpec = comb.exprCols(residual), comb.spec
+	}
+	js.general = semi || len(lkeys) == 0 || residual != nil || n.Kind == plan.CrossJoin
+	cols := n.Columns()
+	js.keep = allTrue(len(cols))
+	js.store = allTrue(nr)
+	if js.buildLeft {
+		js.store = allTrue(nl)
+	}
+	return &vecFrag{spec: newVecSpec(js, len(cols)), cols: cols, node: n, kids: []*vecFrag{lf, rf}}, nil
+}
+
+// vecSort compiles a Sort into a sort source. lim is the LIMIT/OFFSET
+// fused into it, nil for a bare ORDER BY; the fused source runs for the
+// Limit node.
+func (b *Builder) vecSort(srt *plan.Sort, lim *plan.Limit) (*vecFrag, error) {
+	in, err := b.vecFragment(srt.Input)
+	if err != nil {
+		return nil, err
+	}
+	keys, err := b.sortKeys(srt)
+	if err != nil {
+		return nil, err
+	}
+	kc := make([]int, len(keys))
+	for x, k := range keys {
+		kc[x] = in.spec.proj[k.idx]
+	}
+	in.spec.need(in.spec.proj)
+	s := &sortSource{sortPage: sortPage{keys: keys, count: -1, gov: b.gov}, in: in.spec, keyCols: kc,
+		rowPacker: b.packer(in.cols), srt: srt, lim: lim}
+	var top plan.Node = srt
+	if lim != nil {
+		s.offset, s.count, top = lim.Offset, lim.Count, lim
+	}
+	return &vecFrag{spec: newVecSpec(s, len(in.cols)), cols: in.cols, node: top, kids: []*vecFrag{in}}, nil
+}
+
+// vecDistinct compiles DISTINCT into a distinct source. Its fragment
+// passes the input's batch columns through.
+func (b *Builder) vecDistinct(n *plan.Distinct) (*vecFrag, error) {
+	in, err := b.vecFragment(n.Input)
+	if err != nil {
+		return nil, err
+	}
+	in.spec.need(in.spec.proj)
+	return passFrag(&distinctSource{in: in.spec, gov: b.gov}, in, n), nil
 }

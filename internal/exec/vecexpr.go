@@ -15,14 +15,16 @@ import (
 // immutable; all mutable state (output vectors, selection scratch)
 // lives in vecScratch, indexed by compile-time slot numbers.
 //
-// Only total expressions compile (compileVecExpr is the admission
-// rule), so evaluation can be eager and out of order: the batch path may
-// evaluate a CASE arm or an AND operand on rows the row path would have
-// skipped, which is observable only through errors — and total kernels
-// have none. Each kernel replicates the row evaluator's exact semantics:
-// Arith's promotion ladder, types.Compare's ladder, three-valued AND/OR
-// (x AND y is FALSE whenever either side is non-NULL FALSE, even if the
-// other is NULL), and callScalar's per-function NULL handling.
+// Only total expressions compile to typed kernels (compileVecExpr is the
+// admission rule), so their evaluation can be eager and out of order:
+// the batch path may evaluate a CASE arm or an AND operand on rows the
+// row path would have skipped, which is observable only through errors
+// — and total kernels have none. Each kernel replicates the row
+// evaluator's exact semantics: Arith's promotion ladder, types.Compare's
+// ladder, three-valued AND/OR (x AND y is FALSE whenever either side is
+// non-NULL FALSE, even if the other is NULL), and callScalar's
+// per-function NULL handling. Every other expression is one row kernel
+// (veRow) as a whole: the row evaluator itself, run row by row.
 type vecExpr interface {
 	// eval computes the expression over the batch's rows listed in sel
 	// (always non-nil) and returns the result vector, valid at exactly
@@ -667,6 +669,97 @@ func (e *veCase) eval(b *Batch, sel []int32, sc *vecScratch) *types.Vec {
 	return out
 }
 
+// --- row kernel ---------------------------------------------------------
+
+// veRow evaluates an expression no typed kernel covers with the row
+// evaluator (Compile), one selected row at a time in selection order,
+// over a row of the batch columns it reads. It is always the root of
+// its compiled expression, so a connective or CASE holding a division
+// short-circuits, and fails, exactly as in the row executor. The first
+// error stops it: it records the error and its selection index in the
+// scratch (vecScratch.fail), and the rows before it are valid. Its
+// vector has the expression's plan type: a number of a narrower type
+// is widened into it, and a value of any other type is an error (the
+// row evaluator returns a CASE or COALESCE argument as-is, whatever
+// its type).
+type veRow struct {
+	fn   EvalFn
+	cols []int // batch column of each row slot
+	typ  types.Type
+	slot int
+}
+
+func (e *veRow) eval(b *Batch, sel []int32, sc *vecScratch) *types.Vec {
+	out := &sc.exprVecs[e.slot]
+	resetComputed(out, e.typ, b.N)
+	row := make(types.Row, len(e.cols))
+	for k, si := range sel {
+		i := int(si)
+		for c, bc := range e.cols {
+			row[c] = b.Cols[bc].Value(i)
+		}
+		v, err := e.fn(row)
+		if err == nil && !v.IsNull() && !fits(v.Typ, e.typ) {
+			err = fmt.Errorf("exec: %s value in a %s column", v.Typ, e.typ)
+		}
+		switch {
+		case err != nil:
+			sc.fail(k, err)
+			return out
+		case v.IsNull():
+			out.SetNull(i)
+		case e.typ == types.TBool:
+			out.I64[i] = b2i(v.Bool())
+		default:
+			setVecValue(out, i, v)
+		}
+	}
+	return out
+}
+
+// fits reports whether a value of type t can be stored in a vector of
+// type col: its own type, or a number the column's number type holds.
+func fits(t, col types.Type) bool {
+	switch col {
+	case t:
+		return true
+	case types.TFloat:
+		return t == types.TInt || t == types.TDecimal
+	case types.TDecimal:
+		return t == types.TInt
+	}
+	return false
+}
+
+// rowKernel compiles e whole into a row kernel producing values of type
+// typ. Its row holds the fragment's columns that e reads; a column the
+// fragment lacks fails to compile with the row evaluator's error.
+func (f *vecFrag) rowKernel(e plan.Expr, typ types.Type) (vecExpr, error) {
+	r := &veRow{typ: typ}
+	slots := make(map[types.ColumnID]int)
+	plan.ColsUsed(e).ForEach(func(id types.ColumnID) {
+		if bc, ok := f.batchCol(id); ok {
+			slots[id] = len(r.cols)
+			r.cols = append(r.cols, bc)
+		}
+	})
+	fn, err := Compile(e, slots)
+	if err != nil {
+		return nil, err
+	}
+	r.fn, r.slot = fn, f.newSlot()
+	return r, nil
+}
+
+// compileExpr compiles e into a typed kernel tree when compileVecExpr
+// admits it, else whole into a row kernel of e's plan type.
+func (f *vecFrag) compileExpr(e plan.Expr) (vecExpr, error) {
+	if ex, _, ok := f.compileVecExpr(e); ok {
+		return ex, nil
+	}
+	return f.rowKernel(e, e.Type())
+}
+
 // --- scalar functions ---------------------------------------------------
 
 // veFunc evaluates its argument vectors, then boxes one row at a time
@@ -803,16 +896,16 @@ func inListConsts(list []plan.Expr) (vals []types.Value, sawNull, ok bool) {
 	return vals, sawNull, true
 }
 
-// compileVecExpr compiles an expression into a kernel tree and returns
-// it with its static result type, or declines. It is the admission rule:
-// an expression vectorizes iff it compiles, and it compiles only when it
-// is total — it can never raise a runtime error for any input — under
-// the row evaluator's own typing: arithmetic follows Arith's ladder (no
-// division), comparisons follow types.Compare's, CASE arms must already
-// produce the CASE's type (the row path returns an arm's value as-is),
-// and scalar functions are admitted per function (vecFuncType). A NULL
-// literal has static type TNull. Declines mean the enclosing operator
-// falls back to the row path, which is always safe.
+// compileVecExpr compiles an expression into a typed kernel tree and
+// returns it with its static result type, or declines. It is the
+// admission rule: an expression compiles only when it is total — it can
+// never raise a runtime error for any input — under the row evaluator's
+// own typing: arithmetic follows Arith's ladder (no division),
+// comparisons follow types.Compare's, CASE arms must already produce the
+// CASE's type (the row path returns an arm's value as-is), and scalar
+// functions are admitted per function (vecFuncType). A NULL literal has
+// static type TNull. A declined expression is a row kernel as a whole
+// (compileExpr).
 func (f *vecFrag) compileVecExpr(e plan.Expr) (vecExpr, types.Type, bool) {
 	switch e := e.(type) {
 	case *plan.ColRef:

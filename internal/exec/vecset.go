@@ -1,9 +1,5 @@
 package exec
 
-import (
-	"vdm/internal/plan"
-)
-
 // Vectorized DISTINCT: dedup over a batch source. A keyIndex numbers
 // each batch's rows by their output columns, with NULL one value as in
 // distinctIter's AppendKey keys, and a row is new when its id is. It
@@ -64,15 +60,4 @@ func (d *distinctSource) close() {
 	d.in.close()
 	d.release(&d.acct)
 	d.keys = keyIndex{}
-}
-
-// vecDistinct compiles DISTINCT over a batch source into a distinct
-// source. Its fragment passes the input's batch columns through.
-func (b *Builder) vecDistinct(n *plan.Distinct) (*vecFrag, string) {
-	in, _ := b.vecFragment(n.Input)
-	if in == nil {
-		return nil, ""
-	}
-	in.spec.need(in.spec.proj)
-	return passFrag(&distinctSource{in: in.spec, gov: b.gov}, in, n), ""
 }

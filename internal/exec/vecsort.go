@@ -100,29 +100,3 @@ func (s *sortSource) close() {
 	s.release(&s.acct)
 	s.rows = nil
 }
-
-// vecSort compiles a Sort over a batch source into a sort source. lim is
-// the LIMIT/OFFSET fused into it, nil for a bare ORDER BY; the fused
-// source runs for the Limit node.
-func (b *Builder) vecSort(srt *plan.Sort, lim *plan.Limit) (*vecFrag, string) {
-	in, _ := b.vecFragment(srt.Input)
-	if in == nil {
-		return nil, ""
-	}
-	keys, err := b.sortKeys(srt)
-	if err != nil {
-		return nil, "" // the row path reports the error
-	}
-	kc := make([]int, len(keys))
-	for x, k := range keys {
-		kc[x] = in.spec.proj[k.idx]
-	}
-	in.spec.need(in.spec.proj)
-	s := &sortSource{sortPage: sortPage{keys: keys, count: -1, gov: b.gov}, in: in.spec, keyCols: kc,
-		rowPacker: b.packer(in.cols), srt: srt, lim: lim}
-	var top plan.Node = srt
-	if lim != nil {
-		s.offset, s.count, top = lim.Offset, lim.Count, lim
-	}
-	return &vecFrag{spec: newVecSpec(s, len(in.cols)), cols: in.cols, nodes: []plan.Node{top}, kids: []*vecFrag{in}}, ""
-}

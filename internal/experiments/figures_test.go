@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"vdm/internal/core"
+	"vdm/internal/plan"
 	"vdm/internal/s4"
 )
 
@@ -121,4 +123,48 @@ func TestS4Reports(t *testing.T) {
 	if !strings.Contains(abl, "full profile") || !strings.Contains(abl, "column pruning") {
 		t.Fatalf("ablation report:\n%s", abl)
 	}
+}
+
+// TestAblationSamePlan pins the ablation report's ratio column on the
+// tiny S/4 fixture: a row whose plan (plan.Format) is the full
+// profile's prints "same plan", and every other row prints a ratio.
+func TestAblationSamePlan(t *testing.T) {
+	e, err := NewS4Engine(s4.TinySize(), s4.Fig14Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := AblationReport(e, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(rep), "\n")[1:]
+	if len(lines) != len(ablations) {
+		t.Fatalf("%d rows for %d ablations:\n%s", len(lines), len(ablations), rep)
+	}
+	var base string
+	same := 0
+	for i, a := range ablations {
+		e.SetProfile(core.Profile{Name: a.name, Caps: core.ProfileHANA.Caps &^ a.drop})
+		p, err := e.PlanQuery("user", ablationQuery, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := plan.Format(p.Ctx, p.Root)
+		if i == 0 {
+			base = text
+		}
+		want := i > 0 && text == base
+		if got := strings.Contains(lines[i], "same plan"); got != want {
+			t.Errorf("row %q: same plan=%v, want %v", lines[i], got, want)
+		}
+		if want {
+			same++
+		} else if !strings.Contains(lines[i], "x)") {
+			t.Errorf("row %q prints no ratio", lines[i])
+		}
+	}
+	if same == 0 || same == len(ablations)-1 {
+		t.Errorf("%d rows share the full profile's plan; the fixture should give some of each:\n%s", same, rep)
+	}
+	t.Logf("\n%s", rep)
 }

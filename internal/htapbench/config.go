@@ -67,7 +67,7 @@ type Config struct {
 	// perturb the digest).
 	Deterministic bool
 	// Engine holds the engine options for the run (maintenance,
-	// governance, execution strategy). The zero value is replaced by
+	// governance, batch size). The zero value is replaced by
 	// DefaultEngineOptions.
 	Engine engine.Options
 	// Replicas is the number of WAL-shipped read replicas the harness

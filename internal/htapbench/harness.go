@@ -338,12 +338,24 @@ func ConfigFromLog(l *ScheduleLog) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
+	// Replay runs the log's entries and never reads Ops, but a replay is
+	// deterministic, which needs an op bound: a duration-bounded run
+	// records ops=0, so the bound is the most entries one session logged.
+	ops := l.Ops
+	if ops <= 0 {
+		per := map[string]int{}
+		for _, op := range l.Entries {
+			per[op.Session]++
+			ops = max(ops, per[op.Session])
+		}
+		ops = max(ops, 1)
+	}
 	return Config{
 		Writers:       l.Writers,
 		Readers:       l.Readers,
 		Seed:          l.Seed,
 		Scale:         l.Scale,
-		Ops:           l.Ops,
+		Ops:           ops,
 		Mix:           mix,
 		Deterministic: true,
 		Engine:        DefaultEngineOptions(),

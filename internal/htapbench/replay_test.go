@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"vdm/internal/storage"
 )
@@ -88,6 +89,45 @@ func TestReplayFromLog(t *testing.T) {
 		t.Fatalf("replay digest %s != original %s", got, origDigest)
 	}
 	if rep := h.Report(); rep.Invariants.Violations != 0 {
+		t.Fatalf("replay violations: %v", rep.Invariants.Details)
+	}
+}
+
+// TestReplayDurationBoundedLog records a concurrent, duration-bounded
+// run, whose log header says ops=0, and replays it: ConfigFromLog takes
+// the op bound from the log's entries, and the replay sees no invariant
+// violation.
+func TestReplayDurationBoundedLog(t *testing.T) {
+	cfg := Config{Writers: 1, Readers: 1, Duration: 200 * time.Millisecond, Seed: 1, Scale: 300, Engine: DefaultEngineOptions()}
+	h, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := h.Run(context.Background())
+	h.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := ParseScheduleLog(rec.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log.Ops != 0 || len(log.Entries) == 0 {
+		t.Fatalf("recorded ops=%d with %d entries, want a duration-bounded log", log.Ops, len(log.Entries))
+	}
+	replayCfg, err := ConfigFromLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(replayCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Replay(context.Background(), log); err != nil {
+		t.Fatal(err)
+	}
+	if rep := r.Report(); rep.Invariants.Violations != 0 {
 		t.Fatalf("replay violations: %v", rep.Invariants.Details)
 	}
 }

@@ -143,10 +143,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 // recovery took.
 type RecoveryInfo = storage.RecoveryInfo
 
-// Options configures an engine (executor mode and batch size, background
-// maintenance, the WAL, and the query-governance knobs:
-// StatementTimeout, MemoryBudget, MaxConcurrentQueries, QueueTimeout).
-// Every query runs on one goroutine.
+// Options configures an engine (the batch size of its one vectorized
+// executor, background maintenance, the WAL, and the query-governance
+// knobs: StatementTimeout, MemoryBudget, MaxConcurrentQueries,
+// QueueTimeout). Every query runs on one goroutine.
 type Options = engine.Options
 
 // NewEngine returns an empty engine with the full optimizer profile.
