@@ -117,6 +117,26 @@ func BenchmarkVectorSpeedup(b *testing.B) {
 	})
 }
 
+// BenchmarkRowJoinShapes measures joins the batch hash join does not
+// take, which the batch executor runs as the row join over its batch
+// inputs: a semi join with a residual, a correlated NOT IN, and a cross
+// join.
+func BenchmarkRowJoinShapes(b *testing.B) {
+	queries := []experiments.NamedQuery{
+		{Name: "semi-residual", SQL: `select c_custkey from customer
+		  where exists (select 1 from orders where o_custkey = c_custkey and o_totalprice > c_acctbal * 10)`},
+		{Name: "not-in-correlated", SQL: `select o_orderkey from orders
+		  where o_custkey not in (select l_suppkey from lineitem where l_orderkey = o_orderkey)`},
+		{Name: "cross", SQL: `select c_custkey, s_suppkey from customer cross join supplier`},
+	}
+	e := benchTPCH(b)
+	for _, q := range queries {
+		b.Run(q.Name, func(b *testing.B) {
+			runPlanned(b, e, core.ProfileHANA, "", q.SQL)
+		})
+	}
+}
+
 // BenchmarkVectorPR7 measures the PR 7 batch operators on the S/4
 // document population: top-k paging over the active∪draft union (the
 // Figure 14 paging pattern), DISTINCT-over-union dedup, and an

@@ -245,11 +245,7 @@ func (ab *aggBinder) transform(e sql.Expr) (plan.Expr, error) {
 		if !ok {
 			return nil, fmt.Errorf("bind: unknown function %s", e.Name)
 		}
-		t, err := rule(args)
-		if err != nil {
-			return nil, fmt.Errorf("bind: %s: %v", name, err)
-		}
-		return &plan.Func{Name: name, Args: args, Typ: t}, nil
+		return newFunc(name, rule, args)
 	case *sql.CaseExpr:
 		out := &plan.Case{}
 		for _, w := range e.Whens {
@@ -262,9 +258,6 @@ func (ab *aggBinder) transform(e sql.Expr) (plan.Expr, error) {
 				return nil, err
 			}
 			out.Whens = append(out.Whens, plan.CaseArm{Cond: c, Then: t})
-			if out.Typ == 0 || out.Typ == types.TNull {
-				out.Typ = t.Type()
-			}
 		}
 		if e.Else != nil {
 			el, err := ab.transform(e.Else)
@@ -272,9 +265,9 @@ func (ab *aggBinder) transform(e sql.Expr) (plan.Expr, error) {
 				return nil, err
 			}
 			out.Else = el
-			if out.Typ == 0 || out.Typ == types.TNull {
-				out.Typ = el.Type()
-			}
+		}
+		if err := typeCase(out); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}

@@ -189,10 +189,8 @@ func unionType(a, b types.Type) (types.Type, bool) {
 }
 
 // convertColumns returns n, whose columns are cols, with its columns
-// converted to typs: a Project over n when some column's type differs.
-// A NULL-typed column becomes a NULL of its type; a number is promoted
-// by adding a zero of its type, which Arith and the batch kernels
-// evaluate exactly.
+// converted to typs (convertExpr): a Project over n when some column's
+// type differs.
 func (b *Binder) convertColumns(n plan.Node, cols []types.ColumnID, names []string, typs []types.Type) plan.Node {
 	same := true
 	for i, id := range cols {
@@ -204,26 +202,78 @@ func (b *Binder) convertColumns(n plan.Node, cols []types.ColumnID, names []stri
 	proj := &plan.Project{Input: n, Cols: make([]plan.ProjCol, len(cols))}
 	for i, id := range cols {
 		t := b.ctx.Type(id)
-		var e plan.Expr = &plan.ColRef{ID: id, Typ: t}
 		out := id
 		if t != typs[i] {
 			out = b.ctx.NewColumn(names[i], typs[i])
-			if t == types.TNull {
-				e = &plan.Const{Val: types.NewNull(typs[i])}
-			} else {
-				zero := types.NewInt(0)
-				switch typs[i] {
-				case types.TFloat:
-					zero = types.NewFloat(0)
-				case types.TDecimal:
-					zero = types.NewDecimal(decimal.Decimal{})
-				}
-				e = &plan.Bin{Op: "+", L: e, R: &plan.Const{Val: zero}, Typ: typs[i]}
-			}
 		}
-		proj.Cols[i] = plan.ProjCol{ID: out, Expr: e}
+		proj.Cols[i] = plan.ProjCol{ID: out, Expr: convertExpr(&plan.ColRef{ID: id, Typ: t}, typs[i])}
 	}
 	return proj
+}
+
+// commonType returns the common type of exprs under unionType (NULL for
+// none), or an error naming two types with none.
+func commonType(exprs []plan.Expr) (types.Type, error) {
+	t := types.TNull
+	for _, e := range exprs {
+		u, ok := unionType(t, e.Type())
+		if !ok {
+			return 0, fmt.Errorf("no common type: %s and %s", t, e.Type())
+		}
+		t = u
+	}
+	return t, nil
+}
+
+// convertExpr returns e converted to t, the common type of the values it
+// stands beside (a UNION ALL column, CASE arms, COALESCE arguments), so
+// that every value there has type t. A NULL literal or NULL-typed column
+// becomes a NULL of t; a number is promoted by adding a zero of t, which
+// Arith and the batch kernels evaluate exactly. Any other NULL-typed
+// expression is kept: its value is NULL, and its errors stay.
+func convertExpr(e plan.Expr, t types.Type) plan.Expr {
+	switch e.Type() {
+	case t:
+		return e
+	case types.TNull:
+		switch e.(type) {
+		case *plan.Const, *plan.ColRef:
+			return &plan.Const{Val: types.NewNull(t)}
+		}
+		return e
+	}
+	zero := types.NewInt(0)
+	switch t {
+	case types.TFloat:
+		zero = types.NewFloat(0)
+	case types.TDecimal:
+		zero = types.NewDecimal(decimal.Decimal{})
+	}
+	return &plan.Bin{Op: "+", L: e, R: &plan.Const{Val: zero}, Typ: t}
+}
+
+// typeCase types a CASE by the common type of its arms and ELSE, and
+// converts an arm of another type to it.
+func typeCase(c *plan.Case) error {
+	arms := make([]plan.Expr, 0, len(c.Whens)+1)
+	for _, w := range c.Whens {
+		arms = append(arms, w.Then)
+	}
+	if c.Else != nil {
+		arms = append(arms, c.Else)
+	}
+	t, err := commonType(arms)
+	if err != nil {
+		return fmt.Errorf("bind: CASE arms have %v", err)
+	}
+	c.Typ = t
+	for i := range c.Whens {
+		c.Whens[i].Then = convertExpr(c.Whens[i].Then, t)
+	}
+	if c.Else != nil {
+		c.Else = convertExpr(c.Else, t)
+	}
+	return nil
 }
 
 func (b *Binder) bindSelect(sel *sql.Select, depth int, outer *scope) (plan.Node, []string, error) {

@@ -185,9 +185,6 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope, allowAgg bool) (plan.Expr, erro
 				return nil, err
 			}
 			out.Whens = append(out.Whens, plan.CaseArm{Cond: c, Then: t})
-			if out.Typ == types.TNull || out.Typ == 0 {
-				out.Typ = t.Type()
-			}
 		}
 		if e.Else != nil {
 			el, err := b.bindExpr(e.Else, sc, allowAgg)
@@ -195,9 +192,9 @@ func (b *Binder) bindExpr(e sql.Expr, sc *scope, allowAgg bool) (plan.Expr, erro
 				return nil, err
 			}
 			out.Else = el
-			if out.Typ == types.TNull || out.Typ == 0 {
-				out.Typ = el.Type()
-			}
+		}
+		if err := typeCase(out); err != nil {
+			return nil, err
 		}
 		return out, nil
 	case *sql.AllowPrecisionLoss:
@@ -241,21 +238,13 @@ var scalarFuncs = map[string]func(args []plan.Expr) (types.Type, error){
 		if len(args) == 0 {
 			return 0, fmt.Errorf("COALESCE needs arguments")
 		}
-		for _, a := range args {
-			if a.Type() != types.TNull {
-				return a.Type(), nil
-			}
-		}
-		return types.TNull, nil
+		return commonType(args)
 	},
 	"IFNULL": func(args []plan.Expr) (types.Type, error) {
 		if len(args) != 2 {
 			return 0, fmt.Errorf("IFNULL takes 2 arguments")
 		}
-		if args[0].Type() != types.TNull {
-			return args[0].Type(), nil
-		}
-		return args[1].Type(), nil
+		return commonType(args)
 	},
 	"NULLIF": func(args []plan.Expr) (types.Type, error) {
 		if len(args) != 2 {
@@ -365,9 +354,21 @@ func (b *Binder) bindFunc(e *sql.FuncCall, sc *scope, allowAgg bool) (plan.Expr,
 		}
 		args = append(args, x)
 	}
+	return newFunc(name, rule, args)
+}
+
+// newFunc returns the call of scalar function name on args, typed by its
+// rule. COALESCE and IFNULL convert an argument of another type to the
+// call's, so that every value they return has the call's type.
+func newFunc(name string, rule func([]plan.Expr) (types.Type, error), args []plan.Expr) (plan.Expr, error) {
 	t, err := rule(args)
 	if err != nil {
 		return nil, fmt.Errorf("bind: %s: %v", name, err)
+	}
+	if name == "COALESCE" || name == "IFNULL" {
+		for i, a := range args {
+			args[i] = convertExpr(a, t)
+		}
 	}
 	return &plan.Func{Name: name, Args: args, Typ: t}, nil
 }

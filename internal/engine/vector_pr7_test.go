@@ -317,7 +317,7 @@ func TestVecSelectStarTemplateMatchesRowPath(t *testing.T) {
 
 // TestVecCompilerDeclinesJoinShapes covers the join shapes the batch
 // compiler once declined to the row join: semi, anti, non-equi and
-// equi-with-residual joins run the batch join's general mode, and a
+// equi-with-residual joins run as row join sources, and a
 // Filter with no typed kernel above a batch join is a row kernel stage
 // over it. Each runs as one batch pipeline with the row reference's
 // rows at batch sizes 1, 7 and 1024.

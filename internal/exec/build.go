@@ -281,6 +281,11 @@ func (b *Builder) buildJoin(n *plan.Join) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
+	return b.rowJoin(n, left, right)
+}
+
+// rowJoin builds the row join of n over its inputs' row iterators.
+func (b *Builder) rowJoin(n *plan.Join, left, right Iterator) (*joinIter, error) {
 	j := &joinIter{left: left, right: right, kind: n.Kind, gov: b.gov}
 	for _, id := range n.Right.Columns() {
 		j.rightTypes = append(j.rightTypes, b.ctx.Type(id))

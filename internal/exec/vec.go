@@ -14,8 +14,9 @@ import (
 // typed vectors straight from storage (FillVecs); the equi hash join
 // (vecjoin.go), LIMIT/OFFSET, UNION ALL and DISTINCT (vecset.go) pass
 // their inputs' vectors on, narrowed or regrouped; aggregation
-// (vecagg.go) and ORDER BY (vecsort.go) hand out their materialized
-// result packed into typed vectors (rowPacker). A pipeline (vecSpec)
+// (vecagg.go), ORDER BY (vecsort.go) and every other join (the row join
+// over its inputs, rowJoinSource) hand out their result packed into
+// typed vectors (rowPacker). A pipeline (vecSpec)
 // runs any interleaving of filter and project stages over any of them,
 // narrowing batches with a selection vector instead of copying
 // survivors. Pipelines are sources themselves, so a compiled plan leaves

@@ -16,8 +16,8 @@ import (
 // compiled root. A compile function returns a fragment or a genuine
 // build error (a missing table or column), never a decline.
 //
-// Filter conjuncts, computed projections, aggregate arguments, join keys
-// and join residuals compile through compileExpr: an expression the
+// Filter conjuncts, computed projections, aggregate arguments and hash
+// join keys compile through compileExpr: an expression the
 // typed kernels cover exactly (compileVecExpr) becomes a kernel tree,
 // and any other one — division, MOD, TO_DECIMAL, a mixed-type
 // comparison, an IN list of expressions — is evaluated whole, row by row
@@ -420,15 +420,11 @@ func (b *Builder) vecGroupBy(n *plan.GroupBy) (*vecFrag, error) {
 // one value accumulate is handed.
 func firstValue(row types.Row) (types.Value, error) { return row[0], nil }
 
-// vecJoin compiles a join into the batch join source. The condition
-// splits as the row join's does (splitJoinCond): equi-keys over one side
-// each, keyed by batch columns (an expression key is a column computed
-// in a stage over its input), and a residual compiled over the
-// left ++ right layout. An inner or left outer join with keys and no
-// residual runs the hash join's probe loop; every other join — semi,
-// anti, NOT IN, cross, non-equi, or one with a residual — runs its
-// general mode (joinSource.probeGeneral), building right as the row
-// join does unless the optimizer chose to build left.
+// vecJoin compiles a join. An inner or left outer join with equi-keys
+// and no residual, split as the row join's condition is
+// (splitJoinCond), becomes the batch hash join, keyed by batch columns
+// (an expression key is a column computed in a stage over its input).
+// Every other join runs the row join over its inputs (rowJoinSource).
 func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, error) {
 	lf, err := b.vecFragment(n.Left)
 	if err != nil {
@@ -442,6 +438,18 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, error) {
 	if err != nil {
 		return nil, err
 	}
+	cols := n.Columns()
+	kids := []*vecFrag{lf, rf}
+	if (n.Kind != plan.InnerJoin && n.Kind != plan.LeftOuterJoin) || len(lkeys) == 0 || residual != nil {
+		lf.spec.need(lf.spec.proj)
+		rf.spec.need(rf.spec.proj)
+		j, err := b.rowJoin(n, &vecRowsIter{spec: lf.spec}, &vecRowsIter{spec: rf.spec})
+		if err != nil {
+			return nil, err
+		}
+		rj := &rowJoinSource{join: j, rowPacker: b.packer(cols)}
+		return &vecFrag{spec: newVecSpec(rj, len(cols)), cols: cols, node: n, kids: kids}, nil
+	}
 	lkc, err := lf.stageCols(lkeys)
 	if err != nil {
 		return nil, err
@@ -450,18 +458,15 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, error) {
 	if err != nil {
 		return nil, err
 	}
-	semi := n.Kind == plan.SemiJoin || n.Kind == plan.AntiJoin
+	// The build side is the optimizer's choice, as in the row join.
 	js := &joinSource{
-		buildLeft: !semi && n.Kind != plan.CrossJoin && len(lkeys) > 0 && n.BuildLeft,
+		buildLeft: n.BuildLeft,
 		leftOuter: n.Kind == plan.LeftOuterJoin,
-		semi:      semi,
-		anti:      n.Kind == plan.AntiJoin,
-		notIn:     n.NotIn != nil,
 		batchSize: b.vecSize,
 		gov:       b.gov,
 		met:       b.met,
 	}
-	nl, nr := len(lf.cols), len(rf.cols)
+	nl := len(lf.cols)
 	probe := lf
 	if js.buildLeft {
 		js.build, js.probe = lf.spec, rf.spec
@@ -476,24 +481,9 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, error) {
 	for _, id := range probe.cols {
 		js.probeTyps = append(js.probeTyps, b.ctx.Type(id))
 	}
-	if residual != nil {
-		// The residual sees the concatenated left ++ right row, as the
-		// row join's does: for a semi or anti join that is wider than
-		// the join's output.
-		comb := &vecFrag{spec: newVecSpec(nil, nl+nr), cols: slices.Concat(lf.cols, rf.cols)}
-		if js.resid, err = comb.predicate(plan.Conjuncts(residual), residual); err != nil {
-			return nil, err
-		}
-		js.residCols, js.residSpec = comb.exprCols(residual), comb.spec
-	}
-	js.general = semi || len(lkeys) == 0 || residual != nil || n.Kind == plan.CrossJoin
-	cols := n.Columns()
 	js.keep = allTrue(len(cols))
-	js.store = allTrue(nr)
-	if js.buildLeft {
-		js.store = allTrue(nl)
-	}
-	return &vecFrag{spec: newVecSpec(js, len(cols)), cols: cols, node: n, kids: []*vecFrag{lf, rf}}, nil
+	js.store = allTrue(len(js.build.proj))
+	return &vecFrag{spec: newVecSpec(js, len(cols)), cols: cols, node: n, kids: kids}, nil
 }
 
 // vecSort compiles a Sort into a sort source. lim is the LIMIT/OFFSET

@@ -680,8 +680,8 @@ func (e *veCase) eval(b *Batch, sel []int32, sc *vecScratch) *types.Vec {
 // scratch (vecScratch.fail), and the rows before it are valid. Its
 // vector has the expression's plan type: a number of a narrower type
 // is widened into it, and a value of any other type is an error (the
-// row evaluator returns a CASE or COALESCE argument as-is, whatever
-// its type).
+// binder converts CASE arms and COALESCE arguments to their common
+// type, so none should arise).
 type veRow struct {
 	fn   EvalFn
 	cols []int // batch column of each row slot

@@ -39,12 +39,6 @@ import (
 // a key id resolves straight to its outcome — its build row, or
 // filtered — and the probe takes one lookup per live row, a
 // dictionary-coded key's once per code per dictionary view.
-//
-// Every other join — semi, anti, NOT IN, cross, non-equi, or one with a
-// residual — runs the general mode (probeGeneral) over the same build:
-// candidate pairs are gathered a batch at a time into the residual's
-// left ++ right layout, semi and anti joins decide each probe row at
-// once, and the emission order is the row join's.
 
 // buildCol is one build-side column drained into a typed vector. String
 // values are re-encoded into a build-local dictionary, so the vector's
@@ -185,23 +179,16 @@ func gatherVec(dst, src *types.Vec, n int, to, from []int32) {
 	}
 }
 
-// joinSource is the batch join, every plan.JoinKind. Its output batch
-// holds the plan's left columns then its right columns, whichever side
-// builds; a semi or anti join's holds the left columns alone.
+// joinSource is the batch equi hash join, inner or left-outer. Its
+// output batch holds the plan's left columns then its right columns,
+// whichever side builds.
 type joinSource struct {
 	build, probe *vecSpec
 	// buildLeft: the hash side is the plan's left input (the optimizer's
 	// BuildLeft choice); otherwise the conventional build-right layout.
 	buildLeft bool
 	leftOuter bool
-	// semi marks a semi or anti join, anti an anti join, and notIn a NOT
-	// IN anti join, whose last key is its x = y.
-	semi, anti, notIn bool
-	// general: the join runs its general mode (probeGeneral), not the
-	// hash join's probe loop.
-	general bool
-	// bkc and pkc are the key batch columns of the build/probe batches;
-	// a join without keys pairs every build row with every probe row.
+	// bkc and pkc are the key batch columns of the build/probe batches.
 	bkc, pkc  []int
 	batchSize int
 	gov       *Governance
@@ -222,13 +209,6 @@ type joinSource struct {
 	filt     []vecExpr
 	filtCols []int
 	over     *vecSpec
-	// resid is the residual predicate over the left ++ right layout of
-	// residSpec, reading its positions residCols (nil: no residual); rsc
-	// is its scratch while open.
-	resid     []vecExpr
-	residCols []int
-	residSpec *vecSpec
-	rsc       *vecScratch
 
 	acct   memAcct
 	cols   []buildCol // build side, one per build output column
@@ -246,14 +226,6 @@ type joinSource struct {
 	// nullPass: the folded filter holds on the NULL extension.
 	nullPass bool
 	ids      []int32 // a probe batch's key ids
-	// A NOT IN join also groups its build rows by correlation key (the
-	// keys before y; groups numbers them, every row in group 0 when
-	// there are none): group g's rows are gRows[gOff[g]:gOff[g+1]] and
-	// those of them with a NULL y nRows[nOff[g]:nOff[g+1]], in build
-	// order. gOf and nOf are each build row's group while building.
-	groups                   keyIndex
-	gOf, nOf, gids           []int32
-	gOff, gRows, nOff, nRows []int32
 
 	// probe state
 	pb           *Batch
@@ -264,13 +236,6 @@ type joinSource struct {
 	out          Batch
 	gath         []types.Vec // gathered output columns, by position
 	all          []int32
-	// General mode: the probe batch's live rows, the next one to join,
-	// the error to return once the pairs before it are out, and scratch.
-	live, keepSel        []int32
-	k                    int
-	pend                 error
-	candP, candB, rowEnd []int32
-	pass                 []bool
 }
 
 // fold moves one conjunct of a Filter in the join's own pipeline (over)
@@ -279,10 +244,9 @@ type joinSource struct {
 // output columns. An inner join folds either build side; a left outer
 // join only when it builds its NULL-supplying right side, where an
 // unmatched probe row's NULL extension survives iff the conjunct holds
-// on all-NULL build columns; a join in its general mode never. Reports
-// whether the conjunct moved.
+// on all-NULL build columns. Reports whether the conjunct moved.
 func (j *joinSource) fold(c vecExpr, cols []int, over *vecSpec) bool {
-	if j.general || (j.leftOuter && j.buildLeft) {
+	if j.leftOuter && j.buildLeft {
 		return false
 	}
 	nb := len(j.build.proj)
@@ -302,30 +266,18 @@ func (j *joinSource) fold(c vecExpr, cols []int, over *vecSpec) bool {
 
 // need narrows the join's output to the columns its consumer reads (out,
 // by output position) and passes on what each input must then produce:
-// the probe its read columns, those the residual reads and its keys, the
-// build its stored columns — the kept ones and those the folded filter
-// or the residual read — and its keys.
+// the probe its read columns and keys, the build its stored columns and
+// keys.
 func (j *joinSource) need(out []bool) {
-	nb, np := len(j.build.proj), len(j.probe.proj)
+	nb := len(j.build.proj)
 	j.keep = out
-	j.store = make([]bool, nb)
-	if !j.semi {
-		copy(j.store, out[j.buildOff:j.buildOff+nb])
-	}
+	j.store = slices.Clone(out[j.buildOff : j.buildOff+nb])
 	for _, k := range j.filtCols {
 		j.store[k] = true
 	}
-	read := slices.Clone(out[j.probeOff : j.probeOff+np])
-	for _, p := range j.residCols {
-		if k := p - j.probeOff; k >= 0 && k < np {
-			read[k] = true
-		} else {
-			j.store[p-j.buildOff] = true
-		}
-	}
 	var probe, build []int
 	for k, bc := range j.probe.proj {
-		if read[k] {
+		if out[j.probeOff+k] {
 			probe = append(probe, bc)
 		}
 	}
@@ -371,18 +323,11 @@ func (j *joinSource) open() error {
 	if j.buildLeft && j.leftOuter {
 		j.matched = make([]bool, j.nbuild)
 	}
-	w := len(j.build.proj) + len(j.probe.proj)
-	if j.semi {
-		w = len(j.probe.proj)
-	}
-	j.out.Cols = make([]types.Vec, w)
-	j.gath = make([]types.Vec, w)
+	nb, np := len(j.build.proj), len(j.probe.proj)
+	j.out.Cols = make([]types.Vec, nb+np)
+	j.gath = make([]types.Vec, nb+np)
 	j.pairP, j.pairB, j.pairPos = j.pairP[:0], j.pairB[:0], 0
 	j.probeDone, j.tailPos = false, 0
-	j.live, j.k, j.pend = j.live[:0], 0, nil
-	if j.resid != nil {
-		j.rsc = newVecScratch(j.residSpec)
-	}
 	return j.probe.open()
 }
 
@@ -390,17 +335,11 @@ func (j *joinSource) open() error {
 // columnar bytes against the query budget (every build row, NULL keys
 // included, as the row joins meter every drained row), checks
 // cancellation once per batch, and indexes the non-NULL keys in build
-// order — without keys, every build row under one key.
+// order.
 func (j *joinSource) buildTable() error {
 	j.cols, j.nbuild = make([]buildCol, len(j.build.proj)), 0
-	keyed := len(j.bkc) > 0
-	if keyed {
-		j.keys = newKeyIndex(len(j.bkc), false, &j.acct)
-	}
-	if nc := len(j.bkc) - 1; j.notIn && nc > 0 {
-		j.groups = newKeyIndex(nc, false, &j.acct)
-	}
-	j.keyOf, j.gOf, j.nOf = j.keyOf[:0], j.gOf[:0], j.nOf[:0]
+	j.keys = newKeyIndex(len(j.bkc), false, &j.acct)
+	j.keyOf = j.keyOf[:0]
 	shared := -1 // the stored column whose ids are its key ids
 	for k, bc := range j.build.proj {
 		if len(j.bkc) == 1 && bc == j.bkc[0] && j.store[k] {
@@ -415,19 +354,11 @@ func (j *joinSource) buildTable() error {
 		}
 		rows := liveRows(b, &all)
 		base := len(j.keyOf)
+		var err error
+		if j.keyOf, err = j.keys.insert(b, j.bkc, rows, j.keyOf); err != nil {
+			return err
+		}
 		bytes := 4 * int64(len(rows)) // hash-table row index
-		if keyed {
-			var err error
-			if j.keyOf, err = j.keys.insert(b, j.bkc, rows, j.keyOf); err != nil {
-				return err
-			}
-		}
-		if j.notIn {
-			if err := j.groupNotIn(b, rows); err != nil {
-				return err
-			}
-			bytes += 8 * int64(len(rows))
-		}
 		for k, ci := range j.build.proj {
 			if !j.store[k] {
 				continue
@@ -455,69 +386,31 @@ func (j *joinSource) buildTable() error {
 		}
 		c.strs = keyIndex{}
 	}
-	if keyed {
-		j.off, j.rows = byID(j.keyOf, j.keys.size())
-	} else {
-		j.off, j.rows = []int32{0, int32(j.nbuild)}, slices.Clone(iota32(&all, j.nbuild))
-	}
-	if j.notIn {
-		ng := min(j.nbuild, 1)
-		if j.groups.cols != nil {
-			ng = j.groups.size()
-		}
-		j.gOff, j.gRows = byID(j.gOf, ng)
-		j.nOff, j.nRows = byID(j.nOf, ng)
-	}
-	j.keyOf, j.gOf, j.nOf = nil, nil, nil
+	j.groupRows(j.keys.size())
 	return nil
 }
 
-// groupNotIn records the NOT IN groups of a build batch's rows: each
-// row's correlation group, and the group again when its y is NULL.
-func (j *joinSource) groupNotIn(b *Batch, rows []int32) error {
-	nc := len(j.bkc) - 1
-	base := len(j.gOf)
-	if nc > 0 {
-		var err error
-		if j.gOf, err = j.groups.insert(b, j.bkc[:nc], rows, j.gOf); err != nil {
-			return err
-		}
-	} else {
-		j.gOf = append(j.gOf, make([]int32, len(rows))...)
-	}
-	y := &b.Cols[j.bkc[nc]]
-	for i, ri := range rows {
-		g := j.gOf[base+i]
-		if g < 0 || !y.Value(int(ri)).IsNull() {
-			g = -1
-		}
-		j.nOf = append(j.nOf, g)
-	}
-	return nil
-}
-
-// byID lays rows 0..len(ids)-1 out by id (a counting sort over n ids),
-// each id's rows in order: id k's are rows[off[k]:off[k+1]]. A row with
-// a negative id is left out.
-func byID(ids []int32, n int) (off, rows []int32) {
-	off = make([]int32, n+1)
-	for _, id := range ids {
+// groupRows lays the indexed build rows out by key id (a counting sort of
+// keyOf over nkeys ids), each id's rows in build order.
+func (j *joinSource) groupRows(nkeys int) {
+	j.off = make([]int32, nkeys+1)
+	for _, id := range j.keyOf {
 		if id >= 0 {
-			off[id+1]++
+			j.off[id+1]++
 		}
 	}
-	for k := 1; k <= n; k++ {
-		off[k] += off[k-1]
+	for k := 1; k <= nkeys; k++ {
+		j.off[k] += j.off[k-1]
 	}
-	rows = make([]int32, off[n])
-	next := slices.Clone(off[:n])
-	for r, id := range ids {
+	j.rows = make([]int32, j.off[nkeys])
+	next := slices.Clone(j.off[:nkeys])
+	for bi, id := range j.keyOf {
 		if id >= 0 {
-			rows[next[id]] = int32(r)
+			j.rows[next[id]] = int32(bi)
 			next[id]++
 		}
 	}
-	return off, rows
+	j.keyOf = nil
 }
 
 // filterBuild evaluates the folded filter once per build row, in
@@ -611,14 +504,6 @@ func (j *joinSource) next() (*Batch, error) {
 		if j.pairPos < len(j.pairP) {
 			return j.emitPairs(), nil
 		}
-		if err := j.pend; err != nil {
-			j.pend = nil
-			return nil, err
-		}
-		if j.k < len(j.live) {
-			j.probeRows()
-			continue
-		}
 		if !j.probeDone {
 			pb, err := j.probe.next()
 			if err != nil {
@@ -658,12 +543,8 @@ func (j *joinSource) next() (*Batch, error) {
 //
 // Each live probe row takes one key lookup (keyIndex.lookup). Under a
 // unique build its id yields the row's outcome and the row takes at most
-// one append; otherwise the id's rows are walked. A join in its general
-// mode hands the whole batch to probeGeneral instead.
+// one append; otherwise the id's rows are walked.
 func (j *joinSource) probeBatch(pb *Batch) *Batch {
-	if j.general {
-		return j.probeGeneral(pb)
-	}
 	j.pb, j.pairPos = pb, 0
 	live := liveRows(pb, &j.all)
 	j.ids = j.keys.lookup(pb, j.pkc, live, j.ids[:0])
@@ -726,198 +607,6 @@ func (j *joinSource) probeBatch(pb *Batch) *Batch {
 	j.gatherBuild(pb.N, j.pairP, j.pairB)
 	out.N, out.Sel, out.HasSel = pb.N, j.pairP, true
 	return j.emit(out)
-}
-
-// probeGeneral joins one probe batch in the general mode, building
-// right as the row join does (or left, for an inner or left outer join
-// the optimizer had build left). A semi or anti join decides each live
-// probe row at once (matches) and passes the batch on under a narrowed
-// selection; the others queue their rows for probeRows, which next
-// calls until the batch is done.
-func (j *joinSource) probeGeneral(pb *Batch) *Batch {
-	j.pb, j.k = pb, 0
-	j.live = append(j.live[:0], liveRows(pb, &j.all)...)
-	if len(j.pkc) > 0 {
-		j.ids = j.keys.lookup(pb, j.pkc, j.live, j.ids[:0])
-	}
-	if nc := len(j.pkc) - 1; j.notIn && nc > 0 {
-		j.gids = j.groups.lookup(pb, j.pkc[:nc], j.live, j.gids[:0])
-	}
-	if !j.semi {
-		return nil
-	}
-	keep := j.keepSel[:0]
-	for k, ri := range j.live {
-		m, err := j.matches(k, ri)
-		if err != nil {
-			j.pend = err
-			break
-		}
-		if m != j.anti {
-			keep = append(keep, ri)
-		}
-	}
-	j.keepSel, j.live = keep, j.live[:0]
-	if len(keep) == 0 {
-		return nil
-	}
-	for k, ci := range j.probe.proj {
-		j.out.Cols[k] = pb.Cols[ci]
-	}
-	j.out.N, j.out.Sel, j.out.HasSel = pb.N, keep, true
-	return j.emit(&j.out)
-}
-
-// candidates returns the build rows whose keys equal live probe row k's,
-// in build order: none when a probe key is NULL, all without keys.
-func (j *joinSource) candidates(k int) []int32 {
-	id := int32(0)
-	if len(j.pkc) > 0 {
-		id = j.ids[k]
-	}
-	if id < 0 || int(id) >= len(j.off)-1 {
-		return nil
-	}
-	return j.rows[j.off[id]:j.off[id+1]]
-}
-
-// matches decides a semi or anti join's live probe row k (batch row ri):
-// whether some candidate passes the residual. A NOT IN row, reporting
-// true to drop it, is decided as the row join's matchesNotIn: its group
-// C is the build rows its correlation holds for; it stays when no row
-// of C passes, goes when its x is NULL or a row of C with a NULL y
-// passes, and else goes iff a row of C with y = x passes.
-func (j *joinSource) matches(k int, ri int32) (bool, error) {
-	if !j.notIn {
-		return j.anyPass(ri, j.candidates(k))
-	}
-	g := int32(0)
-	if len(j.pkc) > 1 {
-		g = j.gids[k]
-	}
-	if g < 0 || int(g) >= len(j.gOff)-1 {
-		return false, nil
-	}
-	if some, err := j.anyPass(ri, j.gRows[j.gOff[g]:j.gOff[g+1]]); !some || err != nil {
-		return false, err
-	}
-	if j.pb.Cols[j.pkc[len(j.pkc)-1]].Value(int(ri)).IsNull() {
-		return true, nil
-	}
-	if hasNull, err := j.anyPass(ri, j.nRows[j.nOff[g]:j.nOff[g+1]]); hasNull || err != nil {
-		return true, err
-	}
-	return j.anyPass(ri, j.candidates(k))
-}
-
-// anyPass reports whether some build row of list passes the residual
-// paired with probe row ri. It evaluates the pairs a batch at a time
-// and stops at the first batch with a passing pair, so, as in the row
-// join, a residual error after that pair is never raised.
-func (j *joinSource) anyPass(ri int32, list []int32) (bool, error) {
-	if j.resid == nil {
-		return len(list) > 0, nil
-	}
-	for lo := 0; lo < len(list); lo += j.batchSize {
-		chunk := list[lo:min(lo+j.batchSize, len(list))]
-		j.candP = j.candP[:0]
-		for range chunk {
-			j.candP = append(j.candP, ri)
-		}
-		pass, _, err := j.residual(j.candP, chunk)
-		if len(pass) > 0 || err != nil {
-			return len(pass) > 0, err
-		}
-	}
-	return false, nil
-}
-
-// residual evaluates the residual over the pairs (probe row pp[i], build
-// row bb[i]), gathered into its scratch batch at their left ++ right
-// positions, and returns the indexes of the pairs that pass. A row
-// kernel's error stops it: the passing pairs returned are those before
-// pair at, and err is set.
-func (j *joinSource) residual(pp, bb []int32) (pass []int32, at int, err error) {
-	sc := j.rsc
-	b := &sc.batch
-	n := len(pp)
-	b.N = n
-	to := iota32(&sc.allIdx, n)
-	np := len(j.probe.proj)
-	for _, p := range j.residCols {
-		if k := p - j.probeOff; k >= 0 && k < np {
-			gatherVec(&b.Cols[p], &j.pb.Cols[j.probe.proj[k]], n, to, pp)
-		} else {
-			gatherVec(&b.Cols[p], &j.cols[p-j.buildOff].vec, n, to, bb)
-		}
-	}
-	pass = sc.narrow(j.resid, b, to)
-	at, err, sc.err = sc.errAt, sc.err, nil
-	return pass, at, err
-}
-
-// probeRows joins the next live rows of the probe batch in the general
-// mode of an inner, left outer or cross join. It collects their
-// candidate pairs in probe then build order — whole rows, at least one,
-// until a batch of pairs — runs the residual over them a batch at a
-// time, and queues the pairs that pass, NULL-extending a build-right
-// LEFT OUTER row none of whose candidates passed. A residual error
-// queues the pairs before the failing one and is returned after them,
-// as the row join raises it.
-func (j *joinSource) probeRows() {
-	j.pairP, j.pairB, j.pairPos = j.pairP[:0], j.pairB[:0], 0
-	candP, candB, ends := j.candP[:0], j.candB[:0], j.rowEnd[:0]
-	first := j.k
-	for j.k < len(j.live) && (j.k == first || len(candP) < j.batchSize) {
-		ri := j.live[j.k]
-		for _, bi := range j.candidates(j.k) {
-			candP, candB = append(candP, ri), append(candB, bi)
-		}
-		ends = append(ends, int32(len(candP)))
-		j.k++
-	}
-	j.candP, j.candB, j.rowEnd = candP, candB, ends
-	cut := len(candP)
-	var err error
-	if j.resid != nil {
-		j.pass = slices.Grow(j.pass[:0], cut)[:cut]
-		clear(j.pass)
-		for lo := 0; lo < len(candP); lo += j.batchSize {
-			hi := min(lo+j.batchSize, len(candP))
-			pass, at, e := j.residual(candP[lo:hi], candB[lo:hi])
-			for _, p := range pass {
-				j.pass[lo+int(p)] = true
-			}
-			if e != nil {
-				cut, err = lo+at, e
-				break
-			}
-		}
-	}
-	extend := j.leftOuter && !j.buildLeft
-	lo := 0
-	for r, end := range ends {
-		ri, hit := j.live[first+r], false
-		for p := lo; p < min(int(end), cut); p++ {
-			if j.resid == nil || j.pass[p] {
-				j.pairP, j.pairB = append(j.pairP, ri), append(j.pairB, candB[p])
-				hit = true
-				if j.matched != nil {
-					j.matched[candB[p]] = true
-				}
-			}
-		}
-		if int(end) > cut {
-			break
-		}
-		if extend && !hit {
-			j.pairP, j.pairB = append(j.pairP, ri), append(j.pairB, -1)
-		}
-		lo = int(end)
-	}
-	if err != nil {
-		j.pend, j.live = err, j.live[:0]
-	}
 }
 
 // emitPairs emits the next chunk of pending pairs, gathering both sides.
@@ -999,6 +688,63 @@ func (j *joinSource) close() {
 	j.release(&j.acct)
 	j.cols, j.keys, j.matched = nil, keyIndex{}, nil
 	j.off, j.rows = nil, nil
-	j.groups, j.gOff, j.gRows, j.nOff, j.nRows = keyIndex{}, nil, nil, nil, nil
-	j.pb, j.live, j.rsc = nil, nil, nil
+	j.pb = nil
+}
+
+// rowJoinSource is every join the hash join does not take — semi, anti,
+// NOT IN, cross, non-equi, or one with a residual — as a batch source:
+// the row join (joinIter) over row adapters of its two input pipelines,
+// its rows packed into batches of the plan's column types. Those joins'
+// semantics (NOT IN's NULL rule, residual short-circuits and errors,
+// LEFT OUTER extension, emission order) so have one implementation, the
+// row reference's. A join error after some rows is returned once the
+// rows before it have gone out, as the row executor raises it.
+type rowJoinSource struct {
+	join *joinIter
+	rows []types.Row
+	pend error
+	srcStats
+	rowPacker
+}
+
+func (r *rowJoinSource) open() error {
+	defer r.timeOpen()()
+	r.pend = nil
+	err := r.join.Open()
+	if err == nil && r.stats != nil {
+		r.stats.BuildRows, r.stats.BuildBytes = r.join.buildStats()
+	}
+	return err
+}
+
+func (r *rowJoinSource) next() (*Batch, error) {
+	if err := r.pend; err != nil {
+		r.pend = nil
+		return nil, err
+	}
+	r.rows = r.rows[:0]
+	for len(r.rows) < r.size {
+		row, ok, err := r.join.Next()
+		if err != nil {
+			if len(r.rows) == 0 {
+				return nil, err
+			}
+			r.pend = err
+			break
+		}
+		if !ok {
+			break
+		}
+		r.rows = append(r.rows, row)
+	}
+	pos := 0
+	return r.emit(r.pack(r.rows, &pos)), nil
+}
+
+func (r *rowJoinSource) close() {
+	if n := r.join.memBytes(); r.stats != nil && n > 0 {
+		r.stats.MemBytes = n
+	}
+	r.join.Close()
+	r.rows = nil
 }
