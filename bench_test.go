@@ -137,6 +137,24 @@ func BenchmarkRowJoinShapes(b *testing.B) {
 	}
 }
 
+// BenchmarkScalarFunctions measures scalar functions, which run in the
+// row kernel inside a batch stage: a projection of UPPER and ROUND, and
+// a filter whose LOWER conjunct makes the whole condition one row
+// kernel.
+func BenchmarkScalarFunctions(b *testing.B) {
+	queries := []experiments.NamedQuery{
+		{Name: "project", SQL: `select o_orderkey, upper(o_orderstatus) s, round(o_totalprice, 1) p from orders`},
+		{Name: "filter", SQL: `select o_orderkey from orders
+		  where lower(o_orderpriority) = '1-urgent' and o_totalprice > 1000.00`},
+	}
+	e := benchTPCH(b)
+	for _, q := range queries {
+		b.Run(q.Name, func(b *testing.B) {
+			runPlanned(b, e, core.ProfileHANA, "", q.SQL)
+		})
+	}
+}
+
 // BenchmarkVectorPR7 measures the PR 7 batch operators on the S/4
 // document population: top-k paging over the active∪draft union (the
 // Figure 14 paging pattern), DISTINCT-over-union dedup, and an

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"vdm/internal/engine"
 	"vdm/internal/experiments"
@@ -25,35 +24,14 @@ func main() {
 	views := flag.Int("views", 100, "number of Figure 14 views to measure")
 	reps := flag.Int("reps", 3, "timing repetitions per query")
 	big := flag.Bool("big", false, "use benchmark-sized data volumes")
-	timeout := flag.Duration("timeout", 0, "statement timeout per benchmark query (0 = none)")
-	memlimit := flag.Int64("memlimit", 0, "per-query memory budget in bytes (0 = unlimited)")
 	flag.Parse()
-	gov := govOpts{timeout: *timeout, memlimit: *memlimit}
-	if err := run(*exp, *views, *reps, *big, gov); err != nil {
+	if err := run(*exp, *views, *reps, *big); err != nil {
 		fmt.Fprintln(os.Stderr, "vdmbench:", err)
 		os.Exit(1)
 	}
 }
 
-// govOpts carries the optional governance bounds onto each engine the
-// benchmark builds, so runaway experiment queries fail with typed
-// errors instead of hanging or exhausting memory.
-type govOpts struct {
-	timeout  time.Duration
-	memlimit int64
-}
-
-func (g govOpts) apply(e *engine.Engine) {
-	if g.timeout <= 0 && g.memlimit <= 0 {
-		return
-	}
-	opts := e.Options()
-	opts.StatementTimeout = g.timeout
-	opts.MemoryBudget = g.memlimit
-	e.SetOptions(opts)
-}
-
-func run(exp string, views, reps int, big bool, gov govOpts) error {
+func run(exp string, views, reps int, big bool) error {
 	tpchScale := tpch.TinyScale()
 	s4Size := s4.TinySize()
 	f14Size := s4.Fig14Tiny()
@@ -80,7 +58,6 @@ func run(exp string, views, reps int, big bool, gov govOpts) error {
 		if err != nil {
 			return err
 		}
-		gov.apply(te)
 	}
 	var se *engine.Engine
 	if needS4[exp] {
@@ -90,7 +67,6 @@ func run(exp string, views, reps int, big bool, gov govOpts) error {
 		if err != nil {
 			return err
 		}
-		gov.apply(se)
 	}
 
 	show := func(name string, fn func() (string, error)) error {

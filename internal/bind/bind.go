@@ -26,6 +26,12 @@ type Binder struct {
 	cat  *catalog.Catalog
 	ctx  *plan.Context
 	user string
+	// caches binds a cached view as a scan of its cache (BindCached);
+	// read lists the caches read; readUser records that binding resolved
+	// CURRENT_USER().
+	caches   bool
+	read     []*catalog.CacheInfo
+	readUser bool
 }
 
 // New returns a binder. user is the session user for CURRENT_USER() and
@@ -33,6 +39,21 @@ type Binder struct {
 func New(cat *catalog.Catalog, user string) *Binder {
 	return &Binder{cat: cat, ctx: plan.NewContext(), user: user}
 }
+
+// BindCached is BindQuery reading each cached view from its
+// materialization table instead of its body (§3); the view's DAC
+// policies still apply above the scan, with CURRENT_USER() bound to the
+// session user. It also returns the caches read, once each.
+func (b *Binder) BindCached(q sql.QueryExpr) (*plan.Plan, []*catalog.CacheInfo, error) {
+	b.caches = true
+	p, err := b.BindQuery(q)
+	return p, b.read, err
+}
+
+// ReadUser reports whether binding resolved CURRENT_USER(), directly or
+// in the DAC policy of a view it unfolded: the plan then depends on the
+// session user.
+func (b *Binder) ReadUser() bool { return b.readUser }
 
 // Context returns the column context produced by binding.
 func (b *Binder) Context() *plan.Context { return b.ctx }

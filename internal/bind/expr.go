@@ -344,6 +344,7 @@ func (b *Binder) bindFunc(e *sql.FuncCall, sc *scope, allowAgg bool) (plan.Expr,
 	}
 	// CURRENT_USER() resolves at bind time (DAC injection, §3).
 	if name == "CURRENT_USER" {
+		b.readUser = true
 		return &plan.Const{Val: types.NewString(b.user)}, nil
 	}
 	var args []plan.Expr

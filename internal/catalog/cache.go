@@ -5,23 +5,21 @@ import (
 	"strings"
 )
 
-// CacheInfo describes a cached (materialized) view, the mechanism the
-// paper mentions in §3: static cached views (SCV) are refreshed
-// explicitly and serve a possibly-stale snapshot; dynamic cached views
-// (DCV) always serve the up-to-date state. In this reproduction a DCV
-// is maintained by refresh-on-access when any base table changed since
-// the last refresh (a behavioural substitute for HANA's incremental
-// maintenance: same visible semantics, different refresh cost profile).
+// CacheInfo describes a cached (materialized) view (§3): a static one
+// (SCV) is refreshed explicitly and serves a possibly-stale snapshot; a
+// dynamic one (DCV) is refreshed on access once a base table changed.
 type CacheInfo struct {
-	// View is the cached view's name.
-	View string
+	// View is the definition the cache materializes: a replaced or
+	// re-created view is not read from it.
+	View *ViewDef
 	// Table is the backing materialization table.
 	Table string
 	// Dynamic selects DCV semantics (refresh-on-access).
 	Dynamic bool
-	// RefreshedAt is the commit timestamp of the last refresh.
+	// RefreshedAt is the snapshot timestamp of the last refresh; the
+	// engine reads and writes it under its refresh lock.
 	RefreshedAt uint64
-	// BaseTables are the base tables the view (transitively) reads.
+	// BaseTables are the tables the view's bound body scans.
 	BaseTables []string
 }
 
@@ -29,15 +27,15 @@ type CacheInfo struct {
 func (c *Catalog) AddCache(info *CacheInfo) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := strings.ToLower(info.View)
+	key := strings.ToLower(info.View.Name)
 	if _, ok := c.views[key]; !ok {
-		return fmt.Errorf("catalog: view %s does not exist", info.View)
+		return fmt.Errorf("catalog: view %s does not exist", info.View.Name)
 	}
 	if c.caches == nil {
 		c.caches = make(map[string]*CacheInfo)
 	}
 	if _, dup := c.caches[key]; dup {
-		return fmt.Errorf("catalog: view %s is already cached", info.View)
+		return fmt.Errorf("catalog: view %s is already cached", info.View.Name)
 	}
 	c.caches[key] = info
 	c.epoch.Add(1)

@@ -75,12 +75,21 @@ func (e *Engine) admitQuery(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// statementContext derives the query's context: the caller's ctx
-// bounded by Options.StatementTimeout when one is set. The returned
-// cancel must always be called to release the timer.
-func (e *Engine) statementContext(ctx context.Context) (context.Context, context.CancelFunc) {
+// beginStatement starts a statement: the caller's ctx, bounded by
+// Options.StatementTimeout when one is set, and an admission slot taken
+// in it (admitQuery). end releases both; when admission fails there is
+// nothing to end.
+func (e *Engine) beginStatement(ctx context.Context) (_ context.Context, end func(), err error) {
+	var cancel context.CancelFunc
 	if t := e.opts.StatementTimeout; t > 0 {
-		return context.WithTimeout(ctx, t)
+		ctx, cancel = context.WithTimeout(ctx, t)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
 	}
-	return context.WithCancel(ctx)
+	release, err := e.admitQuery(ctx)
+	if err != nil {
+		cancel()
+		return nil, nil, e.metrics.failFast(err)
+	}
+	return ctx, func() { release(); cancel() }, nil
 }

@@ -3,10 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"vdm/internal/bind"
 	"vdm/internal/catalog"
+	"vdm/internal/plan"
 	"vdm/internal/sql"
 	"vdm/internal/types"
 )
@@ -17,20 +19,29 @@ import (
 // by RefreshCache, and a DCV refreshes automatically on access whenever
 // a base table changed — the same visible semantics as incremental
 // maintenance with a different refresh cost profile (see DESIGN.md).
+// The binder reads a cache wherever its view is referenced
+// (bind.Binder.BindCached), below the view's DAC policies, so a cache
+// serves each user what its view serves.
 
 // CreateCachedView materializes a view. dynamic selects DCV semantics.
+// A view whose body resolves CURRENT_USER(), itself or in a DAC policy
+// of a view it reads, cannot be cached: one copy serves every user.
 func (e *Engine) CreateCachedView(view string, dynamic bool) error {
+	ctx, end, err := e.beginStatement(context.Background())
+	if err != nil {
+		return err
+	}
+	defer end()
 	vd, ok := e.cat.View(view)
 	if !ok {
 		return fmt.Errorf("engine: view %s does not exist", view)
 	}
-	p, err := e.planQuery(context.Background(), "", vd.Query, true)
+	p, err := e.bindCacheBody(vd)
 	if err != nil {
 		return err
 	}
-	cols := p.Root.Columns()
 	var schema types.Schema
-	for i, id := range cols {
+	for i, id := range p.Root.Columns() {
 		schema = append(schema, types.Column{Name: p.OutNames[i], Type: p.Ctx.Type(id)})
 	}
 	cacheTable := "__cache_" + strings.ToLower(view)
@@ -38,16 +49,50 @@ func (e *Engine) CreateCachedView(view string, dynamic bool) error {
 		return err
 	}
 	info := &catalog.CacheInfo{
-		View:       view,
+		View:       vd,
 		Table:      cacheTable,
 		Dynamic:    dynamic,
-		BaseTables: e.baseTablesOf(vd.Query, map[string]bool{}),
+		BaseTables: scannedTables(p.Root),
 	}
 	if err := e.cat.AddCache(info); err != nil {
 		_ = e.db.DropTable(cacheTable)
 		return err
 	}
-	return e.RefreshCache(view)
+	e.cacheMu.Lock()
+	defer e.cacheMu.Unlock()
+	return e.refreshLocked(ctx, info)
+}
+
+// bindCacheBody binds a view's body as the cache materializes it: with
+// no session user, and rejected when binding resolved CURRENT_USER().
+func (e *Engine) bindCacheBody(vd *catalog.ViewDef) (*plan.Plan, error) {
+	b := bind.New(e.cat, "")
+	p, err := b.BindQuery(vd.Query)
+	if err != nil {
+		return nil, err
+	}
+	if b.ReadUser() {
+		return nil, fmt.Errorf("engine: view %s depends on CURRENT_USER() and cannot be cached", vd.Name)
+	}
+	return p, nil
+}
+
+// scannedTables lists, sorted, the tables a bound plan scans: every
+// table a query reads, in FROM, a view, or a subquery.
+func scannedTables(n plan.Node) []string {
+	var out []string
+	var walk func(n plan.Node)
+	walk = func(n plan.Node) {
+		if s, ok := n.(*plan.Scan); ok {
+			out = append(out, strings.ToLower(s.Info.Name))
+		}
+		for _, in := range n.Inputs() {
+			walk(in)
+		}
+	}
+	walk(n)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // RefreshCache re-materializes a cached view from its definition.
@@ -56,12 +101,30 @@ func (e *Engine) RefreshCache(view string) error {
 	if !ok {
 		return fmt.Errorf("engine: view %s is not cached", view)
 	}
-	vd, _ := e.cat.View(view)
-	p, err := e.planQuery(context.Background(), "", vd.Query, true)
+	ctx, end, err := e.beginStatement(context.Background())
 	if err != nil {
 		return err
 	}
-	res, err := e.run(context.Background(), p)
+	defer end()
+	e.cacheMu.Lock()
+	defer e.cacheMu.Unlock()
+	return e.refreshLocked(ctx, info)
+}
+
+// refreshLocked replaces a cache's rows with its definition's rows at
+// one snapshot, whose timestamp becomes RefreshedAt. The caller holds
+// cacheMu and the statement's admission slot.
+func (e *Engine) refreshLocked(ctx context.Context, info *catalog.CacheInfo) error {
+	p, err := e.bindCacheBody(info.View)
+	if err != nil {
+		return err
+	}
+	if _, err := e.optimize(ctx, p); err != nil {
+		return err
+	}
+	lease := e.db.AcquireRead()
+	defer lease.Release()
+	res, err := e.runAt(ctx, p, e.db, lease.TS())
 	if err != nil {
 		return err
 	}
@@ -85,7 +148,7 @@ func (e *Engine) RefreshCache(view string) error {
 	if err := tx.Commit(); err != nil {
 		return err
 	}
-	info.RefreshedAt = e.db.CurrentTS()
+	info.RefreshedAt = lease.TS()
 	e.metrics.cacheRefreshes.Inc()
 	return nil
 }
@@ -103,175 +166,66 @@ func (e *Engine) DropCachedView(view string) error {
 }
 
 // CacheStale reports whether any base table of a cached view committed
-// changes after the last refresh.
+// changes after the snapshot of the last refresh.
 func (e *Engine) CacheStale(view string) (bool, error) {
 	info, ok := e.cat.Cache(view)
 	if !ok {
 		return false, fmt.Errorf("engine: view %s is not cached", view)
 	}
-	for _, bt := range info.BaseTables {
-		tbl, ok := e.db.Table(bt)
-		if !ok {
-			continue
-		}
-		if tbl.Version() > info.RefreshedAt {
-			return true, nil
-		}
-	}
-	return false, nil
+	e.cacheMu.Lock()
+	defer e.cacheMu.Unlock()
+	return e.staleLocked(info), nil
 }
 
-// QueryCached runs a query with cached views substituted: a query over
-// a cached view reads its materialization table instead of unfolding
-// the view stack. Dynamic caches are refreshed first when stale.
+func (e *Engine) staleLocked(info *catalog.CacheInfo) bool {
+	for _, bt := range info.BaseTables {
+		if tbl, ok := e.db.Table(bt); ok && tbl.Version() > info.RefreshedAt {
+			return true
+		}
+	}
+	return false
+}
+
+// QueryCached runs a query reading cached views: each cached view it
+// references, at any depth, reads its materialization table under the
+// view's DAC policies instead of unfolding the view stack. A stale
+// dynamic cache is refreshed first, within the query's statement
+// timeout and admission slot. The plan cache is not used.
 func (e *Engine) QueryCached(user, sqlText string) (*Result, error) {
 	body, err := sql.ParseQuery(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	// Refresh stale dynamic caches referenced by the query.
-	for _, view := range e.referencedCachedViews(body) {
-		info, _ := e.cat.Cache(view)
-		if info.Dynamic {
-			stale, err := e.CacheStale(view)
-			if err != nil {
-				return nil, err
-			}
-			if stale {
-				if err := e.RefreshCache(view); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	rewritten := substituteCachedViews(body, func(name string) (string, bool) {
-		if info, ok := e.cat.Cache(name); ok {
-			return info.Table, true
-		}
-		return "", false
-	})
-	p, err := e.planQuery(context.Background(), user, rewritten, true)
+	ctx, end, err := e.beginStatement(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	return e.run(context.Background(), p)
+	defer end()
+	p, caches, err := bind.New(e.cat, user).BindCached(body)
+	if err == nil {
+		_, err = e.optimize(ctx, p)
+	}
+	if err != nil {
+		return nil, e.metrics.failFast(err)
+	}
+	if err := e.refreshStale(ctx, caches); err != nil {
+		return nil, err // a refresh's run counts its own failure
+	}
+	return e.run(ctx, p)
 }
 
-// referencedCachedViews lists cached views referenced (directly) by the
-// query.
-func (e *Engine) referencedCachedViews(q sql.QueryExpr) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, ref := range directRefs(q) {
-		key := strings.ToLower(ref)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := e.cat.Cache(ref); ok {
-			out = append(out, ref)
-		}
-	}
-	return out
-}
-
-// baseTablesOf transitively resolves the base tables a query reads.
-func (e *Engine) baseTablesOf(q sql.QueryExpr, visiting map[string]bool) []string {
-	set := map[string]bool{}
-	for _, ref := range directRefs(q) {
-		key := strings.ToLower(ref)
-		if visiting[key] {
-			continue
-		}
-		if vd, ok := e.cat.View(ref); ok {
-			visiting[key] = true
-			for _, bt := range e.baseTablesOf(vd.Query, visiting) {
-				set[bt] = true
+// refreshStale refreshes each stale dynamic cache among caches. Staleness
+// is checked under cacheMu, so concurrent readers of one stale cache
+// refresh it once.
+func (e *Engine) refreshStale(ctx context.Context, caches []*catalog.CacheInfo) error {
+	e.cacheMu.Lock()
+	defer e.cacheMu.Unlock()
+	for _, info := range caches {
+		if info.Dynamic && e.staleLocked(info) {
+			if err := e.refreshLocked(ctx, info); err != nil {
+				return err
 			}
-			delete(visiting, key)
-			continue
-		}
-		if tbl, ok := e.db.Table(ref); ok {
-			set[strings.ToLower(tbl.Name())] = true
 		}
 	}
-	var out []string
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// directRefs lists table/view names referenced directly by a query.
-func directRefs(q sql.QueryExpr) []string {
-	var out []string
-	var fromTE func(te sql.TableExpr)
-	var fromQ func(q sql.QueryExpr)
-	fromTE = func(te sql.TableExpr) {
-		switch te := te.(type) {
-		case *sql.TableRef:
-			out = append(out, te.Name)
-		case *sql.SubqueryRef:
-			fromQ(te.Query)
-		case *sql.JoinExpr:
-			fromTE(te.Left)
-			fromTE(te.Right)
-		}
-	}
-	fromQ = func(q sql.QueryExpr) {
-		switch q := q.(type) {
-		case *sql.Select:
-			if q.From != nil {
-				fromTE(q.From)
-			}
-		case *sql.UnionAll:
-			fromQ(q.Left)
-			fromQ(q.Right)
-		}
-	}
-	fromQ(q)
-	return out
-}
-
-// substituteCachedViews rewrites direct references to cached views into
-// their materialization tables.
-func substituteCachedViews(q sql.QueryExpr, lookup func(string) (string, bool)) sql.QueryExpr {
-	var rewriteTE func(te sql.TableExpr) sql.TableExpr
-	var rewriteQ func(q sql.QueryExpr) sql.QueryExpr
-	rewriteTE = func(te sql.TableExpr) sql.TableExpr {
-		switch te := te.(type) {
-		case *sql.TableRef:
-			if table, ok := lookup(te.Name); ok {
-				alias := te.Alias
-				if alias == "" {
-					alias = te.Name
-				}
-				return &sql.TableRef{Name: table, Alias: alias}
-			}
-			return te
-		case *sql.SubqueryRef:
-			return &sql.SubqueryRef{Query: rewriteQ(te.Query), Alias: te.Alias}
-		case *sql.JoinExpr:
-			out := *te
-			out.Left = rewriteTE(te.Left)
-			out.Right = rewriteTE(te.Right)
-			return &out
-		}
-		return te
-	}
-	rewriteQ = func(q sql.QueryExpr) sql.QueryExpr {
-		switch q := q.(type) {
-		case *sql.Select:
-			out := *q
-			if q.From != nil {
-				out.From = rewriteTE(q.From)
-			}
-			return &out
-		case *sql.UnionAll:
-			return &sql.UnionAll{Left: rewriteQ(q.Left), Right: rewriteQ(q.Right)}
-		}
-		return q
-	}
-	return rewriteQ(q)
+	return nil
 }

@@ -40,6 +40,9 @@ type Engine struct {
 	// keep a reference to the gate they entered, so SetOptions can swap
 	// it without stranding them.
 	admit chan struct{}
+	// cacheMu serializes cached-view refreshes and guards every
+	// CacheInfo.RefreshedAt (cache.go).
+	cacheMu sync.Mutex
 	// execHooks holds governance fault-injection hooks for tests (see
 	// SetExecHooks); production engines never set them.
 	execHooks atomic.Pointer[exec.Hooks]
@@ -225,13 +228,18 @@ func (e *Engine) Close() error {
 // Options returns the active execution options.
 func (e *Engine) Options() Options { return e.opts }
 
-// configureBuilder applies the engine's execution options and metrics
-// sink to a plan builder.
-func (e *Engine) configureBuilder(b *exec.Builder) {
+// newBuilder returns a plan builder over db's snapshot at ts with the
+// engine's execution options and metrics sink, and its governance: the
+// statement context ctx, the memory budget and the test hooks.
+func (e *Engine) newBuilder(ctx context.Context, p *plan.Plan, db *storage.DB, ts uint64) (*exec.Builder, *exec.Governance) {
+	b := exec.NewBuilder(p.Ctx, db, ts)
 	if !e.rowReference {
 		b.SetVectorize(e.opts.BatchSize)
 	}
 	b.SetMetrics(&e.metrics.exec)
+	gov := exec.NewGovernance(ctx, e.opts.MemoryBudget, e.execHooks.Load())
+	b.SetGovernance(gov)
+	return b, gov
 }
 
 // SetProfile switches the optimizer capability profile.

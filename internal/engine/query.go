@@ -47,7 +47,7 @@ func (e *Engine) QueryAsContext(ctx context.Context, user, sqlText string) (*Res
 	case *sql.Query:
 		return e.queryStatement(ctx, user, st)
 	case *sql.Explain:
-		p, err := e.planQuery(ctx, user, st.Body, !st.Raw)
+		p, _, err := e.planPinned(ctx, user, st.Body, !st.Raw)
 		if err != nil {
 			return nil, err
 		}
@@ -62,13 +62,11 @@ func (e *Engine) QueryAsContext(ctx context.Context, user, sqlText string) (*Res
 }
 
 func (e *Engine) queryStatement(ctx context.Context, user string, q *sql.Query) (*Result, error) {
-	ctx, cancel := e.statementContext(ctx)
-	defer cancel()
-	release, err := e.admitQuery(ctx)
+	ctx, end, err := e.beginStatement(ctx)
 	if err != nil {
-		return nil, e.metrics.failFast(err)
+		return nil, err
 	}
-	defer release()
+	defer end()
 	p, err := e.planStatement(ctx, user, q)
 	if err != nil {
 		// Planning failures count as failed queries so the error rate
@@ -83,7 +81,8 @@ func (e *Engine) queryStatement(ctx context.Context, user string, q *sql.Query) 
 // the plan is planned only when no template accepts its literals.
 func (e *Engine) planStatement(ctx context.Context, user string, q *sql.Query) (*plan.Plan, error) {
 	if e.plans == nil {
-		return e.planQuery(ctx, user, q.Body, true)
+		p, _, err := e.planPinned(ctx, user, q.Body, true)
+		return p, err
 	}
 	fp, vals := sql.Fingerprint(q.Body)
 	key := user + "\x00" + e.profile.Name + "\x00" + fp
@@ -118,16 +117,12 @@ func (e *Engine) PlanQuery(user, sqlText string, optimize bool) (*plan.Plan, err
 	if err != nil {
 		return nil, err
 	}
-	return e.planQuery(context.Background(), user, body, optimize)
-}
-
-func (e *Engine) planQuery(ctx context.Context, user string, body sql.QueryExpr, optimize bool) (*plan.Plan, error) {
-	p, _, err := e.planPinned(ctx, user, body, optimize)
+	p, _, err := e.planPinned(context.Background(), user, body, optimize)
 	return p, err
 }
 
-// planPinned is planQuery that also returns the lifted-literal slots the
-// optimizer pinned.
+// planPinned binds a query, optimizes it if optimize is set, and returns
+// the lifted-literal slots the optimizer pinned.
 func (e *Engine) planPinned(ctx context.Context, user string, body sql.QueryExpr, optimize bool) (*plan.Plan, []int, error) {
 	// Checkpoints before the two planning phases: binding and optimizing
 	// are pure CPU, so these are the only places a dead context can stop
@@ -135,22 +130,29 @@ func (e *Engine) planPinned(ctx context.Context, user string, body sql.QueryExpr
 	if err := ctx.Err(); err != nil {
 		return nil, nil, exec.ContextErr(ctx)
 	}
-	b := bind.New(e.cat, user)
-	p, err := b.BindQuery(body)
+	p, err := bind.New(e.cat, user).BindQuery(body)
+	if err != nil || !optimize {
+		return p, nil, err
+	}
+	opt, err := e.optimize(ctx, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !optimize {
-		return p, nil, nil
-	}
+	return p, opt.Pinned(), nil
+}
+
+// optimize rewrites a bound plan in place under the active profile and
+// returns the optimizer, which holds the literal slots it pinned and
+// its trace.
+func (e *Engine) optimize(ctx context.Context, p *plan.Plan) (*core.Optimizer, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, exec.ContextErr(ctx)
+		return nil, exec.ContextErr(ctx)
 	}
 	opt := core.NewOptimizer(p.Ctx, e.profile)
 	opt.SetCosting(e.costing)
 	p.Root = opt.Optimize(p.Root)
 	p.Est = opt.Estimates()
-	return p, opt.Pinned(), nil
+	return opt, nil
 }
 
 // Run executes a plan against the current committed snapshot.
@@ -194,13 +196,11 @@ func (e *Engine) queryAt(ctx context.Context, db *storage.DB, ts uint64, sqlText
 	if !ok {
 		return nil, fmt.Errorf("engine: a pinned read requires a query, got %T", st)
 	}
-	ctx, cancel := e.statementContext(ctx)
-	defer cancel()
-	release, err := e.admitQuery(ctx)
+	ctx, end, err := e.beginStatement(ctx)
 	if err != nil {
-		return nil, e.metrics.failFast(err)
+		return nil, err
 	}
-	defer release()
+	defer end()
 	p, err := e.planStatement(ctx, "", q)
 	if err != nil {
 		return nil, e.metrics.failFast(err)
@@ -223,7 +223,7 @@ func (e *Engine) run(ctx context.Context, p *plan.Plan) (*Result, error) {
 // the same history. The caller holds the lease on db pinning ts.
 func (e *Engine) runAt(ctx context.Context, p *plan.Plan, db *storage.DB, ts uint64) (res *Result, err error) {
 	start := time.Now()
-	gov := exec.NewGovernance(ctx, e.opts.MemoryBudget, e.execHooks.Load())
+	builder, gov := e.newBuilder(ctx, p, db, ts)
 	// A malformed plan or value-model misuse must surface as an error,
 	// never crash the engine.
 	defer func() {
@@ -241,9 +241,6 @@ func (e *Engine) runAt(ctx context.Context, p *plan.Plan, db *storage.DB, ts uin
 			m.rowsReturned.Add(int64(len(res.Rows)))
 		}
 	}()
-	builder := exec.NewBuilder(p.Ctx, db, ts)
-	e.configureBuilder(builder)
-	builder.SetGovernance(gov)
 	rows, err := builder.Run(p.Root)
 	if err != nil {
 		return nil, err
@@ -266,17 +263,18 @@ func (e *Engine) runAt(ctx context.Context, p *plan.Plan, db *storage.DB, ts uin
 // ran to the end of their stream (OpStats.Drained) only. The query runs
 // to completion under instrumentation; the result rows are discarded.
 func (e *Engine) ExplainAnalyze(user, sqlText string) (string, error) {
+	ctx, end, err := e.beginStatement(context.Background())
+	if err != nil {
+		return "", err
+	}
+	defer end()
 	p, err := e.PlanQuery(user, sqlText, true)
 	if err != nil {
 		return "", err
 	}
-	ctx, cancel := e.statementContext(context.Background())
-	defer cancel()
 	lease := e.db.AcquireRead()
 	defer lease.Release()
-	builder := exec.NewBuilder(p.Ctx, e.db, lease.TS())
-	e.configureBuilder(builder)
-	builder.SetGovernance(exec.NewGovernance(ctx, e.opts.MemoryBudget, e.execHooks.Load()))
+	builder, _ := e.newBuilder(ctx, p, e.db, lease.TS())
 	builder.EnableAnalyze()
 	if _, err := builder.Run(p.Root); err != nil {
 		return "", err
@@ -308,18 +306,14 @@ func (e *Engine) ExplainAnalyze(user, sqlText string) (string, error) {
 // matched operators and join-count deltas), which the profile skipped,
 // and the before/after plan censuses. The query is not executed.
 func (e *Engine) TraceQuery(user, sqlText string) (*core.Trace, error) {
-	body, err := sql.ParseQuery(sqlText)
+	p, err := e.PlanQuery(user, sqlText, false)
 	if err != nil {
 		return nil, err
 	}
-	b := bind.New(e.cat, user)
-	p, err := b.BindQuery(body)
+	opt, err := e.optimize(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
-	opt := core.NewOptimizer(p.Ctx, e.profile)
-	opt.SetCosting(e.costing)
-	p.Root = opt.Optimize(p.Root)
 	return opt.Report(), nil
 }
 
@@ -390,19 +384,20 @@ type CardinalityViolation struct {
 // for applications that declare cardinalities instead of maintaining
 // uniqueness constraints (§7.3).
 func (e *Engine) VerifyCardinalities(user, sqlText string) ([]CardinalityViolation, error) {
+	// Every join is checked at one snapshot of the primary, in an
+	// admission slot, like an executed query.
+	ctx, end, err := e.beginStatement(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	defer end()
 	p, err := e.PlanQuery(user, sqlText, false)
 	if err != nil {
 		return nil, err
 	}
-	// Every join is checked at one snapshot of the primary, under the
-	// statement timeout and memory budget, like an executed query.
-	ctx, cancel := e.statementContext(context.Background())
-	defer cancel()
 	lease := e.db.AcquireRead()
 	defer lease.Release()
-	builder := exec.NewBuilder(p.Ctx, e.db, lease.TS())
-	e.configureBuilder(builder)
-	builder.SetGovernance(exec.NewGovernance(ctx, e.opts.MemoryBudget, e.execHooks.Load()))
+	builder, _ := e.newBuilder(ctx, p, e.db, lease.TS())
 	var out []CardinalityViolation
 	var verify func(n plan.Node) error
 	verify = func(n plan.Node) error {

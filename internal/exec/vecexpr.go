@@ -22,9 +22,9 @@ import (
 // — and total kernels have none. Each kernel replicates the row
 // evaluator's exact semantics: Arith's promotion ladder, types.Compare's
 // ladder, three-valued AND/OR (x AND y is FALSE whenever either side is
-// non-NULL FALSE, even if the other is NULL), and callScalar's
-// per-function NULL handling. Every other expression is one row kernel
-// (veRow) as a whole: the row evaluator itself, run row by row.
+// non-NULL FALSE, even if the other is NULL). Every other expression —
+// a division, a scalar function, || — is one row kernel (veRow) as a
+// whole: the row evaluator itself, run row by row.
 type vecExpr interface {
 	// eval computes the expression over the batch's rows listed in sel
 	// (always non-nil) and returns the result vector, valid at exactly
@@ -573,39 +573,6 @@ func b2i(b bool) int64 {
 
 func b2i8(b bool) int8 { return int8(b2i(b)) }
 
-// --- strings ------------------------------------------------------------
-
-type veConcat struct {
-	l, r vecExpr
-	slot int
-}
-
-// vecValueString renders row i exactly like Value.String (raw payload
-// for strings, formatted rendering otherwise), used by || and CONCAT.
-func vecValueString(v *types.Vec, i int) string {
-	if v.Typ == types.TString {
-		return v.StrAt(i)
-	}
-	return v.Value(i).String()
-}
-
-func (e *veConcat) eval(b *Batch, sel []int32, sc *vecScratch) *types.Vec {
-	lv := e.l.eval(b, sel, sc)
-	rv := e.r.eval(b, sel, sc)
-	out := &sc.exprVecs[e.slot]
-	out.ResetStrings(b.N)
-	ln, rn := len(lv.Nulls) > 0, len(rv.Nulls) > 0
-	for _, si := range sel {
-		i := int(si)
-		if (ln && lv.NullAt(i)) || (rn && rv.NullAt(i)) {
-			out.SetNull(i)
-			continue
-		}
-		out.Strs[i] = vecValueString(lv, i) + vecValueString(rv, i)
-	}
-	return out
-}
-
 // --- CASE ---------------------------------------------------------------
 
 type veCaseArm struct{ cond, then vecExpr }
@@ -760,94 +727,6 @@ func (f *vecFrag) compileExpr(e plan.Expr) (vecExpr, error) {
 	return f.rowKernel(e, e.Type())
 }
 
-// --- scalar functions ---------------------------------------------------
-
-// veFunc evaluates its argument vectors, then boxes one row at a time
-// through callScalar — the row path's own implementation — so every
-// per-function NULL and clamping rule is shared, not replicated.
-// Admission (vecFuncType) guarantees callScalar's error paths are
-// unreachable for the compiled argument types.
-type veFunc struct {
-	name string
-	args []vecExpr
-	typ  types.Type
-	slot int
-}
-
-func (e *veFunc) eval(b *Batch, sel []int32, sc *vecScratch) *types.Vec {
-	avs := make([]*types.Vec, len(e.args))
-	for k, a := range e.args {
-		avs[k] = a.eval(b, sel, sc)
-	}
-	out := &sc.exprVecs[e.slot]
-	resetComputed(out, e.typ, b.N)
-	vals := make([]types.Value, len(e.args))
-	for _, si := range sel {
-		i := int(si)
-		for k := range avs {
-			vals[k] = avs[k].Value(i)
-		}
-		v, err := callScalar(e.name, e.typ, vals)
-		if err != nil {
-			// Statically unreachable: admission only compiles total
-			// calls. The engine's panic isolation reports it as a query
-			// error if an admission bug ever lets one through.
-			panic(fmt.Sprintf("exec: vectorized %s raised %v", e.name, err))
-		}
-		setVecValue(out, i, v)
-	}
-	return out
-}
-
-// vecFuncType is the totality table for scalar functions: it admits a
-// call, given its arguments' static types, only when callScalar can
-// never return an error for values of those types, and returns the
-// call's static result type.
-func vecFuncType(e *plan.Func, argTyps []types.Type) (types.Type, bool) {
-	n := len(argTyps)
-	is := func(i int, want types.Type) bool { return typedAs(e.Args[i], argTyps[i], want) }
-	switch e.Name {
-	case "ROUND", "ABS":
-		if n == 0 || n > 2 || (e.Name == "ABS" && n != 1) || argTyps[0] != e.Typ {
-			return 0, false
-		}
-		switch e.Typ {
-		case types.TInt, types.TFloat, types.TDecimal:
-			return e.Typ, n == 1 || is(1, types.TInt)
-		}
-	case "FLOOR", "CEIL":
-		if n != 1 {
-			return 0, false
-		}
-		switch argTyps[0] {
-		case types.TInt, types.TFloat, types.TDecimal, types.TDate, types.TBool, types.TNull:
-			return types.TInt, true
-		}
-	case "COALESCE", "IFNULL":
-		if n == 0 || (e.Name == "IFNULL" && n != 2) {
-			return 0, false
-		}
-		for i := range argTyps {
-			if !is(i, e.Typ) {
-				return 0, false
-			}
-		}
-		return e.Typ, true
-	case "NULLIF":
-		return e.Typ, n == 2 && is(0, e.Typ)
-	case "UPPER", "LOWER":
-		return types.TString, n == 1 && is(0, types.TString)
-	case "LENGTH":
-		return types.TInt, n == 1 && is(0, types.TString)
-	case "SUBSTR":
-		ok := (n == 2 || n == 3) && is(0, types.TString) && is(1, types.TInt) && (n == 2 || is(2, types.TInt))
-		return types.TString, ok
-	case "CONCAT":
-		return types.TString, n > 0
-	}
-	return 0, false
-}
-
 // --- compiler -----------------------------------------------------------
 
 // newSlot allocates a scratch output vector for one kernel.
@@ -902,9 +781,8 @@ func inListConsts(list []plan.Expr) (vals []types.Value, sawNull, ok bool) {
 // never raise a runtime error for any input — under the row evaluator's
 // own typing: arithmetic follows Arith's ladder (no division),
 // comparisons follow types.Compare's, CASE arms must already produce the
-// CASE's type (the row path returns an arm's value as-is), and scalar
-// functions are admitted per function (vecFuncType). A NULL literal has
-// static type TNull. A declined expression is a row kernel as a whole
+// CASE's type (the row path returns an arm's value as-is). Scalar
+// functions and || are declined. A NULL literal has static type TNull. A declined expression is a row kernel as a whole
 // (compileExpr).
 func (f *vecFrag) compileVecExpr(e plan.Expr) (vecExpr, types.Type, bool) {
 	switch e := e.(type) {
@@ -986,21 +864,6 @@ func (f *vecFrag) compileVecExpr(e plan.Expr) (vecExpr, types.Type, bool) {
 		}
 		return c, e.Typ, true
 
-	case *plan.Func:
-		fn := &veFunc{name: e.Name, typ: e.Typ, args: make([]vecExpr, len(e.Args))}
-		argTyps := make([]types.Type, len(e.Args))
-		for i, a := range e.Args {
-			var ok bool
-			if fn.args[i], argTyps[i], ok = f.compileVecExpr(a); !ok {
-				return nil, 0, false
-			}
-		}
-		t, ok := vecFuncType(e, argTyps)
-		if !ok {
-			return nil, 0, false
-		}
-		fn.slot = f.newSlot()
-		return fn, t, true
 	}
 	return nil, 0, false
 }
@@ -1044,13 +907,6 @@ func (f *vecFrag) compileVecBin(e *plan.Bin) (vecExpr, types.Type, bool) {
 			return nil, 0, false
 		}
 		return &veBool{and: e.Op == "AND", l: l, r: r, slot: f.newSlot()}, types.TBool, true
-
-	case "||":
-		// String() renders every type, so concat is total.
-		if nullOperand {
-			return &veNullConst{typ: types.TString, slot: f.newSlot()}, types.TString, true
-		}
-		return &veConcat{l: l, r: r, slot: f.newSlot()}, types.TString, true
 	}
 	return nil, 0, false
 }

@@ -42,7 +42,7 @@ type tableData struct {
 	begin []uint64 // commit TS at which each row version became visible
 	end   []uint64 // commit TS at which it was deleted (endInfinity = live)
 	// zoneMaps holds per-column block summaries over the main fragment
-	// (nil until RefreshZoneMaps or the first delta merge).
+	// (nil until the first delta merge).
 	zoneMaps []*zoneMap
 	// uniqueIdx maps each key constraint to an index over live rows:
 	// composite key string -> row position.

@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // MVCC version GC. Vacuum physically removes row versions whose end
 // timestamp is at or below the snapshot watermark: such versions are
@@ -19,8 +16,8 @@ import (
 // positions forward.
 //
 // A compaction costs O(table) with the commit lock and the table write
-// lock held, however few versions it reclaims. Direct calls (Vacuum,
-// VacuumTable, DB.Vacuum) compact whenever at least one version is
+// lock held, however few versions it reclaims. Direct calls
+// (Table.Vacuum, DB.Vacuum) compact whenever at least one version is
 // reclaimable. The background pass (DB.VacuumAmortized) compacts a table
 // only once the reclaimable versions reach 1/amortizeShare of the stored
 // ones, so every rebuild is paid for by the garbage it collects, and
@@ -154,16 +151,6 @@ func (t *Table) vacuum(watermark uint64, amortized bool) int {
 	t.metrics.VacuumedVersions.Add(int64(removed))
 	t.metrics.VacuumHold.Observe(time.Since(locked).Nanoseconds())
 	return removed
-}
-
-// VacuumTable runs a vacuum pass on one table at the DB's current
-// snapshot watermark.
-func (db *DB) VacuumTable(name string) (int, error) {
-	t, ok := db.Table(name)
-	if !ok {
-		return 0, fmt.Errorf("storage: table %s does not exist", name)
-	}
-	return t.Vacuum(endInfinity)
 }
 
 // Vacuum runs a vacuum pass over every table at the DB's current

@@ -96,15 +96,6 @@ func (z *zone) blockMayMatch(r *ColRange) bool {
 	return true
 }
 
-// RefreshZoneMaps brings the zone maps of every column up to its whole
-// main fragment. It is called automatically by MergeDelta; calling it
-// explicitly after bulk loads enables pruning without a merge.
-func (t *Table) RefreshZoneMaps() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.data.extendZoneMaps()
-}
-
 // extendZoneMaps extends every column's zone map (building it on first
 // use) over the rows its main fragment gained since the last call.
 func (d *tableData) extendZoneMaps() {
