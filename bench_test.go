@@ -547,3 +547,32 @@ func BenchmarkMaintenance(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCachedBuildReuse runs two vdm_read statements, count_star and
+// group_by, through the plan cache as an interactive consumer repeats
+// them: after the first execution each reuses its master-data hash
+// builds while their tables do not change. Its figures are allocs/op and
+// B/op, which do not depend on the machine's speed.
+func BenchmarkCachedBuildReuse(b *testing.B) {
+	e := benchS4(b)
+	e.EnablePlanCache(true)
+	defer e.EnablePlanCache(false)
+	for _, q := range []experiments.NamedQuery{
+		{Name: "count_star", SQL: "select count(*) from JournalEntryItemBrowser"},
+		{Name: "group_by", SQL: "select rbukrs, company_name, sum(hsl) total, count(*) n from JournalEntryItemBrowser " +
+			"group by rbukrs, company_name order by rbukrs, company_name"},
+	} {
+		b.Run(q.Name, func(b *testing.B) {
+			if _, err := e.QueryAs("user", q.SQL); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if _, err := e.QueryAs("user", q.SQL); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

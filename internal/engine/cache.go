@@ -124,7 +124,7 @@ func (e *Engine) refreshLocked(ctx context.Context, info *catalog.CacheInfo) err
 	}
 	lease := e.db.AcquireRead()
 	defer lease.Release()
-	res, err := e.runAt(ctx, p, e.db, lease.TS())
+	res, err := e.runAt(ctx, p, e.db, lease.TS(), nil)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -122,5 +123,34 @@ func TestBaseTablesOfNestedViews(t *testing.T) {
 	}
 	if len(info.BaseTables) != 2 {
 		t.Fatalf("base tables = %v, want emp+dept", info.BaseTables)
+	}
+}
+
+// TestDropViewDropsItsCache: DROP VIEW of a cached view drops its cache
+// and the cache's __cache_ table in the same statement, so a view of the
+// same name can be created and cached again.
+func TestDropViewDropsItsCache(t *testing.T) {
+	e := cacheEngine(t)
+	if err := e.CreateCachedView("dept_totals", false); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, `drop view dept_totals`)
+	if _, ok := e.cat.Cache("dept_totals"); ok {
+		t.Fatal("DROP VIEW left the cache registered")
+	}
+	if _, ok := e.db.Table("__cache_dept_totals"); ok {
+		t.Fatal("DROP VIEW left the cache's table behind")
+	}
+	mustExec(t, e, `create view dept_totals as select name dname from dept`)
+	if err := e.CreateCachedView("dept_totals", false); err != nil {
+		t.Fatal(err)
+	}
+	q := `select dname from dept_totals order by dname`
+	got, err := e.QueryCached("", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustQuery(t, e, q); !slices.Equal(rowStrings(got), rowStrings(want)) {
+		t.Fatalf("QueryCached = %v, live = %v", rowStrings(got), rowStrings(want))
 	}
 }

@@ -200,7 +200,7 @@ func TestPlanCacheStatsEpochFlipsBuildSide(t *testing.T) {
 	}
 	q := st.(*sql.Query)
 
-	p1, err := e.planStatement(context.Background(), "", q)
+	p1, _, err := e.planStatement(context.Background(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestPlanCacheStatsEpochFlipsBuildSide(t *testing.T) {
 	if j1 == nil || !j1.BuildLeft {
 		t.Fatalf("initial plan should build on the 5-row left side: %+v", j1)
 	}
-	p1b, err := e.planStatement(context.Background(), "", q)
+	p1b, _, err := e.planStatement(context.Background(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPlanCacheStatsEpochFlipsBuildSide(t *testing.T) {
 		t.Fatal("bulk load did not move the stats epoch")
 	}
 
-	p2, err := e.planStatement(context.Background(), "", q)
+	p2, _, err := e.planStatement(context.Background(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestPlanCacheStatsEpochFlipsBuildSide(t *testing.T) {
 	}
 
 	// Steady state: no further invalidation without data movement.
-	p2b, err := e.planStatement(context.Background(), "", q)
+	p2b, _, err := e.planStatement(context.Background(), "", q)
 	if err != nil {
 		t.Fatal(err)
 	}

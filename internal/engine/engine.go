@@ -50,6 +50,9 @@ type Engine struct {
 	// equivalence tests compare the batch executor against; only tests
 	// set it.
 	rowReference bool
+	// noBuildReuse makes every hash join build its own table, the
+	// reference the build-reuse tests compare against; only tests set it.
+	noBuildReuse bool
 	// recovery is what Open restored from the WAL directory (nil for
 	// in-memory engines); closeMu/closed make Close idempotent.
 	recovery *storage.RecoveryInfo
@@ -321,7 +324,13 @@ func (e *Engine) execStatement(st sql.Statement) error {
 		return e.createView(st)
 	case *sql.DropTable:
 		if st.View {
-			return e.cat.DropView(st.Name)
+			if err := e.cat.DropView(st.Name); err != nil {
+				return err
+			}
+			if _, cached := e.cat.Cache(st.Name); cached {
+				return e.DropCachedView(st.Name)
+			}
+			return nil
 		}
 		return e.db.DropTable(st.Name)
 	case *sql.Insert:

@@ -31,3 +31,9 @@ func (e *Engine) PlanFingerprinted(user, sqlText string) (*plan.Plan, *core.Trac
 // SetRowReference switches e between the batch executor and the row
 // executor, the reference the equivalence tests compare it against.
 func SetRowReference(e *Engine, on bool) { e.rowReference = on }
+
+// SetBuildReuse switches the sharing of hash builds across a cached
+// plan's executions on or off (on by default); off, every hash join
+// builds its own table, the reference the build-reuse battery diffs
+// against.
+func SetBuildReuse(e *Engine, on bool) { e.noBuildReuse = !on }

@@ -8,6 +8,7 @@ import (
 
 	"vdm/internal/bind"
 	"vdm/internal/core"
+	"vdm/internal/exec"
 	"vdm/internal/metrics"
 	"vdm/internal/plan"
 	"vdm/internal/sql"
@@ -62,6 +63,7 @@ type variant struct {
 	plan   *plan.Plan
 	vals   []types.Value // the literals it was planned with, by slot
 	pinned []int         // slots whose values its rewrites decided on
+	builds *exec.BuildStore
 	elem   *list.Element
 	// body is the statement it was planned from, kept under the
 	// plancacheaudit build tag only.
@@ -115,16 +117,17 @@ func (c *planCache) get(key string, vals []types.Value, ep cacheEpoch) (*variant
 
 // put caches v, planned against planned, unless the epoch has moved
 // since (now is the epoch after planning): a plan bound to a catalog
-// that changed under it is dropped, not served.
-func (c *planCache) put(v *variant, planned, now cacheEpoch) {
+// that changed under it is dropped, not served. It reports whether v was
+// cached.
+func (c *planCache) put(v *variant, planned, now cacheEpoch) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if planned != now || c.epoch != planned {
-		return
+		return false
 	}
 	for _, w := range c.shapes[v.key] {
 		if w.accepts(v.vals) {
-			return // a concurrent planner got there first
+			return false // a concurrent planner got there first
 		}
 	}
 	c.shapes[v.key] = append(c.shapes[v.key], v)
@@ -132,10 +135,12 @@ func (c *planCache) put(v *variant, planned, now cacheEpoch) {
 	for c.lru.Len() > maxCachedPlans {
 		c.evict(c.lru.Back().Value.(*variant))
 	}
+	return true
 }
 
-// evict drops the least recently used variant.
+// evict drops the least recently used variant and its builds.
 func (c *planCache) evict(v *variant) {
+	v.builds.Release()
 	c.lru.Remove(v.elem)
 	vs := slices.DeleteFunc(c.shapes[v.key], func(w *variant) bool { return w == v })
 	if len(vs) == 0 {
@@ -147,6 +152,9 @@ func (c *planCache) evict(v *variant) {
 }
 
 func (c *planCache) clear() {
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		el.Value.(*variant).builds.Release()
+	}
 	c.shapes = map[string][]*variant{}
 	c.lru.Init()
 }
@@ -172,6 +180,9 @@ func (e *Engine) cacheEpoch() cacheEpoch {
 // Plans are keyed by user, optimizer profile, and statement shape; the
 // cache is cleared by every schema or catalog change.
 func (e *Engine) EnablePlanCache(on bool) {
+	if e.plans != nil {
+		e.plans.invalidate() // releases its builds
+	}
 	if on {
 		e.plans = newPlanCache(e.cacheEpoch())
 	} else {

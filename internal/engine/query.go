@@ -67,22 +67,26 @@ func (e *Engine) queryStatement(ctx context.Context, user string, q *sql.Query) 
 		return nil, err
 	}
 	defer end()
-	p, err := e.planStatement(ctx, user, q)
+	p, builds, err := e.planStatement(ctx, user, q)
 	if err != nil {
 		// Planning failures count as failed queries so the error rate
 		// reflects what callers observe, not just execution faults.
 		return nil, e.metrics.failFast(err)
 	}
-	return e.run(ctx, p)
+	lease := e.db.AcquireRead()
+	defer lease.Release()
+	return e.runAt(ctx, p, e.db, lease.TS(), builds)
 }
 
 // planStatement plans a query, going through the plan cache when one is
 // enabled: the statement's fingerprint finds its shape's templates, and
-// the plan is planned only when no template accepts its literals.
-func (e *Engine) planStatement(ctx context.Context, user string, q *sql.Query) (*plan.Plan, error) {
+// the plan is planned only when no template accepts its literals. It
+// also returns the hash builds the cached variant's executions share
+// (nil when the plan is not cached).
+func (e *Engine) planStatement(ctx context.Context, user string, q *sql.Query) (*plan.Plan, *exec.BuildStore, error) {
 	if e.plans == nil {
 		p, _, err := e.planPinned(ctx, user, q.Body, true)
-		return p, err
+		return p, nil, err
 	}
 	fp, vals := sql.Fingerprint(q.Body)
 	key := user + "\x00" + e.profile.Name + "\x00" + fp
@@ -95,18 +99,20 @@ func (e *Engine) planStatement(ctx context.Context, user string, q *sql.Query) (
 				e.auditInstance(user, v, q.Body, vals)
 			}
 		}
-		return p, nil
+		return p, v.builds, nil
 	}
 	p, pinned, err := e.planPinned(ctx, user, q.Body, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	v := &variant{key: key, plan: p, vals: vals, pinned: pinned}
+	v := &variant{key: key, plan: p, vals: vals, pinned: pinned, builds: exec.NewBuildStore(&e.metrics.exec)}
 	if planCacheAudit {
 		v.body = q.Body
 	}
-	e.plans.put(v, ep, e.cacheEpoch())
-	return p, nil
+	if !e.plans.put(v, ep, e.cacheEpoch()) {
+		return p, nil, nil
+	}
+	return p, v.builds, nil
 }
 
 // PlanQuery binds a query and, if optimize is set, rewrites it under the
@@ -201,11 +207,11 @@ func (e *Engine) queryAt(ctx context.Context, db *storage.DB, ts uint64, sqlText
 		return nil, err
 	}
 	defer end()
-	p, err := e.planStatement(ctx, "", q)
+	p, builds, err := e.planStatement(ctx, "", q)
 	if err != nil {
 		return nil, e.metrics.failFast(err)
 	}
-	return e.runAt(ctx, p, db, ts)
+	return e.runAt(ctx, p, db, ts, builds)
 }
 
 func (e *Engine) run(ctx context.Context, p *plan.Plan) (*Result, error) {
@@ -214,16 +220,21 @@ func (e *Engine) run(ctx context.Context, p *plan.Plan) (*Result, error) {
 	// this query can still see, however long it runs.
 	lease := e.db.AcquireRead()
 	defer lease.Release()
-	return e.runAt(ctx, p, e.db, lease.TS())
+	return e.runAt(ctx, p, e.db, lease.TS(), nil)
 }
 
 // runAt executes a plan against db's snapshot at ts — db is the
 // primary or a replica store; plans are built from catalog names, so a
 // primary-planned query executes against any store that has applied
-// the same history. The caller holds the lease on db pinning ts.
-func (e *Engine) runAt(ctx context.Context, p *plan.Plan, db *storage.DB, ts uint64) (res *Result, err error) {
+// the same history. The caller holds the lease on db pinning ts. The
+// plan's hash joins share builds through builds (nil: none) when db is
+// the primary: a replica's tables are not the ones builds recorded.
+func (e *Engine) runAt(ctx context.Context, p *plan.Plan, db *storage.DB, ts uint64, builds *exec.BuildStore) (res *Result, err error) {
 	start := time.Now()
 	builder, gov := e.newBuilder(ctx, p, db, ts)
+	if db == e.db && !e.noBuildReuse {
+		builder.SetBuildStore(builds)
+	}
 	// A malformed plan or value-model misuse must surface as an error,
 	// never crash the engine.
 	defer func() {

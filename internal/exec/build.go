@@ -30,6 +30,10 @@ type Builder struct {
 	// gov carries the query's cancellation context, memory budget, and
 	// test hooks (see SetGovernance); nil runs ungoverned.
 	gov *Governance
+	// builds shares hash builds across a cached plan's executions (see
+	// SetBuildStore); hashJoins numbers the hash joins compiled so far.
+	builds    *BuildStore
+	hashJoins int
 }
 
 // SetGovernance attaches a query's governance handle: subsequent Build

@@ -84,6 +84,19 @@ func newKeyIndex(ncols int, nulls bool, acct *memAcct) keyIndex {
 	return ix
 }
 
+// forProbe returns a copy of a built index for one execution's lookups:
+// the key maps are shared and only read (a lookup never writes them),
+// while the per-view memos and the fold scratch are the copy's own and
+// start empty, and nothing is metered.
+func (ix keyIndex) forProbe() keyIndex {
+	ix.acct, ix.scratch, ix.grown = nil, nil, 0
+	ix.cols = slices.Clone(ix.cols)
+	for k := range ix.cols {
+		ix.cols[k].memo = epochMemo[int32]{}
+	}
+	return ix
+}
+
 // size returns the number of ids handed out.
 func (ix *keyIndex) size() int {
 	if len(ix.folds) > 0 {
@@ -102,7 +115,8 @@ func (ix *keyIndex) insert(b *Batch, cols []int, rows []int32, dst []int32) ([]i
 }
 
 // lookup appends to dst the ids of the key tuples in columns cols of b's
-// rows, -1 for a tuple the index does not hold; it never inserts. It
+// rows, -1 for a tuple the index does not hold; it never inserts and
+// writes only the memos and scratch, never the key maps. It
 // memoizes a dictionary code's miss, so every insert precedes the first
 // lookup.
 func (ix *keyIndex) lookup(b *Batch, cols []int, rows []int32, dst []int32) []int32 {

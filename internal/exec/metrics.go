@@ -26,6 +26,13 @@ type Metrics struct {
 	VecFallbackUnion           metrics.Counter
 	VecFallbackDistinct        metrics.Counter
 	VecFallbackAnalyzeParallel metrics.Counter
+	// BuildsMade counts the hash builds that a join with a slot in a
+	// cached plan's BuildStore drained from its build side, BuildsReused
+	// those it took from the slot instead.
+	BuildsMade, BuildsReused metrics.Counter
+	// RetainedBuildBytes is the metered size of the builds every
+	// BuildStore holds, at most maxRetainedBuildBytes.
+	RetainedBuildBytes metrics.Gauge
 	// PeakQueryBytes is the high-water mark of any single query's
 	// governance-tracked memory since the engine started.
 	PeakQueryBytes metrics.Gauge
@@ -37,5 +44,8 @@ func (m *Metrics) RegisterWith(r *metrics.Registry) {
 	r.RegisterCounter("exec.topk_fusions", &m.TopKFusions)
 	r.RegisterCounter("exec.vec_pipelines", &m.VecPipelines)
 	r.RegisterCounter("exec.vec_batches", &m.VecBatches)
+	r.RegisterCounter("exec.builds_made", &m.BuildsMade)
+	r.RegisterCounter("exec.builds_reused", &m.BuildsReused)
+	r.Register("exec.retained_build_bytes", m.RetainedBuildBytes.Value)
 	r.Register("exec.peak_query_bytes", m.PeakQueryBytes.Value)
 }

@@ -230,7 +230,7 @@ func (f *vecFrag) applyFilter(n *plan.Filter) error {
 	}
 	for i, ex := range ks {
 		cols := f.exprCols(conjs[i])
-		if js != nil && js.fold(ex, cols, f.spec) {
+		if js != nil && js.fold(ex, conjs[i], cols, f.spec) {
 			st.folded++
 			continue
 		}
@@ -483,7 +483,26 @@ func (b *Builder) vecJoin(n *plan.Join) (*vecFrag, error) {
 	}
 	js.keep = allTrue(len(cols))
 	js.store = allTrue(len(js.build.proj))
+	js.share = b.shareBuild(js.build, n)
 	return &vecFrag{spec: newVecSpec(js, len(cols)), cols: cols, node: n, kids: kids}, nil
+}
+
+// shareBuild returns the slot of the plan's next hash join in the
+// builder's BuildStore, nil when there is no store, under EXPLAIN
+// ANALYZE, or when the build side is not a base-table scan under filters
+// and projections.
+func (b *Builder) shareBuild(build *vecSpec, n *plan.Join) *buildShare {
+	slot := b.hashJoins
+	b.hashJoins++
+	scan, ok := build.src.(*scanSource)
+	if b.builds == nil || b.analyze || !ok {
+		return nil
+	}
+	side := n.Right
+	if n.BuildLeft {
+		side = n.Left
+	}
+	return &buildShare{store: b.builds, slot: slot, from: []any{side, n.Cond}, snap: scan.snap}
 }
 
 // vecSort compiles a Sort into a sort source. lim is the LIMIT/OFFSET

@@ -3,6 +3,7 @@ package exec
 import (
 	"slices"
 
+	"vdm/internal/plan"
 	"vdm/internal/types"
 )
 
@@ -210,22 +211,15 @@ type joinSource struct {
 	filtCols []int
 	over     *vecSpec
 
-	acct   memAcct
-	cols   []buildCol // build side, one per build output column
-	nbuild int
-	// keys numbers the distinct non-NULL build keys in first-seen order.
-	// keyOf holds each build row's id while building (-1: NULL key); the
-	// rows of id k are then rows[off[k]:off[k+1]], in build order, a row
-	// failing the folded filter as ^row. When every id has one row
-	// (unique), rows[k] is id k's outcome: its build row, or filtered.
-	keys      keyIndex
-	keyOf     []int32
-	off, rows []int32
-	unique    bool
-	matched   []bool // buildLeft && leftOuter
-	// nullPass: the folded filter holds on the NULL extension.
-	nullPass bool
-	ids      []int32 // a probe batch's key ids
+	acct memAcct
+	hashBuild
+	// keyOf holds each build row's id while building (-1: NULL key).
+	keyOf   []int32
+	matched []bool  // buildLeft && leftOuter
+	ids     []int32 // a probe batch's key ids
+	// share is the join's slot in a cached plan's BuildStore, nil when
+	// its build is not shared.
+	share *buildShare
 
 	// probe state
 	pb           *Batch
@@ -238,14 +232,32 @@ type joinSource struct {
 	all          []int32
 }
 
+// hashBuild is a finished build: the build side's column store, its key
+// index and the layout of its rows. A shared build is read-only.
+type hashBuild struct {
+	cols   []buildCol // build side, one per build output column
+	nbuild int
+	// keys numbers the distinct non-NULL build keys in first-seen order;
+	// the rows of id k are rows[off[k]:off[k+1]], in build order, a row
+	// failing the folded filter as ^row. When every id has one row
+	// (unique), rows[k] is id k's outcome: its build row, or filtered.
+	keys      keyIndex
+	off, rows []int32
+	unique    bool
+	// nullPass: the folded filter holds on the NULL extension.
+	nullPass bool
+	bytes    int64 // metered against the query budget
+}
+
 // fold moves one conjunct of a Filter in the join's own pipeline (over)
 // into the join, when the conjunct reads build columns only: cols are
 // its batch columns, which below any computed column are the join's
 // output columns. An inner join folds either build side; a left outer
 // join only when it builds its NULL-supplying right side, where an
 // unmatched probe row's NULL extension survives iff the conjunct holds
-// on all-NULL build columns. Reports whether the conjunct moved.
-func (j *joinSource) fold(c vecExpr, cols []int, over *vecSpec) bool {
+// on all-NULL build columns. A shared build records the conjunct's plan
+// expression (conj). Reports whether the conjunct moved.
+func (j *joinSource) fold(c vecExpr, conj plan.Expr, cols []int, over *vecSpec) bool {
 	if j.leftOuter && j.buildLeft {
 		return false
 	}
@@ -261,6 +273,9 @@ func (j *joinSource) fold(c vecExpr, cols []int, over *vecSpec) bool {
 		}
 	}
 	j.filt, j.over = append(j.filt, c), over
+	if j.share != nil {
+		j.share.from = append(j.share.from, conj)
+	}
 	return true
 }
 
@@ -299,27 +314,17 @@ func (j *joinSource) open() error {
 	if j.met != nil {
 		j.met.VecPipelines.Inc()
 	}
-	if err := j.buildTable(); err != nil {
+	reused, err := j.openBuild()
+	if err != nil {
 		return err
 	}
-	var pass []bool // per build row: the folded filter holds
-	j.nullPass = true
-	if j.filt != nil {
-		var err error
-		if pass, err = j.filterBuild(); err != nil {
-			return err
+	if j.met != nil && j.share != nil {
+		if reused {
+			j.met.BuildsReused.Inc()
+		} else {
+			j.met.BuildsMade.Inc()
 		}
 	}
-	if j.stats != nil {
-		j.stats.BuildRows, j.stats.BuildBytes = int64(len(j.rows)), j.acct.bytes()
-		if j.buildLeft {
-			j.stats.BuildRows = int64(j.nbuild)
-		}
-		if pass != nil {
-			j.stats.BuildFiltered, j.stats.BuildPass = true, j.passed(pass)
-		}
-	}
-	j.layout(pass)
 	if j.buildLeft && j.leftOuter {
 		j.matched = make([]bool, j.nbuild)
 	}
@@ -329,6 +334,48 @@ func (j *joinSource) open() error {
 	j.pairP, j.pairB, j.pairPos = j.pairP[:0], j.pairB[:0], 0
 	j.probeDone, j.tailPos = false, 0
 	return j.probe.open()
+}
+
+// openBuild makes the build, or takes the one its slot holds when that
+// still holds (buildShare.reusable) and charges its bytes to the query
+// budget, and reports whether it reused one. A build made publishes
+// itself to its slot.
+func (j *joinSource) openBuild() (bool, error) {
+	var v uint64
+	if j.share != nil {
+		var sb *sharedBuild
+		if sb, v = j.share.reusable(); sb != nil {
+			j.hashBuild = sb.hashBuild
+			j.keys = sb.keys.forProbe()
+			return true, j.acct.add(j.bytes)
+		}
+	}
+	if err := j.buildTable(); err != nil {
+		return false, err
+	}
+	var pass []bool // per build row: the folded filter holds
+	j.nullPass = true
+	if j.filt != nil {
+		var err error
+		if pass, err = j.filterBuild(); err != nil {
+			return false, err
+		}
+	}
+	j.bytes = j.acct.bytes()
+	if j.stats != nil {
+		j.stats.BuildRows, j.stats.BuildBytes = int64(len(j.rows)), j.bytes
+		if j.buildLeft {
+			j.stats.BuildRows = int64(j.nbuild)
+		}
+		if pass != nil {
+			j.stats.BuildFiltered, j.stats.BuildPass = true, j.passed(pass)
+		}
+	}
+	j.layout(pass)
+	if j.share != nil {
+		j.share.publish(j.hashBuild, v)
+	}
+	return false, nil
 }
 
 // buildTable drains the build source into the column store, meters its
@@ -686,9 +733,7 @@ func (j *joinSource) close() {
 		return
 	}
 	j.release(&j.acct)
-	j.cols, j.keys, j.matched = nil, keyIndex{}, nil
-	j.off, j.rows = nil, nil
-	j.pb = nil
+	j.hashBuild, j.matched, j.pb = hashBuild{}, nil, nil
 }
 
 // rowJoinSource is every join the hash join does not take — semi, anti,

@@ -43,6 +43,20 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Add adjusts the gauge by n.
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
+// AddWithin adjusts the gauge by n unless that would take it above
+// limit, and reports whether it did: an atomic bounded reservation.
+func (g *Gauge) AddWithin(n, limit int64) bool {
+	for {
+		cur := g.v.Load()
+		if cur+n > limit {
+			return false
+		}
+		if g.v.CompareAndSwap(cur, cur+n) {
+			return true
+		}
+	}
+}
+
 // Max raises the gauge to v if v exceeds the current value — an atomic
 // high-water mark.
 func (g *Gauge) Max(v int64) {

@@ -178,3 +178,56 @@ func TestCompactionLeavesDictionaryIndexToNextWrite(t *testing.T) {
 		t.Fatalf("table reads %v, want %v", got, want)
 	}
 }
+
+// TestVersionUnderConcurrentCommits reads Table.Version, which takes no
+// lock, while another goroutine commits: a version once seen never goes
+// back, and a snapshot taken after it was seen covers it, because a
+// commit stores its version before the DB clock moves past it. Reuse of
+// hash builds across statements relies on both. Run it under -race.
+func TestVersionUnderConcurrentCommits(t *testing.T) {
+	db := NewDB()
+	tbls := kvTables(t, db, 2)
+	const commits = 400
+	done := make(chan error, 1)
+	go func() {
+		for i := range commits {
+			tx := db.Begin()
+			if err := tx.Insert(tbls[i%2], kvRow(int64(i), "v")); err != nil {
+				done <- err
+				return
+			}
+			if err := tx.Commit(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var last [2]uint64
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		for k, tbl := range tbls {
+			v := tbl.Version()
+			lease := db.AcquireRead()
+			ts := lease.TS()
+			lease.Release()
+			if v < last[k] {
+				t.Fatalf("table %d: version went back from %d to %d", k, last[k], v)
+			}
+			if v > ts {
+				t.Fatalf("table %d: version %d seen before the clock reached it (snapshot %d)", k, v, ts)
+			}
+			last[k] = v
+		}
+	}
+	if got, want := max(tbls[0].Version(), tbls[1].Version()), db.CurrentTS(); got != want {
+		t.Fatalf("last version %d, want the last commit %d", got, want)
+	}
+}

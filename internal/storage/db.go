@@ -514,9 +514,7 @@ func (tx *Txn) Commit() error {
 		}
 	}
 	for _, t := range order {
-		t.mu.Lock()
-		t.version = ts
-		t.mu.Unlock()
+		t.version.Store(ts)
 	}
 	db.clock = ts
 	for _, a := range done {

@@ -300,7 +300,7 @@ func (db *DB) restoreCheckpoint(ck *wal.CheckpointData) error {
 				return err
 			}
 		}
-		t.version = ck.TS
+		t.version.Store(ck.TS)
 		t.mu.Unlock()
 		if len(ct.Rows) > 0 {
 			// Restored rows all landed in delta fragments; fold them
@@ -372,7 +372,7 @@ func (db *DB) applyWALCommit(r *wal.CommitRecord) error {
 				return fmt.Errorf("storage: replay: unknown op kind %d", op.Kind)
 			}
 		}
-		t.version = r.TS
+		t.version.Store(r.TS)
 		t.mu.Unlock()
 	}
 	db.clock = r.TS

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vdm/internal/types"
@@ -62,12 +63,14 @@ type tableData struct {
 type Table struct {
 	mu sync.RWMutex
 
-	name    string
-	schema  types.Schema
-	keys    []KeyConstraint
-	fks     []ForeignKey
-	data    *tableData
-	version uint64 // commit TS of the last committed change
+	name   string
+	schema types.Schema
+	keys   []KeyConstraint
+	fks    []ForeignKey
+	data   *tableData
+	// version is the commit TS of the last committed change, stored
+	// before the DB clock moves past it.
+	version atomic.Uint64
 
 	// liveRows is the exact number of currently-visible rows, maintained
 	// inline by insert/delete/rollback; colStats holds the per-column
@@ -127,12 +130,10 @@ func (t *Table) Keys() []KeyConstraint {
 
 // Version returns the commit timestamp of the table's last committed
 // change (0 for a never-written table). Cached views use it to detect
-// staleness.
-func (t *Table) Version() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.version
-}
+// staleness, and a cached plan to tell whether a hash build it kept
+// still holds. It takes no lock: a snapshot whose timestamp covers a
+// commit always sees that commit's version.
+func (t *Table) Version() uint64 { return t.version.Load() }
 
 // ForeignKeys returns the table's foreign-key metadata.
 func (t *Table) ForeignKeys() []ForeignKey {
@@ -438,6 +439,9 @@ func (t *Table) SnapshotAt(ts uint64) *Snapshot {
 
 // TS returns the snapshot's read timestamp.
 func (s *Snapshot) TS() uint64 { return s.ts }
+
+// Table returns the table the snapshot reads.
+func (s *Snapshot) Table() *Table { return s.t }
 
 // Pin registers the snapshot's timestamp with the owning DB's watermark
 // so version GC keeps every version visible at it, and returns the
